@@ -176,23 +176,23 @@ fn layout_spans(
 mod tests {
     use super::*;
     use scwsc_core::telemetry::{PHASE_GUESS, PHASE_SCAN, PHASE_TOTAL};
-    use scwsc_core::{FlightRecorder, Observer, TraceId};
+    use scwsc_core::{Event, FlightRecorder, Observer, TraceId};
 
     /// A real dump from a two-worker recording, via the recorder itself.
     fn dump() -> String {
         let mut r = FlightRecorder::new();
-        r.trace_started(TraceId::mint("cmc", 100, 7), "cmc");
-        r.phase_started(PHASE_TOTAL);
-        r.phase_started(PHASE_GUESS);
-        r.benefit_computed(10);
-        r.worker_switched(1);
-        r.phase_started(PHASE_SCAN);
-        r.benefit_computed(4);
-        r.phase_ended(PHASE_SCAN, 0.01);
-        r.worker_switched(0);
-        r.set_selected(3, 5, 1.0);
-        r.phase_ended(PHASE_GUESS, 0.5);
-        r.phase_ended(PHASE_TOTAL, 0.6);
+        r.on(&Event::TraceStarted(TraceId::mint("cmc", 100, 7), "cmc"));
+        r.on(&Event::PhaseStarted(PHASE_TOTAL));
+        r.on(&Event::PhaseStarted(PHASE_GUESS));
+        r.on(&Event::BenefitComputed(10));
+        r.on(&Event::WorkerSwitched(1));
+        r.on(&Event::PhaseStarted(PHASE_SCAN));
+        r.on(&Event::BenefitComputed(4));
+        r.on(&Event::PhaseEnded(PHASE_SCAN, 0.01));
+        r.on(&Event::WorkerSwitched(0));
+        r.on(&Event::SetSelected(3, 5, 1.0));
+        r.on(&Event::PhaseEnded(PHASE_GUESS, 0.5));
+        r.on(&Event::PhaseEnded(PHASE_TOTAL, 0.6));
         let mut buf = Vec::new();
         r.write_dump(&mut buf).unwrap();
         String::from_utf8(buf).unwrap()

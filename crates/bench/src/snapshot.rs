@@ -629,10 +629,10 @@ mod tests {
     #[test]
     fn span_snapshot_copies_node_tree() {
         let mut profiler = scwsc_core::SpanProfiler::new();
-        use scwsc_core::Observer as _;
-        profiler.phase_started("total");
-        profiler.benefit_computed(5);
-        profiler.phase_ended("total", 0.5);
+        use scwsc_core::{Event, Observer as _};
+        profiler.on(&Event::PhaseStarted("total"));
+        profiler.on(&Event::BenefitComputed(5));
+        profiler.on(&Event::PhaseEnded("total", 0.5));
         let snap = SpanSnapshot::from_node(&profiler.tree());
         assert_eq!(snap.name, "total");
         assert_eq!(snap.count, 1);

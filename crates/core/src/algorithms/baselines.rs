@@ -4,7 +4,7 @@
 use crate::cover_state::CoverState;
 use crate::set_system::{coverage_target, SetId, SetSystem};
 use crate::solution::{Solution, SolveError};
-use crate::telemetry::{audit, pack_k_target, Observer, PhaseSpan, TraceId, PHASE_TOTAL};
+use crate::telemetry::{audit, pack_k_target, Event, Observer, PhaseSpan, TraceId, PHASE_TOTAL};
 
 /// Greedy *partial weighted set cover*: repeatedly picks the set with the
 /// highest marginal gain until the coverage target is met (optimizes cost
@@ -15,14 +15,14 @@ pub fn greedy_weighted_set_cover<O: Observer + ?Sized>(
     obs: &mut O,
 ) -> Result<Solution, SolveError> {
     let target = coverage_target(system.num_elements(), coverage_fraction);
-    obs.trace_started(
+    obs.on(&Event::TraceStarted(
         TraceId::mint(
             "greedy_wsc",
             system.num_elements() as u64,
             pack_k_target(0, target),
         ),
         "greedy_wsc",
-    );
+    ));
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
     let result = wsc_run(system, coverage_fraction, obs);
     span.exit(obs);
@@ -35,9 +35,9 @@ fn wsc_run<O: Observer + ?Sized>(
     obs: &mut O,
 ) -> Result<Solution, SolveError> {
     let target = coverage_target(system.num_elements(), coverage_fraction);
-    obs.guess_started(None);
+    obs.on(&Event::GuessStarted(None));
     let mut state = CoverState::new(system);
-    obs.benefit_computed(system.num_sets() as u64);
+    obs.on(&Event::BenefitComputed(system.num_sets() as u64));
     let mut chosen: Vec<SetId> = Vec::new();
     let mut rem = target;
     while rem > 0 {
@@ -59,18 +59,18 @@ pub fn greedy_max_coverage<O: Observer + ?Sized>(
     k: usize,
     obs: &mut O,
 ) -> Solution {
-    obs.trace_started(
+    obs.on(&Event::TraceStarted(
         TraceId::mint(
             "greedy_max_cov",
             system.num_elements() as u64,
             pack_k_target(k, 0),
         ),
         "greedy_max_cov",
-    );
+    ));
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
-    obs.guess_started(None);
+    obs.on(&Event::GuessStarted(None));
     let mut state = CoverState::new(system);
-    obs.benefit_computed(system.num_sets() as u64);
+    obs.on(&Event::BenefitComputed(system.num_sets() as u64));
     let mut chosen: Vec<SetId> = Vec::new();
     for _ in 0..k {
         let top = state.top_benefit(audit::TOP, |_| true);
@@ -92,14 +92,14 @@ pub fn greedy_partial_max_coverage<O: Observer + ?Sized>(
     coverage_fraction: f64,
     obs: &mut O,
 ) -> Result<Solution, SolveError> {
-    obs.trace_started(
+    obs.on(&Event::TraceStarted(
         TraceId::mint(
             "greedy_pmc",
             system.num_elements() as u64,
             pack_k_target(0, coverage_target(system.num_elements(), coverage_fraction)),
         ),
         "greedy_pmc",
-    );
+    ));
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
     let result = pmc_run(system, coverage_fraction, obs);
     span.exit(obs);
@@ -112,9 +112,9 @@ fn pmc_run<O: Observer + ?Sized>(
     obs: &mut O,
 ) -> Result<Solution, SolveError> {
     let target = coverage_target(system.num_elements(), coverage_fraction);
-    obs.guess_started(None);
+    obs.on(&Event::GuessStarted(None));
     let mut state = CoverState::new(system);
-    obs.benefit_computed(system.num_sets() as u64);
+    obs.on(&Event::BenefitComputed(system.num_sets() as u64));
     let mut chosen: Vec<SetId> = Vec::new();
     let mut rem = target;
     while rem > 0 {
@@ -140,18 +140,18 @@ pub fn budgeted_max_coverage<O: Observer + ?Sized>(
     max_sets: Option<usize>,
     obs: &mut O,
 ) -> Solution {
-    obs.trace_started(
+    obs.on(&Event::TraceStarted(
         TraceId::mint(
             "budgeted_max_cov",
             system.num_elements() as u64,
             budget.to_bits(),
         ),
         "budgeted_max_cov",
-    );
+    ));
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
-    obs.guess_started(None);
+    obs.on(&Event::GuessStarted(None));
     let mut state = CoverState::new(system);
-    obs.benefit_computed(system.num_sets() as u64);
+    obs.on(&Event::BenefitComputed(system.num_sets() as u64));
     let mut chosen: Vec<SetId> = Vec::new();
     let mut spent = 0.0f64;
     let cap = max_sets.unwrap_or(usize::MAX);

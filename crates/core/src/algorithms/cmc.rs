@@ -19,7 +19,7 @@ use crate::parallel::{CancelToken, ThreadPool};
 use crate::set_system::{coverage_target, SetId, SetSystem};
 use crate::solution::{Solution, SolveError};
 use crate::telemetry::{
-    audit, pack_k_target, EventLog, Observer, PhaseSpan, ThreadLocalTelemetry, TraceId,
+    audit, pack_k_target, Event, EventLog, Observer, PhaseSpan, ThreadLocalTelemetry, TraceId,
     PHASE_GUESS, PHASE_INIT, PHASE_SELECT, PHASE_TOTAL,
 };
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -295,14 +295,14 @@ pub fn cmc<O: Observer + ?Sized>(
             final_budget: 0.0,
         });
     }
-    obs.trace_started(
+    obs.on(&Event::TraceStarted(
         TraceId::mint(
             "cmc",
             system.num_elements() as u64,
             pack_k_target(params.k, target),
         ),
         "cmc",
-    );
+    ));
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
     let result = guess_loop(system, params, target, obs);
     span.exit(obs);
@@ -320,7 +320,7 @@ fn guess_loop<O: Observer + ?Sized>(
     let mut budget = initial_budget(system, params.k);
 
     loop {
-        obs.guess_started(Some(budget));
+        obs.on(&Event::GuessStarted(Some(budget)));
         let guess_span = PhaseSpan::enter(obs, PHASE_GUESS);
         let found = run_guess(system, params, budget, target, obs);
         guess_span.exit(obs);
@@ -368,14 +368,14 @@ fn run_guess<O: Observer + ?Sized>(
     // Lines 04-05: fresh marginal benefits for every set.
     let init_span = PhaseSpan::enter(obs, PHASE_INIT);
     let mut state = CoverState::new(system);
-    obs.benefit_computed(system.num_sets() as u64);
+    obs.on(&Event::BenefitComputed(system.num_sets() as u64));
     init_span.exit(obs);
 
     let levels = Levels::build(params.schedule, budget, params.k);
     // Announce the whole schedule up front (even levels an early return
     // skips) so observers see each guess's complete level partition.
     for level in 0..levels.len() {
-        obs.level_entered(level, levels.quota(level));
+        obs.on(&Event::LevelEntered(level, levels.quota(level)));
     }
     // Precompute each set's level under this budget so the inner argmax
     // filter is a table lookup.
@@ -451,14 +451,14 @@ pub fn cmc_on<O: Observer + ?Sized>(
             final_budget: 0.0,
         });
     }
-    obs.trace_started(
+    obs.on(&Event::TraceStarted(
         TraceId::mint(
             "cmc",
             system.num_elements() as u64,
             pack_k_target(params.k, target),
         ),
         "cmc",
-    );
+    ));
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
     let deadline = Deadline::unbounded();
     let result = guess_loop_speculative(system, params, target, pool, &deadline, false, obs);
@@ -516,14 +516,14 @@ pub fn cmc_within<O: Observer + ?Sized>(
             final_budget: 0.0,
         }));
     }
-    obs.trace_started(
+    obs.on(&Event::TraceStarted(
         TraceId::mint(
             "cmc",
             system.num_elements() as u64,
             pack_k_target(params.k, target),
         ),
         "cmc",
-    );
+    ));
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
     let result = if pool.is_serial() || deadline.tick_deterministic() {
         guess_loop_within(system, params, target, pool, deadline, obs)
@@ -579,7 +579,11 @@ fn degrade<O: Observer + ?Sized>(
     obs: &mut O,
 ) -> SolveOutcome<CmcOutcome> {
     let solution = Solution::from_sets(system, partial);
-    obs.degrade_decided(reason.as_str(), solution.covered() as u64, target as u64);
+    obs.on(&Event::DegradeDecided(
+        reason.as_str(),
+        solution.covered() as u64,
+        target as u64,
+    ));
     let certificate = Certificate {
         sets_used: solution.size(),
         covered: solution.covered(),
@@ -685,7 +689,7 @@ fn run_contained_guess<O: Observer + ?Sized>(
 ) -> Result<GuessOutcome, EngineError> {
     let no_cancel = CancelToken::new();
     let attempt = |log: &mut EventLog| -> GuessOutcome {
-        log.guess_started(Some(budget));
+        log.on(&Event::GuessStarted(Some(budget)));
         let span = PhaseSpan::enter(log, PHASE_GUESS);
         deadline.fault_guess(guess_index);
         let outcome = match masks {
@@ -705,7 +709,7 @@ fn run_contained_guess<O: Observer + ?Sized>(
             Ok(outcome)
         }
         Err(_) => {
-            obs.guess_retried();
+            obs.on(&Event::GuessRetried);
             let mut retry_log = EventLog::new();
             match catch_unwind(AssertUnwindSafe(|| attempt(&mut retry_log))) {
                 Ok(outcome) => {
@@ -731,12 +735,12 @@ fn run_guess_within(
 ) -> GuessOutcome {
     let init_span = PhaseSpan::enter(log, PHASE_INIT);
     let mut state = CoverState::new(system);
-    log.benefit_computed(system.num_sets() as u64);
+    log.on(&Event::BenefitComputed(system.num_sets() as u64));
     init_span.exit(log);
 
     let levels = Levels::build(params.schedule, budget, params.k);
     for level in 0..levels.len() {
-        log.level_entered(level, levels.quota(level));
+        log.on(&Event::LevelEntered(level, levels.quota(level)));
     }
     let set_level: Vec<Option<usize>> = (0..system.num_sets() as SetId)
         .map(|id| levels.level_of(system.cost(id).value()))
@@ -825,7 +829,7 @@ fn guess_loop_speculative<O: Observer + ?Sized>(
         let mut attempts: Vec<(EventLog, GuessAttempt)> = pool.par_map(&tasks, |&(i, guess)| {
             let mut log = EventLog::new();
             let result = catch_unwind(AssertUnwindSafe(|| {
-                log.guess_started(Some(guess));
+                log.on(&Event::GuessStarted(Some(guess)));
                 let guess_span = PhaseSpan::enter(&mut log, PHASE_GUESS);
                 deadline.fault_guess(base_index + i as u64 + 1);
                 let outcome = run_guess_masked(
@@ -887,11 +891,11 @@ fn guess_loop_speculative<O: Observer + ?Sized>(
                 }
                 GuessAttempt::Panicked(_) => {
                     // Retry once, serially, on the calling thread.
-                    obs.guess_retried();
+                    obs.on(&Event::GuessRetried);
                     let mut retry_log = EventLog::new();
                     let fresh = CancelToken::new();
                     let retried = catch_unwind(AssertUnwindSafe(|| {
-                        retry_log.guess_started(Some(budgets[j]));
+                        retry_log.on(&Event::GuessStarted(Some(budgets[j])));
                         let guess_span = PhaseSpan::enter(&mut retry_log, PHASE_GUESS);
                         deadline.fault_guess(base_index + j as u64 + 1);
                         let outcome = run_guess_masked(
@@ -955,7 +959,10 @@ fn guess_loop_speculative<O: Observer + ?Sized>(
                 }
             }
         }
-        obs.speculation(committed as u64, (window - committed) as u64);
+        obs.on(&Event::Speculation(
+            committed as u64,
+            (window - committed) as u64,
+        ));
         if let Some(result) = resolved {
             return result;
         }
@@ -987,12 +994,12 @@ fn run_guess_masked(
     // Bounds are only valid while `covered` grows, so each guess gets a
     // fresh pruned-scan state (guesses restart coverage from empty).
     let mut pruned = scan::PrunedScan::new(masks);
-    log.benefit_computed(system.num_sets() as u64);
+    log.on(&Event::BenefitComputed(system.num_sets() as u64));
     init_span.exit(log);
 
     let levels = Levels::build(params.schedule, budget, params.k);
     for level in 0..levels.len() {
-        log.level_entered(level, levels.quota(level));
+        log.on(&Event::LevelEntered(level, levels.quota(level)));
     }
     let set_level: Vec<Option<usize>> = (0..system.num_sets() as SetId)
         .map(|id| levels.level_of(system.cost(id).value()))
@@ -1042,7 +1049,11 @@ fn run_guess_masked(
             chosen.push(q);
             counts[level] += 1;
             covered.union_with(&masks[q as usize]);
-            log.set_selected(q as u64, win.mben as u64, win.cost.value());
+            log.on(&Event::SetSelected(
+                q as u64,
+                win.mben as u64,
+                win.cost.value(),
+            ));
             rem = rem.saturating_sub(win.mben);
             if rem == 0 {
                 select_span.exit(log);

@@ -18,8 +18,8 @@ use crate::parallel::ThreadPool;
 use crate::set_system::{coverage_target, SetId, SetSystem};
 use crate::solution::{Solution, SolveError};
 use crate::telemetry::{
-    audit, pack_k_target, EventLog, Observer, PhaseSpan, ThreadLocalTelemetry, TraceId, PHASE_INIT,
-    PHASE_SELECT, PHASE_TOTAL,
+    audit, pack_k_target, Event, EventLog, Observer, PhaseSpan, ThreadLocalTelemetry, TraceId,
+    PHASE_INIT, PHASE_SELECT, PHASE_TOTAL,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -79,14 +79,14 @@ pub fn cwsc_with_target<O: Observer + ?Sized>(
     if target == 0 {
         return Ok(Solution::from_sets(system, Vec::new()));
     }
-    obs.trace_started(
+    obs.on(&Event::TraceStarted(
         TraceId::mint(
             "cwsc",
             system.num_elements() as u64,
             pack_k_target(k, target),
         ),
         "cwsc",
-    );
+    ));
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
     let result = run(system, k, target, obs);
     span.exit(obs);
@@ -133,14 +133,14 @@ pub fn cwsc_with_target_on<O: Observer + ?Sized>(
     if target == 0 {
         return Ok(Solution::from_sets(system, Vec::new()));
     }
-    obs.trace_started(
+    obs.on(&Event::TraceStarted(
         TraceId::mint(
             "cwsc",
             system.num_elements() as u64,
             pack_k_target(k, target),
         ),
         "cwsc",
-    );
+    ));
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
     let result = run_parallel(system, k, target, pool, obs);
     span.exit(obs);
@@ -198,14 +198,14 @@ pub fn cwsc_with_target_within<O: Observer + ?Sized>(
             Vec::new(),
         )));
     }
-    obs.trace_started(
+    obs.on(&Event::TraceStarted(
         TraceId::mint(
             "cwsc",
             system.num_elements() as u64,
             pack_k_target(k, target),
         ),
         "cwsc",
-    );
+    ));
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
     let mut log = EventLog::new();
     let caught = catch_unwind(AssertUnwindSafe(|| {
@@ -224,7 +224,11 @@ pub fn cwsc_with_target_within<O: Observer + ?Sized>(
                     .map_err(EngineError::Solve),
                 RoundOutcome::Expired { partial, reason } => {
                     let solution = Solution::from_sets(system, partial);
-                    obs.degrade_decided(reason.as_str(), solution.covered() as u64, target as u64);
+                    obs.on(&Event::DegradeDecided(
+                        reason.as_str(),
+                        solution.covered() as u64,
+                        target as u64,
+                    ));
                     let certificate = Certificate {
                         sets_used: solution.size(),
                         covered: solution.covered(),
@@ -264,10 +268,10 @@ fn run_within_serial(
     deadline: &Deadline,
     log: &mut EventLog,
 ) -> RoundOutcome {
-    log.guess_started(None);
+    log.on(&Event::GuessStarted(None));
     let init_span = PhaseSpan::enter(log, PHASE_INIT);
     let mut state = CoverState::new(system);
-    log.benefit_computed(system.num_sets() as u64);
+    log.on(&Event::BenefitComputed(system.num_sets() as u64));
     init_span.exit(log);
 
     let mut chosen: Vec<SetId> = Vec::with_capacity(k);
@@ -312,12 +316,12 @@ fn run_within_masked(
     deadline: &Deadline,
     log: &mut EventLog,
 ) -> RoundOutcome {
-    log.guess_started(None);
+    log.on(&Event::GuessStarted(None));
     let init_span = PhaseSpan::enter(log, PHASE_INIT);
     let masks = scan::build_masks(pool, system);
     let mut pruned = scan::PrunedScan::new(&masks);
     let mut covered = BitSet::new(system.num_elements());
-    log.benefit_computed(system.num_sets() as u64);
+    log.on(&Event::BenefitComputed(system.num_sets() as u64));
     init_span.exit(log);
 
     let tls = ThreadLocalTelemetry::new(pool.threads());
@@ -360,7 +364,11 @@ fn run_within_masked(
         audit::charge_masked(log, system, &covered, win);
         chosen.push(q);
         covered.union_with(&masks[q as usize]);
-        log.set_selected(q as u64, win.mben as u64, win.cost.value());
+        log.on(&Event::SetSelected(
+            q as u64,
+            win.mben as u64,
+            win.cost.value(),
+        ));
         rem = rem.saturating_sub(win.mben);
         if rem == 0 {
             select_span.exit(log);
@@ -380,13 +388,13 @@ fn run_parallel<O: Observer + ?Sized>(
     pool: &ThreadPool,
     obs: &mut O,
 ) -> Result<Solution, SolveError> {
-    obs.guess_started(None);
+    obs.on(&Event::GuessStarted(None));
 
     let init_span = PhaseSpan::enter(obs, PHASE_INIT);
     let masks = scan::build_masks(pool, system);
     let mut pruned = scan::PrunedScan::new(&masks);
     let mut covered = BitSet::new(system.num_elements());
-    obs.benefit_computed(system.num_sets() as u64);
+    obs.on(&Event::BenefitComputed(system.num_sets() as u64));
     init_span.exit(obs);
 
     let tls = ThreadLocalTelemetry::new(pool.threads());
@@ -424,7 +432,11 @@ fn run_parallel<O: Observer + ?Sized>(
         audit::charge_masked(obs, system, &covered, win);
         chosen.push(q);
         covered.union_with(&masks[q as usize]);
-        obs.set_selected(q as u64, win.mben as u64, win.cost.value());
+        obs.on(&Event::SetSelected(
+            q as u64,
+            win.mben as u64,
+            win.cost.value(),
+        ));
         rem = rem.saturating_sub(win.mben);
         if rem == 0 {
             select_span.exit(obs);
@@ -443,12 +455,12 @@ fn run<O: Observer + ?Sized>(
     obs: &mut O,
 ) -> Result<Solution, SolveError> {
     // CWSC is a single round: record it so `budget_guesses` is 1, not 0.
-    obs.guess_started(None);
+    obs.on(&Event::GuessStarted(None));
 
     // Fig. 2 lines 03-04: compute MBen of every set.
     let init_span = PhaseSpan::enter(obs, PHASE_INIT);
     let mut state = CoverState::new(system);
-    obs.benefit_computed(system.num_sets() as u64);
+    obs.on(&Event::BenefitComputed(system.num_sets() as u64));
     init_span.exit(obs);
 
     let mut chosen: Vec<SetId> = Vec::with_capacity(k);

@@ -16,7 +16,7 @@ use crate::bitset::BitSet;
 use crate::set_system::{coverage_target, SetId, SetSystem};
 use crate::solution::Solution;
 use crate::telemetry::{
-    pack_k_target, NoopObserver, Observer, PhaseSpan, PruneReason, TraceId, PHASE_TOTAL,
+    pack_k_target, Event, NoopObserver, Observer, PhaseSpan, PruneReason, TraceId, PHASE_TOTAL,
 };
 
 /// Finds a minimum-cost sub-collection of at most `k` sets covering at
@@ -74,14 +74,14 @@ pub fn exact_optimal_with_target_observed<O: Observer + ?Sized>(
     let benefits: Vec<usize> = order.iter().map(|&id| system.set(id).benefit()).collect();
     // top_sum[i] = sum of the k largest benefits in benefits[i..]
     // (loose but monotone upper bound on any r ≤ k picks).
-    obs.trace_started(
+    obs.on(&Event::TraceStarted(
         TraceId::mint(
             "exact",
             system.num_elements() as u64,
             pack_k_target(k, target),
         ),
         "exact",
-    );
+    ));
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
     let mut search = Search {
         system,
@@ -138,12 +138,13 @@ impl<O: Observer + ?Sized> Search<'_, O> {
             return;
         }
         if self.current_cost >= self.best_cost {
-            self.obs.candidate_pruned(PruneReason::CostBound);
+            self.obs.on(&Event::CandidatePruned(PruneReason::CostBound));
             return; // cost prune
         }
         let remaining_picks = self.k - self.chosen.len();
         if self.covered_count + self.coverage_bound(i, remaining_picks) < self.target {
-            self.obs.candidate_pruned(PruneReason::CoverageBound);
+            self.obs
+                .on(&Event::CandidatePruned(PruneReason::CoverageBound));
             return; // coverage prune
         }
 
@@ -151,7 +152,7 @@ impl<O: Observer + ?Sized> Search<'_, O> {
         // Branch 1: take `id` (unless it alone busts the cost bound).
         let cost = self.system.cost(id).value();
         if self.current_cost + cost < self.best_cost {
-            self.obs.benefit_computed(1);
+            self.obs.on(&Event::BenefitComputed(1));
             let newly: Vec<usize> = self
                 .system
                 .members(id)
@@ -160,7 +161,8 @@ impl<O: Observer + ?Sized> Search<'_, O> {
                 .filter(|&e| !self.covered.contains(e))
                 .collect();
             if !newly.is_empty() {
-                self.obs.set_selected(id as u64, newly.len() as u64, cost);
+                self.obs
+                    .on(&Event::SetSelected(id as u64, newly.len() as u64, cost));
                 for &e in &newly {
                     self.covered.insert(e);
                 }

@@ -15,7 +15,9 @@ use crate::bitset::{BitSet, BlockSummary, LimitedCount};
 use crate::cover_state::{benefit_order, gain_order, push_top, Candidate};
 use crate::parallel::{prune_from_env, ThreadPool};
 use crate::set_system::{SetId, SetSystem};
-use crate::telemetry::{Observer, PhaseSpan, ThreadLocalTelemetry, PHASE_SCAN, PHASE_SCAN_PRUNE};
+use crate::telemetry::{
+    Event, Observer, PhaseSpan, ThreadLocalTelemetry, PHASE_SCAN, PHASE_SCAN_PRUNE,
+};
 use std::cmp::Ordering;
 
 /// Builds one membership [`BitSet`] per set, in id order, on the pool.
@@ -249,13 +251,13 @@ impl PruneTally {
 
     fn emit<O: Observer + ?Sized>(self, obs: &mut O) {
         if self.pruned > 0 {
-            obs.scan_pruned(self.pruned);
+            obs.on(&Event::ScanPruned(self.pruned));
         }
         if self.refreshed > 0 {
-            obs.bound_refreshed(self.refreshed);
+            obs.on(&Event::BoundRefreshed(self.refreshed));
         }
         if self.inconclusive > 0 {
-            obs.sketch_inconclusive(self.inconclusive);
+            obs.on(&Event::SketchInconclusive(self.inconclusive));
         }
     }
 }

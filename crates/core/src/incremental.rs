@@ -17,7 +17,7 @@
 use crate::algorithms::cwsc::cwsc_with_target;
 use crate::set_system::{coverage_target, SetId, SetSystem};
 use crate::solution::{Solution, SolveError};
-use crate::telemetry::{pack_k_target, NoopObserver, Observer, PhaseSpan, TraceId};
+use crate::telemetry::{pack_k_target, Event, NoopObserver, Observer, PhaseSpan, TraceId};
 
 /// Phase-span name covering a greedy patch repair.
 pub const PHASE_REPAIR_PATCH: &str = "repair_patch";
@@ -216,14 +216,14 @@ impl IncrementalCover {
     /// Greedy patch: add max-marginal-gain sets while room remains.
     /// Returns whether the target was reached.
     fn patch<O: Observer + ?Sized>(&mut self, obs: &mut O) -> bool {
-        obs.trace_started(
+        obs.on(&Event::TraceStarted(
             TraceId::mint(
                 "repair_patch",
                 self.num_elements as u64,
                 pack_k_target(self.k, self.target()),
             ),
             "repair_patch",
-        );
+        ));
         let span = PhaseSpan::enter(obs, PHASE_REPAIR_PATCH);
         let target = self.target();
         while self.covered < target && self.solution.len() < self.k {
@@ -258,9 +258,13 @@ impl IncrementalCover {
                     best = Some((s as SetId, mben));
                 }
             }
-            obs.benefit_computed(scanned);
+            obs.on(&Event::BenefitComputed(scanned));
             let Some((s, mben)) = best else { break };
-            obs.set_selected(s as u64, mben as u64, self.set_costs[s as usize]);
+            obs.on(&Event::SetSelected(
+                s as u64,
+                mben as u64,
+                self.set_costs[s as usize],
+            ));
             self.install_one(s);
         }
         let repaired = self.covered >= target;
@@ -286,14 +290,14 @@ impl IncrementalCover {
     /// Rebuilds the solution from scratch with CWSC over the elements seen
     /// so far.
     fn resolve<O: Observer + ?Sized>(&mut self, obs: &mut O) -> Result<(), IncrementalError> {
-        obs.trace_started(
+        obs.on(&Event::TraceStarted(
             TraceId::mint(
                 "repair_resolve",
                 self.num_elements as u64,
                 pack_k_target(self.k, self.target()),
             ),
             "repair_resolve",
-        );
+        ));
         let span = PhaseSpan::enter(obs, PHASE_REPAIR_RESOLVE);
         let system = self.snapshot();
         let result = cwsc_with_target(&system, self.k, self.target(), obs);

@@ -20,7 +20,7 @@
 //! [`PrunedScan`]: crate::algorithms::scan::PrunedScan
 
 use crate::engine::{Deadline, DegradeReason};
-use crate::telemetry::{NoopObserver, Observer};
+use crate::telemetry::{Event, NoopObserver, Observer};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -121,7 +121,7 @@ impl LazyGreedy {
         self.heap.retain(|e| e.score >= floor);
         let dropped = before - self.heap.len();
         if dropped > 0 {
-            obs.scan_pruned(dropped as u64);
+            obs.on(&Event::ScanPruned(dropped as u64));
         }
         dropped
     }
@@ -151,7 +151,7 @@ impl LazyGreedy {
             if top.epoch == self.epoch {
                 return Some((top.id, top.score));
             }
-            obs.heap_stale_pop();
+            obs.on(&Event::HeapStalePop);
             self.recomputations += 1;
             if let Some((score, tie)) = rescore(top.id) {
                 debug_assert!(
@@ -191,7 +191,7 @@ impl LazyGreedy {
             if top.epoch == self.epoch {
                 return Ok(Some((top.id, top.score)));
             }
-            obs.heap_stale_pop();
+            obs.on(&Event::HeapStalePop);
             self.recomputations += 1;
             if let Some((score, tie)) = rescore(top.id) {
                 debug_assert!(

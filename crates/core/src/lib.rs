@@ -75,7 +75,7 @@ pub use solver::{Algorithm, Answer, CostModel, Query, Solver, SystemInstance};
 pub use stats::Stats;
 pub use telemetry::{
     audit, parse_prometheus, render_prometheus, render_prometheus_windowed, CausalNode,
-    EntryWindow, EventLog, Fanout, FlightRecorder, JsonlSink, LogHistogram, MetricsRecorder,
+    EntryWindow, Event, EventLog, Fanout, FlightRecorder, JsonlSink, LogHistogram, MetricsRecorder,
     NoopObserver, Observer, PhaseMetric, PhaseSpan, PruneReason, RollingHistogram, SloGauges,
     SolveSample, SolveWindows, SpanCounters, SpanNode, SpanProfiler, ThreadLocalTelemetry,
     TraceContext, TraceId, Watchdog, WatchdogMonitor, WindowedCounter, MAIN_WORKER, PHASE_EXPAND,

@@ -16,7 +16,9 @@ use crate::engine::{Certificate, Deadline, DegradeReason, Degraded, EngineError,
 use crate::parallel::{ThreadPool, Threads};
 use crate::set_system::{coverage_target, ElementId, SetId, SetSystem};
 use crate::solution::{Solution, SolveError};
-use crate::telemetry::{pack_k_target, EventLog, NoopObserver, Observer, PhaseSpan, TraceId};
+use crate::telemetry::{
+    pack_k_target, Event, EventLog, NoopObserver, Observer, PhaseSpan, TraceId,
+};
 
 /// Span name for one whole [`pareto_sweep_with`] run. Distinct from
 /// [`crate::telemetry::PHASE_TOTAL`] so the sweep's wrapper span does not
@@ -203,7 +205,10 @@ pub fn pareto_sweep_with<O: Observer + ?Sized>(
     lambdas: &[Vec<f64>],
     obs: &mut O,
 ) -> Result<Vec<ParetoPoint>, MultiWeightError> {
-    obs.trace_started(sweep_trace_id(system, k, coverage_fraction), "pareto_sweep");
+    obs.on(&Event::TraceStarted(
+        sweep_trace_id(system, k, coverage_fraction),
+        "pareto_sweep",
+    ));
     let sweep_span = PhaseSpan::enter(obs, PHASE_SWEEP);
     let result = run_sweep(system, k, coverage_fraction, lambdas, obs);
     sweep_span.exit(obs);
@@ -286,7 +291,10 @@ pub fn pareto_sweep_on<O: Observer + ?Sized>(
     if pool.is_serial() {
         return pareto_sweep_with(system, k, coverage_fraction, lambdas, obs);
     }
-    obs.trace_started(sweep_trace_id(system, k, coverage_fraction), "pareto_sweep");
+    obs.on(&Event::TraceStarted(
+        sweep_trace_id(system, k, coverage_fraction),
+        "pareto_sweep",
+    ));
     let sweep_span = PhaseSpan::enter(obs, PHASE_SWEEP);
     let result = run_sweep_parallel(system, k, coverage_fraction, lambdas, pool, obs);
     sweep_span.exit(obs);
@@ -355,7 +363,10 @@ pub fn pareto_sweep_within<O: Observer + ?Sized>(
     deadline: &Deadline,
     obs: &mut O,
 ) -> Result<SolveOutcome<Vec<ParetoPoint>>, MultiWeightError> {
-    obs.trace_started(sweep_trace_id(system, k, coverage_fraction), "pareto_sweep");
+    obs.on(&Event::TraceStarted(
+        sweep_trace_id(system, k, coverage_fraction),
+        "pareto_sweep",
+    ));
     let sweep_span = PhaseSpan::enter(obs, PHASE_SWEEP);
     let result = if pool.is_serial() || deadline.tick_deterministic() {
         run_sweep_within(system, k, coverage_fraction, lambdas, pool, deadline, obs)

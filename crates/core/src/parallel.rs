@@ -350,7 +350,13 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Publish shutdown under the queue lock: a worker checks the flag
+        // while holding that lock, so it either sees the flag or is
+        // already waiting when the notification fires — never between.
+        {
+            let _queue = lock_unpoisoned(&self.shared.queue);
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.work_available.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -554,6 +560,16 @@ mod tests {
             assert_eq!(got, serial, "thread count {n}");
         }
         assert_eq!(serial, Some((1, 9)), "lowest index wins ties");
+    }
+
+    #[test]
+    fn dropping_fresh_pools_never_hangs() {
+        // Dropping a pool whose workers are still starting up must join
+        // them; a shutdown flag published outside the queue lock lost
+        // the wakeup and hung this loop within a few thousand drops.
+        for _ in 0..3000 {
+            drop(ThreadPool::new(Threads::new(4)));
+        }
     }
 
     #[test]

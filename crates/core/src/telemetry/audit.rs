@@ -45,10 +45,11 @@
 //! region, so the bound holds for the size-constrained optimum too. At full
 //! coverage (`C = target = n`) this degenerates to `Σ y''_e / α`.
 
-use super::{json_f64, Observer};
+use super::{json_f64, Event, Observer};
 use crate::bitset::BitSet;
 use crate::cover_state::{Candidate, CoverState};
 use crate::set_system::{SetId, SetSystem};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::io;
 
@@ -117,7 +118,7 @@ pub fn record_cover_round<O: Observer + ?Sized>(
     let (win, rest) = top.split_first()?;
     let winner = from_cover(*win);
     let runners: Vec<AuditCandidate> = rest.iter().map(|&c| from_cover(c)).collect();
-    obs.round_decided(order, &winner, &runners);
+    obs.on(&Event::RoundDecided(order, winner, Cow::Borrowed(&runners)));
     Some(win.id)
 }
 
@@ -136,10 +137,10 @@ pub fn pick_cover<O: Observer + ?Sized>(
     let q = record_cover_round(obs, order, top)?;
     let cost = state.system().cost(q).value();
     let elems = state.newly_elements(q);
-    obs.price_charged(q as u64, &elems, cost);
+    obs.on(&Event::PriceCharged(q as u64, Cow::Borrowed(&elems), cost));
     let newly = state.select(q);
     debug_assert_eq!(newly, elems.len());
-    obs.set_selected(q as u64, newly as u64, cost);
+    obs.on(&Event::SetSelected(q as u64, newly as u64, cost));
     Some((q, newly))
 }
 
@@ -160,7 +161,11 @@ pub fn charge_masked<O: Observer + ?Sized>(
         .filter(|&e| !covered.contains(e as usize))
         .collect();
     debug_assert_eq!(elems.len(), win.mben);
-    obs.price_charged(win.id as u64, &elems, win.cost.value());
+    obs.on(&Event::PriceCharged(
+        win.id as u64,
+        Cow::Borrowed(&elems),
+        win.cost.value(),
+    ));
 }
 
 /// The comparator level that actually decided a round, plus the winning
@@ -480,46 +485,40 @@ pub(crate) fn cand_json(c: &AuditCandidate) -> String {
 }
 
 impl Observer for DecisionLedger {
-    fn guess_started(&mut self, budget: Option<f64>) {
-        self.guesses.push(GuessLedger {
-            budget,
-            ..GuessLedger::default()
-        });
-    }
-
-    fn round_decided(
-        &mut self,
-        order: &'static str,
-        winner: &AuditCandidate,
-        runners_up: &[AuditCandidate],
-    ) {
-        let (margin, tie_break) = margin_and_tie(order, winner, runners_up.first());
-        self.current().rounds.push(LedgerRound {
-            order,
-            winner: *winner,
-            runners_up: runners_up.to_vec(),
-            margin,
-            tie_break,
-            elements: Vec::new(),
-            cost: 0.0,
-        });
-    }
-
-    fn price_charged(&mut self, set_id: u64, elements: &[u32], cost: f64) {
-        if let Some(r) = self.current().rounds.last_mut() {
-            debug_assert_eq!(r.winner.id, set_id, "price charged to a non-winner");
-            let _ = set_id;
-            r.elements.extend_from_slice(elements);
-            r.cost = cost;
+    fn on(&mut self, event: &Event<'_>) {
+        match *event {
+            Event::GuessStarted(budget) => self.guesses.push(GuessLedger {
+                budget,
+                ..GuessLedger::default()
+            }),
+            Event::RoundDecided(order, winner, ref runners_up) => {
+                let (margin, tie_break) = margin_and_tie(order, &winner, runners_up.first());
+                self.current().rounds.push(LedgerRound {
+                    order,
+                    winner,
+                    runners_up: runners_up.to_vec(),
+                    margin,
+                    tie_break,
+                    elements: Vec::new(),
+                    cost: 0.0,
+                });
+            }
+            Event::PriceCharged(set_id, ref elements, cost) => {
+                if let Some(r) = self.current().rounds.last_mut() {
+                    debug_assert_eq!(r.winner.id, set_id, "price charged to a non-winner");
+                    r.elements.extend_from_slice(elements);
+                    r.cost = cost;
+                }
+            }
+            Event::DegradeDecided(reason, covered, target) => {
+                self.current().degrades.push(DegradeNote {
+                    reason,
+                    covered,
+                    target,
+                });
+            }
+            _ => {}
         }
-    }
-
-    fn degrade_decided(&mut self, reason: &'static str, covered: u64, target: u64) {
-        self.current().degrades.push(DegradeNote {
-            reason,
-            covered,
-            target,
-        });
     }
 }
 
@@ -669,13 +668,25 @@ mod tests {
     #[test]
     fn ledger_buckets_rounds_by_guess_and_attaches_prices() {
         let mut l = DecisionLedger::new();
-        l.guess_started(Some(2.0));
-        l.round_decided(ORDER_BENEFIT, &cand(3, 5, 2.0), &[cand(1, 3, 2.0)]);
-        l.price_charged(3, &[0, 1, 2, 3, 4], 2.0);
-        l.guess_started(Some(4.0));
-        l.round_decided(ORDER_BENEFIT, &cand(1, 3, 2.0), &[]);
-        l.price_charged(1, &[5, 6], 2.0);
-        l.degrade_decided("tick_budget", 7, 9);
+        l.on(&Event::GuessStarted(Some(2.0)));
+        l.on(&Event::RoundDecided(
+            ORDER_BENEFIT,
+            cand(3, 5, 2.0),
+            Cow::Borrowed(&[cand(1, 3, 2.0)]),
+        ));
+        l.on(&Event::PriceCharged(
+            3,
+            Cow::Borrowed(&[0, 1, 2, 3, 4]),
+            2.0,
+        ));
+        l.on(&Event::GuessStarted(Some(4.0)));
+        l.on(&Event::RoundDecided(
+            ORDER_BENEFIT,
+            cand(1, 3, 2.0),
+            Cow::Borrowed(&[]),
+        ));
+        l.on(&Event::PriceCharged(1, Cow::Borrowed(&[5, 6]), 2.0));
+        l.on(&Event::DegradeDecided("tick_budget", 7, 9));
 
         assert_eq!(l.guesses().len(), 2);
         assert_eq!(l.rounds_total(), 2);
@@ -691,8 +702,12 @@ mod tests {
     #[test]
     fn ledger_without_guess_events_uses_implicit_bucket() {
         let mut l = DecisionLedger::new();
-        l.round_decided(ORDER_GAIN, &cand(0, 4, 2.0), &[cand(1, 2, 2.0)]);
-        l.price_charged(0, &[0, 1, 2, 3], 2.0);
+        l.on(&Event::RoundDecided(
+            ORDER_GAIN,
+            cand(0, 4, 2.0),
+            Cow::Borrowed(&[cand(1, 2, 2.0)]),
+        ));
+        l.on(&Event::PriceCharged(0, Cow::Borrowed(&[0, 1, 2, 3]), 2.0));
         assert_eq!(l.guesses().len(), 1);
         assert_eq!(l.guesses()[0].budget, None);
         assert_eq!(l.prices().len(), 4);
@@ -702,11 +717,15 @@ mod tests {
     #[test]
     fn final_guess_skips_empty_trailing_guess() {
         let mut l = DecisionLedger::new();
-        l.guess_started(Some(1.0));
-        l.round_decided(ORDER_BENEFIT, &cand(0, 1, 1.0), &[]);
-        l.price_charged(0, &[0], 1.0);
-        l.guess_started(Some(2.0));
-        l.degrade_decided("wall_clock", 1, 3);
+        l.on(&Event::GuessStarted(Some(1.0)));
+        l.on(&Event::RoundDecided(
+            ORDER_BENEFIT,
+            cand(0, 1, 1.0),
+            Cow::Borrowed(&[]),
+        ));
+        l.on(&Event::PriceCharged(0, Cow::Borrowed(&[0]), 1.0));
+        l.on(&Event::GuessStarted(Some(2.0)));
+        l.on(&Event::DegradeDecided("wall_clock", 1, 3));
         let fin = l.final_guess().unwrap();
         assert_eq!(fin.budget, Some(1.0), "rounds win over empty trailing");
     }
@@ -714,10 +733,14 @@ mod tests {
     #[test]
     fn explain_and_jsonl_are_deterministic_and_respect_limit() {
         let mut l = DecisionLedger::new();
-        l.guess_started(None);
+        l.on(&Event::GuessStarted(None));
         for i in 0..3 {
-            l.round_decided(ORDER_GAIN, &cand(i, 4 - i, 1.0), &[cand(9, 1, 1.0)]);
-            l.price_charged(i, &[i as u32], 1.0);
+            l.on(&Event::RoundDecided(
+                ORDER_GAIN,
+                cand(i, 4 - i, 1.0),
+                Cow::Borrowed(&[cand(9, 1, 1.0)]),
+            ));
+            l.on(&Event::PriceCharged(i, Cow::Borrowed(&[i as u32]), 1.0));
         }
         let full = l.render_explain(None);
         assert_eq!(full, l.render_explain(None), "stable rendering");

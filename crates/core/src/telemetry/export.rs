@@ -554,22 +554,22 @@ pub fn find_sample<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::Observer;
+    use crate::telemetry::{Event, Observer};
     use std::time::Duration;
 
     fn recorded_metrics() -> MetricsRecorder {
         let mut m = MetricsRecorder::new();
-        m.guess_started(Some(4.0));
-        m.level_entered(0, 2);
-        m.benefit_computed(10);
-        m.heap_stale_pop();
-        m.set_selected(3, 6, 1.5);
-        m.set_selected(1, 2, 0.5);
-        m.candidate_pruned(PruneReason::BelowFloor);
-        m.subtree_pruned(PruneReason::CostBound);
-        m.posting_scanned(7);
-        m.phase_started("total");
-        m.phase_ended("total", 0.5);
+        m.on(&Event::GuessStarted(Some(4.0)));
+        m.on(&Event::LevelEntered(0, 2));
+        m.on(&Event::BenefitComputed(10));
+        m.on(&Event::HeapStalePop);
+        m.on(&Event::SetSelected(3, 6, 1.5));
+        m.on(&Event::SetSelected(1, 2, 0.5));
+        m.on(&Event::CandidatePruned(PruneReason::BelowFloor));
+        m.on(&Event::SubtreePruned(PruneReason::CostBound));
+        m.on(&Event::PostingScanned(7));
+        m.on(&Event::PhaseStarted("total"));
+        m.on(&Event::PhaseEnded("total", 0.5));
         m
     }
 

@@ -4,11 +4,11 @@
 //! The paper's empirical section is built on *internal* solver metrics —
 //! "patterns considered" (Fig. 6), budget-guess rounds, per-phase runtime.
 //! This module turns those into an explicit event stream: solvers emit
-//! lifecycle events through an [`Observer`], and callers choose what to do
-//! with them:
+//! lifecycle [`Event`]s through an [`Observer`]'s one method,
+//! [`on`](Observer::on), and callers choose what to do with them:
 //!
-//! * [`NoopObserver`] — ignore everything; every method is a default no-op
-//!   the optimizer erases, so uninstrumented callers pay nothing;
+//! * [`NoopObserver`] — ignore everything; its empty `on` is erased by the
+//!   optimizer, so uninstrumented callers pay nothing;
 //! * [`Stats`](crate::stats::Stats) — the classic three-counter struct,
 //!   kept as a thin [`Observer`] adapter so existing call sites work
 //!   unchanged;
@@ -18,27 +18,8 @@
 //! * [`JsonlSink`] — one JSON object per event to any [`io::Write`];
 //! * [`Fanout`] — broadcast each event to several observers at once.
 //!
-//! Event vocabulary (see DESIGN.md §Observability for the full mapping to
-//! the paper's figures):
-//!
-//! | event | emitted when |
-//! |---|---|
-//! | `guess_started` | a budget-guess round begins (`None` for single-round solvers) |
-//! | `level_entered` | a geometric cost level of the CMC schedule is scheduled |
-//! | `set_selected` | a set/pattern enters a candidate solution |
-//! | `benefit_computed` | (marginal) benefits were computed for `count` candidates |
-//! | `candidate_pruned` | a candidate was discarded before selection |
-//! | `subtree_pruned` | a whole lattice subtree was cut (pattern solvers) |
-//! | `posting_scanned` | index posting entries were scanned to expand a node |
-//! | `heap_stale_pop` | the lazy-greedy heap popped a stale entry and re-scored it |
-//! | `round_decided` | a selection round resolved: winner + runners-up + tie-break |
-//! | `price_charged` | the winner's weight was split across its newly covered elements |
-//! | `degrade_decided` | the engine degraded a solve (deadline/tick budget/cancel) |
-//! | `guess_retried` | a panicked budget guess was contained and retried serially |
-//! | `trace_started` | a solve entry point minted its deterministic [`TraceId`] |
-//! | `worker_switched` | subsequent events were recorded by another worker (shard replay) |
-//! | `stall_detected` | the liveness [`Watchdog`](watchdog::Watchdog) saw no progress within its deadline headroom |
-//! | `phase_started` / `phase_ended` | a named span (e.g. [`PHASE_TOTAL`]) opened / closed |
+//! The event vocabulary is the [`Event`] enum (see DESIGN.md
+//! §Observability for the full mapping to the paper's figures).
 
 use std::fmt::Write as _;
 use std::io;
@@ -47,6 +28,7 @@ use std::time::Instant;
 #[cfg(feature = "alloc-stats")]
 pub mod alloc;
 pub mod audit;
+mod event;
 pub mod export;
 pub mod flight;
 pub mod replay;
@@ -56,6 +38,7 @@ pub mod watchdog;
 pub mod window;
 
 pub use audit::{AuditCandidate, DecisionLedger, QualityCertificate};
+pub use event::Event;
 pub use export::{parse_prometheus, render_prometheus, render_prometheus_windowed, SloGauges};
 pub use flight::{CausalNode, FlightRecorder};
 pub use replay::{EventLog, ThreadLocalTelemetry};
@@ -142,182 +125,30 @@ impl PruneReason {
     }
 }
 
-/// Receiver of solver lifecycle events. Every method has an empty default
-/// body, so observers implement only what they care about and the
-/// [`NoopObserver`] path compiles away entirely.
+/// Receiver of solver lifecycle [`Event`]s. An observer matches the
+/// variants it uses and ignores the rest.
 ///
 /// Solvers take `&mut O where O: Observer + ?Sized`, so both concrete
-/// observers (`&mut Stats`) and trait objects (`&mut dyn Observer`, as
-/// inside [`Fanout`]) work.
+/// observers (`&mut Stats`, where [`NoopObserver`]'s empty `on` compiles
+/// away entirely) and trait objects (`&mut dyn Observer`, as inside
+/// [`Fanout`]) work.
 pub trait Observer {
-    /// A budget-guess round began. `budget` is the guessed `B` for CMC's
-    /// outer loop, `None` for single-round solvers (CWSC, the baselines).
-    fn guess_started(&mut self, budget: Option<f64>) {
-        let _ = budget;
-    }
-
-    /// Level `level` of the CMC cost schedule was scheduled with a quota
-    /// (`allowance`) of picks. Emitted for the full schedule of each guess.
-    fn level_entered(&mut self, level: usize, allowance: usize) {
-        let _ = (level, allowance);
-    }
-
-    /// A set/pattern entered a candidate solution.
-    fn set_selected(&mut self, id: u64, marginal_benefit: u64, cost: f64) {
-        let _ = (id, marginal_benefit, cost);
-    }
-
-    /// `count` candidates had their (marginal) benefit computed — the
-    /// paper's Fig. 6 "patterns considered" unit of work.
-    fn benefit_computed(&mut self, count: u64) {
-        let _ = count;
-    }
-
-    /// A candidate was discarded before selection.
-    fn candidate_pruned(&mut self, reason: PruneReason) {
-        let _ = reason;
-    }
-
-    /// A whole lattice subtree was cut without materializing it
-    /// (pattern-lattice solvers only).
-    fn subtree_pruned(&mut self, reason: PruneReason) {
-        let _ = reason;
-    }
-
-    /// `entries` inverted-index posting entries (parent rows) were scanned
-    /// to expand a lattice node into its children.
-    fn posting_scanned(&mut self, entries: u64) {
-        let _ = entries;
-    }
-
-    /// The lazy-greedy heap popped a stale entry and had to re-score it.
-    fn heap_stale_pop(&mut self) {}
-
-    /// A selection round resolved: `winner` beat `runners_up` (best first,
-    /// at most [`audit::RUNNERS_UP`]) under `order`
-    /// ([`audit::ORDER_BENEFIT`] or [`audit::ORDER_GAIN`]). Emitted once
-    /// per `set_selected`, *before* it, by every greedy solver; the
-    /// [`DecisionLedger`](audit::DecisionLedger) derives margins and
-    /// tie-break keys from it. The derived counter is **excluded** from
-    /// the exact-diff set (audit plumbing, not algorithmic work).
-    fn round_decided(
-        &mut self,
-        order: &'static str,
-        winner: &audit::AuditCandidate,
-        runners_up: &[audit::AuditCandidate],
-    ) {
-        let _ = (order, winner, runners_up);
-    }
-
-    /// The winning set's weight `cost` was charged uniformly across the
-    /// `elements` it newly covered — the greedy price vector behind
-    /// [`audit::certify`]. Emitted right after the matching
-    /// [`round_decided`](Observer::round_decided).
-    fn price_charged(&mut self, set_id: u64, elements: &[u32], cost: f64) {
-        let _ = (set_id, elements, cost);
-    }
-
-    /// The resilience engine decided to degrade a solve (`reason` is the
-    /// stable `DegradeReason::as_str` string) with `covered` of `target`
-    /// elements covered. Fires only on deadline/fault paths, which a
-    /// healthy run never takes — excluded from the exact-diff set.
-    fn degrade_decided(&mut self, reason: &'static str, covered: u64, target: u64) {
-        let _ = (reason, covered, target);
-    }
-
-    /// A speculative budget-guess window resolved: `committed` guesses had
-    /// their telemetry committed (identical to what a serial run would
-    /// have produced) and `wasted` were cancelled or discarded. Emitted
-    /// only by parallel solvers; serial runs never fire it, so the derived
-    /// counters are deliberately **excluded** from the exact-diff set.
-    fn speculation(&mut self, committed: u64, wasted: u64) {
-        let _ = (committed, wasted);
-    }
-
-    /// A budget guess panicked, was contained by the resilience engine,
-    /// and is being retried once serially. Fires only on fault/panic
-    /// paths, which a healthy serial run never takes — so the derived
-    /// counter is **excluded** from the exact-diff set, like the
-    /// speculation counters.
-    fn guess_retried(&mut self) {}
-
-    /// A solve entry point minted its deterministic [`TraceId`] and is
-    /// about to open its root span. `entry` is the entry point's stable
-    /// name (`"cmc"`, `"opt_cwsc"`, …). Nested solves (a Pareto sweep's
-    /// inner rounds) emit their own `trace_started`; consumers that track
-    /// one trace per run latch the first. The derived counter is
-    /// **excluded** from the exact-diff set (it is new observability
-    /// plumbing, not algorithmic work — see DESIGN.md §13).
-    fn trace_started(&mut self, trace_id: trace::TraceId, entry: &'static str) {
-        let _ = (trace_id, entry);
-    }
-
-    /// Subsequent events were recorded by `worker_id`
-    /// ([`MAIN_WORKER`](trace::MAIN_WORKER) = the calling thread; shard
-    /// `i` of a parallel region reports as `i + 1`). Emitted by the
-    /// shard-then-replay machinery, so replayed parallel telemetry keeps
-    /// its causal attribution. Excluded from the exact-diff set: a serial
-    /// run never switches workers.
-    fn worker_switched(&mut self, worker_id: u32) {
-        let _ = worker_id;
-    }
-
-    /// `count` scan candidates were disposed of *without* a completed
-    /// exact masked count: a stale upper bound, block-summary sketch, or
-    /// early-exit kernel proved they could not change the round's
-    /// decision (DESIGN.md §15). Pruned-scan runs only; how many fire
-    /// depends on chunking, so the derived counter is **excluded** from
-    /// the exact-diff set.
-    fn scan_pruned(&mut self, count: u64) {
-        let _ = count;
-    }
-
-    /// `count` stale scan upper bounds were replaced by fresh exact
-    /// counts. Advisory like [`scan_pruned`](Observer::scan_pruned) —
-    /// excluded from the exact-diff set.
-    fn bound_refreshed(&mut self, count: u64) {
-        let _ = count;
-    }
-
-    /// `count` bound/sketch probes were inconclusive and fell back to the
-    /// full exact count. Advisory like
-    /// [`scan_pruned`](Observer::scan_pruned) — excluded from the
-    /// exact-diff set.
-    fn sketch_inconclusive(&mut self, count: u64) {
-        let _ = count;
-    }
-
-    /// The liveness [`Watchdog`](watchdog::Watchdog) observed no solve
-    /// progress (no events, no engine `checkpoint()` ticks) for
-    /// `stalled_secs` wall-clock seconds; `ticks` is the engine tick
-    /// count at detection time. Fires only on stalled solves, which a
-    /// healthy run never produces — **excluded** from the exact-diff
-    /// set, like the other fault-path counters.
-    fn stall_detected(&mut self, ticks: u64, stalled_secs: f64) {
-        let _ = (ticks, stalled_secs);
-    }
-
-    /// A named span opened. Pair with [`phase_ended`](Observer::phase_ended).
-    fn phase_started(&mut self, name: &'static str) {
-        let _ = name;
-    }
-
-    /// A named span closed after `seconds` of wall-clock time. The solver
-    /// measures the duration itself so observers stay stateless.
-    fn phase_ended(&mut self, name: &'static str, seconds: f64) {
-        let _ = (name, seconds);
-    }
+    /// Handles one event.
+    fn on(&mut self, event: &Event<'_>);
 }
 
-/// The do-nothing observer: all default methods, zero cost after inlining.
+/// The do-nothing observer: zero cost after inlining.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoopObserver;
 
-impl Observer for NoopObserver {}
+impl Observer for NoopObserver {
+    #[inline]
+    fn on(&mut self, _event: &Event<'_>) {}
+}
 
 /// RAII-style helper for emitting a paired
-/// [`phase_started`](Observer::phase_started) /
-/// [`phase_ended`](Observer::phase_ended) span. Not `Drop`-based — the
+/// [`PhaseStarted`](Event::PhaseStarted) /
+/// [`PhaseEnded`](Event::PhaseEnded) span. Not `Drop`-based — the
 /// observer borrow cannot be held across the span — so call
 /// [`exit`](PhaseSpan::exit) explicitly.
 #[derive(Debug)]
@@ -327,19 +158,19 @@ pub struct PhaseSpan {
 }
 
 impl PhaseSpan {
-    /// Emits `phase_started(name)` and starts the clock.
+    /// Emits `PhaseStarted(name)` and starts the clock.
     pub fn enter<O: Observer + ?Sized>(obs: &mut O, name: &'static str) -> PhaseSpan {
-        obs.phase_started(name);
+        obs.on(&Event::PhaseStarted(name));
         PhaseSpan {
             name,
             start: Instant::now(),
         }
     }
 
-    /// Emits `phase_ended(name, seconds)` and returns the measured seconds.
+    /// Emits `PhaseEnded(name, seconds)` and returns the measured seconds.
     pub fn exit<O: Observer + ?Sized>(self, obs: &mut O) -> f64 {
         let seconds = self.start.elapsed().as_secs_f64();
-        obs.phase_ended(self.name, seconds);
+        obs.on(&Event::PhaseEnded(self.name, seconds));
         seconds
     }
 }
@@ -485,7 +316,7 @@ impl LogHistogram {
 /// Accumulated wall-clock time of one named phase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseMetric {
-    /// Span name as passed to [`Observer::phase_started`].
+    /// Span name as carried by [`Event::PhaseStarted`].
     pub name: &'static str,
     /// Total seconds across all spans with this name.
     pub seconds: f64,
@@ -639,96 +470,53 @@ impl MetricsRecorder {
 }
 
 impl Observer for MetricsRecorder {
-    fn guess_started(&mut self, _budget: Option<f64>) {
-        self.guesses += 1;
-    }
-
-    fn level_entered(&mut self, _level: usize, allowance: usize) {
-        self.levels_entered += 1;
-        self.level_allowance += allowance as u64;
-    }
-
-    fn set_selected(&mut self, _id: u64, marginal_benefit: u64, _cost: f64) {
-        self.selections += 1;
-        self.marginal_benefit_hist.record(marginal_benefit);
-        self.stale_run_hist.record(self.stale_run);
-        self.stale_run = 0;
-    }
-
-    fn benefit_computed(&mut self, count: u64) {
-        self.benefits_computed += count;
-    }
-
-    fn candidate_pruned(&mut self, reason: PruneReason) {
-        self.candidates_pruned[reason.index()] += 1;
-    }
-
-    fn subtree_pruned(&mut self, reason: PruneReason) {
-        self.subtrees_pruned[reason.index()] += 1;
-    }
-
-    fn posting_scanned(&mut self, entries: u64) {
-        self.postings_scanned += entries;
-    }
-
-    fn heap_stale_pop(&mut self) {
-        self.heap_stale_pops += 1;
-        self.stale_run += 1;
-    }
-
-    fn speculation(&mut self, committed: u64, wasted: u64) {
-        self.guesses_committed += committed;
-        self.guesses_wasted += wasted;
-    }
-
-    fn guess_retried(&mut self) {
-        self.guesses_retried += 1;
-    }
-
-    fn trace_started(&mut self, _trace_id: trace::TraceId, _entry: &'static str) {
-        self.traces_started += 1;
-    }
-
-    fn worker_switched(&mut self, _worker_id: u32) {
-        self.worker_switches += 1;
-    }
-
-    fn round_decided(
-        &mut self,
-        _order: &'static str,
-        _winner: &audit::AuditCandidate,
-        _runners_up: &[audit::AuditCandidate],
-    ) {
-        self.rounds_audited += 1;
-    }
-
-    fn scan_pruned(&mut self, count: u64) {
-        self.scan_candidates_pruned += count;
-    }
-
-    fn bound_refreshed(&mut self, count: u64) {
-        self.scan_bounds_refreshed += count;
-    }
-
-    fn sketch_inconclusive(&mut self, count: u64) {
-        self.scan_sketch_inconclusive += count;
-    }
-
-    fn stall_detected(&mut self, _ticks: u64, _stalled_secs: f64) {
-        self.stalls_detected += 1;
-    }
-
-    fn phase_ended(&mut self, name: &'static str, seconds: f64) {
-        match self.phases.iter_mut().find(|p| p.name == name) {
-            Some(p) => {
-                p.seconds += seconds;
-                p.count += 1;
+    fn on(&mut self, event: &Event<'_>) {
+        match *event {
+            Event::GuessStarted(_) => self.guesses += 1,
+            Event::LevelEntered(_, allowance) => {
+                self.levels_entered += 1;
+                self.level_allowance += allowance as u64;
             }
-            None => self.phases.push(PhaseMetric {
-                name,
-                seconds,
-                count: 1,
-            }),
+            Event::SetSelected(_, marginal_benefit, _) => {
+                self.selections += 1;
+                self.marginal_benefit_hist.record(marginal_benefit);
+                self.stale_run_hist.record(self.stale_run);
+                self.stale_run = 0;
+            }
+            Event::BenefitComputed(count) => self.benefits_computed += count,
+            Event::CandidatePruned(reason) => self.candidates_pruned[reason.index()] += 1,
+            Event::SubtreePruned(reason) => self.subtrees_pruned[reason.index()] += 1,
+            Event::PostingScanned(entries) => self.postings_scanned += entries,
+            Event::HeapStalePop => {
+                self.heap_stale_pops += 1;
+                self.stale_run += 1;
+            }
+            Event::RoundDecided(..) => self.rounds_audited += 1,
+            Event::Speculation(committed, wasted) => {
+                self.guesses_committed += committed;
+                self.guesses_wasted += wasted;
+            }
+            Event::GuessRetried => self.guesses_retried += 1,
+            Event::TraceStarted(..) => self.traces_started += 1,
+            Event::WorkerSwitched(_) => self.worker_switches += 1,
+            Event::ScanPruned(count) => self.scan_candidates_pruned += count,
+            Event::BoundRefreshed(count) => self.scan_bounds_refreshed += count,
+            Event::SketchInconclusive(count) => self.scan_sketch_inconclusive += count,
+            Event::StallDetected(..) => self.stalls_detected += 1,
+            Event::PhaseEnded(name, seconds) => {
+                match self.phases.iter_mut().find(|p| p.name == name) {
+                    Some(p) => {
+                        p.seconds += seconds;
+                        p.count += 1;
+                    }
+                    None => self.phases.push(PhaseMetric {
+                        name,
+                        seconds,
+                        count: 1,
+                    }),
+                }
+            }
+            Event::PriceCharged(..) | Event::DegradeDecided(..) | Event::PhaseStarted(_) => {}
         }
     }
 }
@@ -787,26 +575,6 @@ impl<W: io::Write> JsonlSink<W> {
         out.flush()?;
         Ok(out)
     }
-
-    /// Emits one line: `{"t":<secs>,"event":"<event>"<fields>}\n`.
-    /// `fields` must be empty or start with a comma.
-    fn emit(&mut self, event: &str, fields: &str) {
-        if self.failed {
-            return;
-        }
-        let t = self.start.elapsed().as_secs_f64();
-        self.buf.clear();
-        let _ = write!(
-            self.buf,
-            "{{\"t\":{},\"event\":\"{event}\"{fields}}}",
-            json_f64(t)
-        );
-        self.buf.push('\n');
-        let Some(out) = self.out.as_mut() else { return };
-        if out.write_all(self.buf.as_bytes()).is_err() {
-            self.failed = true;
-        }
-    }
 }
 
 impl<W: io::Write> Drop for JsonlSink<W> {
@@ -831,140 +599,31 @@ pub(crate) fn json_f64(v: f64) -> String {
 }
 
 impl<W: io::Write> Observer for JsonlSink<W> {
-    fn guess_started(&mut self, budget: Option<f64>) {
-        let b = match budget {
-            Some(v) => json_f64(v),
-            None => "null".to_owned(),
-        };
-        self.emit("guess_started", &format!(",\"budget\":{b}"));
-    }
-
-    fn level_entered(&mut self, level: usize, allowance: usize) {
-        self.emit(
-            "level_entered",
-            &format!(",\"level\":{level},\"allowance\":{allowance}"),
-        );
-    }
-
-    fn set_selected(&mut self, id: u64, marginal_benefit: u64, cost: f64) {
-        self.emit(
-            "set_selected",
-            &format!(
-                ",\"id\":{id},\"marginal_benefit\":{marginal_benefit},\"cost\":{}",
-                json_f64(cost)
-            ),
-        );
-    }
-
-    fn benefit_computed(&mut self, count: u64) {
-        self.emit("benefit_computed", &format!(",\"count\":{count}"));
-    }
-
-    fn candidate_pruned(&mut self, reason: PruneReason) {
-        self.emit(
-            "candidate_pruned",
-            &format!(",\"reason\":\"{}\"", reason.as_str()),
-        );
-    }
-
-    fn subtree_pruned(&mut self, reason: PruneReason) {
-        self.emit(
-            "subtree_pruned",
-            &format!(",\"reason\":\"{}\"", reason.as_str()),
-        );
-    }
-
-    fn posting_scanned(&mut self, entries: u64) {
-        self.emit("posting_scanned", &format!(",\"entries\":{entries}"));
-    }
-
-    fn heap_stale_pop(&mut self) {
-        self.emit("heap_stale_pop", "");
-    }
-
-    fn round_decided(
-        &mut self,
-        order: &'static str,
-        winner: &audit::AuditCandidate,
-        runners_up: &[audit::AuditCandidate],
-    ) {
-        let mut f = format!(
-            ",\"order\":\"{order}\",\"winner\":{},\"runners_up\":[",
-            audit::cand_json(winner)
-        );
-        for (i, r) in runners_up.iter().enumerate() {
-            if i > 0 {
-                f.push(',');
-            }
-            f.push_str(&audit::cand_json(r));
+    /// Writes one line: `{"t":<secs>,"event":"<name>"<fields>}`. The three
+    /// advisory scan events vary with chunking and stay out of the trace.
+    fn on(&mut self, event: &Event<'_>) {
+        if self.failed
+            || matches!(
+                event,
+                Event::ScanPruned(_) | Event::BoundRefreshed(_) | Event::SketchInconclusive(_)
+            )
+        {
+            return;
         }
-        f.push(']');
-        self.emit("round_decided", &f);
-    }
-
-    fn price_charged(&mut self, set_id: u64, elements: &[u32], cost: f64) {
-        let mut f = format!(
-            ",\"set\":{set_id},\"cost\":{},\"elements\":[",
-            json_f64(cost)
+        let t = self.start.elapsed().as_secs_f64();
+        self.buf.clear();
+        let _ = write!(
+            self.buf,
+            "{{\"t\":{},\"event\":\"{}\"",
+            json_f64(t),
+            event.name()
         );
-        for (i, e) in elements.iter().enumerate() {
-            if i > 0 {
-                f.push(',');
-            }
-            let _ = write!(f, "{e}");
+        event.write_fields(&mut self.buf);
+        self.buf.push_str("}\n");
+        let Some(out) = self.out.as_mut() else { return };
+        if out.write_all(self.buf.as_bytes()).is_err() {
+            self.failed = true;
         }
-        f.push(']');
-        self.emit("price_charged", &f);
-    }
-
-    fn degrade_decided(&mut self, reason: &'static str, covered: u64, target: u64) {
-        self.emit(
-            "degrade_decided",
-            &format!(",\"reason\":\"{reason}\",\"covered\":{covered},\"target\":{target}"),
-        );
-    }
-
-    fn speculation(&mut self, committed: u64, wasted: u64) {
-        self.emit(
-            "speculation",
-            &format!(",\"committed\":{committed},\"wasted\":{wasted}"),
-        );
-    }
-
-    fn guess_retried(&mut self) {
-        self.emit("guess_retried", "");
-    }
-
-    fn trace_started(&mut self, trace_id: trace::TraceId, entry: &'static str) {
-        self.emit(
-            "trace_started",
-            &format!(",\"trace_id\":\"{trace_id}\",\"entry\":\"{entry}\""),
-        );
-    }
-
-    fn worker_switched(&mut self, worker_id: u32) {
-        self.emit("worker_switched", &format!(",\"worker\":{worker_id}"));
-    }
-
-    fn stall_detected(&mut self, ticks: u64, stalled_secs: f64) {
-        self.emit(
-            "stall_detected",
-            &format!(
-                ",\"ticks\":{ticks},\"stalled_secs\":{}",
-                json_f64(stalled_secs)
-            ),
-        );
-    }
-
-    fn phase_started(&mut self, name: &'static str) {
-        self.emit("phase_started", &format!(",\"name\":\"{name}\""));
-    }
-
-    fn phase_ended(&mut self, name: &'static str, seconds: f64) {
-        self.emit(
-            "phase_ended",
-            &format!(",\"name\":\"{name}\",\"seconds\":{}", json_f64(seconds)),
-        );
     }
 }
 
@@ -1002,134 +661,9 @@ impl<'a> Fanout<'a> {
 }
 
 impl Observer for Fanout<'_> {
-    fn guess_started(&mut self, budget: Option<f64>) {
+    fn on(&mut self, event: &Event<'_>) {
         for o in &mut self.observers {
-            o.guess_started(budget);
-        }
-    }
-
-    fn level_entered(&mut self, level: usize, allowance: usize) {
-        for o in &mut self.observers {
-            o.level_entered(level, allowance);
-        }
-    }
-
-    fn set_selected(&mut self, id: u64, marginal_benefit: u64, cost: f64) {
-        for o in &mut self.observers {
-            o.set_selected(id, marginal_benefit, cost);
-        }
-    }
-
-    fn benefit_computed(&mut self, count: u64) {
-        for o in &mut self.observers {
-            o.benefit_computed(count);
-        }
-    }
-
-    fn candidate_pruned(&mut self, reason: PruneReason) {
-        for o in &mut self.observers {
-            o.candidate_pruned(reason);
-        }
-    }
-
-    fn subtree_pruned(&mut self, reason: PruneReason) {
-        for o in &mut self.observers {
-            o.subtree_pruned(reason);
-        }
-    }
-
-    fn posting_scanned(&mut self, entries: u64) {
-        for o in &mut self.observers {
-            o.posting_scanned(entries);
-        }
-    }
-
-    fn heap_stale_pop(&mut self) {
-        for o in &mut self.observers {
-            o.heap_stale_pop();
-        }
-    }
-
-    fn round_decided(
-        &mut self,
-        order: &'static str,
-        winner: &audit::AuditCandidate,
-        runners_up: &[audit::AuditCandidate],
-    ) {
-        for o in &mut self.observers {
-            o.round_decided(order, winner, runners_up);
-        }
-    }
-
-    fn price_charged(&mut self, set_id: u64, elements: &[u32], cost: f64) {
-        for o in &mut self.observers {
-            o.price_charged(set_id, elements, cost);
-        }
-    }
-
-    fn degrade_decided(&mut self, reason: &'static str, covered: u64, target: u64) {
-        for o in &mut self.observers {
-            o.degrade_decided(reason, covered, target);
-        }
-    }
-
-    fn speculation(&mut self, committed: u64, wasted: u64) {
-        for o in &mut self.observers {
-            o.speculation(committed, wasted);
-        }
-    }
-
-    fn guess_retried(&mut self) {
-        for o in &mut self.observers {
-            o.guess_retried();
-        }
-    }
-
-    fn trace_started(&mut self, trace_id: trace::TraceId, entry: &'static str) {
-        for o in &mut self.observers {
-            o.trace_started(trace_id, entry);
-        }
-    }
-
-    fn worker_switched(&mut self, worker_id: u32) {
-        for o in &mut self.observers {
-            o.worker_switched(worker_id);
-        }
-    }
-
-    fn scan_pruned(&mut self, count: u64) {
-        for o in &mut self.observers {
-            o.scan_pruned(count);
-        }
-    }
-
-    fn bound_refreshed(&mut self, count: u64) {
-        for o in &mut self.observers {
-            o.bound_refreshed(count);
-        }
-    }
-
-    fn sketch_inconclusive(&mut self, count: u64) {
-        for o in &mut self.observers {
-            o.sketch_inconclusive(count);
-        }
-    }
-
-    fn stall_detected(&mut self, ticks: u64, stalled_secs: f64) {
-        for o in &mut self.observers {
-            o.stall_detected(ticks, stalled_secs);
-        }
-    }
-
-    fn phase_started(&mut self, name: &'static str) {
-        for o in &mut self.observers {
-            o.phase_started(name);
-        }
-    }
-
-    fn phase_ended(&mut self, name: &'static str, seconds: f64) {
-        for o in &mut self.observers {
-            o.phase_ended(name, seconds);
+            o.on(event);
         }
     }
 }
@@ -1238,20 +772,20 @@ mod tests {
     #[test]
     fn metrics_recorder_aggregates_events() {
         let mut m = MetricsRecorder::new();
-        m.guess_started(Some(4.0));
-        m.level_entered(0, 2);
-        m.level_entered(1, 4);
-        m.benefit_computed(10);
-        m.heap_stale_pop();
-        m.heap_stale_pop();
-        m.set_selected(3, 6, 1.5);
-        m.set_selected(1, 2, 0.5);
-        m.candidate_pruned(PruneReason::BelowFloor);
-        m.subtree_pruned(PruneReason::Exhausted);
-        m.posting_scanned(7);
-        m.phase_started("total");
-        m.phase_ended("total", 0.25);
-        m.phase_ended("total", 0.25);
+        m.on(&Event::GuessStarted(Some(4.0)));
+        m.on(&Event::LevelEntered(0, 2));
+        m.on(&Event::LevelEntered(1, 4));
+        m.on(&Event::BenefitComputed(10));
+        m.on(&Event::HeapStalePop);
+        m.on(&Event::HeapStalePop);
+        m.on(&Event::SetSelected(3, 6, 1.5));
+        m.on(&Event::SetSelected(1, 2, 0.5));
+        m.on(&Event::CandidatePruned(PruneReason::BelowFloor));
+        m.on(&Event::SubtreePruned(PruneReason::Exhausted));
+        m.on(&Event::PostingScanned(7));
+        m.on(&Event::PhaseStarted("total"));
+        m.on(&Event::PhaseEnded("total", 0.25));
+        m.on(&Event::PhaseEnded("total", 0.25));
 
         assert_eq!(m.guesses, 1);
         assert_eq!(m.levels_entered, 2);
@@ -1347,9 +881,12 @@ mod tests {
     #[test]
     fn trace_counters_stay_out_of_exact_counters() {
         let mut m = MetricsRecorder::new();
-        m.trace_started(trace::TraceId::mint("cmc", 1, 2), "cmc");
-        m.worker_switched(1);
-        m.worker_switched(0);
+        m.on(&Event::TraceStarted(
+            trace::TraceId::mint("cmc", 1, 2),
+            "cmc",
+        ));
+        m.on(&Event::WorkerSwitched(1));
+        m.on(&Event::WorkerSwitched(0));
         assert_eq!(m.traces_started, 1);
         assert_eq!(m.worker_switches, 2);
         // Like speculation/retry counters, trace plumbing never touches
@@ -1368,15 +905,15 @@ mod tests {
     fn jsonl_sink_emits_trace_events() {
         let mut sink = JsonlSink::new(Vec::new());
         let id = trace::TraceId::mint("opt_cmc", 3, 4);
-        sink.trace_started(id, "opt_cmc");
-        sink.worker_switched(2);
+        sink.on(&Event::TraceStarted(id, "opt_cmc"));
+        sink.on(&Event::WorkerSwitched(2));
         let text = String::from_utf8(sink.into_inner().unwrap()).unwrap();
         assert!(
             text.contains(&format!("\"trace_id\":\"{id}\",\"entry\":\"opt_cmc\"")),
             "{text}"
         );
         assert!(
-            text.contains("\"event\":\"worker_switched\",\"worker\":2"),
+            text.contains("\"event\":\"worker_switched\",\"worker_to\":2"),
             "{text}"
         );
     }
@@ -1400,7 +937,7 @@ mod tests {
         let flushed = Arc::new(AtomicBool::new(false));
         {
             let mut sink = JsonlSink::new(FlushProbe(Arc::clone(&flushed)));
-            sink.heap_stale_pop();
+            sink.on(&Event::HeapStalePop);
             assert!(!flushed.load(Ordering::SeqCst), "no premature flush");
         }
         assert!(flushed.load(Ordering::SeqCst), "drop must flush");
@@ -1435,25 +972,25 @@ mod tests {
         // Two shards observing disjoint event streams merge to exactly
         // what one recorder seeing both streams would hold.
         let drive_a = |m: &mut MetricsRecorder| {
-            m.guess_started(Some(1.0));
-            m.level_entered(0, 2);
-            m.benefit_computed(5);
-            m.heap_stale_pop();
-            m.set_selected(1, 3, 2.0);
-            m.candidate_pruned(PruneReason::BelowFloor);
-            m.phase_started("total");
-            m.phase_ended("total", 0.5);
+            m.on(&Event::GuessStarted(Some(1.0)));
+            m.on(&Event::LevelEntered(0, 2));
+            m.on(&Event::BenefitComputed(5));
+            m.on(&Event::HeapStalePop);
+            m.on(&Event::SetSelected(1, 3, 2.0));
+            m.on(&Event::CandidatePruned(PruneReason::BelowFloor));
+            m.on(&Event::PhaseStarted("total"));
+            m.on(&Event::PhaseEnded("total", 0.5));
         };
         let drive_b = |m: &mut MetricsRecorder| {
-            m.guess_started(Some(2.0));
-            m.benefit_computed(7);
-            m.subtree_pruned(PruneReason::Exhausted);
-            m.posting_scanned(11);
-            m.set_selected(2, 4, 1.0);
-            m.speculation(2, 1);
-            m.guess_retried();
-            m.phase_ended("total", 0.25);
-            m.phase_ended("scan", 0.125);
+            m.on(&Event::GuessStarted(Some(2.0)));
+            m.on(&Event::BenefitComputed(7));
+            m.on(&Event::SubtreePruned(PruneReason::Exhausted));
+            m.on(&Event::PostingScanned(11));
+            m.on(&Event::SetSelected(2, 4, 1.0));
+            m.on(&Event::Speculation(2, 1));
+            m.on(&Event::GuessRetried);
+            m.on(&Event::PhaseEnded("total", 0.25));
+            m.on(&Event::PhaseEnded("scan", 0.125));
         };
         let mut a = MetricsRecorder::new();
         drive_a(&mut a);
@@ -1485,8 +1022,8 @@ mod tests {
     #[test]
     fn speculation_counters_accumulate() {
         let mut m = MetricsRecorder::new();
-        m.speculation(3, 1);
-        m.speculation(1, 0);
+        m.on(&Event::Speculation(3, 1));
+        m.on(&Event::Speculation(1, 0));
         assert_eq!(m.guesses_committed, 4);
         assert_eq!(m.guesses_wasted, 1);
         // Speculation does not touch the exact-diff counters.
@@ -1497,7 +1034,7 @@ mod tests {
     #[test]
     fn jsonl_sink_emits_speculation_event() {
         let mut sink = JsonlSink::new(Vec::new());
-        sink.speculation(3, 2);
+        sink.on(&Event::Speculation(3, 2));
         let text = String::from_utf8(sink.into_inner().unwrap()).unwrap();
         assert!(text.contains("\"event\":\"speculation\""), "{text}");
         assert!(text.contains("\"committed\":3,\"wasted\":2"), "{text}");
@@ -1506,15 +1043,15 @@ mod tests {
     #[test]
     fn guess_retried_counter_stays_out_of_exact_counters() {
         let mut m = MetricsRecorder::new();
-        m.guess_retried();
-        m.guess_retried();
+        m.on(&Event::GuessRetried);
+        m.on(&Event::GuessRetried);
         assert_eq!(m.guesses_retried, 2);
         // Like the speculation counters, retries never touch the
         // exact-diff counters.
         assert_eq!(m.guesses, 0);
         assert_eq!(m.selections, 0);
         let mut sink = JsonlSink::new(Vec::new());
-        sink.guess_retried();
+        sink.on(&Event::GuessRetried);
         let text = String::from_utf8(sink.into_inner().unwrap()).unwrap();
         assert!(text.contains("\"event\":\"guess_retried\""), "{text}");
     }
@@ -1522,17 +1059,17 @@ mod tests {
     #[test]
     fn jsonl_sink_emits_one_line_per_event() {
         let mut sink = JsonlSink::new(Vec::new());
-        sink.guess_started(Some(2.5));
-        sink.guess_started(None);
-        sink.level_entered(0, 2);
-        sink.set_selected(7, 3, 1.0);
-        sink.benefit_computed(12);
-        sink.candidate_pruned(PruneReason::CostBound);
-        sink.subtree_pruned(PruneReason::BelowFloor);
-        sink.posting_scanned(40);
-        sink.heap_stale_pop();
-        sink.phase_started("total");
-        sink.phase_ended("total", 0.125);
+        sink.on(&Event::GuessStarted(Some(2.5)));
+        sink.on(&Event::GuessStarted(None));
+        sink.on(&Event::LevelEntered(0, 2));
+        sink.on(&Event::SetSelected(7, 3, 1.0));
+        sink.on(&Event::BenefitComputed(12));
+        sink.on(&Event::CandidatePruned(PruneReason::CostBound));
+        sink.on(&Event::SubtreePruned(PruneReason::BelowFloor));
+        sink.on(&Event::PostingScanned(40));
+        sink.on(&Event::HeapStalePop);
+        sink.on(&Event::PhaseStarted("total"));
+        sink.on(&Event::PhaseEnded("total", 0.125));
         assert!(!sink.has_failed());
         let bytes = sink.into_inner().unwrap();
         let text = String::from_utf8(bytes).unwrap();
@@ -1564,9 +1101,9 @@ mod tests {
             }
         }
         let mut sink = JsonlSink::new(Failing);
-        sink.heap_stale_pop();
+        sink.on(&Event::HeapStalePop);
         assert!(sink.has_failed());
-        sink.heap_stale_pop(); // silently dropped, no panic
+        sink.on(&Event::HeapStalePop); // silently dropped, no panic
     }
 
     #[test]
@@ -1586,8 +1123,8 @@ mod tests {
             fan.attach(&mut a).attach(&mut b);
             assert_eq!(fan.len(), 2);
             assert!(!fan.is_empty());
-            fan.benefit_computed(4);
-            fan.set_selected(0, 2, 1.0);
+            fan.on(&Event::BenefitComputed(4));
+            fan.on(&Event::SetSelected(0, 2, 1.0));
         }
         assert_eq!(a.benefits_computed, 4);
         assert_eq!(b.benefits_computed, 4);
@@ -1598,16 +1135,16 @@ mod tests {
     #[test]
     fn noop_observer_accepts_everything() {
         let mut n = NoopObserver;
-        n.guess_started(Some(1.0));
-        n.level_entered(0, 1);
-        n.set_selected(0, 0, 0.0);
-        n.benefit_computed(1);
-        n.candidate_pruned(PruneReason::Exhausted);
-        n.subtree_pruned(PruneReason::CoverageBound);
-        n.posting_scanned(1);
-        n.heap_stale_pop();
-        n.phase_started("x");
-        n.phase_ended("x", 0.0);
+        n.on(&Event::GuessStarted(Some(1.0)));
+        n.on(&Event::LevelEntered(0, 1));
+        n.on(&Event::SetSelected(0, 0, 0.0));
+        n.on(&Event::BenefitComputed(1));
+        n.on(&Event::CandidatePruned(PruneReason::Exhausted));
+        n.on(&Event::SubtreePruned(PruneReason::CoverageBound));
+        n.on(&Event::PostingScanned(1));
+        n.on(&Event::HeapStalePop);
+        n.on(&Event::PhaseStarted("x"));
+        n.on(&Event::PhaseEnded("x", 0.0));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Hierarchical span profiling on top of the [`Observer`] phase events.
 //!
-//! Solvers already emit paired [`Observer::phase_started`] /
-//! [`Observer::phase_ended`] events through [`PhaseSpan`](super::PhaseSpan)
+//! Solvers already emit paired [`Event::PhaseStarted`] /
+//! [`Event::PhaseEnded`] events through [`PhaseSpan`](super::PhaseSpan)
 //! — nested, because inner spans open after and close before their
 //! enclosing one. [`SpanProfiler`] reconstructs that nesting into a tree:
 //! each node aggregates every completion of one span *name* under one
@@ -22,7 +22,7 @@
 //! Counter events that fire while no span is open are attributed to the
 //! synthetic root (rendered as `(unspanned)` when non-empty).
 
-use super::{Observer, PruneReason};
+use super::{Event, Observer};
 use std::fmt::Write as _;
 
 /// Work counters attributable to a single span (the deterministic subset
@@ -69,7 +69,7 @@ impl SpanCounters {
 /// under the same parent path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanNode {
-    /// Span name as passed to [`Observer::phase_started`].
+    /// Span name as carried by [`Event::PhaseStarted`].
     pub name: &'static str,
     /// Completed spans aggregated into this node.
     pub count: u64,
@@ -135,9 +135,9 @@ impl SpanNode {
 /// An [`Observer`] that reconstructs the nested phase spans of a run into
 /// an aggregated self/total-time tree with per-span counter attribution.
 ///
-/// Robust to imbalance: a `phase_ended` whose name is open deeper in the
+/// Robust to imbalance: a `PhaseEnded` whose name is open deeper in the
 /// stack closes the intervening spans (without crediting them extra time);
-/// a `phase_ended` for a span that was never started is ignored.
+/// a `PhaseEnded` for a span that was never started is ignored.
 #[derive(Debug, Clone)]
 pub struct SpanProfiler {
     /// Arena of nodes; index 0 is the synthetic root.
@@ -219,37 +219,6 @@ impl SpanProfiler {
         node
     }
 
-    /// Merges another profiler's aggregated spans into this one.
-    ///
-    /// Nodes are matched by name along the same parent path: counts,
-    /// times, and counters add; children unknown to `self` are appended
-    /// in `other`'s first-seen order. Used by parallel runs where each
-    /// worker profiles into its own `SpanProfiler` and the shards are
-    /// merged after the region joins. Both profilers should have all
-    /// spans closed; `other`'s open-span stack is ignored.
-    pub fn merge(&mut self, other: &SpanProfiler) {
-        self.merge_node(0, other, 0);
-    }
-
-    fn merge_node(&mut self, dst: usize, other: &SpanProfiler, src: usize) {
-        let node = &other.nodes[src];
-        self.nodes[dst].count += node.count;
-        self.nodes[dst].total_secs += node.total_secs;
-        let c = node.counters;
-        let d = &mut self.nodes[dst].counters;
-        d.benefits_computed += c.benefits_computed;
-        d.postings_scanned += c.postings_scanned;
-        d.candidates_pruned += c.candidates_pruned;
-        d.subtrees_pruned += c.subtrees_pruned;
-        d.selections += c.selections;
-        d.heap_stale_pops += c.heap_stale_pops;
-        for i in 0..other.children_idx[src].len() {
-            let child = other.children_idx[src][i];
-            let dst_child = self.child_idx(dst, other.nodes[child].name);
-            self.merge_node(dst_child, other, child);
-        }
-    }
-
     /// Flamegraph-style text rendering of [`tree`](SpanProfiler::tree):
     /// one line per node with total seconds, percent of the root, derived
     /// self time, completion count, and non-zero counters.
@@ -262,46 +231,33 @@ impl SpanProfiler {
 }
 
 impl Observer for SpanProfiler {
-    fn phase_started(&mut self, name: &'static str) {
-        let parent = self.current();
-        let idx = self.child_idx(parent, name);
-        self.stack.push(idx);
-    }
-
-    fn phase_ended(&mut self, name: &'static str, seconds: f64) {
-        // Find the innermost open span with this name; spans opened after
-        // it never got their own end event, so close them silently.
-        let Some(pos) = self.stack.iter().rposition(|&i| self.nodes[i].name == name) else {
-            return; // end without a start: drop it
-        };
-        self.stack.truncate(pos + 1);
-        let idx = self.stack.pop().expect("pos is in range");
-        self.nodes[idx].count += 1;
-        self.nodes[idx].total_secs += seconds;
-    }
-
-    fn benefit_computed(&mut self, count: u64) {
-        self.counters().benefits_computed += count;
-    }
-
-    fn posting_scanned(&mut self, entries: u64) {
-        self.counters().postings_scanned += entries;
-    }
-
-    fn candidate_pruned(&mut self, _reason: PruneReason) {
-        self.counters().candidates_pruned += 1;
-    }
-
-    fn subtree_pruned(&mut self, _reason: PruneReason) {
-        self.counters().subtrees_pruned += 1;
-    }
-
-    fn set_selected(&mut self, _id: u64, _marginal_benefit: u64, _cost: f64) {
-        self.counters().selections += 1;
-    }
-
-    fn heap_stale_pop(&mut self) {
-        self.counters().heap_stale_pops += 1;
+    fn on(&mut self, event: &Event<'_>) {
+        match *event {
+            Event::PhaseStarted(name) => {
+                let parent = self.current();
+                let idx = self.child_idx(parent, name);
+                self.stack.push(idx);
+            }
+            Event::PhaseEnded(name, seconds) => {
+                // Find the innermost open span with this name; spans opened
+                // after it never got their own end event, so close them
+                // silently. An end without a start is dropped.
+                let Some(pos) = self.stack.iter().rposition(|&i| self.nodes[i].name == name) else {
+                    return;
+                };
+                self.stack.truncate(pos + 1);
+                let idx = self.stack.pop().expect("pos is in range");
+                self.nodes[idx].count += 1;
+                self.nodes[idx].total_secs += seconds;
+            }
+            Event::BenefitComputed(count) => self.counters().benefits_computed += count,
+            Event::PostingScanned(entries) => self.counters().postings_scanned += entries,
+            Event::CandidatePruned(_) => self.counters().candidates_pruned += 1,
+            Event::SubtreePruned(_) => self.counters().subtrees_pruned += 1,
+            Event::SetSelected(..) => self.counters().selections += 1,
+            Event::HeapStalePop => self.counters().heap_stale_pops += 1,
+            _ => {}
+        }
     }
 }
 
@@ -312,16 +268,16 @@ mod tests {
     /// Drives a nested run by hand: total > guess(×2) > select.
     fn profiled() -> SpanProfiler {
         let mut p = SpanProfiler::new();
-        p.phase_started("total");
+        p.on(&Event::PhaseStarted("total"));
         for _ in 0..2 {
-            p.phase_started("guess");
-            p.benefit_computed(10);
-            p.phase_started("select");
-            p.set_selected(1, 5, 1.0);
-            p.phase_ended("select", 0.25);
-            p.phase_ended("guess", 0.5);
+            p.on(&Event::PhaseStarted("guess"));
+            p.on(&Event::BenefitComputed(10));
+            p.on(&Event::PhaseStarted("select"));
+            p.on(&Event::SetSelected(1, 5, 1.0));
+            p.on(&Event::PhaseEnded("select", 0.25));
+            p.on(&Event::PhaseEnded("guess", 0.5));
         }
-        p.phase_ended("total", 1.2);
+        p.on(&Event::PhaseEnded("total", 1.2));
         p
     }
 
@@ -362,23 +318,23 @@ mod tests {
     #[test]
     fn self_time_floors_at_zero() {
         let mut p = SpanProfiler::new();
-        p.phase_started("outer");
-        p.phase_started("inner");
-        p.phase_ended("inner", 2.0); // child reports more than parent
-        p.phase_ended("outer", 1.0);
+        p.on(&Event::PhaseStarted("outer"));
+        p.on(&Event::PhaseStarted("inner"));
+        p.on(&Event::PhaseEnded("inner", 2.0)); // child reports more than parent
+        p.on(&Event::PhaseEnded("outer", 1.0));
         assert_eq!(p.tree().self_secs(), 0.0);
     }
 
     #[test]
     fn counters_attribute_to_innermost_open_span() {
         let mut p = SpanProfiler::new();
-        p.phase_started("a");
-        p.posting_scanned(7);
-        p.phase_started("b");
-        p.posting_scanned(30);
-        p.phase_ended("b", 0.1);
-        p.posting_scanned(5);
-        p.phase_ended("a", 0.2);
+        p.on(&Event::PhaseStarted("a"));
+        p.on(&Event::PostingScanned(7));
+        p.on(&Event::PhaseStarted("b"));
+        p.on(&Event::PostingScanned(30));
+        p.on(&Event::PhaseEnded("b", 0.1));
+        p.on(&Event::PostingScanned(5));
+        p.on(&Event::PhaseEnded("a", 0.2));
         let tree = p.tree();
         assert_eq!(tree.counters.postings_scanned, 12);
         assert_eq!(tree.child("b").unwrap().counters.postings_scanned, 30);
@@ -387,9 +343,9 @@ mod tests {
     #[test]
     fn unspanned_counters_surface_on_synthetic_root() {
         let mut p = SpanProfiler::new();
-        p.heap_stale_pop(); // before any span opens
-        p.phase_started("total");
-        p.phase_ended("total", 0.5);
+        p.on(&Event::HeapStalePop); // before any span opens
+        p.on(&Event::PhaseStarted("total"));
+        p.on(&Event::PhaseEnded("total", 0.5));
         let tree = p.tree();
         assert_eq!(tree.name, "(run)");
         assert_eq!(tree.counters.heap_stale_pops, 1);
@@ -401,8 +357,8 @@ mod tests {
     fn multiple_roots_wrap_in_synthetic_run() {
         let mut p = SpanProfiler::new();
         for name in ["first", "second"] {
-            p.phase_started(name);
-            p.phase_ended(name, 0.5);
+            p.on(&Event::PhaseStarted(name));
+            p.on(&Event::PhaseEnded(name, 0.5));
         }
         let tree = p.tree();
         assert_eq!(tree.name, "(run)");
@@ -413,9 +369,9 @@ mod tests {
     #[test]
     fn unbalanced_end_closes_intervening_spans() {
         let mut p = SpanProfiler::new();
-        p.phase_started("outer");
-        p.phase_started("leaked"); // never explicitly ended
-        p.phase_ended("outer", 1.0);
+        p.on(&Event::PhaseStarted("outer"));
+        p.on(&Event::PhaseStarted("leaked")); // never explicitly ended
+        p.on(&Event::PhaseEnded("outer", 1.0));
         assert_eq!(p.open_spans(), 0);
         let tree = p.tree();
         assert_eq!(tree.name, "outer");
@@ -428,10 +384,10 @@ mod tests {
     #[test]
     fn stray_end_is_ignored() {
         let mut p = SpanProfiler::new();
-        p.phase_started("a");
-        p.phase_ended("never_started", 9.0);
+        p.on(&Event::PhaseStarted("a"));
+        p.on(&Event::PhaseEnded("never_started", 9.0));
         assert_eq!(p.open_spans(), 1, "open span untouched");
-        p.phase_ended("a", 0.1);
+        p.on(&Event::PhaseEnded("a", 0.1));
         assert_eq!(p.tree().total_secs, 0.1);
     }
 
@@ -447,133 +403,6 @@ mod tests {
         assert!(lines[1].contains("benefits=20"), "{text}");
         assert!(lines[2].starts_with("    select"), "{text}");
         assert!(lines[2].contains("selections=2"), "{text}");
-    }
-
-    #[test]
-    fn merge_equals_single_profiler_over_both_streams() {
-        // Shard 1: total > guess > select; shard 2: total > guess > init.
-        let drive_a = |p: &mut SpanProfiler| {
-            p.phase_started("total");
-            p.phase_started("guess");
-            p.benefit_computed(5);
-            p.phase_started("select");
-            p.set_selected(1, 3, 1.0);
-            p.phase_ended("select", 0.1);
-            p.phase_ended("guess", 0.3);
-            p.phase_ended("total", 0.4);
-        };
-        let drive_b = |p: &mut SpanProfiler| {
-            p.phase_started("total");
-            p.phase_started("guess");
-            p.phase_started("init");
-            p.posting_scanned(11);
-            p.phase_ended("init", 0.05);
-            p.phase_ended("guess", 0.2);
-            p.phase_ended("total", 0.25);
-        };
-
-        let mut merged = SpanProfiler::new();
-        drive_a(&mut merged);
-        let mut shard = SpanProfiler::new();
-        drive_b(&mut shard);
-        merged.merge(&shard);
-
-        let mut single = SpanProfiler::new();
-        drive_a(&mut single);
-        drive_b(&mut single);
-
-        assert_eq!(merged.tree(), single.tree());
-    }
-
-    #[test]
-    fn merge_appends_unknown_children_in_first_seen_order() {
-        let mut base = SpanProfiler::new();
-        base.phase_started("a");
-        base.phase_ended("a", 1.0);
-        let mut other = SpanProfiler::new();
-        for name in ["b", "c"] {
-            other.phase_started(name);
-            other.phase_ended(name, 0.5);
-        }
-        base.merge(&other);
-        let tree = base.tree();
-        let names: Vec<&str> = tree.children.iter().map(|c| c.name).collect();
-        assert_eq!(names, vec!["a", "b", "c"]);
-        assert_eq!(tree.total_secs, 2.0);
-    }
-
-    #[test]
-    fn merge_of_four_deep_shards_preserves_time_and_counter_invariants() {
-        // Each worker shard profiles a 4-deep chain total > guess > scan >
-        // chunk with shard-specific times and counters; a fifth stream
-        // merges in a divergent branch (total > guess > select) to prove
-        // path-aligned matching, not positional matching.
-        let drive_shard = |p: &mut SpanProfiler, i: u64| {
-            let secs = 0.1 * (i + 1) as f64;
-            p.phase_started("total");
-            p.phase_started("guess");
-            p.benefit_computed(10 * (i + 1));
-            p.phase_started("scan");
-            p.posting_scanned(100 + i);
-            p.phase_started("chunk");
-            p.heap_stale_pop();
-            p.phase_ended("chunk", secs);
-            p.phase_ended("scan", secs * 2.0);
-            p.phase_ended("guess", secs * 3.0);
-            p.phase_ended("total", secs * 4.0);
-        };
-        let mut merged = SpanProfiler::new();
-        drive_shard(&mut merged, 0);
-        for i in 1..4u64 {
-            let mut shard = SpanProfiler::new();
-            drive_shard(&mut shard, i);
-            merged.merge(&shard);
-        }
-        let mut divergent = SpanProfiler::new();
-        divergent.phase_started("total");
-        divergent.phase_started("guess");
-        divergent.phase_started("select");
-        divergent.set_selected(1, 2, 3.0);
-        divergent.phase_ended("select", 0.01);
-        divergent.phase_ended("guess", 0.02);
-        divergent.phase_ended("total", 0.03);
-        merged.merge(&divergent);
-
-        let tree = merged.tree();
-        // Totals sum across shards at every depth: 0.1+0.2+0.3+0.4 = 1.0
-        // per unit of the per-shard multiplier.
-        let close = |a: f64, b: f64| (a - b).abs() < 1e-12;
-        assert_eq!(tree.count, 5);
-        assert!(
-            close(tree.total_secs, 4.0 * 1.0 + 0.03),
-            "{}",
-            tree.total_secs
-        );
-        let guess = tree.child("guess").expect("guess");
-        assert!(close(guess.total_secs, 3.0 * 1.0 + 0.02));
-        let scan = guess.child("scan").expect("scan");
-        let chunk = scan.child("chunk").expect("chunk");
-        assert!(close(scan.total_secs, 2.0 * 1.0));
-        assert!(close(chunk.total_secs, 1.0));
-        // Self time = total minus direct children, at every level.
-        assert!(close(tree.self_secs(), tree.total_secs - guess.total_secs));
-        assert!(close(
-            guess.self_secs(),
-            guess.total_secs - scan.total_secs - guess.child("select").expect("select").total_secs
-        ));
-        assert_eq!(chunk.self_secs(), chunk.total_secs, "leaf self == total");
-        // Counters attribute to the innermost span of their shard's path
-        // and add across shards — never smeared up or down the tree.
-        assert_eq!(guess.counters.benefits_computed, 10 + 20 + 30 + 40);
-        assert_eq!(scan.counters.postings_scanned, 100 + 101 + 102 + 103);
-        assert_eq!(chunk.counters.heap_stale_pops, 4);
-        assert_eq!(scan.counters.benefits_computed, 0, "no smear down");
-        assert_eq!(tree.counters.postings_scanned, 0, "no smear up");
-        assert_eq!(guess.child("select").unwrap().counters.selections, 1);
-        // Completion counts add shard-wise.
-        assert_eq!(guess.count, 5);
-        assert_eq!(scan.count, 4);
-        assert_eq!(chunk.count, 4);
     }
 
     #[test]

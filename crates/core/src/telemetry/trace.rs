@@ -5,10 +5,10 @@
 //! Every solve entry point mints a [`TraceId`] — deterministically, from
 //! the entry's name and its instance parameters, so the same query always
 //! produces the same id (replayable post-mortems, cache-keyable traces) —
-//! and announces it with [`Observer::trace_started`](super::Observer::trace_started)
+//! and announces it with [`Event::TraceStarted`](super::Event::TraceStarted)
 //! just before opening its root span. Parallel regions announce which
 //! worker recorded the following events with
-//! [`Observer::worker_switched`](super::Observer::worker_switched); the
+//! [`Event::WorkerSwitched`](super::Event::WorkerSwitched); the
 //! shard-then-replay machinery
 //! ([`ThreadLocalTelemetry`](super::ThreadLocalTelemetry)) emits those
 //! switches automatically, so a replayed parallel run carries enough

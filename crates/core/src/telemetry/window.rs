@@ -25,13 +25,12 @@
 //! the last `W` solves in [`LogHistogram`]-compatible power-of-two
 //! buckets and answers p50/p90/p99; [`SolveWindows`] is the [`Observer`]
 //! that assembles both into a global view plus a per-entry-point
-//! breakdown keyed by the [`trace_started`](Observer::trace_started)
+//! breakdown keyed by the [`TraceStarted`](Event::TraceStarted)
 //! entry tag.
 //!
 //! [`MetricsRecorder`]: super::MetricsRecorder
 
-use super::trace::TraceId;
-use super::{audit, LogHistogram, Observer, PruneReason, PHASE_TOTAL};
+use super::{Event, LogHistogram, Observer, PHASE_TOTAL};
 use std::collections::VecDeque;
 
 /// The default window width, in solves.
@@ -307,7 +306,7 @@ impl EntryWindow {
 
 /// Sliding-window aggregation over a stream of solves: a global
 /// [`EntryWindow`] plus a per-entry-point breakdown keyed by the
-/// [`trace_started`](Observer::trace_started) entry tag.
+/// [`TraceStarted`](Event::TraceStarted) entry tag.
 ///
 /// Feed it either as an [`Observer`] (attach it to the solve's
 /// [`Fanout`](super::Fanout); it accumulates the in-flight solve from
@@ -424,59 +423,34 @@ impl Default for SolveWindows {
 }
 
 impl Observer for SolveWindows {
-    fn trace_started(&mut self, _trace_id: TraceId, entry: &'static str) {
-        // Latch the outermost entry: nested solves (a sweep's inner
-        // rounds) mint their own traces but belong to the outer solve.
-        if self.cur_entry.is_none() {
-            self.cur_entry = Some(entry);
-        }
-    }
-
-    fn set_selected(&mut self, _id: u64, _marginal_benefit: u64, _cost: f64) {
-        self.cur.selections += 1;
-    }
-
-    fn benefit_computed(&mut self, count: u64) {
-        self.cur.benefits_computed += count;
-    }
-
-    fn degrade_decided(&mut self, _reason: &'static str, _covered: u64, _target: u64) {
-        self.cur.degraded = true;
-    }
-
-    fn phase_started(&mut self, name: &'static str) {
-        if name == PHASE_TOTAL {
-            self.total_depth += 1;
-        }
-    }
-
-    fn phase_ended(&mut self, name: &'static str, _seconds: f64) {
-        if name == PHASE_TOTAL {
-            self.total_depth = self.total_depth.saturating_sub(1);
-            // Only the root total span closes a solve; nested totals
-            // (inner rounds of a sweep) stay part of the outer solve.
-            if self.total_depth == 0 {
-                self.finalize_solve();
+    fn on(&mut self, event: &Event<'_>) {
+        match *event {
+            // Latch the outermost entry: nested solves (a sweep's inner
+            // rounds) mint their own traces but belong to the outer solve.
+            Event::TraceStarted(_, entry) => {
+                self.cur_entry.get_or_insert(entry);
             }
+            Event::SetSelected(..) => self.cur.selections += 1,
+            Event::BenefitComputed(count) => self.cur.benefits_computed += count,
+            Event::DegradeDecided(..) => self.cur.degraded = true,
+            Event::PhaseStarted(PHASE_TOTAL) => self.total_depth += 1,
+            Event::PhaseEnded(PHASE_TOTAL, _) => {
+                self.total_depth = self.total_depth.saturating_sub(1);
+                // Only the root total span closes a solve; nested totals
+                // (inner rounds of a sweep) stay part of the outer solve.
+                if self.total_depth == 0 {
+                    self.finalize_solve();
+                }
+            }
+            _ => {}
         }
-    }
-
-    // The remaining events carry nothing the windows aggregate, but an
-    // explicit no-op keeps this observer honest about what it ignores.
-    fn candidate_pruned(&mut self, _reason: PruneReason) {}
-    fn subtree_pruned(&mut self, _reason: PruneReason) {}
-    fn round_decided(
-        &mut self,
-        _order: &'static str,
-        _winner: &audit::AuditCandidate,
-        _runners_up: &[audit::AuditCandidate],
-    ) {
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::TraceId;
 
     #[test]
     fn windowed_counter_sums_and_evicts() {
@@ -569,16 +543,19 @@ mod tests {
     fn solve_windows_observer_finalizes_on_root_total() {
         let mut w = SolveWindows::with_window(2);
         for i in 0..3u64 {
-            w.trace_started(TraceId::mint("cmc", i, 1), "cmc");
-            w.phase_started(PHASE_TOTAL);
+            w.on(&Event::TraceStarted(TraceId::mint("cmc", i, 1), "cmc"));
+            w.on(&Event::PhaseStarted(PHASE_TOTAL));
             // A nested solve: its trace and total span stay inside.
-            w.trace_started(TraceId::mint("opt_cwsc", i, 1), "opt_cwsc");
-            w.phase_started(PHASE_TOTAL);
-            w.benefit_computed(5);
-            w.set_selected(1, 3, 1.0);
-            w.phase_ended(PHASE_TOTAL, 0.0);
-            w.benefit_computed(5);
-            w.phase_ended(PHASE_TOTAL, 0.0);
+            w.on(&Event::TraceStarted(
+                TraceId::mint("opt_cwsc", i, 1),
+                "opt_cwsc",
+            ));
+            w.on(&Event::PhaseStarted(PHASE_TOTAL));
+            w.on(&Event::BenefitComputed(5));
+            w.on(&Event::SetSelected(1, 3, 1.0));
+            w.on(&Event::PhaseEnded(PHASE_TOTAL, 0.0));
+            w.on(&Event::BenefitComputed(5));
+            w.on(&Event::PhaseEnded(PHASE_TOTAL, 0.0));
         }
         assert_eq!(w.solves(), 3, "one solve per root span");
         assert_eq!(w.entries().len(), 1, "nested entry folded into outer");

@@ -10,7 +10,7 @@
 use crate::fxhash::FxHashMap;
 use crate::pattern::Pattern;
 use crate::table::RowId;
-use scwsc_core::telemetry::Observer;
+use scwsc_core::telemetry::{Event, Observer};
 use scwsc_core::{BitSet, BlockSummary, LimitedCount};
 use std::cmp::Ordering;
 
@@ -208,10 +208,10 @@ impl CandidatePool {
             }
         }
         if pruned > 0 {
-            obs.scan_pruned(pruned);
+            obs.on(&Event::ScanPruned(pruned));
         }
         if refreshed > 0 {
-            obs.bound_refreshed(refreshed);
+            obs.on(&Event::BoundRefreshed(refreshed));
         }
     }
 

@@ -33,10 +33,11 @@ use scwsc_core::engine::{
 };
 use scwsc_core::parallel::prune_from_env;
 use scwsc_core::telemetry::{
-    audit, pack_k_target, EventLog, Observer, PhaseSpan, PruneReason, ThreadLocalTelemetry,
+    audit, pack_k_target, Event, EventLog, Observer, PhaseSpan, PruneReason, ThreadLocalTelemetry,
     TraceId, PHASE_GUESS, PHASE_SCAN, PHASE_TOTAL,
 };
 use scwsc_core::{coverage_target, BitSet, SolveError, ThreadPool};
+use std::borrow::Cow;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -172,10 +173,10 @@ pub fn opt_cmc_in_within<S: LatticeSpace, O: Observer + ?Sized>(
         }));
     }
     let pool = if pool.is_serial() { None } else { Some(pool) };
-    obs.trace_started(
+    obs.on(&Event::TraceStarted(
         TraceId::mint("opt_cmc", n as u64, pack_k_target(params.k, target)),
         "opt_cmc",
-    );
+    ));
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
     let result = guess_loop_within(space, params, target, pool, deadline, obs);
     span.exit(obs);
@@ -212,7 +213,7 @@ fn guess_loop_within<S: LatticeSpace, O: Observer + ?Sized>(
                        lattice: &mut Lattice<'_, S>,
                        queue: &mut BucketQueue|
          -> GuessResult {
-            log.guess_started(Some(budget));
+            log.on(&Event::GuessStarted(Some(budget)));
             let guess_span = PhaseSpan::enter(log, PHASE_GUESS);
             deadline.fault_guess(guess_index);
             let found = run_guess(lattice, queue, params, budget, target, pool, deadline, log);
@@ -231,7 +232,7 @@ fn guess_loop_within<S: LatticeSpace, O: Observer + ?Sized>(
                 // Retry once: the lattice cache is append-only and
                 // budget-independent, so a half-extended cache only means
                 // fewer first-materialization events on the rerun.
-                obs.guess_retried();
+                obs.on(&Event::GuessRetried);
                 let mut retry_log = EventLog::new();
                 match catch_unwind(AssertUnwindSafe(|| {
                     attempt(&mut retry_log, &mut lattice, &mut queue)
@@ -253,7 +254,11 @@ fn guess_loop_within<S: LatticeSpace, O: Observer + ?Sized>(
                 quotas_exhausted,
                 reason,
             } => {
-                obs.degrade_decided(reason.as_str(), partial.covered as u64, target as u64);
+                obs.on(&Event::DegradeDecided(
+                    reason.as_str(),
+                    partial.covered as u64,
+                    target as u64,
+                ));
                 let certificate = Certificate {
                     sets_used: partial.size(),
                     covered: partial.covered,
@@ -304,10 +309,10 @@ fn solve<S: LatticeSpace, O: Observer + ?Sized>(
             total_cost: 0.0,
         });
     }
-    obs.trace_started(
+    obs.on(&Event::TraceStarted(
         TraceId::mint("opt_cmc", n as u64, pack_k_target(params.k, target)),
         "opt_cmc",
-    );
+    ));
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
     let result = guess_loop(space, params, target, pool, obs);
     span.exit(obs);
@@ -341,7 +346,7 @@ fn guess_loop<S: LatticeSpace, O: Observer + ?Sized>(
     let mut queue = BucketQueue::new();
 
     loop {
-        obs.guess_started(Some(budget));
+        obs.on(&Event::GuessStarted(Some(budget)));
         // Spans stay at guess granularity here: the body's unit of work is
         // a single heap pop, far too hot to bracket with clock reads.
         let guess_span = PhaseSpan::enter(obs, PHASE_GUESS);
@@ -688,7 +693,7 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
     // Report the complete level schedule up front: even if the guess ends
     // early, observers see every (level, quota) pair Fig. 4 line 05 built.
     for level in 0..levels.len() {
-        obs.level_entered(level, levels.quota(level));
+        obs.on(&Event::LevelEntered(level, levels.quota(level)));
     }
     let mut counts = vec![0usize; levels.len()]; // lines 15-16
     let mut selected_total = 0usize;
@@ -714,7 +719,7 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
 
     // Lines 11-13: C = {all-wildcards}.
     in_c[0] = true;
-    obs.benefit_computed(1);
+    obs.on(&Event::BenefitComputed(1));
 
     // Max-queue on (mben, cheaper first, older first), with lazy
     // revalidation: marginal benefits only decrease, so a stale entry is
@@ -759,7 +764,7 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
         }
         let id = entry.id as usize;
         if !in_c[id] {
-            obs.heap_stale_pop();
+            obs.on(&Event::HeapStalePop);
             continue; // stale duplicate of a removed candidate
         }
         let current = if !prune {
@@ -767,12 +772,12 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
         } else if entry.epoch == epoch {
             // Coverage only grows at selections, so an entry pushed this
             // epoch is provably current — skip the recount outright.
-            obs.scan_pruned(1);
+            obs.on(&Event::ScanPruned(1));
             entry.mben
         } else if lattice.rows_of(entry.id).len() < lattice.kernel_min_rows() {
             // Short row list: the postings recount beats every
             // mask-based path, and no mask is ever materialized.
-            obs.bound_refreshed(1);
+            obs.on(&Event::BoundRefreshed(1));
             recount(lattice.rows_of(entry.id), &covered, None)
         } else if epoch - entry.epoch <= DELTA_MAX_ROUNDS {
             // Exact delta: the per-selection newly sets are disjoint, so
@@ -784,10 +789,10 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
                 .iter()
                 .map(|nm| mask.intersection_count(nm))
                 .sum();
-            obs.scan_pruned(1);
+            obs.on(&Event::ScanPruned(1));
             stale - overlap
         } else {
-            obs.bound_refreshed(1);
+            obs.on(&Event::BoundRefreshed(1));
             lattice.mask(entry.id).difference_count(&covered)
         };
         debug_assert_eq!(
@@ -797,11 +802,11 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
         );
         if current == 0 {
             in_c[id] = false; // lines 28-29 analogue
-            obs.candidate_pruned(PruneReason::Exhausted);
+            obs.on(&Event::CandidatePruned(PruneReason::Exhausted));
             continue;
         }
         if current != entry.mben {
-            obs.heap_stale_pop();
+            obs.on(&Event::HeapStalePop);
             heap.push(HeapEntry {
                 mben: current,
                 cost_bits: entry.cost_bits,
@@ -846,7 +851,11 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
                 benefit: current as u64,
                 weight: q_cost,
             };
-            obs.round_decided(audit::ORDER_BENEFIT, &winner, &runners);
+            obs.on(&Event::RoundDecided(
+                audit::ORDER_BENEFIT,
+                winner,
+                Cow::Borrowed(&runners),
+            ));
             let newly: Vec<u32> = lattice
                 .rows_of(entry.id)
                 .iter()
@@ -854,7 +863,11 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
                 .filter(|&r| !covered.contains(r as usize))
                 .collect();
             debug_assert_eq!(newly.len(), current, "fresh recount priced exactly");
-            obs.price_charged(entry.id as u64, &newly, q_cost);
+            obs.on(&Event::PriceCharged(
+                entry.id as u64,
+                Cow::Borrowed(&newly),
+                q_cost,
+            ));
 
             // Lines 21-25: select q.
             let l = level.expect("selectable implies a level");
@@ -863,7 +876,7 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
             selected[id] = true;
             solution.patterns.push(lattice.patterns[id].clone());
             solution.total_cost += q_cost;
-            obs.set_selected(entry.id as u64, current as u64, q_cost);
+            obs.on(&Event::SetSelected(entry.id as u64, current as u64, q_cost));
             for &r in lattice.rows_of(entry.id) {
                 covered.insert(r as usize);
             }
@@ -892,7 +905,9 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
                     .iter()
                     .filter(|v| v.is_none())
                     .count();
-                obs.posting_scanned((lattice.rows_of(entry.id).len() * wildcards) as u64);
+                obs.on(&Event::PostingScanned(
+                    (lattice.rows_of(entry.id).len() * wildcards) as u64,
+                ));
             }
             lattice.ensure_children(entry.id);
             eligible.clear();
@@ -967,11 +982,11 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
                 let cid = child_id as usize;
                 // One "considered" event per guess, matching what Fig. 4
                 // would compute.
-                obs.benefit_computed(1);
+                obs.on(&Event::BenefitComputed(1));
                 if child_mben == 0 {
                     // Never enters C, so its descendants stay gated behind
                     // an unvisited parent: the whole subtree is skipped.
-                    obs.subtree_pruned(PruneReason::Exhausted);
+                    obs.on(&Event::SubtreePruned(PruneReason::Exhausted));
                     continue; // would be dropped by lines 28-29 immediately
                 }
                 in_c[cid] = true;

@@ -23,10 +23,11 @@ use scwsc_core::engine::{
 };
 use scwsc_core::parallel::prune_from_env;
 use scwsc_core::telemetry::{
-    audit, pack_k_target, EventLog, Observer, PhaseSpan, PruneReason, TraceId, PHASE_EXPAND,
+    audit, pack_k_target, Event, EventLog, Observer, PhaseSpan, PruneReason, TraceId, PHASE_EXPAND,
     PHASE_SCAN_PRUNE, PHASE_SELECT, PHASE_TOTAL,
 };
 use scwsc_core::{coverage_target, BitSet, SolveError};
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -99,14 +100,14 @@ pub fn opt_cwsc_in<S: LatticeSpace, O: Observer + ?Sized>(
             total_cost: 0.0,
         });
     }
-    obs.trace_started(
+    obs.on(&Event::TraceStarted(
         TraceId::mint(
             "opt_cwsc",
             space.num_rows() as u64,
             pack_k_target(k, target),
         ),
         "opt_cwsc",
-    );
+    ));
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
     let result = match run_in(space, k, target, &Deadline::unbounded(), obs) {
         PatternRound::Done(result) => result,
@@ -164,14 +165,14 @@ pub fn opt_cwsc_in_within<S: LatticeSpace, O: Observer + ?Sized>(
             total_cost: 0.0,
         }));
     }
-    obs.trace_started(
+    obs.on(&Event::TraceStarted(
         TraceId::mint(
             "opt_cwsc",
             space.num_rows() as u64,
             pack_k_target(k, target),
         ),
         "opt_cwsc",
-    );
+    ));
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
     let mut log = EventLog::new();
     let caught = catch_unwind(AssertUnwindSafe(|| {
@@ -185,7 +186,11 @@ pub fn opt_cwsc_in_within<S: LatticeSpace, O: Observer + ?Sized>(
                     .map(SolveOutcome::Complete)
                     .map_err(EngineError::Solve),
                 PatternRound::Expired { partial, reason } => {
-                    obs.degrade_decided(reason.as_str(), partial.covered as u64, target as u64);
+                    obs.on(&Event::DegradeDecided(
+                        reason.as_str(),
+                        partial.covered as u64,
+                        target as u64,
+                    ));
                     let certificate = Certificate {
                         sets_used: partial.size(),
                         covered: partial.covered,
@@ -228,7 +233,7 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
     obs: &mut O,
 ) -> PatternRound {
     // Like flat CWSC, the optimized variant is a single round.
-    obs.guess_started(None);
+    obs.on(&Event::GuessStarted(None));
     let prune = prune_from_env();
     let n = space.num_rows();
     let mut covered = BitSet::new(n);
@@ -244,7 +249,7 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
     let root_rows = space.root_rows();
     let root_cost = space.cost(&root_rows);
     pool.insert(root, root_rows, root_cost, &covered);
-    obs.benefit_computed(1);
+    obs.on(&Event::BenefitComputed(1));
     // Patterns selected into S (line 15's "not in ... S" check).
     let mut selected: Vec<Pattern> = Vec::new();
 
@@ -268,7 +273,7 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
             .filter(|&id| below_floor(pool.get(id).mben))
             .collect();
         for id in to_drop {
-            obs.candidate_pruned(PruneReason::BelowFloor);
+            obs.on(&Event::CandidatePruned(PruneReason::BelowFloor));
             pool.remove(id);
         }
 
@@ -299,7 +304,7 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
                 // attribute — the index-posting scan the lattice saves
                 // relative to re-intersecting from scratch.
                 let wildcards = q.pattern.values().iter().filter(|v| v.is_none()).count();
-                obs.posting_scanned((q.rows.len() * wildcards) as u64);
+                obs.on(&Event::PostingScanned((q.rows.len() * wildcards) as u64));
                 space.children_with_rows(&q.pattern, &q.rows)
             };
             for (child, child_rows) in children {
@@ -311,7 +316,7 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
                     continue;
                 }
                 // Line 17: materialize cost and marginal benefit.
-                obs.benefit_computed(1);
+                obs.on(&Event::BenefitComputed(1));
                 let child_mben = child_rows
                     .iter()
                     .filter(|&&r| !covered.contains(r as usize))
@@ -319,7 +324,7 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
                 if below_floor(child_mben) {
                     // Anti-monotonicity: everything under `child` is below
                     // the floor too, so the whole subtree stays unexplored.
-                    obs.subtree_pruned(PruneReason::BelowFloor);
+                    obs.on(&Event::SubtreePruned(PruneReason::BelowFloor));
                     continue; // line 18 fails: stays out of C and W
                 }
                 let cost = space.cost(&child_rows);
@@ -361,7 +366,11 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
             }
         };
         let runners: Vec<audit::AuditCandidate> = top[1..].iter().map(|&id| as_audit(id)).collect();
-        obs.round_decided(audit::ORDER_GAIN, &as_audit(q_id), &runners);
+        obs.on(&Event::RoundDecided(
+            audit::ORDER_GAIN,
+            as_audit(q_id),
+            Cow::Borrowed(&runners),
+        ));
 
         // Lines 23-26: select q.
         let q = pool.get(q_id);
@@ -374,11 +383,15 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
             .filter(|&r| !covered.contains(r as usize))
             .collect();
         debug_assert_eq!(newly.len(), q_mben, "recount kept mben current");
-        obs.price_charged(q_id as u64, &newly, q_cost);
+        obs.on(&Event::PriceCharged(
+            q_id as u64,
+            Cow::Borrowed(&newly),
+            q_cost,
+        ));
         solution.patterns.push(q.pattern.clone());
         solution.total_cost += q.cost;
         selected.push(q.pattern.clone());
-        obs.set_selected(q_id as u64, q_mben as u64, q_cost);
+        obs.on(&Event::SetSelected(q_id as u64, q_mben as u64, q_cost));
         for &r in &pool.get(q_id).rows {
             covered.insert(r as usize);
         }

@@ -20,6 +20,12 @@ cargo test -q
 cargo fmt --check
 cargo clippy --workspace -- -D warnings
 
+# The benchmark crate (perfbench/, outside the workspace) builds against
+# the library APIs it calls, so an API change that breaks it fails here
+# rather than in the benchmark run.
+cargo build --offline --release --manifest-path perfbench/Cargo.toml
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 # Performance-snapshot smoke: one quick rep of the full workload registry,
 # then the counter-exact diff against the committed baseline (wall-clock is
 # too noisy to gate on in CI; counters are deterministic). DESIGN.md §10.

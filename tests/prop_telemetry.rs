@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use scwsc::prelude::*;
 use scwsc::sets::algorithms::cmc::Levels;
 use scwsc::sets::algorithms::cmc_on;
-use scwsc::sets::telemetry::Observer;
+use scwsc::sets::telemetry::{Event, Observer};
 use scwsc::sets::{Fanout, SolveWindows, ThreadPool, Threads};
 
 /// Minimal event recorder: exactly what the properties below inspect.
@@ -22,24 +22,21 @@ struct Recorder {
 }
 
 impl Observer for Recorder {
-    fn guess_started(&mut self, budget: Option<f64>) {
-        self.budgets.push(budget);
-        self.schedules.push(Vec::new());
-    }
-
-    fn level_entered(&mut self, level: usize, allowance: usize) {
-        self.schedules
-            .last_mut()
-            .expect("level_entered before any guess_started")
-            .push((level, allowance));
-    }
-
-    fn set_selected(&mut self, _id: u64, _marginal_benefit: u64, _cost: f64) {
-        self.selections += 1;
-    }
-
-    fn benefit_computed(&mut self, count: u64) {
-        self.benefit_sum += count;
+    fn on(&mut self, event: &Event<'_>) {
+        match *event {
+            Event::GuessStarted(budget) => {
+                self.budgets.push(budget);
+                self.schedules.push(Vec::new());
+            }
+            Event::LevelEntered(level, allowance) => self
+                .schedules
+                .last_mut()
+                .expect("level_entered before any guess_started")
+                .push((level, allowance)),
+            Event::SetSelected(..) => self.selections += 1,
+            Event::BenefitComputed(count) => self.benefit_sum += count,
+            _ => {}
+        }
     }
 }
 
