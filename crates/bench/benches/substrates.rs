@@ -178,8 +178,8 @@ fn bench_telemetry(c: &mut Criterion) {
     let m = enumerate_all(&table, CostFn::Max);
     let params = CmcParams::epsilon(10, 0.3, 1.0, 1.0);
     // The three observer tiers on the same solve: the no-op path should be
-    // indistinguishable from the Stats path (static dispatch, default
-    // methods), with MetricsRecorder paying only for histogram updates.
+    // indistinguishable from the Stats path (static dispatch, an empty
+    // `on`), with MetricsRecorder paying only for histogram updates.
     let mut group = c.benchmark_group("telemetry_overhead");
     group.bench_function("cmc_noop_observer", |b| {
         b.iter(|| black_box(cmc(&m.system, &params, &mut NoopObserver).is_ok()))
