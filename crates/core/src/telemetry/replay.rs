@@ -20,13 +20,72 @@
 //!   [`MetricsRecorder::merge`](super::MetricsRecorder::merge).
 
 use super::trace::MAIN_WORKER;
-use super::{Event, Observer};
+use super::{Event, Observer, PruneReason};
 use std::sync::{Mutex, MutexGuard};
 
 /// An [`Observer`] that records the event stream for later replay.
+///
+/// Solvers record one event per candidate or pop on their hottest
+/// paths, so a log can hold hundreds of thousands of events. Each is
+/// kept in 16 bytes ([`Logged`]) rather than as a 64-byte [`Event`]:
+/// the per-candidate counter events inline, the rare larger ones in a
+/// side list.
 #[derive(Debug, Clone, Default)]
 pub struct EventLog {
-    events: Vec<Event<'static>>,
+    events: Vec<Logged>,
+    others: Vec<Event<'static>>,
+}
+
+/// One recorded event.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Logged {
+    BenefitComputed(u64),
+    PostingScanned(u64),
+    ScanPruned(u64),
+    BoundRefreshed(u64),
+    SketchInconclusive(u64),
+    CandidatePruned(PruneReason),
+    SubtreePruned(PruneReason),
+    HeapStalePop,
+    WorkerSwitched(u32),
+    /// Index into [`EventLog::others`].
+    Other(u32),
+}
+
+impl Logged {
+    /// The inline record of a counter event; `None` for the others.
+    /// Always inlined: at an emission site the event is a constant, so
+    /// the match folds away.
+    #[inline(always)]
+    fn counter(event: &Event<'_>) -> Option<Logged> {
+        Some(match *event {
+            Event::BenefitComputed(count) => Logged::BenefitComputed(count),
+            Event::PostingScanned(entries) => Logged::PostingScanned(entries),
+            Event::ScanPruned(count) => Logged::ScanPruned(count),
+            Event::BoundRefreshed(count) => Logged::BoundRefreshed(count),
+            Event::SketchInconclusive(count) => Logged::SketchInconclusive(count),
+            Event::CandidatePruned(reason) => Logged::CandidatePruned(reason),
+            Event::SubtreePruned(reason) => Logged::SubtreePruned(reason),
+            Event::HeapStalePop => Logged::HeapStalePop,
+            Event::WorkerSwitched(worker) => Logged::WorkerSwitched(worker),
+            _ => return None,
+        })
+    }
+
+    fn replay<O: Observer + ?Sized>(self, others: &[Event<'static>], obs: &mut O) {
+        match self {
+            Logged::BenefitComputed(count) => obs.on(&Event::BenefitComputed(count)),
+            Logged::PostingScanned(entries) => obs.on(&Event::PostingScanned(entries)),
+            Logged::ScanPruned(count) => obs.on(&Event::ScanPruned(count)),
+            Logged::BoundRefreshed(count) => obs.on(&Event::BoundRefreshed(count)),
+            Logged::SketchInconclusive(count) => obs.on(&Event::SketchInconclusive(count)),
+            Logged::CandidatePruned(reason) => obs.on(&Event::CandidatePruned(reason)),
+            Logged::SubtreePruned(reason) => obs.on(&Event::SubtreePruned(reason)),
+            Logged::HeapStalePop => obs.on(&Event::HeapStalePop),
+            Logged::WorkerSwitched(worker) => obs.on(&Event::WorkerSwitched(worker)),
+            Logged::Other(i) => obs.on(&others[i as usize]),
+        }
+    }
 }
 
 impl EventLog {
@@ -48,12 +107,23 @@ impl EventLog {
     /// Drops all recorded events, keeping capacity.
     pub fn clear(&mut self) {
         self.events.clear();
+        self.others.clear();
+    }
+
+    /// Records a non-counter event in the side list. Out of line: it
+    /// runs a few times per guess, while the counter path runs per
+    /// candidate inside solver loops.
+    #[cold]
+    #[inline(never)]
+    fn other(&mut self, event: &Event<'_>) -> Logged {
+        self.others.push(event.to_static());
+        Logged::Other(u32::try_from(self.others.len() - 1).expect("log index fits u32"))
     }
 
     /// Re-emits every recorded event, in recording order, into `obs`.
     pub fn replay<O: Observer + ?Sized>(&self, obs: &mut O) {
-        for event in &self.events {
-            obs.on(event);
+        for &event in &self.events {
+            event.replay(&self.others, obs);
         }
     }
 }
@@ -61,7 +131,11 @@ impl EventLog {
 impl Observer for EventLog {
     #[inline]
     fn on(&mut self, event: &Event<'_>) {
-        self.events.push(event.to_static());
+        let logged = match Logged::counter(event) {
+            Some(logged) => logged,
+            None => self.other(event),
+        };
+        self.events.push(logged);
     }
 }
 
@@ -234,6 +308,11 @@ mod tests {
     }
 
     #[test]
+    fn recorded_events_take_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Logged>(), 16);
+    }
+
+    #[test]
     fn clear_empties_the_log() {
         let mut log = EventLog::new();
         assert!(log.is_empty());
@@ -257,13 +336,13 @@ mod tests {
         assert_eq!(
             log.events,
             vec![
-                Event::WorkerSwitched(1),
-                Event::BenefitComputed(100),
-                Event::WorkerSwitched(2),
-                Event::BenefitComputed(200),
-                Event::WorkerSwitched(3),
-                Event::BenefitComputed(300),
-                Event::WorkerSwitched(MAIN_WORKER),
+                Logged::WorkerSwitched(1),
+                Logged::BenefitComputed(100),
+                Logged::WorkerSwitched(2),
+                Logged::BenefitComputed(200),
+                Logged::WorkerSwitched(3),
+                Logged::BenefitComputed(300),
+                Logged::WorkerSwitched(MAIN_WORKER),
             ]
         );
         // Shards are cleared for the next region.
@@ -283,9 +362,9 @@ mod tests {
         assert_eq!(
             log.events,
             vec![
-                Event::WorkerSwitched(2),
-                Event::BenefitComputed(7),
-                Event::WorkerSwitched(MAIN_WORKER),
+                Logged::WorkerSwitched(2),
+                Logged::BenefitComputed(7),
+                Logged::WorkerSwitched(MAIN_WORKER),
             ]
         );
         // An all-idle region emits nothing at all — not even switches.

@@ -21,6 +21,18 @@
 //! across guesses — the walk, selections, and the per-guess "patterns
 //! considered" count (Fig. 6's metric) are exactly those of the
 //! pseudocode, only the redundant recomputation is gone.
+//!
+//! The lattice is split in two. Pattern keys, row lists, child lists and
+//! parent counts depend on neither the budget nor the cost function: a
+//! `SharedLattice` holds them, and a
+//! [`PatternInstance`](crate::PatternInstance) keeps it between solves,
+//! so later queries on the instance never repeat an expansion. Costs,
+//! row masks and node ids belong to one solve (`Lattice`): ids follow
+//! the solve's own first-encounter order, so the heap's
+//! `(mben, cost, id)` tie-break — and with it every selection, degraded
+//! partial, tick count and audit event — is the same on a shared lattice
+//! as on a fresh one. Only `posting_scanned` shows the difference: it
+//! counts the expansions this solve actually performed.
 
 use crate::fxhash::FxHashMap;
 use crate::pattern::Pattern;
@@ -40,6 +52,7 @@ use scwsc_core::{coverage_target, BitSet, SolveError, ThreadPool};
 use std::borrow::Cow;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, PoisonError};
 
 /// Minimum row-list length before a stale-pop recount fans out over the
 /// pool; below this the chunking overhead exceeds the count itself.
@@ -61,7 +74,8 @@ const DELTA_MAX_ROUNDS: usize = 4;
 /// unset.
 ///
 /// Each pattern examination (Fig. 4 lines 12 and 35), the Figure 6 metric,
-/// is reported to `obs` as a `benefit_computed` event; budget guesses
+/// is counted in `benefit_computed` events — one per guess for the root
+/// and one per expansion for the children it scores; budget guesses
 /// arrive as `guess_started` events. Passing `&mut Stats` keeps the legacy
 /// counters.
 pub fn opt_cmc<O: Observer + ?Sized>(
@@ -136,11 +150,13 @@ pub fn opt_cmc_within<O: Observer + ?Sized>(
 /// re-checks.
 ///
 /// Panic isolation: each budget guess runs under `catch_unwind` with its
-/// telemetry in a private [`EventLog`] (replayed only on completion); a
-/// panicked guess is retried once (counted by the `guesses_retried`
-/// telemetry event — safe because the lattice cache is append-only and
-/// budget-independent) and a second panic surfaces as
-/// [`EngineError::Panicked`]. There is no cross-guess speculation here,
+/// telemetry in a private [`EventLog`] (one log for the whole solve,
+/// cleared per attempt and replayed only on completion); a panicked guess
+/// is retried once (counted by the `guesses_retried` telemetry event —
+/// safe because the lattice is append-only and budget-independent) and a
+/// second panic surfaces as [`EngineError::Panicked`]. A lattice that saw
+/// a panic is never handed to a later solve: the panic may have cut an
+/// expansion short. There is no cross-guess speculation here,
 /// and the lattice walk is single-threaded (the pool only accelerates
 /// benefit recounts, which do not tick), so outcome classification and
 /// tick streams are identical for any thread count.
@@ -150,6 +166,22 @@ pub fn opt_cmc_in_within<S: LatticeSpace, O: Observer + ?Sized>(
     pool: &ThreadPool,
     deadline: &Deadline,
     obs: &mut O,
+) -> Result<SolveOutcome<PatternSolution>, EngineError> {
+    opt_cmc_stashed(space, params, pool, deadline, obs, &LatticeStash::default())
+}
+
+/// [`opt_cmc_in_within`] on the lattice parked in `stash`, which must
+/// have been grown over `space`'s table and lattice shape (any cost
+/// function): a [`PatternInstance`](crate::PatternInstance) passes its
+/// own, so repeated CMC solves on one instance materialize each node
+/// once (DESIGN.md §17).
+pub(crate) fn opt_cmc_stashed<S: LatticeSpace, O: Observer + ?Sized>(
+    space: &S,
+    params: &CmcParams,
+    pool: &ThreadPool,
+    deadline: &Deadline,
+    obs: &mut O,
+    stash: &LatticeStash,
 ) -> Result<SolveOutcome<PatternSolution>, EngineError> {
     if params.k == 0 {
         return Err(SolveError::ZeroSizeBound.into());
@@ -178,7 +210,10 @@ pub fn opt_cmc_in_within<S: LatticeSpace, O: Observer + ?Sized>(
         "opt_cmc",
     ));
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
-    let result = guess_loop_within(space, params, target, pool, deadline, obs);
+    let shared = stash.take().unwrap_or_else(|| SharedLattice::new(space));
+    let mut lattice = Lattice::new(space, shared);
+    let result = guess_loop_within(&mut lattice, params, target, pool, deadline, obs);
+    lattice.park(stash);
     span.exit(obs);
     result
 }
@@ -186,14 +221,14 @@ pub fn opt_cmc_in_within<S: LatticeSpace, O: Observer + ?Sized>(
 /// The budget-doubling loop with per-guess panic containment and deadline
 /// checkpoints; the deadline-aware twin of [`guess_loop`].
 fn guess_loop_within<S: LatticeSpace, O: Observer + ?Sized>(
-    space: &S,
+    lattice: &mut Lattice<'_, S>,
     params: &CmcParams,
     target: usize,
     pool: Option<&ThreadPool>,
     deadline: &Deadline,
     obs: &mut O,
 ) -> Result<SolveOutcome<PatternSolution>, EngineError> {
-    let mut measures: Vec<f64> = space.table().measures().to_vec();
+    let mut measures: Vec<f64> = lattice.space.table().measures().to_vec();
     measures.sort_unstable_by(f64::total_cmp);
     let seed: f64 = measures.iter().take(params.k).sum();
     let total_weight: f64 = measures.iter().sum();
@@ -203,50 +238,46 @@ fn guess_loop_within<S: LatticeSpace, O: Observer + ?Sized>(
         measures.iter().copied().find(|&m| m > 0.0).unwrap_or(1.0)
     };
 
-    let mut lattice = Lattice::new(space);
     let mut queue = BucketQueue::new();
+    // One log for every guess and retry: cleared per attempt, so its
+    // capacity is allocated once per solve rather than once per guess.
+    let mut log = EventLog::new();
     let mut guess_index = 0u64;
 
     loop {
         guess_index += 1;
-        let attempt = |log: &mut EventLog,
-                       lattice: &mut Lattice<'_, S>,
-                       queue: &mut BucketQueue|
-         -> GuessResult {
-            log.on(&Event::GuessStarted(Some(budget)));
-            let guess_span = PhaseSpan::enter(log, PHASE_GUESS);
-            deadline.fault_guess(guess_index);
-            let found = run_guess(lattice, queue, params, budget, target, pool, deadline, log);
-            guess_span.exit(log);
-            found
-        };
-        let mut log = EventLog::new();
-        let found = match catch_unwind(AssertUnwindSafe(|| {
-            attempt(&mut log, &mut lattice, &mut queue)
-        })) {
-            Ok(found) => {
-                log.replay(obs);
+        let mut attempt = |lattice: &mut Lattice<'_, S>, log: &mut EventLog| {
+            log.clear();
+            catch_unwind(AssertUnwindSafe(|| {
+                log.on(&Event::GuessStarted(Some(budget)));
+                let guess_span = PhaseSpan::enter(log, PHASE_GUESS);
+                deadline.fault_guess(guess_index);
+                let found = run_guess(
+                    lattice, &mut queue, params, budget, target, pool, deadline, log,
+                );
+                guess_span.exit(log);
                 found
-            }
+            }))
+        };
+        let found = match attempt(lattice, &mut log) {
+            Ok(found) => found,
             Err(_) => {
-                // Retry once: the lattice cache is append-only and
-                // budget-independent, so a half-extended cache only means
-                // fewer first-materialization events on the rerun.
+                // Retry once: the lattice is append-only and
+                // budget-independent, so a half-extended lattice only
+                // means fewer first-materialization events on the rerun.
+                // It is not parked afterwards, though: the panic may have
+                // cut an expansion short.
+                lattice.tainted = true;
                 obs.on(&Event::GuessRetried);
-                let mut retry_log = EventLog::new();
-                match catch_unwind(AssertUnwindSafe(|| {
-                    attempt(&mut retry_log, &mut lattice, &mut queue)
-                })) {
-                    Ok(found) => {
-                        retry_log.replay(obs);
-                        found
-                    }
+                match attempt(lattice, &mut log) {
+                    Ok(found) => found,
                     Err(payload) => {
                         return Err(EngineError::Panicked(panic_message(payload.as_ref())))
                     }
                 }
             }
         };
+        log.replay(obs);
         match found {
             GuessResult::Found(solution) => return Ok(SolveOutcome::Complete(solution)),
             GuessResult::Expired {
@@ -342,7 +373,7 @@ fn guess_loop<S: LatticeSpace, O: Observer + ?Sized>(
         measures.iter().copied().find(|&m| m > 0.0).unwrap_or(1.0)
     };
 
-    let mut lattice = Lattice::new(space);
+    let mut lattice = Lattice::new(space, SharedLattice::new(space));
     let mut queue = BucketQueue::new();
 
     loop {
@@ -377,181 +408,419 @@ fn guess_loop<S: LatticeSpace, O: Observer + ?Sized>(
     }
 }
 
-/// Pattern materializations shared across budget guesses: benefit sets,
-/// costs, and child links do not depend on the budget or on coverage.
-struct Lattice<'a, S: LatticeSpace> {
-    space: &'a S,
-    patterns: Vec<Pattern>,
-    /// All row lists back to back; `rows[id]` spans into this arena.
-    /// A pattern's row list is written once at materialization and never
-    /// resized, so one backing allocation replaces a `Vec` per pattern —
-    /// the dominant allocator traffic of the lattice build (and of its
-    /// drop).
-    row_arena: Vec<RowId>,
-    /// `(offset, len)` of each pattern's row list in `row_arena`.
-    rows: Vec<(u32, u32)>,
-    /// Row bitmask per pattern, for blocked-popcount recounts. Lazy:
-    /// only the (few) patterns the pruned refresh actually kernels over
-    /// — popped stale entries with long row lists — pay the `O(num_rows)`
-    /// bits; most materialized patterns are scored once from their row
-    /// list and never need one.
-    masks: Vec<Option<BitSet>>,
-    costs: Vec<f64>,
-    /// Number of parents (= specificity): used for the pending-parents
+/// Appends `items`, growing `v` by an eighth rather than doubling it: a
+/// parked lattice is trimmed to fit, and a later solve that adds a few
+/// nodes must not double every array of it.
+fn extend_lean<T: Copy>(v: &mut Vec<T>, items: &[T]) {
+    if v.capacity() - v.len() < items.len() {
+        v.reserve_exact(items.len().max(v.len() / 8).max(16));
+    }
+    v.extend_from_slice(items);
+}
+
+/// Sentinel in [`SharedLattice::children`]: the node was never expanded.
+const UNEXPANDED: (u32, u32) = (u32::MAX, 0);
+/// Sentinel in [`Lattice::local`]: this solve has not met the node yet.
+const UNSEEN: u32 = u32::MAX;
+
+/// The cost-independent half of the Fig. 4 lattice: pattern keys, row
+/// lists, child lists and parent counts do not depend on the cost
+/// function, the budget or the coverage target, so one materialization
+/// serves every budget guess of a solve and, parked in a
+/// [`LatticeStash`], every later CMC solve on the same instance
+/// (DESIGN.md §17).
+///
+/// Nodes are numbered in the order they were first materialized, by
+/// whichever solve grew the lattice; solves never see these numbers (a
+/// [`Lattice`] view renumbers them). Everything is flat: no per-node
+/// allocation, and no masks, costs or per-solve state.
+struct SharedLattice {
+    keys: Keys,
+    /// Number of parents (= specificity) per node: the pending-parents
     /// gating that implements line 33 without per-check hashing.
     num_parents: Vec<u8>,
-    /// Child-id lists back to back, same once-written story as rows.
+    /// All row lists back to back, in node order: the rows of node `g`
+    /// are `row_arena[row_starts[g]..row_starts[g + 1]]`. A node's rows
+    /// are appended once, when it is first materialized.
+    row_arena: Vec<RowId>,
+    row_starts: Vec<u32>,
+    /// Child-node lists back to back, each in (attribute, value) order.
     child_arena: Vec<u32>,
-    /// children[id] = Some((offset, len)) into `child_arena` once expanded.
-    children: Vec<Option<(u32, u32)>>,
-    by_pattern: Dedup,
-    /// Expansion scratch: the walk reads the parent's rows while new
-    /// children extend `row_arena` (which may reallocate), so the
-    /// parent's span is copied out here first. Reused across expansions.
-    parent_scratch: Vec<RowId>,
-    /// Expansion scratch for the child-id list under construction.
-    kids_scratch: Vec<u32>,
+    /// `(offset, len)` of each node's child list in `child_arena`, or
+    /// [`UNEXPANDED`].
+    children: Vec<(u32, u32)>,
 }
 
-/// Pattern-to-id dedup map. When the space's value domain packs into a
-/// `u64` ([`LatticeSpace::packed_key_bits`]), keys are single integers
-/// — one `u64` hash per child visit instead of hashing a boxed
-/// option-slice, on the hottest lookup of the lattice build.
-enum Dedup {
+/// Node keys and the key-to-node dedup map. When the space's value
+/// domain packs into a `u64` ([`LatticeSpace::packed_key_bits`]), a key
+/// is one integer — one `u64` hash per child visit instead of hashing a
+/// boxed option-slice, on the hottest lookup of the lattice build.
+enum Keys {
     Packed {
-        /// `shifts[attr]` = bit offset of that attribute's field in the
-        /// key, so a child key is `parent_key | (value + 1) << shift` —
-        /// one OR on the hottest lookup of the lattice build.
-        shifts: Vec<u32>,
-        map: FxHashMap<u64, u32>,
+        /// `(shift, mask)` of each attribute's field in the key. The
+        /// field holds `value + 1` (`0` is the wildcard), so a child key
+        /// is `parent_key | (value + 1) << shift` — one OR.
+        fields: Vec<(u32, u64)>,
+        keys: Vec<u64>,
+        ids: KeyTable,
     },
-    General(FxHashMap<Pattern, u32>),
+    General {
+        patterns: Vec<Pattern>,
+        ids: FxHashMap<Pattern, u32>,
+    },
 }
 
-impl Dedup {
-    fn new<S: LatticeSpace>(space: &S) -> Dedup {
+impl Keys {
+    fn new<S: LatticeSpace>(space: &S, root: &Pattern) -> Keys {
         match space.packed_key_bits() {
             Some(bits) => {
                 // Field of attr `i` sits above the fields of all later
-                // attributes (the fold order `key() `used before).
-                let mut shifts = vec![0u32; bits.len()];
+                // attributes.
+                let mut fields = vec![(0u32, 0u64); bits.len()];
                 let mut acc = 0;
                 for i in (0..bits.len()).rev() {
-                    shifts[i] = acc;
+                    fields[i] = (acc, ((1u128 << bits[i]) - 1) as u64);
                     acc += bits[i];
                 }
-                Dedup::Packed {
-                    shifts,
-                    map: FxHashMap::default(),
+                // The root is all wildcards: every field, so its key, is 0.
+                debug_assert!(root.is_root());
+                Keys::Packed {
+                    fields,
+                    keys: vec![0],
+                    ids: KeyTable::with_root(),
                 }
             }
-            None => Dedup::General(FxHashMap::default()),
+            None => Keys::General {
+                patterns: vec![root.clone()],
+                ids: FxHashMap::from_iter([(root.clone(), 0)]),
+            },
         }
     }
 
-    fn key(shifts: &[u32], pattern: &Pattern) -> u64 {
-        shifts
-            .iter()
-            .zip(pattern.values())
-            .map(|(&shift, v)| v.map_or(0, |x| (x as u64 + 1) << shift))
-            .fold(0, |key, field| key | field)
-    }
-
-    /// The packed key of `pattern`, when packed keys are in use.
-    /// Computed once per expansion; children derive theirs from it.
-    fn full_key(&self, pattern: &Pattern) -> Option<u64> {
+    /// The pattern of node `g`.
+    fn pattern(&self, g: u32) -> Pattern {
         match self {
-            Dedup::Packed { shifts, .. } => Some(Self::key(shifts, pattern)),
-            Dedup::General(_) => None,
+            Keys::Packed { fields, keys, .. } => {
+                let key = keys[g as usize];
+                Pattern::new(
+                    fields
+                        .iter()
+                        .map(|&(shift, mask)| ((key >> shift) & mask).checked_sub(1))
+                        .map(|v| v.map(|v| v as u32))
+                        .collect(),
+                )
+            }
+            Keys::General { patterns, .. } => patterns[g as usize].clone(),
         }
     }
 
-    fn insert(&mut self, pattern: &Pattern, id: u32) {
+    /// The packed key of node `g`, when packed keys are in use.
+    fn packed(&self, g: u32) -> Option<u64> {
         match self {
-            Dedup::Packed { shifts, map } => {
-                map.insert(Self::key(shifts, pattern), id);
-            }
-            Dedup::General(map) => {
-                map.insert(pattern.clone(), id);
-            }
+            Keys::Packed { keys, .. } => Some(keys[g as usize]),
+            Keys::General { .. } => None,
         }
     }
 
-    /// Lookup of the child reached from `parent_key` by setting `attr`
-    /// to `value`; `child` backs the non-packed fallback.
-    fn get_child(
-        &self,
-        parent_key: Option<u64>,
-        attr: usize,
-        value: u32,
-        child: &Pattern,
-    ) -> Option<u32> {
-        match self {
-            Dedup::Packed { shifts, map } => {
-                let key = parent_key.expect("packed dedup always has a parent key")
-                    | ((value as u64 + 1) << shifts[attr]);
-                map.get(&key).copied()
-            }
-            Dedup::General(map) => map.get(child).copied(),
-        }
-    }
-
-    fn insert_child(
+    /// The node of the child reached from `parent_key` by setting `attr`
+    /// to `value` (`child` backs the non-packed map), registering it as
+    /// node `next` if it is new.
+    fn intern_child(
         &mut self,
         parent_key: Option<u64>,
         attr: usize,
         value: u32,
         child: &Pattern,
-        id: u32,
-    ) {
+        next: u32,
+    ) -> u32 {
         match self {
-            Dedup::Packed { shifts, map } => {
-                let key = parent_key.expect("packed dedup always has a parent key")
-                    | ((value as u64 + 1) << shifts[attr]);
-                map.insert(key, id);
+            Keys::Packed { fields, keys, ids } => {
+                let key = parent_key.expect("packed keys always have a parent key")
+                    | ((value as u64 + 1) << fields[attr].0);
+                ids.find(keys, key).unwrap_or_else(|slot| {
+                    extend_lean(keys, &[key]);
+                    ids.insert(keys, slot, next);
+                    next
+                })
             }
-            Dedup::General(map) => {
-                map.insert(child.clone(), id);
+            Keys::General { patterns, ids } => match ids.get(child) {
+                Some(&id) => id,
+                None => {
+                    ids.insert(child.clone(), next);
+                    patterns.push(child.clone());
+                    next
+                }
+            },
+        }
+    }
+
+    fn shrink_to_fit(&mut self) {
+        match self {
+            Keys::Packed { keys, .. } => keys.shrink_to_fit(),
+            Keys::General { patterns, .. } => patterns.shrink_to_fit(),
+        }
+    }
+}
+
+/// The packed-key dedup map: an open-addressing table of node ids, probed
+/// linearly and compared through the key array, so a slot is 4 bytes
+/// where a `HashMap<u64, u32>` entry takes 17 — 0.26 MB instead of
+/// 1.1 MB for a parked 50k-node lattice.
+struct KeyTable {
+    /// Node ids, [`UNSEEN`] for empty; the length is a power of two.
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`: a key's home slot is the top bits of its
+    /// Fibonacci hash.
+    shift: u32,
+    len: usize,
+}
+
+impl KeyTable {
+    /// A table holding node 0, the root, whose key 0 hashes to slot 0.
+    fn with_root() -> KeyTable {
+        let mut slots = vec![UNSEEN; 16];
+        slots[0] = 0;
+        KeyTable {
+            slots,
+            shift: 64 - 4,
+            len: 1,
+        }
+    }
+
+    /// The node holding `key`, or the empty slot where it belongs.
+    #[inline]
+    fn find(&self, keys: &[u64], key: u64) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize;
+        loop {
+            match self.slots[slot] {
+                UNSEEN => return Err(slot),
+                id if keys[id as usize] == key => return Ok(id),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Puts `id` (whose key `keys[id]` is absent) into the empty `slot`
+    /// [`find`](KeyTable::find) returned, doubling the table past 7/8
+    /// full.
+    fn insert(&mut self, keys: &[u64], slot: usize, id: u32) {
+        self.slots[slot] = id;
+        self.len += 1;
+        if self.len * 8 > self.slots.len() * 7 {
+            let doubled = vec![UNSEEN; self.slots.len() * 2];
+            let old = std::mem::replace(&mut self.slots, doubled);
+            self.shift -= 1;
+            for id in old.into_iter().filter(|&id| id != UNSEEN) {
+                let slot = self.find(keys, keys[id as usize]).expect_err("rehash");
+                self.slots[slot] = id;
             }
         }
     }
 }
 
-impl<'a, S: LatticeSpace> Lattice<'a, S> {
-    fn new(space: &'a S) -> Self {
-        let root = space.root();
+impl SharedLattice {
+    /// The lattice with only its all-wildcards root materialized.
+    fn new<S: LatticeSpace>(space: &S) -> SharedLattice {
         let root_rows = space.root_rows();
-        let root_cost = space.cost(&root_rows);
-        let mut by_pattern = Dedup::new(space);
-        by_pattern.insert(&root, 0u32);
-        Lattice {
-            space,
+        SharedLattice {
+            keys: Keys::new(space, &space.root()),
             num_parents: vec![0],
-            patterns: vec![root],
-            rows: vec![(0, root_rows.len() as u32)],
+            row_starts: vec![0, u32::try_from(root_rows.len()).expect("rows fit u32")],
             row_arena: root_rows,
-            masks: vec![None],
-            costs: vec![root_cost],
             child_arena: Vec::new(),
-            children: vec![None],
-            by_pattern,
-            parent_scratch: Vec::new(),
-            kids_scratch: Vec::new(),
+            children: vec![UNEXPANDED],
         }
     }
 
-    /// The row list of pattern `id`.
-    #[inline]
-    fn rows_of(&self, id: u32) -> &[RowId] {
-        let (off, len) = self.rows[id as usize];
-        &self.row_arena[off as usize..off as usize + len as usize]
+    /// Number of materialized nodes.
+    fn len(&self) -> usize {
+        self.num_parents.len()
     }
 
-    /// The cached child ids of pattern `id`, if expanded.
+    /// The row list of node `g`.
     #[inline]
-    fn children_of(&self, id: u32) -> Option<&[u32]> {
-        self.children[id as usize]
-            .map(|(off, len)| &self.child_arena[off as usize..off as usize + len as usize])
+    fn rows_of(&self, g: u32) -> &[RowId] {
+        let g = g as usize;
+        &self.row_arena[self.row_starts[g] as usize..self.row_starts[g + 1] as usize]
+    }
+
+    /// The child nodes of expanded node `g`.
+    #[inline]
+    fn children_of(&self, g: u32) -> &[u32] {
+        let (off, len) = self.children[g as usize];
+        debug_assert_ne!(off, UNEXPANDED.0, "node {g} is expanded");
+        &self.child_arena[off as usize..off as usize + len as usize]
+    }
+
+    /// Materializes node `g`'s non-empty children unless an earlier
+    /// expansion (of this solve or of an earlier one) already did.
+    /// Returns the posting entries the expansion scanned — `g`'s rows
+    /// once per wildcard attribute — or `None` when it was cached.
+    ///
+    /// Children are visited through [`LatticeSpace::for_each_child`], so
+    /// key and row storage is allocated only for children seen for the
+    /// first time — in a diamond lattice most children are already
+    /// cached under another parent. `scratch` holds `g`'s rows during
+    /// the walk (the child pushes may reallocate `row_arena`) and the
+    /// child list under construction.
+    fn expand<S: LatticeSpace>(
+        &mut self,
+        space: &S,
+        g: u32,
+        scratch: &mut (Vec<RowId>, Vec<u32>),
+    ) -> Option<u64> {
+        if self.children[g as usize] != UNEXPANDED {
+            return None;
+        }
+        let parent = self.keys.pattern(g);
+        let parent_key = self.keys.packed(g);
+        let (parent_rows, kids) = scratch;
+        parent_rows.clear();
+        parent_rows.extend_from_slice(self.rows_of(g));
+        kids.clear();
+        space.for_each_child(
+            &parent,
+            parent_rows,
+            &mut |attr, value, child, child_rows| {
+                let next = self.num_parents.len() as u32;
+                let cid = self.keys.intern_child(parent_key, attr, value, child, next);
+                if cid == next {
+                    extend_lean(&mut self.num_parents, &[space.num_parents(child) as u8]);
+                    extend_lean(&mut self.row_arena, child_rows);
+                    let end = u32::try_from(self.row_arena.len()).expect("row arena fits u32");
+                    extend_lean(&mut self.row_starts, &[end]);
+                    extend_lean(&mut self.children, &[UNEXPANDED]);
+                }
+                kids.push(cid);
+            },
+        );
+        let off = u32::try_from(self.child_arena.len()).expect("child arena fits u32");
+        extend_lean(&mut self.child_arena, kids);
+        self.children[g as usize] = (off, kids.len() as u32);
+        let wildcards = parent.values().iter().filter(|v| v.is_none()).count();
+        Some((parent_rows.len() * wildcards) as u64)
+    }
+
+    /// Drops the growth slack of every array, so a parked lattice holds
+    /// only its nodes.
+    fn shrink_to_fit(&mut self) {
+        self.keys.shrink_to_fit();
+        self.num_parents.shrink_to_fit();
+        self.row_arena.shrink_to_fit();
+        self.row_starts.shrink_to_fit();
+        self.child_arena.shrink_to_fit();
+        self.children.shrink_to_fit();
+    }
+}
+
+/// Where a [`PatternInstance`](crate::PatternInstance) parks its
+/// [`SharedLattice`] between CMC solves (DESIGN.md §17).
+///
+/// A solve [`take`](LatticeStash::take)s the lattice, grows it as its
+/// walk needs, and [`put`](LatticeStash::put)s it back. A concurrent
+/// solve that finds the stash empty builds its own; whichever is larger
+/// is kept. Solves never share a lattice while running, so the walk
+/// needs no locking. The lock is held only to take or to swap the
+/// `Option`, which leaves it valid at every step, so a poisoned lock is
+/// recovered rather than propagated.
+#[derive(Default)]
+pub(crate) struct LatticeStash(Mutex<Option<SharedLattice>>);
+
+impl LatticeStash {
+    /// Takes the parked lattice, leaving the stash empty.
+    fn take(&self) -> Option<SharedLattice> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner).take()
+    }
+
+    /// Parks `lattice` unless a larger one was parked meanwhile.
+    fn put(&self, mut lattice: SharedLattice) {
+        lattice.shrink_to_fit();
+        let mut slot = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if slot.as_ref().is_none_or(|held| held.len() < lattice.len()) {
+            *slot = Some(lattice);
+        }
+    }
+}
+
+/// One solve's view of a [`SharedLattice`]: the cost-dependent state
+/// (costs, row masks) and the solve's own node ids.
+///
+/// Ids are assigned in this solve's first-encounter order — the order in
+/// which its walk first expands a parent of each node, children in
+/// (attribute, value) order — exactly as a fresh materialization numbers
+/// them. The heap breaks ties on these ids, so a solve on a lattice an
+/// earlier solve grew walks, selects and reports exactly as one on a
+/// fresh lattice.
+struct Lattice<'a, S: LatticeSpace> {
+    space: &'a S,
+    shared: SharedLattice,
+    /// `global[id]` = the shared node of this solve's id `id`.
+    global: Vec<u32>,
+    /// `local[g]` = this solve's id of shared node `g`, or [`UNSEEN`].
+    local: Vec<u32>,
+    costs: Vec<f64>,
+    /// Parent count per id, copied from the shared node.
+    num_parents: Vec<u8>,
+    /// Row bitmasks, for blocked-popcount recounts. Lazy: only the
+    /// (few) ids the pruned refresh actually kernels over — popped stale
+    /// entries with long row lists — pay the `O(num_rows)` bits.
+    masks: FxHashMap<u32, BitSet>,
+    /// Set when a guess of this solve panicked: an expansion may have
+    /// stopped halfway, so the shared half must not outlive the solve.
+    tainted: bool,
+    /// Expansion scratch, reused across expansions.
+    scratch: (Vec<RowId>, Vec<u32>),
+}
+
+impl<'a, S: LatticeSpace> Lattice<'a, S> {
+    fn new(space: &'a S, shared: SharedLattice) -> Self {
+        let root_cost = space.cost(shared.rows_of(0));
+        // A parked lattice holds about what this solve will meet, so the
+        // per-id arrays are sized for all of it up front.
+        let mut local = vec![UNSEEN; shared.len()];
+        local[0] = 0;
+        fn sized<T>(first: T, capacity: usize) -> Vec<T> {
+            let mut v = Vec::with_capacity(capacity);
+            v.push(first);
+            v
+        }
+        let nodes = shared.len();
+        Lattice {
+            space,
+            global: sized(0, nodes),
+            local,
+            costs: sized(root_cost, nodes),
+            num_parents: sized(0, nodes),
+            shared,
+            masks: FxHashMap::default(),
+            tainted: false,
+            scratch: (Vec::new(), Vec::new()),
+        }
+    }
+
+    /// Number of ids this solve has assigned.
+    fn len(&self) -> usize {
+        self.global.len()
+    }
+
+    /// The row list of `id`.
+    #[inline]
+    fn rows_of(&self, id: u32) -> &[RowId] {
+        self.shared.rows_of(self.global[id as usize])
+    }
+
+    /// The pattern of `id`.
+    fn pattern(&self, id: u32) -> Pattern {
+        self.shared.keys.pattern(self.global[id as usize])
+    }
+
+    /// The child ids of `id`, which [`expand`](Lattice::expand) has seen.
+    fn children_of(&self, id: u32) -> impl Iterator<Item = u32> + '_ {
+        self.shared
+            .children_of(self.global[id as usize])
+            .iter()
+            .map(|&g| self.local[g as usize])
     }
 
     fn mask_of(n: usize, rows: &[RowId]) -> BitSet {
@@ -571,69 +840,44 @@ impl<'a, S: LatticeSpace> Lattice<'a, S> {
 
     /// The row mask of `id`, materialized on first use.
     fn mask(&mut self, id: u32) -> &BitSet {
-        if self.masks[id as usize].is_none() {
-            let mask = Self::mask_of(self.space.num_rows(), self.rows_of(id));
-            self.masks[id as usize] = Some(mask);
-        }
-        self.masks[id as usize].as_ref().expect("just filled")
+        let n = self.space.num_rows();
+        let rows = self.shared.rows_of(self.global[id as usize]);
+        self.masks
+            .entry(id)
+            .or_insert_with(|| Self::mask_of(n, rows))
     }
 
     fn root_cost(&self) -> f64 {
         self.costs[0]
     }
 
-    /// Materializes `id`'s non-empty children on first use. After this
-    /// returns, `children[id]` is `Some`; callers borrow the cached id
-    /// slice directly instead of cloning it per visit (every guess
-    /// re-walks the lattice, so the clone was a per-pop allocation).
-    ///
-    /// Children are visited through [`LatticeSpace::for_each_child`], so
-    /// pattern and row storage is allocated only for children seen for
-    /// the first time — in a diamond lattice most children are already
-    /// cached under another parent.
-    fn ensure_children(&mut self, id: u32) {
-        if self.children[id as usize].is_some() {
-            return;
+    /// Expands `id` in the shared lattice (a no-op when cached there)
+    /// and assigns ids to the children this solve meets for the first
+    /// time, costing each. Returns the postings a real expansion
+    /// scanned.
+    fn expand(&mut self, id: u32) -> Option<u64> {
+        let g = self.global[id as usize];
+        let postings = self.shared.expand(self.space, g, &mut self.scratch);
+        self.local.resize(self.shared.len(), UNSEEN);
+        for &child in self.shared.children_of(g) {
+            let slot = &mut self.local[child as usize];
+            if *slot == UNSEEN {
+                *slot = self.global.len() as u32;
+                self.global.push(child);
+                self.costs.push(self.space.cost(self.shared.rows_of(child)));
+                self.num_parents
+                    .push(self.shared.num_parents[child as usize]);
+            }
         }
-        let space = self.space;
-        // Copy the parent's pattern and rows out for the walk: the child
-        // pushes below may reallocate the backing storage.
-        let parent = self.patterns[id as usize].clone();
-        let mut parent_rows = std::mem::take(&mut self.parent_scratch);
-        parent_rows.clear();
-        parent_rows.extend_from_slice(self.rows_of(id));
-        let parent_key = self.by_pattern.full_key(&parent);
-        let mut kids = std::mem::take(&mut self.kids_scratch);
-        kids.clear();
-        space.for_each_child(
-            &parent,
-            &parent_rows,
-            &mut |attr, value, child, child_rows| {
-                let child_id = match self.by_pattern.get_child(parent_key, attr, value, child) {
-                    Some(cid) => cid,
-                    None => {
-                        let cid = self.patterns.len() as u32;
-                        self.by_pattern
-                            .insert_child(parent_key, attr, value, child, cid);
-                        self.num_parents.push(space.num_parents(child) as u8);
-                        self.patterns.push(child.clone());
-                        self.costs.push(space.cost(child_rows));
-                        self.masks.push(None);
-                        let off = u32::try_from(self.row_arena.len()).expect("row arena fits u32");
-                        self.row_arena.extend_from_slice(child_rows);
-                        self.rows.push((off, child_rows.len() as u32));
-                        self.children.push(None);
-                        cid
-                    }
-                };
-                kids.push(child_id);
-            },
-        );
-        let off = u32::try_from(self.child_arena.len()).expect("child arena fits u32");
-        self.child_arena.extend_from_slice(&kids);
-        self.children[id as usize] = Some((off, kids.len() as u32));
-        self.kids_scratch = kids;
-        self.parent_scratch = parent_rows;
+        postings
+    }
+
+    /// Ends the solve: the shared half goes back to `stash` unless a
+    /// panic was contained along the way.
+    fn park(self, stash: &LatticeStash) {
+        if !self.tainted {
+            stash.put(self.shared);
+        }
     }
 }
 
@@ -708,7 +952,7 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
     let mut epoch = 0usize;
     let mut newly_masks: Vec<BitSet> = Vec::new();
     // Per-guess per-pattern state, keyed by lattice id (lazily grown).
-    let len = lattice.patterns.len();
+    let len = lattice.len();
     let mut in_c = vec![false; len];
     let mut visited = vec![false; len];
     let mut selected = vec![false; len];
@@ -745,261 +989,267 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
                           // allocator traffic.
     let mut eligible: Vec<u32> = Vec::new();
     let mut mbens: Vec<usize> = Vec::new();
+    // Per-pop and per-expansion counters, reported as one total each per
+    // guess: the guess's event log stays proportional to its expansions
+    // that score children, not to its pops.
+    let mut postings = 0u64;
+    let mut scan_pruned = 0u64;
+    let mut bounds_refreshed = 0u64;
 
-    while let Some(entry) = heap.pop() {
-        if let Err(reason) = deadline.checkpoint() {
-            let quotas_exhausted = (0..levels.len())
-                .filter(|&l| counts[l] == levels.quota(l))
-                .collect();
-            return GuessResult::Expired {
-                partial: solution,
-                quotas_exhausted,
-                reason,
-            };
-        }
-        // line 17's ΣΣ guard: once every level quota is full no further
-        // selection can happen.
-        if selected_total >= max_selections {
-            break;
-        }
-        let id = entry.id as usize;
-        if !in_c[id] {
-            obs.on(&Event::HeapStalePop);
-            continue; // stale duplicate of a removed candidate
-        }
-        let current = if !prune {
-            recount(lattice.rows_of(entry.id), &covered, pool)
-        } else if entry.epoch == epoch {
-            // Coverage only grows at selections, so an entry pushed this
-            // epoch is provably current — skip the recount outright.
-            obs.on(&Event::ScanPruned(1));
-            entry.mben
-        } else if lattice.rows_of(entry.id).len() < lattice.kernel_min_rows() {
-            // Short row list: the postings recount beats every
-            // mask-based path, and no mask is ever materialized.
-            obs.on(&Event::BoundRefreshed(1));
-            recount(lattice.rows_of(entry.id), &covered, None)
-        } else if epoch - entry.epoch <= DELTA_MAX_ROUNDS {
-            // Exact delta: the per-selection newly sets are disjoint, so
-            // the entry's stale count minus its overlap with each newer
-            // selection is the fresh count — no full recount needed.
-            let stale = entry.mben;
-            let mask = lattice.mask(entry.id);
-            let overlap: usize = newly_masks[entry.epoch..epoch]
-                .iter()
-                .map(|nm| mask.intersection_count(nm))
-                .sum();
-            obs.on(&Event::ScanPruned(1));
-            stale - overlap
-        } else {
-            obs.on(&Event::BoundRefreshed(1));
-            lattice.mask(entry.id).difference_count(&covered)
-        };
-        debug_assert_eq!(
-            current,
-            recount(lattice.rows_of(entry.id), &covered, None),
-            "pruned refresh is exact"
-        );
-        if current == 0 {
-            in_c[id] = false; // lines 28-29 analogue
-            obs.on(&Event::CandidatePruned(PruneReason::Exhausted));
-            continue;
-        }
-        if current != entry.mben {
-            obs.on(&Event::HeapStalePop);
-            heap.push(HeapEntry {
-                mben: current,
-                cost_bits: entry.cost_bits,
-                id: entry.id,
-                epoch,
-            });
-            continue;
-        }
-
-        // Line 19: q leaves C.
-        in_c[id] = false;
-        let q_cost = lattice.costs[id];
-        let level = levels.level_of(q_cost); // line 20
-
-        let selectable = level.is_some_and(|l| counts[l] < levels.quota(l));
-        if selectable {
-            // Audit the pick before mutating: runners-up are the next heap
-            // entries still in C. Their stored scores may be stale upper
-            // bounds (lazy revalidation), i.e. optimistic — the ledger
-            // notes the heap's view, which is deterministic because the
-            // heap order is total and the pop/re-push cycle below restores
-            // the heap exactly.
-            let mut popped: Vec<HeapEntry> = Vec::with_capacity(audit::RUNNERS_UP);
-            while popped.len() < audit::RUNNERS_UP {
-                let Some(e) = heap.pop() else { break };
-                popped.push(e);
+    let result = 'walk: {
+        while let Some(entry) = heap.pop() {
+            if let Err(reason) = deadline.checkpoint() {
+                let quotas_exhausted = (0..levels.len())
+                    .filter(|&l| counts[l] == levels.quota(l))
+                    .collect();
+                break 'walk GuessResult::Expired {
+                    partial: solution,
+                    quotas_exhausted,
+                    reason,
+                };
             }
-            let runners: Vec<audit::AuditCandidate> = popped
-                .iter()
-                .filter(|e| in_c[e.id as usize])
-                .map(|e| audit::AuditCandidate {
-                    id: e.id as u64,
-                    benefit: e.mben as u64,
-                    weight: lattice.costs[e.id as usize],
-                })
-                .collect();
-            for e in popped {
-                heap.push(e);
+            // line 17's ΣΣ guard: once every level quota is full no further
+            // selection can happen.
+            if selected_total >= max_selections {
+                break;
             }
-            let winner = audit::AuditCandidate {
-                id: entry.id as u64,
-                benefit: current as u64,
-                weight: q_cost,
-            };
-            obs.on(&Event::RoundDecided(
-                audit::ORDER_BENEFIT,
-                winner,
-                Cow::Borrowed(&runners),
-            ));
-            let newly: Vec<u32> = lattice
-                .rows_of(entry.id)
-                .iter()
-                .copied()
-                .filter(|&r| !covered.contains(r as usize))
-                .collect();
-            debug_assert_eq!(newly.len(), current, "fresh recount priced exactly");
-            obs.on(&Event::PriceCharged(
-                entry.id as u64,
-                Cow::Borrowed(&newly),
-                q_cost,
-            ));
-
-            // Lines 21-25: select q.
-            let l = level.expect("selectable implies a level");
-            counts[l] += 1;
-            selected_total += 1;
-            selected[id] = true;
-            solution.patterns.push(lattice.patterns[id].clone());
-            solution.total_cost += q_cost;
-            obs.on(&Event::SetSelected(entry.id as u64, current as u64, q_cost));
-            for &r in lattice.rows_of(entry.id) {
-                covered.insert(r as usize);
+            let id = entry.id as usize;
+            if !in_c[id] {
+                obs.on(&Event::HeapStalePop);
+                continue; // stale duplicate of a removed candidate
             }
-            if prune {
-                let mut nm = BitSet::new(n);
-                for &r in &newly {
-                    nm.insert(r as usize);
-                }
-                newly_masks.push(nm);
-                epoch += 1;
-            }
-            solution.covered = covered.count_ones();
-            rem = rem.saturating_sub(current);
-            if rem == 0 {
-                return GuessResult::Found(solution);
-            }
-            // Lines 26-29 happen lazily at pop time via the recount above.
-        } else {
-            // Lines 30-35: visit q and expand its children.
-            visited[id] = true;
-            if lattice.children_of(entry.id).is_none() {
-                // First materialization: children_with_rows partitions q's
-                // row list once per wildcard attribute.
-                let wildcards = lattice.patterns[id]
-                    .values()
+            let current = if !prune {
+                recount(lattice.rows_of(entry.id), &covered, pool)
+            } else if entry.epoch == epoch {
+                // Coverage only grows at selections, so an entry pushed this
+                // epoch is provably current — skip the recount outright.
+                scan_pruned += 1;
+                entry.mben
+            } else if lattice.rows_of(entry.id).len() < lattice.kernel_min_rows() {
+                // Short row list: the postings recount beats every
+                // mask-based path, and no mask is ever materialized.
+                bounds_refreshed += 1;
+                recount(lattice.rows_of(entry.id), &covered, None)
+            } else if epoch - entry.epoch <= DELTA_MAX_ROUNDS {
+                // Exact delta: the per-selection newly sets are disjoint, so
+                // the entry's stale count minus its overlap with each newer
+                // selection is the fresh count — no full recount needed.
+                let stale = entry.mben;
+                let mask = lattice.mask(entry.id);
+                let overlap: usize = newly_masks[entry.epoch..epoch]
                     .iter()
-                    .filter(|v| v.is_none())
-                    .count();
-                obs.on(&Event::PostingScanned(
-                    (lattice.rows_of(entry.id).len() * wildcards) as u64,
-                ));
-            }
-            lattice.ensure_children(entry.id);
-            eligible.clear();
-            for &child_id in lattice
-                .children_of(entry.id)
-                .expect("ensure_children just ran")
-            {
-                let cid = child_id as usize;
-                if pending.len() <= cid {
-                    // Newly materialized: extend per-guess state.
-                    in_c.resize(cid + 1, false);
-                    visited.resize(cid + 1, false);
-                    selected.resize(cid + 1, false);
-                    let from = pending.len();
-                    pending.extend_from_slice(&lattice.num_parents[from..=cid]);
-                }
-                if in_c[cid] || visited[cid] || selected[cid] {
-                    continue;
-                }
-                // Line 33: "all parents of m are in V" — the decrement
-                // for this visit of q; zero pending means every parent
-                // has been visited.
-                pending[cid] = pending[cid].saturating_sub(1);
-                if pending[cid] != 0 {
-                    continue;
-                }
-                eligible.push(child_id);
-            }
-            // Line 35: compute Cost(m) and MBen(m) for each eligible
-            // child — served from the lattice cache, the benefit recounts
-            // fanned out over the pool. Each worker chunk brackets its
-            // recounts in a `scan` span recorded into a telemetry shard,
-            // replayed here so the spans nest under the open guess span;
-            // counter events fire in child order below, identical to
-            // scoring inline.
-            mbens.clear();
-            match pool {
-                Some(pool) if eligible.len() >= PAR_CHILDREN_MIN => {
-                    let spans = &lattice.rows;
-                    let arena = &lattice.row_arena;
-                    let covered = &covered;
-                    let per_chunk = eligible.len().div_ceil(pool.threads());
-                    let chunks: Vec<(usize, &[u32])> =
-                        eligible.chunks(per_chunk).enumerate().collect();
-                    let tls = ThreadLocalTelemetry::new(chunks.len());
-                    let scored = pool.par_map(&chunks, |&(idx, chunk)| {
-                        let mut shard = tls.shard(idx);
-                        let span = PhaseSpan::enter(&mut *shard, PHASE_SCAN);
-                        let mbens: Vec<usize> = chunk
-                            .iter()
-                            .map(|&cid| {
-                                let (off, len) = spans[cid as usize];
-                                arena[off as usize..off as usize + len as usize]
-                                    .iter()
-                                    .filter(|&&r| !covered.contains(r as usize))
-                                    .count()
-                            })
-                            .collect();
-                        span.exit(&mut *shard);
-                        mbens
-                    });
-                    tls.replay(obs);
-                    mbens.extend(scored.into_iter().flatten());
-                }
-                _ => mbens.extend(
-                    eligible
-                        .iter()
-                        .map(|&cid| recount(lattice.rows_of(cid), &covered, pool)),
-                ),
+                    .map(|nm| mask.intersection_count(nm))
+                    .sum();
+                scan_pruned += 1;
+                stale - overlap
+            } else {
+                bounds_refreshed += 1;
+                lattice.mask(entry.id).difference_count(&covered)
             };
-            for (&child_id, &child_mben) in eligible.iter().zip(&mbens) {
-                let cid = child_id as usize;
-                // One "considered" event per guess, matching what Fig. 4
-                // would compute.
-                obs.on(&Event::BenefitComputed(1));
-                if child_mben == 0 {
-                    // Never enters C, so its descendants stay gated behind
-                    // an unvisited parent: the whole subtree is skipped.
-                    obs.on(&Event::SubtreePruned(PruneReason::Exhausted));
-                    continue; // would be dropped by lines 28-29 immediately
-                }
-                in_c[cid] = true;
+            debug_assert_eq!(
+                current,
+                recount(lattice.rows_of(entry.id), &covered, None),
+                "pruned refresh is exact"
+            );
+            if current == 0 {
+                in_c[id] = false; // lines 28-29 analogue
+                obs.on(&Event::CandidatePruned(PruneReason::Exhausted));
+                continue;
+            }
+            if current != entry.mben {
+                obs.on(&Event::HeapStalePop);
                 heap.push(HeapEntry {
-                    mben: child_mben,
-                    cost_bits: lattice.costs[cid].to_bits(),
-                    id: child_id,
+                    mben: current,
+                    cost_bits: entry.cost_bits,
+                    id: entry.id,
                     epoch,
                 });
+                continue;
+            }
+
+            // Line 19: q leaves C.
+            in_c[id] = false;
+            let q_cost = lattice.costs[id];
+            let level = levels.level_of(q_cost); // line 20
+
+            let selectable = level.is_some_and(|l| counts[l] < levels.quota(l));
+            if selectable {
+                // Audit the pick before mutating: runners-up are the next heap
+                // entries still in C. Their stored scores may be stale upper
+                // bounds (lazy revalidation), i.e. optimistic — the ledger
+                // notes the heap's view, which is deterministic because the
+                // heap order is total and the pop/re-push cycle below restores
+                // the heap exactly.
+                let mut popped: Vec<HeapEntry> = Vec::with_capacity(audit::RUNNERS_UP);
+                while popped.len() < audit::RUNNERS_UP {
+                    let Some(e) = heap.pop() else { break };
+                    popped.push(e);
+                }
+                let runners: Vec<audit::AuditCandidate> = popped
+                    .iter()
+                    .filter(|e| in_c[e.id as usize])
+                    .map(|e| audit::AuditCandidate {
+                        id: e.id as u64,
+                        benefit: e.mben as u64,
+                        weight: lattice.costs[e.id as usize],
+                    })
+                    .collect();
+                for e in popped {
+                    heap.push(e);
+                }
+                let winner = audit::AuditCandidate {
+                    id: entry.id as u64,
+                    benefit: current as u64,
+                    weight: q_cost,
+                };
+                obs.on(&Event::RoundDecided(
+                    audit::ORDER_BENEFIT,
+                    winner,
+                    Cow::Borrowed(&runners),
+                ));
+                let newly: Vec<u32> = lattice
+                    .rows_of(entry.id)
+                    .iter()
+                    .copied()
+                    .filter(|&r| !covered.contains(r as usize))
+                    .collect();
+                debug_assert_eq!(newly.len(), current, "fresh recount priced exactly");
+                obs.on(&Event::PriceCharged(
+                    entry.id as u64,
+                    Cow::Borrowed(&newly),
+                    q_cost,
+                ));
+
+                // Lines 21-25: select q.
+                let l = level.expect("selectable implies a level");
+                counts[l] += 1;
+                selected_total += 1;
+                selected[id] = true;
+                solution.patterns.push(lattice.pattern(entry.id));
+                solution.total_cost += q_cost;
+                obs.on(&Event::SetSelected(entry.id as u64, current as u64, q_cost));
+                for &r in lattice.rows_of(entry.id) {
+                    covered.insert(r as usize);
+                }
+                if prune {
+                    let mut nm = BitSet::new(n);
+                    for &r in &newly {
+                        nm.insert(r as usize);
+                    }
+                    newly_masks.push(nm);
+                    epoch += 1;
+                }
+                solution.covered = covered.count_ones();
+                rem = rem.saturating_sub(current);
+                if rem == 0 {
+                    break 'walk GuessResult::Found(solution);
+                }
+                // Lines 26-29 happen lazily at pop time via the recount above.
+            } else {
+                // Lines 30-35: visit q and expand its children.
+                visited[id] = true;
+                // Only a first materialization in the shared lattice scans
+                // postings: q's row list, once per wildcard attribute.
+                postings += lattice.expand(entry.id).unwrap_or(0);
+                eligible.clear();
+                for child_id in lattice.children_of(entry.id) {
+                    let cid = child_id as usize;
+                    if pending.len() <= cid {
+                        // Newly materialized: extend per-guess state.
+                        in_c.resize(cid + 1, false);
+                        visited.resize(cid + 1, false);
+                        selected.resize(cid + 1, false);
+                        let from = pending.len();
+                        pending.extend_from_slice(&lattice.num_parents[from..=cid]);
+                    }
+                    if in_c[cid] || visited[cid] || selected[cid] {
+                        continue;
+                    }
+                    // Line 33: "all parents of m are in V" — the decrement
+                    // for this visit of q; zero pending means every parent
+                    // has been visited.
+                    pending[cid] = pending[cid].saturating_sub(1);
+                    if pending[cid] != 0 {
+                        continue;
+                    }
+                    eligible.push(child_id);
+                }
+                // Line 35: compute Cost(m) and MBen(m) for each eligible
+                // child — served from the lattice cache, the benefit recounts
+                // fanned out over the pool. Each worker chunk brackets its
+                // recounts in a `scan` span recorded into a telemetry shard,
+                // replayed here so the spans nest under the open guess span;
+                // counter events fire in child order below, identical to
+                // scoring inline.
+                mbens.clear();
+                match pool {
+                    Some(pool) if eligible.len() >= PAR_CHILDREN_MIN => {
+                        let (shared, global) = (&lattice.shared, &lattice.global);
+                        let covered = &covered;
+                        let per_chunk = eligible.len().div_ceil(pool.threads());
+                        let chunks: Vec<(usize, &[u32])> =
+                            eligible.chunks(per_chunk).enumerate().collect();
+                        let tls = ThreadLocalTelemetry::new(chunks.len());
+                        let scored = pool.par_map(&chunks, |&(idx, chunk)| {
+                            let mut shard = tls.shard(idx);
+                            let span = PhaseSpan::enter(&mut *shard, PHASE_SCAN);
+                            let mbens: Vec<usize> = chunk
+                                .iter()
+                                .map(|&cid| {
+                                    shared
+                                        .rows_of(global[cid as usize])
+                                        .iter()
+                                        .filter(|&&r| !covered.contains(r as usize))
+                                        .count()
+                                })
+                                .collect();
+                            span.exit(&mut *shard);
+                            mbens
+                        });
+                        tls.replay(obs);
+                        mbens.extend(scored.into_iter().flatten());
+                    }
+                    _ => mbens.extend(
+                        eligible
+                            .iter()
+                            .map(|&cid| recount(lattice.rows_of(cid), &covered, pool)),
+                    ),
+                };
+                // One "considered" count per eligible child and guess,
+                // matching what Fig. 4 would compute.
+                if !eligible.is_empty() {
+                    obs.on(&Event::BenefitComputed(eligible.len() as u64));
+                }
+                for (&child_id, &child_mben) in eligible.iter().zip(&mbens) {
+                    let cid = child_id as usize;
+                    if child_mben == 0 {
+                        // Never enters C, so its descendants stay gated behind
+                        // an unvisited parent: the whole subtree is skipped.
+                        obs.on(&Event::SubtreePruned(PruneReason::Exhausted));
+                        continue; // would be dropped by lines 28-29 immediately
+                    }
+                    in_c[cid] = true;
+                    heap.push(HeapEntry {
+                        mben: child_mben,
+                        cost_bits: lattice.costs[cid].to_bits(),
+                        id: child_id,
+                        epoch,
+                    });
+                }
             }
         }
+        GuessResult::NotFound
+    };
+    if postings > 0 {
+        obs.on(&Event::PostingScanned(postings));
     }
-    GuessResult::NotFound
+    if scan_pruned > 0 {
+        obs.on(&Event::ScanPruned(scan_pruned));
+    }
+    if bounds_refreshed > 0 {
+        obs.on(&Event::BoundRefreshed(bounds_refreshed));
+    }
+    result
 }
 
 /// Deterministic bucket priority queue over [`HeapEntry`], keyed by the
@@ -1014,8 +1264,10 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
 /// stay tiny compared to one global heap over every candidate. Reused
 /// across guesses so bucket capacity amortizes.
 struct BucketQueue {
-    /// buckets[mben] = min-heap of `(cost_bits, id, epoch)`.
-    buckets: Vec<BinaryHeap<std::cmp::Reverse<(u64, u32, usize)>>>,
+    /// buckets[mben] = min-heap of `(cost_bits, id, epoch)`; the epoch
+    /// (a selection count, at most the schedule's size bound) is stored
+    /// as `u32`, so an entry takes 16 bytes instead of 24.
+    buckets: Vec<BinaryHeap<std::cmp::Reverse<(u64, u32, u32)>>>,
     /// Highest possibly non-empty bucket.
     max: usize,
     len: usize,
@@ -1045,7 +1297,8 @@ impl BucketQueue {
     fn push(&mut self, entry: HeapEntry) {
         self.max = self.max.max(entry.mben);
         self.len += 1;
-        self.buckets[entry.mben].push(std::cmp::Reverse((entry.cost_bits, entry.id, entry.epoch)));
+        let epoch = u32::try_from(entry.epoch).expect("selection count fits u32");
+        self.buckets[entry.mben].push(std::cmp::Reverse((entry.cost_bits, entry.id, epoch)));
     }
 
     fn pop(&mut self) -> Option<HeapEntry> {
@@ -1063,16 +1316,17 @@ impl BucketQueue {
             mben: self.max,
             cost_bits,
             id,
-            epoch,
+            epoch: epoch as usize,
         })
     }
 }
 
 /// Heap entry: candidate keyed by (mben desc, cost asc, id asc).
 ///
-/// Ids are assigned in first-materialization order, which is itself
-/// deterministic (children are expanded in (attribute, value) order), so
-/// runs are reproducible.
+/// Ids are the solve's own ([`Lattice`]), assigned in first-encounter
+/// order, which is itself deterministic (children are expanded in
+/// (attribute, value) order), so runs are reproducible whether or not an
+/// earlier solve grew the shared lattice.
 struct HeapEntry {
     mben: usize,
     /// `f64::to_bits` of a non-negative cost orders like the number.

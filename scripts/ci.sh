@@ -17,6 +17,10 @@ fi
 
 cargo build --release
 cargo test -q
+# The warm-instance lattice parity test (DESIGN.md §17) again with the
+# pruned refresh off: opt_cmc reads SCWSC_PRUNE from the environment, so
+# the plain run above covers only the default.
+SCWSC_PRUNE=0 cargo test -q --test prop_lattice_reuse
 cargo fmt --check
 cargo clippy --workspace -- -D warnings
 
