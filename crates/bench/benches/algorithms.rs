@@ -8,7 +8,7 @@ use scwsc_core::algorithms::{
     cmc, cwsc, exact_optimal, greedy_max_coverage, greedy_partial_max_coverage,
     greedy_weighted_set_cover,
 };
-use scwsc_core::Stats;
+use scwsc_core::{coverage_target, Deadline, NoopObserver, Stats, ThreadPool, Threads};
 use scwsc_data::lbl::LblConfig;
 use scwsc_patterns::{enumerate_all, opt_cmc, opt_cwsc, CostFn, PatternSpace};
 use std::time::Duration;
@@ -29,6 +29,8 @@ fn bench_algorithms(c: &mut Criterion) {
     let params = RunParams::default(); // k=10, s=0.3, b=eps=1
     let materialized = enumerate_all(&table, CostFn::Max);
     let cmc_params = params.cmc_params();
+    let pool = ThreadPool::new(Threads::serial());
+    let deadline = Deadline::unbounded();
 
     let mut group = c.benchmark_group("fig5_10k_rows");
     group.bench_function("cwsc_unoptimized_presolved_cube", |b| {
@@ -37,6 +39,8 @@ fn bench_algorithms(c: &mut Criterion) {
                 &materialized.system,
                 params.k,
                 params.coverage,
+                &pool,
+                &deadline,
                 &mut Stats::new(),
             ))
         })
@@ -48,17 +52,33 @@ fn bench_algorithms(c: &mut Criterion) {
                 &space,
                 params.k,
                 params.coverage,
+                &pool,
+                &deadline,
                 &mut Stats::new(),
             ))
         })
     });
     group.bench_function("cmc_unoptimized_presolved_cube", |b| {
-        b.iter(|| black_box(cmc(&materialized.system, &cmc_params, &mut Stats::new())))
+        b.iter(|| {
+            black_box(cmc(
+                &materialized.system,
+                &cmc_params,
+                &pool,
+                &deadline,
+                &mut Stats::new(),
+            ))
+        })
     });
     group.bench_function("cmc_optimized", |b| {
         b.iter(|| {
             let space = PatternSpace::new(&table, CostFn::Max);
-            black_box(opt_cmc(&space, &cmc_params, &mut Stats::new()))
+            black_box(opt_cmc(
+                &space,
+                &cmc_params,
+                &pool,
+                &deadline,
+                &mut Stats::new(),
+            ))
         })
     });
     group.finish();
@@ -100,10 +120,11 @@ fn bench_algorithms(c: &mut Criterion) {
     }
     .generate();
     let small_m = enumerate_all(&small, CostFn::Max);
+    let target = coverage_target(small.num_rows(), 0.5);
     c.benchmark_group("sec6d_exact")
         .sample_size(10)
         .bench_function("branch_and_bound_60_rows_k5", |b| {
-            b.iter(|| black_box(exact_optimal(&small_m.system, 5, 0.5)))
+            b.iter(|| black_box(exact_optimal(&small_m.system, 5, target, &mut NoopObserver)))
         });
 }
 

@@ -1,18 +1,19 @@
 //! Criterion benchmarks for the parallel execution layer: the chunked
 //! masked benefit scan against its serial equivalent on the largest
-//! registry workload scale (fig5 rows4000), the end-to-end `cwsc` /
-//! `cwsc_on` pair, and the fused bitset kernels the scan is built from
+//! registry workload scale (fig5 rows4000), end-to-end `cwsc` on 1, 2
+//! and 4 threads, and the fused bitset kernels the scan is built from
 //! (`difference_count` vs a materialized difference,
 //! `max_intersection_count` vs a hand-rolled argmax loop).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use scwsc_core::algorithms::cwsc;
 use scwsc_core::algorithms::scan::{
     build_masks, masked_argmax, masked_argmax_pruned, PrunedScan, ScanOrder,
 };
-use scwsc_core::algorithms::{cwsc, cwsc_on};
 use scwsc_core::cover_state::benefit_order;
 use scwsc_core::{
-    BitSet, BlockSummary, NoopObserver, SetSystem, ThreadLocalTelemetry, ThreadPool, Threads,
+    BitSet, BlockSummary, Deadline, NoopObserver, SetSystem, ThreadLocalTelemetry, ThreadPool,
+    Threads,
 };
 use scwsc_data::lbl::LblConfig;
 use scwsc_patterns::{enumerate_all, CostFn};
@@ -78,13 +79,24 @@ fn bench_benefit_scan(c: &mut Criterion) {
 fn bench_cwsc_end_to_end(c: &mut Criterion) {
     let system = largest_registry_system();
     let mut group = c.benchmark_group("parallel_cwsc");
-    group.bench_function("cwsc_rows4000_serial", |b| {
-        b.iter(|| black_box(cwsc(&system, 10, 0.3, &mut NoopObserver).is_ok()))
-    });
-    for threads in [2usize, 4] {
+    for threads in [1usize, 2, 4] {
         let pool = ThreadPool::new(Threads::new(threads));
-        group.bench_function(&format!("cwsc_rows4000_t{threads}"), |b| {
-            b.iter(|| black_box(cwsc_on(&system, 10, 0.3, &pool, &mut NoopObserver).is_ok()))
+        let name = match threads {
+            1 => "cwsc_rows4000_serial".to_string(),
+            n => format!("cwsc_rows4000_t{n}"),
+        };
+        group.bench_function(&name, |b| {
+            b.iter(|| {
+                let solved = cwsc(
+                    &system,
+                    10,
+                    0.3,
+                    &pool,
+                    &Deadline::unbounded(),
+                    &mut NoopObserver,
+                );
+                black_box(solved.is_ok())
+            })
         });
     }
     group.finish();

@@ -16,15 +16,13 @@ use scwsc_core::telemetry::audit::{self, DecisionLedger};
 #[cfg(feature = "fault-inject")]
 use scwsc_core::FaultPlan;
 use scwsc_core::{
-    coverage_target, render_prometheus, Certificate, Deadline, EngineError, Fanout, FlightRecorder,
-    JsonlSink, MetricsRecorder, SloGauges, SolveOutcome, SpanProfiler, Stats, ThreadPool, Threads,
-    Watchdog,
+    coverage_target, render_prometheus, Deadline, EngineError, Fanout, FlightRecorder, JsonlSink,
+    MetricsRecorder, SloGauges, SolveOutcome, SpanProfiler, Stats, ThreadPool, Threads, Watchdog,
 };
 use scwsc_data::csv::read_table;
 use scwsc_data::lbl::LblConfig;
 use scwsc_patterns::{
-    enumerate_all, opt_cmc_on, opt_cmc_within, opt_cwsc, opt_cwsc_within, verify_certificate_in,
-    CostFn, PatternSolution, PatternSpace, Table,
+    enumerate_all, opt_cmc, opt_cwsc, verify_certificate_in, CostFn, PatternSpace, Table,
 };
 use std::fs::File;
 use std::io::BufWriter;
@@ -140,10 +138,9 @@ fn parse_fault(spec: &str) -> FaultPlan {
 
 /// Builds the run's [`Deadline`] from `--deadline-ms` (falling back to
 /// the `SCWSC_DEADLINE_MS` environment variable), `--max-ticks`, and
-/// `--fault`; `None` when no resilience bound was given (classic path).
-fn deadline_of(args: &scwsc_bench::Args) -> Option<Deadline> {
+/// `--fault`; unbounded when none is given.
+fn deadline_of(args: &scwsc_bench::Args) -> Deadline {
     let mut deadline = Deadline::unbounded();
-    let mut bounded = false;
     // The flag wins over the environment: SCWSC_DEADLINE_MS sets a
     // fleet-wide default (e.g. exported by an operator for every run in
     // a shell), an explicit --deadline-ms overrides it per invocation.
@@ -157,21 +154,17 @@ fn deadline_of(args: &scwsc_bench::Args) -> Option<Deadline> {
     if args.get("deadline-ms").is_some() {
         let ms: u64 = required(args.get_or("deadline-ms", 0));
         deadline = deadline.with_wall_clock(Duration::from_millis(ms));
-        bounded = true;
     } else if let Some(ms) = env_deadline_ms {
         deadline = deadline.with_wall_clock(Duration::from_millis(ms));
-        bounded = true;
     }
     if args.get("max-ticks").is_some() {
         let ticks: u64 = required(args.get_or("max-ticks", 0));
         deadline = deadline.with_tick_budget(ticks);
-        bounded = true;
     }
     if let Some(spec) = args.get("fault") {
         #[cfg(feature = "fault-inject")]
         {
             deadline = deadline.with_fault_plan(parse_fault(spec));
-            bounded = true;
         }
         #[cfg(not(feature = "fault-inject"))]
         {
@@ -179,7 +172,7 @@ fn deadline_of(args: &scwsc_bench::Args) -> Option<Deadline> {
             bail("--fault requires a build with --features fault-inject");
         }
     }
-    bounded.then_some(deadline)
+    deadline
 }
 
 fn main() {
@@ -235,10 +228,11 @@ fn main() {
     // events leading up to the hang.
     let watchdog = args.get("watchdog").map(|_| {
         let ms: u64 = required(args.get_or("watchdog", 0));
-        let mut dog = Watchdog::new(Duration::from_millis(ms)).with_flight(flight.clone());
-        if let Some(d) = &deadline {
-            dog = dog.with_probe(d.tick_probe());
-        }
+        // The tick probe tells a quiet solve from a stalled one: events
+        // arrive once per guess, so a long guess is silent until it ends.
+        let dog = Watchdog::new(Duration::from_millis(ms))
+            .with_flight(flight.clone())
+            .with_probe(deadline.tick_probe());
         // The stall dump gets its own file: the end-of-run dump reuses
         // the --flight-dump path, and by then the ring may have evicted
         // the events surrounding the stall.
@@ -249,7 +243,10 @@ fn main() {
         dog.with_dump_path(PathBuf::from(stall_path))
     });
     let monitor = watchdog.as_ref().map(Watchdog::monitor);
-    let outcome: Outcome = {
+    // Carried as a value (instead of exiting at the failure site) so the
+    // flight dump, Prometheus export, and trace-sink flush all happen
+    // before the process exits non-zero.
+    let solved = {
         let mut flight_tap = flight.clone();
         let mut dog_tap = watchdog.clone();
         let mut obs = Fanout::new();
@@ -268,30 +265,17 @@ fn main() {
         if let Some(d) = dog_tap.as_mut() {
             obs.attach(d);
         }
-        match (&deadline, algorithm) {
-            (None, "cwsc") => match opt_cwsc(&space, params.k, params.coverage, &mut obs) {
-                Ok(s) => Outcome::Solved(s, None),
-                Err(e) => Outcome::Infeasible(e),
-            },
-            (None, "cmc") => match opt_cmc_on(&space, &params.cmc_params(), &pool, &mut obs) {
-                Ok(s) => Outcome::Solved(s, None),
-                Err(e) => Outcome::Infeasible(e),
-            },
-            (Some(deadline), "cwsc") => outcome_of(opt_cwsc_within(
+        match algorithm {
+            "cwsc" => opt_cwsc(
                 &space,
                 params.k,
                 params.coverage,
-                deadline,
-                &mut obs,
-            )),
-            (Some(deadline), "cmc") => outcome_of(opt_cmc_within(
-                &space,
-                &params.cmc_params(),
                 &pool,
-                deadline,
+                &deadline,
                 &mut obs,
-            )),
-            (_, other) => bail(&format!("unknown algorithm {other:?} (use cwsc or cmc)")),
+            ),
+            "cmc" => opt_cmc(&space, &params.cmc_params(), &pool, &deadline, &mut obs),
+            other => bail(&format!("unknown algorithm {other:?} (use cwsc or cmc)")),
         }
     };
 
@@ -309,18 +293,17 @@ fn main() {
             );
         }
     }
-    let degraded = matches!(&outcome, Outcome::Solved(_, Some(_)));
+    let degraded = matches!(&solved, Ok(SolveOutcome::Degraded(_)));
     if let Some(path) = flight_path {
         dump_flight(&flight, Path::new(path));
-    } else if degraded || matches!(&outcome, Outcome::Faulted(_)) {
+    } else if degraded || matches!(&solved, Err(EngineError::Panicked(_))) {
         // The trace id in the name keeps concurrent post-mortems from
         // clobbering each other (and matches the *-flight.jsonl ignore).
         let name = format!("scwsc-{}-flight.jsonl", flight.trace_id());
         dump_flight(&flight, Path::new(&name));
     }
     if let Some(path) = args.get("metrics-prom") {
-        let unbounded = Deadline::unbounded();
-        let slo = SloGauges::capture(deadline.as_ref().unwrap_or(&unbounded), degraded, &metrics);
+        let slo = SloGauges::capture(&deadline, degraded, &metrics);
         match std::fs::write(path, render_prometheus(&metrics, Some(&slo))) {
             Ok(()) => eprintln!("metrics written to {path}"),
             Err(e) => eprintln!("failed to write metrics to {path}: {e}"),
@@ -337,10 +320,11 @@ fn main() {
         }
     }
 
-    let (solution, degraded) = match outcome {
-        Outcome::Solved(solution, certificate) => (solution, certificate),
-        Outcome::Infeasible(e) => infeasible(&e),
-        Outcome::Faulted(msg) => {
+    let (solution, degraded) = match solved {
+        Ok(SolveOutcome::Complete(solution)) => (solution, None),
+        Ok(SolveOutcome::Degraded(d)) => (d.partial, Some(d.certificate)),
+        Err(EngineError::Solve(e)) => exit_with(exit_code::INFEASIBLE, &format!("infeasible: {e}")),
+        Err(EngineError::Panicked(msg)) => {
             eprintln!("error: solver fault: {msg}");
             std::process::exit(1);
         }
@@ -424,35 +408,6 @@ fn main() {
         eprintln!("deadline expired: {cert}");
         eprintln!("certificate verified against the partial solution");
         std::process::exit(exit_code::DEADLINE_DEGRADED);
-    }
-}
-
-/// How one solve run ended. Carried as a value (instead of exiting at the
-/// failure site) so the flight dump, Prometheus export, and trace-sink
-/// flush all happen before the process exits non-zero.
-enum Outcome {
-    /// A printable solution; `Some` certificate means deadline-degraded.
-    Solved(PatternSolution, Option<Certificate>),
-    /// The instance cannot satisfy the requested constraints.
-    Infeasible(scwsc_core::SolveError),
-    /// A solver worker panicked twice.
-    Faulted(String),
-}
-
-/// Exits with the infeasible taxonomy code, printing the solver's own
-/// [`Display`](std::fmt::Display) message.
-fn infeasible(e: &scwsc_core::SolveError) -> ! {
-    exit_with(exit_code::INFEASIBLE, &format!("infeasible: {e}"))
-}
-
-/// Classifies a resilience-engine result: `Complete` and `Degraded` both
-/// carry a printable solution (the degraded one with its certificate).
-fn outcome_of(result: Result<SolveOutcome<PatternSolution>, EngineError>) -> Outcome {
-    match result {
-        Ok(SolveOutcome::Complete(solution)) => Outcome::Solved(solution, None),
-        Ok(SolveOutcome::Degraded(d)) => Outcome::Solved(d.partial, Some(d.certificate)),
-        Err(EngineError::Solve(e)) => Outcome::Infeasible(e),
-        Err(EngineError::Panicked(msg)) => Outcome::Faulted(msg),
     }
 }
 

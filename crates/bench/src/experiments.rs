@@ -7,13 +7,23 @@
 
 use crate::measure::{run, Algo, Measurement, RunParams};
 use scwsc_core::algorithms::{
-    cmc, cwsc, exact_optimal_with_target, greedy_partial_max_coverage, greedy_weighted_set_cover,
+    cmc, cwsc, exact_optimal, greedy_partial_max_coverage, greedy_weighted_set_cover,
 };
 use scwsc_core::telemetry::audit::{self, DecisionLedger};
-use scwsc_core::{coverage_target, Stats};
+use scwsc_core::{
+    coverage_target, Deadline, EngineError, NoopObserver, SolveOutcome, Stats, ThreadPool, Threads,
+};
 use scwsc_data::lbl::LblConfig;
 use scwsc_data::perturb::{lognormal_rerank, uniform_noise};
 use scwsc_patterns::{enumerate_all, opt_cmc, opt_cwsc, CostFn, PatternSpace, Table};
+
+/// The complete value of a solve with no deadline. Every workload here
+/// contains the all-wildcards pattern, so every solve is feasible.
+fn feasible<T>(result: Result<SolveOutcome<T>, EngineError>) -> T {
+    result
+        .expect("the root pattern guarantees feasibility")
+        .expect_complete("an unbounded deadline never expires")
+}
 
 /// Builds the standard synthetic LBL-like workload for a given size.
 pub fn workload(rows: usize, seed: u64) -> Table {
@@ -180,13 +190,13 @@ pub fn maxcov_comparison(
 ) -> Vec<(f64, f64, usize, f64)> {
     let m = enumerate_all(table, cost_fn);
     let space = PatternSpace::new(table, cost_fn);
+    let (pool, deadline) = (ThreadPool::new(Threads::serial()), Deadline::unbounded());
     coverages
         .iter()
         .map(|&s| {
             let mc = greedy_partial_max_coverage(&m.system, s, &mut Stats::new())
                 .expect("universe pattern guarantees feasibility");
-            let ours = opt_cwsc(&space, k, s, &mut Stats::new())
-                .expect("universe pattern guarantees feasibility");
+            let ours = feasible(opt_cwsc(&space, k, s, &pool, &deadline, &mut Stats::new()));
             (s, mc.total_cost().value(), mc.size(), ours.total_cost)
         })
         .collect()
@@ -233,11 +243,18 @@ pub fn perturbed_quality(
             )
         }))
         .collect();
+    let (pool, deadline) = (ThreadPool::new(Threads::serial()), Deadline::unbounded());
     for (label, table) in variants {
         let space = PatternSpace::new(&table, CostFn::Max);
-        let cwsc_cost = opt_cwsc(&space, k, coverage, &mut Stats::new())
-            .expect("feasible by construction")
-            .total_cost;
+        let cwsc_cost = feasible(opt_cwsc(
+            &space,
+            k,
+            coverage,
+            &pool,
+            &deadline,
+            &mut Stats::new(),
+        ))
+        .total_cost;
         let mut cmc_min = f64::INFINITY;
         let mut cmc_max = f64::NEG_INFINITY;
         for (b, eps) in [(0.5, 1.0), (1.0, 1.0), (1.0, 2.0), (2.0, 2.0)] {
@@ -248,8 +265,13 @@ pub fn perturbed_quality(
                 eps,
                 ..RunParams::default()
             };
-            let sol = opt_cmc(&space, &params.cmc_params(), &mut Stats::new())
-                .expect("feasible by construction");
+            let sol = feasible(opt_cmc(
+                &space,
+                &params.cmc_params(),
+                &pool,
+                &deadline,
+                &mut Stats::new(),
+            ));
             cmc_min = cmc_min.min(sol.total_cost);
             cmc_max = cmc_max.max(sol.total_cost);
         }
@@ -291,17 +313,17 @@ pub struct OptRow {
 /// samples (the paper uses exhaustive search; we use branch and bound).
 pub fn vs_optimal(sample_sizes: &[usize], seed: u64, k: usize, coverage: f64) -> Vec<OptRow> {
     let mut out = Vec::new();
+    let (pool, deadline) = (ThreadPool::new(Threads::serial()), Deadline::unbounded());
     for &rows in sample_sizes {
         let table = workload(rows, seed);
         let m = enumerate_all(&table, CostFn::Max);
         let target = coverage_target(rows, coverage);
-        let optimal = exact_optimal_with_target(&m.system, k, target)
+        let optimal = exact_optimal(&m.system, k, target, &mut NoopObserver)
             .expect("root pattern guarantees feasibility")
             .total_cost()
             .value();
         let mut ledger = DecisionLedger::new();
-        let cwsc_cost = cwsc(&m.system, k, coverage, &mut ledger)
-            .expect("feasible")
+        let cwsc_cost = feasible(cwsc(&m.system, k, coverage, &pool, &deadline, &mut ledger))
             .total_cost()
             .value();
         let cert = audit::certify(&m.system, &ledger.prices(), target);
@@ -310,7 +332,13 @@ pub fn vs_optimal(sample_sizes: &[usize], seed: u64, k: usize, coverage: f64) ->
             coverage,
             ..RunParams::default()
         };
-        let cmc_sol = cmc(&m.system, &params.cmc_params(), &mut Stats::new()).expect("feasible");
+        let cmc_sol = feasible(cmc(
+            &m.system,
+            &params.cmc_params(),
+            &pool,
+            &deadline,
+            &mut Stats::new(),
+        ));
         out.push(OptRow {
             rows,
             optimal,

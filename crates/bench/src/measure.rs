@@ -1,9 +1,12 @@
 //! Timed, instrumented runs of the four algorithm variants the paper
 //! plots: unoptimized/optimized CMC and CWSC (Figures 5–9).
 
-use scwsc_core::algorithms::{cmc, cmc_on, cwsc, cwsc_on, CmcParams};
-use scwsc_core::{Fanout, MetricsRecorder, NoopObserver, Observer, Stats, ThreadPool};
-use scwsc_patterns::{enumerate_all, opt_cmc, opt_cmc_on, opt_cwsc, CostFn, PatternSpace, Table};
+use scwsc_core::algorithms::{cmc, cwsc, CmcParams};
+use scwsc_core::{
+    Deadline, EngineError, Fanout, MetricsRecorder, NoopObserver, Observer, SolveOutcome, Stats,
+    ThreadPool, Threads,
+};
+use scwsc_patterns::{enumerate_all, opt_cmc, opt_cwsc, CostFn, PatternSpace, Table};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -126,7 +129,13 @@ pub fn run_traced(
     params: &RunParams,
     extra: &mut dyn Observer,
 ) -> (Measurement, MetricsRecorder) {
-    run_traced_inner(algo, table, params, None, extra)
+    run_traced_on(
+        algo,
+        table,
+        params,
+        &ThreadPool::new(Threads::serial()),
+        extra,
+    )
 }
 
 /// [`run_traced`] with the solver's parallel fan-outs run on `pool`.
@@ -143,19 +152,9 @@ pub fn run_traced_on(
     pool: &ThreadPool,
     extra: &mut dyn Observer,
 ) -> (Measurement, MetricsRecorder) {
-    let pool = if pool.is_serial() { None } else { Some(pool) };
-    run_traced_inner(algo, table, params, pool, extra)
-}
-
-fn run_traced_inner(
-    algo: Algo,
-    table: &Table,
-    params: &RunParams,
-    pool: Option<&ThreadPool>,
-    extra: &mut dyn Observer,
-) -> (Measurement, MetricsRecorder) {
     let mut stats = Stats::new();
     let mut metrics = MetricsRecorder::new();
+    let deadline = Deadline::unbounded();
     let start = Instant::now();
     let outcome: Option<(f64, usize, usize)> = {
         let mut obs = Fanout::new();
@@ -163,11 +162,14 @@ fn run_traced_inner(
         match algo {
             Algo::CmcUnopt => {
                 let m = enumerate_all(table, params.cost_fn);
-                let result = match pool {
-                    Some(pool) => cmc_on(&m.system, &params.cmc_params(), pool, &mut obs),
-                    None => cmc(&m.system, &params.cmc_params(), &mut obs),
-                };
-                result.ok().map(|o| {
+                completed(cmc(
+                    &m.system,
+                    &params.cmc_params(),
+                    pool,
+                    &deadline,
+                    &mut obs,
+                ))
+                .map(|o| {
                     (
                         o.solution.total_cost().value(),
                         o.solution.size(),
@@ -177,27 +179,38 @@ fn run_traced_inner(
             }
             Algo::CwscUnopt => {
                 let m = enumerate_all(table, params.cost_fn);
-                let result = match pool {
-                    Some(pool) => cwsc_on(&m.system, params.k, params.coverage, pool, &mut obs),
-                    None => cwsc(&m.system, params.k, params.coverage, &mut obs),
-                };
-                result
-                    .ok()
-                    .map(|s| (s.total_cost().value(), s.size(), s.covered()))
+                completed(cwsc(
+                    &m.system,
+                    params.k,
+                    params.coverage,
+                    pool,
+                    &deadline,
+                    &mut obs,
+                ))
+                .map(|s| (s.total_cost().value(), s.size(), s.covered()))
             }
             Algo::CmcOpt => {
                 let space = PatternSpace::new(table, params.cost_fn);
-                let result = match pool {
-                    Some(pool) => opt_cmc_on(&space, &params.cmc_params(), pool, &mut obs),
-                    None => opt_cmc(&space, &params.cmc_params(), &mut obs),
-                };
-                result.ok().map(|s| (s.total_cost, s.size(), s.covered))
+                completed(opt_cmc(
+                    &space,
+                    &params.cmc_params(),
+                    pool,
+                    &deadline,
+                    &mut obs,
+                ))
+                .map(|s| (s.total_cost, s.size(), s.covered))
             }
             Algo::CwscOpt => {
                 let space = PatternSpace::new(table, params.cost_fn);
-                opt_cwsc(&space, params.k, params.coverage, &mut obs)
-                    .ok()
-                    .map(|s| (s.total_cost, s.size(), s.covered))
+                completed(opt_cwsc(
+                    &space,
+                    params.k,
+                    params.coverage,
+                    pool,
+                    &deadline,
+                    &mut obs,
+                ))
+                .map(|s| (s.total_cost, s.size(), s.covered))
             }
         }
     };
@@ -218,6 +231,15 @@ fn run_traced_inner(
         ok: outcome.is_some(),
     };
     (measurement, metrics)
+}
+
+/// The value of a solve that completed; `None` when it failed (an
+/// unbounded deadline never degrades).
+fn completed<T>(result: Result<SolveOutcome<T>, EngineError>) -> Option<T> {
+    match result {
+        Ok(SolveOutcome::Complete(value)) => Some(value),
+        _ => None,
+    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ use crate::telemetry::{
     audit, pack_k_target, Event, EventLog, Observer, PhaseSpan, ThreadLocalTelemetry, TraceId,
     PHASE_GUESS, PHASE_INIT, PHASE_SELECT, PHASE_TOTAL,
 };
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Fraction of the requested coverage that CMC guarantees (Fig. 1 line 06).
 pub const CMC_COVERAGE_DISCOUNT: f64 = 1.0 - std::f64::consts::E.recip();
@@ -242,7 +242,7 @@ pub struct CmcOutcome {
 }
 
 /// Runs Cheap Max Coverage (Figure 1 / Section V-A3 depending on
-/// `params.schedule`).
+/// `params.schedule`) on `pool`, under `deadline` (DESIGN.md §12).
 ///
 /// The run reports its work through any [`Observer`]: one `guess_started`
 /// per budget guess (with the guessed `B`), `level_entered` for every level
@@ -250,167 +250,20 @@ pub struct CmcOutcome {
 /// marginal benefit is computed per guess (all of them, Fig. 1 lines
 /// 04–05 — the Figure 6 metric), `set_selected` per pick, and a `"total"`
 /// phase span. Passing `&mut Stats` aggregates these into the classic
-/// counters (`considered`, `budget_guesses`, `selections`).
+/// counters (`considered`, `budget_guesses`, `selections`). Each guess
+/// records into a private [`EventLog`] that replays into `obs` in budget
+/// order once the guess ends, so events arrive once per guess, not live.
 ///
-/// Returns [`SolveError::BudgetExhausted`] when even `B` larger than the
-/// total weight of all sets cannot reach the target — impossible when a
-/// universe set exists. Fig. 1's literal `until B > total` check stops
-/// *before* running a guess that exceeds the total; we run that final
-/// guess too, otherwise feasible instances whose optimum needs nearly the
-/// whole collection would be rejected (see DESIGN.md §3).
+/// Returns [`SolveError::BudgetExhausted`] (as [`EngineError::Solve`]) when
+/// even `B` larger than the total weight of all sets cannot reach the
+/// target — impossible when a universe set exists. Fig. 1's literal
+/// `until B > total` check stops *before* running a guess that exceeds the
+/// total; we run that final guess too, otherwise feasible instances whose
+/// optimum needs nearly the whole collection would be rejected (see
+/// DESIGN.md §3).
 ///
-/// ```
-/// use scwsc_core::{algorithms::{cmc, CmcParams}, SetSystem, Stats};
-///
-/// let mut b = SetSystem::builder(10);
-/// for e in 0..10u32 {
-///     b.add_set([e], 1.0); // ten unit singletons
-/// }
-/// b.add_universe_set(8.0); // one cheap covering set
-/// let system = b.build().unwrap();
-///
-/// // Theorem 4 bounds: ≤ 5k sets covering ≥ (1−1/e)·ŝ·n elements.
-/// let params = CmcParams::classic(2, 1.0, 1.0);
-/// let outcome = cmc(&system, &params, &mut Stats::new()).unwrap();
-/// assert!(outcome.solution.size() <= 10);
-/// assert!(outcome.solution.covered() >= 7); // ⌈(1−1/e)·10⌉
-/// ```
-pub fn cmc<O: Observer + ?Sized>(
-    system: &SetSystem,
-    params: &CmcParams,
-    obs: &mut O,
-) -> Result<CmcOutcome, SolveError> {
-    if params.k == 0 {
-        return Err(SolveError::ZeroSizeBound);
-    }
-    assert!(
-        params.budget_growth > 0.0,
-        "budget growth factor b must be positive"
-    );
-
-    let target = params.coverage_target(system.num_elements());
-    if target == 0 {
-        return Ok(CmcOutcome {
-            solution: Solution::from_sets(system, Vec::new()),
-            final_budget: 0.0,
-        });
-    }
-    obs.on(&Event::TraceStarted(
-        TraceId::mint(
-            "cmc",
-            system.num_elements() as u64,
-            pack_k_target(params.k, target),
-        ),
-        "cmc",
-    ));
-    let span = PhaseSpan::enter(obs, PHASE_TOTAL);
-    let result = guess_loop(system, params, target, obs);
-    span.exit(obs);
-    result
-}
-
-/// The Fig. 1 outer repeat loop, wrapped by [`cmc`]'s phase span.
-fn guess_loop<O: Observer + ?Sized>(
-    system: &SetSystem,
-    params: &CmcParams,
-    target: usize,
-    obs: &mut O,
-) -> Result<CmcOutcome, SolveError> {
-    let total_cost = system.total_cost().value();
-    let mut budget = initial_budget(system, params.k);
-
-    loop {
-        obs.on(&Event::GuessStarted(Some(budget)));
-        let guess_span = PhaseSpan::enter(obs, PHASE_GUESS);
-        let found = run_guess(system, params, budget, target, obs);
-        guess_span.exit(obs);
-        if let Some(solution) = found {
-            return Ok(CmcOutcome {
-                solution,
-                final_budget: budget,
-            });
-        }
-        if budget > total_cost {
-            return Err(SolveError::BudgetExhausted);
-        }
-        budget *= 1.0 + params.budget_growth; // line 28
-    }
-}
-
-/// Line 01: B = cost of the k cheapest sets. Guard degenerate zero
-/// budgets (all-k-cheapest free) so the geometric growth can start.
-fn initial_budget(system: &SetSystem, k: usize) -> f64 {
-    let b0 = system.k_cheapest_cost(k).value();
-    if b0 > 0.0 {
-        return b0;
-    }
-    let min_positive = system
-        .iter()
-        .map(|(_, s)| s.cost().value())
-        .filter(|&c| c > 0.0)
-        .fold(f64::INFINITY, f64::min);
-    if min_positive.is_finite() {
-        min_positive
-    } else {
-        1.0 // every set is free; a single pass suffices
-    }
-}
-
-/// One iteration of the outer repeat loop (Fig. 1 lines 03–27) for a fixed
-/// budget `B`. Returns the solution when the coverage target is met.
-fn run_guess<O: Observer + ?Sized>(
-    system: &SetSystem,
-    params: &CmcParams,
-    budget: f64,
-    target: usize,
-    obs: &mut O,
-) -> Option<Solution> {
-    // Lines 04-05: fresh marginal benefits for every set.
-    let init_span = PhaseSpan::enter(obs, PHASE_INIT);
-    let mut state = CoverState::new(system);
-    obs.on(&Event::BenefitComputed(system.num_sets() as u64));
-    init_span.exit(obs);
-
-    let levels = Levels::build(params.schedule, budget, params.k);
-    // Announce the whole schedule up front (even levels an early return
-    // skips) so observers see each guess's complete level partition.
-    for level in 0..levels.len() {
-        obs.on(&Event::LevelEntered(level, levels.quota(level)));
-    }
-    // Precompute each set's level under this budget so the inner argmax
-    // filter is a table lookup.
-    let set_level: Vec<Option<usize>> = (0..system.num_sets() as SetId)
-        .map(|id| levels.level_of(system.cost(id).value()))
-        .collect();
-
-    let mut chosen: Vec<SetId> = Vec::new();
-    let mut rem = target; // line 06
-
-    let select_span = PhaseSpan::enter(obs, PHASE_SELECT);
-    for level in 0..levels.len() {
-        for _ in 0..levels.quota(level) {
-            // Line 17: argmax of marginal benefit within the level.
-            let top = state.top_benefit(audit::TOP, |id| set_level[id as usize] == Some(level));
-            let Some((q, newly)) = audit::pick_cover(&mut state, obs, audit::ORDER_BENEFIT, &top)
-            else {
-                break; // line 18: level exhausted
-            };
-            chosen.push(q); // line 19
-            rem = rem.saturating_sub(newly);
-            if rem == 0 {
-                select_span.exit(obs);
-                return Some(Solution::from_sets(system, chosen)); // lines 22-23
-            }
-        }
-    }
-    select_span.exit(obs);
-    None
-}
-
-/// [`cmc`] on a thread pool: speculative budget guessing plus chunked
-/// benefit scans.
-///
-/// Two parallel layers compose (DESIGN.md §11):
+/// On a pool of `N > 1` threads two parallel layers compose
+/// (DESIGN.md §11):
 ///
 /// 1. **Speculative guessing** — up to one budget guess per pool thread
 ///    (`B, (1+b)B, …`) runs concurrently. The committed result is always
@@ -425,77 +278,47 @@ fn run_guess<O: Observer + ?Sized>(
 ///    benefits across the pool with serial tie-breaking (see
 ///    [`scan::masked_argmax`]), adding nested `"scan"` spans.
 ///
-/// A serial pool delegates to [`cmc`] outright. For any thread count the
-/// outcome (solution, order of selections, final budget) and every exact
-/// counter are identical to serial.
-pub fn cmc_on<O: Observer + ?Sized>(
-    system: &SetSystem,
-    params: &CmcParams,
-    pool: &ThreadPool,
-    obs: &mut O,
-) -> Result<CmcOutcome, SolveError> {
-    if pool.is_serial() {
-        return cmc(system, params, obs);
-    }
-    if params.k == 0 {
-        return Err(SolveError::ZeroSizeBound);
-    }
-    assert!(
-        params.budget_growth > 0.0,
-        "budget growth factor b must be positive"
-    );
-    let target = params.coverage_target(system.num_elements());
-    if target == 0 {
-        return Ok(CmcOutcome {
-            solution: Solution::from_sets(system, Vec::new()),
-            final_budget: 0.0,
-        });
-    }
-    obs.on(&Event::TraceStarted(
-        TraceId::mint(
-            "cmc",
-            system.num_elements() as u64,
-            pack_k_target(params.k, target),
-        ),
-        "cmc",
-    ));
-    let span = PhaseSpan::enter(obs, PHASE_TOTAL);
-    let deadline = Deadline::unbounded();
-    let result = guess_loop_speculative(system, params, target, pool, &deadline, false, obs);
-    span.exit(obs);
-    match result {
-        Ok(SolveOutcome::Complete(outcome)) => Ok(outcome),
-        Ok(SolveOutcome::Degraded(_)) => unreachable!("unbounded deadline cannot degrade"),
-        Err(EngineError::Solve(e)) => Err(e),
-        Err(EngineError::Panicked(_)) => {
-            unreachable!("without containment, panics are re-raised")
-        }
-    }
-}
-
-/// [`cmc`] under a [`Deadline`]: the resilience-engine entry point
-/// (DESIGN.md §12).
+/// For any thread count the outcome (solution, order of selections, final
+/// budget) and every exact counter are identical to serial.
 ///
-/// On expiry the run returns [`SolveOutcome::Degraded`] carrying the
-/// partial selection of the budget guess that was in flight, plus a
-/// [`Certificate`] (sets used, coverage vs. the `(1−1/e)·ŝ·n` target,
-/// cost, exhausted level quotas, ticks) that
-/// [`verify_certificate`](crate::solution::verify_certificate)
-/// independently re-checks. One work tick is consumed per selection
-/// attempt.
+/// One work tick is consumed per selection attempt. On expiry the run
+/// returns [`SolveOutcome::Degraded`] carrying the partial selection of
+/// the budget guess that was in flight, plus a [`Certificate`] (sets used,
+/// coverage vs. the `(1−1/e)·ŝ·n` target, cost, exhausted level quotas,
+/// ticks) that [`verify_certificate`](crate::solution::verify_certificate)
+/// independently re-checks. When the deadline is tick-addressed
+/// ([`Deadline::tick_deterministic`]) cross-guess speculation is disabled
+/// — guesses run in serial budget order while the inner benefit scans
+/// still parallelize (scans do not tick) — so the outcome classification,
+/// partial solution, and tick count are identical for `Threads(1)` and
+/// `Threads(N)`.
 ///
 /// Panic isolation: each budget guess runs under `catch_unwind`; a
 /// panicked guess is retried once serially (counted by the
 /// `guesses_retried` telemetry event) and a second panic surfaces as
 /// [`EngineError::Panicked`] instead of unwinding.
 ///
-/// Determinism: when the deadline is tick-addressed
-/// ([`Deadline::tick_deterministic`]) cross-guess speculation is disabled
-/// — guesses run in serial budget order while the inner benefit scans
-/// still parallelize (scans do not tick) — so the outcome classification,
-/// partial solution, and tick count are identical for `Threads(1)` and
-/// `Threads(N)`. Wall-clock-only deadlines keep speculation.
-pub fn cmc_within<O: Observer + ?Sized>(
+/// ```
+/// use scwsc_core::algorithms::{cmc, CmcParams};
+/// use scwsc_core::{Deadline, SetSystem, Stats, ThreadPool, Threads};
+///
+/// let mut b = SetSystem::builder(10);
+/// for e in 0..10u32 {
+///     b.add_set([e], 1.0); // ten unit singletons
+/// }
+/// b.add_universe_set(8.0); // one cheap covering set
+/// let system = b.build().unwrap();
+///
+/// // Theorem 4 bounds: ≤ 5k sets covering ≥ (1−1/e)·ŝ·n elements.
+/// let params = CmcParams::classic(2, 1.0, 1.0);
+/// let pool = ThreadPool::new(Threads::serial());
+/// let outcome = cmc(&system, &params, &pool, &Deadline::unbounded(), &mut Stats::new())
+///     .unwrap()
+///     .expect_complete("an unbounded deadline never expires");
+/// assert!(outcome.solution.size() <= 10);
+/// assert!(outcome.solution.covered() >= 7); // ⌈(1−1/e)·10⌉
+/// ```
+pub fn cmc<O: Observer + ?Sized>(
     system: &SetSystem,
     params: &CmcParams,
     pool: &ThreadPool,
@@ -525,13 +348,28 @@ pub fn cmc_within<O: Observer + ?Sized>(
         "cmc",
     ));
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
-    let result = if pool.is_serial() || deadline.tick_deterministic() {
-        guess_loop_within(system, params, target, pool, deadline, obs)
-    } else {
-        guess_loop_speculative(system, params, target, pool, deadline, true, obs)
-    };
+    let result = guess_loop(system, params, target, pool, deadline, obs);
     span.exit(obs);
     result
+}
+
+/// Line 01: B = cost of the k cheapest sets. Guard degenerate zero
+/// budgets (all-k-cheapest free) so the geometric growth can start.
+fn initial_budget(system: &SetSystem, k: usize) -> f64 {
+    let b0 = system.k_cheapest_cost(k).value();
+    if b0 > 0.0 {
+        return b0;
+    }
+    let min_positive = system
+        .iter()
+        .map(|(_, s)| s.cost().value())
+        .filter(|&c| c > 0.0)
+        .fold(f64::INFINITY, f64::min);
+    if min_positive.is_finite() {
+        min_positive
+    } else {
+        1.0 // every set is free; a single pass suffices
+    }
 }
 
 /// Result of one budget-guess run.
@@ -550,11 +388,11 @@ enum GuessOutcome {
     },
 }
 
-/// One speculative guess as it came back from the pool: completed, or
-/// panicked with the captured payload (contained for retry or re-raise).
+/// One guess as it came back from its window: completed, or
+/// panicked (contained, to be retried).
 enum GuessAttempt {
     Done(GuessOutcome),
-    Panicked(Box<dyn std::any::Any + Send>),
+    Panicked,
 }
 
 /// Level indices whose quota was fully consumed (ascending) — the
@@ -602,130 +440,10 @@ fn degrade<O: Observer + ?Sized>(
     })
 }
 
-/// The Fig. 1 outer loop with guesses in strict serial order — the
-/// tick-deterministic deadline path. Inner benefit scans still use the
-/// pool (scans do not tick), so the tick stream is identical for any
-/// thread count. Each guess is panic-contained and retried once.
-fn guess_loop_within<O: Observer + ?Sized>(
-    system: &SetSystem,
-    params: &CmcParams,
-    target: usize,
-    pool: &ThreadPool,
-    deadline: &Deadline,
-    obs: &mut O,
-) -> Result<SolveOutcome<CmcOutcome>, EngineError> {
-    let total_cost = system.total_cost().value();
-    let masks = if pool.is_serial() {
-        None
-    } else {
-        Some(scan::build_masks(pool, system))
-    };
-    let mut budget = initial_budget(system, params.k);
-    let mut guess_index = 0u64;
-
-    loop {
-        guess_index += 1;
-        let outcome = run_contained_guess(
-            system,
-            params,
-            budget,
-            target,
-            masks.as_deref(),
-            pool,
-            deadline,
-            guess_index,
-            obs,
-        )?;
-        match outcome {
-            GuessOutcome::Found(solution) => {
-                return Ok(SolveOutcome::Complete(CmcOutcome {
-                    solution,
-                    final_budget: budget,
-                }));
-            }
-            GuessOutcome::Expired {
-                partial,
-                quotas_exhausted,
-                reason,
-            } => {
-                return Ok(degrade(
-                    system,
-                    partial,
-                    quotas_exhausted,
-                    reason,
-                    target,
-                    budget,
-                    deadline,
-                    obs,
-                ));
-            }
-            GuessOutcome::NotFound => {}
-            GuessOutcome::Cancelled => {
-                unreachable!("serial guess sequence has no speculation token")
-            }
-        }
-        if budget > total_cost {
-            return Err(SolveError::BudgetExhausted.into());
-        }
-        budget *= 1.0 + params.budget_growth; // line 28
-    }
-}
-
-/// One panic-contained budget guess: records into a private [`EventLog`]
-/// (replayed into `obs` only on normal completion, so a panicked attempt
-/// contributes no events), retries once serially on panic, and maps a
-/// second panic to [`EngineError::Panicked`].
-#[allow(clippy::too_many_arguments)]
-fn run_contained_guess<O: Observer + ?Sized>(
-    system: &SetSystem,
-    params: &CmcParams,
-    budget: f64,
-    target: usize,
-    masks: Option<&[BitSet]>,
-    pool: &ThreadPool,
-    deadline: &Deadline,
-    guess_index: u64,
-    obs: &mut O,
-) -> Result<GuessOutcome, EngineError> {
-    let no_cancel = CancelToken::new();
-    let attempt = |log: &mut EventLog| -> GuessOutcome {
-        log.on(&Event::GuessStarted(Some(budget)));
-        let span = PhaseSpan::enter(log, PHASE_GUESS);
-        deadline.fault_guess(guess_index);
-        let outcome = match masks {
-            Some(masks) => run_guess_masked(
-                system, params, budget, target, masks, pool, &no_cancel, deadline, log,
-            ),
-            None => run_guess_within(system, params, budget, target, deadline, log),
-        };
-        span.exit(log);
-        outcome
-    };
-
-    let mut log = EventLog::new();
-    match catch_unwind(AssertUnwindSafe(|| attempt(&mut log))) {
-        Ok(outcome) => {
-            log.replay(obs);
-            Ok(outcome)
-        }
-        Err(_) => {
-            obs.on(&Event::GuessRetried);
-            let mut retry_log = EventLog::new();
-            match catch_unwind(AssertUnwindSafe(|| attempt(&mut retry_log))) {
-                Ok(outcome) => {
-                    retry_log.replay(obs);
-                    Ok(outcome)
-                }
-                Err(payload) => Err(EngineError::Panicked(panic_message(payload.as_ref()))),
-            }
-        }
-    }
-}
-
-/// One deadline-aware guess with serial scans: [`run_guess`] plus a work
-/// tick per selection attempt and per-level quota accounting for the
-/// certificate.
-fn run_guess_within(
+/// One iteration of the outer repeat loop (Fig. 1 lines 03–27) for a fixed
+/// budget `B` with serial scans: a work tick per selection attempt and
+/// per-level quota accounting for the certificate.
+fn run_guess(
     system: &SetSystem,
     params: &CmcParams,
     budget: f64,
@@ -733,22 +451,27 @@ fn run_guess_within(
     deadline: &Deadline,
     log: &mut EventLog,
 ) -> GuessOutcome {
+    // Lines 04-05: fresh marginal benefits for every set.
     let init_span = PhaseSpan::enter(log, PHASE_INIT);
     let mut state = CoverState::new(system);
     log.on(&Event::BenefitComputed(system.num_sets() as u64));
     init_span.exit(log);
 
     let levels = Levels::build(params.schedule, budget, params.k);
+    // Announce the whole schedule up front (even levels an early return
+    // skips) so observers see each guess's complete level partition.
     for level in 0..levels.len() {
         log.on(&Event::LevelEntered(level, levels.quota(level)));
     }
+    // Precompute each set's level under this budget so the inner argmax
+    // filter is a table lookup.
     let set_level: Vec<Option<usize>> = (0..system.num_sets() as SetId)
         .map(|id| levels.level_of(system.cost(id).value()))
         .collect();
 
     let mut counts = vec![0usize; levels.len()];
     let mut chosen: Vec<SetId> = Vec::new();
-    let mut rem = target;
+    let mut rem = target; // line 06
 
     let select_span = PhaseSpan::enter(log, PHASE_SELECT);
     for level in 0..levels.len() {
@@ -762,15 +485,17 @@ fn run_guess_within(
                     reason,
                 };
             }
+            // Line 17: argmax of marginal benefit within the level.
             let top = state.top_benefit(audit::TOP, |id| set_level[id as usize] == Some(level));
             let Some((q, newly)) = audit::pick_cover(&mut state, log, audit::ORDER_BENEFIT, &top)
             else {
-                break; // level exhausted
+                break; // line 18: level exhausted
             };
-            chosen.push(q);
+            chosen.push(q); // line 19
             counts[level] += 1;
             rem = rem.saturating_sub(newly);
             if rem == 0 {
+                // Lines 22-23: the target is met.
                 select_span.exit(log);
                 return GuessOutcome::Found(Solution::from_sets(system, chosen));
             }
@@ -780,28 +505,47 @@ fn run_guess_within(
     GuessOutcome::NotFound
 }
 
-/// The Fig. 1 outer loop run in speculative windows of one guess per
-/// pool thread.
+/// The Fig. 1 outer repeat loop, run in windows of consecutive budget
+/// guesses.
 ///
-/// With `contain == false` (the classic [`cmc_on`] path under an
-/// unbounded deadline) job panics are re-raised to the caller unchanged.
-/// With `contain == true` (the [`cmc_within`] engine path) each guess
-/// runs under `catch_unwind`: a panicked guess is retried once serially
-/// on the calling thread (its half-recorded event log is discarded, so
-/// replayed telemetry stays serial-identical) and a second panic becomes
-/// [`EngineError::Panicked`].
-#[allow(clippy::too_many_arguments)]
-fn guess_loop_speculative<O: Observer + ?Sized>(
+/// On a parallel pool without a tick-addressed deadline a window holds
+/// one speculative guess per pool thread; otherwise it holds one guess,
+/// so guesses run in serial budget order and the tick stream is the same
+/// for any thread count (inner benefit scans still use the pool; scans
+/// do not tick). A serial pool scans a [`CoverState`]; any other pool
+/// recounts over row masks.
+///
+/// Each guess runs under `catch_unwind` into a private [`EventLog`],
+/// replayed into `obs` only on completion. A panicked guess is retried
+/// once serially on the calling thread (its half-recorded log is
+/// discarded, so replayed telemetry stays serial-identical) and a second
+/// panic becomes [`EngineError::Panicked`].
+fn guess_loop<O: Observer + ?Sized>(
     system: &SetSystem,
     params: &CmcParams,
     target: usize,
     pool: &ThreadPool,
     deadline: &Deadline,
-    contain: bool,
     obs: &mut O,
 ) -> Result<SolveOutcome<CmcOutcome>, EngineError> {
+    let speculate = !pool.is_serial() && !deadline.tick_deterministic();
+    let window_len = if speculate { pool.threads() } else { 1 };
     let total_cost = system.total_cost().value();
-    let masks = scan::build_masks(pool, system);
+    let masks = (!pool.is_serial()).then(|| scan::build_masks(pool, system));
+    // One attempt at (1-based) guess `index`; panics propagate.
+    let run_attempt = |budget: f64, index: u64, cancel: &CancelToken, log: &mut EventLog| {
+        log.on(&Event::GuessStarted(Some(budget)));
+        let guess_span = PhaseSpan::enter(log, PHASE_GUESS);
+        deadline.fault_guess(index);
+        let outcome = match masks.as_deref() {
+            Some(masks) => run_guess_masked(
+                system, params, budget, target, masks, pool, cancel, deadline, log,
+            ),
+            None => run_guess(system, params, budget, target, deadline, log),
+        };
+        guess_span.exit(log);
+        outcome
+    };
     let mut budget = initial_budget(system, params.k);
     let mut next_guess_index = 0u64;
 
@@ -809,16 +553,16 @@ fn guess_loop_speculative<O: Observer + ?Sized>(
         // The window replicates the serial budget sequence, including the
         // final guess *after* budget exceeds the total cost (the serial
         // loop runs that one before giving up).
-        let mut budgets = Vec::with_capacity(pool.threads());
+        let mut budgets = Vec::with_capacity(window_len);
         let mut exhausts = false;
         let mut b = budget;
-        for _ in 0..pool.threads() {
+        for _ in 0..window_len {
             budgets.push(b);
             if b > total_cost {
                 exhausts = true;
                 break;
             }
-            b *= 1.0 + params.budget_growth;
+            b *= 1.0 + params.budget_growth; // line 28
         }
         let next_budget = b;
         let base_index = next_guess_index;
@@ -828,23 +572,9 @@ fn guess_loop_speculative<O: Observer + ?Sized>(
         let tasks: Vec<(usize, f64)> = budgets.iter().copied().enumerate().collect();
         let mut attempts: Vec<(EventLog, GuessAttempt)> = pool.par_map(&tasks, |&(i, guess)| {
             let mut log = EventLog::new();
+            let index = base_index + i as u64 + 1;
             let result = catch_unwind(AssertUnwindSafe(|| {
-                log.on(&Event::GuessStarted(Some(guess)));
-                let guess_span = PhaseSpan::enter(&mut log, PHASE_GUESS);
-                deadline.fault_guess(base_index + i as u64 + 1);
-                let outcome = run_guess_masked(
-                    system,
-                    params,
-                    guess,
-                    target,
-                    &masks,
-                    pool,
-                    &cancels[i],
-                    deadline,
-                    &mut log,
-                );
-                guess_span.exit(&mut log);
-                outcome
+                run_attempt(guess, index, &cancels[i], &mut log)
             }));
             let attempt = match result {
                 Ok(outcome) => {
@@ -857,24 +587,10 @@ fn guess_loop_speculative<O: Observer + ?Sized>(
                     }
                     GuessAttempt::Done(outcome)
                 }
-                Err(payload) => GuessAttempt::Panicked(payload),
+                Err(_) => GuessAttempt::Panicked,
             };
             (log, attempt)
         });
-
-        if !contain {
-            // Classic semantics: a job panic propagates to the caller.
-            for (_, attempt) in &mut attempts {
-                if matches!(attempt, GuessAttempt::Panicked(_)) {
-                    let taken =
-                        std::mem::replace(attempt, GuessAttempt::Done(GuessOutcome::NotFound));
-                    let GuessAttempt::Panicked(payload) = taken else {
-                        unreachable!()
-                    };
-                    resume_unwind(payload);
-                }
-            }
-        }
 
         // Resolve the window in budget order, replaying each committed
         // guess's log — exactly the guesses the serial loop would have run,
@@ -889,28 +605,13 @@ fn guess_loop_speculative<O: Observer + ?Sized>(
                     log.replay(obs);
                     outcome
                 }
-                GuessAttempt::Panicked(_) => {
+                GuessAttempt::Panicked => {
                     // Retry once, serially, on the calling thread.
                     obs.on(&Event::GuessRetried);
                     let mut retry_log = EventLog::new();
-                    let fresh = CancelToken::new();
+                    let index = base_index + j as u64 + 1;
                     let retried = catch_unwind(AssertUnwindSafe(|| {
-                        retry_log.on(&Event::GuessStarted(Some(budgets[j])));
-                        let guess_span = PhaseSpan::enter(&mut retry_log, PHASE_GUESS);
-                        deadline.fault_guess(base_index + j as u64 + 1);
-                        let outcome = run_guess_masked(
-                            system,
-                            params,
-                            budgets[j],
-                            target,
-                            &masks,
-                            pool,
-                            &fresh,
-                            deadline,
-                            &mut retry_log,
-                        );
-                        guess_span.exit(&mut retry_log);
-                        outcome
+                        run_attempt(budgets[j], index, &CancelToken::new(), &mut retry_log)
                     }));
                     match retried {
                         Ok(outcome) => {
@@ -959,10 +660,12 @@ fn guess_loop_speculative<O: Observer + ?Sized>(
                 }
             }
         }
-        obs.on(&Event::Speculation(
-            committed as u64,
-            (window - committed) as u64,
-        ));
+        if speculate {
+            obs.on(&Event::Speculation(
+                committed as u64,
+                (window - committed) as u64,
+            ));
+        }
         if let Some(result) = resolved {
             return result;
         }
@@ -973,10 +676,8 @@ fn guess_loop_speculative<O: Observer + ?Sized>(
     }
 }
 
-/// One budget guess over the masked scan engine: same selections and
-/// events as [`run_guess`], recorded into the task-local `log`. Consumes
-/// one `deadline` work tick per selection attempt; under an unbounded
-/// deadline (the classic speculative path) the checkpoint can never fail.
+/// One budget guess over the masked scan engine: same selections, events
+/// and ticks as [`run_guess`], recorded into the task-local `log`.
 #[allow(clippy::too_many_arguments)]
 fn run_guess_masked(
     system: &SetSystem,
@@ -1068,8 +769,33 @@ fn run_guess_masked(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::Threads;
     use crate::solution::{verify, Requirements};
     use crate::stats::Stats;
+
+    /// [`cmc`] on `threads` workers without a deadline, unwrapped to the
+    /// complete outcome or the solve error.
+    fn solve_on(
+        system: &SetSystem,
+        params: &CmcParams,
+        threads: usize,
+        obs: &mut dyn Observer,
+    ) -> Result<CmcOutcome, SolveError> {
+        let pool = ThreadPool::new(Threads::new(threads));
+        match cmc(system, params, &pool, &Deadline::unbounded(), obs) {
+            Ok(outcome) => Ok(outcome.expect_complete("unbounded deadline")),
+            Err(EngineError::Solve(e)) => Err(e),
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    fn solve(
+        system: &SetSystem,
+        params: &CmcParams,
+        obs: &mut dyn Observer,
+    ) -> Result<CmcOutcome, SolveError> {
+        solve_on(system, params, 1, obs)
+    }
 
     fn system() -> SetSystem {
         let mut b = SetSystem::builder(12);
@@ -1217,7 +943,7 @@ mod tests {
         let sys = system();
         let mut stats = Stats::new();
         let params = CmcParams::classic(2, 0.75, 1.0);
-        let out = cmc(&sys, &params, &mut stats).unwrap();
+        let out = solve(&sys, &params, &mut stats).unwrap();
         let discounted = coverage_target(12, 0.75 * CMC_COVERAGE_DISCOUNT);
         let req = Requirements {
             max_sets: 5 * 2,
@@ -1238,7 +964,7 @@ mod tests {
         // High coverage forces budgets big enough for the large sets.
         let params = CmcParams::classic(2, 1.0, 1.0);
         let mut stats = Stats::new();
-        let out = cmc(&sys, &params, &mut stats).unwrap();
+        let out = solve(&sys, &params, &mut stats).unwrap();
         assert!(out.solution.covered() >= coverage_target(12, CMC_COVERAGE_DISCOUNT));
         assert!(
             out.final_budget >= 6.0,
@@ -1251,10 +977,10 @@ mod tests {
     fn cmc_zero_k_and_zero_target() {
         let sys = system();
         assert_eq!(
-            cmc(&sys, &CmcParams::classic(0, 0.5, 1.0), &mut Stats::new()),
+            solve(&sys, &CmcParams::classic(0, 0.5, 1.0), &mut Stats::new()),
             Err(SolveError::ZeroSizeBound)
         );
-        let out = cmc(&sys, &CmcParams::classic(2, 0.0, 1.0), &mut Stats::new()).unwrap();
+        let out = solve(&sys, &CmcParams::classic(2, 0.0, 1.0), &mut Stats::new()).unwrap();
         assert_eq!(out.solution.size(), 0);
     }
 
@@ -1265,7 +991,7 @@ mod tests {
         let sys = b.build().unwrap();
         // k=1, need (1-1/e)*1.0*4 = ceil(2.52) = 3 covered: impossible.
         assert_eq!(
-            cmc(&sys, &CmcParams::classic(1, 1.0, 1.0), &mut Stats::new()),
+            solve(&sys, &CmcParams::classic(1, 1.0, 1.0), &mut Stats::new()),
             Err(SolveError::BudgetExhausted)
         );
     }
@@ -1278,7 +1004,7 @@ mod tests {
         b.add_set([0], 1.0).add_universe_set(1.9);
         let sys = b.build().unwrap();
         let params = CmcParams::classic(1, 1.0, 10.0); // huge growth factor
-        let out = cmc(&sys, &params, &mut Stats::new()).unwrap();
+        let out = solve(&sys, &params, &mut Stats::new()).unwrap();
         assert_eq!(out.solution.sets(), &[1]);
     }
 
@@ -1289,7 +1015,7 @@ mod tests {
             .add_set([3, 4, 5], 0.0)
             .add_universe_set(5.0);
         let sys = b.build().unwrap();
-        let out = cmc(&sys, &CmcParams::classic(2, 1.0, 1.0), &mut Stats::new()).unwrap();
+        let out = solve(&sys, &CmcParams::classic(2, 1.0, 1.0), &mut Stats::new()).unwrap();
         assert!(out.solution.covered() >= coverage_target(6, CMC_COVERAGE_DISCOUNT));
     }
 
@@ -1298,7 +1024,7 @@ mod tests {
         let sys = system();
         for &eps in &[0.5, 1.0, 2.0] {
             let params = CmcParams::epsilon(2, 0.9, 1.0, eps);
-            let out = cmc(&sys, &params, &mut Stats::new()).unwrap();
+            let out = solve(&sys, &params, &mut Stats::new()).unwrap();
             let bound = ((1.0 + eps) * 2.0).floor() as usize;
             assert!(
                 out.solution.size() <= bound.max(2),
@@ -1313,7 +1039,7 @@ mod tests {
         let sys = system();
         let mut p = CmcParams::classic(2, 0.9, 1.0);
         p.discount_coverage = false;
-        let out = cmc(&sys, &p, &mut Stats::new()).unwrap();
+        let out = solve(&sys, &p, &mut Stats::new()).unwrap();
         assert!(out.solution.covered() >= coverage_target(12, 0.9));
     }
 
@@ -1321,7 +1047,7 @@ mod tests {
     #[should_panic(expected = "budget growth")]
     fn cmc_rejects_nonpositive_b() {
         let sys = system();
-        let _ = cmc(&sys, &CmcParams::classic(2, 0.5, 0.0), &mut Stats::new());
+        let _ = solve(&sys, &CmcParams::classic(2, 0.5, 0.0), &mut Stats::new());
     }
 
     #[test]
@@ -1370,7 +1096,6 @@ mod tests {
 
     #[test]
     fn cmc_on_matches_serial_for_any_thread_count() {
-        use crate::parallel::{ThreadPool, Threads};
         use crate::telemetry::MetricsRecorder;
         let sys = lcg_system(200, 64, 42);
         for schedule in [LevelSchedule::Classic, LevelSchedule::Epsilon(0.5)] {
@@ -1379,11 +1104,10 @@ mod tests {
                 ..CmcParams::classic(4, 0.9, 0.5)
             };
             let mut sm = MetricsRecorder::new();
-            let serial = cmc(&sys, &params, &mut sm).unwrap();
+            let serial = solve(&sys, &params, &mut sm).unwrap();
             for n in [2usize, 4] {
-                let pool = ThreadPool::new(Threads::new(n));
                 let mut pm = MetricsRecorder::new();
-                let par = cmc_on(&sys, &params, &pool, &mut pm).unwrap();
+                let par = solve_on(&sys, &params, n, &mut pm).unwrap();
                 assert_eq!(par.solution, serial.solution, "threads {n}");
                 assert_eq!(par.final_budget, serial.final_budget);
                 assert_eq!(pm.guesses, sm.guesses);
@@ -1399,17 +1123,15 @@ mod tests {
 
     #[test]
     fn cmc_on_budget_exhaustion_matches_serial() {
-        use crate::parallel::{ThreadPool, Threads};
         use crate::telemetry::MetricsRecorder;
         let mut b = SetSystem::builder(4);
         b.add_set([0], 1.0).add_set([1], 1.0);
         let sys = b.build().unwrap();
         let params = CmcParams::classic(1, 1.0, 1.0);
         let mut sm = MetricsRecorder::new();
-        let serial = cmc(&sys, &params, &mut sm);
-        let pool = ThreadPool::new(Threads::new(4));
+        let serial = solve(&sys, &params, &mut sm);
         let mut pm = MetricsRecorder::new();
-        let par = cmc_on(&sys, &params, &pool, &mut pm);
+        let par = solve_on(&sys, &params, 4, &mut pm);
         assert_eq!(par, serial);
         assert_eq!(par.unwrap_err(), SolveError::BudgetExhausted);
         assert_eq!(pm.guesses, sm.guesses, "exhaustion runs the same guesses");
@@ -1417,8 +1139,6 @@ mod tests {
 
     mod within {
         use super::*;
-        use crate::engine::{Deadline, DegradeReason, SolveOutcome};
-        use crate::parallel::{ThreadPool, Threads};
         use crate::solution::verify_certificate;
         use crate::telemetry::MetricsRecorder;
         use std::time::Duration;
@@ -1433,30 +1153,12 @@ mod tests {
         }
 
         #[test]
-        fn unbounded_deadline_matches_plain_cmc() {
-            let sys = chain_system(12);
-            let params = CmcParams::classic(6, 0.75, 1.0);
-            let serial = cmc(&sys, &params, &mut MetricsRecorder::new()).unwrap();
-            for threads in [1, 4] {
-                let pool = ThreadPool::new(Threads::new(threads));
-                let deadline = Deadline::unbounded();
-                let out = cmc_within(&sys, &params, &pool, &deadline, &mut MetricsRecorder::new())
-                    .unwrap();
-                match out {
-                    SolveOutcome::Complete(outcome) => assert_eq!(outcome, serial),
-                    SolveOutcome::Degraded(_) => panic!("unbounded deadline degraded"),
-                }
-            }
-        }
-
-        #[test]
         fn tick_budget_degrades_with_verifiable_certificate() {
             let sys = chain_system(16);
             let params = CmcParams::classic(8, 1.0, 1.0);
             let pool = ThreadPool::new(Threads::serial());
             let deadline = Deadline::unbounded().with_tick_budget(3);
-            let out =
-                cmc_within(&sys, &params, &pool, &deadline, &mut MetricsRecorder::new()).unwrap();
+            let out = cmc(&sys, &params, &pool, &deadline, &mut MetricsRecorder::new()).unwrap();
             let SolveOutcome::Degraded(d) = out else {
                 panic!("3 ticks cannot cover 16 singleton elements");
             };
@@ -1475,7 +1177,7 @@ mod tests {
                     let pool = ThreadPool::new(Threads::new(threads));
                     let deadline = Deadline::unbounded().with_tick_budget(budget);
                     let mut m = MetricsRecorder::new();
-                    let out = cmc_within(&sys, &params, &pool, &deadline, &mut m).unwrap();
+                    let out = cmc(&sys, &params, &pool, &deadline, &mut m).unwrap();
                     (out, deadline.ticks(), m.guesses, m.selections)
                 };
                 assert_eq!(run(1), run(4), "tick budget {budget}");
@@ -1489,8 +1191,8 @@ mod tests {
             for threads in [1, 4] {
                 let pool = ThreadPool::new(Threads::new(threads));
                 let deadline = Deadline::unbounded().with_wall_clock(Duration::ZERO);
-                let out = cmc_within(&sys, &params, &pool, &deadline, &mut MetricsRecorder::new())
-                    .unwrap();
+                let out =
+                    cmc(&sys, &params, &pool, &deadline, &mut MetricsRecorder::new()).unwrap();
                 let SolveOutcome::Degraded(d) = out else {
                     panic!("zero wall clock must degrade");
                 };
@@ -1506,8 +1208,7 @@ mod tests {
             let pool = ThreadPool::new(Threads::serial());
             let deadline = Deadline::unbounded();
             deadline.cancel();
-            let out =
-                cmc_within(&sys, &params, &pool, &deadline, &mut MetricsRecorder::new()).unwrap();
+            let out = cmc(&sys, &params, &pool, &deadline, &mut MetricsRecorder::new()).unwrap();
             let SolveOutcome::Degraded(d) = out else {
                 panic!("cancelled deadline must degrade");
             };
@@ -1519,7 +1220,7 @@ mod tests {
             let sys = chain_system(4);
             let params = CmcParams::classic(0, 1.0, 1.0);
             let pool = ThreadPool::new(Threads::serial());
-            let err = cmc_within(
+            let err = cmc(
                 &sys,
                 &params,
                 &pool,
@@ -1537,8 +1238,7 @@ mod tests {
     #[cfg(feature = "fault-inject")]
     mod within_faults {
         use super::*;
-        use crate::engine::{Deadline, EngineError, FaultPlan, SolveOutcome};
-        use crate::parallel::{ThreadPool, Threads};
+        use crate::engine::FaultPlan;
         use crate::telemetry::MetricsRecorder;
 
         fn system() -> SetSystem {
@@ -1554,13 +1254,13 @@ mod tests {
         fn one_shot_guess_panic_is_retried_to_completion() {
             let sys = system();
             let params = CmcParams::classic(5, 1.0, 1.0);
-            let clean = cmc(&sys, &params, &mut MetricsRecorder::new()).unwrap();
+            let clean = solve(&sys, &params, &mut MetricsRecorder::new()).unwrap();
             for threads in [1, 4] {
                 let pool = ThreadPool::new(Threads::new(threads));
                 let deadline =
                     Deadline::unbounded().with_fault_plan(FaultPlan::new().panic_guess_once(1));
                 let mut m = MetricsRecorder::new();
-                let out = cmc_within(&sys, &params, &pool, &deadline, &mut m).unwrap();
+                let out = cmc(&sys, &params, &pool, &deadline, &mut m).unwrap();
                 match out {
                     SolveOutcome::Complete(outcome) => assert_eq!(outcome, clean),
                     SolveOutcome::Degraded(_) => panic!("fault retry must complete"),
@@ -1578,7 +1278,7 @@ mod tests {
                 let deadline =
                     Deadline::unbounded().with_fault_plan(FaultPlan::new().fail_guess(1));
                 let mut m = MetricsRecorder::new();
-                let err = cmc_within(&sys, &params, &pool, &deadline, &mut m).unwrap_err();
+                let err = cmc(&sys, &params, &pool, &deadline, &mut m).unwrap_err();
                 assert!(matches!(err, EngineError::Panicked(_)), "threads {threads}");
                 assert_eq!(m.guesses_retried, 1);
             }
@@ -1589,12 +1289,12 @@ mod tests {
             let sys = system();
             let params = CmcParams::classic(5, 1.0, 1.0);
             let mut clean = MetricsRecorder::new();
-            cmc(&sys, &params, &mut clean).unwrap();
+            solve(&sys, &params, &mut clean).unwrap();
             let pool = ThreadPool::new(Threads::serial());
             let deadline =
                 Deadline::unbounded().with_fault_plan(FaultPlan::new().panic_guess_once(1));
             let mut faulted = MetricsRecorder::new();
-            cmc_within(&sys, &params, &pool, &deadline, &mut faulted)
+            cmc(&sys, &params, &pool, &deadline, &mut faulted)
                 .unwrap()
                 .expect_complete("retry completes");
             // The panicked attempt's half-recorded log was discarded, so

@@ -13,40 +13,23 @@
 //! paper solves "using exhaustive search" (Section VI-D).
 
 use crate::bitset::BitSet;
-use crate::set_system::{coverage_target, SetId, SetSystem};
+use crate::set_system::{SetId, SetSystem};
 use crate::solution::Solution;
 use crate::telemetry::{
-    pack_k_target, Event, NoopObserver, Observer, PhaseSpan, PruneReason, TraceId, PHASE_TOTAL,
+    pack_k_target, Event, Observer, PhaseSpan, PruneReason, TraceId, PHASE_TOTAL,
 };
 
 /// Finds a minimum-cost sub-collection of at most `k` sets covering at
-/// least `⌈coverage_fraction·n⌉` elements, or `None` when infeasible.
-pub fn exact_optimal(system: &SetSystem, k: usize, coverage_fraction: f64) -> Option<Solution> {
-    exact_optimal_observed(system, k, coverage_fraction, &mut NoopObserver)
-}
-
-/// [`exact_optimal`] with an explicit element-count target.
-pub fn exact_optimal_with_target(system: &SetSystem, k: usize, target: usize) -> Option<Solution> {
-    exact_optimal_with_target_observed(system, k, target, &mut NoopObserver)
-}
-
-/// [`exact_optimal`] reporting search effort through an
-/// [`Observer`]: `benefit_computed` per take-branch marginal-coverage
-/// computation, `set_selected` per tentative take, `candidate_pruned` with
+/// least `target` elements, or `None` when infeasible. (A coverage
+/// fraction `ŝ` maps to `target` through
+/// [`coverage_target`](crate::coverage_target).)
+///
+/// The search reports its effort through an [`Observer`]:
+/// `benefit_computed` per take-branch marginal-coverage computation,
+/// `set_selected` per tentative take, `candidate_pruned` with
 /// [`PruneReason::CostBound`] / [`PruneReason::CoverageBound`] per cut
 /// branch, and a `"total"` phase span.
-pub fn exact_optimal_observed<O: Observer + ?Sized>(
-    system: &SetSystem,
-    k: usize,
-    coverage_fraction: f64,
-    obs: &mut O,
-) -> Option<Solution> {
-    let target = coverage_target(system.num_elements(), coverage_fraction);
-    exact_optimal_with_target_observed(system, k, target, obs)
-}
-
-/// [`exact_optimal_observed`] with an explicit element-count target.
-pub fn exact_optimal_with_target_observed<O: Observer + ?Sized>(
+pub fn exact_optimal<O: Observer + ?Sized>(
     system: &SetSystem,
     k: usize,
     target: usize,
@@ -187,7 +170,17 @@ impl<O: Observer + ?Sized> Search<'_, O> {
 mod tests {
     use super::*;
     use crate::algorithms::cwsc::cwsc;
+    use crate::engine::Deadline;
+    use crate::parallel::{ThreadPool, Threads};
+    use crate::set_system::coverage_target;
     use crate::stats::Stats;
+    use crate::telemetry::NoopObserver;
+
+    /// [`exact_optimal`] at coverage fraction `coverage`, unobserved.
+    fn optimum(system: &SetSystem, k: usize, coverage: f64) -> Option<Solution> {
+        let target = coverage_target(system.num_elements(), coverage);
+        exact_optimal(system, k, target, &mut NoopObserver)
+    }
 
     fn system() -> SetSystem {
         let mut b = SetSystem::builder(6);
@@ -201,7 +194,7 @@ mod tests {
 
     #[test]
     fn finds_cheapest_full_cover() {
-        let sol = exact_optimal(&system(), 2, 1.0).unwrap();
+        let sol = optimum(&system(), 2, 1.0).unwrap();
         // {2,3}: cost 8 < {0,1}: cost 10 < universe: 100
         assert_eq!(sol.total_cost().value(), 8.0);
         assert_eq!(sol.covered(), 6);
@@ -210,7 +203,7 @@ mod tests {
 
     #[test]
     fn partial_coverage_can_be_cheaper() {
-        let sol = exact_optimal(&system(), 1, 0.3).unwrap();
+        let sol = optimum(&system(), 1, 0.3).unwrap();
         // Need 2 of 6: set 3 = {4,5} at cost 1.
         assert_eq!(sol.total_cost().value(), 1.0);
     }
@@ -218,7 +211,7 @@ mod tests {
     #[test]
     fn respects_k() {
         // k=1 forces the universe set for full coverage.
-        let sol = exact_optimal(&system(), 1, 1.0).unwrap();
+        let sol = optimum(&system(), 1, 1.0).unwrap();
         assert_eq!(sol.sets(), &[4]);
         assert_eq!(sol.total_cost().value(), 100.0);
     }
@@ -228,13 +221,13 @@ mod tests {
         let mut b = SetSystem::builder(4);
         b.add_set([0], 1.0).add_set([1], 1.0);
         let sys = b.build().unwrap();
-        assert!(exact_optimal(&sys, 2, 1.0).is_none());
-        assert!(exact_optimal(&sys, 0, 0.1).is_none());
+        assert!(optimum(&sys, 2, 1.0).is_none());
+        assert!(optimum(&sys, 0, 0.1).is_none());
     }
 
     #[test]
     fn zero_target_is_free() {
-        let sol = exact_optimal(&system(), 3, 0.0).unwrap();
+        let sol = optimum(&system(), 3, 0.0).unwrap();
         assert_eq!(sol.size(), 0);
         assert_eq!(sol.total_cost().value(), 0.0);
     }
@@ -243,9 +236,11 @@ mod tests {
     fn exact_never_worse_than_cwsc() {
         let sys = system();
         for (k, s) in [(1usize, 0.5f64), (2, 0.6), (3, 1.0), (2, 0.9)] {
-            let greedy = cwsc(&sys, k, s, &mut Stats::new());
-            let opt = exact_optimal(&sys, k, s);
+            let pool = ThreadPool::new(Threads::serial());
+            let greedy = cwsc(&sys, k, s, &pool, &Deadline::unbounded(), &mut Stats::new());
+            let opt = optimum(&sys, k, s);
             if let (Ok(g), Some(o)) = (greedy, opt) {
+                let g = g.expect_complete("unbounded deadline");
                 assert!(
                     o.total_cost() <= g.total_cost(),
                     "k={k} s={s}: opt {} > greedy {}",
@@ -257,13 +252,12 @@ mod tests {
     }
 
     #[test]
-    fn observed_variant_reports_search_effort() {
+    fn observer_sees_search_effort() {
         use crate::telemetry::{MetricsRecorder, PHASE_TOTAL};
         let sys = system();
         let mut m = MetricsRecorder::new();
-        let observed = exact_optimal_observed(&sys, 2, 1.0, &mut m).unwrap();
-        let plain = exact_optimal(&sys, 2, 1.0).unwrap();
-        assert_eq!(observed.total_cost(), plain.total_cost());
+        let observed = exact_optimal(&sys, 2, 6, &mut m).unwrap();
+        assert_eq!(observed.total_cost().value(), 8.0);
         assert!(m.benefits_computed >= 1);
         assert!(m.selections >= 1, "take branches are tentative selections");
         assert!(m.phase_seconds(PHASE_TOTAL).is_some());
@@ -274,7 +268,7 @@ mod tests {
         let mut b = SetSystem::builder(3);
         b.add_set([0, 1, 2], 4.0).add_set([0, 1, 2], 3.0);
         let sys = b.build().unwrap();
-        let sol = exact_optimal(&sys, 2, 1.0).unwrap();
+        let sol = optimum(&sys, 2, 1.0).unwrap();
         assert_eq!(sol.total_cost().value(), 3.0);
         assert_eq!(sol.size(), 1, "second copy adds cost but no coverage");
     }
@@ -286,9 +280,9 @@ mod tests {
             b.add_set([e], 1.0);
         }
         let sys = b.build().unwrap();
-        let sol = exact_optimal(&sys, 6, 1.0).unwrap();
+        let sol = optimum(&sys, 6, 1.0).unwrap();
         assert_eq!(sol.size(), 6);
         assert_eq!(sol.total_cost().value(), 6.0);
-        assert!(exact_optimal(&sys, 5, 1.0).is_none());
+        assert!(optimum(&sys, 5, 1.0).is_none());
     }
 }

@@ -19,13 +19,6 @@ pub use baselines::{
     budgeted_max_coverage, greedy_max_coverage, greedy_partial_max_coverage,
     greedy_weighted_set_cover,
 };
-pub use cmc::{
-    cmc, cmc_on, cmc_within, CmcOutcome, CmcParams, LevelSchedule, Levels, CMC_COVERAGE_DISCOUNT,
-};
-pub use cwsc::{
-    cwsc, cwsc_on, cwsc_with_target, cwsc_with_target_on, cwsc_with_target_within, cwsc_within,
-};
-pub use exact::{
-    exact_optimal, exact_optimal_observed, exact_optimal_with_target,
-    exact_optimal_with_target_observed,
-};
+pub use cmc::{cmc, CmcOutcome, CmcParams, LevelSchedule, Levels, CMC_COVERAGE_DISCOUNT};
+pub use cwsc::cwsc;
+pub use exact::exact_optimal;

@@ -219,7 +219,8 @@ impl BitSet {
     /// most `self`'s set bits in that range, the suffix is a valid upper
     /// bound on the remaining contribution. Empty `self` blocks are
     /// skipped outright and trailing empty blocks end the scan, so the
-    /// full-scan case is never slower than [`difference_count`].
+    /// full-scan case is never slower than
+    /// [`difference_count`](Self::difference_count).
     ///
     /// A `threshold` of 0 disables the exit and always returns
     /// [`LimitedCount::Exact`].
@@ -374,7 +375,7 @@ impl BitSet {
 /// Per-block set-bit summary of one [`BitSet`]: the coarse "sketch" the
 /// pruned scan consults before (or instead of) an exact masked count.
 ///
-/// `counts[j]` is the popcount of block `j` ([`BLOCK_WORDS`] words);
+/// `counts[j]` is the popcount of block `j` (`BLOCK_WORDS` words);
 /// `suffix[j]` is the popcount of blocks `j..`. Both are upper bounds on
 /// any masked count restricted to those blocks, which is what makes the
 /// `_limited` kernels' early exit sound.

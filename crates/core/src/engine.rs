@@ -16,9 +16,9 @@
 //!   [`verify_certificate`](crate::solution::verify_certificate)
 //!   independently re-checks.
 //! * [`EngineError`] — structured failure: an ordinary [`SolveError`] or a
-//!   contained panic ([`EngineError::Panicked`]). Deadline-aware solvers
-//!   never let a worker panic escape as a panic.
-//! * [`FaultPlan`] (behind the `fault-inject` feature) — a seeded,
+//!   contained panic ([`EngineError::Panicked`]). Solvers never let a
+//!   worker panic escape as a panic.
+//! * `FaultPlan` (behind the `fault-inject` feature) — a seeded,
 //!   deterministic injector: worker panic at tick N, cancellation at tick
 //!   M, forced guess failure. Property tests use it to assert that no
 //!   input + fault schedule ever panics, hangs, or yields a certificate
@@ -27,8 +27,8 @@
 //! # Determinism contract
 //!
 //! Speculative budget guessing runs guesses on pool workers, which would
-//! interleave their ticks nondeterministically. Deadline-aware solvers
-//! therefore disable cross-guess speculation whenever the deadline is
+//! interleave their ticks nondeterministically. Solvers therefore
+//! disable cross-guess speculation whenever the deadline is
 //! *tick-addressed* ([`Deadline::tick_deterministic`]): guesses run in
 //! serial order (inner benefit scans still parallelize — scans do not
 //! tick), so the tick stream, the expiry point, and the outcome
@@ -89,8 +89,8 @@ impl fmt::Display for DegradeReason {
     }
 }
 
-/// A cooperative wall-clock and/or work-tick budget threaded through the
-/// deadline-aware solver entry points (`*_within`).
+/// A cooperative wall-clock and/or work-tick budget threaded through
+/// every solver entry point.
 ///
 /// Solvers call [`checkpoint`](Deadline::checkpoint) once per unit of
 /// decision work; the first failing checkpoint makes the solver return its
@@ -189,7 +189,7 @@ impl Deadline {
 
     /// True when expiry depends only on the tick stream (a tick budget is
     /// set, or an attached fault plan triggers on ticks) — the condition
-    /// under which deadline-aware solvers run guesses serially so the
+    /// under which solvers run guesses serially so the
     /// outcome is identical for every thread count.
     pub fn tick_deterministic(&self) -> bool {
         if self.max_ticks.is_some() {
@@ -208,7 +208,7 @@ impl Deadline {
     ///
     /// # Panics
     /// Only under the `fault-inject` feature, when the attached
-    /// [`FaultPlan`] schedules a panic at this tick — callers contain such
+    /// `FaultPlan` schedules a panic at this tick — callers contain such
     /// panics with `catch_unwind`.
     pub fn checkpoint(&self) -> Result<(), DegradeReason> {
         let t = self.ticks.fetch_add(1, Ordering::Relaxed) + 1;
@@ -520,11 +520,11 @@ pub struct Degraded<T> {
     pub certificate: Certificate,
 }
 
-/// What a deadline-aware solve produced.
+/// What a solve produced.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SolveOutcome<T> {
-    /// The solver finished normally; the value is exactly what the
-    /// non-deadline entry point would have returned.
+    /// The solver finished normally; the value is the full solve's answer
+    /// (an unbounded deadline always ends here or in an error).
     Complete(T),
     /// The deadline expired first; the partial prefix and certificate
     /// describe how far it got.
@@ -570,7 +570,7 @@ impl<T> SolveOutcome<T> {
     }
 }
 
-/// Structured failure of a deadline-aware solve.
+/// Structured failure of a solve.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
     /// An ordinary infeasibility error from the underlying solver.

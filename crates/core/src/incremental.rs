@@ -14,7 +14,9 @@
 //! sets. Arrivals that the current solution already covers cost
 //! `O(|sets containing the element|)` either way.
 
-use crate::algorithms::cwsc::cwsc_with_target;
+use crate::algorithms::cwsc::cwsc_to_target;
+use crate::engine::{Deadline, EngineError};
+use crate::parallel::{ThreadPool, Threads};
 use crate::set_system::{coverage_target, SetId, SetSystem};
 use crate::solution::{Solution, SolveError};
 use crate::telemetry::{pack_k_target, Event, NoopObserver, Observer, PhaseSpan, TraceId};
@@ -300,9 +302,21 @@ impl IncrementalCover {
         ));
         let span = PhaseSpan::enter(obs, PHASE_REPAIR_RESOLVE);
         let system = self.snapshot();
-        let result = cwsc_with_target(&system, self.k, self.target(), obs);
+        let pool = ThreadPool::new(Threads::serial());
+        let result = cwsc_to_target(
+            &system,
+            self.k,
+            self.target(),
+            &pool,
+            &Deadline::unbounded(),
+            obs,
+        );
         span.exit(obs);
-        let sol = result.map_err(IncrementalError::Solve)?;
+        let sol = match result {
+            Ok(outcome) => outcome.expect_complete("an unbounded deadline never expires"),
+            Err(EngineError::Solve(e)) => return Err(IncrementalError::Solve(e)),
+            Err(EngineError::Panicked(msg)) => panic!("CWSC re-solve panicked: {msg}"),
+        };
         self.install(&system, sol);
         self.resolves += 1;
         Ok(())
@@ -435,7 +449,17 @@ mod tests {
             m.push_element(sets).unwrap();
         }
         let snapshot = m.snapshot();
-        let fresh = cwsc_with_target(&snapshot, 2, m.target(), &mut Stats::new()).unwrap();
+        let pool = ThreadPool::new(Threads::serial());
+        let fresh = cwsc_to_target(
+            &snapshot,
+            2,
+            m.target(),
+            &pool,
+            &Deadline::unbounded(),
+            &mut Stats::new(),
+        )
+        .unwrap()
+        .expect_complete("unbounded deadline");
         // Incremental solution is valid; fresh CWSC may be cheaper but the
         // maintained one must still satisfy the requirements.
         assert!(m.covered() >= m.target());

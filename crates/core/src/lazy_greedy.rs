@@ -19,7 +19,6 @@
 //! [`CoverState`]: crate::cover_state::CoverState
 //! [`PrunedScan`]: crate::algorithms::scan::PrunedScan
 
-use crate::engine::{Deadline, DegradeReason};
 use crate::telemetry::{Event, NoopObserver, Observer};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -171,45 +170,6 @@ impl LazyGreedy {
         }
         None
     }
-
-    /// [`pop_max_observed`](LazyGreedy::pop_max_observed) under a
-    /// [`Deadline`]: consumes one work tick per pop attempt (stale pops
-    /// included, so runaway re-heapify chains stay interruptible) and
-    /// stops with `Err(reason)` when the deadline expires. The popped
-    /// entry order is unchanged from the deadline-free path.
-    pub fn pop_max_within<O: Observer + ?Sized>(
-        &mut self,
-        deadline: &Deadline,
-        obs: &mut O,
-        mut rescore: impl FnMut(u32) -> Option<(f64, f64)>,
-    ) -> Result<Option<(u32, f64)>, DegradeReason> {
-        loop {
-            deadline.checkpoint()?;
-            let Some(top) = self.heap.pop() else {
-                return Ok(None);
-            };
-            if top.epoch == self.epoch {
-                return Ok(Some((top.id, top.score)));
-            }
-            obs.on(&Event::HeapStalePop);
-            self.recomputations += 1;
-            if let Some((score, tie)) = rescore(top.id) {
-                debug_assert!(
-                    score <= top.score + 1e-9,
-                    "lazy-greedy requires non-increasing scores (id {}: {} -> {})",
-                    top.id,
-                    top.score,
-                    score
-                );
-                self.heap.push(Entry {
-                    score,
-                    tie,
-                    id: top.id,
-                    epoch: self.epoch,
-                });
-            }
-        }
-    }
 }
 
 impl Default for LazyGreedy {
@@ -328,38 +288,5 @@ mod tests {
         let mut lg = LazyGreedy::new();
         assert_eq!(lg.pop_max(|_| Some((0.0, 0.0))), None);
         assert_eq!(lg.len(), 0);
-    }
-
-    #[test]
-    fn deadline_pop_matches_plain_pop_when_unbounded() {
-        use crate::engine::Deadline;
-        use crate::telemetry::MetricsRecorder;
-        let mut a = LazyGreedy::with_candidates([(0, 10.0, 0.0), (1, 5.0, 0.0)]);
-        let mut b = LazyGreedy::with_candidates([(0, 10.0, 0.0), (1, 5.0, 0.0)]);
-        a.invalidate();
-        b.invalidate();
-        let current = [1.0, 5.0];
-        let plain = a.pop_max(|i| Some((current[i as usize], 0.0)));
-        let deadline = Deadline::unbounded();
-        let within = b
-            .pop_max_within(&deadline, &mut MetricsRecorder::new(), |i| {
-                Some((current[i as usize], 0.0))
-            })
-            .unwrap();
-        assert_eq!(plain, within);
-        assert!(deadline.ticks() >= 2, "stale pop + fresh pop each tick");
-    }
-
-    #[test]
-    fn deadline_pop_stops_mid_reheapify() {
-        use crate::engine::{Deadline, DegradeReason};
-        use crate::telemetry::MetricsRecorder;
-        let mut lg = LazyGreedy::with_candidates((0..16u32).map(|i| (i, 100.0 - i as f64, 0.0)));
-        lg.invalidate();
-        let deadline = Deadline::unbounded().with_tick_budget(3);
-        let err = lg
-            .pop_max_within(&deadline, &mut MetricsRecorder::new(), |_| Some((0.0, 0.0)))
-            .unwrap_err();
-        assert_eq!(err, DegradeReason::TickBudget);
     }
 }

@@ -19,7 +19,7 @@
 //!   logarithmic factor of optimal (Theorems 4–5).
 //!
 //! ```
-//! use scwsc_core::{SetSystem, algorithms, Stats};
+//! use scwsc_core::{algorithms, Deadline, SetSystem, Stats, ThreadPool, Threads};
 //!
 //! let mut b = SetSystem::builder(6);
 //! b.add_set([0, 1, 2], 3.0)
@@ -28,7 +28,12 @@
 //!     .add_universe_set(50.0); // Definition 1 requires a universe set
 //! let system = b.build().unwrap();
 //!
-//! let solution = algorithms::cwsc(&system, 2, 0.8, &mut Stats::new()).unwrap();
+//! // Every solver takes a thread pool and a deadline; an unbounded
+//! // deadline always completes.
+//! let pool = ThreadPool::new(Threads::serial());
+//! let solution = algorithms::cwsc(&system, 2, 0.8, &pool, &Deadline::unbounded(), &mut Stats::new())
+//!     .unwrap()
+//!     .expect_complete("an unbounded deadline never expires");
 //! assert!(solution.size() <= 2);
 //! assert!(solution.covered() >= 5); // ⌈0.8 · 6⌉
 //! ```

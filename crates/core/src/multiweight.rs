@@ -11,16 +11,14 @@
 //!   the solutions whose aggregate weight vectors are mutually
 //!   non-dominated, giving the decision-maker a trade-off frontier.
 
-use crate::algorithms::cwsc::{cwsc, cwsc_within};
+use crate::algorithms::cwsc::cwsc;
 use crate::engine::{Certificate, Deadline, DegradeReason, Degraded, EngineError, SolveOutcome};
 use crate::parallel::{ThreadPool, Threads};
 use crate::set_system::{coverage_target, ElementId, SetId, SetSystem};
 use crate::solution::{Solution, SolveError};
-use crate::telemetry::{
-    pack_k_target, Event, EventLog, NoopObserver, Observer, PhaseSpan, TraceId,
-};
+use crate::telemetry::{pack_k_target, Event, EventLog, Observer, PhaseSpan, TraceId};
 
-/// Span name for one whole [`pareto_sweep_with`] run. Distinct from
+/// Span name for one whole [`pareto_sweep`] run. Distinct from
 /// [`crate::telemetry::PHASE_TOTAL`] so the sweep's wrapper span does not
 /// double-count the inner solver runs' `"total"` spans in aggregations.
 pub const PHASE_SWEEP: &str = "pareto_sweep";
@@ -54,7 +52,7 @@ pub enum MultiWeightError {
     /// The underlying single-weight solver failed.
     Solve(SolveError),
     /// A solver worker panicked twice under the resilience engine
-    /// ([`pareto_sweep_within`]); carries the panic message.
+    /// ([`pareto_sweep`]); carries the panic message.
     Faulted(String),
 }
 
@@ -182,35 +180,47 @@ pub fn dominates(a: &[f64], b: &[f64]) -> bool {
 }
 
 /// Solves CWSC under each preference vector and keeps the non-dominated
-/// outcomes (by aggregate weight vector).
-pub fn pareto_sweep(
-    system: &MultiWeightSystem,
-    k: usize,
-    coverage_fraction: f64,
-    lambdas: &[Vec<f64>],
-) -> Result<Vec<ParetoPoint>, MultiWeightError> {
-    pareto_sweep_with(system, k, coverage_fraction, lambdas, &mut NoopObserver)
-}
-
-/// [`pareto_sweep`] reporting its work through an [`Observer`].
+/// outcomes (by aggregate weight vector), on `pool`, under `deadline`
+/// (DESIGN.md §12).
 ///
 /// The whole sweep runs inside a [`PHASE_SWEEP`] span; each preference
 /// vector contributes a [`PHASE_SCALARIZE`] span and the inner solver's own
 /// events (including its `"total"` span), and the final dominance filter
 /// runs inside a [`PHASE_FILTER`] span.
-pub fn pareto_sweep_with<O: Observer + ?Sized>(
+///
+/// The deadline is shared across the whole sweep: every inner [`cwsc`]
+/// round consumes a work tick, so a tick budget bounds total sweep work,
+/// not per-λ work. On expiry the frontier built from the λs completed so
+/// far returns as [`SolveOutcome::Degraded`]; the in-flight λ's partial
+/// picks are dropped (a trade-off *frontier* made of half-solved points
+/// would be misleading). The certificate reuses its fields as sweep
+/// progress: `covered` = λs completed, `target` = total λs, `sets_used` =
+/// frontier size, `total_cost` = 0.
+///
+/// Under a tick-addressed deadline (or a serial pool) λs run sequentially
+/// in order — the inner solver's scans still parallelize — so outcomes
+/// match between thread counts. Otherwise λs fan out, one serial solve per
+/// task recording into a private [`EventLog`]; the logs replay into `obs`
+/// in λ order, so the observer sees the serial event stream and the
+/// frontier (built from points in λ order) is the serial one. On error the
+/// logs up to and including the first failing λ replay before the error
+/// returns, matching the serial early exit. A twice-panicking solver
+/// surfaces as [`MultiWeightError::Faulted`].
+pub fn pareto_sweep<O: Observer + ?Sized>(
     system: &MultiWeightSystem,
     k: usize,
     coverage_fraction: f64,
     lambdas: &[Vec<f64>],
+    pool: &ThreadPool,
+    deadline: &Deadline,
     obs: &mut O,
-) -> Result<Vec<ParetoPoint>, MultiWeightError> {
+) -> Result<SolveOutcome<Vec<ParetoPoint>>, MultiWeightError> {
     obs.on(&Event::TraceStarted(
         sweep_trace_id(system, k, coverage_fraction),
         "pareto_sweep",
     ));
     let sweep_span = PhaseSpan::enter(obs, PHASE_SWEEP);
-    let result = run_sweep(system, k, coverage_fraction, lambdas, obs);
+    let result = run_sweep(system, k, coverage_fraction, lambdas, pool, deadline, obs);
     sweep_span.exit(obs);
     result
 }
@@ -224,31 +234,6 @@ fn sweep_trace_id(system: &MultiWeightSystem, k: usize, coverage_fraction: f64) 
         system.num_elements as u64,
         pack_k_target(k, target),
     )
-}
-
-/// The sweep body, wrapped by [`pareto_sweep_with`]'s outer span.
-fn run_sweep<O: Observer + ?Sized>(
-    system: &MultiWeightSystem,
-    k: usize,
-    coverage_fraction: f64,
-    lambdas: &[Vec<f64>],
-    obs: &mut O,
-) -> Result<Vec<ParetoPoint>, MultiWeightError> {
-    let mut points: Vec<ParetoPoint> = Vec::new();
-    for lambda in lambdas {
-        let scalarize_span = PhaseSpan::enter(obs, PHASE_SCALARIZE);
-        let scalar = system.scalarize(lambda);
-        scalarize_span.exit(obs);
-        let scalar = scalar?;
-        let solution = cwsc(&scalar, k, coverage_fraction, obs).map_err(MultiWeightError::Solve)?;
-        let weights = system.aggregate(solution.sets());
-        points.push(ParetoPoint {
-            lambda: lambda.clone(),
-            solution,
-            weights,
-        });
-    }
-    Ok(pareto_filter(points, obs))
 }
 
 /// The final dominance filter (also drops duplicate weight vectors),
@@ -270,205 +255,16 @@ fn pareto_filter<O: Observer + ?Sized>(points: Vec<ParetoPoint>, obs: &mut O) ->
     frontier
 }
 
-/// [`pareto_sweep_with`] on a thread pool: the per-λ scalarize + solve
-/// tasks are independent, so they fan out one task per preference vector.
-///
-/// Each task records its events into a private [`EventLog`]; the logs
-/// replay into `obs` in λ order, so the observer sees the exact serial
-/// event stream for any thread count, and the frontier (built from
-/// points in λ order) is identical to [`pareto_sweep_with`]. On error
-/// the logs up to and including the first failing λ replay before the
-/// error returns, matching the serial early-exit; later λs' completed
-/// work is discarded unreported. A serial pool delegates outright.
-pub fn pareto_sweep_on<O: Observer + ?Sized>(
-    system: &MultiWeightSystem,
-    k: usize,
-    coverage_fraction: f64,
-    lambdas: &[Vec<f64>],
-    pool: &ThreadPool,
-    obs: &mut O,
-) -> Result<Vec<ParetoPoint>, MultiWeightError> {
-    if pool.is_serial() {
-        return pareto_sweep_with(system, k, coverage_fraction, lambdas, obs);
-    }
-    obs.on(&Event::TraceStarted(
-        sweep_trace_id(system, k, coverage_fraction),
-        "pareto_sweep",
-    ));
-    let sweep_span = PhaseSpan::enter(obs, PHASE_SWEEP);
-    let result = run_sweep_parallel(system, k, coverage_fraction, lambdas, pool, obs);
-    sweep_span.exit(obs);
-    result
-}
-
-/// The parallel sweep body, wrapped by [`pareto_sweep_on`]'s outer span.
-fn run_sweep_parallel<O: Observer + ?Sized>(
-    system: &MultiWeightSystem,
-    k: usize,
-    coverage_fraction: f64,
-    lambdas: &[Vec<f64>],
-    pool: &ThreadPool,
-    obs: &mut O,
-) -> Result<Vec<ParetoPoint>, MultiWeightError> {
-    let solved: Vec<(EventLog, Result<ParetoPoint, MultiWeightError>)> =
-        pool.par_map(lambdas, |lambda| {
-            let mut log = EventLog::new();
-            let scalarize_span = PhaseSpan::enter(&mut log, PHASE_SCALARIZE);
-            let scalar = system.scalarize(lambda);
-            scalarize_span.exit(&mut log);
-            let point = scalar.and_then(|scalar| {
-                let solution = cwsc(&scalar, k, coverage_fraction, &mut log)
-                    .map_err(MultiWeightError::Solve)?;
-                let weights = system.aggregate(solution.sets());
-                Ok(ParetoPoint {
-                    lambda: lambda.clone(),
-                    solution,
-                    weights,
-                })
-            });
-            (log, point)
-        });
-    let mut points: Vec<ParetoPoint> = Vec::with_capacity(solved.len());
-    for (log, point) in solved {
-        log.replay(obs);
-        points.push(point?);
-    }
-    Ok(pareto_filter(points, obs))
-}
-
-/// [`pareto_sweep_on`] under a [`Deadline`]: the resilience-engine sweep
-/// (DESIGN.md §12).
-///
-/// The deadline is shared across the whole sweep: every inner
-/// [`cwsc_within`] round consumes a work tick, so a tick budget bounds
-/// total sweep work, not per-λ work. On expiry the frontier built from
-/// the λs completed so far returns as [`SolveOutcome::Degraded`]; the
-/// in-flight λ's partial picks are dropped (a trade-off *frontier* made
-/// of half-solved points would be misleading). The certificate reuses
-/// its fields as sweep progress: `covered` = λs completed, `target` =
-/// total λs, `sets_used` = frontier size, `total_cost` = 0.
-///
-/// Determinism: under a tick-addressed deadline (or a serial pool) λs run
-/// sequentially in order — the inner solver's scans still parallelize —
-/// so outcomes match between thread counts. Wall-clock-only deadlines on
-/// a parallel pool fan λs out (one serial solve per worker, resolved in λ
-/// order). A twice-panicking solver surfaces as
-/// [`MultiWeightError::Faulted`].
-pub fn pareto_sweep_within<O: Observer + ?Sized>(
-    system: &MultiWeightSystem,
-    k: usize,
-    coverage_fraction: f64,
-    lambdas: &[Vec<f64>],
-    pool: &ThreadPool,
-    deadline: &Deadline,
-    obs: &mut O,
-) -> Result<SolveOutcome<Vec<ParetoPoint>>, MultiWeightError> {
-    obs.on(&Event::TraceStarted(
-        sweep_trace_id(system, k, coverage_fraction),
-        "pareto_sweep",
-    ));
-    let sweep_span = PhaseSpan::enter(obs, PHASE_SWEEP);
-    let result = if pool.is_serial() || deadline.tick_deterministic() {
-        run_sweep_within(system, k, coverage_fraction, lambdas, pool, deadline, obs)
-    } else {
-        run_sweep_within_parallel(system, k, coverage_fraction, lambdas, pool, deadline, obs)
-    };
-    sweep_span.exit(obs);
-    result
-}
-
-/// Wraps the surviving points (and how many λs completed) as a sweep
-/// outcome: `Complete` when every λ finished, `Degraded` with a
-/// progress-shaped certificate otherwise.
-fn sweep_outcome<O: Observer + ?Sized>(
-    points: Vec<ParetoPoint>,
-    total_lambdas: usize,
-    degraded: Option<DegradeReason>,
-    deadline: &Deadline,
-    obs: &mut O,
-) -> SolveOutcome<Vec<ParetoPoint>> {
-    let completed = points.len();
-    let frontier = pareto_filter(points, obs);
-    match degraded {
-        None => SolveOutcome::Complete(frontier),
-        Some(reason) => {
-            let certificate = Certificate {
-                sets_used: frontier.len(),
-                covered: completed,
-                target: total_lambdas,
-                total_cost: 0.0,
-                quotas_exhausted: Vec::new(),
-                ticks: deadline.ticks(),
-                reason,
-            };
-            SolveOutcome::Degraded(Degraded {
-                partial: frontier,
-                certificate,
-            })
-        }
-    }
-}
-
-/// Sequential deadline-aware sweep body: λs in order, shared deadline.
-#[allow(clippy::too_many_arguments)]
-fn run_sweep_within<O: Observer + ?Sized>(
-    system: &MultiWeightSystem,
-    k: usize,
-    coverage_fraction: f64,
-    lambdas: &[Vec<f64>],
-    pool: &ThreadPool,
-    deadline: &Deadline,
-    obs: &mut O,
-) -> Result<SolveOutcome<Vec<ParetoPoint>>, MultiWeightError> {
-    let mut points: Vec<ParetoPoint> = Vec::new();
-    let mut degraded: Option<DegradeReason> = None;
-    for lambda in lambdas {
-        if let Some(reason) = deadline.expired() {
-            degraded = Some(reason);
-            break;
-        }
-        let scalarize_span = PhaseSpan::enter(obs, PHASE_SCALARIZE);
-        let scalar = system.scalarize(lambda);
-        scalarize_span.exit(obs);
-        let scalar = scalar?;
-        match cwsc_within(&scalar, k, coverage_fraction, pool, deadline, obs) {
-            Ok(SolveOutcome::Complete(solution)) => {
-                let weights = system.aggregate(solution.sets());
-                points.push(ParetoPoint {
-                    lambda: lambda.clone(),
-                    solution,
-                    weights,
-                });
-            }
-            Ok(SolveOutcome::Degraded(d)) => {
-                degraded = Some(d.certificate.reason);
-                break;
-            }
-            Err(EngineError::Solve(e)) => return Err(MultiWeightError::Solve(e)),
-            Err(EngineError::Panicked(msg)) => return Err(MultiWeightError::Faulted(msg)),
-        }
-    }
-    Ok(sweep_outcome(
-        points,
-        lambdas.len(),
-        degraded,
-        deadline,
-        obs,
-    ))
-}
-
-/// How one fanned-out λ task ended.
+/// How one λ's scalarize + solve ended.
 enum LambdaOutcome {
     Point(Box<ParetoPoint>),
     Expired(DegradeReason),
     Error(MultiWeightError),
 }
 
-/// Parallel (wall-clock-only) deadline-aware sweep body: one task per λ,
-/// each solving serially under the shared deadline; logs and outcomes
-/// resolve in λ order.
-#[allow(clippy::too_many_arguments)]
-fn run_sweep_within_parallel<O: Observer + ?Sized>(
+/// The sweep body. Each λ records into its own [`EventLog`]; logs and
+/// outcomes resolve in λ order, stopping at the first expiry or error.
+fn run_sweep<O: Observer + ?Sized>(
     system: &MultiWeightSystem,
     k: usize,
     coverage_fraction: f64,
@@ -477,7 +273,7 @@ fn run_sweep_within_parallel<O: Observer + ?Sized>(
     deadline: &Deadline,
     obs: &mut O,
 ) -> Result<SolveOutcome<Vec<ParetoPoint>>, MultiWeightError> {
-    let solved: Vec<(EventLog, LambdaOutcome)> = pool.par_map(lambdas, |lambda| {
+    let solve = |lambda: &Vec<f64>, pool: &ThreadPool| {
         let mut log = EventLog::new();
         if let Some(reason) = deadline.expired() {
             return (log, LambdaOutcome::Expired(reason));
@@ -489,11 +285,7 @@ fn run_sweep_within_parallel<O: Observer + ?Sized>(
             Ok(scalar) => scalar,
             Err(e) => return (log, LambdaOutcome::Error(e)),
         };
-        // Each task solves serially (the pool's workers are busy with
-        // sibling λs); cwsc_within supplies catch_unwind containment.
-        let serial = ThreadPool::new(Threads::serial());
-        let outcome = match cwsc_within(&scalar, k, coverage_fraction, &serial, deadline, &mut log)
-        {
+        let outcome = match cwsc(&scalar, k, coverage_fraction, pool, deadline, &mut log) {
             Ok(SolveOutcome::Complete(solution)) => {
                 let weights = system.aggregate(solution.sets());
                 LambdaOutcome::Point(Box::new(ParetoPoint {
@@ -507,8 +299,23 @@ fn run_sweep_within_parallel<O: Observer + ?Sized>(
             Err(EngineError::Panicked(msg)) => LambdaOutcome::Error(MultiWeightError::Faulted(msg)),
         };
         (log, outcome)
-    });
-    let mut points: Vec<ParetoPoint> = Vec::with_capacity(solved.len());
+    };
+    // λs run one after another, each solve using the whole pool, on a
+    // serial pool or under a tick-addressed deadline; the iterator is
+    // lazy, so nothing runs past the first expiry or error. Otherwise
+    // they fan out one task per λ, each solving serially (the pool's
+    // workers are busy with sibling λs).
+    let serial = ThreadPool::new(Threads::serial());
+    let solved: Box<dyn Iterator<Item = (EventLog, LambdaOutcome)>> =
+        if pool.is_serial() || deadline.tick_deterministic() {
+            Box::new(lambdas.iter().map(|lambda| solve(lambda, pool)))
+        } else {
+            Box::new(
+                pool.par_map(lambdas, |lambda| solve(lambda, &serial))
+                    .into_iter(),
+            )
+        };
+    let mut points: Vec<ParetoPoint> = Vec::with_capacity(lambdas.len());
     let mut degraded: Option<DegradeReason> = None;
     for (log, outcome) in solved {
         log.replay(obs);
@@ -521,18 +328,55 @@ fn run_sweep_within_parallel<O: Observer + ?Sized>(
             LambdaOutcome::Error(e) => return Err(e),
         }
     }
-    Ok(sweep_outcome(
-        points,
-        lambdas.len(),
-        degraded,
-        deadline,
-        obs,
-    ))
+    let completed = points.len();
+    let frontier = pareto_filter(points, obs);
+    Ok(match degraded {
+        None => SolveOutcome::Complete(frontier),
+        Some(reason) => {
+            let certificate = Certificate {
+                sets_used: frontier.len(),
+                covered: completed,
+                target: lambdas.len(),
+                total_cost: 0.0,
+                quotas_exhausted: Vec::new(),
+                ticks: deadline.ticks(),
+                reason,
+            };
+            SolveOutcome::Degraded(Degraded {
+                partial: frontier,
+                certificate,
+            })
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::NoopObserver;
+
+    /// [`pareto_sweep`] on `threads` workers without a deadline, unwrapped
+    /// to the complete frontier or the sweep error.
+    fn sweep(
+        system: &MultiWeightSystem,
+        k: usize,
+        coverage: f64,
+        lambdas: &[Vec<f64>],
+        threads: usize,
+        obs: &mut dyn Observer,
+    ) -> Result<Vec<ParetoPoint>, MultiWeightError> {
+        let pool = ThreadPool::new(Threads::new(threads));
+        pareto_sweep(
+            system,
+            k,
+            coverage,
+            lambdas,
+            &pool,
+            &Deadline::unbounded(),
+            obs,
+        )
+        .map(|out| out.expect_complete("unbounded deadline"))
+    }
 
     /// Two criteria pulling in opposite directions: set 0 is cheap on the
     /// first criterion, set 1 on the second; both cover the left half. Set
@@ -602,7 +446,7 @@ mod tests {
     fn pareto_sweep_finds_both_extremes() {
         let s = system();
         let lambdas = vec![vec![1.0, 0.0], vec![0.0, 1.0], vec![0.5, 0.5]];
-        let frontier = pareto_sweep(&s, 1, 0.5, &lambdas).unwrap();
+        let frontier = sweep(&s, 1, 0.5, &lambdas, 1, &mut NoopObserver).unwrap();
         // λ=(1,0) picks set 0 (weights [1,9]); λ=(0,1) picks set 1 ([9,1]);
         // both are non-dominated. λ=(.5,.5) picks one of them again (cost 5
         // each beats universe's 5? tie on gain 2/5 vs 4/5 for universe --
@@ -618,7 +462,7 @@ mod tests {
         let s = system();
         // λ = (1,0) twice and (2,0): all pick set 0 -> duplicates collapse.
         let lambdas = vec![vec![1.0, 0.0], vec![1.0, 0.0], vec![2.0, 0.0]];
-        let frontier = pareto_sweep(&s, 1, 0.5, &lambdas).unwrap();
+        let frontier = sweep(&s, 1, 0.5, &lambdas, 1, &mut NoopObserver).unwrap();
         assert_eq!(frontier.len(), 1);
         assert_eq!(frontier[0].weights, vec![1.0, 9.0]);
     }
@@ -627,18 +471,8 @@ mod tests {
     fn sweep_propagates_solver_failure() {
         let mut s = MultiWeightSystem::new(4, 1);
         s.add_set([0], vec![1.0]).unwrap();
-        let err = pareto_sweep(&s, 1, 1.0, &[vec![1.0]]).unwrap_err();
+        let err = sweep(&s, 1, 1.0, &[vec![1.0]], 1, &mut NoopObserver).unwrap_err();
         assert!(matches!(err, MultiWeightError::Solve(_)));
-    }
-
-    #[test]
-    fn sweep_with_observer_matches_plain_sweep() {
-        let s = system();
-        let lambdas = vec![vec![1.0, 0.0], vec![0.0, 1.0], vec![0.5, 0.5]];
-        let plain = pareto_sweep(&s, 1, 0.5, &lambdas).unwrap();
-        let mut profiler = crate::telemetry::SpanProfiler::new();
-        let observed = pareto_sweep_with(&s, 1, 0.5, &lambdas, &mut profiler).unwrap();
-        assert_eq!(plain, observed);
     }
 
     #[test]
@@ -646,7 +480,7 @@ mod tests {
         let s = system();
         let lambdas = vec![vec![1.0, 0.0], vec![0.0, 1.0]];
         let mut profiler = crate::telemetry::SpanProfiler::new();
-        pareto_sweep_with(&s, 1, 0.5, &lambdas, &mut profiler).unwrap();
+        sweep(&s, 1, 0.5, &lambdas, 1, &mut profiler).unwrap();
         assert_eq!(profiler.open_spans(), 0, "all spans must be closed");
         // The sweep is the run's only top-level span, so it becomes the root.
         let sweep = profiler.tree();
@@ -671,10 +505,9 @@ mod tests {
             .map(|i| vec![i as f64 / 7.0, 1.0 - i as f64 / 7.0])
             .collect();
         let mut serial_m = crate::telemetry::MetricsRecorder::new();
-        let serial = pareto_sweep_with(&s, 1, 0.5, &lambdas, &mut serial_m).unwrap();
-        let pool = ThreadPool::new(crate::parallel::Threads::new(4));
+        let serial = sweep(&s, 1, 0.5, &lambdas, 1, &mut serial_m).unwrap();
         let mut par_m = crate::telemetry::MetricsRecorder::new();
-        let par = pareto_sweep_on(&s, 1, 0.5, &lambdas, &pool, &mut par_m).unwrap();
+        let par = sweep(&s, 1, 0.5, &lambdas, 4, &mut par_m).unwrap();
         assert_eq!(serial, par);
         assert_eq!(par_m.selections, serial_m.selections);
         assert_eq!(par_m.benefits_computed, serial_m.benefits_computed);
@@ -689,10 +522,8 @@ mod tests {
     fn parallel_sweep_propagates_error_like_serial() {
         let mut s = MultiWeightSystem::new(4, 1);
         s.add_set([0], vec![1.0]).unwrap();
-        let pool = ThreadPool::new(crate::parallel::Threads::new(4));
         let mut profiler = crate::telemetry::SpanProfiler::new();
-        let err =
-            pareto_sweep_on(&s, 1, 1.0, &[vec![1.0], vec![2.0]], &pool, &mut profiler).unwrap_err();
+        let err = sweep(&s, 1, 1.0, &[vec![1.0], vec![2.0]], 4, &mut profiler).unwrap_err();
         assert!(matches!(err, MultiWeightError::Solve(_)));
         assert_eq!(profiler.open_spans(), 0, "error paths must close spans");
     }
@@ -701,15 +532,13 @@ mod tests {
     fn sweep_span_closed_on_scalarize_error() {
         let s = system();
         let mut profiler = crate::telemetry::SpanProfiler::new();
-        let err = pareto_sweep_with(&s, 1, 0.5, &[vec![1.0]], &mut profiler).unwrap_err();
+        let err = sweep(&s, 1, 0.5, &[vec![1.0]], 1, &mut profiler).unwrap_err();
         assert!(matches!(err, MultiWeightError::WrongArity { .. }));
         assert_eq!(profiler.open_spans(), 0, "error paths must close spans");
     }
 
     mod within {
         use super::*;
-        use crate::engine::{Deadline, DegradeReason, SolveOutcome};
-        use crate::parallel::Threads;
         use crate::telemetry::MetricsRecorder;
 
         fn lambdas() -> Vec<Vec<f64>> {
@@ -719,33 +548,13 @@ mod tests {
         }
 
         #[test]
-        fn unbounded_deadline_matches_plain_sweep() {
-            let s = system();
-            let plain = pareto_sweep(&s, 1, 0.5, &lambdas()).unwrap();
-            for threads in [1, 4] {
-                let pool = ThreadPool::new(Threads::new(threads));
-                let out = pareto_sweep_within(
-                    &s,
-                    1,
-                    0.5,
-                    &lambdas(),
-                    &pool,
-                    &Deadline::unbounded(),
-                    &mut MetricsRecorder::new(),
-                )
-                .unwrap();
-                assert_eq!(out.expect_complete("unbounded"), plain, "threads {threads}");
-            }
-        }
-
-        #[test]
         fn tick_budget_degrades_with_progress_certificate() {
             let s = system();
             for budget in [0u64, 1, 3] {
                 let run = |threads: usize| {
                     let pool = ThreadPool::new(Threads::new(threads));
                     let deadline = Deadline::unbounded().with_tick_budget(budget);
-                    pareto_sweep_within(
+                    pareto_sweep(
                         &s,
                         1,
                         0.5,
@@ -773,7 +582,7 @@ mod tests {
             let mut s = MultiWeightSystem::new(4, 1);
             s.add_set([0], vec![1.0]).unwrap();
             let pool = ThreadPool::new(Threads::serial());
-            let err = pareto_sweep_within(
+            let err = pareto_sweep(
                 &s,
                 1,
                 1.0,

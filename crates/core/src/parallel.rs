@@ -458,7 +458,7 @@ impl<'env> Scope<'_, 'env> {
 ///
 /// Cancellation is advisory: a task checks [`CancelToken::is_cancelled`]
 /// at loop boundaries and abandons work early. Used by the speculative
-/// budget-guess window in `algorithms::cmc_on`, where a guess is cancelled
+/// budget-guess window in `algorithms::cmc`, where a guess is cancelled
 /// only once a *smaller* budget has already succeeded — so cancelled work
 /// is provably never needed for the result.
 #[derive(Debug, Default)]

@@ -15,7 +15,7 @@
 //! contract promises callers a *checked* partial answer, and only the
 //! instance knows how to recompute the claims.
 
-use crate::algorithms::{cmc_within, cwsc_within, CmcParams};
+use crate::algorithms::{cmc, cwsc, CmcParams};
 use crate::engine::{Deadline, EngineError, SolveOutcome};
 use crate::parallel::ThreadPool;
 use crate::set_system::SetSystem;
@@ -232,8 +232,7 @@ impl Solver for SystemInstance {
             Algorithm::Cwsc => {
                 let target =
                     crate::set_system::coverage_target(self.system.num_elements(), query.coverage);
-                let outcome =
-                    cwsc_within(&self.system, query.k, query.coverage, pool, deadline, obs)?;
+                let outcome = cwsc(&self.system, query.k, query.coverage, pool, deadline, obs)?;
                 Ok(match outcome {
                     SolveOutcome::Complete(s) => SolveOutcome::Complete(to_answer(&s, target)),
                     SolveOutcome::Degraded(d) => {
@@ -250,7 +249,7 @@ impl Solver for SystemInstance {
             Algorithm::Cmc => {
                 let params = query.cmc_params();
                 let target = params.coverage_target(self.system.num_elements());
-                let outcome = cmc_within(&self.system, &params, pool, deadline, obs)?;
+                let outcome = cmc(&self.system, &params, pool, deadline, obs)?;
                 Ok(match outcome {
                     SolveOutcome::Complete(o) => {
                         SolveOutcome::Complete(to_answer(&o.solution, target))

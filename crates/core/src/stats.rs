@@ -4,7 +4,7 @@
 //! (marginal) benefit an algorithm computed; for CMC that is summed over
 //! all budget guesses. [`Stats`] is the classic three-counter view of a
 //! run, kept as a thin adapter over the richer
-//! [`Observer`](crate::telemetry::Observer) event stream: solvers emit
+//! [`Observer`] event stream: solvers emit
 //! events, and a `&mut Stats` passed as the observer aggregates them into
 //! the same counters the experiment harness always reported.
 

@@ -278,7 +278,7 @@ impl LogHistogram {
     /// power-of-two bucket), which is the standard trade for an
     /// allocation-light always-on histogram; p50/p90/p99 derived here are
     /// the SLO surface exported by
-    /// [`render_prometheus`](crate::telemetry::render_prometheus).
+    /// [`render_prometheus`].
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;

@@ -27,9 +27,9 @@ use std::sync::{Mutex, MutexGuard};
 ///
 /// Solvers record one event per candidate or pop on their hottest
 /// paths, so a log can hold hundreds of thousands of events. Each is
-/// kept in 16 bytes ([`Logged`]) rather than as a 64-byte [`Event`]:
-/// the per-candidate counter events inline, the rare larger ones in a
-/// side list.
+/// kept in a 16-byte `Logged` record rather than as a 64-byte
+/// [`Event`]: the per-candidate counter events inline, the rare larger
+/// ones in a side list.
 #[derive(Debug, Clone, Default)]
 pub struct EventLog {
     events: Vec<Logged>,

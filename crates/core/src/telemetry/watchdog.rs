@@ -15,7 +15,7 @@
 //! 2. **watch** — a background [`monitor`](Watchdog::monitor) thread
 //!    polls combined progress: observer events seen (every event bumps a
 //!    counter) *plus* engine ticks via a
-//!    [`TickProbe`](crate::engine::TickProbe), so a solver that goes
+//!    [`TickProbe`], so a solver that goes
 //!    quiet on telemetry but keeps checkpointing is still live;
 //! 3. **fire** — when progress stands still for the configured
 //!    `stall_after`, it records one `stall_detected` event into the
@@ -115,8 +115,8 @@ impl Watchdog {
         self
     }
 
-    /// Attach an engine tick probe ([`Deadline::tick_probe`]
-    /// (crate::engine::Deadline::tick_probe)) so checkpoint progress
+    /// Attach an engine tick probe
+    /// ([`Deadline::tick_probe`](crate::engine::Deadline::tick_probe)) so checkpoint progress
     /// counts as liveness even when no observer events flow.
     pub fn with_probe(self, probe: TickProbe) -> Watchdog {
         *self.inner.probe.lock().expect("watchdog probe poisoned") = Some(probe);

@@ -10,7 +10,7 @@
 //! clock:
 //!
 //! * a "window slot" is one completed solve (one closed root
-//!   [`PHASE_TOTAL`](super::PHASE_TOTAL) span), identified by its
+//!   [`PHASE_TOTAL`] span), identified by its
 //!   position in the deterministic event stream;
 //! * every windowed value is a deterministic work counter (selections,
 //!   benefit computations, degraded flags) — wall-clock durations are

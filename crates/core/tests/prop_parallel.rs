@@ -6,9 +6,9 @@
 //! gated out of the exact-diff set by design.
 
 use proptest::prelude::*;
-use scwsc_core::algorithms::{cmc, cmc_on, cwsc, cwsc_on, CmcParams};
-use scwsc_core::multiweight::{pareto_sweep_on, pareto_sweep_with, MultiWeightSystem};
-use scwsc_core::{MetricsRecorder, SetSystem, ThreadPool, Threads};
+use scwsc_core::algorithms::{cmc, cwsc, CmcParams};
+use scwsc_core::multiweight::{pareto_sweep, MultiWeightSystem};
+use scwsc_core::{Deadline, MetricsRecorder, SetSystem, SolveOutcome, ThreadPool, Threads};
 
 /// Deterministic LCG-driven random set system: `num_sets` small random
 /// sets plus a universe set so every instance is solvable.
@@ -90,16 +90,18 @@ proptest! {
         threads in 2usize..5,
     ) {
         let sys = lcg_system(num_elements, num_sets, seed);
+        let serial_pool = ThreadPool::new(Threads::serial());
         let pool = ThreadPool::new(Threads::new(threads));
+        let deadline = Deadline::unbounded();
         let coverage = 0.8;
 
         // CWSC: one greedy round.
         let mut sm = MetricsRecorder::new();
-        let serial = cwsc(&sys, k, coverage, &mut sm);
+        let serial = cwsc(&sys, k, coverage, &serial_pool, &deadline, &mut sm);
         let mut pm = MetricsRecorder::new();
-        let parallel = cwsc_on(&sys, k, coverage, &pool, &mut pm);
+        let parallel = cwsc(&sys, k, coverage, &pool, &deadline, &mut pm);
         prop_assert_eq!(&parallel, &serial, "cwsc solutions");
-        if let (Ok(s), Ok(p)) = (&serial, &parallel) {
+        if let (Ok(SolveOutcome::Complete(s)), Ok(SolveOutcome::Complete(p))) = (&serial, &parallel) {
             prop_assert_eq!(p.total_cost(), s.total_cost(), "cwsc cost");
         }
         assert_counters_equal(&sm, &pm, "cwsc");
@@ -107,11 +109,11 @@ proptest! {
         // CMC: budget doubling with speculative parallel guessing.
         let params = CmcParams::classic(k, coverage, 1.0);
         let mut sm = MetricsRecorder::new();
-        let serial = cmc(&sys, &params, &mut sm);
+        let serial = cmc(&sys, &params, &serial_pool, &deadline, &mut sm);
         let mut pm = MetricsRecorder::new();
-        let parallel = cmc_on(&sys, &params, &pool, &mut pm);
+        let parallel = cmc(&sys, &params, &pool, &deadline, &mut pm);
         prop_assert_eq!(&parallel, &serial, "cmc outcomes");
-        if let (Ok(s), Ok(p)) = (&serial, &parallel) {
+        if let (Ok(SolveOutcome::Complete(s)), Ok(SolveOutcome::Complete(p))) = (&serial, &parallel) {
             prop_assert_eq!(p.final_budget, s.final_budget, "cmc budget");
             prop_assert_eq!(
                 p.solution.total_cost(),
@@ -141,9 +143,9 @@ proptest! {
             })
             .collect();
         let mut sm = MetricsRecorder::new();
-        let serial = pareto_sweep_with(&mw, k, coverage, &lambdas, &mut sm);
+        let serial = pareto_sweep(&mw, k, coverage, &lambdas, &serial_pool, &deadline, &mut sm);
         let mut pm = MetricsRecorder::new();
-        let parallel = pareto_sweep_on(&mw, k, coverage, &lambdas, &pool, &mut pm);
+        let parallel = pareto_sweep(&mw, k, coverage, &lambdas, &pool, &deadline, &mut pm);
         prop_assert_eq!(&parallel, &serial, "pareto fronts");
         assert_counters_equal(&sm, &pm, "pareto_sweep");
     }

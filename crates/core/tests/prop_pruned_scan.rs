@@ -23,12 +23,12 @@ use proptest::prelude::*;
 use scwsc_core::algorithms::scan::{
     build_masks, masked_top, masked_top_pruned, PrunedScan, ScanOrder,
 };
-use scwsc_core::algorithms::{cmc, cmc_on, cwsc, cwsc_on, CmcParams};
+use scwsc_core::algorithms::{cmc, cwsc, CmcParams};
 use scwsc_core::parallel::PRUNE_ENV;
 use scwsc_core::telemetry::audit::DecisionLedger;
 use scwsc_core::{
-    BitSet, Fanout, MetricsRecorder, NoopObserver, SetId, SetSystem, ThreadLocalTelemetry,
-    ThreadPool, Threads,
+    BitSet, Deadline, Fanout, MetricsRecorder, NoopObserver, SetId, SetSystem,
+    ThreadLocalTelemetry, ThreadPool, Threads,
 };
 
 /// Deterministic LCG-driven random set system. `skewed` switches the
@@ -103,26 +103,20 @@ fn solve_both(
     sys: &SetSystem,
     k: usize,
     coverage: f64,
-    pool: Option<&ThreadPool>,
+    pool: &ThreadPool,
 ) -> (String, MetricsRecorder, Vec<u8>) {
     let mut metrics = MetricsRecorder::new();
     let mut ledger = DecisionLedger::new();
     let cwsc_out = {
         let mut fanout = Fanout::new();
         fanout.attach(&mut metrics).attach(&mut ledger);
-        match pool {
-            Some(p) => cwsc_on(sys, k, coverage, p, &mut fanout),
-            None => cwsc(sys, k, coverage, &mut fanout),
-        }
+        cwsc(sys, k, coverage, pool, &Deadline::unbounded(), &mut fanout)
     };
     let params = CmcParams::classic(k, coverage, 1.0);
     let cmc_out = {
         let mut fanout = Fanout::new();
         fanout.attach(&mut metrics).attach(&mut ledger);
-        match pool {
-            Some(p) => cmc_on(sys, &params, p, &mut fanout),
-            None => cmc(sys, &params, &mut fanout),
-        }
+        cmc(sys, &params, pool, &Deadline::unbounded(), &mut fanout)
     };
     // The Debug rendering pins ids, costs, and coverage of both runs.
     let outcome = format!("cwsc={cwsc_out:?} cmc={cmc_out:?}");
@@ -200,12 +194,12 @@ proptest! {
         // and on the pool — and the pruned pool run must byte-match the
         // pruned serial run (thread-count determinism).
         let coverage = 0.8;
+        let serial = ThreadPool::new(Threads::serial());
         std::env::set_var(PRUNE_ENV, "0");
-        let (exact_out, exact_metrics, exact_jsonl) = solve_both(&sys, k, coverage, None);
+        let (exact_out, exact_metrics, exact_jsonl) = solve_both(&sys, k, coverage, &serial);
         std::env::set_var(PRUNE_ENV, "1");
-        let (pruned_out, pruned_metrics, pruned_jsonl) = solve_both(&sys, k, coverage, None);
-        let (pool_out, pool_metrics, pool_jsonl) =
-            solve_both(&sys, k, coverage, Some(&pool));
+        let (pruned_out, pruned_metrics, pruned_jsonl) = solve_both(&sys, k, coverage, &serial);
+        let (pool_out, pool_metrics, pool_jsonl) = solve_both(&sys, k, coverage, &pool);
         std::env::remove_var(PRUNE_ENV);
 
         prop_assert_eq!(&pruned_out, &exact_out, "prune toggle changed outcomes");

@@ -9,8 +9,10 @@
 //! every record whose leaf value descends from the node. Benefit stays
 //! anti-monotone along the enriched lattice, so the same candidate-pruning
 //! ideas apply; [`HierarchicalSpace`] exposes the enriched
-//! root/children/benefit operations and [`hier_cwsc`] runs the Figure 3
-//! algorithm over them.
+//! root/children/benefit operations, and
+//! [`opt_cwsc`](crate::opt_cwsc::opt_cwsc) and
+//! [`opt_cmc`](crate::opt_cmc::opt_cmc) run the Figure 3 and Figure 4
+//! algorithms over them.
 //!
 //! Numeric attributes are handled by binning (see [`bin_numeric`]) plus a
 //! dyadic range hierarchy over the bins, which realizes the paper's
@@ -18,17 +20,11 @@
 
 use crate::cost_fn::CostFn;
 use crate::dictionary::ValueId;
-use crate::opt_cmc::opt_cmc_in;
-use crate::opt_cwsc::opt_cwsc_in;
 use crate::pattern::Pattern;
-use crate::pattern_solution::PatternSolution;
 use crate::space::LatticeSpace;
 use crate::table::{RowId, Table};
-use scwsc_core::algorithms::cmc::CmcParams;
-use scwsc_core::telemetry::Observer;
 #[cfg(test)]
 use scwsc_core::BitSet;
-use scwsc_core::{coverage_target, SolveError};
 
 /// Node id within a [`Hierarchy`]. Ids `0..num_leaves` are the attribute's
 /// dictionary value ids; higher ids are internal nodes.
@@ -484,39 +480,59 @@ impl LatticeSpace for HierarchicalSpace<'_> {
     }
 }
 
-/// Figure 3's optimized CWSC over a hierarchical space: at most `k`
-/// (possibly hierarchical) patterns covering `⌈coverage_fraction·n⌉`
-/// records. Same algorithm as [`crate::opt_cwsc::opt_cwsc`], with lattice
-/// navigation delegated to the hierarchies.
-pub fn hier_cwsc<O: Observer + ?Sized>(
-    space: &HierarchicalSpace<'_>,
-    k: usize,
-    coverage_fraction: f64,
-    obs: &mut O,
-) -> Result<PatternSolution, SolveError> {
-    if k == 0 {
-        return Err(SolveError::ZeroSizeBound);
-    }
-    let target = coverage_target(space.table().num_rows(), coverage_fraction);
-    opt_cwsc_in(space, k, target, obs)
-}
-
-/// Figure 4's optimized CMC over a hierarchical space — same guarantees as
-/// [`crate::opt_cmc::opt_cmc`], with region/range nodes available as sets.
-pub fn hier_cmc<O: Observer + ?Sized>(
-    space: &HierarchicalSpace<'_>,
-    params: &CmcParams,
-    obs: &mut O,
-) -> Result<PatternSolution, SolveError> {
-    opt_cmc_in(space, params, obs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opt_cmc::opt_cmc;
     use crate::opt_cwsc::opt_cwsc;
+    use crate::pattern_solution::{verify_certificate_in, PatternSolution};
     use crate::space::PatternSpace;
-    use scwsc_core::Stats;
+    use scwsc_core::algorithms::CmcParams;
+    use scwsc_core::{
+        Deadline, DegradeReason, EngineError, MetricsRecorder, SolveError, SolveOutcome, Stats,
+        ThreadPool, Threads,
+    };
+
+    /// Unwraps an unbounded solve to its complete value or solve error.
+    fn complete<T>(result: Result<SolveOutcome<T>, EngineError>) -> Result<T, SolveError> {
+        match result {
+            Ok(outcome) => Ok(outcome.expect_complete("unbounded deadline")),
+            Err(EngineError::Solve(e)) => Err(e),
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Fig. 3 over any lattice, serial and unbounded.
+    fn cwsc_in<S: LatticeSpace>(
+        space: &S,
+        k: usize,
+        coverage: f64,
+    ) -> Result<PatternSolution, SolveError> {
+        let pool = ThreadPool::new(Threads::serial());
+        complete(opt_cwsc(
+            space,
+            k,
+            coverage,
+            &pool,
+            &Deadline::unbounded(),
+            &mut Stats::new(),
+        ))
+    }
+
+    /// Fig. 4 over any lattice, serial and unbounded.
+    fn cmc_in<S: LatticeSpace>(
+        space: &S,
+        params: &CmcParams,
+    ) -> Result<PatternSolution, SolveError> {
+        let pool = ThreadPool::new(Threads::serial());
+        complete(opt_cmc(
+            space,
+            params,
+            &pool,
+            &Deadline::unbounded(),
+            &mut Stats::new(),
+        ))
+    }
 
     /// Entities-like table with a regional structure over Location.
     fn table() -> Table {
@@ -653,7 +669,7 @@ mod tests {
     fn hier_cwsc_can_use_region_patterns() {
         let t = table();
         let sp = space(&t);
-        let sol = hier_cwsc(&sp, 2, 0.6, &mut Stats::new()).unwrap();
+        let sol = cwsc_in(&sp, 2, 0.6).unwrap();
         assert!(sol.size() <= 2);
         assert!(sol.covered >= 5);
         // Recompute coverage/cost independently.
@@ -676,8 +692,8 @@ mod tests {
         let flat = HierarchicalSpace::flat(&t, CostFn::Max);
         let plain = PatternSpace::new(&t, CostFn::Max);
         for (k, s) in [(2usize, 0.5f64), (3, 0.8), (1, 1.0)] {
-            let a = hier_cwsc(&flat, k, s, &mut Stats::new());
-            let b = opt_cwsc(&plain, k, s, &mut Stats::new());
+            let a = cwsc_in(&flat, k, s);
+            let b = cwsc_in(&plain, k, s);
             match (a, b) {
                 (Ok(x), Ok(y)) => {
                     assert_eq!(x.patterns, y.patterns, "k={k} s={s}");
@@ -695,9 +711,9 @@ mod tests {
         // flat space would need the expensive type-level pattern instead.
         let t = table();
         let sp = space(&t);
-        let hier = hier_cwsc(&sp, 1, 0.6, &mut Stats::new()).unwrap();
+        let hier = cwsc_in(&sp, 1, 0.6).unwrap();
         let plain_sp = PatternSpace::new(&t, CostFn::Max);
-        let flat = opt_cwsc(&plain_sp, 1, 0.6, &mut Stats::new()).unwrap();
+        let flat = cwsc_in(&plain_sp, 1, 0.6).unwrap();
         assert!(
             hier.total_cost <= flat.total_cost,
             "hierarchy adds options, never removes them: {} vs {}",
@@ -736,8 +752,16 @@ mod tests {
         let sp = space(&t);
         let m = enumerate_hierarchical(&sp);
         for (k, s) in [(1usize, 0.5f64), (2, 0.6), (3, 0.9), (2, 1.0)] {
-            let opt = hier_cwsc(&sp, k, s, &mut Stats::new());
-            let unopt = cwsc(&m.system, k, s, &mut Stats::new());
+            let opt = cwsc_in(&sp, k, s);
+            let pool = ThreadPool::new(Threads::serial());
+            let unopt = complete(cwsc(
+                &m.system,
+                k,
+                s,
+                &pool,
+                &Deadline::unbounded(),
+                &mut Stats::new(),
+            ));
             match (opt, unopt) {
                 (Ok(o), Ok(u)) => {
                     let u_patterns: Vec<&Pattern> = m.solution_patterns(&u);
@@ -762,7 +786,7 @@ mod tests {
             discount_coverage: false,
             ..CmcParams::classic(2, 0.6, 1.0)
         };
-        let sol = hier_cmc(&sp, &params, &mut Stats::new()).unwrap();
+        let sol = cmc_in(&sp, &params).unwrap();
         assert!(sol.size() <= 10, "5k bound");
         assert!(sol.covered >= 5);
         // Independent recomputation over the hierarchical space.
@@ -785,9 +809,39 @@ mod tests {
         let flat = HierarchicalSpace::flat(&t, CostFn::Max);
         let plain = PatternSpace::new(&t, CostFn::Max);
         let params = CmcParams::classic(2, 0.7, 1.0);
-        let a = hier_cmc(&flat, &params, &mut Stats::new()).unwrap();
-        let b = crate::opt_cmc::opt_cmc(&plain, &params, &mut Stats::new()).unwrap();
+        let a = cmc_in(&flat, &params).unwrap();
+        let b = cmc_in(&plain, &params).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn tick_budgets_degrade_hierarchical_solves_identically_across_threads() {
+        let t = table();
+        let sp = space(&t);
+        let params = CmcParams::classic(2, 1.0, 1.0);
+        for budget in [0u64, 1, 3] {
+            let run = |threads: usize, algorithm: &str| {
+                let pool = ThreadPool::new(Threads::new(threads));
+                let deadline = Deadline::unbounded().with_tick_budget(budget);
+                let mut m = MetricsRecorder::new();
+                let out = match algorithm {
+                    "opt_cwsc" => opt_cwsc(&sp, 2, 1.0, &pool, &deadline, &mut m),
+                    _ => opt_cmc(&sp, &params, &pool, &deadline, &mut m),
+                }
+                .unwrap();
+                (out, deadline.ticks())
+            };
+            for algorithm in ["opt_cwsc", "opt_cmc"] {
+                let serial = run(1, algorithm);
+                assert_eq!(serial, run(4, algorithm), "{algorithm} budget {budget}");
+                let SolveOutcome::Degraded(d) = serial.0 else {
+                    panic!("{algorithm}: {budget} ticks cannot cover every record");
+                };
+                assert_eq!(d.certificate.reason, DegradeReason::TickBudget);
+                let check = verify_certificate_in(&sp, &d.partial, &d.certificate);
+                assert!(check.is_valid(), "{algorithm} budget {budget}: {check:?}");
+            }
+        }
     }
 
     #[test]

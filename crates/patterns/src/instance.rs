@@ -19,7 +19,7 @@
 use crate::cost_fn::CostFn;
 use crate::index::InvertedIndex;
 use crate::opt_cmc::{opt_cmc_stashed, LatticeStash};
-use crate::opt_cwsc::opt_cwsc_within;
+use crate::opt_cwsc::opt_cwsc;
 use crate::pattern_solution::{verify_certificate_in, PatternSolution};
 use crate::space::PatternSpace;
 use crate::table::Table;
@@ -108,7 +108,7 @@ impl Solver for PatternInstance {
         };
         let (outcome, target) = match query.algorithm {
             Algorithm::Cwsc => (
-                opt_cwsc_within(&space, query.k, query.coverage, deadline, obs)?,
+                opt_cwsc(&space, query.k, query.coverage, pool, deadline, obs)?,
                 coverage_target(self.table.num_rows(), query.coverage),
             ),
             Algorithm::Cmc => {

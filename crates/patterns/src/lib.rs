@@ -18,7 +18,7 @@
 //!
 //! ```
 //! use scwsc_patterns::{CostFn, PatternSpace, Table, opt_cwsc::opt_cwsc};
-//! use scwsc_core::Stats;
+//! use scwsc_core::{Deadline, Stats, ThreadPool, Threads};
 //!
 //! let mut b = Table::builder(&["Type", "Location"], "Cost");
 //! b.push_row(&["A", "West"], 10.0).unwrap();
@@ -27,7 +27,10 @@
 //! let table = b.build();
 //!
 //! let space = PatternSpace::new(&table, CostFn::Max);
-//! let solution = opt_cwsc(&space, 2, 1.0, &mut Stats::new()).unwrap();
+//! let pool = ThreadPool::new(Threads::serial());
+//! let solution = opt_cwsc(&space, 2, 1.0, &pool, &Deadline::unbounded(), &mut Stats::new())
+//!     .unwrap()
+//!     .expect_complete("an unbounded deadline never expires");
 //! assert!(solution.size() <= 2);
 //! assert_eq!(solution.covered, 3);
 //! println!("{}", solution.display(&space));
@@ -55,15 +58,11 @@ pub mod test_util;
 pub use cost_fn::CostFn;
 pub use dictionary::{Dictionary, ValueId};
 pub use enumerate::{enumerate_all, MaterializedPatterns};
-pub use hierarchy::{enumerate_hierarchical, hier_cmc, hier_cwsc, HierarchicalSpace, Hierarchy};
+pub use hierarchy::{enumerate_hierarchical, HierarchicalSpace, Hierarchy};
 pub use index::InvertedIndex;
 pub use instance::PatternInstance;
-pub use opt_cmc::{
-    opt_cmc, opt_cmc_in, opt_cmc_in_on, opt_cmc_in_within, opt_cmc_on, opt_cmc_within,
-};
-pub use opt_cwsc::{
-    opt_cwsc, opt_cwsc_in, opt_cwsc_in_within, opt_cwsc_with_target, opt_cwsc_within,
-};
+pub use opt_cmc::opt_cmc;
+pub use opt_cwsc::opt_cwsc;
 pub use pattern::Pattern;
 pub use pattern_solution::{verify_certificate_in, PatternSolution};
 pub use space::{LatticeSpace, PatternSpace};

@@ -37,7 +37,7 @@
 use crate::fxhash::FxHashMap;
 use crate::pattern::Pattern;
 use crate::pattern_solution::PatternSolution;
-use crate::space::{LatticeSpace, PatternSpace};
+use crate::space::LatticeSpace;
 use crate::table::RowId;
 use scwsc_core::algorithms::cmc::{CmcParams, Levels};
 use scwsc_core::engine::{
@@ -66,7 +66,10 @@ const PAR_CHILDREN_MIN: usize = 4;
 /// difference count is cheaper.
 const DELTA_MAX_ROUNDS: usize = 4;
 
-/// Runs the optimized CMC (Fig. 4) over a pattern space.
+/// Runs the optimized CMC (Fig. 4) over any [`LatticeSpace`] — the flat
+/// pattern cube or the hierarchy-enriched lattice of
+/// [`crate::hierarchy::HierarchicalSpace`] — on `pool`, under `deadline`
+/// (DESIGN.md §12).
 ///
 /// Parameters mirror [`scwsc_core::algorithms::cmc()`]: the schedule bounds
 /// the solution size (`5k` classic, `(1+ε)k` for the ε-schedule) and the
@@ -77,90 +80,34 @@ const DELTA_MAX_ROUNDS: usize = 4;
 /// is counted in `benefit_computed` events — one per guess for the root
 /// and one per expansion for the children it scores; budget guesses
 /// arrive as `guess_started` events. Passing `&mut Stats` keeps the legacy
-/// counters.
-pub fn opt_cmc<O: Observer + ?Sized>(
-    space: &PatternSpace<'_>,
-    params: &CmcParams,
-    obs: &mut O,
-) -> Result<PatternSolution, SolveError> {
-    opt_cmc_in(space, params, obs)
-}
-
-/// The Figure 4 algorithm over any [`LatticeSpace`] — the flat pattern
-/// cube or the hierarchy-enriched lattice of
-/// [`crate::hierarchy::HierarchicalSpace`].
-pub fn opt_cmc_in<S: LatticeSpace, O: Observer + ?Sized>(
-    space: &S,
-    params: &CmcParams,
-    obs: &mut O,
-) -> Result<PatternSolution, SolveError> {
-    solve(space, params, None, obs)
-}
-
-/// [`opt_cmc`] with the benefit recounts run on a thread pool.
+/// counters. Each guess records into a private [`EventLog`] (one log for
+/// the whole solve, cleared per attempt) replayed into `obs` when the
+/// guess ends, so events arrive once per guess, not live.
 ///
 /// The lattice walk itself stays single-threaded — the heap pop order
 /// *is* the algorithm and every step mutates the shared lattice cache —
-/// so the observer event stream, the walk, and the solution are identical
-/// to [`opt_cmc`] for any thread count. The pool accelerates the two pure
-/// fan-outs inside a step: stale-pop recounts over long row lists, and
-/// the benefit scoring of a visit's newly eligible children. There is no
-/// cross-budget speculation here (each guess reuses the previous guess's
-/// lattice materializations). A serial pool delegates outright.
-pub fn opt_cmc_on<O: Observer + ?Sized>(
-    space: &PatternSpace<'_>,
-    params: &CmcParams,
-    pool: &ThreadPool,
-    obs: &mut O,
-) -> Result<PatternSolution, SolveError> {
-    opt_cmc_in_on(space, params, pool, obs)
-}
-
-/// [`opt_cmc_in`] with the benefit recounts run on a thread pool; see
-/// [`opt_cmc_on`].
-pub fn opt_cmc_in_on<S: LatticeSpace, O: Observer + ?Sized>(
-    space: &S,
-    params: &CmcParams,
-    pool: &ThreadPool,
-    obs: &mut O,
-) -> Result<PatternSolution, SolveError> {
-    let pool = if pool.is_serial() { None } else { Some(pool) };
-    solve(space, params, pool, obs)
-}
-
-/// [`opt_cmc`] under a [`Deadline`]: the resilience-engine entry point
-/// (DESIGN.md §12). See [`opt_cmc_in_within`].
-pub fn opt_cmc_within<O: Observer + ?Sized>(
-    space: &PatternSpace<'_>,
-    params: &CmcParams,
-    pool: &ThreadPool,
-    deadline: &Deadline,
-    obs: &mut O,
-) -> Result<SolveOutcome<PatternSolution>, EngineError> {
-    opt_cmc_in_within(space, params, pool, deadline, obs)
-}
-
-/// [`opt_cmc_in_on`] under a [`Deadline`], over any [`LatticeSpace`].
+/// so the event stream, the walk, and the solution are identical for any
+/// thread count. The pool accelerates the two pure fan-outs inside a
+/// step: stale-pop recounts over long row lists, and the benefit scoring
+/// of a visit's newly eligible children. There is no cross-budget
+/// speculation here (each guess reuses the previous guess's lattice
+/// materializations).
 ///
 /// One work tick is consumed per heap pop. On expiry the patterns
 /// selected so far in the in-flight budget guess return as
 /// [`SolveOutcome::Degraded`] with a [`Certificate`] (including which
 /// level quotas were exhausted) that
 /// [`verify_certificate_in`](crate::pattern_solution::verify_certificate_in)
-/// re-checks.
-///
-/// Panic isolation: each budget guess runs under `catch_unwind` with its
-/// telemetry in a private [`EventLog`] (one log for the whole solve,
-/// cleared per attempt and replayed only on completion); a panicked guess
-/// is retried once (counted by the `guesses_retried` telemetry event —
-/// safe because the lattice is append-only and budget-independent) and a
-/// second panic surfaces as [`EngineError::Panicked`]. A lattice that saw
-/// a panic is never handed to a later solve: the panic may have cut an
-/// expansion short. There is no cross-guess speculation here,
-/// and the lattice walk is single-threaded (the pool only accelerates
-/// benefit recounts, which do not tick), so outcome classification and
+/// re-checks. Benefit recounts do not tick, so outcome classification and
 /// tick streams are identical for any thread count.
-pub fn opt_cmc_in_within<S: LatticeSpace, O: Observer + ?Sized>(
+///
+/// Panic isolation: each budget guess runs under `catch_unwind`; a
+/// panicked guess is retried once (counted by the `guesses_retried`
+/// telemetry event — safe because the lattice is append-only and
+/// budget-independent) and a second panic surfaces as
+/// [`EngineError::Panicked`]. A lattice that saw a panic is never handed
+/// to a later solve: the panic may have cut an expansion short.
+pub fn opt_cmc<S: LatticeSpace, O: Observer + ?Sized>(
     space: &S,
     params: &CmcParams,
     pool: &ThreadPool,
@@ -170,7 +117,7 @@ pub fn opt_cmc_in_within<S: LatticeSpace, O: Observer + ?Sized>(
     opt_cmc_stashed(space, params, pool, deadline, obs, &LatticeStash::default())
 }
 
-/// [`opt_cmc_in_within`] on the lattice parked in `stash`, which must
+/// [`opt_cmc`] on the lattice parked in `stash`, which must
 /// have been grown over `space`'s table and lattice shape (any cost
 /// function): a [`PatternInstance`](crate::PatternInstance) passes its
 /// own, so repeated CMC solves on one instance materialize each node
@@ -212,15 +159,15 @@ pub(crate) fn opt_cmc_stashed<S: LatticeSpace, O: Observer + ?Sized>(
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
     let shared = stash.take().unwrap_or_else(|| SharedLattice::new(space));
     let mut lattice = Lattice::new(space, shared);
-    let result = guess_loop_within(&mut lattice, params, target, pool, deadline, obs);
+    let result = guess_loop(&mut lattice, params, target, pool, deadline, obs);
     lattice.park(stash);
     span.exit(obs);
     result
 }
 
-/// The budget-doubling loop with per-guess panic containment and deadline
-/// checkpoints; the deadline-aware twin of [`guess_loop`].
-fn guess_loop_within<S: LatticeSpace, O: Observer + ?Sized>(
+/// The budget-doubling loop (Fig. 4 lines 01–07 and 36–37) with per-guess
+/// panic containment and deadline checkpoints.
+fn guess_loop<S: LatticeSpace, O: Observer + ?Sized>(
     lattice: &mut Lattice<'_, S>,
     params: &CmcParams,
     target: usize,
@@ -228,6 +175,11 @@ fn guess_loop_within<S: LatticeSpace, O: Observer + ?Sized>(
     deadline: &Deadline,
     obs: &mut O,
 ) -> Result<SolveOutcome<PatternSolution>, EngineError> {
+    // Line 01: "B = cost of the k cheapest patterns". Knowing the true k
+    // cheapest patterns would itself require enumeration, so we seed with
+    // the sum of the k smallest single-record weights — a lower bound for
+    // monotone cost functions, costing at most O(log_{1+b}) extra guesses
+    // (DESIGN.md §3).
     let mut measures: Vec<f64> = lattice.space.table().measures().to_vec();
     measures.sort_unstable_by(f64::total_cmp);
     let seed: f64 = measures.iter().take(params.k).sum();
@@ -250,6 +202,9 @@ fn guess_loop_within<S: LatticeSpace, O: Observer + ?Sized>(
             log.clear();
             catch_unwind(AssertUnwindSafe(|| {
                 log.on(&Event::GuessStarted(Some(budget)));
+                // Spans stay at guess granularity: the body's unit of work
+                // is a single heap pop, far too hot to bracket with clock
+                // reads.
                 let guess_span = PhaseSpan::enter(log, PHASE_GUESS);
                 deadline.fault_guess(guess_index);
                 let found = run_guess(
@@ -306,103 +261,12 @@ fn guess_loop_within<S: LatticeSpace, O: Observer + ?Sized>(
             }
             GuessResult::NotFound => {}
         }
-        if budget > lattice.root_cost() && budget > total_weight {
-            return Err(SolveError::BudgetExhausted.into());
-        }
-        budget *= 1.0 + params.budget_growth;
-    }
-}
-
-fn solve<S: LatticeSpace, O: Observer + ?Sized>(
-    space: &S,
-    params: &CmcParams,
-    pool: Option<&ThreadPool>,
-    obs: &mut O,
-) -> Result<PatternSolution, SolveError> {
-    if params.k == 0 {
-        return Err(SolveError::ZeroSizeBound);
-    }
-    assert!(
-        params.budget_growth > 0.0,
-        "budget growth factor b must be positive"
-    );
-    let n = space.num_rows();
-    let fraction = if params.discount_coverage {
-        params.coverage_fraction * scwsc_core::algorithms::CMC_COVERAGE_DISCOUNT
-    } else {
-        params.coverage_fraction
-    };
-    let target = coverage_target(n, fraction);
-    if target == 0 {
-        return Ok(PatternSolution {
-            patterns: Vec::new(),
-            covered: 0,
-            total_cost: 0.0,
-        });
-    }
-    obs.on(&Event::TraceStarted(
-        TraceId::mint("opt_cmc", n as u64, pack_k_target(params.k, target)),
-        "opt_cmc",
-    ));
-    let span = PhaseSpan::enter(obs, PHASE_TOTAL);
-    let result = guess_loop(space, params, target, pool, obs);
-    span.exit(obs);
-    result
-}
-
-/// The budget-doubling loop (Fig. 4 lines 01–07 and 36–37).
-fn guess_loop<S: LatticeSpace, O: Observer + ?Sized>(
-    space: &S,
-    params: &CmcParams,
-    target: usize,
-    pool: Option<&ThreadPool>,
-    obs: &mut O,
-) -> Result<PatternSolution, SolveError> {
-    // Line 01: "B = cost of the k cheapest patterns". Knowing the true k
-    // cheapest patterns would itself require enumeration, so we seed with
-    // the sum of the k smallest single-record weights — a lower bound for
-    // monotone cost functions, costing at most O(log_{1+b}) extra guesses
-    // (DESIGN.md §3).
-    let mut measures: Vec<f64> = space.table().measures().to_vec();
-    measures.sort_unstable_by(f64::total_cmp);
-    let seed: f64 = measures.iter().take(params.k).sum();
-    let total_weight: f64 = measures.iter().sum();
-    let mut budget = if seed > 0.0 {
-        seed
-    } else {
-        measures.iter().copied().find(|&m| m > 0.0).unwrap_or(1.0)
-    };
-
-    let mut lattice = Lattice::new(space, SharedLattice::new(space));
-    let mut queue = BucketQueue::new();
-
-    loop {
-        obs.on(&Event::GuessStarted(Some(budget)));
-        // Spans stay at guess granularity here: the body's unit of work is
-        // a single heap pop, far too hot to bracket with clock reads.
-        let guess_span = PhaseSpan::enter(obs, PHASE_GUESS);
-        let found = run_guess(
-            &mut lattice,
-            &mut queue,
-            params,
-            budget,
-            target,
-            pool,
-            &Deadline::unbounded(),
-            obs,
-        );
-        guess_span.exit(obs);
-        match found {
-            GuessResult::Found(solution) => return Ok(solution),
-            GuessResult::NotFound => {}
-            GuessResult::Expired { .. } => unreachable!("unbounded deadline cannot expire"),
-        }
         // Line 37: stop once even a budget admitting every pattern failed.
         // The all-wildcards pattern is the most expensive one under any
         // lattice-monotone cost function, and a budget above the total
         // weight is a universal upper bound otherwise.
         if budget > lattice.root_cost() && budget > total_weight {
-            return Err(SolveError::BudgetExhausted);
+            return Err(SolveError::BudgetExhausted.into());
         }
         budget *= 1.0 + params.budget_growth; // line 36
     }
@@ -1366,9 +1230,48 @@ mod tests {
     use super::*;
     use crate::cost_fn::CostFn;
     use crate::enumerate::enumerate_all;
+    use crate::space::PatternSpace;
     use crate::table::Table;
-    use scwsc_core::algorithms::{cmc, CMC_COVERAGE_DISCOUNT};
-    use scwsc_core::Stats;
+    use scwsc_core::algorithms::{cmc, CmcOutcome, CMC_COVERAGE_DISCOUNT};
+    use scwsc_core::{SetSystem, Stats, Threads};
+
+    /// Unwraps an unbounded solve to its complete value or solve error.
+    fn complete<T>(result: Result<SolveOutcome<T>, EngineError>) -> Result<T, SolveError> {
+        match result {
+            Ok(outcome) => Ok(outcome.expect_complete("unbounded deadline")),
+            Err(EngineError::Solve(e)) => Err(e),
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// [`opt_cmc`] on `threads` workers without a deadline.
+    fn solve_on(
+        space: &PatternSpace<'_>,
+        params: &CmcParams,
+        threads: usize,
+        obs: &mut dyn Observer,
+    ) -> Result<PatternSolution, SolveError> {
+        let pool = ThreadPool::new(Threads::new(threads));
+        complete(opt_cmc(space, params, &pool, &Deadline::unbounded(), obs))
+    }
+
+    fn solve(
+        space: &PatternSpace<'_>,
+        params: &CmcParams,
+        obs: &mut dyn Observer,
+    ) -> Result<PatternSolution, SolveError> {
+        solve_on(space, params, 1, obs)
+    }
+
+    /// Fig. 1 CMC over the materialized cube.
+    fn solve_unopt(
+        system: &SetSystem,
+        params: &CmcParams,
+        obs: &mut dyn Observer,
+    ) -> Result<CmcOutcome, SolveError> {
+        let pool = ThreadPool::new(Threads::serial());
+        complete(cmc(system, params, &pool, &Deadline::unbounded(), obs))
+    }
 
     fn entities() -> Table {
         let mut b = Table::builder(&["Type", "Location"], "Cost");
@@ -1401,7 +1304,7 @@ mod tests {
         let sp = PatternSpace::new(&t, CostFn::Max);
         for (k, s) in [(2usize, 9.0 / 16.0), (3, 0.5), (2, 1.0), (5, 0.8)] {
             let params = CmcParams::classic(k, s, 1.0);
-            let sol = opt_cmc(&sp, &params, &mut Stats::new()).unwrap();
+            let sol = solve(&sp, &params, &mut Stats::new()).unwrap();
             let target = coverage_target(16, s * CMC_COVERAGE_DISCOUNT);
             assert!(
                 sol.covered >= target,
@@ -1419,7 +1322,7 @@ mod tests {
         let sp = PatternSpace::new(&t, CostFn::Max);
         for &eps in &[0.5, 1.0, 2.0] {
             let params = CmcParams::epsilon(4, 0.9, 1.0, eps);
-            let sol = opt_cmc(&sp, &params, &mut Stats::new()).unwrap();
+            let sol = solve(&sp, &params, &mut Stats::new()).unwrap();
             let bound = ((1.0 + eps) * 4.0).floor() as usize;
             assert!(sol.size() <= bound.max(4), "eps={eps}: {}", sol.size());
         }
@@ -1434,11 +1337,11 @@ mod tests {
         let sp = PatternSpace::new(&t, CostFn::Max);
         let mut opt_stats = Stats::new();
         let params = CmcParams::classic(10, 0.3, 1.0);
-        let sol = opt_cmc(&sp, &params, &mut opt_stats).unwrap();
+        let sol = solve(&sp, &params, &mut opt_stats).unwrap();
         sol.verify(&sp);
         let m = enumerate_all(&t, CostFn::Max);
         let mut unopt_stats = Stats::new();
-        let _ = cmc(&m.system, &params, &mut unopt_stats).unwrap();
+        let _ = solve_unopt(&m.system, &params, &mut unopt_stats).unwrap();
         assert!(
             opt_stats.considered < unopt_stats.considered,
             "optimized {} >= unoptimized {}",
@@ -1455,9 +1358,9 @@ mod tests {
         let t = entities();
         let sp = PatternSpace::new(&t, CostFn::Max);
         let params = CmcParams::classic(2, 9.0 / 16.0, 1.0);
-        let opt = opt_cmc(&sp, &params, &mut Stats::new()).unwrap();
+        let opt = solve(&sp, &params, &mut Stats::new()).unwrap();
         let m = enumerate_all(&t, CostFn::Max);
-        let unopt = cmc(&m.system, &params, &mut Stats::new()).unwrap();
+        let unopt = solve_unopt(&m.system, &params, &mut Stats::new()).unwrap();
         let bound = 2.0 * (2.0 * (2f64).log2().ceil() + 1.0);
         assert!(opt.total_cost <= bound * unopt.solution.total_cost().value() + 1e-9);
         assert!(unopt.solution.total_cost().value() <= bound * opt.total_cost + 1e-9);
@@ -1468,10 +1371,10 @@ mod tests {
         let t = entities();
         let sp = PatternSpace::new(&t, CostFn::Max);
         assert_eq!(
-            opt_cmc(&sp, &CmcParams::classic(0, 0.5, 1.0), &mut Stats::new()),
+            solve(&sp, &CmcParams::classic(0, 0.5, 1.0), &mut Stats::new()),
             Err(SolveError::ZeroSizeBound)
         );
-        let sol = opt_cmc(&sp, &CmcParams::classic(2, 0.0, 1.0), &mut Stats::new()).unwrap();
+        let sol = solve(&sp, &CmcParams::classic(2, 0.0, 1.0), &mut Stats::new()).unwrap();
         assert_eq!(sol.size(), 0);
     }
 
@@ -1481,7 +1384,7 @@ mod tests {
         let sp = PatternSpace::new(&t, CostFn::Max);
         let mut stats = Stats::new();
         let params = CmcParams::classic(2, 1.0, 1.0);
-        let _ = opt_cmc(&sp, &params, &mut stats).unwrap();
+        let _ = solve(&sp, &params, &mut stats).unwrap();
         assert!(stats.budget_guesses >= 2, "seed budget is tiny by design");
     }
 
@@ -1492,7 +1395,7 @@ mod tests {
         let t = entities();
         let sp = PatternSpace::new(&t, CostFn::Mean);
         let params = CmcParams::classic(3, 0.6, 1.0);
-        let sol = opt_cmc(&sp, &params, &mut Stats::new()).unwrap();
+        let sol = solve(&sp, &params, &mut Stats::new()).unwrap();
         assert!(sol.covered >= coverage_target(16, 0.6 * CMC_COVERAGE_DISCOUNT));
         sol.verify(&sp);
     }
@@ -1502,23 +1405,22 @@ mod tests {
         let t = crate::test_util::skewed_table(300, 3, 5);
         let sp = PatternSpace::new(&t, CostFn::Max);
         let params = CmcParams::classic(5, 0.4, 1.0);
-        let a = opt_cmc(&sp, &params, &mut Stats::new()).unwrap();
-        let b = opt_cmc(&sp, &params, &mut Stats::new()).unwrap();
+        let a = solve(&sp, &params, &mut Stats::new()).unwrap();
+        let b = solve(&sp, &params, &mut Stats::new()).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn parallel_recounts_match_serial_exactly() {
-        use scwsc_core::{MetricsRecorder, ThreadPool, Threads};
+        use scwsc_core::MetricsRecorder;
         let t = crate::test_util::skewed_table(600, 4, 7);
         let sp = PatternSpace::new(&t, CostFn::Max);
         let params = CmcParams::classic(8, 0.4, 1.0);
         let mut sm = MetricsRecorder::new();
-        let serial = opt_cmc(&sp, &params, &mut sm).unwrap();
+        let serial = solve(&sp, &params, &mut sm).unwrap();
         for threads in [2, 4] {
-            let pool = ThreadPool::new(Threads::new(threads));
             let mut pm = MetricsRecorder::new();
-            let par = opt_cmc_on(&sp, &params, &pool, &mut pm).unwrap();
+            let par = solve_on(&sp, &params, threads, &mut pm).unwrap();
             assert_eq!(par, serial, "threads={threads}");
             assert_eq!(pm.guesses, sm.guesses, "threads={threads}");
             assert_eq!(pm.selections, sm.selections, "threads={threads}");
@@ -1538,28 +1440,7 @@ mod tests {
     mod within {
         use super::*;
         use crate::pattern_solution::verify_certificate_in;
-        use scwsc_core::engine::{Deadline, DegradeReason, SolveOutcome};
-        use scwsc_core::{MetricsRecorder, ThreadPool, Threads};
-
-        #[test]
-        fn unbounded_deadline_matches_plain_opt_cmc() {
-            let t = entities();
-            let sp = PatternSpace::new(&t, CostFn::Max);
-            let params = CmcParams::classic(2, 9.0 / 16.0, 1.0);
-            let plain = opt_cmc(&sp, &params, &mut Stats::new()).unwrap();
-            for threads in [1, 4] {
-                let pool = ThreadPool::new(Threads::new(threads));
-                let out = opt_cmc_within(
-                    &sp,
-                    &params,
-                    &pool,
-                    &Deadline::unbounded(),
-                    &mut MetricsRecorder::new(),
-                )
-                .unwrap();
-                assert_eq!(out.expect_complete("unbounded"), plain);
-            }
-        }
+        use scwsc_core::MetricsRecorder;
 
         #[test]
         fn tick_budget_degrades_identically_across_thread_counts() {
@@ -1570,9 +1451,8 @@ mod tests {
                 let run = |threads: usize| {
                     let pool = ThreadPool::new(Threads::new(threads));
                     let deadline = Deadline::unbounded().with_tick_budget(budget);
-                    let out =
-                        opt_cmc_within(&sp, &params, &pool, &deadline, &mut MetricsRecorder::new())
-                            .unwrap();
+                    let out = opt_cmc(&sp, &params, &pool, &deadline, &mut MetricsRecorder::new())
+                        .unwrap();
                     (out, deadline.ticks())
                 };
                 let serial = run(1);
@@ -1592,8 +1472,7 @@ mod tests {
             let params = CmcParams::classic(3, 0.8, 1.0);
             let pool = ThreadPool::new(Threads::serial());
             let deadline = Deadline::unbounded().with_tick_budget(0);
-            let out = opt_cmc_within(&sp, &params, &pool, &deadline, &mut MetricsRecorder::new())
-                .unwrap();
+            let out = opt_cmc(&sp, &params, &pool, &deadline, &mut MetricsRecorder::new()).unwrap();
             let SolveOutcome::Degraded(d) = out else {
                 panic!("zero ticks must degrade");
             };
@@ -1606,20 +1485,20 @@ mod tests {
     mod within_faults {
         use super::*;
         use crate::pattern_solution::verify_certificate_in;
-        use scwsc_core::engine::{Deadline, EngineError, FaultPlan, SolveOutcome};
-        use scwsc_core::{MetricsRecorder, ThreadPool, Threads};
+        use scwsc_core::engine::FaultPlan;
+        use scwsc_core::MetricsRecorder;
 
         #[test]
         fn one_shot_guess_panic_is_retried_to_completion() {
             let t = entities();
             let sp = PatternSpace::new(&t, CostFn::Max);
             let params = CmcParams::classic(2, 9.0 / 16.0, 1.0);
-            let clean = opt_cmc(&sp, &params, &mut Stats::new()).unwrap();
+            let clean = solve(&sp, &params, &mut Stats::new()).unwrap();
             let pool = ThreadPool::new(Threads::serial());
             let deadline =
                 Deadline::unbounded().with_fault_plan(FaultPlan::new().panic_guess_once(1));
             let mut m = MetricsRecorder::new();
-            let out = opt_cmc_within(&sp, &params, &pool, &deadline, &mut m).unwrap();
+            let out = opt_cmc(&sp, &params, &pool, &deadline, &mut m).unwrap();
             assert_eq!(out.expect_complete("retry completes"), clean);
             assert_eq!(m.guesses_retried, 1);
         }
@@ -1631,8 +1510,8 @@ mod tests {
             let params = CmcParams::classic(2, 0.5, 1.0);
             let pool = ThreadPool::new(Threads::serial());
             let deadline = Deadline::unbounded().with_fault_plan(FaultPlan::new().fail_guess(1));
-            let err = opt_cmc_within(&sp, &params, &pool, &deadline, &mut MetricsRecorder::new())
-                .unwrap_err();
+            let err =
+                opt_cmc(&sp, &params, &pool, &deadline, &mut MetricsRecorder::new()).unwrap_err();
             assert!(matches!(err, EngineError::Panicked(_)));
         }
 
@@ -1645,8 +1524,7 @@ mod tests {
             let pool = ThreadPool::new(Threads::serial());
             let deadline =
                 Deadline::unbounded().with_fault_plan(FaultPlan::new().cancel_at_tick(4));
-            let out = opt_cmc_within(&sp, &params, &pool, &deadline, &mut MetricsRecorder::new())
-                .unwrap();
+            let out = opt_cmc(&sp, &params, &pool, &deadline, &mut MetricsRecorder::new()).unwrap();
             let SolveOutcome::Degraded(d) = out else {
                 panic!("cancel at tick 4 must degrade");
             };

@@ -17,7 +17,7 @@
 use crate::candidates::{gain_order, CandId, CandidatePool};
 use crate::pattern::Pattern;
 use crate::pattern_solution::PatternSolution;
-use crate::space::{LatticeSpace, PatternSpace};
+use crate::space::LatticeSpace;
 use scwsc_core::engine::{
     panic_message, Certificate, Deadline, DegradeReason, Degraded, EngineError, SolveOutcome,
 };
@@ -26,14 +26,21 @@ use scwsc_core::telemetry::{
     audit, pack_k_target, Event, EventLog, Observer, PhaseSpan, PruneReason, TraceId, PHASE_EXPAND,
     PHASE_SCAN_PRUNE, PHASE_SELECT, PHASE_TOTAL,
 };
-use scwsc_core::{coverage_target, BitSet, SolveError};
+use scwsc_core::{coverage_target, BitSet, SolveError, ThreadPool};
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Runs the optimized CWSC (Fig. 3): at most `k` patterns covering at
-/// least `⌈coverage_fraction·n⌉` records of the space's table.
+/// least `⌈coverage_fraction·n⌉` records of the space's table, under
+/// `deadline` (DESIGN.md §12).
+///
+/// `space` is any [`LatticeSpace`] — the flat pattern cube
+/// ([`PatternSpace`](crate::PatternSpace)) or the hierarchy-enriched
+/// lattice of [`crate::hierarchy::HierarchicalSpace`]. The lattice walk is
+/// single-threaded: `pool` is accepted so every solver family shares one
+/// signature, and tick streams are identical across thread counts.
 ///
 /// The run reports its work through any [`Observer`]: `benefit_computed`
 /// per pattern whose benefit set and cost are materialized (Fig. 3 lines
@@ -43,11 +50,22 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// materialization (its whole subtree stays unexplored),
 /// `posting_scanned` for the parent rows bucketed during lattice
 /// expansion, `set_selected` per pick, and a `"total"` phase span. Passing
-/// `&mut Stats` recovers the classic counters.
+/// `&mut Stats` recovers the classic counters. The round records into a
+/// private [`EventLog`] replayed into `obs` once it ends, so events arrive
+/// once per solve, not live.
+///
+/// One work tick is consumed per selection round and per waitlist pop
+/// (so runaway lattice expansions stay interruptible). On expiry the
+/// patterns picked so far return as [`SolveOutcome::Degraded`] with a
+/// [`Certificate`] that
+/// [`verify_certificate_in`](crate::pattern_solution::verify_certificate_in)
+/// re-checks (`quotas_exhausted` is always empty — Fig. 3 has no cost
+/// levels). The round runs under `catch_unwind`; a panic surfaces as
+/// [`EngineError::Panicked`].
 ///
 /// ```
 /// use scwsc_patterns::{opt_cwsc, CostFn, PatternSpace, Table};
-/// use scwsc_core::Stats;
+/// use scwsc_core::{Deadline, Stats, ThreadPool, Threads};
 ///
 /// let mut b = Table::builder(&["Type", "Location"], "Cost");
 /// b.push_row(&["A", "West"], 10.0).unwrap();
@@ -56,108 +74,26 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// let table = b.build();
 ///
 /// let space = PatternSpace::new(&table, CostFn::Max);
-/// let summary = opt_cwsc(&space, 2, 2.0 / 3.0, &mut Stats::new()).unwrap();
+/// let pool = ThreadPool::new(Threads::serial());
+/// let summary = opt_cwsc(&space, 2, 2.0 / 3.0, &pool, &Deadline::unbounded(), &mut Stats::new())
+///     .unwrap()
+///     .expect_complete("an unbounded deadline never expires");
 /// assert!(summary.size() <= 2);
 /// assert!(summary.covered >= 2);
 /// summary.verify(&space); // recomputes coverage/cost independently
 /// ```
-pub fn opt_cwsc<O: Observer + ?Sized>(
-    space: &PatternSpace<'_>,
-    k: usize,
-    coverage_fraction: f64,
-    obs: &mut O,
-) -> Result<PatternSolution, SolveError> {
-    let n = space.num_rows();
-    opt_cwsc_in(space, k, coverage_target(n, coverage_fraction), obs)
-}
-
-/// [`opt_cwsc`] with an explicit element-count target.
-pub fn opt_cwsc_with_target<O: Observer + ?Sized>(
-    space: &PatternSpace<'_>,
-    k: usize,
-    target: usize,
-    obs: &mut O,
-) -> Result<PatternSolution, SolveError> {
-    opt_cwsc_in(space, k, target, obs)
-}
-
-/// The Figure 3 algorithm over any [`LatticeSpace`] — the flat pattern
-/// cube or the hierarchy-enriched lattice of
-/// [`crate::hierarchy::HierarchicalSpace`].
-pub fn opt_cwsc_in<S: LatticeSpace, O: Observer + ?Sized>(
+pub fn opt_cwsc<S: LatticeSpace, O: Observer + ?Sized>(
     space: &S,
     k: usize,
-    target: usize,
-    obs: &mut O,
-) -> Result<PatternSolution, SolveError> {
-    if k == 0 {
-        return Err(SolveError::ZeroSizeBound);
-    }
-    if target == 0 {
-        return Ok(PatternSolution {
-            patterns: Vec::new(),
-            covered: 0,
-            total_cost: 0.0,
-        });
-    }
-    obs.on(&Event::TraceStarted(
-        TraceId::mint(
-            "opt_cwsc",
-            space.num_rows() as u64,
-            pack_k_target(k, target),
-        ),
-        "opt_cwsc",
-    ));
-    let span = PhaseSpan::enter(obs, PHASE_TOTAL);
-    let result = match run_in(space, k, target, &Deadline::unbounded(), obs) {
-        PatternRound::Done(result) => result,
-        PatternRound::Expired { .. } => unreachable!("unbounded deadline cannot expire"),
-    };
-    span.exit(obs);
-    result
-}
-
-/// [`opt_cwsc`] under a [`Deadline`]: the resilience-engine entry point
-/// (DESIGN.md §12). See [`opt_cwsc_in_within`].
-pub fn opt_cwsc_within<O: Observer + ?Sized>(
-    space: &PatternSpace<'_>,
-    k: usize,
     coverage_fraction: f64,
-    deadline: &Deadline,
-    obs: &mut O,
-) -> Result<SolveOutcome<PatternSolution>, EngineError> {
-    let n = space.num_rows();
-    opt_cwsc_in_within(
-        space,
-        k,
-        coverage_target(n, coverage_fraction),
-        deadline,
-        obs,
-    )
-}
-
-/// [`opt_cwsc_in`] under a [`Deadline`], over any [`LatticeSpace`].
-///
-/// One work tick is consumed per selection round and per waitlist pop
-/// (so runaway lattice expansions stay interruptible). On expiry the
-/// patterns picked so far return as [`SolveOutcome::Degraded`] with a
-/// [`Certificate`] that
-/// [`verify_certificate_in`](crate::pattern_solution::verify_certificate_in)
-/// re-checks (`quotas_exhausted` is always empty — Fig. 3 has no cost
-/// levels). The single round runs under `catch_unwind` with its telemetry
-/// in a private [`EventLog`] (replayed only on normal completion); a
-/// panic surfaces as [`EngineError::Panicked`]. The walk is
-/// single-threaded, so tick streams are identical across thread counts.
-pub fn opt_cwsc_in_within<S: LatticeSpace, O: Observer + ?Sized>(
-    space: &S,
-    k: usize,
-    target: usize,
+    _pool: &ThreadPool,
     deadline: &Deadline,
     obs: &mut O,
 ) -> Result<SolveOutcome<PatternSolution>, EngineError> {
     if k == 0 {
         return Err(SolveError::ZeroSizeBound.into());
     }
+    let target = coverage_target(space.num_rows(), coverage_fraction);
     if target == 0 {
         return Ok(SolveOutcome::Complete(PatternSolution {
             patterns: Vec::new(),
@@ -213,7 +149,7 @@ pub fn opt_cwsc_in_within<S: LatticeSpace, O: Observer + ?Sized>(
     result
 }
 
-/// How one deadline-aware Fig. 3 round ended.
+/// How one Fig. 3 round ended.
 enum PatternRound {
     Done(Result<PatternSolution, SolveError>),
     Expired {
@@ -222,9 +158,8 @@ enum PatternRound {
     },
 }
 
-/// The Fig. 3 body, wrapped by [`opt_cwsc_in`]'s phase span. Consumes one
-/// `deadline` work tick per selection round and per waitlist pop; under
-/// an unbounded deadline the checkpoints can never fail.
+/// The Fig. 3 body, wrapped by [`opt_cwsc`]'s phase span. Consumes one
+/// `deadline` work tick per selection round and per waitlist pop.
 fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
     space: &S,
     k: usize,
@@ -429,9 +364,49 @@ mod tests {
     use super::*;
     use crate::cost_fn::CostFn;
     use crate::enumerate::enumerate_all;
+    use crate::space::PatternSpace;
     use crate::table::Table;
     use scwsc_core::algorithms::cwsc;
-    use scwsc_core::Stats;
+    use scwsc_core::{SetSystem, Solution, Stats, Threads};
+
+    /// Unwraps an unbounded solve to its complete value or solve error.
+    fn complete<T>(result: Result<SolveOutcome<T>, EngineError>) -> Result<T, SolveError> {
+        match result {
+            Ok(outcome) => Ok(outcome.expect_complete("unbounded deadline")),
+            Err(EngineError::Solve(e)) => Err(e),
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    fn solve(
+        space: &PatternSpace<'_>,
+        k: usize,
+        coverage: f64,
+        obs: &mut dyn Observer,
+    ) -> Result<PatternSolution, SolveError> {
+        let pool = ThreadPool::new(Threads::serial());
+        complete(opt_cwsc(
+            space,
+            k,
+            coverage,
+            &pool,
+            &Deadline::unbounded(),
+            obs,
+        ))
+    }
+
+    /// Fig. 2 CWSC over the materialized cube.
+    fn solve_unopt(system: &SetSystem, k: usize, coverage: f64) -> Result<Solution, SolveError> {
+        let pool = ThreadPool::new(Threads::serial());
+        complete(cwsc(
+            system,
+            k,
+            coverage,
+            &pool,
+            &Deadline::unbounded(),
+            &mut Stats::new(),
+        ))
+    }
 
     /// The paper's Table I entities data set (16 records).
     fn entities() -> Table {
@@ -465,7 +440,7 @@ mod tests {
     fn paper_worked_example() {
         let t = entities();
         let sp = PatternSpace::new(&t, CostFn::Max);
-        let sol = opt_cwsc(&sp, 2, 9.0 / 16.0, &mut Stats::new()).unwrap();
+        let sol = solve(&sp, 2, 9.0 / 16.0, &mut Stats::new()).unwrap();
         assert_eq!(sol.size(), 2);
         assert_eq!(sol.patterns[0].display(&t), "{Type=B, Location=ALL}");
         assert_eq!(sol.patterns[1].display(&t), "{Type=A, Location=North}");
@@ -483,7 +458,7 @@ mod tests {
         let t = crate::test_util::skewed_table(600, 4, 7);
         let sp = PatternSpace::new(&t, CostFn::Max);
         let mut stats = Stats::new();
-        let sol = opt_cwsc(&sp, 10, 0.3, &mut stats).unwrap();
+        let sol = solve(&sp, 10, 0.3, &mut stats).unwrap();
         sol.verify(&sp);
         let unopt = enumerate_all(&t, CostFn::Max);
         assert!(
@@ -506,8 +481,8 @@ mod tests {
             (4, 1.0),
             (1, 0.25),
         ] {
-            let opt = opt_cwsc(&sp, k, s, &mut Stats::new());
-            let unopt = cwsc(&m.system, k, s, &mut Stats::new());
+            let opt = solve(&sp, k, s, &mut Stats::new());
+            let unopt = solve_unopt(&m.system, k, s);
             match (opt, unopt) {
                 (Ok(o), Ok(u)) => {
                     let u_patterns: Vec<&Pattern> = m.solution_patterns(&u);
@@ -527,7 +502,7 @@ mod tests {
         let t = entities();
         let sp = PatternSpace::new(&t, CostFn::Max);
         for k in 1..=6 {
-            let sol = opt_cwsc(&sp, k, 0.75, &mut Stats::new()).unwrap();
+            let sol = solve(&sp, k, 0.75, &mut Stats::new()).unwrap();
             assert!(sol.size() <= k);
             assert!(sol.covered >= 12);
             sol.verify(&sp);
@@ -538,7 +513,7 @@ mod tests {
     fn zero_target_returns_empty() {
         let t = entities();
         let sp = PatternSpace::new(&t, CostFn::Max);
-        let sol = opt_cwsc(&sp, 3, 0.0, &mut Stats::new()).unwrap();
+        let sol = solve(&sp, 3, 0.0, &mut Stats::new()).unwrap();
         assert_eq!(sol.size(), 0);
     }
 
@@ -547,7 +522,7 @@ mod tests {
         let t = entities();
         let sp = PatternSpace::new(&t, CostFn::Max);
         assert_eq!(
-            opt_cwsc(&sp, 0, 0.5, &mut Stats::new()),
+            solve(&sp, 0, 0.5, &mut Stats::new()),
             Err(SolveError::ZeroSizeBound)
         );
     }
@@ -556,7 +531,7 @@ mod tests {
     fn k1_full_coverage_selects_root() {
         let t = entities();
         let sp = PatternSpace::new(&t, CostFn::Max);
-        let sol = opt_cwsc(&sp, 1, 1.0, &mut Stats::new()).unwrap();
+        let sol = solve(&sp, 1, 1.0, &mut Stats::new()).unwrap();
         assert_eq!(sol.size(), 1);
         assert!(sol.patterns[0].is_root());
         assert_eq!(sol.covered, 16);
@@ -566,7 +541,7 @@ mod tests {
     fn works_with_sum_cost_function() {
         let t = entities();
         let sp = PatternSpace::new(&t, CostFn::Sum);
-        let sol = opt_cwsc(&sp, 3, 0.5, &mut Stats::new()).unwrap();
+        let sol = solve(&sp, 3, 0.5, &mut Stats::new()).unwrap();
         assert!(sol.covered >= 8);
         sol.verify(&sp);
     }
@@ -574,24 +549,7 @@ mod tests {
     mod within {
         use super::*;
         use crate::pattern_solution::verify_certificate_in;
-        use scwsc_core::engine::{Deadline, DegradeReason, SolveOutcome};
         use scwsc_core::telemetry::MetricsRecorder;
-
-        #[test]
-        fn unbounded_deadline_matches_plain_opt_cwsc() {
-            let t = entities();
-            let sp = PatternSpace::new(&t, CostFn::Max);
-            let plain = opt_cwsc(&sp, 2, 9.0 / 16.0, &mut Stats::new()).unwrap();
-            let out = opt_cwsc_within(
-                &sp,
-                2,
-                9.0 / 16.0,
-                &Deadline::unbounded(),
-                &mut MetricsRecorder::new(),
-            )
-            .unwrap();
-            assert_eq!(out.expect_complete("unbounded"), plain);
-        }
 
         #[test]
         fn tick_budget_degrades_with_verifiable_certificate() {
@@ -599,8 +557,9 @@ mod tests {
             let sp = PatternSpace::new(&t, CostFn::Max);
             for budget in [0u64, 1, 2, 5] {
                 let deadline = Deadline::unbounded().with_tick_budget(budget);
+                let pool = ThreadPool::new(Threads::serial());
                 let out =
-                    opt_cwsc_within(&sp, 4, 1.0, &deadline, &mut MetricsRecorder::new()).unwrap();
+                    opt_cwsc(&sp, 4, 1.0, &pool, &deadline, &mut MetricsRecorder::new()).unwrap();
                 let SolveOutcome::Degraded(d) = out else {
                     continue; // larger budgets may legitimately finish
                 };
@@ -617,7 +576,8 @@ mod tests {
             let sp = PatternSpace::new(&t, CostFn::Max);
             let run = || {
                 let deadline = Deadline::unbounded().with_tick_budget(40);
-                opt_cwsc_within(&sp, 8, 0.9, &deadline, &mut MetricsRecorder::new()).unwrap()
+                let pool = ThreadPool::new(Threads::serial());
+                opt_cwsc(&sp, 8, 0.9, &pool, &deadline, &mut MetricsRecorder::new()).unwrap()
             };
             assert_eq!(run(), run());
         }

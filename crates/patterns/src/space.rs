@@ -119,7 +119,7 @@ pub trait LatticeSpace {
 
 /// Lattice navigation handle over one table.
 ///
-/// The inverted index is behind an [`Arc`] so long-lived holders (the
+/// The inverted index is behind an [`Arc`](std::sync::Arc) so long-lived holders (the
 /// serving layer's `PatternInstance`) can build it once and stamp out a
 /// cheap per-query `PatternSpace` — same table, same index, per-query
 /// cost function — via [`PatternSpace::with_index`].

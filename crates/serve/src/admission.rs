@@ -20,7 +20,7 @@
 //!
 //! Brownout tiers shrink per-request budgets (`base_ticks >> tier`)
 //! under sustained pressure instead of refusing work — degrade, don't
-//! drop. The tier climbs when the [`SolveWindows`] p99 benefit count
+//! drop. The tier climbs when the [`SolveWindows`](scwsc_core::SolveWindows) p99 benefit count
 //! saturates the current grant or the windowed degraded-rate crosses its
 //! threshold (both solve-sequence-driven, hence deterministic), plus
 //! queue occupancy; it decays after a calm streak. Hysteresis
@@ -276,7 +276,7 @@ impl Gate {
 
     /// Feeds one completed solve into the brownout state machine.
     /// `windowed_degraded_rate` and `p99_benefits` come from the shared
-    /// [`SolveWindows`]; occupancy is read from the gate itself. Returns
+    /// [`SolveWindows`](scwsc_core::SolveWindows); occupancy is read from the gate itself. Returns
     /// the tier now in force.
     pub fn observe_solve(&self, windowed_degraded_rate: f64, p99_benefits: u64) -> u8 {
         let mut state = self.state.lock().expect("gate lock poisoned");

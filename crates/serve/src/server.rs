@@ -15,7 +15,7 @@
 //! disk before the summary prints. No admitted request is ever dropped
 //! by shutdown.
 //!
-//! **Service faults** (`fault-inject` builds): a [`FaultPlan`] with
+//! **Service faults** (`fault-inject` builds): a `FaultPlan` with
 //! `slow_read` stalls the named request mid-read (a slow client; the
 //! stall is charged as queue wait, shrinking that request's solve
 //! budget), and `disconnect_at` drops the connection after the named

@@ -60,8 +60,12 @@ fn main() {
         coverage * 100.0
     );
 
-    // CWSC: at most k sites.
-    let plan = cwsc(&system, k, coverage, &mut Stats::new()).expect("mega-hospital fallback");
+    // CWSC: at most k sites. Every solver takes a thread pool and a
+    // deadline; with no deadline the solve always completes.
+    let (pool, deadline) = (ThreadPool::new(Threads::serial()), Deadline::unbounded());
+    let plan = cwsc(&system, k, coverage, &pool, &deadline, &mut Stats::new())
+        .expect("mega-hospital fallback")
+        .expect_complete("no deadline");
     println!(
         "CWSC plan: {} sites, construction cost {:.0}, covering {}/{}",
         plan.size(),
@@ -84,7 +88,9 @@ fn main() {
         discount_coverage: false,
         ..CmcParams::epsilon(k, coverage, 1.0, 0.5)
     };
-    let guarded = cmc(&system, &params, &mut Stats::new()).expect("feasible");
+    let guarded = cmc(&system, &params, &pool, &deadline, &mut Stats::new())
+        .expect("feasible")
+        .expect_complete("no deadline");
     println!(
         "\nCMC plan (ε=0.5): {} sites, cost {:.0}, covering {}",
         guarded.solution.size(),
@@ -109,7 +115,8 @@ fn main() {
     );
 
     // On a problem this small the exact optimum is computable:
-    let optimal = exact_optimal(&system, k, coverage).expect("feasible");
+    let target = coverage_target(system.num_elements(), coverage);
+    let optimal = exact_optimal(&system, k, target, &mut NoopObserver).expect("feasible");
     println!(
         "\nexact optimum: cost {:.0} — CWSC is within {:.1}% of it",
         optimal.total_cost(),

@@ -13,7 +13,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use scwsc::patterns::hierarchy::{bin_numeric, hier_cwsc, HierarchicalSpace, Hierarchy};
+use scwsc::patterns::hierarchy::{bin_numeric, HierarchicalSpace, Hierarchy};
 use scwsc::prelude::*;
 
 fn main() {
@@ -99,7 +99,11 @@ fn main() {
 
     // ---- Summarize -------------------------------------------------------
     let (k, coverage) = (4, 0.6);
-    let summary = hier_cwsc(&space, k, coverage, &mut Stats::new()).expect("feasible");
+    let (pool, deadline) = (ThreadPool::new(Threads::serial()), Deadline::unbounded());
+    // opt_cwsc runs over any lattice: the hierarchy-enriched one here.
+    let summary = opt_cwsc(&space, k, coverage, &pool, &deadline, &mut Stats::new())
+        .expect("feasible")
+        .expect_complete("no deadline");
     println!(
         "hierarchical summary: {} patterns, weight {:.0}, covering {}/{}",
         summary.size(),
@@ -115,7 +119,16 @@ fn main() {
     // Compare with the flat pattern cube: hierarchies only add options, so
     // the hierarchical optimum is never worse.
     let flat_space = PatternSpace::new(&table, CostFn::Sum);
-    let flat = opt_cwsc(&flat_space, k, coverage, &mut Stats::new()).expect("feasible");
+    let flat = opt_cwsc(
+        &flat_space,
+        k,
+        coverage,
+        &pool,
+        &deadline,
+        &mut Stats::new(),
+    )
+    .expect("feasible")
+    .expect_complete("no deadline");
     println!(
         "\nflat summary for comparison: {} patterns, weight {:.0}",
         flat.size(),

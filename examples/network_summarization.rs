@@ -27,8 +27,11 @@ fn main() {
     let space = PatternSpace::new(&table, CostFn::Max);
     let (k, coverage) = (8, 0.4);
 
+    let (pool, deadline) = (ThreadPool::new(Threads::serial()), Deadline::unbounded());
     let mut stats = Stats::new();
-    let summary = opt_cwsc(&space, k, coverage, &mut stats).expect("all-ALL pattern exists");
+    let summary = opt_cwsc(&space, k, coverage, &pool, &deadline, &mut stats)
+        .expect("all-ALL pattern exists")
+        .expect_complete("no deadline");
     println!(
         "\nCWSC summary (k={k}, coverage≥{:.0}%): {} patterns, weight {:.2}, covering {} rows",
         coverage * 100.0,
@@ -55,7 +58,9 @@ fn main() {
         discount_coverage: false,
         ..CmcParams::epsilon(k, coverage, 1.0, 1.0)
     };
-    let cmc_summary = opt_cmc(&space, &params, &mut Stats::new()).expect("feasible");
+    let cmc_summary = opt_cmc(&space, &params, &pool, &deadline, &mut Stats::new())
+        .expect("feasible")
+        .expect_complete("no deadline");
     println!(
         "\nCMC summary: {} patterns, weight {:.2}, covering {} rows",
         cmc_summary.size(),

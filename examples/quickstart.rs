@@ -42,7 +42,8 @@ fn main() {
     }
 
     // 2. The size-constrained optimum for k = 2: {P6, P16} at cost 27.
-    let opt = exact_optimal(&m.system, 2, coverage).expect("feasible");
+    let target = coverage_target(m.system.num_elements(), coverage);
+    let opt = exact_optimal(&m.system, 2, target, &mut NoopObserver).expect("feasible");
     println!(
         "\nsize-constrained optimum (k=2): cost {} covering {}/16",
         opt.total_cost(),
@@ -54,7 +55,7 @@ fn main() {
     assert_eq!(opt.total_cost().value(), 27.0);
 
     // 3. Cheapest two sets with no coverage requirement cover almost nothing.
-    let cheap2 = exact_optimal(&m.system, 2, 3.0 / 16.0).expect("feasible");
+    let cheap2 = exact_optimal(&m.system, 2, 3, &mut NoopObserver).expect("feasible");
     println!(
         "\ncheapest 2 patterns (coverage requirement dropped to 3/16): cost {} covering {}/16",
         cheap2.total_cost(),
@@ -63,7 +64,12 @@ fn main() {
 
     // 4. CWSC: at most k patterns, greedy, no cost guarantee — in practice
     //    one unit above the optimum here.
-    let cwsc_sol = opt_cwsc(&space, 2, coverage, &mut Stats::new()).expect("feasible");
+    //    Every solver takes a thread pool and a deadline; with no deadline
+    //    the solve always completes.
+    let (pool, deadline) = (ThreadPool::new(Threads::serial()), Deadline::unbounded());
+    let cwsc_sol = opt_cwsc(&space, 2, coverage, &pool, &deadline, &mut Stats::new())
+        .expect("feasible")
+        .expect_complete("no deadline");
     println!("\nCWSC (k=2): {}", cwsc_sol.display(&space));
     assert_eq!(cwsc_sol.total_cost, 28.0);
     let p16 = table2_pattern(&table, 16).expect("P16 exists");
@@ -75,7 +81,9 @@ fn main() {
         discount_coverage: false, // aim at the same 9/16 as CWSC
         ..CmcParams::classic(2, coverage, 1.0)
     };
-    let cmc_sol = opt_cmc(&space, &params, &mut stats).expect("feasible");
+    let cmc_sol = opt_cmc(&space, &params, &pool, &deadline, &mut stats)
+        .expect("feasible")
+        .expect_complete("no deadline");
     println!(
         "CMC  (k=2): {} (after {} budget guesses)",
         cmc_sol.display(&space),

@@ -13,6 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scwsc::sets::incremental::IncrementalCover;
 use scwsc::sets::multiweight::{pareto_sweep, MultiWeightSystem};
+use scwsc::sets::{Deadline, NoopObserver, ThreadPool, Threads};
 
 fn main() {
     // ---- Part 1: incremental maintenance -------------------------------
@@ -70,7 +71,18 @@ fn main() {
             vec![w, 1.0 - w]
         })
         .collect();
-    let frontier = pareto_sweep(&mw, 3, 0.55, &lambdas).expect("feasible");
+    let pool = ThreadPool::new(Threads::serial());
+    let frontier = pareto_sweep(
+        &mw,
+        3,
+        0.55,
+        &lambdas,
+        &pool,
+        &Deadline::unbounded(),
+        &mut NoopObserver,
+    )
+    .expect("feasible")
+    .expect_complete("no deadline");
     println!(
         "\nmoney/staff-hour trade-off frontier ({} points):",
         frontier.len()

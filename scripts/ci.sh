@@ -22,7 +22,13 @@ cargo test -q
 # the plain run above covers only the default.
 SCWSC_PRUNE=0 cargo test -q --test prop_lattice_reuse
 cargo fmt --check
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --workspace --all-targets --features fault-inject -- -D warnings
+# Rustdoc gate: a deleted or renamed item must not leave a dangling
+# intra-doc link. Per-package flags, because --workspace would also
+# document the vendored stand-ins, whose docs are not ours to fix.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p scwsc -p scwsc-core \
+  -p scwsc-patterns -p scwsc-data -p scwsc-serve -p scwsc-bench
 
 # The benchmark crate (perfbench/, outside the workspace) builds against
 # the library APIs it calls, so an API change that breaks it fails here

@@ -23,7 +23,10 @@
 //! // The paper's Table I data set and its §V-B worked example:
 //! let table = scwsc::data::entities_table();
 //! let space = PatternSpace::new(&table, CostFn::Max);
-//! let solution = opt_cwsc(&space, 2, 9.0 / 16.0, &mut Stats::new()).unwrap();
+//! let pool = ThreadPool::new(Threads::serial());
+//! let solution = opt_cwsc(&space, 2, 9.0 / 16.0, &pool, &Deadline::unbounded(), &mut Stats::new())
+//!     .unwrap()
+//!     .expect_complete("an unbounded deadline never expires");
 //! assert_eq!(solution.size(), 2);
 //! assert_eq!(solution.total_cost, 28.0); // P16 {B,ALL} + P3 {A,North}
 //! ```
@@ -41,8 +44,9 @@ pub mod prelude {
         CMC_COVERAGE_DISCOUNT,
     };
     pub use scwsc_core::{
-        coverage_target, verify, Fanout, JsonlSink, MetricsRecorder, NoopObserver, Observer,
-        Requirements, SetSystem, Solution, SolveError, Stats,
+        coverage_target, verify, Deadline, EngineError, Fanout, JsonlSink, MetricsRecorder,
+        NoopObserver, Observer, Requirements, SetSystem, Solution, SolveError, SolveOutcome, Stats,
+        ThreadPool, Threads,
     };
     pub use scwsc_patterns::{
         enumerate_all, opt_cmc, opt_cwsc, CostFn, Pattern, PatternSolution, PatternSpace, Table,
@@ -57,13 +61,19 @@ mod tests {
     fn facade_reaches_all_crates() {
         let table = crate::data::entities_table();
         let space = PatternSpace::new(&table, CostFn::Max);
-        let sol = opt_cwsc(&space, 2, 9.0 / 16.0, &mut Stats::new()).unwrap();
+        let pool = ThreadPool::new(Threads::serial());
+        let deadline = Deadline::unbounded();
+        let sol = opt_cwsc(&space, 2, 9.0 / 16.0, &pool, &deadline, &mut Stats::new())
+            .unwrap()
+            .expect_complete("unbounded deadline");
         assert!(sol.covered >= 9);
 
         let mut b = SetSystem::builder(4);
         b.add_set([0, 1], 1.0).add_universe_set(5.0);
         let sys = b.build().unwrap();
-        let sol = cwsc(&sys, 1, 0.5, &mut Stats::new()).unwrap();
+        let sol = cwsc(&sys, 1, 0.5, &pool, &deadline, &mut Stats::new())
+            .unwrap()
+            .expect_complete("unbounded deadline");
         assert_eq!(sol.total_cost().value(), 1.0);
     }
 }

@@ -9,6 +9,13 @@ use scwsc::prelude::*;
 use scwsc::sets::incremental::IncrementalCover;
 use scwsc::sets::multiweight::{pareto_sweep, MultiWeightSystem};
 
+/// The complete value of a feasible solve without a deadline.
+fn complete<T>(result: Result<SolveOutcome<T>, EngineError>) -> T {
+    result
+        .expect("feasible")
+        .expect_complete("unbounded deadline")
+}
+
 fn trace(rows: usize) -> Table {
     LblConfig {
         rows,
@@ -23,14 +30,30 @@ fn trace(rows: usize) -> Table {
 fn all_solvers_agree_on_validity() {
     let table = trace(1_500);
     let (k, coverage) = (6, 0.35);
+    let pool = ThreadPool::new(Threads::serial());
+    let deadline = Deadline::unbounded();
     let target = coverage_target(table.num_rows(), coverage);
 
     let space = PatternSpace::new(&table, CostFn::Max);
     let m = enumerate_all(&table, CostFn::Max);
 
     // Optimized and unoptimized CWSC agree exactly.
-    let opt = opt_cwsc(&space, k, coverage, &mut Stats::new()).unwrap();
-    let unopt = cwsc(&m.system, k, coverage, &mut Stats::new()).unwrap();
+    let opt = complete(opt_cwsc(
+        &space,
+        k,
+        coverage,
+        &pool,
+        &deadline,
+        &mut Stats::new(),
+    ));
+    let unopt = complete(cwsc(
+        &m.system,
+        k,
+        coverage,
+        &pool,
+        &deadline,
+        &mut Stats::new(),
+    ));
     assert_eq!(
         opt.patterns.iter().collect::<Vec<_>>(),
         m.solution_patterns(&unopt)
@@ -43,11 +66,17 @@ fn all_solvers_agree_on_validity() {
         discount_coverage: false,
         ..CmcParams::epsilon(k, coverage, 1.0, 1.0)
     };
-    let opt_c = opt_cmc(&space, &params, &mut Stats::new()).unwrap();
+    let opt_c = complete(opt_cmc(
+        &space,
+        &params,
+        &pool,
+        &deadline,
+        &mut Stats::new(),
+    ));
     opt_c.verify(&space);
     assert!(opt_c.covered >= target);
     assert!(opt_c.size() <= 2 * k);
-    let unopt_c = cmc(&m.system, &params, &mut Stats::new()).unwrap();
+    let unopt_c = complete(cmc(&m.system, &params, &pool, &deadline, &mut Stats::new()));
     assert!(unopt_c.solution.covered() >= target);
     assert!(unopt_c.solution.size() <= 2 * k);
 
@@ -67,20 +96,24 @@ fn csv_roundtrip_preserves_solutions() {
     let table = trace(400);
     let csv = table_to_csv(&table);
     let back = table_from_csv(&csv).unwrap();
-    let a = opt_cwsc(
+    let pool = ThreadPool::new(Threads::serial());
+    let deadline = Deadline::unbounded();
+    let a = complete(opt_cwsc(
         &PatternSpace::new(&table, CostFn::Max),
         4,
         0.3,
+        &pool,
+        &deadline,
         &mut Stats::new(),
-    )
-    .unwrap();
-    let b = opt_cwsc(
+    ));
+    let b = complete(opt_cwsc(
         &PatternSpace::new(&back, CostFn::Max),
         4,
         0.3,
+        &pool,
+        &deadline,
         &mut Stats::new(),
-    )
-    .unwrap();
+    ));
     assert_eq!(a.covered, b.covered);
     assert!((a.total_cost - b.total_cost).abs() < 1e-9);
     assert_eq!(a.patterns.len(), b.patterns.len());
@@ -89,12 +122,21 @@ fn csv_roundtrip_preserves_solutions() {
 #[test]
 fn perturbations_keep_problems_solvable() {
     let table = trace(600);
+    let pool = ThreadPool::new(Threads::serial());
+    let deadline = Deadline::unbounded();
     for t in [
         uniform_noise(&table, 0.5, 1),
         lognormal_rerank(&table, 2.0, 2.0, 1),
     ] {
         let space = PatternSpace::new(&t, CostFn::Max);
-        let sol = opt_cwsc(&space, 5, 0.4, &mut Stats::new()).unwrap();
+        let sol = complete(opt_cwsc(
+            &space,
+            5,
+            0.4,
+            &pool,
+            &deadline,
+            &mut Stats::new(),
+        ));
         sol.verify(&space);
         assert!(sol.covered >= coverage_target(t.num_rows(), 0.4));
     }
@@ -135,7 +177,9 @@ fn incremental_matches_batch_validity() {
     }
     // Final state agrees with a batch solve over the snapshot.
     let snapshot = inc.snapshot();
-    let batch = cwsc(&snapshot, 4, 0.5, &mut Stats::new()).unwrap();
+    let pool = ThreadPool::new(Threads::serial());
+    let deadline = Deadline::unbounded();
+    let batch = complete(cwsc(&snapshot, 4, 0.5, &pool, &deadline, &mut Stats::new()));
     assert!(batch.covered() >= inc.target());
     assert!(inc.resolves() <= table.num_rows() as u64);
 }
@@ -153,11 +197,16 @@ fn multiweight_scalarization_consistent_with_single_weight() {
             .unwrap();
     }
     let scalar = mw.scalarize(&[0.25, 0.75]).unwrap();
-    let a = cwsc(&scalar, 5, 0.4, &mut Stats::new()).unwrap();
-    let b = cwsc(&m.system, 5, 0.4, &mut Stats::new()).unwrap();
+    let pool = ThreadPool::new(Threads::serial());
+    let deadline = Deadline::unbounded();
+    let a = complete(cwsc(&scalar, 5, 0.4, &pool, &deadline, &mut Stats::new()));
+    let b = complete(cwsc(&m.system, 5, 0.4, &pool, &deadline, &mut Stats::new()));
     assert_eq!(a.sets(), b.sets());
 
-    let frontier = pareto_sweep(&mw, 5, 0.4, &[vec![1.0, 0.0], vec![0.0, 1.0]]).unwrap();
+    let lambdas = [vec![1.0, 0.0], vec![0.0, 1.0]];
+    let frontier = pareto_sweep(&mw, 5, 0.4, &lambdas, &pool, &deadline, &mut NoopObserver)
+        .unwrap()
+        .expect_complete("unbounded deadline");
     assert_eq!(
         frontier.len(),
         1,

@@ -5,6 +5,12 @@
 use scwsc::data::{entities_table, table2_pattern};
 use scwsc::prelude::*;
 
+/// The exact optimum at coverage fraction `coverage`.
+fn optimum(system: &SetSystem, k: usize, coverage: f64) -> Option<Solution> {
+    let target = coverage_target(system.num_elements(), coverage);
+    exact_optimal(system, k, target, &mut NoopObserver)
+}
+
 fn materialized() -> (Table, scwsc::patterns::MaterializedPatterns) {
     let t = entities_table();
     let m = enumerate_all(&t, CostFn::Max);
@@ -32,7 +38,7 @@ fn intro_weighted_set_cover_solution() {
 #[test]
 fn intro_size_constrained_optimum() {
     let (t, m) = materialized();
-    let sol = exact_optimal(&m.system, 2, 9.0 / 16.0).unwrap();
+    let sol = optimum(&m.system, 2, 9.0 / 16.0).unwrap();
     assert_eq!(sol.total_cost().value(), 27.0);
     let chosen: Vec<Pattern> = m.solution_patterns(&sol).into_iter().cloned().collect();
     assert!(chosen.contains(&table2_pattern(&t, 6).unwrap()));
@@ -46,7 +52,7 @@ fn intro_size_constrained_optimum() {
 fn intro_cheapest_two_sets() {
     let (t, m) = materialized();
     // The cheapest pair is exactly the optimum for a 3/16 requirement.
-    let sol = exact_optimal(&m.system, 2, 3.0 / 16.0).unwrap();
+    let sol = optimum(&m.system, 2, 3.0 / 16.0).unwrap();
     assert_eq!(sol.total_cost().value(), 5.0); // P6 (3) + P8 (2)
     assert_eq!(sol.covered(), 3);
     let chosen: Vec<Pattern> = m.solution_patterns(&sol).into_iter().cloned().collect();
@@ -74,7 +80,17 @@ fn intro_coverage_only_solution_is_expensive() {
 #[test]
 fn cwsc_walkthrough_selects_p16_then_p3() {
     let (t, m) = materialized();
-    let sol = cwsc(&m.system, 2, 9.0 / 16.0, &mut Stats::new()).unwrap();
+    let (pool, deadline) = (ThreadPool::new(Threads::serial()), Deadline::unbounded());
+    let sol = cwsc(
+        &m.system,
+        2,
+        9.0 / 16.0,
+        &pool,
+        &deadline,
+        &mut Stats::new(),
+    )
+    .unwrap()
+    .expect_complete("unbounded deadline");
     let chosen = m.solution_patterns(&sol);
     assert_eq!(chosen[0], &table2_pattern(&t, 16).unwrap());
     assert_eq!(chosen[1], &table2_pattern(&t, 3).unwrap());
@@ -112,7 +128,10 @@ fn cmc_walkthrough_needs_budget_twenty() {
         ..CmcParams::classic(2, 9.0 / 16.0, 1.0)
     };
     let mut stats = Stats::new();
-    let out = cmc(&m.system, &params, &mut stats).unwrap();
+    let (pool, deadline) = (ThreadPool::new(Threads::serial()), Deadline::unbounded());
+    let out = cmc(&m.system, &params, &pool, &deadline, &mut stats)
+        .unwrap()
+        .expect_complete("unbounded deadline");
     assert!(out.solution.covered() >= 9);
     assert_eq!(out.final_budget, 20.0, "B doubles 5 -> 10 -> 20");
     assert_eq!(stats.budget_guesses, 3);

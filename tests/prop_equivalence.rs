@@ -9,6 +9,38 @@ use scwsc::patterns::reductions::set_system_to_patterns;
 use scwsc::patterns::InvertedIndex;
 use scwsc::prelude::*;
 
+/// Fig. 2 CWSC, serial and without a deadline.
+fn solve_cwsc(system: &SetSystem, k: usize, coverage: f64) -> Result<Solution, EngineError> {
+    let pool = ThreadPool::new(Threads::serial());
+    cwsc(
+        system,
+        k,
+        coverage,
+        &pool,
+        &Deadline::unbounded(),
+        &mut Stats::new(),
+    )
+    .map(|out| out.expect_complete("unbounded deadline"))
+}
+
+/// Fig. 3 optimized CWSC, serial and without a deadline.
+fn solve_opt_cwsc(
+    space: &PatternSpace<'_>,
+    k: usize,
+    coverage: f64,
+) -> Result<PatternSolution, EngineError> {
+    let pool = ThreadPool::new(Threads::serial());
+    opt_cwsc(
+        space,
+        k,
+        coverage,
+        &pool,
+        &Deadline::unbounded(),
+        &mut Stats::new(),
+    )
+    .map(|out| out.expect_complete("unbounded deadline"))
+}
+
 /// A random small table: 1–3 attributes with tiny domains (so patterns
 /// overlap heavily), small integer measures.
 fn arb_table() -> impl Strategy<Value = Table> {
@@ -62,8 +94,8 @@ proptest! {
     ) {
         let space = PatternSpace::new(&table, CostFn::Max);
         let m = enumerate_all(&table, CostFn::Max);
-        let opt = opt_cwsc(&space, k, coverage, &mut Stats::new());
-        let unopt = cwsc(&m.system, k, coverage, &mut Stats::new());
+        let opt = solve_opt_cwsc(&space, k, coverage);
+        let unopt = solve_cwsc(&m.system, k, coverage);
         match (opt, unopt) {
             (Ok(o), Ok(u)) => {
                 let u_patterns: Vec<&Pattern> = m.solution_patterns(&u);
@@ -85,8 +117,8 @@ proptest! {
     ) {
         let space = PatternSpace::new(&table, CostFn::Sum);
         let m = enumerate_all(&table, CostFn::Sum);
-        let opt = opt_cwsc(&space, k, 0.5, &mut Stats::new());
-        let unopt = cwsc(&m.system, k, 0.5, &mut Stats::new());
+        let opt = solve_opt_cwsc(&space, k, 0.5);
+        let unopt = solve_cwsc(&m.system, k, 0.5);
         match (opt, unopt) {
             (Ok(o), Ok(u)) => {
                 let u_patterns: Vec<&Pattern> = m.solution_patterns(&u);
@@ -121,8 +153,8 @@ proptest! {
             );
         }
         let mapped = b.build().unwrap();
-        let a = cwsc(&system, k, 0.6, &mut Stats::new());
-        let c = cwsc(&mapped, k, 0.6, &mut Stats::new());
+        let a = solve_cwsc(&system, k, 0.6);
+        let c = solve_cwsc(&mapped, k, 0.6);
         prop_assert_eq!(a, c);
     }
 

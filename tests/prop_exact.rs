@@ -56,7 +56,7 @@ proptest! {
     ) {
         let target = coverage_target(system.num_elements(), coverage);
         let brute = brute_force_optimum(&system, k, target);
-        let bnb = scwsc::sets::algorithms::exact_optimal_with_target(&system, k, target);
+        let bnb = exact_optimal(&system, k, target, &mut NoopObserver);
         match (brute, bnb) {
             (Some(b), Some(sol)) => {
                 prop_assert!(
@@ -82,10 +82,9 @@ proptest! {
         coverage in 0.1f64..=1.0,
     ) {
         let target = coverage_target(system.num_elements(), coverage);
-        let tight = scwsc::sets::algorithms::exact_optimal_with_target(&system, k, target);
-        let looser_k = scwsc::sets::algorithms::exact_optimal_with_target(&system, k + 1, target);
-        let looser_t =
-            scwsc::sets::algorithms::exact_optimal_with_target(&system, k, target.saturating_sub(1));
+        let tight = exact_optimal(&system, k, target, &mut NoopObserver);
+        let looser_k = exact_optimal(&system, k + 1, target, &mut NoopObserver);
+        let looser_t = exact_optimal(&system, k, target.saturating_sub(1), &mut NoopObserver);
         if let Some(t) = &tight {
             let lk = looser_k.expect("loosening k keeps feasibility");
             prop_assert!(lk.total_cost() <= t.total_cost());

@@ -11,7 +11,6 @@
 
 use proptest::prelude::*;
 use scwsc::prelude::*;
-use scwsc::sets::algorithms::cmc_within;
 use scwsc::sets::telemetry::pack_k_target;
 use scwsc::sets::{
     coverage_target, Deadline, EngineError, FlightRecorder, SolveOutcome, ThreadPool, Threads,
@@ -51,7 +50,7 @@ fn recorded_cmc(
     let pool = ThreadPool::new(threads);
     let deadline = Deadline::unbounded().with_tick_budget(ticks);
     let mut flight = FlightRecorder::new();
-    let outcome = cmc_within(system, params, &pool, &deadline, &mut flight);
+    let outcome = cmc(system, params, &pool, &deadline, &mut flight);
     (outcome, flight)
 }
 
@@ -143,7 +142,7 @@ proptest! {
         let pool = ThreadPool::new(Threads::serial());
         let run = |flight: &mut FlightRecorder| {
             let deadline = Deadline::unbounded().with_tick_budget(ticks);
-            cmc_within(&system, &params, &pool, &deadline, flight)
+            cmc(&system, &params, &pool, &deadline, flight)
         };
         let mut small = FlightRecorder::with_capacity(8);
         let mut big = FlightRecorder::new();
@@ -189,7 +188,7 @@ mod faults {
             let deadline =
                 Deadline::unbounded().with_fault_plan(FaultPlan::new().panic_guess_once(1));
             let mut flight = FlightRecorder::new();
-            let outcome = cmc_within(&system, &params, &pool, &deadline, &mut flight);
+            let outcome = cmc(&system, &params, &pool, &deadline, &mut flight);
             (outcome, flight)
         };
         let (serial, t1) = run(Threads::serial());
@@ -214,7 +213,7 @@ mod faults {
         let pool = ThreadPool::new(Threads::new(4));
         let deadline = Deadline::unbounded().with_fault_plan(FaultPlan::new().fail_guess(1));
         let mut flight = FlightRecorder::new();
-        let err = cmc_within(&system, &params, &pool, &deadline, &mut flight)
+        let err = cmc(&system, &params, &pool, &deadline, &mut flight)
             .expect_err("persistent fault must fail");
         assert!(matches!(err, EngineError::Panicked(_)));
         let target = coverage_target(

@@ -5,6 +5,40 @@
 use proptest::prelude::*;
 use scwsc::prelude::*;
 use scwsc::sets::algorithms::cmc::Levels;
+use scwsc::sets::algorithms::CmcOutcome;
+
+/// Fig. 2 CWSC, serial and without a deadline.
+fn solve_cwsc(system: &SetSystem, k: usize, coverage: f64) -> Result<Solution, EngineError> {
+    let pool = ThreadPool::new(Threads::serial());
+    cwsc(
+        system,
+        k,
+        coverage,
+        &pool,
+        &Deadline::unbounded(),
+        &mut Stats::new(),
+    )
+    .map(|out| out.expect_complete("unbounded deadline"))
+}
+
+/// Fig. 1 CMC, serial and without a deadline.
+fn solve_cmc(system: &SetSystem, params: &CmcParams) -> Result<CmcOutcome, EngineError> {
+    let pool = ThreadPool::new(Threads::serial());
+    cmc(
+        system,
+        params,
+        &pool,
+        &Deadline::unbounded(),
+        &mut Stats::new(),
+    )
+    .map(|out| out.expect_complete("unbounded deadline"))
+}
+
+/// The exact optimum at coverage fraction `coverage`.
+fn optimum(system: &SetSystem, k: usize, coverage: f64) -> Option<Solution> {
+    let target = coverage_target(system.num_elements(), coverage);
+    exact_optimal(system, k, target, &mut NoopObserver)
+}
 
 fn arb_system() -> impl Strategy<Value = SetSystem> {
     (2usize..=14, 0usize..=12).prop_flat_map(|(n, sets)| {
@@ -35,7 +69,7 @@ proptest! {
         k in 1usize..=6,
         coverage in 0.0f64..=1.0,
     ) {
-        let sol = cwsc(&system, k, coverage, &mut Stats::new()).unwrap();
+        let sol = solve_cwsc(&system, k, coverage).unwrap();
         let req = Requirements::new(&system, k, coverage);
         let v = verify(&system, &sol, req);
         prop_assert!(v.is_valid(), "{:?}", v);
@@ -50,7 +84,7 @@ proptest! {
         coverage in 0.0f64..=1.0,
     ) {
         let params = CmcParams::classic(k, coverage, 1.0);
-        let out = cmc(&system, &params, &mut Stats::new()).unwrap();
+        let out = solve_cmc(&system, &params).unwrap();
         prop_assert!(out.solution.size() <= 5 * k);
         let target = coverage_target(
             system.num_elements(),
@@ -71,7 +105,7 @@ proptest! {
         eps in 0.25f64..=3.0,
     ) {
         let params = CmcParams::epsilon(k, 0.8, 1.0, eps);
-        let out = cmc(&system, &params, &mut Stats::new()).unwrap();
+        let out = solve_cmc(&system, &params).unwrap();
         let bound = ((1.0 + eps) * k as f64).floor() as usize;
         prop_assert!(
             out.solution.size() <= bound.max(k),
@@ -108,10 +142,10 @@ proptest! {
         k in 1usize..=4,
         coverage in 0.0f64..=1.0,
     ) {
-        let opt = exact_optimal(&system, k, coverage).unwrap();
+        let opt = optimum(&system, k, coverage).unwrap();
         let req = Requirements::new(&system, k, coverage);
         prop_assert!(verify(&system, &opt, req).is_valid());
-        let greedy = cwsc(&system, k, coverage, &mut Stats::new()).unwrap();
+        let greedy = solve_cwsc(&system, k, coverage).unwrap();
         prop_assert!(opt.total_cost() <= greedy.total_cost());
     }
 
@@ -124,11 +158,11 @@ proptest! {
         coverage in 0.0f64..=1.0,
     ) {
         let unbounded = greedy_weighted_set_cover(&system, coverage, &mut Stats::new()).unwrap();
-        if let Ok(bounded) = cwsc(&system, k, coverage, &mut Stats::new()) {
+        if let Ok(bounded) = solve_cwsc(&system, k, coverage) {
             // Both are greedy heuristics, so this is not a theorem — but
             // the *optimal* unbounded cost is a lower bound; use the exact
             // solver with k = number of sets as the unbounded optimum.
-            let opt_unbounded = exact_optimal(&system, system.num_sets(), coverage).unwrap();
+            let opt_unbounded = optimum(&system, system.num_sets(), coverage).unwrap();
             prop_assert!(opt_unbounded.total_cost() <= bounded.total_cost());
             // And sanity: the greedy unbounded solution meets coverage.
             let req = Requirements::new(&system, unbounded.size().max(1), coverage);

@@ -5,6 +5,40 @@ use proptest::prelude::*;
 use scwsc::prelude::*;
 use scwsc::sets::incremental::IncrementalCover;
 
+/// Fig. 3 optimized CWSC, serial and without a deadline.
+fn solve_opt_cwsc(
+    space: &PatternSpace<'_>,
+    k: usize,
+    coverage: f64,
+) -> Result<PatternSolution, EngineError> {
+    let pool = ThreadPool::new(Threads::serial());
+    opt_cwsc(
+        space,
+        k,
+        coverage,
+        &pool,
+        &Deadline::unbounded(),
+        &mut Stats::new(),
+    )
+    .map(|out| out.expect_complete("unbounded deadline"))
+}
+
+/// Fig. 4 optimized CMC, serial and without a deadline.
+fn solve_opt_cmc(
+    space: &PatternSpace<'_>,
+    params: &CmcParams,
+) -> Result<PatternSolution, EngineError> {
+    let pool = ThreadPool::new(Threads::serial());
+    opt_cmc(
+        space,
+        params,
+        &pool,
+        &Deadline::unbounded(),
+        &mut Stats::new(),
+    )
+    .map(|out| out.expect_complete("unbounded deadline"))
+}
+
 fn arb_table() -> impl Strategy<Value = Table> {
     (1usize..=3, 1usize..=30).prop_flat_map(|(attrs, rows)| {
         let row = (proptest::collection::vec(0u8..5, attrs), 0u8..60);
@@ -37,14 +71,14 @@ proptest! {
     ) {
         let space = PatternSpace::new(&table, CostFn::Max);
         let classic = CmcParams::classic(k, coverage, 1.0);
-        let sol = opt_cmc(&space, &classic, &mut Stats::new()).unwrap();
+        let sol = solve_opt_cmc(&space, &classic).unwrap();
         sol.verify(&space);
         prop_assert!(sol.size() <= 5 * k);
         let target = coverage_target(table.num_rows(), coverage * CMC_COVERAGE_DISCOUNT);
         prop_assert!(sol.covered >= target, "covered {} < target {}", sol.covered, target);
 
         let eps_params = CmcParams::epsilon(k, coverage, 1.0, eps);
-        let sol = opt_cmc(&space, &eps_params, &mut Stats::new()).unwrap();
+        let sol = solve_opt_cmc(&space, &eps_params).unwrap();
         let bound = ((1.0 + eps) * k as f64).floor() as usize;
         prop_assert!(sol.size() <= bound.max(k));
         prop_assert!(sol.covered >= target);
@@ -63,7 +97,7 @@ proptest! {
             discount_coverage: false,
             ..CmcParams::epsilon(k, coverage, 1.0, 1.0)
         };
-        let sol = opt_cmc(&space, &params, &mut Stats::new()).unwrap();
+        let sol = solve_opt_cmc(&space, &params).unwrap();
         prop_assert!(sol.covered >= coverage_target(table.num_rows(), coverage));
         let mut seen = sol.patterns.clone();
         seen.sort();
@@ -75,12 +109,12 @@ proptest! {
     #[test]
     fn optimized_algorithms_deterministic(table in arb_table(), k in 1usize..=4) {
         let space = PatternSpace::new(&table, CostFn::Max);
-        let a = opt_cwsc(&space, k, 0.6, &mut Stats::new());
-        let b = opt_cwsc(&space, k, 0.6, &mut Stats::new());
+        let a = solve_opt_cwsc(&space, k, 0.6);
+        let b = solve_opt_cwsc(&space, k, 0.6);
         prop_assert_eq!(a, b);
         let params = CmcParams::classic(k, 0.6, 1.0);
-        let c = opt_cmc(&space, &params, &mut Stats::new());
-        let d = opt_cmc(&space, &params, &mut Stats::new());
+        let c = solve_opt_cmc(&space, &params);
+        let d = solve_opt_cmc(&space, &params);
         prop_assert_eq!(c, d);
     }
 
@@ -89,7 +123,7 @@ proptest! {
     #[test]
     fn solutions_contain_only_real_patterns(table in arb_table(), k in 1usize..=4) {
         let space = PatternSpace::new(&table, CostFn::Max);
-        if let Ok(sol) = opt_cwsc(&space, k, 0.5, &mut Stats::new()) {
+        if let Ok(sol) = solve_opt_cwsc(&space, k, 0.5) {
             for p in &sol.patterns {
                 prop_assert_eq!(p.num_attrs(), table.num_attrs());
                 prop_assert!(!space.benefit(p).is_empty(), "{}", p.display(&table));

@@ -144,11 +144,12 @@ proptest! {
         k in 1usize..=6,
         coverage in 0.0f64..=1.0,
     ) {
-        let fast = cwsc(&system, k, coverage, &mut Stats::new());
+        let pool = ThreadPool::new(Threads::serial());
+        let fast = cwsc(&system, k, coverage, &pool, &Deadline::unbounded(), &mut Stats::new());
         let slow = reference_cwsc(&system, k, coverage);
         match (fast, slow) {
-            (Ok(f), Ok(s)) => prop_assert_eq!(f.sets().to_vec(), s),
-            (Err(SolveError::NoSolution), Err(())) => {}
+            (Ok(SolveOutcome::Complete(f)), Ok(s)) => prop_assert_eq!(f.sets().to_vec(), s),
+            (Err(EngineError::Solve(SolveError::NoSolution)), Err(())) => {}
             (f, s) => prop_assert!(false, "fast {:?} vs reference {:?}", f, s),
         }
     }

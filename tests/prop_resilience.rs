@@ -8,12 +8,9 @@
 //! `Threads(1)` and `Threads(4)`.
 
 use proptest::prelude::*;
-use scwsc::patterns::{
-    opt_cmc_within, opt_cwsc_within, verify_certificate_in, CostFn, PatternSpace, Table,
-};
+use scwsc::patterns::{verify_certificate_in, CostFn, PatternSpace, Table};
 use scwsc::prelude::*;
-use scwsc::sets::algorithms::{cmc_within, cwsc_within};
-use scwsc::sets::{verify_certificate, Deadline, EngineError, SolveOutcome, ThreadPool, Threads};
+use scwsc::sets::verify_certificate;
 
 /// A random small set system that always contains a universe set, so
 /// every instance is feasible and `Err(Solve)` outcomes are rare.
@@ -86,7 +83,7 @@ proptest! {
         let params = CmcParams::classic(k, coverage, 0.5);
         let pool = ThreadPool::new(Threads::serial());
         let deadline = Deadline::unbounded().with_tick_budget(ticks);
-        match cmc_within(&system, &params, &pool, &deadline, &mut NoopObserver) {
+        match cmc(&system, &params, &pool, &deadline, &mut NoopObserver) {
             Ok(outcome) => {
                 check_set_outcome(&system, &outcome.value().solution, &outcome);
             }
@@ -107,7 +104,7 @@ proptest! {
     ) {
         let pool = ThreadPool::new(Threads::serial());
         let deadline = Deadline::unbounded().with_tick_budget(ticks);
-        match cwsc_within(&system, k, coverage, &pool, &deadline, &mut NoopObserver) {
+        match cwsc(&system, k, coverage, &pool, &deadline, &mut NoopObserver) {
             Ok(outcome) => {
                 check_set_outcome(&system, outcome.value(), &outcome);
             }
@@ -132,12 +129,12 @@ proptest! {
         let serial = {
             let pool = ThreadPool::new(Threads::serial());
             let deadline = Deadline::unbounded().with_tick_budget(ticks);
-            cmc_within(&system, &params, &pool, &deadline, &mut NoopObserver)
+            cmc(&system, &params, &pool, &deadline, &mut NoopObserver)
         };
         let parallel = {
             let pool = ThreadPool::new(Threads::new(4));
             let deadline = Deadline::unbounded().with_tick_budget(ticks);
-            cmc_within(&system, &params, &pool, &deadline, &mut NoopObserver)
+            cmc(&system, &params, &pool, &deadline, &mut NoopObserver)
         };
         prop_assert_eq!(serial, parallel);
     }
@@ -152,12 +149,12 @@ proptest! {
         let serial = {
             let pool = ThreadPool::new(Threads::serial());
             let deadline = Deadline::unbounded().with_tick_budget(ticks);
-            cwsc_within(&system, k, 0.7, &pool, &deadline, &mut NoopObserver)
+            cwsc(&system, k, 0.7, &pool, &deadline, &mut NoopObserver)
         };
         let parallel = {
             let pool = ThreadPool::new(Threads::new(4));
             let deadline = Deadline::unbounded().with_tick_budget(ticks);
-            cwsc_within(&system, k, 0.7, &pool, &deadline, &mut NoopObserver)
+            cwsc(&system, k, 0.7, &pool, &deadline, &mut NoopObserver)
         };
         prop_assert_eq!(serial, parallel);
     }
@@ -176,7 +173,7 @@ proptest! {
     ) {
         let space = PatternSpace::new(&table, CostFn::Max);
         let deadline = Deadline::unbounded().with_tick_budget(ticks);
-        match opt_cwsc_within(&space, k, 0.6, &deadline, &mut NoopObserver) {
+        match opt_cwsc(&space, k, 0.6, &ThreadPool::new(Threads::serial()), &deadline, &mut NoopObserver) {
             Ok(SolveOutcome::Complete(_)) => {}
             Ok(SolveOutcome::Degraded(d)) => {
                 let check = verify_certificate_in(&space, &d.partial, &d.certificate);
@@ -200,7 +197,7 @@ proptest! {
         let params = CmcParams::classic(k, 0.6, 0.5);
         let pool = ThreadPool::new(Threads::serial());
         let deadline = Deadline::unbounded().with_tick_budget(ticks);
-        match opt_cmc_within(&space, &params, &pool, &deadline, &mut NoopObserver) {
+        match opt_cmc(&space, &params, &pool, &deadline, &mut NoopObserver) {
             Ok(SolveOutcome::Complete(_)) => {}
             Ok(SolveOutcome::Degraded(d)) => {
                 let check = verify_certificate_in(&space, &d.partial, &d.certificate);
@@ -242,7 +239,7 @@ mod faults {
         let pool = ThreadPool::new(Threads::new(4));
         let deadline = Deadline::unbounded().with_fault_plan(FaultPlan::new().panic_guess_once(1));
         let mut metrics = MetricsRecorder::new();
-        let outcome = cmc_within(&system, &params, &pool, &deadline, &mut metrics)
+        let outcome = cmc(&system, &params, &pool, &deadline, &mut metrics)
             .expect("one-shot fault must not fail the solve");
         assert!(outcome.is_complete(), "retry recovers: {outcome:?}");
         assert_eq!(metrics.guesses_retried, 1, "exactly one contained retry");
@@ -257,7 +254,7 @@ mod faults {
         for threads in [Threads::serial(), Threads::new(4)] {
             let pool = ThreadPool::new(threads);
             let deadline = Deadline::unbounded().with_fault_plan(FaultPlan::new().fail_guess(1));
-            let err = cmc_within(&system, &params, &pool, &deadline, &mut NoopObserver)
+            let err = cmc(&system, &params, &pool, &deadline, &mut NoopObserver)
                 .expect_err("persistent fault must fail");
             match err {
                 EngineError::Panicked(msg) => {
@@ -290,7 +287,7 @@ mod faults {
                 let deadline = Deadline::unbounded()
                     .with_tick_budget(ticks)
                     .with_fault_plan(FaultPlan::from_seed(seed));
-                cmc_within(&system, &params, &pool, &deadline, &mut NoopObserver)
+                cmc(&system, &params, &pool, &deadline, &mut NoopObserver)
             };
             let serial = run(Threads::serial());
             if let Ok(outcome) = &serial {
@@ -311,7 +308,7 @@ mod faults {
             let pool = ThreadPool::new(Threads::serial());
             let deadline = Deadline::unbounded()
                 .with_fault_plan(FaultPlan::from_seed(seed));
-            match cwsc_within(&system, k, 0.7, &pool, &deadline, &mut NoopObserver) {
+            match cwsc(&system, k, 0.7, &pool, &deadline, &mut NoopObserver) {
                 Ok(outcome) => {
                     if let Some(cert) = outcome.certificate() {
                         let check = verify_certificate(&system, outcome.value(), cert);

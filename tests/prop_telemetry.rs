@@ -7,9 +7,8 @@
 use proptest::prelude::*;
 use scwsc::prelude::*;
 use scwsc::sets::algorithms::cmc::Levels;
-use scwsc::sets::algorithms::cmc_on;
 use scwsc::sets::telemetry::{Event, Observer};
-use scwsc::sets::{Fanout, SolveWindows, ThreadPool, Threads};
+use scwsc::sets::{Fanout, SolveWindows};
 
 /// Minimal event recorder: exactly what the properties below inspect.
 #[derive(Default)]
@@ -80,8 +79,9 @@ proptest! {
         k in 1usize..=6,
         coverage in 0.0f64..=1.0,
     ) {
+        let pool = ThreadPool::new(Threads::serial());
         let (result, stats, rec) =
-            record(|obs| cwsc(&system, k, coverage, obs));
+            record(|obs| cwsc(&system, k, coverage, &pool, &Deadline::unbounded(), obs));
         prop_assert!(result.is_ok());
         prop_assert_eq!(rec.benefit_sum, stats.considered);
         prop_assert_eq!(rec.selections, u64::from(stats.selections));
@@ -101,8 +101,9 @@ proptest! {
         coverage in 0.0f64..=1.0,
     ) {
         let params = CmcParams::classic(k, coverage, 1.0);
+        let pool = ThreadPool::new(Threads::serial());
         let (result, stats, rec) =
-            record(|obs| cmc(&system, &params, obs));
+            record(|obs| cmc(&system, &params, &pool, &Deadline::unbounded(), obs));
         prop_assert!(result.is_ok());
         prop_assert_eq!(rec.benefit_sum, stats.considered);
         prop_assert_eq!(rec.selections, u64::from(stats.selections));
@@ -126,8 +127,9 @@ proptest! {
         eps in 0.25f64..=3.0,
     ) {
         let params = CmcParams::epsilon(k, 0.8, 1.0, eps);
+        let pool = ThreadPool::new(Threads::serial());
         let (result, stats, rec) =
-            record(|obs| cmc(&system, &params, obs));
+            record(|obs| cmc(&system, &params, &pool, &Deadline::unbounded(), obs));
         prop_assert!(result.is_ok());
         prop_assert_eq!(rec.budgets.len(), stats.budget_guesses as usize);
         let bound = (((1.0 + eps) * k as f64).floor() as usize).max(k);
@@ -158,18 +160,19 @@ proptest! {
         let window = 3;
         let mut serial = SolveWindows::with_window(window);
         let mut pooled = SolveWindows::with_window(window);
+        let serial_pool = ThreadPool::new(Threads::serial());
         let pool = ThreadPool::new(Threads::new(4));
         let params = CmcParams::classic(k, coverage, 1.0);
         for system in &systems {
             let r1 = {
                 let mut obs = Fanout::new();
                 obs.attach(&mut serial);
-                cmc(system, &params, &mut obs)
+                cmc(system, &params, &serial_pool, &Deadline::unbounded(), &mut obs)
             };
             let r2 = {
                 let mut obs = Fanout::new();
                 obs.attach(&mut pooled);
-                cmc_on(system, &params, &pool, &mut obs)
+                cmc(system, &params, &pool, &Deadline::unbounded(), &mut obs)
             };
             prop_assert_eq!(r1.is_ok(), r2.is_ok());
         }
@@ -185,9 +188,10 @@ proptest! {
     fn opt_cwsc_events_match_stats(rows in 30usize..120, k in 1usize..=5) {
         let table = scwsc::patterns::test_util::skewed_table(rows, 3, 4);
         let space = PatternSpace::new(&table, CostFn::Max);
+        let pool = ThreadPool::new(Threads::serial());
         let (result, stats, rec) =
-            record(|obs| opt_cwsc(&space, k, 0.5, obs));
-        if let Ok(sol) = result {
+            record(|obs| opt_cwsc(&space, k, 0.5, &pool, &Deadline::unbounded(), obs));
+        if let Ok(SolveOutcome::Complete(sol)) = result {
             prop_assert_eq!(rec.selections as usize, sol.size());
         }
         prop_assert_eq!(rec.benefit_sum, stats.considered);
@@ -204,8 +208,7 @@ proptest! {
 #[cfg(feature = "fault-inject")]
 mod degraded_windows {
     use super::*;
-    use scwsc::sets::algorithms::cmc_within;
-    use scwsc::sets::{Deadline, FaultPlan};
+    use scwsc::sets::FaultPlan;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
@@ -232,12 +235,12 @@ mod degraded_windows {
                 let r1 = {
                     let mut obs = Fanout::new();
                     obs.attach(&mut serial);
-                    cmc_within(system, &params, &serial_pool, &deadline(), &mut obs)
+                    cmc(system, &params, &serial_pool, &deadline(), &mut obs)
                 };
                 let r2 = {
                     let mut obs = Fanout::new();
                     obs.attach(&mut pooled);
-                    cmc_within(system, &params, &quad_pool, &deadline(), &mut obs)
+                    cmc(system, &params, &quad_pool, &deadline(), &mut obs)
                 };
                 prop_assert_eq!(r1.is_ok(), r2.is_ok());
             }

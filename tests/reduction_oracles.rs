@@ -47,7 +47,12 @@ fn min_pattern_cover(inst: &Lemma1Instance) -> Option<usize> {
         return None;
     }
     let unit = b.build().unwrap();
-    let sol = scwsc::sets::algorithms::exact_optimal_with_target(&unit, unit.num_sets(), target)?;
+    let sol = scwsc::sets::algorithms::exact_optimal(
+        &unit,
+        unit.num_sets(),
+        target,
+        &mut scwsc::sets::NoopObserver,
+    )?;
     Some(sol.total_cost().value() as usize)
 }
 

@@ -9,15 +9,24 @@
 use scwsc::data::lbl::LblConfig;
 use scwsc::prelude::*;
 
+/// The complete value of a feasible solve without a deadline.
+fn complete<T>(result: Result<SolveOutcome<T>, EngineError>) -> T {
+    result
+        .expect("feasible")
+        .expect_complete("unbounded deadline")
+}
+
 #[test]
 #[ignore = "paper-scale run (~1 minute in release)"]
 fn optimized_algorithms_at_700k_rows() {
     let table = LblConfig::default().generate(); // 700k rows, full domains
     assert_eq!(table.num_rows(), 700_000);
     let space = PatternSpace::new(&table, CostFn::Max);
+    let pool = ThreadPool::new(Threads::available());
+    let deadline = Deadline::unbounded();
 
     let mut stats = Stats::new();
-    let sol = opt_cwsc(&space, 10, 0.3, &mut stats).expect("feasible");
+    let sol = complete(opt_cwsc(&space, 10, 0.3, &pool, &deadline, &mut stats));
     sol.verify(&space);
     assert!(sol.size() <= 10);
     assert!(sol.covered >= coverage_target(700_000, 0.3));
@@ -26,7 +35,13 @@ fn optimized_algorithms_at_700k_rows() {
         discount_coverage: false,
         ..CmcParams::epsilon(10, 0.3, 1.0, 1.0)
     };
-    let sol = opt_cmc(&space, &params, &mut Stats::new()).expect("feasible");
+    let sol = complete(opt_cmc(
+        &space,
+        &params,
+        &pool,
+        &deadline,
+        &mut Stats::new(),
+    ));
     sol.verify(&space);
     assert!(sol.size() <= 20);
     assert!(sol.covered >= coverage_target(700_000, 0.3));
@@ -50,8 +65,24 @@ fn full_cube_enumeration_at_400k_rows() {
 
     // Optimized and unoptimized CWSC still agree exactly at this scale.
     let space = PatternSpace::new(&table, CostFn::Max);
-    let opt = opt_cwsc(&space, 10, 0.3, &mut Stats::new()).unwrap();
-    let unopt = cwsc(&m.system, 10, 0.3, &mut Stats::new()).unwrap();
+    let pool = ThreadPool::new(Threads::available());
+    let deadline = Deadline::unbounded();
+    let opt = complete(opt_cwsc(
+        &space,
+        10,
+        0.3,
+        &pool,
+        &deadline,
+        &mut Stats::new(),
+    ));
+    let unopt = complete(cwsc(
+        &m.system,
+        10,
+        0.3,
+        &pool,
+        &deadline,
+        &mut Stats::new(),
+    ));
     assert_eq!(
         opt.patterns.iter().collect::<Vec<_>>(),
         m.solution_patterns(&unopt)
