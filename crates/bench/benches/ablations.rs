@@ -1,12 +1,11 @@
 //! Ablation benchmarks for the design choices DESIGN.md calls out:
 //! CMC level schedules (classic vs ε vs generalized), the coverage
-//! discount, pattern cost functions, and lazy vs eager greedy selection.
+//! discount, pattern cost functions, and incremental repair strategies.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use scwsc_core::algorithms::{cmc, CmcParams, LevelSchedule};
 use scwsc_core::incremental::{IncrementalCover, RepairStrategy};
-use scwsc_core::lazy_greedy::LazyGreedy;
-use scwsc_core::{CoverState, Deadline, SetSystem, Stats, ThreadPool, Threads};
+use scwsc_core::{Deadline, Stats, ThreadPool, Threads};
 use scwsc_data::lbl::LblConfig;
 use scwsc_patterns::{enumerate_all, opt_cwsc, CostFn, PatternSpace, Table};
 use std::time::Duration;
@@ -96,54 +95,6 @@ fn bench_cost_functions(c: &mut Criterion) {
     group.finish();
 }
 
-/// Lazy-greedy heap vs the faithful eager scan for max-k-coverage
-/// selection over a materialized system.
-fn bench_lazy_vs_eager(c: &mut Criterion) {
-    let table = workload();
-    let m = enumerate_all(&table, CostFn::Max);
-    let k = 40;
-    let mut group = c.benchmark_group("greedy_selection");
-    group.bench_function("eager_scan", |b| {
-        b.iter(|| {
-            let mut state = CoverState::new(&m.system);
-            let mut picked = 0usize;
-            for _ in 0..k {
-                let Some(q) = state.argmax_benefit(|_| true) else {
-                    break;
-                };
-                state.select(q);
-                picked += 1;
-            }
-            black_box(picked)
-        })
-    });
-    group.bench_function("lazy_heap", |b| {
-        b.iter(|| black_box(lazy_max_coverage(&m.system, k)))
-    });
-    group.finish();
-}
-
-/// Max-k-coverage via the lazy heap (returns how many sets were picked).
-fn lazy_max_coverage(system: &SetSystem, k: usize) -> usize {
-    let mut covered = scwsc_core::BitSet::new(system.num_elements());
-    let mut lg =
-        LazyGreedy::with_candidates(system.iter().map(|(id, s)| (id, s.benefit() as f64, 0.0)));
-    let mut picked = 0usize;
-    for _ in 0..k {
-        let popped = lg.pop_max(|id| {
-            let mben = covered.count_unset(system.members(id).iter().map(|&e| e as usize));
-            (mben > 0).then_some((mben as f64, 0.0))
-        });
-        let Some((id, _)) = popped else { break };
-        for &e in system.members(id) {
-            covered.insert(e as usize);
-        }
-        picked += 1;
-        lg.invalidate();
-    }
-    picked
-}
-
 /// Incremental maintenance: full re-solve vs greedy patch repairs
 /// (the §VII future-work feature's two strategies).
 fn bench_incremental_strategies(c: &mut Criterion) {
@@ -189,6 +140,6 @@ fn bench_incremental_strategies(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_level_schedules, bench_coverage_discount, bench_cost_functions, bench_lazy_vs_eager, bench_incremental_strategies
+    targets = bench_level_schedules, bench_coverage_discount, bench_cost_functions, bench_incremental_strategies
 }
 criterion_main!(benches);

@@ -357,6 +357,39 @@ impl BitSet {
             .count()
     }
 
+    /// [`count_unset`](BitSet::count_unset) over a sorted id list, with
+    /// the early exit of
+    /// [`difference_count_limited`](BitSet::difference_count_limited):
+    /// the result is exactly what that kernel returns for the mask of
+    /// `ids` (and its [`BlockSummary`]) against `self`, at `O(ids.len())`
+    /// instead of `O(len / 64)` and with no mask to build — the cheaper
+    /// form for short lists.
+    ///
+    /// # Panics
+    /// Panics if any id is out of range. `ids` must be sorted ascending
+    /// without duplicates.
+    pub fn count_unset_limited(&self, ids: &[u32], threshold: usize) -> LimitedCount {
+        const BLOCK_BITS: usize = BLOCK_WORDS * WORD_BITS;
+        let unset = |ids: &[u32]| ids.iter().filter(|&&i| !self.contains(i as usize)).count();
+        // The kernel checks its exit after block 0 and after every block
+        // holding ids; between those neither the count nor the suffix of
+        // remaining ids changes.
+        let (mut count, mut rest, mut block) = (0, ids, 0);
+        loop {
+            let end = rest.partition_point(|&i| i as usize / BLOCK_BITS <= block);
+            count += unset(&rest[..end]);
+            rest = &rest[end..];
+            match rest.first() {
+                None => return LimitedCount::Exact(count),
+                Some(_) if count + rest.len() < threshold => {
+                    let nonzero = count > 0 || rest.iter().any(|&i| !self.contains(i as usize));
+                    return LimitedCount::Short { nonzero };
+                }
+                Some(&next) => block = next as usize / BLOCK_BITS,
+            }
+        }
+    }
+
     /// Iterates over set bit indices in increasing order.
     pub fn iter_ones(&self) -> Ones<'_> {
         Ones {
@@ -746,6 +779,28 @@ mod tests {
             // finish at 0 depending on block layout.
             LimitedCount::Short { nonzero } => assert!(!nonzero),
             LimitedCount::Exact(n) => assert_eq!(n, 0),
+        }
+    }
+
+    #[test]
+    fn count_unset_limited_matches_the_mask_kernel() {
+        for &len in &[1usize, 511, 512, 513, 1500, 4001] {
+            for seed in 0..4u64 {
+                let covered = scrambled(len, seed + 101, 2);
+                for keep in [1u64, 3, 40, 700] {
+                    let mask = scrambled(len, seed * 7 + keep, keep);
+                    let ids: Vec<u32> = mask.iter_ones().map(|i| i as u32).collect();
+                    let summary = BlockSummary::of(&mask);
+                    let exact = mask.difference_count(&covered);
+                    for threshold in [0, 1, 2, exact / 2, exact, exact + 1, ids.len() + 1] {
+                        assert_eq!(
+                            covered.count_unset_limited(&ids, threshold),
+                            mask.difference_count_limited(&covered, &summary, threshold),
+                            "len {len} seed {seed} keep {keep} threshold {threshold}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -52,7 +52,6 @@ pub mod cover_state;
 pub mod engine;
 pub mod incremental;
 pub mod json;
-pub mod lazy_greedy;
 pub mod multiweight;
 pub mod parallel;
 pub mod set_system;

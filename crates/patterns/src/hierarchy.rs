@@ -21,7 +21,7 @@
 use crate::cost_fn::CostFn;
 use crate::dictionary::ValueId;
 use crate::pattern::Pattern;
-use crate::space::LatticeSpace;
+use crate::space::{ChildVisitor, LatticeSpace};
 use crate::table::{RowId, Table};
 #[cfg(test)]
 use scwsc_core::BitSet;
@@ -305,16 +305,33 @@ impl<'a> HierarchicalSpace<'a> {
         self.cost_fn.evaluate(self.table, rows)
     }
 
-    /// The non-empty children of `pattern`: each `ALL` specializes to the
-    /// hierarchy's top nodes, each internal node to its children, and
-    /// leaves do not specialize. Children are bucketed from the parent's
-    /// rows, so each comes with its exact benefit set.
+    /// The non-empty children of `pattern` with their benefit sets, in
+    /// [`for_each_child`](HierarchicalSpace::for_each_child) order.
     pub fn children_with_rows(
         &self,
         pattern: &Pattern,
         parent_rows: &[RowId],
     ) -> Vec<(Pattern, Vec<RowId>)> {
         let mut out = Vec::new();
+        self.for_each_child(pattern, parent_rows, &mut |_, _, child, rows| {
+            out.push((child.clone(), rows.to_vec()));
+        });
+        out
+    }
+
+    /// Visits the non-empty children of `pattern`: each `ALL`
+    /// specializes to the hierarchy's top nodes, each internal node to
+    /// its children, and leaves do not specialize. Children are bucketed
+    /// from the parent's rows (which must be `Ben(pattern)`), so each
+    /// comes with its exact benefit set; they arrive attribute by
+    /// attribute, in node-id order within one.
+    pub fn for_each_child(
+        &self,
+        pattern: &Pattern,
+        parent_rows: &[RowId],
+        f: &mut ChildVisitor<'_>,
+    ) {
+        let mut child = pattern.clone(); // reusable cursor
         for attr in 0..pattern.num_attrs() {
             let h = &self.hierarchies[attr];
             let current = pattern.get(attr);
@@ -331,16 +348,14 @@ impl<'a> HierarchicalSpace<'a> {
                     buckets.entry(child).or_default().push(row);
                 }
             }
-            let mut nodes: Vec<NodeId> = buckets.keys().copied().collect();
-            nodes.sort_unstable();
-            for node in nodes {
-                let rows = buckets.remove(&node).expect("key from map");
-                let mut vals = pattern.values().to_vec();
-                vals[attr] = Some(node);
-                out.push((Pattern::new(vals), rows));
+            let mut buckets: Vec<(NodeId, Vec<RowId>)> = buckets.into_iter().collect();
+            buckets.sort_unstable_by_key(|&(node, _)| node);
+            for (node, rows) in buckets {
+                child.set(attr, Some(node));
+                f(attr, node, &child, &rows);
             }
+            child.set(attr, current);
         }
-        out
     }
 
     /// The parents of a pattern in the enriched lattice: each non-`ALL`
@@ -457,12 +472,8 @@ impl LatticeSpace for HierarchicalSpace<'_> {
         HierarchicalSpace::cost(self, rows)
     }
 
-    fn children_with_rows(
-        &self,
-        pattern: &Pattern,
-        parent_rows: &[RowId],
-    ) -> Vec<(Pattern, Vec<RowId>)> {
-        HierarchicalSpace::children_with_rows(self, pattern, parent_rows)
+    fn for_each_child(&self, pattern: &Pattern, parent_rows: &[RowId], f: &mut ChildVisitor<'_>) {
+        HierarchicalSpace::for_each_child(self, pattern, parent_rows, f)
     }
 
     fn parents(&self, pattern: &Pattern) -> Vec<Pattern> {

@@ -8,18 +8,20 @@
 //! per-request cost at O(1) setup instead of an O(rows·attrs) re-index,
 //! which is the whole point of loading the instance once behind `Arc`.
 //!
-//! The instance also parks the cost-independent half of the optimized
-//! CMC lattice between solves (a `LatticeStash`): pattern keys, row
-//! lists, child lists and parent counts — about 26 bytes per node plus 4
-//! per row id and per child link, 3.3 MB for the full lattice of a
-//! 10k-row, five-attribute table. A CMC query then materializes only the
-//! nodes no earlier query reached. Nothing is built up front, so
+//! The instance also parks the cost-independent half of the pattern
+//! lattice between solves (a `LatticeStash`): pattern keys, row lists,
+//! child lists and parent counts — about 26 bytes per node plus 4 per
+//! row id and per child link, 3.3 MB for the full lattice of a 10k-row,
+//! five-attribute table. Optimized CWSC and optimized CMC both walk it,
+//! so a query of either algorithm materializes only the nodes no earlier
+//! query of either reached. Nothing is built up front, so
 //! [`PatternInstance::new`] costs what it did.
 
 use crate::cost_fn::CostFn;
 use crate::index::InvertedIndex;
-use crate::opt_cmc::{opt_cmc_stashed, LatticeStash};
-use crate::opt_cwsc::opt_cwsc;
+use crate::lattice::LatticeStash;
+use crate::opt_cmc::opt_cmc_stashed;
+use crate::opt_cwsc::opt_cwsc_stashed;
 use crate::pattern_solution::{verify_certificate_in, PatternSolution};
 use crate::space::PatternSpace;
 use crate::table::Table;
@@ -30,7 +32,7 @@ use scwsc_core::{Deadline, Degraded, EngineError, SolveOutcome, ThreadPool};
 use std::sync::Arc;
 
 /// A pattern-table instance handle: table + index built once, served
-/// concurrently; only the parked CMC lattice changes between solves. See
+/// concurrently; only the parked lattice changes between solves. See
 /// the module docs.
 pub struct PatternInstance {
     table: Table,
@@ -108,13 +110,20 @@ impl Solver for PatternInstance {
         };
         let (outcome, target) = match query.algorithm {
             Algorithm::Cwsc => (
-                opt_cwsc(&space, query.k, query.coverage, pool, deadline, obs)?,
+                opt_cwsc_stashed(
+                    &space,
+                    query.k,
+                    query.coverage,
+                    deadline,
+                    obs,
+                    Some(&self.lattice),
+                )?,
                 coverage_target(self.table.num_rows(), query.coverage),
             ),
             Algorithm::Cmc => {
                 let params = query.cmc_params();
                 (
-                    opt_cmc_stashed(&space, &params, pool, deadline, obs, &self.lattice)?,
+                    opt_cmc_stashed(&space, &params, pool, deadline, obs, Some(&self.lattice))?,
                     params.coverage_target(self.table.num_rows()),
                 )
             }

@@ -1,0 +1,404 @@
+//! The pattern lattice both optimized algorithms walk (Section V-C).
+//!
+//! Fig. 3 (optimized CWSC) and Fig. 4 (optimized CMC) expand the same
+//! lattice top-down. Its pattern keys, row lists, child lists and parent
+//! counts depend on neither the algorithm, the cost function, the budget
+//! nor the coverage target, so one [`SharedLattice`] holds them for
+//! every solve, and a [`PatternInstance`](crate::PatternInstance) parks
+//! it between solves in a [`LatticeStash`] (DESIGN.md §17). Each solve
+//! keeps its own ids, costs, masks and walk state in a per-solve view
+//! (`opt_cwsc` and `opt_cmc` each have one), numbered in that solve's
+//! own order, so a solve on a lattice that earlier solves grew walks,
+//! selects and reports exactly as one on a fresh lattice.
+
+use crate::fxhash::FxHashMap;
+use crate::pattern::Pattern;
+use crate::space::LatticeSpace;
+use crate::table::RowId;
+use scwsc_core::BitSet;
+use std::cmp::Ordering;
+use std::sync::{Mutex, PoisonError};
+
+/// Appends `items`, growing `v` by an eighth rather than doubling it: a
+/// parked lattice is trimmed to fit, and a later solve that adds a few
+/// nodes must not double every array of it.
+fn extend_lean<T: Copy>(v: &mut Vec<T>, items: &[T]) {
+    if v.capacity() - v.len() < items.len() {
+        v.reserve_exact(items.len().max(v.len() / 8).max(16));
+    }
+    v.extend_from_slice(items);
+}
+
+/// Row lists shorter than this recount faster through the postings loop
+/// than through a row mask: the blocked kernel always touches
+/// ~`num_rows / 64` words, so it only wins once the list holds a couple
+/// of rows per word. Both optimized algorithms build a pattern's mask
+/// only past this length.
+pub(crate) fn kernel_min_rows(num_rows: usize) -> usize {
+    num_rows.div_ceil(32)
+}
+
+/// The row mask of `rows` over `num_rows` records.
+pub(crate) fn mask_of(num_rows: usize, rows: &[RowId]) -> BitSet {
+    let mut mask = BitSet::new(num_rows);
+    for &r in rows {
+        mask.insert(r as usize);
+    }
+    mask
+}
+
+/// Sentinel in [`SharedLattice::children`]: the node was never expanded.
+const UNEXPANDED: (u32, u32) = (u32::MAX, 0);
+/// Sentinel in a per-solve view's shared-node-to-id map: this solve has
+/// not numbered the node yet.
+pub(crate) const UNSEEN: u32 = u32::MAX;
+
+/// The cost-independent half of the Fig. 3/Fig. 4 lattice: pattern keys,
+/// row lists, child lists and parent counts do not depend on the
+/// algorithm, the cost function, the budget or the coverage target, so
+/// one materialization serves every round or budget guess of a solve
+/// and, parked in a [`LatticeStash`], every later CWSC or CMC solve on
+/// the same instance (DESIGN.md §17).
+///
+/// Nodes are numbered in the order they were first materialized, by
+/// whichever solve grew the lattice; solves never see these numbers
+/// (each solve's view renumbers them). Everything is flat: no per-node
+/// allocation, and no masks, costs or per-solve state.
+pub(crate) struct SharedLattice {
+    pub(crate) keys: Keys,
+    /// Number of parents (= specificity) per node: the pending-parents
+    /// gating that implements Fig. 4 line 33 without per-check hashing.
+    pub(crate) num_parents: Vec<u8>,
+    /// All row lists back to back, in node order: the rows of node `g`
+    /// are `row_arena[row_starts[g]..row_starts[g + 1]]`. A node's rows
+    /// are appended once, when it is first materialized.
+    row_arena: Vec<RowId>,
+    row_starts: Vec<u32>,
+    /// Child-node lists back to back, each in (attribute, value) order.
+    child_arena: Vec<u32>,
+    /// `(offset, len)` of each node's child list in `child_arena`, or
+    /// [`UNEXPANDED`].
+    children: Vec<(u32, u32)>,
+}
+
+/// Node keys and the key-to-node dedup map. When the space's value
+/// domain packs into a `u64` ([`LatticeSpace::packed_key_bits`]), a key
+/// is one integer — one `u64` hash per child visit instead of hashing a
+/// boxed option-slice, on the hottest lookup of the lattice build.
+pub(crate) enum Keys {
+    Packed {
+        /// `(shift, mask)` of each attribute's field in the key. The
+        /// field holds `value + 1` (`0` is the wildcard), so a child key
+        /// is `parent_key | (value + 1) << shift` — one OR.
+        fields: Vec<(u32, u64)>,
+        keys: Vec<u64>,
+        ids: KeyTable,
+    },
+    General {
+        patterns: Vec<Pattern>,
+        ids: FxHashMap<Pattern, u32>,
+    },
+}
+
+impl Keys {
+    fn new<S: LatticeSpace>(space: &S, root: &Pattern) -> Keys {
+        match space.packed_key_bits() {
+            Some(bits) => {
+                // Field of attr `i` sits above the fields of all later
+                // attributes.
+                let mut fields = vec![(0u32, 0u64); bits.len()];
+                let mut acc = 0;
+                for i in (0..bits.len()).rev() {
+                    fields[i] = (acc, ((1u128 << bits[i]) - 1) as u64);
+                    acc += bits[i];
+                }
+                // The root is all wildcards: every field, so its key, is 0.
+                debug_assert!(root.is_root());
+                Keys::Packed {
+                    fields,
+                    keys: vec![0],
+                    ids: KeyTable::with_root(),
+                }
+            }
+            None => Keys::General {
+                patterns: vec![root.clone()],
+                ids: FxHashMap::from_iter([(root.clone(), 0)]),
+            },
+        }
+    }
+
+    /// The pattern of node `g`.
+    pub(crate) fn pattern(&self, g: u32) -> Pattern {
+        match self {
+            Keys::Packed { fields, keys, .. } => {
+                let key = keys[g as usize];
+                Pattern::new(
+                    fields
+                        .iter()
+                        .map(|&(shift, mask)| ((key >> shift) & mask).checked_sub(1))
+                        .map(|v| v.map(|v| v as u32))
+                        .collect(),
+                )
+            }
+            Keys::General { patterns, .. } => patterns[g as usize].clone(),
+        }
+    }
+
+    /// The packed key of node `g`, when packed keys are in use.
+    fn packed(&self, g: u32) -> Option<u64> {
+        match self {
+            Keys::Packed { keys, .. } => Some(keys[g as usize]),
+            Keys::General { .. } => None,
+        }
+    }
+
+    /// The node of `pattern`, if the lattice holds it (Fig. 3 line 16's
+    /// parent check). Packed keys OR the pattern's fields into its key;
+    /// general keys look the pattern up.
+    pub(crate) fn find(&self, pattern: &Pattern) -> Option<u32> {
+        match self {
+            Keys::Packed { fields, keys, ids } => {
+                let mut key = 0;
+                for (&(shift, mask), v) in fields.iter().zip(pattern.values()) {
+                    let field = v.map_or(0, |v| v as u64 + 1);
+                    if field > mask {
+                        return None; // outside the packed domain
+                    }
+                    key |= field << shift;
+                }
+                ids.find(keys, key).ok()
+            }
+            Keys::General { ids, .. } => ids.get(pattern).copied(),
+        }
+    }
+
+    /// Orders nodes `g` and `h` as their patterns order. A packed key
+    /// holds attribute 0 in its top field and the wildcard as field 0,
+    /// so the integer order is the pattern order.
+    pub(crate) fn cmp(&self, g: u32, h: u32) -> Ordering {
+        match self {
+            Keys::Packed { keys, .. } => keys[g as usize].cmp(&keys[h as usize]),
+            Keys::General { patterns, .. } => patterns[g as usize].cmp(&patterns[h as usize]),
+        }
+    }
+
+    /// The node of the child reached from `parent_key` by setting `attr`
+    /// to `value` (`child` backs the non-packed map), registering it as
+    /// node `next` if it is new.
+    fn intern_child(
+        &mut self,
+        parent_key: Option<u64>,
+        attr: usize,
+        value: u32,
+        child: &Pattern,
+        next: u32,
+    ) -> u32 {
+        match self {
+            Keys::Packed { fields, keys, ids } => {
+                let key = parent_key.expect("packed keys always have a parent key")
+                    | ((value as u64 + 1) << fields[attr].0);
+                ids.find(keys, key).unwrap_or_else(|slot| {
+                    extend_lean(keys, &[key]);
+                    ids.insert(keys, slot, next);
+                    next
+                })
+            }
+            Keys::General { patterns, ids } => match ids.get(child) {
+                Some(&id) => id,
+                None => {
+                    ids.insert(child.clone(), next);
+                    patterns.push(child.clone());
+                    next
+                }
+            },
+        }
+    }
+
+    fn shrink_to_fit(&mut self) {
+        match self {
+            Keys::Packed { keys, .. } => keys.shrink_to_fit(),
+            Keys::General { patterns, .. } => patterns.shrink_to_fit(),
+        }
+    }
+}
+
+/// The packed-key dedup map: an open-addressing table of node ids, probed
+/// linearly and compared through the key array, so a slot is 4 bytes
+/// where a `HashMap<u64, u32>` entry takes 17 — 0.26 MB instead of
+/// 1.1 MB for a parked 50k-node lattice.
+pub(crate) struct KeyTable {
+    /// Node ids, [`UNSEEN`] for empty; the length is a power of two.
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`: a key's home slot is the top bits of its
+    /// Fibonacci hash.
+    shift: u32,
+    len: usize,
+}
+
+impl KeyTable {
+    /// A table holding node 0, the root, whose key 0 hashes to slot 0.
+    fn with_root() -> KeyTable {
+        let mut slots = vec![UNSEEN; 16];
+        slots[0] = 0;
+        KeyTable {
+            slots,
+            shift: 64 - 4,
+            len: 1,
+        }
+    }
+
+    /// The node holding `key`, or the empty slot where it belongs.
+    #[inline]
+    fn find(&self, keys: &[u64], key: u64) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize;
+        loop {
+            match self.slots[slot] {
+                UNSEEN => return Err(slot),
+                id if keys[id as usize] == key => return Ok(id),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Puts `id` (whose key `keys[id]` is absent) into the empty `slot`
+    /// [`find`](KeyTable::find) returned, doubling the table past 7/8
+    /// full.
+    fn insert(&mut self, keys: &[u64], slot: usize, id: u32) {
+        self.slots[slot] = id;
+        self.len += 1;
+        if self.len * 8 > self.slots.len() * 7 {
+            let doubled = vec![UNSEEN; self.slots.len() * 2];
+            let old = std::mem::replace(&mut self.slots, doubled);
+            self.shift -= 1;
+            for id in old.into_iter().filter(|&id| id != UNSEEN) {
+                let slot = self.find(keys, keys[id as usize]).expect_err("rehash");
+                self.slots[slot] = id;
+            }
+        }
+    }
+}
+
+impl SharedLattice {
+    /// The lattice with only its all-wildcards root materialized.
+    pub(crate) fn new<S: LatticeSpace>(space: &S) -> SharedLattice {
+        let root_rows = space.root_rows();
+        SharedLattice {
+            keys: Keys::new(space, &space.root()),
+            num_parents: vec![0],
+            row_starts: vec![0, u32::try_from(root_rows.len()).expect("rows fit u32")],
+            row_arena: root_rows,
+            child_arena: Vec::new(),
+            children: vec![UNEXPANDED],
+        }
+    }
+
+    /// Number of materialized nodes.
+    pub(crate) fn len(&self) -> usize {
+        self.num_parents.len()
+    }
+
+    /// The row list of node `g`.
+    #[inline]
+    pub(crate) fn rows_of(&self, g: u32) -> &[RowId] {
+        let g = g as usize;
+        &self.row_arena[self.row_starts[g] as usize..self.row_starts[g + 1] as usize]
+    }
+
+    /// The child nodes of expanded node `g`.
+    #[inline]
+    pub(crate) fn children_of(&self, g: u32) -> &[u32] {
+        let (off, len) = self.children[g as usize];
+        debug_assert_ne!(off, UNEXPANDED.0, "node {g} is expanded");
+        &self.child_arena[off as usize..off as usize + len as usize]
+    }
+
+    /// Materializes node `g`'s non-empty children unless an earlier
+    /// expansion (of this solve or of an earlier one) already did.
+    /// Returns the posting entries the expansion scanned — `g`'s rows
+    /// once per wildcard attribute — or `None` when it was cached.
+    ///
+    /// Children are visited through [`LatticeSpace::for_each_child`], so
+    /// key and row storage is allocated only for children seen for the
+    /// first time — in a diamond lattice most children are already
+    /// cached under another parent. `scratch` holds `g`'s rows during
+    /// the walk (the child pushes may reallocate `row_arena`) and the
+    /// child list under construction.
+    pub(crate) fn expand<S: LatticeSpace>(
+        &mut self,
+        space: &S,
+        g: u32,
+        scratch: &mut (Vec<RowId>, Vec<u32>),
+    ) -> Option<u64> {
+        if self.children[g as usize] != UNEXPANDED {
+            return None;
+        }
+        let parent = self.keys.pattern(g);
+        let parent_key = self.keys.packed(g);
+        let (parent_rows, kids) = scratch;
+        parent_rows.clear();
+        parent_rows.extend_from_slice(self.rows_of(g));
+        kids.clear();
+        space.for_each_child(
+            &parent,
+            parent_rows,
+            &mut |attr, value, child, child_rows| {
+                let next = self.num_parents.len() as u32;
+                let cid = self.keys.intern_child(parent_key, attr, value, child, next);
+                if cid == next {
+                    extend_lean(&mut self.num_parents, &[space.num_parents(child) as u8]);
+                    extend_lean(&mut self.row_arena, child_rows);
+                    let end = u32::try_from(self.row_arena.len()).expect("row arena fits u32");
+                    extend_lean(&mut self.row_starts, &[end]);
+                    extend_lean(&mut self.children, &[UNEXPANDED]);
+                }
+                kids.push(cid);
+            },
+        );
+        let off = u32::try_from(self.child_arena.len()).expect("child arena fits u32");
+        extend_lean(&mut self.child_arena, kids);
+        self.children[g as usize] = (off, kids.len() as u32);
+        let wildcards = parent.values().iter().filter(|v| v.is_none()).count();
+        Some((parent_rows.len() * wildcards) as u64)
+    }
+
+    /// Drops the growth slack of every array, so a parked lattice holds
+    /// only its nodes.
+    fn shrink_to_fit(&mut self) {
+        self.keys.shrink_to_fit();
+        self.num_parents.shrink_to_fit();
+        self.row_arena.shrink_to_fit();
+        self.row_starts.shrink_to_fit();
+        self.child_arena.shrink_to_fit();
+        self.children.shrink_to_fit();
+    }
+}
+
+/// Where a [`PatternInstance`](crate::PatternInstance) parks its
+/// [`SharedLattice`] between CWSC and CMC solves (DESIGN.md §17).
+///
+/// A solve [`take`](LatticeStash::take)s the lattice, grows it as its
+/// walk needs, and [`put`](LatticeStash::put)s it back. A concurrent
+/// solve that finds the stash empty builds its own; whichever is larger
+/// is kept. Solves never share a lattice while running, so the walk
+/// needs no locking. The lock is held only to take or to swap the
+/// `Option`, which leaves it valid at every step, so a poisoned lock is
+/// recovered rather than propagated.
+#[derive(Default)]
+pub(crate) struct LatticeStash(Mutex<Option<SharedLattice>>);
+
+impl LatticeStash {
+    /// Takes the parked lattice, leaving the stash empty.
+    pub(crate) fn take(&self) -> Option<SharedLattice> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner).take()
+    }
+
+    /// Parks `lattice` unless a larger one was parked meanwhile.
+    pub(crate) fn put(&self, mut lattice: SharedLattice) {
+        lattice.shrink_to_fit();
+        let mut slot = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if slot.as_ref().is_none_or(|held| held.len() < lattice.len()) {
+            *slot = Some(lattice);
+        }
+    }
+}

@@ -38,7 +38,6 @@
 
 #![warn(missing_docs)]
 
-pub mod candidates;
 pub mod cost_fn;
 pub mod dictionary;
 pub mod enumerate;
@@ -46,6 +45,7 @@ pub mod fxhash;
 pub mod hierarchy;
 pub mod index;
 pub mod instance;
+mod lattice;
 pub mod opt_cmc;
 pub mod opt_cwsc;
 pub mod pattern;

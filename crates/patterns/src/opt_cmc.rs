@@ -23,26 +23,26 @@
 //! pseudocode, only the redundant recomputation is gone.
 //!
 //! The lattice is split in two. Pattern keys, row lists, child lists and
-//! parent counts depend on neither the budget nor the cost function: a
-//! `SharedLattice` holds them, and a
-//! [`PatternInstance`](crate::PatternInstance) keeps it between solves,
-//! so later queries on the instance never repeat an expansion. Costs,
-//! row masks and node ids belong to one solve (`Lattice`): ids follow
-//! the solve's own first-encounter order, so the heap's
-//! `(mben, cost, id)` tie-break — and with it every selection, degraded
-//! partial, tick count and audit event — is the same on a shared lattice
-//! as on a fresh one. Only `posting_scanned` shows the difference: it
-//! counts the expansions this solve actually performed.
+//! parent counts depend on neither the algorithm, the budget nor the
+//! cost function: the `SharedLattice` of `crate::lattice` holds them,
+//! the same one optimized CWSC walks, and a
+//! [`PatternInstance`](crate::PatternInstance) keeps it between solves
+//! of either algorithm, so later queries on the instance never repeat an
+//! expansion. Costs, row masks and node ids belong to one solve
+//! (`Lattice`): ids follow the solve's own first-encounter order, so the
+//! heap's `(mben, cost, id)` tie-break — and with it every selection,
+//! degraded partial, tick count and audit event — is the same on a
+//! shared lattice as on a fresh one. Only `posting_scanned` shows the
+//! difference: it counts the expansions this solve actually performed.
 
 use crate::fxhash::FxHashMap;
+use crate::lattice::{kernel_min_rows, mask_of, LatticeStash, SharedLattice, UNSEEN};
 use crate::pattern::Pattern;
-use crate::pattern_solution::PatternSolution;
+use crate::pattern_solution::{degrade, PatternSolution};
 use crate::space::LatticeSpace;
 use crate::table::RowId;
 use scwsc_core::algorithms::cmc::{CmcParams, Levels};
-use scwsc_core::engine::{
-    panic_message, Certificate, Deadline, DegradeReason, Degraded, EngineError, SolveOutcome,
-};
+use scwsc_core::engine::{panic_message, Deadline, DegradeReason, EngineError, SolveOutcome};
 use scwsc_core::parallel::prune_from_env;
 use scwsc_core::telemetry::{
     audit, pack_k_target, Event, EventLog, Observer, PhaseSpan, PruneReason, ThreadLocalTelemetry,
@@ -52,7 +52,6 @@ use scwsc_core::{coverage_target, BitSet, SolveError, ThreadPool};
 use std::borrow::Cow;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, PoisonError};
 
 /// Minimum row-list length before a stale-pop recount fans out over the
 /// pool; below this the chunking overhead exceeds the count itself.
@@ -95,7 +94,7 @@ const DELTA_MAX_ROUNDS: usize = 4;
 ///
 /// One work tick is consumed per heap pop. On expiry the patterns
 /// selected so far in the in-flight budget guess return as
-/// [`SolveOutcome::Degraded`] with a [`Certificate`] (including which
+/// [`SolveOutcome::Degraded`] with a [`Certificate`](scwsc_core::Certificate) (including which
 /// level quotas were exhausted) that
 /// [`verify_certificate_in`](crate::pattern_solution::verify_certificate_in)
 /// re-checks. Benefit recounts do not tick, so outcome classification and
@@ -114,21 +113,22 @@ pub fn opt_cmc<S: LatticeSpace, O: Observer + ?Sized>(
     deadline: &Deadline,
     obs: &mut O,
 ) -> Result<SolveOutcome<PatternSolution>, EngineError> {
-    opt_cmc_stashed(space, params, pool, deadline, obs, &LatticeStash::default())
+    opt_cmc_stashed(space, params, pool, deadline, obs, None)
 }
 
-/// [`opt_cmc`] on the lattice parked in `stash`, which must
-/// have been grown over `space`'s table and lattice shape (any cost
-/// function): a [`PatternInstance`](crate::PatternInstance) passes its
-/// own, so repeated CMC solves on one instance materialize each node
-/// once (DESIGN.md §17).
+/// [`opt_cmc`] on the lattice parked in `stash`, which must have been
+/// grown over `space`'s table and lattice shape (any cost function, by
+/// either optimized algorithm): a
+/// [`PatternInstance`](crate::PatternInstance) passes its own, so
+/// repeated solves on one instance materialize each node once
+/// (DESIGN.md §17). Without a stash the solve builds a fresh lattice.
 pub(crate) fn opt_cmc_stashed<S: LatticeSpace, O: Observer + ?Sized>(
     space: &S,
     params: &CmcParams,
     pool: &ThreadPool,
     deadline: &Deadline,
     obs: &mut O,
-    stash: &LatticeStash,
+    stash: Option<&LatticeStash>,
 ) -> Result<SolveOutcome<PatternSolution>, EngineError> {
     if params.k == 0 {
         return Err(SolveError::ZeroSizeBound.into());
@@ -157,7 +157,9 @@ pub(crate) fn opt_cmc_stashed<S: LatticeSpace, O: Observer + ?Sized>(
         "opt_cmc",
     ));
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
-    let shared = stash.take().unwrap_or_else(|| SharedLattice::new(space));
+    let shared = stash
+        .and_then(LatticeStash::take)
+        .unwrap_or_else(|| SharedLattice::new(space));
     let mut lattice = Lattice::new(space, shared);
     let result = guess_loop(&mut lattice, params, target, pool, deadline, obs);
     lattice.park(stash);
@@ -240,24 +242,8 @@ fn guess_loop<S: LatticeSpace, O: Observer + ?Sized>(
                 quotas_exhausted,
                 reason,
             } => {
-                obs.on(&Event::DegradeDecided(
-                    reason.as_str(),
-                    partial.covered as u64,
-                    target as u64,
-                ));
-                let certificate = Certificate {
-                    sets_used: partial.size(),
-                    covered: partial.covered,
-                    target,
-                    total_cost: partial.total_cost,
-                    quotas_exhausted,
-                    ticks: deadline.ticks(),
-                    reason,
-                };
-                return Ok(SolveOutcome::Degraded(Degraded {
-                    partial,
-                    certificate,
-                }));
+                let outcome = degrade(partial, quotas_exhausted, reason, target, deadline, obs);
+                return Ok(outcome);
             }
             GuessResult::NotFound => {}
         }
@@ -269,341 +255,6 @@ fn guess_loop<S: LatticeSpace, O: Observer + ?Sized>(
             return Err(SolveError::BudgetExhausted.into());
         }
         budget *= 1.0 + params.budget_growth; // line 36
-    }
-}
-
-/// Appends `items`, growing `v` by an eighth rather than doubling it: a
-/// parked lattice is trimmed to fit, and a later solve that adds a few
-/// nodes must not double every array of it.
-fn extend_lean<T: Copy>(v: &mut Vec<T>, items: &[T]) {
-    if v.capacity() - v.len() < items.len() {
-        v.reserve_exact(items.len().max(v.len() / 8).max(16));
-    }
-    v.extend_from_slice(items);
-}
-
-/// Sentinel in [`SharedLattice::children`]: the node was never expanded.
-const UNEXPANDED: (u32, u32) = (u32::MAX, 0);
-/// Sentinel in [`Lattice::local`]: this solve has not met the node yet.
-const UNSEEN: u32 = u32::MAX;
-
-/// The cost-independent half of the Fig. 4 lattice: pattern keys, row
-/// lists, child lists and parent counts do not depend on the cost
-/// function, the budget or the coverage target, so one materialization
-/// serves every budget guess of a solve and, parked in a
-/// [`LatticeStash`], every later CMC solve on the same instance
-/// (DESIGN.md §17).
-///
-/// Nodes are numbered in the order they were first materialized, by
-/// whichever solve grew the lattice; solves never see these numbers (a
-/// [`Lattice`] view renumbers them). Everything is flat: no per-node
-/// allocation, and no masks, costs or per-solve state.
-struct SharedLattice {
-    keys: Keys,
-    /// Number of parents (= specificity) per node: the pending-parents
-    /// gating that implements line 33 without per-check hashing.
-    num_parents: Vec<u8>,
-    /// All row lists back to back, in node order: the rows of node `g`
-    /// are `row_arena[row_starts[g]..row_starts[g + 1]]`. A node's rows
-    /// are appended once, when it is first materialized.
-    row_arena: Vec<RowId>,
-    row_starts: Vec<u32>,
-    /// Child-node lists back to back, each in (attribute, value) order.
-    child_arena: Vec<u32>,
-    /// `(offset, len)` of each node's child list in `child_arena`, or
-    /// [`UNEXPANDED`].
-    children: Vec<(u32, u32)>,
-}
-
-/// Node keys and the key-to-node dedup map. When the space's value
-/// domain packs into a `u64` ([`LatticeSpace::packed_key_bits`]), a key
-/// is one integer — one `u64` hash per child visit instead of hashing a
-/// boxed option-slice, on the hottest lookup of the lattice build.
-enum Keys {
-    Packed {
-        /// `(shift, mask)` of each attribute's field in the key. The
-        /// field holds `value + 1` (`0` is the wildcard), so a child key
-        /// is `parent_key | (value + 1) << shift` — one OR.
-        fields: Vec<(u32, u64)>,
-        keys: Vec<u64>,
-        ids: KeyTable,
-    },
-    General {
-        patterns: Vec<Pattern>,
-        ids: FxHashMap<Pattern, u32>,
-    },
-}
-
-impl Keys {
-    fn new<S: LatticeSpace>(space: &S, root: &Pattern) -> Keys {
-        match space.packed_key_bits() {
-            Some(bits) => {
-                // Field of attr `i` sits above the fields of all later
-                // attributes.
-                let mut fields = vec![(0u32, 0u64); bits.len()];
-                let mut acc = 0;
-                for i in (0..bits.len()).rev() {
-                    fields[i] = (acc, ((1u128 << bits[i]) - 1) as u64);
-                    acc += bits[i];
-                }
-                // The root is all wildcards: every field, so its key, is 0.
-                debug_assert!(root.is_root());
-                Keys::Packed {
-                    fields,
-                    keys: vec![0],
-                    ids: KeyTable::with_root(),
-                }
-            }
-            None => Keys::General {
-                patterns: vec![root.clone()],
-                ids: FxHashMap::from_iter([(root.clone(), 0)]),
-            },
-        }
-    }
-
-    /// The pattern of node `g`.
-    fn pattern(&self, g: u32) -> Pattern {
-        match self {
-            Keys::Packed { fields, keys, .. } => {
-                let key = keys[g as usize];
-                Pattern::new(
-                    fields
-                        .iter()
-                        .map(|&(shift, mask)| ((key >> shift) & mask).checked_sub(1))
-                        .map(|v| v.map(|v| v as u32))
-                        .collect(),
-                )
-            }
-            Keys::General { patterns, .. } => patterns[g as usize].clone(),
-        }
-    }
-
-    /// The packed key of node `g`, when packed keys are in use.
-    fn packed(&self, g: u32) -> Option<u64> {
-        match self {
-            Keys::Packed { keys, .. } => Some(keys[g as usize]),
-            Keys::General { .. } => None,
-        }
-    }
-
-    /// The node of the child reached from `parent_key` by setting `attr`
-    /// to `value` (`child` backs the non-packed map), registering it as
-    /// node `next` if it is new.
-    fn intern_child(
-        &mut self,
-        parent_key: Option<u64>,
-        attr: usize,
-        value: u32,
-        child: &Pattern,
-        next: u32,
-    ) -> u32 {
-        match self {
-            Keys::Packed { fields, keys, ids } => {
-                let key = parent_key.expect("packed keys always have a parent key")
-                    | ((value as u64 + 1) << fields[attr].0);
-                ids.find(keys, key).unwrap_or_else(|slot| {
-                    extend_lean(keys, &[key]);
-                    ids.insert(keys, slot, next);
-                    next
-                })
-            }
-            Keys::General { patterns, ids } => match ids.get(child) {
-                Some(&id) => id,
-                None => {
-                    ids.insert(child.clone(), next);
-                    patterns.push(child.clone());
-                    next
-                }
-            },
-        }
-    }
-
-    fn shrink_to_fit(&mut self) {
-        match self {
-            Keys::Packed { keys, .. } => keys.shrink_to_fit(),
-            Keys::General { patterns, .. } => patterns.shrink_to_fit(),
-        }
-    }
-}
-
-/// The packed-key dedup map: an open-addressing table of node ids, probed
-/// linearly and compared through the key array, so a slot is 4 bytes
-/// where a `HashMap<u64, u32>` entry takes 17 — 0.26 MB instead of
-/// 1.1 MB for a parked 50k-node lattice.
-struct KeyTable {
-    /// Node ids, [`UNSEEN`] for empty; the length is a power of two.
-    slots: Vec<u32>,
-    /// `64 - log2(slots.len())`: a key's home slot is the top bits of its
-    /// Fibonacci hash.
-    shift: u32,
-    len: usize,
-}
-
-impl KeyTable {
-    /// A table holding node 0, the root, whose key 0 hashes to slot 0.
-    fn with_root() -> KeyTable {
-        let mut slots = vec![UNSEEN; 16];
-        slots[0] = 0;
-        KeyTable {
-            slots,
-            shift: 64 - 4,
-            len: 1,
-        }
-    }
-
-    /// The node holding `key`, or the empty slot where it belongs.
-    #[inline]
-    fn find(&self, keys: &[u64], key: u64) -> Result<u32, usize> {
-        let mask = self.slots.len() - 1;
-        let mut slot = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize;
-        loop {
-            match self.slots[slot] {
-                UNSEEN => return Err(slot),
-                id if keys[id as usize] == key => return Ok(id),
-                _ => slot = (slot + 1) & mask,
-            }
-        }
-    }
-
-    /// Puts `id` (whose key `keys[id]` is absent) into the empty `slot`
-    /// [`find`](KeyTable::find) returned, doubling the table past 7/8
-    /// full.
-    fn insert(&mut self, keys: &[u64], slot: usize, id: u32) {
-        self.slots[slot] = id;
-        self.len += 1;
-        if self.len * 8 > self.slots.len() * 7 {
-            let doubled = vec![UNSEEN; self.slots.len() * 2];
-            let old = std::mem::replace(&mut self.slots, doubled);
-            self.shift -= 1;
-            for id in old.into_iter().filter(|&id| id != UNSEEN) {
-                let slot = self.find(keys, keys[id as usize]).expect_err("rehash");
-                self.slots[slot] = id;
-            }
-        }
-    }
-}
-
-impl SharedLattice {
-    /// The lattice with only its all-wildcards root materialized.
-    fn new<S: LatticeSpace>(space: &S) -> SharedLattice {
-        let root_rows = space.root_rows();
-        SharedLattice {
-            keys: Keys::new(space, &space.root()),
-            num_parents: vec![0],
-            row_starts: vec![0, u32::try_from(root_rows.len()).expect("rows fit u32")],
-            row_arena: root_rows,
-            child_arena: Vec::new(),
-            children: vec![UNEXPANDED],
-        }
-    }
-
-    /// Number of materialized nodes.
-    fn len(&self) -> usize {
-        self.num_parents.len()
-    }
-
-    /// The row list of node `g`.
-    #[inline]
-    fn rows_of(&self, g: u32) -> &[RowId] {
-        let g = g as usize;
-        &self.row_arena[self.row_starts[g] as usize..self.row_starts[g + 1] as usize]
-    }
-
-    /// The child nodes of expanded node `g`.
-    #[inline]
-    fn children_of(&self, g: u32) -> &[u32] {
-        let (off, len) = self.children[g as usize];
-        debug_assert_ne!(off, UNEXPANDED.0, "node {g} is expanded");
-        &self.child_arena[off as usize..off as usize + len as usize]
-    }
-
-    /// Materializes node `g`'s non-empty children unless an earlier
-    /// expansion (of this solve or of an earlier one) already did.
-    /// Returns the posting entries the expansion scanned — `g`'s rows
-    /// once per wildcard attribute — or `None` when it was cached.
-    ///
-    /// Children are visited through [`LatticeSpace::for_each_child`], so
-    /// key and row storage is allocated only for children seen for the
-    /// first time — in a diamond lattice most children are already
-    /// cached under another parent. `scratch` holds `g`'s rows during
-    /// the walk (the child pushes may reallocate `row_arena`) and the
-    /// child list under construction.
-    fn expand<S: LatticeSpace>(
-        &mut self,
-        space: &S,
-        g: u32,
-        scratch: &mut (Vec<RowId>, Vec<u32>),
-    ) -> Option<u64> {
-        if self.children[g as usize] != UNEXPANDED {
-            return None;
-        }
-        let parent = self.keys.pattern(g);
-        let parent_key = self.keys.packed(g);
-        let (parent_rows, kids) = scratch;
-        parent_rows.clear();
-        parent_rows.extend_from_slice(self.rows_of(g));
-        kids.clear();
-        space.for_each_child(
-            &parent,
-            parent_rows,
-            &mut |attr, value, child, child_rows| {
-                let next = self.num_parents.len() as u32;
-                let cid = self.keys.intern_child(parent_key, attr, value, child, next);
-                if cid == next {
-                    extend_lean(&mut self.num_parents, &[space.num_parents(child) as u8]);
-                    extend_lean(&mut self.row_arena, child_rows);
-                    let end = u32::try_from(self.row_arena.len()).expect("row arena fits u32");
-                    extend_lean(&mut self.row_starts, &[end]);
-                    extend_lean(&mut self.children, &[UNEXPANDED]);
-                }
-                kids.push(cid);
-            },
-        );
-        let off = u32::try_from(self.child_arena.len()).expect("child arena fits u32");
-        extend_lean(&mut self.child_arena, kids);
-        self.children[g as usize] = (off, kids.len() as u32);
-        let wildcards = parent.values().iter().filter(|v| v.is_none()).count();
-        Some((parent_rows.len() * wildcards) as u64)
-    }
-
-    /// Drops the growth slack of every array, so a parked lattice holds
-    /// only its nodes.
-    fn shrink_to_fit(&mut self) {
-        self.keys.shrink_to_fit();
-        self.num_parents.shrink_to_fit();
-        self.row_arena.shrink_to_fit();
-        self.row_starts.shrink_to_fit();
-        self.child_arena.shrink_to_fit();
-        self.children.shrink_to_fit();
-    }
-}
-
-/// Where a [`PatternInstance`](crate::PatternInstance) parks its
-/// [`SharedLattice`] between CMC solves (DESIGN.md §17).
-///
-/// A solve [`take`](LatticeStash::take)s the lattice, grows it as its
-/// walk needs, and [`put`](LatticeStash::put)s it back. A concurrent
-/// solve that finds the stash empty builds its own; whichever is larger
-/// is kept. Solves never share a lattice while running, so the walk
-/// needs no locking. The lock is held only to take or to swap the
-/// `Option`, which leaves it valid at every step, so a poisoned lock is
-/// recovered rather than propagated.
-#[derive(Default)]
-pub(crate) struct LatticeStash(Mutex<Option<SharedLattice>>);
-
-impl LatticeStash {
-    /// Takes the parked lattice, leaving the stash empty.
-    fn take(&self) -> Option<SharedLattice> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner).take()
-    }
-
-    /// Parks `lattice` unless a larger one was parked meanwhile.
-    fn put(&self, mut lattice: SharedLattice) {
-        lattice.shrink_to_fit();
-        let mut slot = self.0.lock().unwrap_or_else(PoisonError::into_inner);
-        if slot.as_ref().is_none_or(|held| held.len() < lattice.len()) {
-            *slot = Some(lattice);
-        }
     }
 }
 
@@ -687,28 +338,11 @@ impl<'a, S: LatticeSpace> Lattice<'a, S> {
             .map(|&g| self.local[g as usize])
     }
 
-    fn mask_of(n: usize, rows: &[RowId]) -> BitSet {
-        let mut mask = BitSet::new(n);
-        for &r in rows {
-            mask.insert(r as usize);
-        }
-        mask
-    }
-
-    /// Row lists shorter than this recount faster through the postings
-    /// loop: the blocked kernel always touches ~`num_rows / 64` words,
-    /// so it only wins once the list holds a couple of rows per word.
-    fn kernel_min_rows(&self) -> usize {
-        self.space.num_rows().div_ceil(32)
-    }
-
     /// The row mask of `id`, materialized on first use.
     fn mask(&mut self, id: u32) -> &BitSet {
         let n = self.space.num_rows();
         let rows = self.shared.rows_of(self.global[id as usize]);
-        self.masks
-            .entry(id)
-            .or_insert_with(|| Self::mask_of(n, rows))
+        self.masks.entry(id).or_insert_with(|| mask_of(n, rows))
     }
 
     fn root_cost(&self) -> f64 {
@@ -736,10 +370,10 @@ impl<'a, S: LatticeSpace> Lattice<'a, S> {
         postings
     }
 
-    /// Ends the solve: the shared half goes back to `stash` unless a
-    /// panic was contained along the way.
-    fn park(self, stash: &LatticeStash) {
-        if !self.tainted {
+    /// Ends the solve: the shared half goes back to `stash`, if any,
+    /// unless a panic was contained along the way.
+    fn park(self, stash: Option<&LatticeStash>) {
+        if let Some(stash) = stash.filter(|_| !self.tainted) {
             stash.put(self.shared);
         }
     }
@@ -889,7 +523,7 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
                 // epoch is provably current — skip the recount outright.
                 scan_pruned += 1;
                 entry.mben
-            } else if lattice.rows_of(entry.id).len() < lattice.kernel_min_rows() {
+            } else if lattice.rows_of(entry.id).len() < kernel_min_rows(n) {
                 // Short row list: the postings recount beats every
                 // mask-based path, and no mask is ever materialized.
                 bounds_refreshed += 1;

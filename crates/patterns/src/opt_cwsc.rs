@@ -9,26 +9,36 @@
 //! processes candidates parents-before-children by always taking the
 //! highest marginal benefit next.
 //!
-//! Provided both break ties the same way (they do — see
-//! [`crate::candidates::gain_order`]), the optimized algorithm selects
-//! exactly the same patterns in the same order as running the unoptimized
-//! CWSC over the full materialization; the property tests assert this.
+//! Provided both break ties the same way (they do — see `gain_order`),
+//! the optimized algorithm selects exactly the same patterns in the same
+//! order as running the unoptimized CWSC over the full materialization;
+//! the property tests assert this.
+//!
+//! The walk reads the same cost-independent lattice as optimized CMC
+//! (`crate::lattice`): a [`PatternInstance`](crate::PatternInstance)
+//! parks one between solves of either algorithm, so a waitlist pop
+//! expands its pattern only if no earlier pop or solve did. Ids, costs,
+//! marginal benefits and membership in `C` belong to one solve
+//! (`Candidates`), numbered at first insertion into `C`, so every
+//! selection, tick, event and audit id is the same on a shared lattice
+//! as on a fresh one — `posting_scanned` included, since it counts the
+//! rows each pop buckets in Fig. 3, cached or not.
 
-use crate::candidates::{gain_order, CandId, CandidatePool};
+use crate::fxhash::FxHashMap;
+use crate::lattice::{kernel_min_rows, mask_of, LatticeStash, SharedLattice, UNSEEN};
 use crate::pattern::Pattern;
-use crate::pattern_solution::PatternSolution;
+use crate::pattern_solution::{degrade, PatternSolution};
 use crate::space::LatticeSpace;
-use scwsc_core::engine::{
-    panic_message, Certificate, Deadline, DegradeReason, Degraded, EngineError, SolveOutcome,
-};
+use crate::table::RowId;
+use scwsc_core::engine::{panic_message, Deadline, EngineError, SolveOutcome};
 use scwsc_core::parallel::prune_from_env;
 use scwsc_core::telemetry::{
-    audit, pack_k_target, Event, EventLog, Observer, PhaseSpan, PruneReason, TraceId, PHASE_EXPAND,
+    audit, pack_k_target, Event, Observer, PhaseSpan, PruneReason, TraceId, PHASE_EXPAND,
     PHASE_SCAN_PRUNE, PHASE_SELECT, PHASE_TOTAL,
 };
-use scwsc_core::{coverage_target, BitSet, SolveError, ThreadPool};
+use scwsc_core::{coverage_target, BitSet, BlockSummary, LimitedCount, SolveError, ThreadPool};
 use std::borrow::Cow;
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -40,28 +50,29 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// ([`PatternSpace`](crate::PatternSpace)) or the hierarchy-enriched
 /// lattice of [`crate::hierarchy::HierarchicalSpace`]. The lattice walk is
 /// single-threaded: `pool` is accepted so every solver family shares one
-/// signature, and tick streams are identical across thread counts.
+/// signature, and tick streams are identical across thread counts. The
+/// lattice is built for this solve and dropped with it; a
+/// [`PatternInstance`](crate::PatternInstance) keeps its own between
+/// solves.
 ///
-/// The run reports its work through any [`Observer`]: `benefit_computed`
-/// per pattern whose benefit set and cost are materialized (Fig. 3 lines
-/// 05 and 17 — the Figure 6 metric), `candidate_pruned(BelowFloor)` when a
-/// candidate drops below the eligibility floor `rem/i`,
-/// `subtree_pruned(BelowFloor)` when a child fails the floor at
-/// materialization (its whole subtree stays unexplored),
-/// `posting_scanned` for the parent rows bucketed during lattice
-/// expansion, `set_selected` per pick, and a `"total"` phase span. Passing
-/// `&mut Stats` recovers the classic counters. The round records into a
-/// private [`EventLog`] replayed into `obs` once it ends, so events arrive
-/// once per solve, not live.
+/// The run reports its work through any [`Observer`], live:
+/// `benefit_computed` per pattern whose marginal benefit is computed
+/// (Fig. 3 lines 05 and 17 — the Figure 6 metric),
+/// `candidate_pruned(BelowFloor)` when a candidate drops below the
+/// eligibility floor `rem/i`, `subtree_pruned(BelowFloor)` when a child
+/// fails the floor at materialization (its whole subtree stays
+/// unexplored), `posting_scanned` per waitlist pop for the parent rows
+/// bucketed into its children, `set_selected` per pick, and a `"total"`
+/// phase span. Passing `&mut Stats` recovers the classic counters.
 ///
 /// One work tick is consumed per selection round and per waitlist pop
 /// (so runaway lattice expansions stay interruptible). On expiry the
 /// patterns picked so far return as [`SolveOutcome::Degraded`] with a
-/// [`Certificate`] that
+/// [`Certificate`](scwsc_core::Certificate) that
 /// [`verify_certificate_in`](crate::pattern_solution::verify_certificate_in)
 /// re-checks (`quotas_exhausted` is always empty — Fig. 3 has no cost
 /// levels). The round runs under `catch_unwind`; a panic surfaces as
-/// [`EngineError::Panicked`].
+/// [`EngineError::Panicked`], after the events emitted before it.
 ///
 /// ```
 /// use scwsc_patterns::{opt_cwsc, CostFn, PatternSpace, Table};
@@ -90,6 +101,24 @@ pub fn opt_cwsc<S: LatticeSpace, O: Observer + ?Sized>(
     deadline: &Deadline,
     obs: &mut O,
 ) -> Result<SolveOutcome<PatternSolution>, EngineError> {
+    opt_cwsc_stashed(space, k, coverage_fraction, deadline, obs, None)
+}
+
+/// [`opt_cwsc`] on the lattice parked in `stash`, which must have been
+/// grown over `space`'s table and lattice shape (any cost function, by
+/// either optimized algorithm): a [`PatternInstance`](crate::PatternInstance)
+/// passes its own, so repeated solves on one instance materialize each
+/// node once (DESIGN.md §17). Without a stash the solve builds a fresh
+/// lattice. A solve that panics drops the lattice it took: the panic may
+/// have cut an expansion short.
+pub(crate) fn opt_cwsc_stashed<S: LatticeSpace, O: Observer + ?Sized>(
+    space: &S,
+    k: usize,
+    coverage_fraction: f64,
+    deadline: &Deadline,
+    obs: &mut O,
+    stash: Option<&LatticeStash>,
+) -> Result<SolveOutcome<PatternSolution>, EngineError> {
     if k == 0 {
         return Err(SolveError::ZeroSizeBound.into());
     }
@@ -110,68 +139,249 @@ pub fn opt_cwsc<S: LatticeSpace, O: Observer + ?Sized>(
         "opt_cwsc",
     ));
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
-    let mut log = EventLog::new();
+    let shared = stash
+        .and_then(LatticeStash::take)
+        .unwrap_or_else(|| SharedLattice::new(space));
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        run_in(space, k, target, deadline, &mut log)
+        let mut cands = Candidates::new(space, shared);
+        let round = run_in(&mut cands, k, target, deadline, obs);
+        if let Some(stash) = stash {
+            stash.put(cands.shared);
+        }
+        round
     }));
     let result = match caught {
-        Ok(round) => {
-            log.replay(obs);
-            match round {
-                PatternRound::Done(result) => result
-                    .map(SolveOutcome::Complete)
-                    .map_err(EngineError::Solve),
-                PatternRound::Expired { partial, reason } => {
-                    obs.on(&Event::DegradeDecided(
-                        reason.as_str(),
-                        partial.covered as u64,
-                        target as u64,
-                    ));
-                    let certificate = Certificate {
-                        sets_used: partial.size(),
-                        covered: partial.covered,
-                        target,
-                        total_cost: partial.total_cost,
-                        quotas_exhausted: Vec::new(),
-                        ticks: deadline.ticks(),
-                        reason,
-                    };
-                    Ok(SolveOutcome::Degraded(Degraded {
-                        partial,
-                        certificate,
-                    }))
-                }
-            }
-        }
+        Ok(outcome) => outcome.map_err(EngineError::Solve),
         Err(payload) => Err(EngineError::Panicked(panic_message(payload.as_ref()))),
     };
     span.exit(obs);
     result
 }
 
-/// How one Fig. 3 round ended.
-enum PatternRound {
-    Done(Result<PatternSolution, SolveError>),
-    Expired {
-        partial: PatternSolution,
-        reason: DegradeReason,
-    },
+/// Where a pattern stands in this solve's candidate set `C`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Membership {
+    InC,
+    /// Left `C` below the floor or exhausted; may re-enter.
+    Dropped,
+    /// Selected into `S` (line 15's "not in ... S").
+    Selected,
+}
+
+/// A pattern this solve has put into `C`.
+struct Cand {
+    /// Its shared lattice node.
+    node: u32,
+    cost: f64,
+    /// Cached `|MBen(p, S)|`; a pruned recount may clamp a value below
+    /// the floor to 1 (see [`Candidates::recount`]).
+    mben: usize,
+    state: Membership,
+}
+
+/// One solve's candidate set `C` over a [`SharedLattice`].
+///
+/// Ids index `cands` and are assigned at first insertion into `C` — the
+/// root, then children in waitlist-pop order, each pop's children in
+/// (attribute, value) order — whichever solve grew the shared lattice.
+/// A pattern that leaves `C` keeps its id and revives it on re-entry.
+/// The audit ledger reports these ids, and `C` is scanned in id order.
+struct Candidates<'a, S: LatticeSpace> {
+    space: &'a S,
+    shared: SharedLattice,
+    cands: Vec<Cand>,
+    /// `local[g]` = the id of shared node `g`, or [`UNSEEN`].
+    local: Vec<u32>,
+    /// Block summaries and row masks of the long row lists (see
+    /// `kernel_min_rows`), built on first recount.
+    masks: FxHashMap<u32, (BlockSummary, BitSet)>,
+    /// Expansion scratch, reused across expansions.
+    scratch: (Vec<RowId>, Vec<u32>),
+}
+
+impl<'a, S: LatticeSpace> Candidates<'a, S> {
+    /// `C` = {all-wildcards} (Fig. 3 lines 01-06), nothing covered yet.
+    fn new(space: &'a S, shared: SharedLattice) -> Self {
+        let mut cands = Candidates {
+            space,
+            local: vec![UNSEEN; shared.len()],
+            shared,
+            cands: Vec::new(),
+            masks: FxHashMap::default(),
+            scratch: (Vec::new(), Vec::new()),
+        };
+        cands.insert(0, cands.shared.rows_of(0).len());
+        cands
+    }
+
+    fn rows_of(&self, id: u32) -> &[RowId] {
+        self.shared.rows_of(self[id].node)
+    }
+
+    fn pattern(&self, id: u32) -> Pattern {
+        self.shared.keys.pattern(self[id].node)
+    }
+
+    /// The ids currently in `C`, in id order.
+    fn in_c(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.cands.len() as u32).filter(|&id| self[id].state == Membership::InC)
+    }
+
+    /// The id of shared node `g`, if it was ever in `C`.
+    fn id_of(&self, g: u32) -> Option<u32> {
+        Some(self.local[g as usize]).filter(|&id| id != UNSEEN)
+    }
+
+    /// Whether `pattern` is currently in `C`.
+    fn contains(&self, pattern: &Pattern) -> bool {
+        let id = self.shared.keys.find(pattern).and_then(|g| self.id_of(g));
+        id.is_some_and(|id| self[id].state == Membership::InC)
+    }
+
+    /// Expands `id` in the shared lattice (a no-op when cached there)
+    /// and makes room to number the nodes that expansion added.
+    fn expand(&mut self, id: u32) {
+        let g = self[id].node;
+        self.shared.expand(self.space, g, &mut self.scratch);
+        self.local.resize(self.shared.len(), UNSEEN);
+    }
+
+    /// Puts shared node `g` into `C` with marginal benefit `mben`: a new
+    /// id, costed now, or the id it held before it left `C`.
+    fn insert(&mut self, g: u32, mben: usize) -> u32 {
+        if let Some(id) = self.id_of(g) {
+            (self[id].mben, self[id].state) = (mben, Membership::InC);
+            return id;
+        }
+        let id = self.cands.len() as u32;
+        self.local[g as usize] = id;
+        self.cands.push(Cand {
+            node: g,
+            cost: self.space.cost(self.shared.rows_of(g)),
+            mben,
+            state: Membership::InC,
+        });
+        id
+    }
+
+    /// Refreshes every marginal benefit in `C` against `covered` (Fig. 3
+    /// lines 27–30), dropping candidates whose benefit reached zero.
+    ///
+    /// With a `floor` (the pruned refresh), a recount may stop as soon
+    /// as its block suffix proves the candidate lands below the *next*
+    /// round's eligibility floor, and the result is observationally
+    /// identical to an exact recount followed by that round's floor
+    /// sweep:
+    ///
+    /// * `Exact(0)` and `Short {nonzero: false}` drop the candidate
+    ///   silently, as the exact recount's zero-drop does;
+    /// * `Short {nonzero: true}` proves `0 < mben < floor`; the
+    ///   candidate stays with its benefit clamped to 1, which the floor
+    ///   sweep then prunes with the same `BelowFloor` event the exact
+    ///   value would have produced (`floor >= 2` whenever a short
+    ///   nonzero count is possible, so 1 is always below it). A clamped
+    ///   candidate that re-enters `C` later does so with an exact count.
+    ///
+    /// Advisory telemetry, with a floor only: one `scan_pruned` per
+    /// early-exited recount, one `bound_refreshed` per completed one.
+    /// Short lists count their rows
+    /// ([`BitSet::count_unset_limited`]), long ones run the blocked
+    /// kernel on their mask; both reach the same verdicts.
+    fn recount<O: Observer + ?Sized>(
+        &mut self,
+        covered: &BitSet,
+        floor: Option<usize>,
+        obs: &mut O,
+    ) {
+        let n = self.space.num_rows();
+        let (mut pruned, mut refreshed) = (0u64, 0u64);
+        for (id, cand) in self.cands.iter_mut().enumerate() {
+            if cand.state != Membership::InC {
+                continue;
+            }
+            let rows = self.shared.rows_of(cand.node);
+            let threshold = floor.unwrap_or(0);
+            let count = if rows.len() < kernel_min_rows(n) {
+                covered.count_unset_limited(rows, threshold)
+            } else {
+                let (summary, mask) = self.masks.entry(id as u32).or_insert_with(|| {
+                    let mask = mask_of(n, rows);
+                    (BlockSummary::of(&mask), mask)
+                });
+                mask.difference_count_limited(covered, summary, threshold)
+            };
+            let (mben, exact) = match count {
+                LimitedCount::Exact(count) => (count, true),
+                LimitedCount::Short { nonzero } => (usize::from(nonzero), false),
+            };
+            (refreshed, pruned) = (refreshed + u64::from(exact), pruned + u64::from(!exact));
+            cand.mben = mben;
+            if mben == 0 {
+                cand.state = Membership::Dropped;
+            }
+        }
+        if floor.is_some() && pruned > 0 {
+            obs.on(&Event::ScanPruned(pruned));
+        }
+        if floor.is_some() && refreshed > 0 {
+            obs.on(&Event::BoundRefreshed(refreshed));
+        }
+    }
+
+    /// [`gain_order`] of ids `a` and `b`.
+    fn gain_order(&self, a: u32, b: u32) -> Ordering {
+        let (a, b) = (&self[a], &self[b]);
+        gain_order((a.mben, a.cost), (b.mben, b.cost), || {
+            self.shared.keys.cmp(b.node, a.node)
+        })
+    }
+}
+
+impl<S: LatticeSpace> std::ops::Index<u32> for Candidates<'_, S> {
+    type Output = Cand;
+    fn index(&self, id: u32) -> &Cand {
+        &self.cands[id as usize]
+    }
+}
+
+impl<S: LatticeSpace> std::ops::IndexMut<u32> for Candidates<'_, S> {
+    fn index_mut(&mut self, id: u32) -> &mut Cand {
+        &mut self.cands[id as usize]
+    }
+}
+
+/// Canonical gain comparison of two candidates given as `(mben, cost)`
+/// (`Greater` = `a` preferred): marginal gain desc by exact
+/// cross-multiplication, then marginal benefit desc, cost asc, and
+/// pattern asc — the pattern-space analogue of `CoverState::gain_order`.
+/// `b_vs_a` compares `b`'s pattern to `a`'s; it runs only on a full tie.
+fn gain_order(
+    (ma, ca): (usize, f64),
+    (mb, cb): (usize, f64),
+    b_vs_a: impl FnOnce() -> Ordering,
+) -> Ordering {
+    (ma as f64 * cb)
+        .total_cmp(&(mb as f64 * ca))
+        .then(ma.cmp(&mb))
+        .then_with(|| cb.total_cmp(&ca))
+        .then_with(b_vs_a)
 }
 
 /// The Fig. 3 body, wrapped by [`opt_cwsc`]'s phase span. Consumes one
-/// `deadline` work tick per selection round and per waitlist pop.
+/// `deadline` work tick per selection round and per waitlist pop, and
+/// degrades to the patterns picked so far when one fails.
 fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
-    space: &S,
+    cands: &mut Candidates<'_, S>,
     k: usize,
     target: usize,
     deadline: &Deadline,
     obs: &mut O,
-) -> PatternRound {
+) -> Result<SolveOutcome<PatternSolution>, SolveError> {
     // Like flat CWSC, the optimized variant is a single round.
     obs.on(&Event::GuessStarted(None));
     let prune = prune_from_env();
-    let n = space.num_rows();
-    let mut covered = BitSet::new(n);
+    let space = cands.space;
+    let mut covered = BitSet::new(space.num_rows());
     let mut solution = PatternSolution {
         patterns: Vec::with_capacity(k),
         covered: 0,
@@ -179,80 +389,69 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
     };
 
     // Lines 01-06: C starts as just the all-wildcards pattern.
-    let mut pool = CandidatePool::new();
-    let root = space.root();
-    let root_rows = space.root_rows();
-    let root_cost = space.cost(&root_rows);
-    pool.insert(root, root_rows, root_cost, &covered);
     obs.on(&Event::BenefitComputed(1));
-    // Patterns selected into S (line 15's "not in ... S" check).
-    let mut selected: Vec<Pattern> = Vec::new();
 
     let mut rem = target; // line 03
 
     for i in (1..=k).rev() {
         if let Err(reason) = deadline.checkpoint() {
-            return PatternRound::Expired {
-                partial: solution,
-                reason,
-            };
+            return Ok(degrade(solution, Vec::new(), reason, target, deadline, obs));
         }
         // Lines 08-10: drop candidates below the eligibility floor rem/i.
-        // (Marginal benefits are already current: recount_all runs after
+        // (Marginal benefits are already current: the recount runs after
         // every selection.)
         let i_u = i as u64;
         let rem_u = rem as u64;
         let below_floor = |mben: usize| -> bool { i_u * (mben as u64) < rem_u };
-        let to_drop: Vec<usize> = pool
-            .alive_ids()
-            .filter(|&id| below_floor(pool.get(id).mben))
-            .collect();
-        for id in to_drop {
-            obs.on(&Event::CandidatePruned(PruneReason::BelowFloor));
-            pool.remove(id);
+        for cand in &mut cands.cands {
+            if cand.state == Membership::InC && below_floor(cand.mben) {
+                obs.on(&Event::CandidatePruned(PruneReason::BelowFloor));
+                cand.state = Membership::Dropped;
+            }
         }
 
         // Line 11: the waitlist starts as all of C. Within the while loop
         // no selection happens, so marginal benefits are static and a
         // plain max-heap (mben desc, pattern asc) gives line 13's argmax.
         let expand_span = PhaseSpan::enter(obs, PHASE_EXPAND);
-        let mut waitlist: BinaryHeap<(usize, Reverse<Pattern>, usize)> = pool
-            .alive_ids()
-            .map(|id| (pool.get(id).mben, Reverse(pool.get(id).pattern.clone()), id))
+        let mut waitlist: BinaryHeap<(usize, Reverse<Pattern>, u32)> = cands
+            .in_c()
+            .map(|id| (cands[id].mben, Reverse(cands.pattern(id)), id))
             .collect();
 
         // Lines 12-20: expand children that can meet the floor.
-        while let Some((_, _, q_id)) = waitlist.pop() {
+        while let Some((_, Reverse(q), q_id)) = waitlist.pop() {
             if let Err(reason) = deadline.checkpoint() {
                 expand_span.exit(obs);
-                return PatternRound::Expired {
-                    partial: solution,
-                    reason,
-                };
+                return Ok(degrade(solution, Vec::new(), reason, target, deadline, obs));
             }
-            if !pool.is_alive(q_id) {
-                continue; // pruned since being enqueued (defensive)
-            }
-            let children = {
-                let q = pool.get(q_id);
-                // Expansion buckets every parent row once per wildcard
-                // attribute — the index-posting scan the lattice saves
-                // relative to re-intersecting from scratch.
-                let wildcards = q.pattern.values().iter().filter(|v| v.is_none()).count();
-                obs.on(&Event::PostingScanned((q.rows.len() * wildcards) as u64));
-                space.children_with_rows(&q.pattern, &q.rows)
-            };
-            for (child, child_rows) in children {
-                if pool.contains(&child) || selected.contains(&child) {
-                    continue; // line 15
+            // Expansion buckets every parent row once per wildcard
+            // attribute — the index-posting scan the lattice saves
+            // relative to re-intersecting from scratch. Fig. 3 does it on
+            // every pop; the shared lattice only on the first.
+            let wildcards = q.values().iter().filter(|v| v.is_none()).count();
+            obs.on(&Event::PostingScanned(
+                (cands.rows_of(q_id).len() * wildcards) as u64,
+            ));
+            cands.expand(q_id);
+            let g = cands[q_id].node;
+            for c in 0..cands.shared.children_of(g).len() {
+                let child = cands.shared.children_of(g)[c];
+                let known = cands.id_of(child);
+                if known.is_some_and(|id| cands[id].state != Membership::Dropped) {
+                    continue; // line 15: already in C or S
                 }
                 // Line 16: all parents must currently be candidates.
-                if !space.parents(&child).iter().all(|p| pool.contains(p)) {
+                let pattern = cands.shared.keys.pattern(child);
+                if !space.parents(&pattern).iter().all(|p| cands.contains(p)) {
                     continue;
                 }
-                // Line 17: materialize cost and marginal benefit.
+                // Line 17: compute the marginal benefit (and, on entry to
+                // C, the cost).
                 obs.on(&Event::BenefitComputed(1));
-                let child_mben = child_rows
+                let child_mben = cands
+                    .shared
+                    .rows_of(child)
                     .iter()
                     .filter(|&&r| !covered.contains(r as usize))
                     .count();
@@ -262,9 +461,8 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
                     obs.on(&Event::SubtreePruned(PruneReason::BelowFloor));
                     continue; // line 18 fails: stays out of C and W
                 }
-                let cost = space.cost(&child_rows);
-                let id = pool.insert(child.clone(), child_rows, cost, &covered);
-                waitlist.push((pool.get(id).mben, Reverse(child), id));
+                let id = cands.insert(child, child_mben);
+                waitlist.push((child_mben, Reverse(pattern), id));
             }
         }
         expand_span.exit(obs);
@@ -273,11 +471,11 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
         // best-first top list so the audit ledger records the runners-up
         // alongside the winner.
         let select_span = PhaseSpan::enter(obs, PHASE_SELECT);
-        let mut top: Vec<CandId> = Vec::with_capacity(audit::TOP);
-        for id in pool.alive_ids() {
-            let pos = top.iter().position(|&t| {
-                gain_order(pool.get(id), pool.get(t)) == std::cmp::Ordering::Greater
-            });
+        let mut top: Vec<u32> = Vec::with_capacity(audit::TOP);
+        for id in cands.in_c() {
+            let pos = top
+                .iter()
+                .position(|&t| cands.gain_order(id, t) == Ordering::Greater);
             match pos {
                 Some(p) => top.insert(p, id),
                 None if top.len() < audit::TOP => top.push(id),
@@ -287,18 +485,15 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
         }
         let Some(&q_id) = top.first() else {
             select_span.exit(obs);
-            return PatternRound::Done(Err(SolveError::NoSolution)); // line 22
+            return Err(SolveError::NoSolution); // line 22
         };
-        // Pattern-space candidates audit under their pool id; ties beyond
-        // cost actually break on the pattern ordering the pool id mirrors
-        // (insertion is parents-before-children, deterministic).
-        let as_audit = |id: CandId| {
-            let c = pool.get(id);
-            audit::AuditCandidate {
-                id: id as u64,
-                benefit: c.mben as u64,
-                weight: c.cost,
-            }
+        // Pattern-space candidates audit under their solve id; ties beyond
+        // cost actually break on the pattern order (ids follow insertion,
+        // parents-before-children, deterministic).
+        let as_audit = |id: u32| audit::AuditCandidate {
+            id: u64::from(id),
+            benefit: cands[id].mben as u64,
+            weight: cands[id].cost,
         };
         let runners: Vec<audit::AuditCandidate> = top[1..].iter().map(|&id| as_audit(id)).collect();
         obs.on(&Event::RoundDecided(
@@ -308,55 +503,53 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
         ));
 
         // Lines 23-26: select q.
-        let q = pool.get(q_id);
-        let q_mben = q.mben;
-        let q_cost = q.cost;
-        let newly: Vec<u32> = q
-            .rows
+        let q_mben = cands[q_id].mben;
+        let q_cost = cands[q_id].cost;
+        let newly: Vec<u32> = cands
+            .rows_of(q_id)
             .iter()
             .copied()
             .filter(|&r| !covered.contains(r as usize))
             .collect();
         debug_assert_eq!(newly.len(), q_mben, "recount kept mben current");
         obs.on(&Event::PriceCharged(
-            q_id as u64,
+            u64::from(q_id),
             Cow::Borrowed(&newly),
             q_cost,
         ));
-        solution.patterns.push(q.pattern.clone());
-        solution.total_cost += q.cost;
-        selected.push(q.pattern.clone());
-        obs.on(&Event::SetSelected(q_id as u64, q_mben as u64, q_cost));
-        for &r in &pool.get(q_id).rows {
+        solution.patterns.push(cands.pattern(q_id));
+        solution.total_cost += q_cost;
+        obs.on(&Event::SetSelected(u64::from(q_id), q_mben as u64, q_cost));
+        for &r in &newly {
             covered.insert(r as usize);
         }
         solution.covered = covered.count_ones();
-        pool.remove(q_id);
+        cands[q_id].state = Membership::Selected;
         rem = rem.saturating_sub(q_mben);
         if rem == 0 {
             select_span.exit(obs);
-            return PatternRound::Done(Ok(solution)); // line 25
+            return Ok(SolveOutcome::Complete(solution)); // line 25
         }
         // Lines 27-30: refresh marginal benefits, dropping exhausted ones.
         // When pruning is on, the recount is fused with the *next* round's
         // eligibility floor ⌈rem/(i-1)⌉ so recounts provably landing below
         // it can stop at the first proving block (the survivors' benefits
         // and the BelowFloor sweep above stay identical — see
-        // `CandidatePool::recount_all_pruned`).
+        // `Candidates::recount`).
         if prune {
             let next_floor = if i > 1 { rem.div_ceil(i - 1) } else { 0 };
             let prune_span = PhaseSpan::enter(obs, PHASE_SCAN_PRUNE);
-            pool.recount_all_pruned(&covered, next_floor, obs);
+            cands.recount(&covered, Some(next_floor), obs);
             prune_span.exit(obs);
         } else {
-            pool.recount_all(&covered);
+            cands.recount(&covered, None, obs);
         }
         select_span.exit(obs);
     }
 
     // Eligibility guarantees each pick covers ≥ rem/i, so k picks always
     // reach the target; defensive fallthrough.
-    PatternRound::Done(Err(SolveError::NoSolution))
+    Err(SolveError::NoSolution)
 }
 
 #[cfg(test)]
@@ -546,9 +739,120 @@ mod tests {
         sol.verify(&sp);
     }
 
+    #[test]
+    fn gain_order_prefers_bigger_then_cheaper_then_smaller_pattern() {
+        let [p0, p1] = [Some(0), Some(1)].map(|v| Pattern::new(vec![v]));
+        let tie = || panic!("not a full tie");
+        assert_eq!(gain_order((3, 2.0), (5, 4.0), tie), Ordering::Greater); // 1.5 vs 1.25
+        assert_eq!(
+            gain_order((1, 0.0), (3, 2.0), tie),
+            Ordering::Greater,
+            "zero cost"
+        );
+        assert_eq!(
+            gain_order((4, 1.0), (2, 0.5), tie),
+            Ordering::Greater,
+            "bigger"
+        );
+        assert_eq!(
+            gain_order((0, 1.0), (0, 2.0), tie),
+            Ordering::Greater,
+            "cheaper"
+        );
+        // A full tie falls to the pattern, the smaller one preferred.
+        assert_eq!(
+            gain_order((5, 0.5), (5, 0.5), || p1.cmp(&p0)),
+            Ordering::Greater
+        );
+        assert_eq!(
+            gain_order((5, 0.5), (5, 0.5), || p0.cmp(&p1)),
+            Ordering::Less
+        );
+    }
+
+    /// `C` over the root's children and grandchildren of a 2,048-row
+    /// table: row lists on both sides of `kernel_min_rows`.
+    fn grandchildren<'a>(sp: &'a PatternSpace<'a>) -> Candidates<'a, PatternSpace<'a>> {
+        let mut cands = Candidates::new(sp, SharedLattice::new(sp));
+        let mut level = 0..1;
+        for _ in 0..2 {
+            let next = cands.cands.len() as u32;
+            for id in level {
+                cands.expand(id);
+                for child in cands.shared.children_of(cands[id].node).to_vec() {
+                    if cands.id_of(child).is_none() {
+                        cands.insert(child, cands.shared.rows_of(child).len());
+                    }
+                }
+            }
+            level = next..cands.cands.len() as u32;
+        }
+        cands
+    }
+
+    #[test]
+    fn pruned_recount_matches_exact_with_floor_semantics() {
+        use scwsc_core::telemetry::MetricsRecorder;
+        let t = crate::test_util::skewed_table(2048, 3, 12);
+        let sp = PatternSpace::new(&t, CostFn::Max);
+        let (mut exact, mut pruned) = (grandchildren(&sp), grandchildren(&sp));
+        let short = exact
+            .cands
+            .iter()
+            .filter(|c| c.mben < kernel_min_rows(2048));
+        assert!(
+            short.count() > 10 && exact.cands.len() > 60,
+            "both recount paths run"
+        );
+        let mut covered = BitSet::new(2048);
+        let mut rng = crate::test_util::XorShift::new(0x5ca1ab1e);
+        let mut m = MetricsRecorder::new();
+        for floor in [0usize, 1, 8, 64, 400] {
+            for _ in 0..300 {
+                covered.insert(rng.below(2048) as usize);
+            }
+            exact.recount(&covered, None, &mut m);
+            pruned.recount(&covered, Some(floor), &mut m);
+            for (e, p) in exact.cands.iter().zip(&pruned.cands) {
+                assert!(e.state == p.state, "floor {floor}: liveness must agree");
+                if e.state != Membership::InC {
+                    continue;
+                }
+                if e.mben >= floor {
+                    assert_eq!(p.mben, e.mben, "floor {floor}: survivors stay exact");
+                } else {
+                    // Below the floor the pruned count may be clamped, but
+                    // stays nonzero and below the floor — exactly what the
+                    // caller's BelowFloor sweep needs.
+                    assert!(p.mben > 0 && p.mben < floor.max(1), "floor {floor}");
+                }
+            }
+        }
+        assert!(!pruned.masks.is_empty(), "long lists ran the kernel");
+        assert!(m.scan_candidates_pruned > 0, "early exits fired");
+        assert!(m.scan_bounds_refreshed > 0);
+    }
+
+    #[test]
+    fn reentering_c_keeps_the_id_and_takes_the_new_benefit() {
+        let t = entities();
+        let sp = PatternSpace::new(&t, CostFn::Max);
+        let mut cands = Candidates::new(&sp, SharedLattice::new(&sp));
+        cands.expand(0);
+        let child = cands.shared.children_of(0)[0];
+        let id = cands.insert(child, 3);
+        let cost = cands[id].cost;
+        cands[id].state = Membership::Dropped;
+        assert!(!cands.contains(&cands.pattern(id)));
+        assert_eq!(cands.insert(child, 1), id, "same id revived");
+        assert!(cands.contains(&cands.pattern(id)));
+        assert_eq!((cands[id].mben, cands[id].cost), (1, cost));
+    }
+
     mod within {
         use super::*;
         use crate::pattern_solution::verify_certificate_in;
+        use scwsc_core::engine::DegradeReason;
         use scwsc_core::telemetry::MetricsRecorder;
 
         #[test]

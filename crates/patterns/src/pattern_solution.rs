@@ -3,8 +3,9 @@
 
 use crate::pattern::Pattern;
 use crate::space::{LatticeSpace, PatternSpace};
-use scwsc_core::engine::Certificate;
+use scwsc_core::engine::{Certificate, Deadline, DegradeReason, Degraded, SolveOutcome};
 use scwsc_core::solution::CertificateCheck;
+use scwsc_core::telemetry::{Event, Observer};
 use scwsc_core::BitSet;
 
 /// A sub-collection of patterns chosen by an optimized algorithm, in
@@ -111,6 +112,34 @@ pub fn verify_certificate_in<S: LatticeSpace>(
             && quotas_sorted,
         target_unmet: cert.covered < cert.target,
     }
+}
+
+/// The patterns an optimized solve picked before `deadline` expired, as a
+/// degraded outcome whose [`Certificate`] states their claims; `obs`
+/// hears the `degrade_decided` first.
+pub(crate) fn degrade<O: Observer + ?Sized>(
+    partial: PatternSolution,
+    quotas_exhausted: Vec<usize>,
+    reason: DegradeReason,
+    target: usize,
+    deadline: &Deadline,
+    obs: &mut O,
+) -> SolveOutcome<PatternSolution> {
+    let (covered, target_u) = (partial.covered as u64, target as u64);
+    obs.on(&Event::DegradeDecided(reason.as_str(), covered, target_u));
+    let certificate = Certificate {
+        sets_used: partial.size(),
+        covered: partial.covered,
+        target,
+        total_cost: partial.total_cost,
+        quotas_exhausted,
+        ticks: deadline.ticks(),
+        reason,
+    };
+    SolveOutcome::Degraded(Degraded {
+        partial,
+        certificate,
+    })
 }
 
 #[cfg(test)]

@@ -13,24 +13,6 @@ use crate::index::InvertedIndex;
 use crate::pattern::Pattern;
 use crate::table::{RowId, Table};
 
-/// The `(attribute, value)` specialization step from `parent` to its
-/// direct child `child`: the one attribute where a wildcard was filled
-/// in — or, in hierarchy-enriched lattices, where an already-set value
-/// was refined to a deeper node.
-fn child_step(parent: &Pattern, child: &Pattern) -> (usize, ValueId) {
-    parent
-        .values()
-        .iter()
-        .zip(child.values())
-        .enumerate()
-        .find_map(|(attr, (p, c))| match (p, c) {
-            (None, Some(v)) => Some((attr, *v)),
-            (Some(p), Some(v)) if p != v => Some((attr, *v)),
-            _ => None,
-        })
-        .expect("child refines exactly one parent attribute")
-}
-
 /// Callback for [`LatticeSpace::for_each_child`]: receives the
 /// `(attribute, value)` step, the child pattern, and its benefit rows.
 pub type ChildVisitor<'a> = dyn FnMut(usize, ValueId, &Pattern, &[RowId]) + 'a;
@@ -42,8 +24,8 @@ pub type ChildVisitor<'a> = dyn FnMut(usize, ValueId, &Pattern, &[RowId]) + 'a;
 /// tree-hierarchy extension). Requirements on implementors:
 ///
 /// * benefit is anti-monotone: `Ben(child) ⊆ Ben(parent)`;
-/// * [`LatticeSpace::children_with_rows`] returns each non-empty child of
-///   a pattern exactly once, with its exact benefit rows (sorted), in a
+/// * [`LatticeSpace::for_each_child`] visits each non-empty child of a
+///   pattern exactly once, with its exact benefit rows (sorted), in a
 ///   deterministic order;
 /// * [`LatticeSpace::parents`] returns the patterns whose child the
 ///   argument is, each of which is non-empty whenever the argument is.
@@ -67,29 +49,15 @@ pub trait LatticeSpace {
     /// `Cost(p)` given its benefit rows.
     fn cost(&self, rows: &[RowId]) -> f64;
 
-    /// The non-empty children of `pattern` with their benefit sets.
-    fn children_with_rows(
-        &self,
-        pattern: &Pattern,
-        parent_rows: &[RowId],
-    ) -> Vec<(Pattern, Vec<RowId>)>;
-
-    /// Visits each non-empty child with its benefit rows, in exactly the
-    /// order `children_with_rows` returns them, without requiring an
-    /// owned `Vec` per child. The callback also receives the
-    /// `(attribute, value)` step that produced the child from the
+    /// Visits each non-empty child of `pattern` with its benefit rows
+    /// (`parent_rows` must be `Ben(pattern)`). The callback also receives
+    /// the `(attribute, value)` step that produced the child from the
     /// parent, letting callers with packed pattern keys derive the
-    /// child's key from the parent's in O(1). Lattice caches use this
-    /// to skip the row copy for children they already hold: in a
+    /// child's key from the parent's in O(1). The lattice cache copies a
+    /// child's rows only the first time it meets the child: in a
     /// diamond-shaped lattice most children are reached from several
-    /// parents, and the `children_with_rows` path materializes (and
-    /// then drops) a fresh row vector for every duplicate encounter.
-    fn for_each_child(&self, pattern: &Pattern, parent_rows: &[RowId], f: &mut ChildVisitor<'_>) {
-        for (child, rows) in self.children_with_rows(pattern, parent_rows) {
-            let (attr, value) = child_step(pattern, &child);
-            f(attr, value, &child, &rows);
-        }
-    }
+    /// parents.
+    fn for_each_child(&self, pattern: &Pattern, parent_rows: &[RowId], f: &mut ChildVisitor<'_>);
 
     /// The parents of `pattern` in the lattice.
     fn parents(&self, pattern: &Pattern) -> Vec<Pattern>;
@@ -140,14 +108,6 @@ impl LatticeSpace for PatternSpace<'_> {
 
     fn cost(&self, rows: &[RowId]) -> f64 {
         PatternSpace::cost(self, rows)
-    }
-
-    fn children_with_rows(
-        &self,
-        pattern: &Pattern,
-        parent_rows: &[RowId],
-    ) -> Vec<(Pattern, Vec<RowId>)> {
-        PatternSpace::children_with_rows(self, pattern, parent_rows)
     }
 
     fn for_each_child(&self, pattern: &Pattern, parent_rows: &[RowId], f: &mut ChildVisitor<'_>) {

@@ -18,8 +18,9 @@ fi
 cargo build --release
 cargo test -q
 # The warm-instance lattice parity test (DESIGN.md §17) again with the
-# pruned refresh off: opt_cmc reads SCWSC_PRUNE from the environment, so
-# the plain run above covers only the default.
+# pruned refresh off: opt_cwsc and opt_cmc, which both read the shared
+# lattice, read SCWSC_PRUNE from the environment, so the plain run above
+# covers only the default.
 SCWSC_PRUNE=0 cargo test -q --test prop_lattice_reuse
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
@@ -260,6 +261,18 @@ SCWSC_PRUNE=0 SCWSC_THREADS=1 "$solve" --rows 1000 --seed 11 --k 6 --coverage 0.
   --algorithm cmc --audit-jsonl target/ci_audit_noprune.jsonl > /dev/null 2>&1
 cmp target/ci_audit_t1.jsonl target/ci_audit_noprune.jsonl \
   || { echo "audit ledger differs across prune toggle"; exit 1; }
+# The same two parity checks for optimized CWSC, whose ledger ids number
+# its candidates over the shared lattice (DESIGN.md §17).
+SCWSC_THREADS=1 "$solve" --rows 1000 --seed 11 --k 6 --coverage 0.5 \
+  --algorithm cwsc --audit-jsonl target/ci_audit_cwsc_t1.jsonl > /dev/null 2>&1
+SCWSC_THREADS=4 "$solve" --rows 1000 --seed 11 --k 6 --coverage 0.5 \
+  --algorithm cwsc --audit-jsonl target/ci_audit_cwsc_t4.jsonl > /dev/null 2>&1
+cmp target/ci_audit_cwsc_t1.jsonl target/ci_audit_cwsc_t4.jsonl \
+  || { echo "cwsc audit ledger differs across thread counts"; exit 1; }
+SCWSC_PRUNE=0 SCWSC_THREADS=1 "$solve" --rows 1000 --seed 11 --k 6 --coverage 0.5 \
+  --algorithm cwsc --audit-jsonl target/ci_audit_cwsc_noprune.jsonl > /dev/null 2>&1
+cmp target/ci_audit_cwsc_t1.jsonl target/ci_audit_cwsc_noprune.jsonl \
+  || { echo "cwsc audit ledger differs across prune toggle"; exit 1; }
 
 # Quality-regression gate (DESIGN.md §14): the committed schema-2 baseline
 # carries certified greedy cost and lower bound per workload; the fresh

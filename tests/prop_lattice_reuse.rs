@@ -1,18 +1,20 @@
 //! Lattice reuse across solves on one `PatternInstance` (DESIGN.md §17).
 //!
-//! An instance parks the cost-independent half of the optimized CMC
-//! lattice between solves. The contract under test: a solve on a warm
-//! instance — one whose earlier queries grew the lattice, under any cost
+//! An instance parks the cost-independent half of the pattern lattice
+//! between solves, and optimized CWSC and optimized CMC both read it.
+//! The contract under test: a solve on a warm instance — one whose
+//! earlier queries of either algorithm grew the lattice, under any cost
 //! model — is indistinguishable from the same solve on a fresh instance.
 //! Answer or degraded partial, certificate, tick count and event stream
-//! all agree; only `posting_scanned`, which counts the expansions the
-//! parked lattice saved, may differ.
+//! all agree. Only CMC's `posting_scanned`, which counts the expansions
+//! the parked lattice saved, may differ; CWSC's counts the rows of every
+//! Fig. 3 pop, cached or not, so it agrees too.
 
 use proptest::prelude::*;
 use scwsc::patterns::{PatternInstance, Table};
 use scwsc::sets::{
-    Answer, CostModel, Deadline, EngineError, Event, Observer, Query, SolveOutcome, Solver,
-    ThreadPool, Threads,
+    Algorithm, Answer, CostModel, Deadline, EngineError, Event, Observer, Query, SolveOutcome,
+    Solver, ThreadPool, Threads,
 };
 use std::sync::{Arc, Barrier};
 
@@ -44,20 +46,26 @@ const COSTS: [CostModel; 4] = [
     CostModel::Count,
 ];
 
-/// One CMC query and its tick budget: `None` is unbounded.
+/// One CWSC or CMC query and its tick budget: `None` is unbounded.
 type Step = (Query, Option<u64>);
 
 fn arb_step() -> impl Strategy<Value = Step> {
     (
+        any::<bool>(),
         1usize..=4,
         0.1f64..=1.0,
         0usize..4,
         prop_oneof![Just(Some(0u64)), (1u64..40).prop_map(Some), Just(None)],
     )
-        .prop_map(|(k, coverage, cost, ticks)| {
+        .prop_map(|(cmc, k, coverage, cost, ticks)| {
+            let query = if cmc {
+                Query::cmc(k, coverage)
+            } else {
+                Query::cwsc(k, coverage)
+            };
             let query = Query {
                 cost: COSTS[cost],
-                ..Query::cmc(k, coverage)
+                ..query
             };
             (query, ticks)
         })
@@ -109,9 +117,9 @@ fn run(instance: &PatternInstance, step: &Step, pool: &ThreadPool) -> (Run, u64)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every solve of a random CMC query sequence on one instance equals
-    /// the same solve on a fresh instance, on a serial and a 4-thread
-    /// pool.
+    /// Every solve of a random sequence of interleaved CWSC and CMC
+    /// queries on one instance equals the same solve on a fresh
+    /// instance, on a serial and a 4-thread pool.
     #[test]
     fn warm_instance_solves_equal_cold_ones(
         table in arb_table(),
@@ -122,11 +130,18 @@ proptest! {
             let warm = PatternInstance::new(table.clone());
             for (i, step) in steps.iter().enumerate() {
                 let cold = PatternInstance::new(table.clone());
+                let (warm_run, warm_postings) = run(&warm, step, &pool);
+                let (cold_run, cold_postings) = run(&cold, step, &pool);
                 prop_assert_eq!(
-                    run(&warm, step, &pool).0,
-                    run(&cold, step, &pool).0,
+                    warm_run, cold_run,
                     "threads {} step {} {:?}", threads, i, step
                 );
+                if step.0.algorithm == Algorithm::Cwsc {
+                    prop_assert_eq!(
+                        warm_postings, cold_postings,
+                        "threads {} step {} {:?}", threads, i, step
+                    );
+                }
             }
         }
     }
@@ -143,9 +158,9 @@ fn skewed_table() -> Table {
     table(3, &rows)
 }
 
-/// Two threads released together solve different CMC queries on one
-/// instance: each finds the stash empty or takes it while the other
-/// runs, and both answers equal the serial ones.
+/// Three threads released together solve different queries on one
+/// instance: each finds the stash empty or takes it while another runs,
+/// and every answer equals the serial one.
 #[test]
 fn concurrent_solves_on_one_instance_equal_serial_ones() {
     let queries = [
@@ -154,6 +169,7 @@ fn concurrent_solves_on_one_instance_equal_serial_ones() {
             cost: CostModel::Count,
             ..Query::cmc(3, 0.4)
         },
+        Query::cwsc(5, 0.5),
     ];
     let pool = ThreadPool::new(Threads::serial());
     let fresh = || PatternInstance::new(skewed_table());
@@ -213,4 +229,32 @@ fn contained_panic_drops_the_parked_lattice() {
         run(&PatternInstance::new(skewed_table()), &step, &pool)
     );
     assert_eq!(after.1, cold_postings, "the clean solve started cold");
+}
+
+/// A CWSC solve that panics drops the lattice it took from the stash:
+/// the next CMC solve scans the postings of a cold one.
+#[cfg(feature = "fault-inject")]
+#[test]
+fn panicked_cwsc_solve_drops_the_parked_lattice() {
+    use scwsc::sets::FaultPlan;
+
+    let pool = ThreadPool::new(Threads::serial());
+    let cmc = (Query::cmc(4, 0.6), None);
+    let instance = PatternInstance::new(skewed_table());
+    let (first, cold_postings) = run(&instance, &cmc, &pool);
+    assert!(
+        run(&instance, &cmc, &pool).1 < cold_postings,
+        "the parked lattice is reused"
+    );
+
+    let faulty = Deadline::unbounded().with_fault_plan(FaultPlan::new().panic_at_tick(3));
+    let outcome = instance.solve(&Query::cwsc(5, 0.5), &pool, &faulty, &mut Events::default());
+    assert!(
+        matches!(outcome, Err(EngineError::Panicked(_))),
+        "{outcome:?}"
+    );
+
+    let (after, postings) = run(&instance, &cmc, &pool);
+    assert_eq!(after, first);
+    assert_eq!(postings, cold_postings, "the CMC solve started cold");
 }

@@ -1,12 +1,11 @@
 //! Property tests for the substrate data structures against simple
-//! reference models: bitsets vs `Vec<bool>`, the lazy-greedy heap vs an
-//! eager scan, cost algebra, and pattern-lattice laws.
+//! reference models: bitsets vs `Vec<bool>`, cost algebra, and
+//! pattern-lattice laws.
 
 use proptest::prelude::*;
 use scwsc::patterns::Pattern;
 use scwsc::sets::bitset::BitSet;
 use scwsc::sets::cost::Cost;
-use scwsc::sets::lazy_greedy::LazyGreedy;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -95,48 +94,6 @@ proptest! {
             x.count_unset(ids.iter().map(|&i| i as usize)),
             (0..n).filter(|&i| !a[i]).count()
         );
-    }
-
-    /// Lazy greedy selects the same sequence as an eager argmax scan when
-    /// scores decay monotonically.
-    #[test]
-    fn lazy_greedy_matches_eager(
-        scores in proptest::collection::vec(0u32..1000, 1..30),
-        decays in proptest::collection::vec(0u32..100, 1..30),
-    ) {
-        let n = scores.len();
-        let mut eager: Vec<f64> = scores.iter().map(|&s| f64::from(s)).collect();
-        let mut lazy_scores = eager.clone();
-        let mut lg = LazyGreedy::with_candidates(
-            eager.iter().enumerate().map(|(i, &s)| (i as u32, s, 0.0)),
-        );
-        let mut picked_eager = Vec::new();
-        let mut picked_lazy = Vec::new();
-        for round in 0..n {
-            // Eager pick: max score, lower id wins ties; skip zeros.
-            let best = (0..n)
-                .filter(|&i| eager[i] > 0.0 && !picked_eager.contains(&i))
-                .max_by(|&a, &b| eager[a].total_cmp(&eager[b]).then(b.cmp(&a)));
-            if let Some(i) = best {
-                picked_eager.push(i);
-            }
-            // Lazy pick with the same semantics.
-            let lz = lg.pop_max(|id| {
-                let s = lazy_scores[id as usize];
-                (s > 0.0 && !picked_lazy.contains(&(id as usize))).then_some((s, 0.0))
-            });
-            if let Some((id, _)) = lz {
-                picked_lazy.push(id as usize);
-            }
-            // Apply the same decay to every remaining score.
-            let decay = f64::from(decays[round % decays.len()]);
-            for i in 0..n {
-                eager[i] = (eager[i] - decay).max(0.0);
-                lazy_scores[i] = (lazy_scores[i] - decay).max(0.0);
-            }
-            lg.invalidate();
-        }
-        prop_assert_eq!(picked_eager, picked_lazy);
     }
 
     /// Cost addition is commutative/associative and ordering is total.
