@@ -11,7 +11,7 @@
 
 use crate::algorithms::scan;
 use crate::bitset::BitSet;
-use crate::cover_state::CoverState;
+use crate::cover_state::{CoverState, Incidence};
 use crate::engine::{
     panic_message, Certificate, Deadline, DegradeReason, Degraded, EngineError, SolveOutcome,
 };
@@ -262,6 +262,12 @@ pub struct CmcOutcome {
 /// optimum needs nearly the whole collection would be rejected (see
 /// DESIGN.md §3).
 ///
+/// On a serial pool every guess starts a fresh [`CoverState`] (marginal
+/// benefits, activity flags, covered bits) over one element→sets incidence
+/// — a flat CSR — built once per solve and shared by all guesses. Each
+/// guess buckets the sets by cost level once, and every line-17 scan walks
+/// only its level's bucket.
+///
 /// On a pool of `N > 1` threads two parallel layers compose
 /// (DESIGN.md §11):
 ///
@@ -440,20 +446,34 @@ fn degrade<O: Observer + ?Sized>(
     })
 }
 
+/// The ids of the sets in each level of `levels`, ascending within each;
+/// sets above the budget are in none.
+fn level_buckets(levels: &Levels, system: &SetSystem) -> Vec<Vec<SetId>> {
+    let mut buckets = vec![Vec::new(); levels.len()];
+    for (id, set) in system.iter() {
+        if let Some(level) = levels.level_of(set.cost().value()) {
+            buckets[level].push(id);
+        }
+    }
+    buckets
+}
+
 /// One iteration of the outer repeat loop (Fig. 1 lines 03–27) for a fixed
-/// budget `B` with serial scans: a work tick per selection attempt and
-/// per-level quota accounting for the certificate.
+/// budget `B` with serial scans over the solve's shared `incidence`: a
+/// work tick per selection attempt and per-level quota accounting for the
+/// certificate.
 fn run_guess(
     system: &SetSystem,
     params: &CmcParams,
     budget: f64,
     target: usize,
+    incidence: &Incidence,
     deadline: &Deadline,
     log: &mut EventLog,
 ) -> GuessOutcome {
     // Lines 04-05: fresh marginal benefits for every set.
     let init_span = PhaseSpan::enter(log, PHASE_INIT);
-    let mut state = CoverState::new(system);
+    let mut state = CoverState::over(system, incidence);
     log.on(&Event::BenefitComputed(system.num_sets() as u64));
     init_span.exit(log);
 
@@ -463,11 +483,9 @@ fn run_guess(
     for level in 0..levels.len() {
         log.on(&Event::LevelEntered(level, levels.quota(level)));
     }
-    // Precompute each set's level under this budget so the inner argmax
-    // filter is a table lookup.
-    let set_level: Vec<Option<usize>> = (0..system.num_sets() as SetId)
-        .map(|id| levels.level_of(system.cost(id).value()))
-        .collect();
+    // Line 17 ranks only its own level's sets, so bucket them once per
+    // guess instead of filtering every set on every pick.
+    let buckets = level_buckets(&levels, system);
 
     let mut counts = vec![0usize; levels.len()];
     let mut chosen: Vec<SetId> = Vec::new();
@@ -486,7 +504,7 @@ fn run_guess(
                 };
             }
             // Line 17: argmax of marginal benefit within the level.
-            let top = state.top_benefit(audit::TOP, |id| set_level[id as usize] == Some(level));
+            let top = state.top_benefit_among(&buckets[level], audit::TOP);
             let Some((q, newly)) = audit::pick_cover(&mut state, log, audit::ORDER_BENEFIT, &top)
             else {
                 break; // line 18: level exhausted
@@ -505,6 +523,14 @@ fn run_guess(
     GuessOutcome::NotFound
 }
 
+/// What every budget guess of one solve scans, built once per solve.
+enum GuessScans {
+    /// The element→sets incidence each serial guess's [`CoverState`] reads.
+    Serial(Incidence),
+    /// One row mask per set for the pool's chunked recounts.
+    Masked(Vec<BitSet>),
+}
+
 /// The Fig. 1 outer repeat loop, run in windows of consecutive budget
 /// guesses.
 ///
@@ -512,8 +538,9 @@ fn run_guess(
 /// one speculative guess per pool thread; otherwise it holds one guess,
 /// so guesses run in serial budget order and the tick stream is the same
 /// for any thread count (inner benefit scans still use the pool; scans
-/// do not tick). A serial pool scans a [`CoverState`]; any other pool
-/// recounts over row masks.
+/// do not tick). A serial pool scans a [`CoverState`] per guess, all over
+/// one element→sets incidence built here; any other pool recounts over
+/// row masks, also built here.
 ///
 /// Each guess runs under `catch_unwind` into a private [`EventLog`],
 /// replayed into `obs` only on completion. A panicked guess is retried
@@ -531,17 +558,23 @@ fn guess_loop<O: Observer + ?Sized>(
     let speculate = !pool.is_serial() && !deadline.tick_deterministic();
     let window_len = if speculate { pool.threads() } else { 1 };
     let total_cost = system.total_cost().value();
-    let masks = (!pool.is_serial()).then(|| scan::build_masks(pool, system));
+    let scans = if pool.is_serial() {
+        GuessScans::Serial(Incidence::build(system))
+    } else {
+        GuessScans::Masked(scan::build_masks(pool, system))
+    };
     // One attempt at (1-based) guess `index`; panics propagate.
     let run_attempt = |budget: f64, index: u64, cancel: &CancelToken, log: &mut EventLog| {
         log.on(&Event::GuessStarted(Some(budget)));
         let guess_span = PhaseSpan::enter(log, PHASE_GUESS);
         deadline.fault_guess(index);
-        let outcome = match masks.as_deref() {
-            Some(masks) => run_guess_masked(
+        let outcome = match &scans {
+            GuessScans::Masked(masks) => run_guess_masked(
                 system, params, budget, target, masks, pool, cancel, deadline, log,
             ),
-            None => run_guess(system, params, budget, target, deadline, log),
+            GuessScans::Serial(incidence) => {
+                run_guess(system, params, budget, target, incidence, deadline, log)
+            }
         };
         guess_span.exit(log);
         outcome

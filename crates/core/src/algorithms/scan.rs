@@ -551,7 +551,7 @@ mod tests {
         let mut covered = BitSet::new(sys.num_elements());
         // Walk a few greedy selections, comparing winners at every step.
         for _ in 0..4 {
-            let serial_b = state.argmax_benefit(|_| true);
+            let serial_b = state.top_benefit(1, |_| true).first().map(|c| c.id);
             let par_b = masked_argmax(
                 &pool,
                 &tls,
@@ -563,7 +563,7 @@ mod tests {
                 benefit_order,
             );
             assert_eq!(par_b.map(|c| c.id), serial_b);
-            let serial_g = state.argmax_gain(|_| true);
+            let serial_g = state.top_gain(1, |_| true).first().map(|c| c.id);
             let par_g = masked_argmax(
                 &pool,
                 &tls,

@@ -5,14 +5,21 @@
 //! elements of `s` not yet covered by the partial solution `S` — and update
 //! all of them after each selection (Fig. 1 lines 24–27, Fig. 2 lines
 //! 12–15). [`CoverState`] implements those updates with an element→sets
-//! incidence list so a selection costs `O(Σ_{e newly covered} |{s ∋ e}|)`
+//! incidence so a selection costs `O(Σ_{e newly covered} |{s ∋ e}|)`
 //! instead of a full rescan, which is observationally identical to the
 //! pseudocode (same marginal benefits after every step, same drops of
 //! zero-benefit sets).
+//!
+//! The incidence is one flat CSR (an offsets array plus a set-id array,
+//! filled by a counting pass) built once per solve. It never changes
+//! while a solve runs, so CMC's budget guesses all borrow the same one
+//! and each guess starts only fresh marginal benefits, activity flags and
+//! covered bits (Fig. 1 lines 04–05).
 
 use crate::bitset::BitSet;
 use crate::cost::Cost;
 use crate::set_system::{SetId, SetSystem};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// A candidate in a greedy arg-max: a set id with its *current* marginal
@@ -78,6 +85,52 @@ pub fn push_top(
     top.truncate(cap);
 }
 
+/// The element→sets incidence of a [`SetSystem`] as one flat CSR: the
+/// ids of the sets containing element `e` are
+/// `sets[offsets[e]..offsets[e + 1]]`, ascending.
+#[derive(Clone)]
+pub(crate) struct Incidence {
+    offsets: Vec<usize>,
+    sets: Vec<SetId>,
+}
+
+impl Incidence {
+    /// Builds the incidence with a counting pass: `offsets[e]` first
+    /// counts `e`'s sets, is prefix-summed to the end of `e`'s range, and
+    /// is then walked back to its start while set ids are placed in
+    /// descending order, which leaves every range ascending.
+    pub(crate) fn build(system: &SetSystem) -> Incidence {
+        let n = system.num_elements();
+        let mut offsets = vec![0usize; n + 1];
+        for (_, set) in system.iter() {
+            for &e in set.members() {
+                offsets[e as usize] += 1;
+            }
+        }
+        let mut end = 0;
+        for slot in &mut offsets[..n] {
+            end += *slot;
+            *slot = end;
+        }
+        offsets[n] = end;
+        let mut sets = vec![0 as SetId; end];
+        for id in (0..system.num_sets() as SetId).rev() {
+            for &e in system.members(id) {
+                let slot = &mut offsets[e as usize];
+                *slot -= 1;
+                sets[*slot] = id;
+            }
+        }
+        Incidence { offsets, sets }
+    }
+
+    /// Ids of the sets containing element `e`, ascending.
+    #[inline]
+    pub(crate) fn sets_of(&self, e: usize) -> &[SetId] {
+        &self.sets[self.offsets[e]..self.offsets[e + 1]]
+    }
+}
+
 /// Mutable greedy state: covered elements plus exact marginal benefits.
 pub struct CoverState<'a> {
     system: &'a SetSystem,
@@ -85,28 +138,29 @@ pub struct CoverState<'a> {
     covered_count: usize,
     mben: Vec<usize>,
     active: Vec<bool>,
-    /// element id -> ids of sets containing it
-    incidence: Vec<Vec<SetId>>,
+    /// Owned for a one-round solve, borrowed when rounds share one.
+    incidence: Cow<'a, Incidence>,
 }
 
 impl<'a> CoverState<'a> {
     /// Initializes state with nothing covered; every set active with
     /// `|MBen(s, ∅)| = |Ben(s)|`.
     pub fn new(system: &'a SetSystem) -> Self {
-        let n = system.num_elements();
-        let mut incidence: Vec<Vec<SetId>> = vec![Vec::new(); n];
-        let mut mben = Vec::with_capacity(system.num_sets());
-        for (id, set) in system.iter() {
-            mben.push(set.benefit());
-            for &e in set.members() {
-                incidence[e as usize].push(id);
-            }
-        }
+        Self::start(system, Cow::Owned(Incidence::build(system)))
+    }
+
+    /// Like [`CoverState::new`] over an incidence built once for
+    /// `system` and shared by several rounds.
+    pub(crate) fn over(system: &'a SetSystem, incidence: &'a Incidence) -> Self {
+        Self::start(system, Cow::Borrowed(incidence))
+    }
+
+    fn start(system: &'a SetSystem, incidence: Cow<'a, Incidence>) -> Self {
         CoverState {
             system,
-            covered: BitSet::new(n),
+            covered: BitSet::new(system.num_elements()),
             covered_count: 0,
-            mben,
+            mben: system.iter().map(|(_, set)| set.benefit()).collect(),
             active: vec![true; system.num_sets()],
             incidence,
         }
@@ -124,35 +178,10 @@ impl<'a> CoverState<'a> {
         self.mben[id as usize]
     }
 
-    /// Current marginal gain `|MBen(s, S)| / Cost(s)`.
-    ///
-    /// Zero-cost sets have infinite gain when they still cover something;
-    /// callers must use [`CoverState::gain_order`] for comparisons instead of comparing
-    /// raw `f64`s.
-    #[inline]
-    pub fn marginal_gain(&self, id: SetId) -> f64 {
-        let c = self.system.cost(id).value();
-        if c == 0.0 {
-            if self.mben[id as usize] > 0 {
-                f64::INFINITY
-            } else {
-                0.0
-            }
-        } else {
-            self.mben[id as usize] as f64 / c
-        }
-    }
-
     /// Whether the set is still a candidate (not selected, not dropped).
     #[inline]
     pub fn is_active(&self, id: SetId) -> bool {
         self.active[id as usize]
-    }
-
-    /// Removes a set from the candidate pool without selecting it.
-    #[inline]
-    pub fn deactivate(&mut self, id: SetId) {
-        self.active[id as usize] = false;
     }
 
     /// Number of covered elements `|⋃ Ben(s)|`.
@@ -161,25 +190,10 @@ impl<'a> CoverState<'a> {
         self.covered_count
     }
 
-    /// Whether a particular element is covered.
-    #[inline]
-    pub fn is_covered(&self, element: usize) -> bool {
-        self.covered.contains(element)
-    }
-
     /// Read-only view of the covered-element bitset.
     #[inline]
     pub fn covered(&self) -> &BitSet {
         &self.covered
-    }
-
-    /// Ids of still-active candidate sets.
-    pub fn active_sets(&self) -> impl Iterator<Item = SetId> + '_ {
-        self.active
-            .iter()
-            .enumerate()
-            .filter(|(_, &a)| a)
-            .map(|(i, _)| i as SetId)
     }
 
     /// Selects `id` into the solution: marks its elements covered, updates
@@ -192,15 +206,17 @@ impl<'a> CoverState<'a> {
         debug_assert!(self.active[id as usize], "selecting an inactive set");
         self.active[id as usize] = false;
         let mut newly = 0usize;
-        // Split borrows: we mutate covered/mben while reading the system.
+        // Split borrows: we mutate covered/mben while reading the system
+        // and the incidence.
         // `insert_hot`: member ids were validated against the universe by
         // the SetSystem builder, so the release-mode range assert in
         // `BitSet::insert` is pure overhead here (debug builds still check).
+        let incidence = &*self.incidence;
         for &e in self.system.members(id) {
             let e = e as usize;
             if self.covered.insert_hot(e) {
                 newly += 1;
-                for &s in &self.incidence[e] {
+                for &s in incidence.sets_of(e) {
                     let m = &mut self.mben[s as usize];
                     *m -= 1;
                     if *m == 0 {
@@ -213,78 +229,40 @@ impl<'a> CoverState<'a> {
         newly
     }
 
-    /// Argmax of marginal benefit over active sets satisfying `filter`,
-    /// with canonical tie-breaking (higher benefit, then lower cost, then
-    /// lower id). Returns `None` when no active set passes the filter or
-    /// all passing sets have zero marginal benefit.
-    pub fn argmax_benefit(&self, mut filter: impl FnMut(SetId) -> bool) -> Option<SetId> {
-        let mut best: Option<SetId> = None;
-        for id in 0..self.mben.len() as SetId {
-            if !self.active[id as usize] || self.mben[id as usize] == 0 || !filter(id) {
-                continue;
-            }
-            best = Some(match best {
-                None => id,
-                Some(b) => {
-                    if self.benefit_order(id, b) == std::cmp::Ordering::Greater {
-                        id
-                    } else {
-                        b
-                    }
-                }
-            });
-        }
-        best
-    }
-
-    /// Argmax of marginal gain over active sets satisfying `filter`, with
-    /// canonical tie-breaking (higher gain, then higher benefit, then lower
-    /// cost, then lower id).
-    pub fn argmax_gain(&self, mut filter: impl FnMut(SetId) -> bool) -> Option<SetId> {
-        let mut best: Option<SetId> = None;
-        for id in 0..self.mben.len() as SetId {
-            if !self.active[id as usize] || self.mben[id as usize] == 0 || !filter(id) {
-                continue;
-            }
-            best = Some(match best {
-                None => id,
-                Some(b) => {
-                    if self.gain_order(id, b) == std::cmp::Ordering::Greater {
-                        id
-                    } else {
-                        b
-                    }
-                }
-            });
-        }
-        best
-    }
-
     /// The best `cap` active candidates by marginal benefit (canonical
-    /// order, best first). `top_benefit(cap, f)[0]` is exactly
-    /// [`argmax_benefit`](CoverState::argmax_benefit)`(f)` — the extra
-    /// entries are the audit ledger's runners-up.
-    pub fn top_benefit(&self, cap: usize, mut filter: impl FnMut(SetId) -> bool) -> Vec<Candidate> {
-        let mut top = Vec::with_capacity(cap);
-        for id in 0..self.mben.len() as SetId {
-            if !self.active[id as usize] || self.mben[id as usize] == 0 || !filter(id) {
-                continue;
-            }
-            push_top(&mut top, self.candidate(id), cap, benefit_order);
-        }
-        top
+    /// order, best first) among the sets passing `filter`; `[0]` is the
+    /// arg-max, the extra entries are the audit ledger's runners-up.
+    /// Empty when no active set with nonzero marginal benefit passes.
+    pub fn top_benefit(&self, cap: usize, filter: impl FnMut(SetId) -> bool) -> Vec<Candidate> {
+        self.top(0..self.mben.len() as SetId, cap, filter, benefit_order)
+    }
+
+    /// [`top_benefit`](CoverState::top_benefit) over the sets in `ids`
+    /// only, without visiting the others.
+    pub(crate) fn top_benefit_among(&self, ids: &[SetId], cap: usize) -> Vec<Candidate> {
+        self.top(ids.iter().copied(), cap, |_| true, benefit_order)
     }
 
     /// The best `cap` active candidates by marginal gain (canonical order,
-    /// best first); `top_gain(cap, f)[0]` equals
-    /// [`argmax_gain`](CoverState::argmax_gain)`(f)`.
-    pub fn top_gain(&self, cap: usize, mut filter: impl FnMut(SetId) -> bool) -> Vec<Candidate> {
+    /// best first) among the sets passing `filter`. Zero-cost sets that
+    /// still cover something rank above every priced set.
+    pub fn top_gain(&self, cap: usize, filter: impl FnMut(SetId) -> bool) -> Vec<Candidate> {
+        self.top(0..self.mben.len() as SetId, cap, filter, gain_order)
+    }
+
+    fn top(
+        &self,
+        ids: impl Iterator<Item = SetId>,
+        cap: usize,
+        mut filter: impl FnMut(SetId) -> bool,
+        order: impl Fn(Candidate, Candidate) -> Ordering + Copy,
+    ) -> Vec<Candidate> {
         let mut top = Vec::with_capacity(cap);
-        for id in 0..self.mben.len() as SetId {
+        for id in ids {
             if !self.active[id as usize] || self.mben[id as usize] == 0 || !filter(id) {
                 continue;
             }
-            push_top(&mut top, self.candidate(id), cap, gain_order);
+            push_top(&mut top, self.candidate(id), cap, order);
         }
         top
     }
@@ -341,6 +319,16 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// The benefit arg-max under `filter`: the head of a cap-1 top list.
+    fn best_benefit(st: &CoverState<'_>, filter: impl FnMut(SetId) -> bool) -> Option<SetId> {
+        st.top_benefit(1, filter).first().map(|c| c.id)
+    }
+
+    /// The gain arg-max under `filter`: the head of a cap-1 top list.
+    fn best_gain(st: &CoverState<'_>, filter: impl FnMut(SetId) -> bool) -> Option<SetId> {
+        st.top_gain(1, filter).first().map(|c| c.id)
+    }
+
     #[test]
     fn initial_state() {
         let sys = system();
@@ -349,7 +337,7 @@ mod tests {
         assert_eq!(st.marginal_benefit(0), 3);
         assert_eq!(st.marginal_benefit(1), 2);
         assert!(st.is_active(0));
-        assert_eq!(st.active_sets().count(), 4);
+        assert!((0..4).all(|id| st.is_active(id)));
     }
 
     #[test]
@@ -362,8 +350,8 @@ mod tests {
         assert!(!st.is_active(0));
         assert_eq!(st.marginal_benefit(1), 1); // lost element 2
         assert_eq!(st.marginal_benefit(2), 3);
-        assert!(st.is_covered(2));
-        assert!(!st.is_covered(3));
+        assert!(st.covered().contains(2));
+        assert!(!st.covered().contains(3));
     }
 
     #[test]
@@ -387,12 +375,70 @@ mod tests {
     }
 
     #[test]
+    fn csr_incidence_equals_naive_lists() {
+        // Elements 0, 4 and the last one (7) lie in no set.
+        let mut gaps = SetSystem::builder(8);
+        gaps.add_set([1, 2], 1.0)
+            .add_set([2, 3, 5], 2.0)
+            .add_set([6], 1.0)
+            .add_set([2, 6], 1.0);
+        // The last element lies in two sets; 1 and 3 in none.
+        let mut last = SetSystem::builder(5);
+        last.add_set([4], 1.0)
+            .add_set([0, 4], 1.0)
+            .add_set([2], 1.0);
+        // A universe set in the middle of the id range.
+        let mut universe = SetSystem::builder(6);
+        universe
+            .add_set([5], 1.0)
+            .add_set([0, 1], 1.0)
+            .add_universe_set(9.0)
+            .add_set([1, 5], 2.0);
+        let systems = [
+            gaps.build().unwrap(),
+            last.build().unwrap(),
+            universe.build().unwrap(),
+            system(),
+        ];
+        for sys in &systems {
+            let mut naive: Vec<Vec<SetId>> = vec![Vec::new(); sys.num_elements()];
+            for (id, set) in sys.iter() {
+                for &e in set.members() {
+                    naive[e as usize].push(id);
+                }
+            }
+            let csr = Incidence::build(sys);
+            assert_eq!(csr.offsets.len(), sys.num_elements() + 1);
+            assert_eq!(csr.sets.len(), naive.iter().map(Vec::len).sum::<usize>());
+            for (e, list) in naive.iter().enumerate() {
+                assert_eq!(csr.sets_of(e), &list[..], "element {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn rounds_over_a_shared_incidence_start_fresh() {
+        let sys = system();
+        let incidence = Incidence::build(&sys);
+        let mut first = CoverState::over(&sys, &incidence);
+        first.select(2);
+        first.select(0);
+        let fresh = CoverState::new(&sys);
+        let second = CoverState::over(&sys, &incidence);
+        assert_eq!(second.covered_count(), 0);
+        for id in 0..sys.num_sets() as SetId {
+            assert_eq!(second.candidate(id), fresh.candidate(id));
+            assert!(second.is_active(id));
+        }
+    }
+
+    #[test]
     fn argmax_benefit_prefers_cheaper_on_tie() {
         let mut b = SetSystem::builder(4);
         b.add_set([0, 1], 5.0).add_set([2, 3], 2.0);
         let sys = b.build().unwrap();
         let st = CoverState::new(&sys);
-        assert_eq!(st.argmax_benefit(|_| true), Some(1));
+        assert_eq!(best_benefit(&st, |_| true), Some(1));
     }
 
     #[test]
@@ -401,16 +447,16 @@ mod tests {
         b.add_set([0, 1], 2.0).add_set([2, 3], 2.0);
         let sys = b.build().unwrap();
         let st = CoverState::new(&sys);
-        assert_eq!(st.argmax_benefit(|_| true), Some(0));
+        assert_eq!(best_benefit(&st, |_| true), Some(0));
     }
 
     #[test]
     fn argmax_respects_filter_and_activity() {
         let sys = system();
         let mut st = CoverState::new(&sys);
-        assert_eq!(st.argmax_benefit(|id| id != 0), Some(2));
-        st.deactivate(2);
-        assert_eq!(st.argmax_benefit(|id| id != 0), Some(1));
+        assert_eq!(best_benefit(&st, |id| id != 0), Some(2));
+        st.select(2); // also drops set 3, whose only element 5 is now covered
+        assert_eq!(best_benefit(&st, |id| id != 0), Some(1));
     }
 
     #[test]
@@ -418,8 +464,7 @@ mod tests {
         let sys = system();
         let st = CoverState::new(&sys);
         // set 3 has zero cost and nonzero benefit -> infinite gain
-        assert_eq!(st.argmax_gain(|_| true), Some(3));
-        assert_eq!(st.marginal_gain(3), f64::INFINITY);
+        assert_eq!(best_gain(&st, |_| true), Some(3));
     }
 
     #[test]
@@ -429,7 +474,7 @@ mod tests {
         b.add_set([0, 1, 2], 2.0).add_set([3, 4, 5, 6, 7], 4.0);
         let sys = b.build().unwrap();
         let st = CoverState::new(&sys);
-        assert_eq!(st.argmax_gain(|_| true), Some(0));
+        assert_eq!(best_gain(&st, |_| true), Some(0));
     }
 
     #[test]
@@ -439,8 +484,8 @@ mod tests {
         st.select(0);
         st.select(2);
         // remaining set 1's elements {2,3} are all covered
-        assert_eq!(st.argmax_benefit(|_| true), None);
-        assert_eq!(st.argmax_gain(|_| true), None);
+        assert_eq!(best_benefit(&st, |_| true), None);
+        assert_eq!(best_gain(&st, |_| true), None);
         assert_eq!(st.covered_count(), 6);
     }
 
@@ -450,12 +495,12 @@ mod tests {
         let mut st = CoverState::new(&sys);
         loop {
             let top_b = st.top_benefit(4, |_| true);
-            assert_eq!(top_b.first().map(|c| c.id), st.argmax_benefit(|_| true));
+            assert_eq!(top_b.first().map(|c| c.id), best_benefit(&st, |_| true));
             for w in top_b.windows(2) {
                 assert_eq!(benefit_order(w[0], w[1]), Ordering::Greater);
             }
             let top_g = st.top_gain(4, |_| true);
-            assert_eq!(top_g.first().map(|c| c.id), st.argmax_gain(|_| true));
+            assert_eq!(top_g.first().map(|c| c.id), best_gain(&st, |_| true));
             for w in top_g.windows(2) {
                 assert_eq!(gain_order(w[0], w[1]), Ordering::Greater);
             }
@@ -576,6 +621,6 @@ mod tests {
         b.add_set([0, 1], 2.0).add_set([2, 3, 4, 5], 4.0);
         let sys = b.build().unwrap();
         let st = CoverState::new(&sys);
-        assert_eq!(st.argmax_gain(|_| true), Some(1));
+        assert_eq!(best_gain(&st, |_| true), Some(1));
     }
 }
