@@ -37,9 +37,12 @@ const USAGE: &str = "scwsc_solve [--csv PATH | --rows N [--seed N]] \
 Solves size-constrained weighted set cover over the table's pattern cube and
 prints the chosen patterns. Without --csv, a synthetic LBL-like trace of
 --rows records is generated. --threads sets the worker count for the cmc
-solver's parallel fan-outs (1 = serial; default $SCWSC_THREADS, else all
-cores) — the solution and all counters are identical for any value; cwsc is
-a single sequential round and always runs serial. --deadline-ms bounds the
+solver's parallel fan-outs — speculative budget guesses and child benefit
+recounts (1 = serial; default $SCWSC_THREADS, else all cores) — the
+solution and all counters are identical for any value; cwsc is a single
+sequential round and always runs serial. (The flat set-system solvers
+behind scwsc_bench always scan one cover state per round; flat cmc
+speculates over one shared element incidence.) --deadline-ms bounds the
 solve by wall clock (when the flag is absent the SCWSC_DEADLINE_MS
 environment variable supplies the same bound; an explicit flag always wins
 over the environment) and --max-ticks by a deterministic work-tick budget; on
@@ -57,7 +60,7 @@ solve. --trace-jsonl streams
 every solver event as one JSON object per line; --metrics prints aggregated
 counters and per-phase timings; --profile prints the run's aggregated span
 tree (per-phase total/self wall-clock with counter attribution; parallel
-runs show the per-chunk scan spans merged under their round). A flight
+cmc runs show the per-chunk scan spans merged under their guess). A flight
 recorder of recent enriched events always rides along: --flight-dump writes
 its JSONL dump (header, events, causal tree) after the run, and a faulted or
 deadline-degraded run dumps automatically (to the --flight-dump path, else

@@ -17,17 +17,17 @@ use crate::snapshot::{Snapshot, WorkloadRun};
 
 /// Counters that are recorded in snapshots but never compared exactly.
 ///
-/// The pruned-scan advisories depend on chunk boundaries (thread count) and
-/// on whether `SCWSC_PRUNE` is set: with more threads each chunk has its own
-/// running champion, so a candidate pruned at `t1` may be counted exactly at
-/// `t4` and vice versa. They document how much work the scan skipped; any
-/// drift is surfaced as a note, not a regression, so the t1-vs-t4 and
-/// PRUNE=0-vs-1 gates stay byte-stable on the exact counters alone.
-pub const ADVISORY_COUNTERS: &[&str] = &[
-    "scan_candidates_pruned",
-    "scan_bounds_refreshed",
-    "scan_sketch_inconclusive",
-];
+/// The pruned-refresh advisories of `opt_cwsc` and `opt_cmc` depend on
+/// whether `SCWSC_PRUNE` is set: they document how much recounting the
+/// refresh skipped, not what the solver did. Any drift is surfaced as a
+/// note, not a regression, so the PRUNE=0-vs-1 gate stays byte-stable on
+/// the exact counters alone.
+pub const ADVISORY_COUNTERS: &[&str] = &["scan_candidates_pruned", "scan_bounds_refreshed"];
+
+/// Counters that older committed snapshots carry but this build no longer
+/// records, because the code that counted them is gone. A baseline holding
+/// one gets a note, not a "counter missing" failure.
+pub const RETIRED_COUNTERS: &[&str] = &["scan_sketch_inconclusive"];
 
 fn is_advisory(key: &str) -> bool {
     ADVISORY_COUNTERS.contains(&key)
@@ -127,6 +127,13 @@ pub fn diff(base: &Snapshot, new: &Snapshot, opts: &DiffOptions) -> DiffReport {
 
 fn diff_counters(base: &WorkloadRun, new: &WorkloadRun, report: &mut DiffReport) {
     for (key, &base_v) in &base.counters {
+        if RETIRED_COUNTERS.contains(&key.as_str()) {
+            report.notes.push(format!(
+                "{}: retired counter '{key}' not compared",
+                base.name
+            ));
+            continue;
+        }
         if is_advisory(key) {
             if let Some(&new_v) = new.counters.get(key) {
                 if new_v != base_v {
@@ -464,6 +471,24 @@ mod tests {
         );
         assert!(!report.ok());
         assert!(report.regressions[0].contains("selections"));
+    }
+
+    #[test]
+    fn retired_counters_in_a_baseline_are_notes() {
+        let mut base_run = run("a", 1.0, 7, 1000);
+        base_run
+            .counters
+            .insert("scan_sketch_inconclusive".to_string(), 0);
+        let report = diff(
+            &snap(vec![base_run]),
+            &snap(vec![run("a", 1.0, 7, 1000)]),
+            &DiffOptions::default(),
+        );
+        assert!(report.ok(), "{}", report.render());
+        assert!(report
+            .notes
+            .iter()
+            .any(|n| n.contains("retired counter 'scan_sketch_inconclusive'")));
     }
 
     #[test]

@@ -141,10 +141,13 @@ pub fn run_traced(
 /// [`run_traced`] with the solver's parallel fan-outs run on `pool`.
 ///
 /// The deterministic counters and the solution are identical to the serial
-/// run for any pool size; only wall-clock changes. `CwscOpt` has no
-/// parallel variant (the Fig. 3 lattice walk is a single sequential round
-/// whose per-step candidate set is too small to chunk profitably) and runs
-/// serial regardless of the pool.
+/// run for any pool size; only wall-clock changes. The unoptimized solvers
+/// always scan a `CoverState`; `CmcUnopt` uses the pool only to speculate
+/// on budget guesses, all over one shared element→sets incidence.
+/// `CmcOpt` speculates too and fans out its child recounts. Both CWSC
+/// variants are a single sequential round (the Fig. 3 lattice walk's
+/// per-step candidate set is too small to chunk profitably) and run serial
+/// regardless of the pool.
 pub fn run_traced_on(
     algo: Algo,
     table: &Table,

@@ -349,10 +349,6 @@ pub fn deterministic_counters(metrics: &MetricsRecorder) -> BTreeMap<String, u64
         "scan_bounds_refreshed".to_string(),
         metrics.scan_bounds_refreshed,
     );
-    counters.insert(
-        "scan_sketch_inconclusive".to_string(),
-        metrics.scan_sketch_inconclusive,
-    );
     counters
 }
 
@@ -555,18 +551,17 @@ mod tests {
         assert!(counters.contains_key("benefits_computed"));
         assert!(counters.contains_key("candidates_pruned_below_floor"));
         assert!(counters.contains_key("subtrees_pruned_cost_bound"));
-        // 7 scalar counters + per-reason prune counters + the 3 recorded
+        // 7 scalar counters + per-reason prune counters + the 2 recorded
         // (advisory-only) pruned-scan counters.
-        assert_eq!(counters.len(), 7 + 2 * PruneReason::all().len() + 3);
+        assert_eq!(counters.len(), 7 + 2 * PruneReason::all().len() + 2);
     }
 
     #[test]
     fn pruned_scan_advisories_are_recorded_but_advisory_in_diff() {
-        // The scan advisories are a function of thread count and
-        // SCWSC_PRUNE, not of the algorithm: they are recorded for
-        // documentation but every one of them must be on the diff's
-        // advisory skip list, or the t1-vs-t4 and PRUNE=0-vs-1 gates
-        // would spuriously fail.
+        // The scan advisories are a function of SCWSC_PRUNE, not of the
+        // algorithm: they are recorded for documentation but every one of
+        // them must be on the diff's advisory skip list, or the
+        // PRUNE=0-vs-1 gate would spuriously fail.
         let counters = deterministic_counters(&MetricsRecorder::new());
         for advisory in crate::diff::ADVISORY_COUNTERS {
             assert!(

@@ -9,8 +9,6 @@
 //! Theorem 5: the ε-schedule uses at most `(1+ε)k` sets at cost
 //! `O(((1+b)/ε)·log k·OPT)`.
 
-use crate::algorithms::scan;
-use crate::bitset::BitSet;
 use crate::cover_state::{CoverState, Incidence};
 use crate::engine::{
     panic_message, Certificate, Deadline, DegradeReason, Degraded, EngineError, SolveOutcome,
@@ -19,8 +17,8 @@ use crate::parallel::{CancelToken, ThreadPool};
 use crate::set_system::{coverage_target, SetId, SetSystem};
 use crate::solution::{Solution, SolveError};
 use crate::telemetry::{
-    audit, pack_k_target, Event, EventLog, Observer, PhaseSpan, ThreadLocalTelemetry, TraceId,
-    PHASE_GUESS, PHASE_INIT, PHASE_SELECT, PHASE_TOTAL,
+    audit, pack_k_target, Event, EventLog, Observer, PhaseSpan, TraceId, PHASE_GUESS, PHASE_INIT,
+    PHASE_SELECT, PHASE_TOTAL,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -262,30 +260,25 @@ pub struct CmcOutcome {
 /// optimum needs nearly the whole collection would be rejected (see
 /// DESIGN.md §3).
 ///
-/// On a serial pool every guess starts a fresh [`CoverState`] (marginal
+/// Every guess, on any pool, starts a fresh [`CoverState`] (marginal
 /// benefits, activity flags, covered bits) over one element→sets incidence
 /// — a flat CSR — built once per solve and shared by all guesses. Each
 /// guess buckets the sets by cost level once, and every line-17 scan walks
 /// only its level's bucket.
 ///
-/// On a pool of `N > 1` threads two parallel layers compose
-/// (DESIGN.md §11):
-///
-/// 1. **Speculative guessing** — up to one budget guess per pool thread
-///    (`B, (1+b)B, …`) runs concurrently. The committed result is always
-///    the *smallest-budget* success; a guess is cancelled (via
-///    [`CancelToken`]) only once a strictly smaller budget has succeeded,
-///    so every guess the serial loop would have run completes and its
-///    recorded event log replays into `obs` in budget order. The caller's
-///    observer therefore sees the exact serial event stream, followed by
-///    one `speculation(committed, wasted)` event per window — the only
-///    counters (gated out of the exact-diff set) that differ from serial.
-/// 2. **Chunked scans** — each guess's inner arg-max recounts marginal
-///    benefits across the pool with serial tie-breaking (see
-///    [`scan::masked_argmax`]), adding nested `"scan"` spans.
-///
-/// For any thread count the outcome (solution, order of selections, final
-/// budget) and every exact counter are identical to serial.
+/// On a pool of `N > 1` threads the one parallel layer is **speculative
+/// guessing** (DESIGN.md §11): up to one budget guess per pool thread
+/// (`B, (1+b)B, …`) runs concurrently, each on its own [`CoverState`] over
+/// the shared incidence. The committed result is always the
+/// *smallest-budget* success; a guess is cancelled (via [`CancelToken`],
+/// checked before every pick) only once a strictly smaller budget has
+/// succeeded, so every guess the serial loop would have run completes and
+/// its recorded event log replays into `obs` in budget order. The caller's
+/// observer therefore sees the exact serial event stream, followed by one
+/// `speculation(committed, wasted)` event per window — the only counters
+/// (gated out of the exact-diff set) that differ from serial. For any
+/// thread count the outcome (solution, order of selections, final budget)
+/// and every exact counter are identical to serial.
 ///
 /// One work tick is consumed per selection attempt. On expiry the run
 /// returns [`SolveOutcome::Degraded`] carrying the partial selection of
@@ -294,10 +287,9 @@ pub struct CmcOutcome {
 /// ticks) that [`verify_certificate`](crate::solution::verify_certificate)
 /// independently re-checks. When the deadline is tick-addressed
 /// ([`Deadline::tick_deterministic`]) cross-guess speculation is disabled
-/// — guesses run in serial budget order while the inner benefit scans
-/// still parallelize (scans do not tick) — so the outcome classification,
-/// partial solution, and tick count are identical for `Threads(1)` and
-/// `Threads(N)`.
+/// — guesses run one at a time in serial budget order — so the outcome
+/// classification, partial solution, and tick count are identical for
+/// `Threads(1)` and `Threads(N)`.
 ///
 /// Panic isolation: each budget guess runs under `catch_unwind`; a
 /// panicked guess is retried once serially (counted by the
@@ -459,15 +451,18 @@ fn level_buckets(levels: &Levels, system: &SetSystem) -> Vec<Vec<SetId>> {
 }
 
 /// One iteration of the outer repeat loop (Fig. 1 lines 03–27) for a fixed
-/// budget `B` with serial scans over the solve's shared `incidence`: a
-/// work tick per selection attempt and per-level quota accounting for the
-/// certificate.
+/// budget `B` over the solve's shared `incidence`: a work tick per
+/// selection attempt and per-level quota accounting for the certificate.
+/// Before every pick it checks `cancel` and abandons the guess once a
+/// smaller speculative budget has succeeded.
+#[allow(clippy::too_many_arguments)]
 fn run_guess(
     system: &SetSystem,
     params: &CmcParams,
     budget: f64,
     target: usize,
     incidence: &Incidence,
+    cancel: &CancelToken,
     deadline: &Deadline,
     log: &mut EventLog,
 ) -> GuessOutcome {
@@ -494,6 +489,10 @@ fn run_guess(
     let select_span = PhaseSpan::enter(log, PHASE_SELECT);
     for level in 0..levels.len() {
         for _ in 0..levels.quota(level) {
+            if cancel.is_cancelled() {
+                select_span.exit(log);
+                return GuessOutcome::Cancelled;
+            }
             if let Err(reason) = deadline.checkpoint() {
                 select_span.exit(log);
                 let quotas_exhausted = exhausted_quotas(&levels, &counts);
@@ -523,24 +522,14 @@ fn run_guess(
     GuessOutcome::NotFound
 }
 
-/// What every budget guess of one solve scans, built once per solve.
-enum GuessScans {
-    /// The element→sets incidence each serial guess's [`CoverState`] reads.
-    Serial(Incidence),
-    /// One row mask per set for the pool's chunked recounts.
-    Masked(Vec<BitSet>),
-}
-
 /// The Fig. 1 outer repeat loop, run in windows of consecutive budget
 /// guesses.
 ///
 /// On a parallel pool without a tick-addressed deadline a window holds
 /// one speculative guess per pool thread; otherwise it holds one guess,
 /// so guesses run in serial budget order and the tick stream is the same
-/// for any thread count (inner benefit scans still use the pool; scans
-/// do not tick). A serial pool scans a [`CoverState`] per guess, all over
-/// one element→sets incidence built here; any other pool recounts over
-/// row masks, also built here.
+/// for any thread count. Every guess scans its own [`CoverState`], all
+/// over one element→sets incidence built here.
 ///
 /// Each guess runs under `catch_unwind` into a private [`EventLog`],
 /// replayed into `obs` only on completion. A panicked guess is retried
@@ -558,24 +547,15 @@ fn guess_loop<O: Observer + ?Sized>(
     let speculate = !pool.is_serial() && !deadline.tick_deterministic();
     let window_len = if speculate { pool.threads() } else { 1 };
     let total_cost = system.total_cost().value();
-    let scans = if pool.is_serial() {
-        GuessScans::Serial(Incidence::build(system))
-    } else {
-        GuessScans::Masked(scan::build_masks(pool, system))
-    };
+    let incidence = Incidence::build(system);
     // One attempt at (1-based) guess `index`; panics propagate.
     let run_attempt = |budget: f64, index: u64, cancel: &CancelToken, log: &mut EventLog| {
         log.on(&Event::GuessStarted(Some(budget)));
         let guess_span = PhaseSpan::enter(log, PHASE_GUESS);
         deadline.fault_guess(index);
-        let outcome = match &scans {
-            GuessScans::Masked(masks) => run_guess_masked(
-                system, params, budget, target, masks, pool, cancel, deadline, log,
-            ),
-            GuessScans::Serial(incidence) => {
-                run_guess(system, params, budget, target, incidence, deadline, log)
-            }
-        };
+        let outcome = run_guess(
+            system, params, budget, target, &incidence, cancel, deadline, log,
+        );
         guess_span.exit(log);
         outcome
     };
@@ -707,96 +687,6 @@ fn guess_loop<O: Observer + ?Sized>(
         }
         budget = next_budget;
     }
-}
-
-/// One budget guess over the masked scan engine: same selections, events
-/// and ticks as [`run_guess`], recorded into the task-local `log`.
-#[allow(clippy::too_many_arguments)]
-fn run_guess_masked(
-    system: &SetSystem,
-    params: &CmcParams,
-    budget: f64,
-    target: usize,
-    masks: &[BitSet],
-    pool: &ThreadPool,
-    cancel: &CancelToken,
-    deadline: &Deadline,
-    log: &mut EventLog,
-) -> GuessOutcome {
-    let init_span = PhaseSpan::enter(log, PHASE_INIT);
-    let mut covered = BitSet::new(system.num_elements());
-    // Bounds are only valid while `covered` grows, so each guess gets a
-    // fresh pruned-scan state (guesses restart coverage from empty).
-    let mut pruned = scan::PrunedScan::new(masks);
-    log.on(&Event::BenefitComputed(system.num_sets() as u64));
-    init_span.exit(log);
-
-    let levels = Levels::build(params.schedule, budget, params.k);
-    for level in 0..levels.len() {
-        log.on(&Event::LevelEntered(level, levels.quota(level)));
-    }
-    let set_level: Vec<Option<usize>> = (0..system.num_sets() as SetId)
-        .map(|id| levels.level_of(system.cost(id).value()))
-        .collect();
-
-    let tls = ThreadLocalTelemetry::new(pool.threads());
-    let mut counts = vec![0usize; levels.len()];
-    let mut chosen: Vec<SetId> = Vec::new();
-    let mut rem = target;
-
-    let select_span = PhaseSpan::enter(log, PHASE_SELECT);
-    for level in 0..levels.len() {
-        for _ in 0..levels.quota(level) {
-            if cancel.is_cancelled() {
-                select_span.exit(log);
-                return GuessOutcome::Cancelled;
-            }
-            if let Err(reason) = deadline.checkpoint() {
-                select_span.exit(log);
-                let quotas_exhausted = exhausted_quotas(&levels, &counts);
-                return GuessOutcome::Expired {
-                    partial: chosen,
-                    quotas_exhausted,
-                    reason,
-                };
-            }
-            let top = scan::masked_top_pruned(
-                pool,
-                &tls,
-                system,
-                masks,
-                &mut pruned,
-                &covered,
-                |id| set_level[id as usize] == Some(level),
-                |_| true,
-                0,
-                scan::ScanOrder::Benefit,
-                audit::TOP,
-                log,
-            );
-            tls.replay(log);
-            let Some(q) = audit::record_cover_round(log, audit::ORDER_BENEFIT, &top) else {
-                break; // level exhausted
-            };
-            let win = top[0];
-            audit::charge_masked(log, system, &covered, win);
-            chosen.push(q);
-            counts[level] += 1;
-            covered.union_with(&masks[q as usize]);
-            log.on(&Event::SetSelected(
-                q as u64,
-                win.mben as u64,
-                win.cost.value(),
-            ));
-            rem = rem.saturating_sub(win.mben);
-            if rem == 0 {
-                select_span.exit(log);
-                return GuessOutcome::Found(Solution::from_sets(system, chosen));
-            }
-        }
-    }
-    select_span.exit(log);
-    GuessOutcome::NotFound
 }
 
 #[cfg(test)]
@@ -1152,6 +1042,33 @@ mod tests {
                 assert_eq!(sm.guesses_committed, 0, "serial never speculates");
             }
         }
+    }
+
+    #[test]
+    fn cancelled_guess_stops_before_its_first_pick() {
+        use crate::telemetry::MetricsRecorder;
+        let sys = system();
+        let params = CmcParams::classic(2, 1.0, 1.0);
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let deadline = Deadline::unbounded();
+        let mut log = EventLog::new();
+        let outcome = run_guess(
+            &sys,
+            &params,
+            sys.total_cost().value(),
+            12,
+            &Incidence::build(&sys),
+            &cancel,
+            &deadline,
+            &mut log,
+        );
+        assert!(matches!(outcome, GuessOutcome::Cancelled));
+        assert_eq!(deadline.ticks(), 0, "a cancelled guess charges no tick");
+        let mut m = MetricsRecorder::new();
+        log.replay(&mut m);
+        assert_eq!(m.selections, 0);
+        assert_eq!(m.rounds_audited, 0);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! (Section V-B); empirically it matches CMC's quality at a fraction of the
 //! runtime (Tables IV–V).
 
-use crate::algorithms::scan;
-use crate::bitset::BitSet;
 use crate::cover_state::CoverState;
 use crate::engine::{
     panic_message, Certificate, Deadline, DegradeReason, Degraded, EngineError, SolveOutcome,
@@ -18,13 +16,13 @@ use crate::parallel::ThreadPool;
 use crate::set_system::{coverage_target, SetId, SetSystem};
 use crate::solution::{Solution, SolveError};
 use crate::telemetry::{
-    audit, pack_k_target, Event, EventLog, Observer, PhaseSpan, ThreadLocalTelemetry, TraceId,
-    PHASE_INIT, PHASE_SELECT, PHASE_TOTAL,
+    audit, pack_k_target, Event, Observer, PhaseSpan, TraceId, PHASE_INIT, PHASE_SELECT,
+    PHASE_TOTAL,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Runs CWSC: at most `k` sets covering at least `⌈coverage_fraction·n⌉`
-/// elements, on `pool`, under `deadline` (DESIGN.md §12).
+/// elements, under `deadline` (DESIGN.md §12).
 ///
 /// Returns [`SolveError::NoSolution`] (as [`EngineError::Solve`]) when some
 /// iteration has no set with the required marginal benefit (Fig. 2 line
@@ -32,33 +30,28 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// coverage target returns the empty solution (cost 0), the unique optimum
 /// for that degenerate input.
 ///
-/// The run reports its work through any [`Observer`]: one `guess_started`
-/// for the single round, `benefit_computed` for every set whose marginal
-/// benefit is computed — all of them (Fig. 2 lines 03–04), the unoptimized
-/// count plotted in Figure 6 — `set_selected` per pick, and a `"total"`
-/// phase span. Passing `&mut Stats` aggregates these into the classic
-/// counters, as below. The round records into a private [`EventLog`] that
-/// replays into `obs` once the round ends, so events arrive once per
-/// solve, not live.
+/// The run reports its work through any [`Observer`], live: one
+/// `guess_started` for the single round, `benefit_computed` for every set
+/// whose marginal benefit is computed — all of them (Fig. 2 lines 03–04),
+/// the unoptimized count plotted in Figure 6 — `set_selected` per pick, and
+/// a `"total"` phase span. Passing `&mut Stats` aggregates these into the
+/// classic counters, as below.
 ///
-/// On a pool of `N > 1` threads the per-round arg-max scan is chunked
-/// across workers. For any thread count the selected sets, their order,
-/// the final solution and every exact counter are identical
-/// (DESIGN.md §11); the only observable difference under `N > 1` is
-/// additional `"scan"` phase spans — one per worker chunk per round,
-/// nested under `"select"`.
+/// Every selection scans one [`CoverState`] on the calling thread. `pool`
+/// is taken only for the solver family's shared signature (as
+/// `opt_cwsc` does): CWSC is one greedy round with nothing to run in
+/// parallel, so the selected sets, their order, every event and the tick
+/// count are the same for any thread count (DESIGN.md §11).
 ///
 /// One work tick is consumed per selection round. On expiry the picks made
 /// so far become a [`SolveOutcome::Degraded`] partial solution with a
 /// [`Certificate`] (`quotas_exhausted` is always empty — CWSC has no cost
 /// levels) that
 /// [`verify_certificate`](crate::solution::verify_certificate) re-checks.
-/// The tick stream counts rounds, which are identical for any thread
-/// count, so outcome, partial solution and tick count match between
-/// `Threads(1)` and `Threads(N)` under tick-addressed deadlines.
 ///
 /// CWSC is a single greedy round, so there is no retry: the round runs
-/// under `catch_unwind` and a panic surfaces as [`EngineError::Panicked`].
+/// under `catch_unwind` and a panic surfaces as [`EngineError::Panicked`],
+/// after the events emitted before it.
 ///
 /// ```
 /// use scwsc_core::{algorithms::cwsc, Deadline, SetSystem, Stats, ThreadPool, Threads};
@@ -82,7 +75,7 @@ pub fn cwsc<O: Observer + ?Sized>(
     system: &SetSystem,
     k: usize,
     coverage_fraction: f64,
-    pool: &ThreadPool,
+    _pool: &ThreadPool,
     deadline: &Deadline,
     obs: &mut O,
 ) -> Result<SolveOutcome<Solution>, EngineError> {
@@ -90,7 +83,7 @@ pub fn cwsc<O: Observer + ?Sized>(
         return Err(SolveError::ZeroSizeBound.into());
     }
     let target = coverage_target(system.num_elements(), coverage_fraction);
-    cwsc_to_target(system, k, target, pool, deadline, obs)
+    cwsc_to_target(system, k, target, deadline, obs)
 }
 
 /// [`cwsc`] with an explicit element-count target, for callers (the
@@ -99,7 +92,6 @@ pub(crate) fn cwsc_to_target<O: Observer + ?Sized>(
     system: &SetSystem,
     k: usize,
     target: usize,
-    pool: &ThreadPool,
     deadline: &Deadline,
     obs: &mut O,
 ) -> Result<SolveOutcome<Solution>, EngineError> {
@@ -121,43 +113,31 @@ pub(crate) fn cwsc_to_target<O: Observer + ?Sized>(
         "cwsc",
     ));
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
-    let mut log = EventLog::new();
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        if pool.is_serial() {
-            run_serial(system, k, target, deadline, &mut log)
-        } else {
-            run_masked(system, k, target, pool, deadline, &mut log)
-        }
-    }));
+    let caught = catch_unwind(AssertUnwindSafe(|| run(system, k, target, deadline, obs)));
     let result = match caught {
-        Ok(round) => {
-            log.replay(obs);
-            match round {
-                RoundOutcome::Done(result) => result
-                    .map(SolveOutcome::Complete)
-                    .map_err(EngineError::Solve),
-                RoundOutcome::Expired { partial, reason } => {
-                    let solution = Solution::from_sets(system, partial);
-                    obs.on(&Event::DegradeDecided(
-                        reason.as_str(),
-                        solution.covered() as u64,
-                        target as u64,
-                    ));
-                    let certificate = Certificate {
-                        sets_used: solution.size(),
-                        covered: solution.covered(),
-                        target,
-                        total_cost: solution.total_cost().value(),
-                        quotas_exhausted: Vec::new(),
-                        ticks: deadline.ticks(),
-                        reason,
-                    };
-                    Ok(SolveOutcome::Degraded(Degraded {
-                        partial: solution,
-                        certificate,
-                    }))
-                }
-            }
+        Ok(RoundOutcome::Done(result)) => result
+            .map(SolveOutcome::Complete)
+            .map_err(EngineError::Solve),
+        Ok(RoundOutcome::Expired { partial, reason }) => {
+            let solution = Solution::from_sets(system, partial);
+            obs.on(&Event::DegradeDecided(
+                reason.as_str(),
+                solution.covered() as u64,
+                target as u64,
+            ));
+            let certificate = Certificate {
+                sets_used: solution.size(),
+                covered: solution.covered(),
+                target,
+                total_cost: solution.total_cost().value(),
+                quotas_exhausted: Vec::new(),
+                ticks: deadline.ticks(),
+                reason,
+            };
+            Ok(SolveOutcome::Degraded(Degraded {
+                partial: solution,
+                certificate,
+            }))
         }
         Err(payload) => Err(EngineError::Panicked(panic_message(payload.as_ref()))),
     };
@@ -176,29 +156,29 @@ enum RoundOutcome {
 
 /// The Fig. 2 body over a [`CoverState`], with a work tick per selection
 /// round.
-fn run_serial(
+fn run<O: Observer + ?Sized>(
     system: &SetSystem,
     k: usize,
     target: usize,
     deadline: &Deadline,
-    log: &mut EventLog,
+    obs: &mut O,
 ) -> RoundOutcome {
     // CWSC is a single round: record it so `budget_guesses` is 1, not 0.
-    log.on(&Event::GuessStarted(None));
+    obs.on(&Event::GuessStarted(None));
 
     // Fig. 2 lines 03-04: compute MBen of every set.
-    let init_span = PhaseSpan::enter(log, PHASE_INIT);
+    let init_span = PhaseSpan::enter(obs, PHASE_INIT);
     let mut state = CoverState::new(system);
-    log.on(&Event::BenefitComputed(system.num_sets() as u64));
-    init_span.exit(log);
+    obs.on(&Event::BenefitComputed(system.num_sets() as u64));
+    init_span.exit(obs);
 
     let mut chosen: Vec<SetId> = Vec::with_capacity(k);
     let mut rem = target; // line 02
 
-    let select_span = PhaseSpan::enter(log, PHASE_SELECT);
+    let select_span = PhaseSpan::enter(obs, PHASE_SELECT);
     for i in (1..=k).rev() {
         if let Err(reason) = deadline.checkpoint() {
-            select_span.exit(log);
+            select_span.exit(obs);
             return RoundOutcome::Expired {
                 partial: chosen,
                 reason,
@@ -212,98 +192,22 @@ fn run_serial(
             i_u * state.marginal_benefit(id) as u64 >= rem_u
         });
         // line 08 + lines 09, 11-15 (pick_cover selects and updates MBens)
-        let Some((q, newly)) = audit::pick_cover(&mut state, log, audit::ORDER_GAIN, &top) else {
-            select_span.exit(log);
+        let Some((q, newly)) = audit::pick_cover(&mut state, obs, audit::ORDER_GAIN, &top) else {
+            select_span.exit(obs);
             return RoundOutcome::Done(Err(SolveError::NoSolution)); // line 07
         };
         chosen.push(q);
         rem = rem.saturating_sub(newly);
         if rem == 0 {
-            select_span.exit(log);
+            select_span.exit(obs);
             return RoundOutcome::Done(Ok(Solution::from_sets(system, chosen))); // line 10
         }
     }
-    select_span.exit(log);
+    select_span.exit(obs);
 
     // All k picks made but coverage unmet: each eligible pick covered at
     // least rem/i elements, so this is unreachable; kept as a defensive
     // error rather than a panic.
-    RoundOutcome::Done(Err(SolveError::NoSolution))
-}
-
-/// The Fig. 2 body over the masked scan engine: same selections, events
-/// and tick placement as [`run_serial`] (scans do not tick), with the
-/// arg-max recounted in parallel.
-fn run_masked(
-    system: &SetSystem,
-    k: usize,
-    target: usize,
-    pool: &ThreadPool,
-    deadline: &Deadline,
-    log: &mut EventLog,
-) -> RoundOutcome {
-    log.on(&Event::GuessStarted(None));
-    let init_span = PhaseSpan::enter(log, PHASE_INIT);
-    let masks = scan::build_masks(pool, system);
-    let mut pruned = scan::PrunedScan::new(&masks);
-    let mut covered = BitSet::new(system.num_elements());
-    log.on(&Event::BenefitComputed(system.num_sets() as u64));
-    init_span.exit(log);
-
-    let tls = ThreadLocalTelemetry::new(pool.threads());
-    let mut chosen: Vec<SetId> = Vec::with_capacity(k);
-    let mut rem = target;
-
-    let select_span = PhaseSpan::enter(log, PHASE_SELECT);
-    for i in (1..=k).rev() {
-        if let Err(reason) = deadline.checkpoint() {
-            select_span.exit(log);
-            return RoundOutcome::Expired {
-                partial: chosen,
-                reason,
-            };
-        }
-        let i_u = i as u64;
-        let rem_u = rem as u64;
-        // Smallest mben passing the `i·|MBen| >= rem` floor below.
-        let floor = rem.div_ceil(i);
-        let top = scan::masked_top_pruned(
-            pool,
-            &tls,
-            system,
-            &masks,
-            &mut pruned,
-            &covered,
-            |_| true,
-            |mben| i_u * mben as u64 >= rem_u,
-            floor,
-            scan::ScanOrder::Gain,
-            audit::TOP,
-            log,
-        );
-        tls.replay(log);
-        let Some(q) = audit::record_cover_round(log, audit::ORDER_GAIN, &top) else {
-            select_span.exit(log);
-            return RoundOutcome::Done(Err(SolveError::NoSolution));
-        };
-        // The recount is against the pre-union mask, so win.mben is
-        // exactly the serial `newly`.
-        let win = top[0];
-        audit::charge_masked(log, system, &covered, win);
-        chosen.push(q);
-        covered.union_with(&masks[q as usize]);
-        log.on(&Event::SetSelected(
-            q as u64,
-            win.mben as u64,
-            win.cost.value(),
-        ));
-        rem = rem.saturating_sub(win.mben);
-        if rem == 0 {
-            select_span.exit(log);
-            return RoundOutcome::Done(Ok(Solution::from_sets(system, chosen)));
-        }
-    }
-    select_span.exit(log);
     RoundOutcome::Done(Err(SolveError::NoSolution))
 }
 
@@ -425,8 +329,7 @@ mod tests {
     fn explicit_target_variant_matches_fraction() {
         let sys = system();
         let a = solve(&sys, 2, 0.75, &mut Stats::new()).unwrap();
-        let pool = ThreadPool::new(Threads::serial());
-        let b = cwsc_to_target(&sys, 2, 6, &pool, &Deadline::unbounded(), &mut Stats::new())
+        let b = cwsc_to_target(&sys, 2, 6, &Deadline::unbounded(), &mut Stats::new())
             .unwrap()
             .expect_complete("unbounded deadline");
         assert_eq!(a, b);

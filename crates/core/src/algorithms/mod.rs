@@ -13,7 +13,6 @@ pub mod baselines;
 pub mod cmc;
 pub mod cwsc;
 pub mod exact;
-pub mod scan;
 
 pub use baselines::{
     budgeted_max_coverage, greedy_max_coverage, greedy_partial_max_coverage,

@@ -16,7 +16,6 @@
 
 use crate::algorithms::cwsc::cwsc_to_target;
 use crate::engine::{Deadline, EngineError};
-use crate::parallel::{ThreadPool, Threads};
 use crate::set_system::{coverage_target, SetId, SetSystem};
 use crate::solution::{Solution, SolveError};
 use crate::telemetry::{pack_k_target, Event, NoopObserver, Observer, PhaseSpan, TraceId};
@@ -302,15 +301,7 @@ impl IncrementalCover {
         ));
         let span = PhaseSpan::enter(obs, PHASE_REPAIR_RESOLVE);
         let system = self.snapshot();
-        let pool = ThreadPool::new(Threads::serial());
-        let result = cwsc_to_target(
-            &system,
-            self.k,
-            self.target(),
-            &pool,
-            &Deadline::unbounded(),
-            obs,
-        );
+        let result = cwsc_to_target(&system, self.k, self.target(), &Deadline::unbounded(), obs);
         span.exit(obs);
         let sol = match result {
             Ok(outcome) => outcome.expect_complete("an unbounded deadline never expires"),
@@ -449,12 +440,10 @@ mod tests {
             m.push_element(sets).unwrap();
         }
         let snapshot = m.snapshot();
-        let pool = ThreadPool::new(Threads::serial());
         let fresh = cwsc_to_target(
             &snapshot,
             2,
             m.target(),
-            &pool,
             &Deadline::unbounded(),
             &mut Stats::new(),
         )

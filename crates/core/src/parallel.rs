@@ -1,4 +1,4 @@
-//! Hand-rolled scoped thread pool for deterministic parallel scans.
+//! Hand-rolled scoped thread pool for the solvers' deterministic fan-outs.
 //!
 //! The build environment has no registry access, so this module implements
 //! the small slice of a work-stealing runtime the solvers actually need —
@@ -22,9 +22,9 @@
 //!   (DESIGN.md §11).
 //!
 //! Waiting threads *help*: while a scope has outstanding jobs, the waiter
-//! pops and runs queued jobs instead of blocking. Nested scopes (a
-//! speculative budget guess that itself fans out a benefit scan) therefore
-//! cannot deadlock even on a single-worker pool.
+//! pops and runs queued jobs instead of blocking. Nested scopes (an
+//! optimized-CMC budget guess that itself fans out its child recounts)
+//! therefore cannot deadlock even on a single-worker pool.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -38,8 +38,9 @@ use std::time::Duration;
 pub const THREADS_ENV: &str = "SCWSC_THREADS";
 
 /// Environment variable consulted by [`prune_from_env`]: set `SCWSC_PRUNE=0`
-/// to force every scan down the exact (unpruned) path. Any other value —
-/// including unset — leaves the sketch-pruned scan enabled. The pruned and
+/// to force the pattern solvers' recounts down the exact (unpruned) path.
+/// Any other value — including unset — leaves the sketch-pruned refresh
+/// enabled. The pruned and
 /// exact paths select identical sets and emit identical exact counters by
 /// construction (DESIGN.md §15); the switch exists for A/B gating in CI and
 /// for perf debugging, not for correctness.

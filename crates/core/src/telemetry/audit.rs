@@ -46,7 +46,6 @@
 //! coverage (`C = target = n`) this degenerates to `Σ y''_e / α`.
 
 use super::{json_f64, Event, Observer};
-use crate::bitset::BitSet;
 use crate::cover_state::{Candidate, CoverState};
 use crate::set_system::{SetId, SetSystem};
 use std::borrow::Cow;
@@ -56,8 +55,8 @@ use std::io;
 /// How many runners-up each selection round records next to its winner.
 pub const RUNNERS_UP: usize = 3;
 
-/// Length of the candidate lists fed to [`record_cover_round`]: the winner
-/// plus [`RUNNERS_UP`] runners-up.
+/// Length of the candidate lists fed to [`pick_cover`]: the winner plus
+/// [`RUNNERS_UP`] runners-up.
 pub const TOP: usize = RUNNERS_UP + 1;
 
 /// `order` value of rounds decided by marginal benefit (CMC-family).
@@ -107,10 +106,9 @@ pub fn from_cover(c: Candidate) -> AuditCandidate {
 }
 
 /// Emits one `round_decided` event from a best-first candidate list (as
-/// produced by `CoverState::top_benefit`/`top_gain` or
-/// `scan::masked_top`) and returns the winning set id, or `None` when the
+/// produced by `CoverState::top_benefit`/`top_gain`) and returns the winning set id, or `None` when the
 /// list is empty (no eligible candidate — the greedy loop stops).
-pub fn record_cover_round<O: Observer + ?Sized>(
+fn record_cover_round<O: Observer + ?Sized>(
     obs: &mut O,
     order: &'static str,
     top: &[Candidate],
@@ -142,30 +140,6 @@ pub fn pick_cover<O: Observer + ?Sized>(
     debug_assert_eq!(newly, elems.len());
     obs.on(&Event::SetSelected(q as u64, newly as u64, cost));
     Some((q, newly))
-}
-
-/// Charges the winner of a masked-scan round: prices the elements of
-/// `win` not yet in `covered` (the scan recounted against this same
-/// bitset, so the list length equals `win.mben`). Call *before* unioning
-/// the winner's mask into `covered`.
-pub fn charge_masked<O: Observer + ?Sized>(
-    obs: &mut O,
-    system: &SetSystem,
-    covered: &BitSet,
-    win: Candidate,
-) {
-    let elems: Vec<u32> = system
-        .members(win.id)
-        .iter()
-        .copied()
-        .filter(|&e| !covered.contains(e as usize))
-        .collect();
-    debug_assert_eq!(elems.len(), win.mben);
-    obs.on(&Event::PriceCharged(
-        win.id as u64,
-        Cow::Borrowed(&elems),
-        win.cost.value(),
-    ));
 }
 
 /// The comparator level that actually decided a round, plus the winning

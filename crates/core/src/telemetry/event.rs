@@ -91,20 +91,16 @@ pub enum Event<'a> {
     /// run never switches workers.
     WorkerSwitched(u32),
     /// `(count)`: `count` scan candidates were disposed of *without* a
-    /// completed exact masked count: a stale upper bound, block-summary
-    /// sketch, or early-exit kernel proved they could not change the
-    /// round's decision (DESIGN.md §15). Pruned-scan runs only; how many
-    /// fire depends on chunking, so the derived counter is **excluded**
+    /// completed exact count: a stale upper bound, block-summary sketch,
+    /// or early-exit kernel proved they could not change the round's
+    /// decision (DESIGN.md §15). Pruned-refresh runs only; how many fire
+    /// depends on `SCWSC_PRUNE`, so the derived counter is **excluded**
     /// from the exact-diff set.
     ScanPruned(u64),
     /// `(count)`: `count` stale scan upper bounds were replaced by fresh
     /// exact counts. Advisory like [`ScanPruned`](Event::ScanPruned) —
     /// excluded from the exact-diff set.
     BoundRefreshed(u64),
-    /// `(count)`: `count` bound/sketch probes were inconclusive and fell
-    /// back to the full exact count. Advisory like
-    /// [`ScanPruned`](Event::ScanPruned) — excluded from the exact-diff set.
-    SketchInconclusive(u64),
     /// `(ticks, stalled_secs)`: the liveness
     /// [`Watchdog`](super::Watchdog) observed no solve progress (no
     /// events, no engine `checkpoint()` ticks) for `stalled_secs`
@@ -143,7 +139,6 @@ impl Event<'_> {
             Event::WorkerSwitched(_) => "worker_switched",
             Event::ScanPruned(_) => "scan_pruned",
             Event::BoundRefreshed(_) => "bound_refreshed",
-            Event::SketchInconclusive(_) => "sketch_inconclusive",
             Event::StallDetected(..) => "stall_detected",
             Event::PhaseStarted(_) => "phase_started",
             Event::PhaseEnded(..) => "phase_ended",
@@ -171,8 +166,7 @@ impl Event<'_> {
             ),
             Event::BenefitComputed(count)
             | Event::ScanPruned(count)
-            | Event::BoundRefreshed(count)
-            | Event::SketchInconclusive(count) => write!(out, ",\"count\":{count}"),
+            | Event::BoundRefreshed(count) => write!(out, ",\"count\":{count}"),
             Event::CandidatePruned(reason) | Event::SubtreePruned(reason) => {
                 write!(out, ",\"reason\":\"{}\"", reason.as_str())
             }
@@ -284,7 +278,6 @@ impl Event<'_> {
             Event::WorkerSwitched(worker_id) => Event::WorkerSwitched(worker_id),
             Event::ScanPruned(count) => Event::ScanPruned(count),
             Event::BoundRefreshed(count) => Event::BoundRefreshed(count),
-            Event::SketchInconclusive(count) => Event::SketchInconclusive(count),
             Event::StallDetected(ticks, secs) => Event::StallDetected(ticks, secs),
             Event::PhaseStarted(name) => Event::PhaseStarted(name),
             Event::PhaseEnded(name, seconds) => Event::PhaseEnded(name, seconds),

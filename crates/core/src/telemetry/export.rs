@@ -136,7 +136,7 @@ fn summary(out: &mut String, name: &str, help: &str, hist: &LogHistogram) {
 /// `reason` label.
 pub fn render_prometheus(metrics: &MetricsRecorder, slo: Option<&SloGauges>) -> String {
     let mut out = String::new();
-    let counters: [(&str, u64, &str); 14] = [
+    let counters: [(&str, u64, &str); 13] = [
         (
             "scwsc_guesses_total",
             metrics.guesses,
@@ -196,11 +196,6 @@ pub fn render_prometheus(metrics: &MetricsRecorder, slo: Option<&SloGauges>) -> 
             "scwsc_scan_bounds_refreshed_total",
             metrics.scan_bounds_refreshed,
             "Stale scan upper bounds replaced by fresh exact counts.",
-        ),
-        (
-            "scwsc_scan_sketch_inconclusive_total",
-            metrics.scan_sketch_inconclusive,
-            "Bound/sketch probes that fell back to the full exact count.",
         ),
         (
             "scwsc_stalls_detected_total",

@@ -535,7 +535,7 @@ impl FlightRecorder {
 
 impl Observer for FlightRecorder {
     fn on(&mut self, event: &Event<'_>) {
-        // The ring keeps 15 of the 21 kinds: audit, degrade and advisory
+        // The ring keeps 15 of the 20 kinds: audit, degrade and advisory
         // scan events stay out, so a served solve copies no element lists.
         if matches!(
             event,
@@ -544,7 +544,6 @@ impl Observer for FlightRecorder {
                 | Event::DegradeDecided(..)
                 | Event::ScanPruned(_)
                 | Event::BoundRefreshed(_)
-                | Event::SketchInconclusive(_)
         ) {
             return;
         }

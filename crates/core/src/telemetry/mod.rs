@@ -65,13 +65,13 @@ pub const PHASE_EXPAND: &str = "expand";
 /// Span name of a selection sweep (argmax + cover update + recount).
 pub const PHASE_SELECT: &str = "select";
 
-/// Span name of one worker's chunk of a parallel benefit scan. Emitted
-/// only on parallel paths (per-worker, nested under the enclosing round
-/// span); serial runs never produce it.
+/// Span name of one worker's chunk of a parallel benefit recount (optimized
+/// CMC's child scoring). Emitted only on parallel paths (per-worker, nested
+/// under the enclosing guess span); serial runs never produce it.
 pub const PHASE_SCAN: &str = "scan";
 
-/// Span name of one worker's chunk of a **pruned** benefit scan (the
-/// bound/sketch-gated variant of [`PHASE_SCAN`]). One-sided by design:
+/// Span name of a **pruned** benefit recount (optimized CWSC's
+/// bound/sketch-gated refresh of its candidate set). One-sided by design:
 /// a run with `SCWSC_PRUNE=0` (or an older baseline snapshot) never
 /// produces it, which `scwsc_bench diff --attribute` labels as a "new"
 /// span rather than a mover against zero.
@@ -367,16 +367,13 @@ pub struct MetricsRecorder {
     /// Selection rounds audited (`round_decided` events). Audit plumbing —
     /// excluded from the exact-diff counter set like the trace counters.
     pub rounds_audited: u64,
-    /// Scan candidates disposed of without a completed exact masked count
-    /// (bound/sketch/early-exit decided). Pruned-scan runs only; varies
-    /// with chunking — excluded from the exact-diff counter set.
+    /// Scan candidates disposed of without a completed exact count
+    /// (bound/sketch/early-exit decided). Pruned-refresh runs only —
+    /// excluded from the exact-diff counter set.
     pub scan_candidates_pruned: u64,
     /// Stale scan upper bounds replaced by fresh exact counts. Advisory —
     /// excluded from the exact-diff counter set.
     pub scan_bounds_refreshed: u64,
-    /// Bound/sketch probes that fell back to the full exact count.
-    /// Advisory — excluded from the exact-diff counter set.
-    pub scan_sketch_inconclusive: u64,
     /// Stalls flagged by the liveness watchdog (no progress within
     /// deadline headroom). Fault/overload paths only — excluded from the
     /// exact-diff counter set.
@@ -451,7 +448,6 @@ impl MetricsRecorder {
         self.rounds_audited += other.rounds_audited;
         self.scan_candidates_pruned += other.scan_candidates_pruned;
         self.scan_bounds_refreshed += other.scan_bounds_refreshed;
-        self.scan_sketch_inconclusive += other.scan_sketch_inconclusive;
         self.stalls_detected += other.stalls_detected;
         self.marginal_benefit_hist
             .merge(&other.marginal_benefit_hist);
@@ -501,7 +497,6 @@ impl Observer for MetricsRecorder {
             Event::WorkerSwitched(_) => self.worker_switches += 1,
             Event::ScanPruned(count) => self.scan_candidates_pruned += count,
             Event::BoundRefreshed(count) => self.scan_bounds_refreshed += count,
-            Event::SketchInconclusive(count) => self.scan_sketch_inconclusive += count,
             Event::StallDetected(..) => self.stalls_detected += 1,
             Event::PhaseEnded(name, seconds) => {
                 match self.phases.iter_mut().find(|p| p.name == name) {
@@ -599,15 +594,10 @@ pub(crate) fn json_f64(v: f64) -> String {
 }
 
 impl<W: io::Write> Observer for JsonlSink<W> {
-    /// Writes one line: `{"t":<secs>,"event":"<name>"<fields>}`. The three
+    /// Writes one line: `{"t":<secs>,"event":"<name>"<fields>}`. The two
     /// advisory scan events vary with chunking and stay out of the trace.
     fn on(&mut self, event: &Event<'_>) {
-        if self.failed
-            || matches!(
-                event,
-                Event::ScanPruned(_) | Event::BoundRefreshed(_) | Event::SketchInconclusive(_)
-            )
-        {
+        if self.failed || matches!(event, Event::ScanPruned(_) | Event::BoundRefreshed(_)) {
             return;
         }
         let t = self.start.elapsed().as_secs_f64();

@@ -43,7 +43,6 @@ enum Logged {
     PostingScanned(u64),
     ScanPruned(u64),
     BoundRefreshed(u64),
-    SketchInconclusive(u64),
     CandidatePruned(PruneReason),
     SubtreePruned(PruneReason),
     HeapStalePop,
@@ -63,7 +62,6 @@ impl Logged {
             Event::PostingScanned(entries) => Logged::PostingScanned(entries),
             Event::ScanPruned(count) => Logged::ScanPruned(count),
             Event::BoundRefreshed(count) => Logged::BoundRefreshed(count),
-            Event::SketchInconclusive(count) => Logged::SketchInconclusive(count),
             Event::CandidatePruned(reason) => Logged::CandidatePruned(reason),
             Event::SubtreePruned(reason) => Logged::SubtreePruned(reason),
             Event::HeapStalePop => Logged::HeapStalePop,
@@ -78,7 +76,6 @@ impl Logged {
             Logged::PostingScanned(entries) => obs.on(&Event::PostingScanned(entries)),
             Logged::ScanPruned(count) => obs.on(&Event::ScanPruned(count)),
             Logged::BoundRefreshed(count) => obs.on(&Event::BoundRefreshed(count)),
-            Logged::SketchInconclusive(count) => obs.on(&Event::SketchInconclusive(count)),
             Logged::CandidatePruned(reason) => obs.on(&Event::CandidatePruned(reason)),
             Logged::SubtreePruned(reason) => obs.on(&Event::SubtreePruned(reason)),
             Logged::HeapStalePop => obs.on(&Event::HeapStalePop),
@@ -390,13 +387,11 @@ mod tests {
         let mut log = EventLog::new();
         log.on(&Event::ScanPruned(11));
         log.on(&Event::BoundRefreshed(5));
-        log.on(&Event::SketchInconclusive(2));
         log.on(&Event::ScanPruned(4));
         let mut m = MetricsRecorder::new();
         log.replay(&mut m);
         assert_eq!(m.scan_candidates_pruned, 15);
         assert_eq!(m.scan_bounds_refreshed, 5);
-        assert_eq!(m.scan_sketch_inconclusive, 2);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Pins the JSON encoding of every solver event: one instance of each of
-//! the 21 events goes through a `JsonlSink`, which writes all but the three
+//! the 20 events goes through a `JsonlSink`, which writes all but the two
 //! advisory scan events, and through a `FlightRecorder`, whose dump keeps
 //! 15 of the kinds. Every event line is compared exactly, after its
 //! volatile `seq` / `t` keys.
@@ -8,7 +8,7 @@ use scwsc_core::audit::AuditCandidate;
 use scwsc_core::{Event, FlightRecorder, JsonlSink, Observer, PruneReason, TraceId, PHASE_TOTAL};
 use std::borrow::Cow;
 
-/// Sends one instance of each of the 21 events, in a fixed order.
+/// Sends one instance of each of the 20 events, in a fixed order.
 fn drive_every_event<O: Observer + ?Sized>(obs: &mut O) {
     let winner = AuditCandidate {
         id: 3,
@@ -41,7 +41,6 @@ fn drive_every_event<O: Observer + ?Sized>(obs: &mut O) {
     obs.on(&Event::GuessRetried);
     obs.on(&Event::ScanPruned(11));
     obs.on(&Event::BoundRefreshed(5));
-    obs.on(&Event::SketchInconclusive(2));
     obs.on(&Event::StallDetected(77, 0.25));
     obs.on(&Event::WorkerSwitched(3));
     obs.on(&Event::PhaseEnded(PHASE_TOTAL, 0.5));

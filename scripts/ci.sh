@@ -49,14 +49,25 @@ cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
 
 # Parallel determinism gate: the same smoke suite on 4 worker threads must
 # reproduce the serial deterministic counters exactly (DESIGN.md §11) —
-# this is the end-to-end check that chunked scans, speculative budget
-# guessing, and telemetry replay leave the event stream bit-identical.
+# this is the end-to-end check that optimized CMC's chunked child
+# recounts, speculative budget guessing, and telemetry replay leave the
+# event stream bit-identical.
 SCWSC_THREADS=4 cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
   record --quick --suite smoke --label ci-t4 --out target/BENCH_ci_t4.json
 SCWSC_THREADS=1 cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
   record --quick --suite smoke --label ci-t1 --out target/BENCH_ci_t1.json
 cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
   diff target/BENCH_ci_t1.json target/BENCH_ci_t4.json --counters-only
+# The smoke suite has no flat cmc or cwsc workload, so gate the
+# unoptimized (flat set-system) workloads the same way: flat CMC
+# speculates on budget guesses over one shared incidence, and 4 threads
+# must commit exactly the serial guesses.
+SCWSC_THREADS=4 cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
+  record --quick --only unopt --label ci-unopt-t4 --out target/BENCH_ci_unopt_t4.json
+SCWSC_THREADS=1 cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
+  record --quick --only unopt --label ci-unopt-t1 --out target/BENCH_ci_unopt_t1.json
+cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
+  diff target/BENCH_ci_unopt_t1.json target/BENCH_ci_unopt_t4.json --counters-only
 
 # Pruned-scan A/B gate (DESIGN.md §15): with the sketch-pruned scan
 # forced off, the smoke suite must reproduce the pruned run's exact

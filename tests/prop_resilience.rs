@@ -139,7 +139,7 @@ proptest! {
         prop_assert_eq!(serial, parallel);
     }
 
-    /// Same determinism contract for CWSC's parallel benefit scans.
+    /// Same determinism contract for CWSC, whose pool goes unused.
     #[test]
     fn cwsc_outcome_is_thread_count_invariant(
         system in arb_system(),
