@@ -56,11 +56,11 @@ record options:
   --out PATH    output path [default: BENCH_<label>.json]
   --threads N   worker threads for the solver fan-outs; 1 = serial
                 [default: $SCWSC_THREADS, else all cores]. Flat cmc and
-                cwsc always scan one cover state; the pool runs flat
-                cmc's speculative budget guesses over one shared
-                incidence, and optimized cmc's guesses and child
-                recounts. Deterministic counters are identical for every
-                N — only timings move.
+                cwsc always scan one cover state; the pool runs only
+                flat cmc's speculative budget guesses over one shared
+                incidence. Both lattice walks (optimized cmc and cwsc)
+                run on one thread. Deterministic counters are identical
+                for every N — only timings move.
   --export-metrics PATH  write the suite-wide merged counters/histograms
                 in Prometheus text exposition format to PATH
 

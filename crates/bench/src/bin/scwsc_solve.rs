@@ -31,18 +31,12 @@ use std::time::Duration;
 
 const USAGE: &str = "scwsc_solve [--csv PATH | --rows N [--seed N]] \
 [--k N] [--coverage F] [--algorithm cwsc|cmc] [--b F] [--eps F] \
-[--cost-fn max|sum|mean|count] [--threads N] [--trace-jsonl PATH] [--metrics] [--profile] \
+[--cost-fn max|sum|mean|count] [--trace-jsonl PATH] [--metrics] [--profile] \
 [--deadline-ms N] [--max-ticks N] [--fault SPEC] [--watchdog MS] [--flight-dump PATH] \
 [--metrics-prom PATH] [--explain [N]] [--audit-jsonl PATH]
 Solves size-constrained weighted set cover over the table's pattern cube and
 prints the chosen patterns. Without --csv, a synthetic LBL-like trace of
---rows records is generated. --threads sets the worker count for the cmc
-solver's parallel fan-outs — speculative budget guesses and child benefit
-recounts (1 = serial; default $SCWSC_THREADS, else all cores) — the
-solution and all counters are identical for any value; cwsc is a single
-sequential round and always runs serial. (The flat set-system solvers
-behind scwsc_bench always scan one cover state per round; flat cmc
-speculates over one shared element incidence.) --deadline-ms bounds the
+--rows records is generated. --deadline-ms bounds the
 solve by wall clock (when the flag is absent the SCWSC_DEADLINE_MS
 environment variable supplies the same bound; an explicit flag always wins
 over the environment) and --max-ticks by a deterministic work-tick budget; on
@@ -59,8 +53,7 @@ PATH>.stall, else scwsc-stall-flight.jsonl) without interrupting the
 solve. --trace-jsonl streams
 every solver event as one JSON object per line; --metrics prints aggregated
 counters and per-phase timings; --profile prints the run's aggregated span
-tree (per-phase total/self wall-clock with counter attribution; parallel
-cmc runs show the per-chunk scan spans merged under their guess). A flight
+tree (per-phase total/self wall-clock with counter attribution). A flight
 recorder of recent enriched events always rides along: --flight-dump writes
 its JSONL dump (header, events, causal tree) after the run, and a faulted or
 deadline-degraded run dumps automatically (to the --flight-dump path, else
@@ -72,9 +65,9 @@ runners-up, winning margin, tie-break key, and per-element price charging
 (--explain N caps the rounds shown per guess), plus a certified quality
 bound — the dual-feasible lower bound LB on the optimal cost scaled from
 the greedy prices, and the certified ratio cost/LB. --audit-jsonl writes
-the full ledger as line-oriented JSON; the file is byte-identical for any
---threads value. Both flags materialize the full pattern cube once to
-certify the bound, so prefer them on analysis-sized inputs.";
+the full ledger as line-oriented JSON. Both flags materialize the full
+pattern cube once to certify the bound, so prefer them on analysis-sized
+inputs.";
 
 fn cost_fn_of(name: &str) -> CostFn {
     match name {
@@ -190,22 +183,15 @@ fn main() {
         ..RunParams::default()
     };
     let algorithm = args.get("algorithm").unwrap_or("cwsc");
-    let threads = if args.get("threads").is_some() {
-        Threads::new(required(args.get_or("threads", 1)))
-    } else {
-        Threads::from_env()
-    };
-    let pool = ThreadPool::new(threads);
+    let pool = ThreadPool::new(Threads::serial());
     let deadline = deadline_of(&args);
 
     eprintln!(
-        "solving: {} rows, {} attributes, k={}, coverage>={:.0}%, algorithm={algorithm}, \
-         threads={}",
+        "solving: {} rows, {} attributes, k={}, coverage>={:.0}%, algorithm={algorithm}",
         table.num_rows(),
         table.num_attrs(),
         params.k,
         params.coverage * 100.0,
-        pool.threads()
     );
     let space = PatternSpace::new(&table, params.cost_fn);
     let mut stats = Stats::new();

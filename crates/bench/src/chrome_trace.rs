@@ -6,9 +6,9 @@
 //! `chrome://tracing` or [Perfetto](https://ui.perfetto.dev) as a standard
 //! [Trace Event Format] object.
 //!
-//! * Every distinct worker becomes its own **process** (`pid` = worker id,
-//!   named via `process_name` metadata), so the main thread and each
-//!   replayed worker block get separate swim lanes.
+//! * Everything lands in one swim lane: one **process** (`pid` 0, named via
+//!   `process_name` metadata), because a solve's event stream is the one
+//!   its calling thread emits.
 //! * The **causal tree** becomes nested `"X"` (complete) duration events.
 //!   The tree stores aggregate per-span seconds, not start timestamps, so
 //!   starts are synthesized by depth-first layout: a span opens where its
@@ -23,17 +23,15 @@
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
 use crate::json::Json;
-use std::collections::BTreeSet;
 
 /// Envelope fields of a ring-event line; everything else is payload and
 /// goes to `args` verbatim.
-const ENVELOPE: [&str; 7] = ["seq", "t", "trace", "span", "parent", "worker", "event"];
+const ENVELOPE: [&str; 6] = ["seq", "t", "trace", "span", "parent", "event"];
 
 /// Converts a flight dump (the JSONL text written by
 /// `FlightRecorder::write_dump`) into one Chrome tracing JSON object.
 pub fn flight_to_chrome(dump: &str) -> Result<Json, String> {
     let mut trace_events: Vec<Json> = Vec::new();
-    let mut workers: BTreeSet<u64> = BTreeSet::new();
     let mut tree: Option<Json> = None;
     let mut header: Option<Json> = None;
     for (lineno, line) in dump.lines().enumerate() {
@@ -46,31 +44,24 @@ pub fn flight_to_chrome(dump: &str) -> Result<Json, String> {
         } else if let Some(t) = value.get("causal_tree") {
             tree = Some(t.clone());
         } else if value.get("event").is_some() {
-            trace_events.push(instant_event(&value, &mut workers, lineno + 1)?);
+            trace_events.push(instant_event(&value, lineno + 1)?);
         } else {
             return Err(format!("line {}: unrecognized dump line", lineno + 1));
         }
     }
     let header = header.ok_or("missing flight header line")?;
     let tree = tree.ok_or("missing causal_tree trailer line")?;
-    layout_spans(&tree, 0.0, &mut trace_events, &mut workers)?;
-    for &w in &workers {
-        let label = if w == 0 {
-            "main".to_string()
-        } else {
-            format!("worker {w}")
-        };
-        trace_events.push(Json::Obj(vec![
-            ("name".into(), Json::Str("process_name".into())),
-            ("ph".into(), Json::Str("M".into())),
-            ("pid".into(), Json::from_u64(w)),
-            ("tid".into(), Json::from_u64(w)),
-            (
-                "args".into(),
-                Json::Obj(vec![("name".into(), Json::Str(label))]),
-            ),
-        ]));
-    }
+    layout_spans(&tree, 0.0, &mut trace_events)?;
+    trace_events.push(Json::Obj(vec![
+        ("name".into(), Json::Str("process_name".into())),
+        ("ph".into(), Json::Str("M".into())),
+        ("pid".into(), Json::from_u64(0)),
+        ("tid".into(), Json::from_u64(0)),
+        (
+            "args".into(),
+            Json::Obj(vec![("name".into(), Json::Str("scwsc".into()))]),
+        ),
+    ]));
     let mut other = Vec::new();
     for key in ["trace_id", "entry", "buffered", "dropped", "capacity"] {
         if let Some(v) = header.get(key) {
@@ -85,7 +76,7 @@ pub fn flight_to_chrome(dump: &str) -> Result<Json, String> {
 }
 
 /// One ring event line → one `"i"` instant at its recorded time.
-fn instant_event(value: &Json, workers: &mut BTreeSet<u64>, lineno: usize) -> Result<Json, String> {
+fn instant_event(value: &Json, lineno: usize) -> Result<Json, String> {
     let field = |key: &str| {
         value
             .get(key)
@@ -97,10 +88,6 @@ fn instant_event(value: &Json, workers: &mut BTreeSet<u64>, lineno: usize) -> Re
     let t = field("t")?
         .as_f64()
         .ok_or_else(|| format!("line {lineno}: 't' is not a number"))?;
-    let worker = field("worker")?
-        .as_u64()
-        .ok_or_else(|| format!("line {lineno}: 'worker' is not a counter"))?;
-    workers.insert(worker);
     let mut args = vec![
         ("seq".into(), field("seq")?.clone()),
         ("span".into(), field("span")?.clone()),
@@ -117,8 +104,8 @@ fn instant_event(value: &Json, workers: &mut BTreeSet<u64>, lineno: usize) -> Re
         ("ph".into(), Json::Str("i".into())),
         ("s".into(), Json::Str("p".into())),
         ("ts".into(), Json::Num(t * 1e6)),
-        ("pid".into(), Json::from_u64(worker)),
-        ("tid".into(), Json::from_u64(worker)),
+        ("pid".into(), Json::from_u64(0)),
+        ("tid".into(), Json::from_u64(0)),
         ("args".into(), Json::Obj(args)),
     ]))
 }
@@ -127,12 +114,7 @@ fn instant_event(value: &Json, workers: &mut BTreeSet<u64>, lineno: usize) -> Re
 /// Children are placed end-to-end; the node's duration is its own measured
 /// seconds or the children's total, whichever is larger, so nesting never
 /// overflows the parent. Returns the node's laid-out duration in µs.
-fn layout_spans(
-    node: &Json,
-    start_us: f64,
-    out: &mut Vec<Json>,
-    workers: &mut BTreeSet<u64>,
-) -> Result<f64, String> {
+fn layout_spans(node: &Json, start_us: f64, out: &mut Vec<Json>) -> Result<f64, String> {
     let field = |key: &str| {
         node.get(key)
             .ok_or_else(|| format!("causal tree node missing '{key}'"))
@@ -143,13 +125,9 @@ fn layout_spans(
     let secs = field("secs")?
         .as_f64()
         .ok_or("causal tree 'secs' is not a number")?;
-    let worker = field("worker")?
-        .as_u64()
-        .ok_or("causal tree 'worker' is not a counter")?;
-    workers.insert(worker);
     let mut cursor = start_us;
     for child in field("children")?.as_arr().unwrap_or(&[]) {
-        cursor += layout_spans(child, cursor, out, workers)?;
+        cursor += layout_spans(child, cursor, out)?;
     }
     let dur_us = (secs * 1e6).max(cursor - start_us);
     out.push(Json::Obj(vec![
@@ -157,8 +135,8 @@ fn layout_spans(
         ("ph".into(), Json::Str("X".into())),
         ("ts".into(), Json::Num(start_us)),
         ("dur".into(), Json::Num(dur_us)),
-        ("pid".into(), Json::from_u64(worker)),
-        ("tid".into(), Json::from_u64(worker)),
+        ("pid".into(), Json::from_u64(0)),
+        ("tid".into(), Json::from_u64(0)),
         (
             "args".into(),
             Json::Obj(vec![
@@ -175,21 +153,19 @@ fn layout_spans(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scwsc_core::telemetry::{PHASE_GUESS, PHASE_SCAN, PHASE_TOTAL};
+    use scwsc_core::telemetry::{PHASE_GUESS, PHASE_SCAN_PRUNE, PHASE_TOTAL};
     use scwsc_core::{Event, FlightRecorder, Observer, TraceId};
 
-    /// A real dump from a two-worker recording, via the recorder itself.
+    /// A real dump, via the recorder itself.
     fn dump() -> String {
         let mut r = FlightRecorder::new();
         r.on(&Event::TraceStarted(TraceId::mint("cmc", 100, 7), "cmc"));
         r.on(&Event::PhaseStarted(PHASE_TOTAL));
         r.on(&Event::PhaseStarted(PHASE_GUESS));
         r.on(&Event::BenefitComputed(10));
-        r.on(&Event::WorkerSwitched(1));
-        r.on(&Event::PhaseStarted(PHASE_SCAN));
+        r.on(&Event::PhaseStarted(PHASE_SCAN_PRUNE));
         r.on(&Event::BenefitComputed(4));
-        r.on(&Event::PhaseEnded(PHASE_SCAN, 0.01));
-        r.on(&Event::WorkerSwitched(0));
+        r.on(&Event::PhaseEnded(PHASE_SCAN_PRUNE, 0.01));
         r.on(&Event::SetSelected(3, 5, 1.0));
         r.on(&Event::PhaseEnded(PHASE_GUESS, 0.5));
         r.on(&Event::PhaseEnded(PHASE_TOTAL, 0.6));
@@ -215,30 +191,24 @@ mod tests {
     }
 
     #[test]
-    fn converts_real_dump_to_spans_instants_and_process_names() {
+    fn converts_real_dump_to_spans_instants_and_process_name() {
         let trace = flight_to_chrome(&dump()).unwrap();
         // Output itself round-trips through the parser.
         let parsed = Json::parse(&trace.to_pretty()).unwrap();
         assert_eq!(parsed, trace);
 
-        // Three duration spans: total > guess > scan.
+        // Three duration spans: total > guess > scan_prune.
         let spans = phase(&trace, "X");
         let names: Vec<_> = spans
             .iter()
             .filter_map(|e| e.get("name").and_then(Json::as_str))
             .collect();
-        assert!(names.contains(&PHASE_TOTAL), "{names:?}");
-        assert!(names.contains(&PHASE_GUESS), "{names:?}");
-        assert!(names.contains(&PHASE_SCAN), "{names:?}");
+        assert_eq!(names.len(), 3, "{names:?}");
+        for name in [PHASE_TOTAL, PHASE_GUESS, PHASE_SCAN_PRUNE] {
+            assert!(names.contains(&name), "{names:?}");
+        }
 
-        // The scan span landed on worker 1's pid; main spans on pid 0.
-        let scan = spans
-            .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some(PHASE_SCAN))
-            .unwrap();
-        assert_eq!(scan.get("pid").and_then(Json::as_u64), Some(1));
-
-        // Every buffered event became an instant on its worker's pid.
+        // Every buffered event became an instant.
         let instants = phase(&trace, "i");
         assert!(
             instants
@@ -246,23 +216,12 @@ mod tests {
                 .any(|e| e.get("name").and_then(Json::as_str) == Some("set_selected")),
             "selection instant present"
         );
-        assert!(
-            instants
-                .iter()
-                .any(|e| e.get("pid").and_then(Json::as_u64) == Some(1)),
-            "worker 1 instants on its own process"
-        );
 
-        // Both workers got process_name metadata.
-        let meta = phase(&trace, "M");
-        let meta_pids: Vec<_> = meta
+        // One lane: every event on pid 0, named once.
+        assert!(events(&trace)
             .iter()
-            .filter_map(|e| e.get("pid").and_then(Json::as_u64))
-            .collect();
-        assert!(
-            meta_pids.contains(&0) && meta_pids.contains(&1),
-            "{meta_pids:?}"
-        );
+            .all(|e| e.get("pid").and_then(Json::as_u64) == Some(0)));
+        assert_eq!(phase(&trace, "M").len(), 1);
     }
 
     #[test]
@@ -280,9 +239,12 @@ mod tests {
         };
         let total = bounds(PHASE_TOTAL);
         let guess = bounds(PHASE_GUESS);
-        let scan = bounds(PHASE_SCAN);
+        let scan = bounds(PHASE_SCAN_PRUNE);
         assert!(total.0 <= guess.0 && guess.1 <= total.1, "guess in total");
-        assert!(guess.0 <= scan.0 && scan.1 <= guess.1, "scan in guess");
+        assert!(
+            guess.0 <= scan.0 && scan.1 <= guess.1,
+            "scan_prune in guess"
+        );
         assert!((total.1 - total.0 - 0.6e6).abs() < 1.0, "total keeps 0.6s");
     }
 

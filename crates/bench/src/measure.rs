@@ -143,11 +143,9 @@ pub fn run_traced(
 /// The deterministic counters and the solution are identical to the serial
 /// run for any pool size; only wall-clock changes. The unoptimized solvers
 /// always scan a `CoverState`; `CmcUnopt` uses the pool only to speculate
-/// on budget guesses, all over one shared element→sets incidence.
-/// `CmcOpt` speculates too and fans out its child recounts. Both CWSC
-/// variants are a single sequential round (the Fig. 3 lattice walk's
-/// per-step candidate set is too small to chunk profitably) and run serial
-/// regardless of the pool.
+/// on budget guesses, all over one shared element→sets incidence. Both
+/// lattice walks (`CmcOpt`, `CwscOpt`) and flat CWSC run on the calling
+/// thread regardless of the pool.
 pub fn run_traced_on(
     algo: Algo,
     table: &Table,

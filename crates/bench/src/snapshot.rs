@@ -587,17 +587,14 @@ mod tests {
 
     #[test]
     fn trace_counters_stay_out_of_the_exact_diff_set() {
-        // Trace mints and worker switches count observer plumbing, not
-        // algorithmic work: switches vary with shard occupancy and mints
-        // with how callers nest entry points, so pinning them into the
+        // Trace mints count observer plumbing, not algorithmic work: they
+        // vary with how callers nest entry points, so pinning them into the
         // exact-diff map would turn refactors into spurious regressions.
         let counters = deterministic_counters(&MetricsRecorder::new());
-        for volatile in ["traces_started", "worker_switches"] {
-            assert!(
-                !counters.contains_key(volatile),
-                "{volatile} must stay out of the exact-diff set"
-            );
-        }
+        assert!(
+            !counters.contains_key("traces_started"),
+            "traces_started must stay out of the exact-diff set"
+        );
     }
 
     #[test]

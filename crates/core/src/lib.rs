@@ -81,7 +81,7 @@ pub use telemetry::{
     audit, parse_prometheus, render_prometheus, render_prometheus_windowed, CausalNode,
     EntryWindow, Event, EventLog, Fanout, FlightRecorder, JsonlSink, LogHistogram, MetricsRecorder,
     NoopObserver, Observer, PhaseMetric, PhaseSpan, PruneReason, RollingHistogram, SloGauges,
-    SolveSample, SolveWindows, SpanCounters, SpanNode, SpanProfiler, ThreadLocalTelemetry,
-    TraceContext, TraceId, Watchdog, WatchdogMonitor, WindowedCounter, MAIN_WORKER, PHASE_EXPAND,
-    PHASE_GUESS, PHASE_INIT, PHASE_SCAN, PHASE_SELECT, PHASE_TOTAL,
+    SolveSample, SolveWindows, SpanCounters, SpanNode, SpanProfiler, TraceContext, TraceId,
+    Watchdog, WatchdogMonitor, WindowedCounter, PHASE_EXPAND, PHASE_GUESS, PHASE_INIT,
+    PHASE_SELECT, PHASE_TOTAL,
 };

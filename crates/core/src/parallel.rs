@@ -4,27 +4,23 @@
 //! the small slice of a work-stealing runtime the solvers actually need —
 //! with `std::thread` only, no rayon:
 //!
-//! * [`Threads`] — thread-count configuration (env `SCWSC_THREADS`, CLI
-//!   `--threads`, default = `available_parallelism`). `Threads(1)` is an
-//!   *exact* serial fallback: every combinator runs the caller's closure
-//!   inline on the current thread and never touches the pool.
+//! * [`Threads`] — thread-count configuration (env `SCWSC_THREADS`,
+//!   `scwsc_bench --threads`, default = `available_parallelism`).
+//!   `Threads(1)` is an *exact* serial fallback: [`ThreadPool::par_map`]
+//!   runs the caller's closure inline on the current thread and never
+//!   touches the pool.
 //! * [`ThreadPool`] — `n − 1` persistent workers plus the calling thread.
 //!   Work is submitted through [`Scope`]s that borrow from the caller's
 //!   stack; the scope always joins before returning, which is what makes
 //!   the lifetime-erasing submission sound.
-//! * [`ThreadPool::par_map`] — map a slice to a `Vec` in input order.
-//! * [`ThreadPool::par_chunks_reduce`] — split an index range into one
-//!   contiguous chunk per thread, map each chunk, then fold the chunk
-//!   results **in ascending chunk order** on the calling thread. A reduce
-//!   of the form "replace only when strictly better" therefore picks the
-//!   same winner as a left-to-right serial scan, for any thread count —
-//!   the determinism contract the greedy arg-max selections rely on
-//!   (DESIGN.md §11).
+//! * [`ThreadPool::par_map`] — map a slice to a `Vec` in input order, the
+//!   one combinator the solvers use: flat CMC's speculative budget
+//!   guesses and the Pareto sweep's λ fan-out (DESIGN.md §11).
 //!
 //! Waiting threads *help*: while a scope has outstanding jobs, the waiter
-//! pops and runs queued jobs instead of blocking. Nested scopes (an
-//! optimized-CMC budget guess that itself fans out its child recounts)
-//! therefore cannot deadlock even on a single-worker pool.
+//! pops and runs queued jobs instead of blocking. Nested scopes (a job
+//! that itself fans out) therefore cannot deadlock even on a
+//! single-worker pool.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -274,55 +270,6 @@ impl ThreadPool {
         result
     }
 
-    /// Splits `0..len` into one contiguous chunk per thread, maps every
-    /// chunk with `map(chunk_index, range)`, and folds the `Some` results
-    /// **in ascending chunk order** with `reduce` on the calling thread.
-    ///
-    /// The chunk index is dense (`0..chunks`), letting the mapper address
-    /// per-chunk state such as a [`ThreadLocalTelemetry`](crate::telemetry::ThreadLocalTelemetry)
-    /// shard without contention. The serial fallback is literally
-    /// `map(0, 0..len)`: one chunk, no reduce calls. For the fold to be
-    /// thread-count-invariant, `reduce` must satisfy "keep the left
-    /// argument unless the right is strictly better under a total order
-    /// consistent with ascending index" — the shape of every arg-max in
-    /// this crate.
-    pub fn par_chunks_reduce<A, M, R>(&self, len: usize, map: M, reduce: R) -> Option<A>
-    where
-        A: Send,
-        M: Fn(usize, Range<usize>) -> Option<A> + Sync,
-        R: Fn(A, A) -> A,
-    {
-        if len == 0 {
-            return None;
-        }
-        if self.is_serial() || len == 1 {
-            return map(0, 0..len);
-        }
-        let chunks = chunk_ranges(len, self.threads);
-        let slots: Vec<Mutex<Option<Option<A>>>> =
-            chunks.iter().map(|_| Mutex::new(None)).collect();
-        self.scope(|s| {
-            for (idx, (range, slot)) in chunks.iter().cloned().zip(&slots).enumerate() {
-                let map = &map;
-                s.spawn(move || {
-                    let out = map(idx, range);
-                    *lock_unpoisoned(slot) = Some(out);
-                });
-            }
-        });
-        let mut acc: Option<A> = None;
-        for slot in slots {
-            let slot = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
-            let chunk_result = slot.expect("chunk completed");
-            acc = match (acc, chunk_result) {
-                (Some(a), Some(b)) => Some(reduce(a, b)),
-                (None, b) => b,
-                (a, None) => a,
-            };
-        }
-        acc
-    }
-
     /// Pops-and-runs queued jobs until `state.pending == 0`.
     fn wait_scope(&self, state: &ScopeState) {
         loop {
@@ -447,12 +394,6 @@ impl<'env> Scope<'_, 'env> {
         lock_unpoisoned(&shared.queue).push_back(job);
         shared.work_available.notify_one();
     }
-
-    /// The pool this scope submits to.
-    #[inline]
-    pub fn pool(&self) -> &ThreadPool {
-        self.pool
-    }
 }
 
 /// Cooperative cancellation flag shared by speculative tasks.
@@ -541,29 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_reduce_argmax_matches_serial_any_thread_count() {
-        // Arg-max with "strictly greater replaces" must pick the same
-        // (lowest-index on ties) winner for every thread count.
-        let values = [3u64, 9, 1, 9, 9, 2, 0, 9];
-        let argmax = |range: Range<usize>| -> Option<(usize, u64)> {
-            range
-                .map(|i| (i, values[i]))
-                .fold(None, |best, cand| match best {
-                    Some((_, bv)) if bv >= cand.1 => best,
-                    _ => Some(cand),
-                })
-        };
-        let reduce = |a: (usize, u64), b: (usize, u64)| if b.1 > a.1 { b } else { a };
-        let serial = argmax(0..values.len());
-        for n in [1usize, 2, 3, 4, 8, 16] {
-            let pool = ThreadPool::new(Threads::new(n));
-            let got = pool.par_chunks_reduce(values.len(), |_, r| argmax(r), reduce);
-            assert_eq!(got, serial, "thread count {n}");
-        }
-        assert_eq!(serial, Some((1, 9)), "lowest index wins ties");
-    }
-
-    #[test]
     fn dropping_fresh_pools_never_hangs() {
         // Dropping a pool whose workers are still starting up must join
         // them; a shutdown flag published outside the queue lock lost
@@ -571,34 +489,6 @@ mod tests {
         for _ in 0..3000 {
             drop(ThreadPool::new(Threads::new(4)));
         }
-    }
-
-    #[test]
-    fn par_chunks_reduce_empty_is_none() {
-        let pool = ThreadPool::new(Threads::new(4));
-        let got: Option<usize> = pool.par_chunks_reduce(0, |_, _| Some(1), |a, _| a);
-        assert_eq!(got, None);
-    }
-
-    #[test]
-    fn par_chunks_reduce_chunk_indices_are_dense() {
-        let pool = ThreadPool::new(Threads::new(4));
-        let got = pool
-            .par_chunks_reduce(
-                100,
-                |idx, range| Some(vec![(idx, range)]),
-                |mut a, b| {
-                    a.extend(b);
-                    a
-                },
-            )
-            .unwrap();
-        assert!(got.len() <= 4);
-        for (i, (idx, _)) in got.iter().enumerate() {
-            assert_eq!(*idx, i, "chunk indices dense and in fold order");
-        }
-        let covered: usize = got.iter().map(|(_, r)| r.len()).sum();
-        assert_eq!(covered, 100);
     }
 
     #[test]

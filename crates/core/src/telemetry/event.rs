@@ -83,13 +83,6 @@ pub enum Event<'a> {
     /// counter is **excluded** from the exact-diff set (it is
     /// observability plumbing, not algorithmic work — see DESIGN.md §13).
     TraceStarted(TraceId, &'static str),
-    /// `(worker_id)`: subsequent events were recorded by `worker_id`
-    /// ([`MAIN_WORKER`](super::MAIN_WORKER) = the calling thread; shard `i`
-    /// of a parallel region reports as `i + 1`). Emitted by the
-    /// shard-then-replay machinery, so replayed parallel telemetry keeps
-    /// its causal attribution. Excluded from the exact-diff set: a serial
-    /// run never switches workers.
-    WorkerSwitched(u32),
     /// `(count)`: `count` scan candidates were disposed of *without* a
     /// completed exact count: a stale upper bound, block-summary sketch,
     /// or early-exit kernel proved they could not change the round's
@@ -136,7 +129,6 @@ impl Event<'_> {
             Event::Speculation(..) => "speculation",
             Event::GuessRetried => "guess_retried",
             Event::TraceStarted(..) => "trace_started",
-            Event::WorkerSwitched(_) => "worker_switched",
             Event::ScanPruned(_) => "scan_pruned",
             Event::BoundRefreshed(_) => "bound_refreshed",
             Event::StallDetected(..) => "stall_detected",
@@ -147,8 +139,7 @@ impl Event<'_> {
 
     /// Appends the event's JSON fields, each preceded by a comma, to a
     /// line whose envelope the caller writes. Non-finite floats become
-    /// `null`. The worker switch writes `"worker_to"`, because the flight
-    /// envelope already owns `"worker"`.
+    /// `null`.
     pub fn write_fields(&self, out: &mut String) {
         let _ = match self {
             Event::GuessStarted(budget) => write!(
@@ -212,7 +203,6 @@ impl Event<'_> {
             Event::TraceStarted(trace_id, entry) => {
                 write!(out, ",\"trace_id\":\"{trace_id}\",\"entry\":\"{entry}\"")
             }
-            Event::WorkerSwitched(worker_id) => write!(out, ",\"worker_to\":{worker_id}"),
             Event::StallDetected(ticks, stalled_secs) => write!(
                 out,
                 ",\"ticks\":{ticks},\"stalled_secs\":{}",
@@ -229,7 +219,7 @@ impl Event<'_> {
 
     /// Whether this event counts toward a span's deterministic event tally
     /// (the basis of the Threads(1)/Threads(N) causal-tree parity check).
-    /// Structural plumbing (spans, worker switches, trace minting),
+    /// Structural plumbing (spans, trace minting),
     /// audit/advisory events, and parallel-/fault-only events
     /// (speculation, retries, stalls) are excluded, mirroring the
     /// exact-diff counter set.
@@ -275,7 +265,6 @@ impl Event<'_> {
             Event::Speculation(committed, wasted) => Event::Speculation(committed, wasted),
             Event::GuessRetried => Event::GuessRetried,
             Event::TraceStarted(trace_id, entry) => Event::TraceStarted(trace_id, entry),
-            Event::WorkerSwitched(worker_id) => Event::WorkerSwitched(worker_id),
             Event::ScanPruned(count) => Event::ScanPruned(count),
             Event::BoundRefreshed(count) => Event::BoundRefreshed(count),
             Event::StallDetected(ticks, secs) => Event::StallDetected(ticks, secs),

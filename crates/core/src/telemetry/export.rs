@@ -136,7 +136,7 @@ fn summary(out: &mut String, name: &str, help: &str, hist: &LogHistogram) {
 /// `reason` label.
 pub fn render_prometheus(metrics: &MetricsRecorder, slo: Option<&SloGauges>) -> String {
     let mut out = String::new();
-    let counters: [(&str, u64, &str); 13] = [
+    let counters: [(&str, u64, &str); 12] = [
         (
             "scwsc_guesses_total",
             metrics.guesses,
@@ -181,11 +181,6 @@ pub fn render_prometheus(metrics: &MetricsRecorder, slo: Option<&SloGauges>) -> 
             "scwsc_traces_started_total",
             metrics.traces_started,
             "Traces minted by solve entry points.",
-        ),
-        (
-            "scwsc_worker_switches_total",
-            metrics.worker_switches,
-            "Worker-context switches replayed from telemetry shards.",
         ),
         (
             "scwsc_scan_candidates_pruned_total",

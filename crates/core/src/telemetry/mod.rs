@@ -41,9 +41,9 @@ pub use audit::{AuditCandidate, DecisionLedger, QualityCertificate};
 pub use event::Event;
 pub use export::{parse_prometheus, render_prometheus, render_prometheus_windowed, SloGauges};
 pub use flight::{CausalNode, FlightRecorder};
-pub use replay::{EventLog, ThreadLocalTelemetry};
+pub use replay::EventLog;
 pub use spans::{SpanCounters, SpanNode, SpanProfiler};
-pub use trace::{pack_k_target, TraceContext, TraceId, MAIN_WORKER};
+pub use trace::{pack_k_target, TraceContext, TraceId};
 pub use watchdog::{Watchdog, WatchdogMonitor};
 pub use window::{EntryWindow, RollingHistogram, SolveSample, SolveWindows, WindowedCounter};
 
@@ -64,11 +64,6 @@ pub const PHASE_EXPAND: &str = "expand";
 
 /// Span name of a selection sweep (argmax + cover update + recount).
 pub const PHASE_SELECT: &str = "select";
-
-/// Span name of one worker's chunk of a parallel benefit recount (optimized
-/// CMC's child scoring). Emitted only on parallel paths (per-worker, nested
-/// under the enclosing guess span); serial runs never produce it.
-pub const PHASE_SCAN: &str = "scan";
 
 /// Span name of a **pruned** benefit recount (optimized CWSC's
 /// bound/sketch-gated refresh of its candidate set). One-sided by design:
@@ -361,9 +356,6 @@ pub struct MetricsRecorder {
     /// Traces minted by solve entry points. Observability plumbing —
     /// excluded from the exact-diff counter set (DESIGN.md §13).
     pub traces_started: u64,
-    /// Worker-context switches replayed from parallel telemetry shards.
-    /// Parallel runs only — excluded from the exact-diff counter set.
-    pub worker_switches: u64,
     /// Selection rounds audited (`round_decided` events). Audit plumbing —
     /// excluded from the exact-diff counter set like the trace counters.
     pub rounds_audited: u64,
@@ -416,9 +408,9 @@ impl MetricsRecorder {
         self.subtrees_pruned.iter().sum()
     }
 
-    /// Folds `other`'s aggregates into `self` — the shard-then-merge half
-    /// of parallel telemetry: workers record into private recorders and
-    /// the caller merges them back, so totals equal a single-recorder run.
+    /// Folds `other`'s aggregates into `self`, so the totals of several
+    /// recorders (one per rep, per soak iteration, per served request)
+    /// equal those of a single recorder that saw every event.
     ///
     /// Phases merge by name (new names append in `other`'s order); the
     /// in-flight stale-run counter adds so a merge mid-run loses nothing.
@@ -444,7 +436,6 @@ impl MetricsRecorder {
         self.guesses_wasted += other.guesses_wasted;
         self.guesses_retried += other.guesses_retried;
         self.traces_started += other.traces_started;
-        self.worker_switches += other.worker_switches;
         self.rounds_audited += other.rounds_audited;
         self.scan_candidates_pruned += other.scan_candidates_pruned;
         self.scan_bounds_refreshed += other.scan_bounds_refreshed;
@@ -494,7 +485,6 @@ impl Observer for MetricsRecorder {
             }
             Event::GuessRetried => self.guesses_retried += 1,
             Event::TraceStarted(..) => self.traces_started += 1,
-            Event::WorkerSwitched(_) => self.worker_switches += 1,
             Event::ScanPruned(count) => self.scan_candidates_pruned += count,
             Event::BoundRefreshed(count) => self.scan_bounds_refreshed += count,
             Event::StallDetected(..) => self.stalls_detected += 1,
@@ -875,10 +865,7 @@ mod tests {
             trace::TraceId::mint("cmc", 1, 2),
             "cmc",
         ));
-        m.on(&Event::WorkerSwitched(1));
-        m.on(&Event::WorkerSwitched(0));
         assert_eq!(m.traces_started, 1);
-        assert_eq!(m.worker_switches, 2);
         // Like speculation/retry counters, trace plumbing never touches
         // the exact-diff counters.
         assert_eq!(m.guesses, 0);
@@ -888,7 +875,6 @@ mod tests {
         let mut merged = MetricsRecorder::new();
         merged.merge(&m);
         assert_eq!(merged.traces_started, 1);
-        assert_eq!(merged.worker_switches, 2);
     }
 
     #[test]
@@ -896,14 +882,9 @@ mod tests {
         let mut sink = JsonlSink::new(Vec::new());
         let id = trace::TraceId::mint("opt_cmc", 3, 4);
         sink.on(&Event::TraceStarted(id, "opt_cmc"));
-        sink.on(&Event::WorkerSwitched(2));
         let text = String::from_utf8(sink.into_inner().unwrap()).unwrap();
         assert!(
             text.contains(&format!("\"trace_id\":\"{id}\",\"entry\":\"opt_cmc\"")),
-            "{text}"
-        );
-        assert!(
-            text.contains("\"event\":\"worker_switched\",\"worker_to\":2"),
             "{text}"
         );
     }

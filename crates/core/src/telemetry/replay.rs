@@ -1,27 +1,18 @@
 //! Deterministic telemetry for parallel solvers: record-then-replay event
-//! logs and shard-then-merge observer adapters.
+//! logs.
 //!
 //! [`Observer`] is an `&mut` single-threaded interface, so parallel workers
-//! cannot report to the caller's observer directly. Two adapters bridge the
-//! gap (DESIGN.md §11):
-//!
-//! * [`EventLog`] — an [`Observer`] that records every event verbatim;
-//!   [`EventLog::replay`] re-emits the stream into any other observer.
-//!   Workers record privately and the caller replays the logs **in a
-//!   deterministic order** (ascending guess index, ascending λ index, …),
-//!   so the caller's observer sees a stream *identical* to a serial run —
-//!   for any observer type, including order-sensitive ones like
-//!   [`JsonlSink`](super::JsonlSink) and
-//!   [`SpanProfiler`](super::SpanProfiler).
-//! * [`ThreadLocalTelemetry`] — a fixed array of mutex-guarded [`EventLog`]
-//!   shards, one per worker/chunk. Each worker locks only its own shard
-//!   (no contention on the hot path); the caller replays shards in index
-//!   order afterwards. Aggregating observers can equivalently merge via
-//!   [`MetricsRecorder::merge`](super::MetricsRecorder::merge).
+//! cannot report to the caller's observer directly. [`EventLog`] bridges
+//! the gap (DESIGN.md §11): an [`Observer`] that records every event
+//! verbatim, and [`EventLog::replay`] re-emits the stream into any other
+//! observer. Workers record privately and the caller replays the logs **in
+//! a deterministic order** (ascending guess index, ascending λ index, …),
+//! so the caller's observer sees a stream *identical* to a serial run —
+//! for any observer type, including order-sensitive ones like
+//! [`JsonlSink`](super::JsonlSink) and
+//! [`SpanProfiler`](super::SpanProfiler).
 
-use super::trace::MAIN_WORKER;
 use super::{Event, Observer, PruneReason};
-use std::sync::{Mutex, MutexGuard};
 
 /// An [`Observer`] that records the event stream for later replay.
 ///
@@ -46,7 +37,6 @@ enum Logged {
     CandidatePruned(PruneReason),
     SubtreePruned(PruneReason),
     HeapStalePop,
-    WorkerSwitched(u32),
     /// Index into [`EventLog::others`].
     Other(u32),
 }
@@ -65,7 +55,6 @@ impl Logged {
             Event::CandidatePruned(reason) => Logged::CandidatePruned(reason),
             Event::SubtreePruned(reason) => Logged::SubtreePruned(reason),
             Event::HeapStalePop => Logged::HeapStalePop,
-            Event::WorkerSwitched(worker) => Logged::WorkerSwitched(worker),
             _ => return None,
         })
     }
@@ -79,7 +68,6 @@ impl Logged {
             Logged::CandidatePruned(reason) => obs.on(&Event::CandidatePruned(reason)),
             Logged::SubtreePruned(reason) => obs.on(&Event::SubtreePruned(reason)),
             Logged::HeapStalePop => obs.on(&Event::HeapStalePop),
-            Logged::WorkerSwitched(worker) => obs.on(&Event::WorkerSwitched(worker)),
             Logged::Other(i) => obs.on(&others[i as usize]),
         }
     }
@@ -136,79 +124,11 @@ impl Observer for EventLog {
     }
 }
 
-/// Per-worker telemetry shards for one parallel region.
-///
-/// Create with one shard per worker/chunk, hand shard `i` to worker `i`
-/// ([`shard`](ThreadLocalTelemetry::shard) locks only that shard, so
-/// workers never contend), then [`replay`](ThreadLocalTelemetry::replay)
-/// into the real observer once the region joins. Shards replay in index
-/// order, which is deterministic for contiguous-chunk work splits.
-#[derive(Debug, Default)]
-pub struct ThreadLocalTelemetry {
-    shards: Vec<Mutex<EventLog>>,
-}
-
-impl ThreadLocalTelemetry {
-    /// `shards` independent event logs (one per worker/chunk).
-    pub fn new(shards: usize) -> ThreadLocalTelemetry {
-        ThreadLocalTelemetry {
-            shards: (0..shards).map(|_| Mutex::new(EventLog::new())).collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Whether there are no shards.
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// Locks shard `i` for recording. Each worker should touch only its
-    /// own index; the lock exists to make cross-thread handoff safe, not
-    /// to arbitrate contention.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range or the shard's lock was poisoned.
-    pub fn shard(&self, i: usize) -> MutexGuard<'_, EventLog> {
-        self.shards[i].lock().expect("telemetry shard poisoned")
-    }
-
-    /// Replays every shard into `obs` in ascending shard order, then
-    /// clears the shards for reuse in the next parallel region.
-    ///
-    /// Each non-empty shard's events are bracketed with
-    /// [`Event::WorkerSwitched`]: shard `i` announces worker `i + 1`
-    /// before its events, and the replay announces
-    /// [`MAIN_WORKER`] once at the end (only if any shard spoke), so the
-    /// receiving observer knows *which thread recorded what* instead of
-    /// seeing an anonymous flattened stream. Empty shards stay silent —
-    /// a region that did no work leaves no trace in the stream.
-    pub fn replay<O: Observer + ?Sized>(&self, obs: &mut O) {
-        let mut switched = false;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let mut log = shard.lock().expect("telemetry shard poisoned");
-            if !log.is_empty() {
-                obs.on(&Event::WorkerSwitched(i as u32 + 1));
-                switched = true;
-                log.replay(obs);
-                log.clear();
-            }
-        }
-        if switched {
-            obs.on(&Event::WorkerSwitched(MAIN_WORKER));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::telemetry::{
-        AuditCandidate, MetricsRecorder, PhaseSpan, PruneReason, SpanProfiler, PHASE_SCAN,
-        PHASE_TOTAL,
+        AuditCandidate, MetricsRecorder, PruneReason, SpanProfiler, PHASE_TOTAL,
     };
     use std::borrow::Cow;
 
@@ -320,66 +240,13 @@ mod tests {
     }
 
     #[test]
-    fn thread_local_telemetry_replays_shards_in_index_order() {
-        let tls = ThreadLocalTelemetry::new(3);
-        assert_eq!(tls.len(), 3);
-        // Record out of index order — replay must still be 0, 1, 2.
-        tls.shard(2).on(&Event::BenefitComputed(300));
-        tls.shard(0).on(&Event::BenefitComputed(100));
-        tls.shard(1).on(&Event::BenefitComputed(200));
-
-        let mut log = EventLog::new();
-        tls.replay(&mut log);
-        assert_eq!(
-            log.events,
-            vec![
-                Logged::WorkerSwitched(1),
-                Logged::BenefitComputed(100),
-                Logged::WorkerSwitched(2),
-                Logged::BenefitComputed(200),
-                Logged::WorkerSwitched(3),
-                Logged::BenefitComputed(300),
-                Logged::WorkerSwitched(MAIN_WORKER),
-            ]
-        );
-        // Shards are cleared for the next region.
-        let mut again = EventLog::new();
-        tls.replay(&mut again);
-        assert!(again.is_empty());
-    }
-
-    #[test]
-    fn replay_skips_empty_shards_and_restores_main_worker() {
-        // Only shard 1 records: the stream is switch(2), events, switch(0);
-        // idle shards 0 and 2 leave no worker announcements behind.
-        let tls = ThreadLocalTelemetry::new(3);
-        tls.shard(1).on(&Event::BenefitComputed(7));
-        let mut log = EventLog::new();
-        tls.replay(&mut log);
-        assert_eq!(
-            log.events,
-            vec![
-                Logged::WorkerSwitched(2),
-                Logged::BenefitComputed(7),
-                Logged::WorkerSwitched(MAIN_WORKER),
-            ]
-        );
-        // An all-idle region emits nothing at all — not even switches.
-        let mut silent = EventLog::new();
-        tls.replay(&mut silent);
-        assert!(silent.is_empty());
-    }
-
-    #[test]
     fn replay_reproduces_trace_events() {
         let mut log = EventLog::new();
         let id = crate::telemetry::TraceId::mint("cmc", 10, 20);
         log.on(&Event::TraceStarted(id, "cmc"));
-        log.on(&Event::WorkerSwitched(3));
         let mut m = MetricsRecorder::new();
         log.replay(&mut m);
         assert_eq!(m.traces_started, 1);
-        assert_eq!(m.worker_switches, 1);
     }
 
     #[test]
@@ -392,26 +259,5 @@ mod tests {
         log.replay(&mut m);
         assert_eq!(m.scan_candidates_pruned, 15);
         assert_eq!(m.scan_bounds_refreshed, 5);
-    }
-
-    #[test]
-    fn thread_local_telemetry_shards_record_spans_concurrently() {
-        let tls = ThreadLocalTelemetry::new(4);
-        std::thread::scope(|s| {
-            for i in 0..4 {
-                let tls = &tls;
-                s.spawn(move || {
-                    let mut shard = tls.shard(i);
-                    let span = PhaseSpan::enter(&mut *shard, PHASE_SCAN);
-                    shard.on(&Event::BenefitComputed(i as u64 + 1));
-                    span.exit(&mut *shard);
-                });
-            }
-        });
-        let mut m = MetricsRecorder::new();
-        tls.replay(&mut m);
-        assert_eq!(m.benefits_computed, 1 + 2 + 3 + 4);
-        let scan = m.phases().iter().find(|p| p.name == PHASE_SCAN).unwrap();
-        assert_eq!(scan.count, 4, "one scan span per shard");
     }
 }

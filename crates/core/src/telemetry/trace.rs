@@ -1,31 +1,20 @@
 //! Causal trace context: deterministic trace identifiers and the
-//! `(trace_id, span_id, parent_span_id, worker_id)` coordinates that turn
-//! a flat [`Observer`](super::Observer) event stream into a causal tree.
+//! `(trace_id, span_id, parent_span_id)` coordinates that turn a flat
+//! [`Observer`](super::Observer) event stream into a causal tree.
 //!
 //! Every solve entry point mints a [`TraceId`] — deterministically, from
 //! the entry's name and its instance parameters, so the same query always
 //! produces the same id (replayable post-mortems, cache-keyable traces) —
 //! and announces it with [`Event::TraceStarted`](super::Event::TraceStarted)
-//! just before opening its root span. Parallel regions announce which
-//! worker recorded the following events with
-//! [`Event::WorkerSwitched`](super::Event::WorkerSwitched); the
-//! shard-then-replay machinery
-//! ([`ThreadLocalTelemetry`](super::ThreadLocalTelemetry)) emits those
-//! switches automatically, so a replayed parallel run carries enough
-//! context to reconstruct *which thread's work caused what* instead of a
-//! flattened serial stream.
+//! just before opening its root span.
 //!
 //! Span ids themselves are not carried in events: the event stream's
-//! `phase_started`/`phase_ended` nesting plus the worker annotations
-//! determine them, and consumers that need explicit ids (the
-//! [`FlightRecorder`](super::FlightRecorder)) assign them in arrival
-//! order, which is deterministic because shard replay order is.
+//! `phase_started`/`phase_ended` nesting determines them, and consumers
+//! that need explicit ids (the [`FlightRecorder`](super::FlightRecorder))
+//! assign them in arrival order, which is deterministic because the
+//! stream's order is.
 
 use std::fmt;
-
-/// The worker id of the main (calling) thread; shard `i` of a parallel
-/// region records as worker `i + 1`.
-pub const MAIN_WORKER: u32 = 0;
 
 /// A deterministic 64-bit trace identifier minted at a solve entry point.
 ///
@@ -85,8 +74,8 @@ pub fn pack_k_target(k: usize, target: usize) -> u64 {
 }
 
 /// The causal coordinates attached to one enriched event: which trace it
-/// belongs to, which span was innermost when it fired, that span's
-/// parent, and which worker recorded it.
+/// belongs to, which span was innermost when it fired, and that span's
+/// parent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TraceContext {
     /// The trace this event belongs to (0 = no trace minted yet).
@@ -95,8 +84,6 @@ pub struct TraceContext {
     pub span_id: u64,
     /// Parent of that span (0 = root).
     pub parent_span_id: u64,
-    /// Recording worker ([`MAIN_WORKER`] for the calling thread).
-    pub worker_id: u32,
 }
 
 #[cfg(test)]
@@ -135,6 +122,5 @@ mod tests {
         assert!(ctx.trace_id.is_unset());
         assert_eq!(ctx.span_id, 0);
         assert_eq!(ctx.parent_span_id, 0);
-        assert_eq!(ctx.worker_id, MAIN_WORKER);
     }
 }

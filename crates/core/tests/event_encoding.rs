@@ -1,14 +1,14 @@
 //! Pins the JSON encoding of every solver event: one instance of each of
-//! the 20 events goes through a `JsonlSink`, which writes all but the two
+//! the 19 events goes through a `JsonlSink`, which writes all but the two
 //! advisory scan events, and through a `FlightRecorder`, whose dump keeps
-//! 15 of the kinds. Every event line is compared exactly, after its
+//! 14 of the kinds. Every event line is compared exactly, after its
 //! volatile `seq` / `t` keys.
 
 use scwsc_core::audit::AuditCandidate;
 use scwsc_core::{Event, FlightRecorder, JsonlSink, Observer, PruneReason, TraceId, PHASE_TOTAL};
 use std::borrow::Cow;
 
-/// Sends one instance of each of the 20 events, in a fixed order.
+/// Sends one instance of each of the 19 events, in a fixed order.
 fn drive_every_event<O: Observer + ?Sized>(obs: &mut O) {
     let winner = AuditCandidate {
         id: 3,
@@ -42,7 +42,6 @@ fn drive_every_event<O: Observer + ?Sized>(obs: &mut O) {
     obs.on(&Event::ScanPruned(11));
     obs.on(&Event::BoundRefreshed(5));
     obs.on(&Event::StallDetected(77, 0.25));
-    obs.on(&Event::WorkerSwitched(3));
     obs.on(&Event::PhaseEnded(PHASE_TOTAL, 0.5));
 }
 
@@ -77,14 +76,13 @@ fn jsonl_sink_encodes_every_event() {
         r#""event":"speculation","committed":2,"wasted":1}"#,
         r#""event":"guess_retried"}"#,
         r#""event":"stall_detected","ticks":77,"stalled_secs":0.25}"#,
-        r#""event":"worker_switched","worker_to":3}"#,
         r#""event":"phase_ended","name":"total","seconds":0.5}"#,
     ];
     assert_eq!(lines, expected);
 }
 
 #[test]
-fn flight_dump_encodes_its_fifteen_kinds() {
+fn flight_dump_encodes_its_fourteen_kinds() {
     let mut flight = FlightRecorder::new();
     drive_every_event(&mut flight);
     let mut buf = Vec::new();
@@ -96,9 +94,9 @@ fn flight_dump_encodes_its_fifteen_kinds() {
         .iter()
         .map(|l| after_t(l))
         .collect();
-    let main = r#""trace":"0000000000000abc","span":1,"parent":0,"worker":0,"#;
+    let main = r#""trace":"0000000000000abc","span":1,"parent":0,"#;
     let expected = [
-        r#""trace":"0000000000000abc","span":0,"parent":0,"worker":0,"event":"trace_started","trace_id":"0000000000000abc","entry":"cmc"}"#.to_owned(),
+        r#""trace":"0000000000000abc","span":0,"parent":0,"event":"trace_started","trace_id":"0000000000000abc","entry":"cmc"}"#.to_owned(),
         format!(r#"{main}"event":"phase_started","name":"total"}}"#),
         format!(r#"{main}"event":"guess_started","budget":2.5}}"#),
         format!(r#"{main}"event":"level_entered","level":0,"allowance":4}}"#),
@@ -111,8 +109,7 @@ fn flight_dump_encodes_its_fifteen_kinds() {
         format!(r#"{main}"event":"speculation","committed":2,"wasted":1}}"#),
         format!(r#"{main}"event":"guess_retried"}}"#),
         format!(r#"{main}"event":"stall_detected","ticks":77,"stalled_secs":0.25}}"#),
-        r#""trace":"0000000000000abc","span":1,"parent":0,"worker":3,"event":"worker_switched","worker_to":3}"#.to_owned(),
-        r#""trace":"0000000000000abc","span":1,"parent":0,"worker":3,"event":"phase_ended","name":"total","seconds":0.5}"#.to_owned(),
+        format!(r#"{main}"event":"phase_ended","name":"total","seconds":0.5}}"#),
     ];
     assert_eq!(events, expected);
 }

@@ -79,15 +79,19 @@ fn boundary_system(num_elements: usize, num_sets: usize, k: usize, seed: u64) ->
     b.build().unwrap()
 }
 
-/// One `cmc` solve under a `max_ticks` budget: the outcome's Debug
-/// rendering, the ticks it consumed, and its decision ledger's bytes.
+/// One `cmc` solve, under a `max_ticks` budget if one is given: the
+/// outcome's Debug rendering, the ticks it consumed, and its decision
+/// ledger's bytes.
 fn ledgered_cmc(
     sys: &SetSystem,
     params: &CmcParams,
     pool: &ThreadPool,
-    max_ticks: u64,
+    max_ticks: Option<u64>,
 ) -> (String, u64, Vec<u8>) {
-    let deadline = Deadline::unbounded().with_tick_budget(max_ticks);
+    let deadline = match max_ticks {
+        Some(ticks) => Deadline::unbounded().with_tick_budget(ticks),
+        None => Deadline::unbounded(),
+    };
     let mut ledger = DecisionLedger::new();
     let out = cmc(sys, params, pool, &deadline, &mut ledger);
     let mut jsonl = Vec::new();
@@ -196,6 +200,11 @@ proptest! {
             prop_assert_eq!(pm.guesses_committed, sm.guesses, "cmc committed");
         }
         assert_counters_equal(&sm, &pm, "cmc");
+        // The speculative run's decision ledger is the serial one, byte
+        // for byte (its tick count is not: cancelled guesses tick too).
+        let serial = ledgered_cmc(&sys, &params, &serial_pool, None);
+        let parallel = ledgered_cmc(&sys, &params, &pool, None);
+        prop_assert!(parallel.2 == serial.2, "cmc ledger bytes differ");
 
         // CMC under a tick budget (which also keeps the pool from
         // speculating across guesses), every level schedule.
@@ -208,8 +217,8 @@ proptest! {
                 schedule,
                 ..CmcParams::classic(k, coverage_pct as f64 / 100.0, 1.0)
             };
-            let serial = ledgered_cmc(&sys, &params, &serial_pool, max_ticks);
-            let parallel = ledgered_cmc(&sys, &params, &pool, max_ticks);
+            let serial = ledgered_cmc(&sys, &params, &serial_pool, Some(max_ticks));
+            let parallel = ledgered_cmc(&sys, &params, &pool, Some(max_ticks));
             prop_assert_eq!(&parallel.0, &serial.0, "{:?}: outcome", schedule);
             prop_assert_eq!(parallel.1, serial.1, "{:?}: ticks", schedule);
             prop_assert!(parallel.2 == serial.2, "{:?}: ledger bytes differ", schedule);

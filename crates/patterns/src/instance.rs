@@ -91,7 +91,8 @@ impl Solver for PatternInstance {
     fn solve(
         &self,
         query: &Query,
-        pool: &ThreadPool,
+        // Both lattice walks run on the calling thread.
+        _pool: &ThreadPool,
         deadline: &Deadline,
         obs: &mut dyn Observer,
     ) -> Result<SolveOutcome<Answer>, EngineError> {
@@ -123,7 +124,7 @@ impl Solver for PatternInstance {
             Algorithm::Cmc => {
                 let params = query.cmc_params();
                 (
-                    opt_cmc_stashed(&space, &params, pool, deadline, obs, Some(&self.lattice))?,
+                    opt_cmc_stashed(&space, &params, deadline, obs, Some(&self.lattice))?,
                     params.coverage_target(self.table.num_rows()),
                 )
             }

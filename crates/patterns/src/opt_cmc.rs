@@ -45,20 +45,14 @@ use scwsc_core::algorithms::cmc::{CmcParams, Levels};
 use scwsc_core::engine::{panic_message, Deadline, DegradeReason, EngineError, SolveOutcome};
 use scwsc_core::parallel::prune_from_env;
 use scwsc_core::telemetry::{
-    audit, pack_k_target, Event, EventLog, Observer, PhaseSpan, PruneReason, ThreadLocalTelemetry,
-    TraceId, PHASE_GUESS, PHASE_SCAN, PHASE_TOTAL,
+    audit, pack_k_target, Event, EventLog, Observer, PhaseSpan, PruneReason, TraceId, PHASE_GUESS,
+    PHASE_TOTAL,
 };
 use scwsc_core::{coverage_target, BitSet, SolveError, ThreadPool};
 use std::borrow::Cow;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Minimum row-list length before a stale-pop recount fans out over the
-/// pool; below this the chunking overhead exceeds the count itself.
-const PAR_RECOUNT_MIN: usize = 4096;
-/// Minimum number of newly eligible children before their benefit
-/// recounts fan out over the pool.
-const PAR_CHILDREN_MIN: usize = 4;
 /// Maximum heap-entry staleness (in selections) served by the epoch-delta
 /// refresh; older entries fall back to a full blocked recount. Each delta
 /// round costs one `O(n/64)` intersection, so past a few rounds the full
@@ -67,7 +61,7 @@ const DELTA_MAX_ROUNDS: usize = 4;
 
 /// Runs the optimized CMC (Fig. 4) over any [`LatticeSpace`] — the flat
 /// pattern cube or the hierarchy-enriched lattice of
-/// [`crate::hierarchy::HierarchicalSpace`] — on `pool`, under `deadline`
+/// [`crate::hierarchy::HierarchicalSpace`] — under `deadline`
 /// (DESIGN.md §12).
 ///
 /// Parameters mirror [`scwsc_core::algorithms::cmc()`]: the schedule bounds
@@ -83,22 +77,20 @@ const DELTA_MAX_ROUNDS: usize = 4;
 /// the whole solve, cleared per attempt) replayed into `obs` when the
 /// guess ends, so events arrive once per guess, not live.
 ///
-/// The lattice walk itself stays single-threaded — the heap pop order
-/// *is* the algorithm and every step mutates the shared lattice cache —
-/// so the event stream, the walk, and the solution are identical for any
-/// thread count. The pool accelerates the two pure fan-outs inside a
-/// step: stale-pop recounts over long row lists, and the benefit scoring
-/// of a visit's newly eligible children. There is no cross-budget
-/// speculation here (each guess reuses the previous guess's lattice
-/// materializations).
+/// The solve runs on the calling thread: the heap pop order *is* the
+/// algorithm and every step mutates the shared lattice cache. `pool` is
+/// accepted so every solver family shares one signature, as in
+/// [`opt_cwsc`](crate::opt_cwsc()); the event stream, the walk and the
+/// solution are the same for any thread count. There is no cross-budget
+/// speculation either: each guess reuses the previous guess's lattice
+/// materializations.
 ///
 /// One work tick is consumed per heap pop. On expiry the patterns
 /// selected so far in the in-flight budget guess return as
 /// [`SolveOutcome::Degraded`] with a [`Certificate`](scwsc_core::Certificate) (including which
 /// level quotas were exhausted) that
 /// [`verify_certificate_in`](crate::pattern_solution::verify_certificate_in)
-/// re-checks. Benefit recounts do not tick, so outcome classification and
-/// tick streams are identical for any thread count.
+/// re-checks. Benefit recounts do not tick.
 ///
 /// Panic isolation: each budget guess runs under `catch_unwind`; a
 /// panicked guess is retried once (counted by the `guesses_retried`
@@ -109,11 +101,11 @@ const DELTA_MAX_ROUNDS: usize = 4;
 pub fn opt_cmc<S: LatticeSpace, O: Observer + ?Sized>(
     space: &S,
     params: &CmcParams,
-    pool: &ThreadPool,
+    _pool: &ThreadPool,
     deadline: &Deadline,
     obs: &mut O,
 ) -> Result<SolveOutcome<PatternSolution>, EngineError> {
-    opt_cmc_stashed(space, params, pool, deadline, obs, None)
+    opt_cmc_stashed(space, params, deadline, obs, None)
 }
 
 /// [`opt_cmc`] on the lattice parked in `stash`, which must have been
@@ -125,7 +117,6 @@ pub fn opt_cmc<S: LatticeSpace, O: Observer + ?Sized>(
 pub(crate) fn opt_cmc_stashed<S: LatticeSpace, O: Observer + ?Sized>(
     space: &S,
     params: &CmcParams,
-    pool: &ThreadPool,
     deadline: &Deadline,
     obs: &mut O,
     stash: Option<&LatticeStash>,
@@ -151,7 +142,6 @@ pub(crate) fn opt_cmc_stashed<S: LatticeSpace, O: Observer + ?Sized>(
             total_cost: 0.0,
         }));
     }
-    let pool = if pool.is_serial() { None } else { Some(pool) };
     obs.on(&Event::TraceStarted(
         TraceId::mint("opt_cmc", n as u64, pack_k_target(params.k, target)),
         "opt_cmc",
@@ -161,7 +151,7 @@ pub(crate) fn opt_cmc_stashed<S: LatticeSpace, O: Observer + ?Sized>(
         .and_then(LatticeStash::take)
         .unwrap_or_else(|| SharedLattice::new(space));
     let mut lattice = Lattice::new(space, shared);
-    let result = guess_loop(&mut lattice, params, target, pool, deadline, obs);
+    let result = guess_loop(&mut lattice, params, target, deadline, obs);
     lattice.park(stash);
     span.exit(obs);
     result
@@ -173,7 +163,6 @@ fn guess_loop<S: LatticeSpace, O: Observer + ?Sized>(
     lattice: &mut Lattice<'_, S>,
     params: &CmcParams,
     target: usize,
-    pool: Option<&ThreadPool>,
     deadline: &Deadline,
     obs: &mut O,
 ) -> Result<SolveOutcome<PatternSolution>, EngineError> {
@@ -209,9 +198,7 @@ fn guess_loop<S: LatticeSpace, O: Observer + ?Sized>(
                 // reads.
                 let guess_span = PhaseSpan::enter(log, PHASE_GUESS);
                 deadline.fault_guess(guess_index);
-                let found = run_guess(
-                    lattice, &mut queue, params, budget, target, pool, deadline, log,
-                );
+                let found = run_guess(lattice, &mut queue, params, budget, target, deadline, log);
                 guess_span.exit(log);
                 found
             }))
@@ -379,27 +366,8 @@ impl<'a, S: LatticeSpace> Lattice<'a, S> {
     }
 }
 
-/// Counts rows of `rows` not yet in `covered`, fanning out over the pool
-/// for long row lists (sum-reduction, exact for any chunking).
-fn recount(rows: &[RowId], covered: &BitSet, pool: Option<&ThreadPool>) -> usize {
-    if let Some(pool) = pool {
-        if rows.len() >= PAR_RECOUNT_MIN {
-            return pool
-                .par_chunks_reduce(
-                    rows.len(),
-                    |_, range| {
-                        Some(
-                            rows[range]
-                                .iter()
-                                .filter(|&&r| !covered.contains(r as usize))
-                                .count(),
-                        )
-                    },
-                    |a, b| a + b,
-                )
-                .unwrap_or(0);
-        }
-    }
+/// Counts rows of `rows` not yet in `covered`.
+fn recount(rows: &[RowId], covered: &BitSet) -> usize {
     rows.iter()
         .filter(|&&r| !covered.contains(r as usize))
         .count()
@@ -419,14 +387,12 @@ enum GuessResult {
 /// One budget guess (Fig. 4 lines 08–35). Consumes one `deadline` work
 /// tick per heap pop; under an unbounded deadline (the classic path) the
 /// checkpoint can never fail.
-#[allow(clippy::too_many_arguments)]
 fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
     lattice: &mut Lattice<'_, S>,
     heap: &mut BucketQueue,
     params: &CmcParams,
     budget: f64,
     target: usize,
-    pool: Option<&ThreadPool>,
     deadline: &Deadline,
     obs: &mut O,
 ) -> GuessResult {
@@ -482,11 +448,11 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
         total_cost: 0.0,
     };
     let mut rem = target; // line 14
-                          // Expansion scratch, reused across pops: thousands of patterns are
-                          // visited per guess, and a fresh Vec pair per visit is pure
-                          // allocator traffic.
+
+    // Expansion scratch, reused across pops: thousands of patterns are
+    // visited per guess, and a fresh Vec per visit is pure allocator
+    // traffic.
     let mut eligible: Vec<u32> = Vec::new();
-    let mut mbens: Vec<usize> = Vec::new();
     // Per-pop and per-expansion counters, reported as one total each per
     // guess: the guess's event log stays proportional to its expansions
     // that score children, not to its pops.
@@ -517,7 +483,7 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
                 continue; // stale duplicate of a removed candidate
             }
             let current = if !prune {
-                recount(lattice.rows_of(entry.id), &covered, pool)
+                recount(lattice.rows_of(entry.id), &covered)
             } else if entry.epoch == epoch {
                 // Coverage only grows at selections, so an entry pushed this
                 // epoch is provably current — skip the recount outright.
@@ -527,7 +493,7 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
                 // Short row list: the postings recount beats every
                 // mask-based path, and no mask is ever materialized.
                 bounds_refreshed += 1;
-                recount(lattice.rows_of(entry.id), &covered, None)
+                recount(lattice.rows_of(entry.id), &covered)
             } else if epoch - entry.epoch <= DELTA_MAX_ROUNDS {
                 // Exact delta: the per-selection newly sets are disjoint, so
                 // the entry's stale count minus its overlap with each newer
@@ -546,7 +512,7 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
             };
             debug_assert_eq!(
                 current,
-                recount(lattice.rows_of(entry.id), &covered, None),
+                recount(lattice.rows_of(entry.id), &covered),
                 "pruned refresh is exact"
             );
             if current == 0 {
@@ -673,53 +639,15 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
                     eligible.push(child_id);
                 }
                 // Line 35: compute Cost(m) and MBen(m) for each eligible
-                // child — served from the lattice cache, the benefit recounts
-                // fanned out over the pool. Each worker chunk brackets its
-                // recounts in a `scan` span recorded into a telemetry shard,
-                // replayed here so the spans nest under the open guess span;
-                // counter events fire in child order below, identical to
-                // scoring inline.
-                mbens.clear();
-                match pool {
-                    Some(pool) if eligible.len() >= PAR_CHILDREN_MIN => {
-                        let (shared, global) = (&lattice.shared, &lattice.global);
-                        let covered = &covered;
-                        let per_chunk = eligible.len().div_ceil(pool.threads());
-                        let chunks: Vec<(usize, &[u32])> =
-                            eligible.chunks(per_chunk).enumerate().collect();
-                        let tls = ThreadLocalTelemetry::new(chunks.len());
-                        let scored = pool.par_map(&chunks, |&(idx, chunk)| {
-                            let mut shard = tls.shard(idx);
-                            let span = PhaseSpan::enter(&mut *shard, PHASE_SCAN);
-                            let mbens: Vec<usize> = chunk
-                                .iter()
-                                .map(|&cid| {
-                                    shared
-                                        .rows_of(global[cid as usize])
-                                        .iter()
-                                        .filter(|&&r| !covered.contains(r as usize))
-                                        .count()
-                                })
-                                .collect();
-                            span.exit(&mut *shard);
-                            mbens
-                        });
-                        tls.replay(obs);
-                        mbens.extend(scored.into_iter().flatten());
-                    }
-                    _ => mbens.extend(
-                        eligible
-                            .iter()
-                            .map(|&cid| recount(lattice.rows_of(cid), &covered, pool)),
-                    ),
-                };
-                // One "considered" count per eligible child and guess,
-                // matching what Fig. 4 would compute.
+                // child, the cost served from the lattice cache. One
+                // "considered" count per eligible child and guess, matching
+                // what Fig. 4 would compute.
                 if !eligible.is_empty() {
                     obs.on(&Event::BenefitComputed(eligible.len() as u64));
                 }
-                for (&child_id, &child_mben) in eligible.iter().zip(&mbens) {
+                for &child_id in &eligible {
                     let cid = child_id as usize;
+                    let child_mben = recount(lattice.rows_of(child_id), &covered);
                     if child_mben == 0 {
                         // Never enters C, so its descendants stay gated behind
                         // an unvisited parent: the whole subtree is skipped.
@@ -878,23 +806,14 @@ mod tests {
         }
     }
 
-    /// [`opt_cmc`] on `threads` workers without a deadline.
-    fn solve_on(
-        space: &PatternSpace<'_>,
-        params: &CmcParams,
-        threads: usize,
-        obs: &mut dyn Observer,
-    ) -> Result<PatternSolution, SolveError> {
-        let pool = ThreadPool::new(Threads::new(threads));
-        complete(opt_cmc(space, params, &pool, &Deadline::unbounded(), obs))
-    }
-
+    /// [`opt_cmc`] on a serial pool without a deadline.
     fn solve(
         space: &PatternSpace<'_>,
         params: &CmcParams,
         obs: &mut dyn Observer,
     ) -> Result<PatternSolution, SolveError> {
-        solve_on(space, params, 1, obs)
+        let pool = ThreadPool::new(Threads::serial());
+        complete(opt_cmc(space, params, &pool, &Deadline::unbounded(), obs))
     }
 
     /// Fig. 1 CMC over the materialized cube.
@@ -1044,31 +963,62 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn parallel_recounts_match_serial_exactly() {
-        use scwsc_core::MetricsRecorder;
-        let t = crate::test_util::skewed_table(600, 4, 7);
-        let sp = PatternSpace::new(&t, CostFn::Max);
-        let params = CmcParams::classic(8, 0.4, 1.0);
-        let mut sm = MetricsRecorder::new();
-        let serial = solve(&sp, &params, &mut sm).unwrap();
-        for threads in [2, 4] {
-            let mut pm = MetricsRecorder::new();
-            let par = solve_on(&sp, &params, threads, &mut pm).unwrap();
-            assert_eq!(par, serial, "threads={threads}");
-            assert_eq!(pm.guesses, sm.guesses, "threads={threads}");
-            assert_eq!(pm.selections, sm.selections, "threads={threads}");
-            assert_eq!(
-                pm.benefits_computed, sm.benefits_computed,
-                "threads={threads}"
-            );
-            assert_eq!(pm.subtrees_pruned, sm.subtrees_pruned, "threads={threads}");
-            assert_eq!(pm.heap_stale_pops, sm.heap_stale_pops, "threads={threads}");
-            assert_eq!(
-                pm.marginal_benefit_hist, sm.marginal_benefit_hist,
-                "threads={threads}"
-            );
+    /// Records the name of every event, in order.
+    struct Names(Vec<&'static str>);
+
+    impl Observer for Names {
+        fn on(&mut self, event: &Event<'_>) {
+            self.0.push(event.name());
         }
+    }
+
+    /// [`opt_cmc`] on a `threads` pool: the solution and every event name.
+    fn named_events<S: LatticeSpace>(
+        space: &S,
+        params: &CmcParams,
+        threads: Threads,
+    ) -> (PatternSolution, Vec<&'static str>) {
+        let pool = ThreadPool::new(threads);
+        let mut names = Names(Vec::new());
+        let solution = complete(opt_cmc(
+            space,
+            params,
+            &pool,
+            &Deadline::unbounded(),
+            &mut names,
+        ))
+        .unwrap();
+        (solution, names.0)
+    }
+
+    #[test]
+    fn any_pool_emits_the_serial_event_stream() {
+        use crate::hierarchy::{HierarchicalSpace, Hierarchy};
+        let t = crate::test_util::skewed_table(600, 4, 7);
+        let params = CmcParams::classic(8, 0.4, 1.0);
+        let flat = PatternSpace::new(&t, CostFn::Max);
+        // The same table with its first attribute's values grouped in two.
+        let hierarchies = (0..t.num_attrs())
+            .map(|a| {
+                let names: Vec<&str> = t.dictionary(a).iter().map(|(_, v)| v).collect();
+                let mut h = Hierarchy::flat(&names);
+                if a == 0 {
+                    let (low, high) = names.split_at(names.len() / 2);
+                    h.add_group("low", low).unwrap();
+                    h.add_group("high", high).unwrap();
+                }
+                h
+            })
+            .collect();
+        let grouped = HierarchicalSpace::new(&t, hierarchies, CostFn::Max);
+        let (serial, serial_names) = named_events(&flat, &params, Threads::serial());
+        assert!(serial_names.len() > 100, "{serial_names:?}");
+        assert_eq!(
+            named_events(&flat, &params, Threads::new(4)),
+            (serial, serial_names)
+        );
+        let serial = named_events(&grouped, &params, Threads::serial());
+        assert_eq!(named_events(&grouped, &params, Threads::new(4)), serial);
     }
 
     mod within {

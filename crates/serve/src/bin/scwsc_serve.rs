@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! scwsc_serve --rows 20000 --seed 7 --addr 127.0.0.1:7575
-//! scwsc_serve --csv data.csv --threads 4 --deadline-ms 250 --watchdog 2000
+//! scwsc_serve --csv data.csv --deadline-ms 250 --watchdog 2000
 //! ```
 //!
 //! Clients send one JSON request per line and read one JSON response per
@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str = "scwsc_serve [--csv PATH | --rows N [--seed N]] [--addr HOST:PORT] \
-[--threads N] [--deadline-ms N] [--cache N] [--window N] \
+[--deadline-ms N] [--cache N] [--window N] \
 [--max-inflight N] [--max-queue N] [--tick-capacity N] [--base-ticks N] [--min-ticks N] \
 [--retry-after-ms N] [--max-queue-wait-ms N] [--max-tier N] \
 [--watchdog MS] [--flight-dump PATH] [--metrics-prom PATH] [--fault SPEC]
@@ -124,12 +124,9 @@ fn main() {
         }
         .generate()
     };
-    let threads = if args.get("threads").is_some() {
-        Threads::new(required(args.get_or("threads", 1)))
-    } else {
-        Threads::from_env()
-    };
-    let pool = ThreadPool::new(threads);
+    // Pattern queries walk the lattice on one thread: the solver pool has
+    // nothing to fan out.
+    let pool = ThreadPool::new(Threads::serial());
 
     let admission = AdmissionConfig {
         max_inflight: required(

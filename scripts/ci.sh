@@ -48,10 +48,9 @@ cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
   diff BENCH_seed.json target/BENCH_ci.json --counters-only
 
 # Parallel determinism gate: the same smoke suite on 4 worker threads must
-# reproduce the serial deterministic counters exactly (DESIGN.md §11) —
-# this is the end-to-end check that optimized CMC's chunked child
-# recounts, speculative budget guessing, and telemetry replay leave the
-# event stream bit-identical.
+# reproduce the serial deterministic counters exactly (DESIGN.md §11).
+# The smoke suite's lattice walks run on one thread whatever the pool, so
+# this checks end to end that the pool reaches none of them.
 SCWSC_THREADS=4 cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
   record --quick --suite smoke --label ci-t4 --out target/BENCH_ci_t4.json
 SCWSC_THREADS=1 cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
@@ -86,16 +85,16 @@ cargo test -q --workspace --features fault-inject
 cargo test -q -p scwsc-bench \
   resilience_counters_stay_out_of_the_exact_diff_set
 
-# Then two end-to-end smokes of the scwsc_solve degradation ladder on a
-# 4-thread pool: a one-shot injected guess panic must be contained and
-# retried to a complete solve (exit 0), and a tick-budget expiry must
-# degrade with a certificate the binary itself re-verifies (exit 5).
+# Then two end-to-end smokes of the scwsc_solve degradation ladder: a
+# one-shot injected guess panic must be contained and retried to a
+# complete solve (exit 0), and a tick-budget expiry must degrade with a
+# certificate the binary itself re-verifies (exit 5).
 cargo build --release -q -p scwsc-bench --features fault-inject
 solve=target/release/scwsc_solve
 # (stderr holds the contained panic's backtrace — expected noise)
-SCWSC_THREADS=4 "$solve" --rows 2000 --k 6 --coverage 0.4 \
+"$solve" --rows 2000 --k 6 --coverage 0.4 \
   --algorithm cmc --fault panicguess@1 > /dev/null 2> target/ci_fault.err
-SCWSC_THREADS=4 "$solve" --rows 2000 --k 6 --coverage 0.4 \
+"$solve" --rows 2000 --k 6 --coverage 0.4 \
   --algorithm cmc --max-ticks 10 > /dev/null 2> target/ci_degraded.err \
   && { echo "expected deadline degradation"; exit 1; } || code=$?
 [ "$code" -eq 5 ] || { echo "expected exit 5, got $code"; exit 1; }
@@ -106,7 +105,7 @@ grep -q "certificate verified" target/ci_degraded.err \
 # fail structured (exit 1) AND leave a line-oriented JSON flight dump —
 # header with the latched trace id, events, trailing causal tree — for
 # the post-mortem.
-SCWSC_THREADS=4 "$solve" --rows 2000 --k 6 --coverage 0.4 \
+"$solve" --rows 2000 --k 6 --coverage 0.4 \
   --algorithm cmc --fault failguess@1 --flight-dump target/ci_flight.jsonl \
   > /dev/null 2>> target/ci_fault.err \
   && { echo "expected fault exit"; exit 1; } || code=$?
@@ -116,7 +115,7 @@ import json, sys
 lines = open(sys.argv[1]).read().splitlines()
 assert len(lines) >= 2, "dump needs a header and a causal tree"
 header = json.loads(lines[0])
-assert header["flight"] == "scwsc" and header["version"] == 1, header
+assert header["flight"] == "scwsc" and header["version"] == 2, header
 assert header["trace_id"] != "0000000000000000", "trace id latched"
 for line in lines[1:]:
     json.loads(line)  # every line is one JSON object
@@ -127,7 +126,7 @@ EOF
 # stall (400 ms sleep at tick 5) must be caught by a 100 ms watchdog,
 # which records a stall_detected event and auto-dumps the flight
 # recording at that moment — while the solve itself still completes.
-SCWSC_THREADS=1 "$solve" --rows 2000 --k 5 --fault stall@5:400 --watchdog 100 \
+"$solve" --rows 2000 --k 5 --fault stall@5:400 --watchdog 100 \
   --flight-dump target/ci_watchdog_flight.jsonl > /dev/null 2> target/ci_watchdog.err
 grep -q "watchdog: 1 stall(s) detected" target/ci_watchdog.err \
   || { echo "watchdog missed the injected stall"; cat target/ci_watchdog.err; exit 1; }
@@ -159,7 +158,7 @@ EOF
 # clean SIGTERM drain that flushes the Prometheus exposition.
 cargo build --release -q -p scwsc-serve --features fault-inject
 serve=target/release/scwsc_serve
-SCWSC_THREADS=2 "$serve" --rows 2000 --seed 7 --addr 127.0.0.1:0 \
+"$serve" --rows 2000 --seed 7 --addr 127.0.0.1:0 \
   --base-ticks 20000 --metrics-prom target/ci_serve.prom \
   2> target/ci_serve.err &
 serve_pid=$!
@@ -188,7 +187,7 @@ grep -q "scwsc_window_solves" target/ci_serve.prom \
 # must cost exactly that one in-flight answer — the client reconnects, the
 # remaining requests complete, and the server still drains cleanly with
 # the severed write accounted.
-SCWSC_THREADS=1 "$serve" --rows 1000 --seed 7 --addr 127.0.0.1:0 \
+"$serve" --rows 1000 --seed 7 --addr 127.0.0.1:0 \
   --fault disconnect@3 2> target/ci_serve_fault.err &
 serve_pid=$!
 for _ in $(seq 100); do
@@ -257,32 +256,23 @@ for marker in "== decision audit ==" "runner-up" "margin" "charged " \
     || { echo "--explain output missing '$marker'"; cat target/ci_explain.out; exit 1; }
 done
 
-# Audit replay parity (DESIGN.md §14): the decision ledger is part of the
-# deterministic event stream, so a 4-thread solve must write a
-# byte-identical --audit-jsonl to the serial one.
-SCWSC_THREADS=1 "$solve" --rows 1000 --seed 11 --k 6 --coverage 0.5 \
-  --algorithm cmc --audit-jsonl target/ci_audit_t1.jsonl > /dev/null 2>&1
-SCWSC_THREADS=4 "$solve" --rows 1000 --seed 11 --k 6 --coverage 0.5 \
-  --algorithm cmc --audit-jsonl target/ci_audit_t4.jsonl > /dev/null 2>&1
-cmp target/ci_audit_t1.jsonl target/ci_audit_t4.jsonl \
-  || { echo "audit ledger differs across thread counts"; exit 1; }
-# ... and across the prune toggle (DESIGN.md §15): skipped counts must
-# never reach the ledger, so SCWSC_PRUNE=0 writes the same bytes.
-SCWSC_PRUNE=0 SCWSC_THREADS=1 "$solve" --rows 1000 --seed 11 --k 6 --coverage 0.5 \
+# Audit replay parity across the prune toggle (DESIGN.md §15): skipped
+# counts must never reach the decision ledger (DESIGN.md §14), so
+# SCWSC_PRUNE=0 writes the same bytes. The cross-thread ledger check is
+# the flat-cmc property test prop_parallel::parallel_determinism.
+"$solve" --rows 1000 --seed 11 --k 6 --coverage 0.5 \
+  --algorithm cmc --audit-jsonl target/ci_audit.jsonl > /dev/null 2>&1
+SCWSC_PRUNE=0 "$solve" --rows 1000 --seed 11 --k 6 --coverage 0.5 \
   --algorithm cmc --audit-jsonl target/ci_audit_noprune.jsonl > /dev/null 2>&1
-cmp target/ci_audit_t1.jsonl target/ci_audit_noprune.jsonl \
+cmp target/ci_audit.jsonl target/ci_audit_noprune.jsonl \
   || { echo "audit ledger differs across prune toggle"; exit 1; }
-# The same two parity checks for optimized CWSC, whose ledger ids number
-# its candidates over the shared lattice (DESIGN.md §17).
-SCWSC_THREADS=1 "$solve" --rows 1000 --seed 11 --k 6 --coverage 0.5 \
-  --algorithm cwsc --audit-jsonl target/ci_audit_cwsc_t1.jsonl > /dev/null 2>&1
-SCWSC_THREADS=4 "$solve" --rows 1000 --seed 11 --k 6 --coverage 0.5 \
-  --algorithm cwsc --audit-jsonl target/ci_audit_cwsc_t4.jsonl > /dev/null 2>&1
-cmp target/ci_audit_cwsc_t1.jsonl target/ci_audit_cwsc_t4.jsonl \
-  || { echo "cwsc audit ledger differs across thread counts"; exit 1; }
-SCWSC_PRUNE=0 SCWSC_THREADS=1 "$solve" --rows 1000 --seed 11 --k 6 --coverage 0.5 \
+# The same check for optimized CWSC, whose ledger ids number its
+# candidates over the shared lattice (DESIGN.md §17).
+"$solve" --rows 1000 --seed 11 --k 6 --coverage 0.5 \
+  --algorithm cwsc --audit-jsonl target/ci_audit_cwsc.jsonl > /dev/null 2>&1
+SCWSC_PRUNE=0 "$solve" --rows 1000 --seed 11 --k 6 --coverage 0.5 \
   --algorithm cwsc --audit-jsonl target/ci_audit_cwsc_noprune.jsonl > /dev/null 2>&1
-cmp target/ci_audit_cwsc_t1.jsonl target/ci_audit_cwsc_noprune.jsonl \
+cmp target/ci_audit_cwsc.jsonl target/ci_audit_cwsc_noprune.jsonl \
   || { echo "cwsc audit ledger differs across prune toggle"; exit 1; }
 
 # Quality-regression gate (DESIGN.md §14): the committed schema-2 baseline

@@ -69,7 +69,7 @@ fn check_dump(flight: &FlightRecorder) {
         );
     }
     assert!(
-        lines[0].starts_with("{\"flight\":\"scwsc\",\"version\":1,"),
+        lines[0].starts_with("{\"flight\":\"scwsc\",\"version\":2,"),
         "header identifies the format: {:?}",
         lines[0]
     );
