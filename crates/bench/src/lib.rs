@@ -10,6 +10,7 @@
 //! reproducible and scalable to the machine at hand.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod args;
 pub mod attribute;

@@ -26,12 +26,11 @@
 //!
 //! # Determinism contract
 //!
-//! Speculative budget guessing runs guesses on pool workers, which would
-//! interleave their ticks nondeterministically. Solvers therefore
+//! Speculative budget guessing runs guesses on scoped threads, which
+//! would interleave their ticks nondeterministically. Solvers therefore
 //! disable cross-guess speculation whenever the deadline is
 //! *tick-addressed* ([`Deadline::tick_deterministic`]): guesses run in
-//! serial order (optimized CMC's child recounts still parallelize — they
-//! do not tick), so the tick stream, the expiry point, and the outcome
+//! serial order, so the tick stream, the expiry point, and the outcome
 //! classification are identical for `Threads(1)` and `Threads(N)`.
 //! Wall-clock-only deadlines keep speculation and trade that parity for
 //! throughput.

@@ -43,6 +43,7 @@
 //! crate.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod algorithms;
 pub mod bitset;
@@ -70,7 +71,7 @@ pub use engine::{
     TickProbe,
 };
 pub use json::Json;
-pub use parallel::{CancelToken, Scope, ThreadPool, Threads};
+pub use parallel::{CancelToken, ThreadPool, Threads};
 pub use set_system::{coverage_target, BuildError, ElementId, SetId, SetSystem, WeightedSet};
 pub use solution::{
     verify, verify_certificate, CertificateCheck, Requirements, Solution, SolveError, Verification,

@@ -11,9 +11,9 @@
 //!   the solutions whose aggregate weight vectors are mutually
 //!   non-dominated, giving the decision-maker a trade-off frontier.
 
-use crate::algorithms::cwsc::cwsc;
+use crate::algorithms::cwsc::cwsc_to_target;
 use crate::engine::{Certificate, Deadline, DegradeReason, Degraded, EngineError, SolveOutcome};
-use crate::parallel::{ThreadPool, Threads};
+use crate::parallel::ThreadPool;
 use crate::set_system::{coverage_target, ElementId, SetId, SetSystem};
 use crate::solution::{Solution, SolveError};
 use crate::telemetry::{pack_k_target, Event, EventLog, Observer, PhaseSpan, TraceId};
@@ -51,7 +51,7 @@ pub enum MultiWeightError {
     InvalidWeight(f64),
     /// The underlying single-weight solver failed.
     Solve(SolveError),
-    /// A solver worker panicked twice under the resilience engine
+    /// A λ's solve panicked under the resilience engine
     /// ([`pareto_sweep`]); carries the panic message.
     Faulted(String),
 }
@@ -188,24 +188,25 @@ pub fn dominates(a: &[f64], b: &[f64]) -> bool {
 /// events (including its `"total"` span), and the final dominance filter
 /// runs inside a [`PHASE_FILTER`] span.
 ///
-/// The deadline is shared across the whole sweep: every inner [`cwsc`]
-/// round consumes a work tick, so a tick budget bounds total sweep work,
-/// not per-λ work. On expiry the frontier built from the λs completed so
-/// far returns as [`SolveOutcome::Degraded`]; the in-flight λ's partial
-/// picks are dropped (a trade-off *frontier* made of half-solved points
-/// would be misleading). The certificate reuses its fields as sweep
+/// The deadline is shared across the whole sweep: every inner
+/// [`cwsc`](crate::algorithms::cwsc::cwsc) round consumes a work tick, so
+/// a tick budget bounds total sweep work, not per-λ work. On expiry the
+/// frontier built from the λs completed so far returns as
+/// [`SolveOutcome::Degraded`]; the in-flight λ's partial picks are dropped
+/// (a trade-off *frontier* made of half-solved points would be
+/// misleading). The certificate reuses its fields as sweep
 /// progress: `covered` = λs completed, `target` = total λs, `sets_used` =
 /// frontier size, `total_cost` = 0.
 ///
-/// Under a tick-addressed deadline (or a serial pool) λs run sequentially
-/// in order — the inner solver's scans still parallelize — so outcomes
-/// match between thread counts. Otherwise λs fan out, one serial solve per
-/// task recording into a private [`EventLog`]; the logs replay into `obs`
-/// in λ order, so the observer sees the serial event stream and the
-/// frontier (built from points in λ order) is the serial one. On error the
-/// logs up to and including the first failing λ replay before the error
-/// returns, matching the serial early exit. A twice-panicking solver
-/// surfaces as [`MultiWeightError::Faulted`].
+/// Under a tick-addressed deadline (or a serial pool) λs run one after
+/// another in order, so outcomes match between thread counts. Otherwise
+/// [`ThreadPool::par_map`] fans them out, each λ's single-threaded solve
+/// recording into a private [`EventLog`]; the logs replay into `obs` in λ
+/// order, so the observer sees the serial event stream and the frontier
+/// (built from points in λ order) is the serial one. On error the logs up
+/// to and including the first failing λ replay before the error returns,
+/// matching the serial early exit. A panicking solve surfaces as
+/// [`MultiWeightError::Faulted`].
 pub fn pareto_sweep<O: Observer + ?Sized>(
     system: &MultiWeightSystem,
     k: usize,
@@ -273,7 +274,7 @@ fn run_sweep<O: Observer + ?Sized>(
     deadline: &Deadline,
     obs: &mut O,
 ) -> Result<SolveOutcome<Vec<ParetoPoint>>, MultiWeightError> {
-    let solve = |lambda: &Vec<f64>, pool: &ThreadPool| {
+    let solve = |lambda: &Vec<f64>| {
         let mut log = EventLog::new();
         if let Some(reason) = deadline.expired() {
             return (log, LambdaOutcome::Expired(reason));
@@ -285,7 +286,8 @@ fn run_sweep<O: Observer + ?Sized>(
             Ok(scalar) => scalar,
             Err(e) => return (log, LambdaOutcome::Error(e)),
         };
-        let outcome = match cwsc(&scalar, k, coverage_fraction, pool, deadline, &mut log) {
+        let target = coverage_target(scalar.num_elements(), coverage_fraction);
+        let outcome = match cwsc_to_target(&scalar, k, target, deadline, &mut log) {
             Ok(SolveOutcome::Complete(solution)) => {
                 let weights = system.aggregate(solution.sets());
                 LambdaOutcome::Point(Box::new(ParetoPoint {
@@ -300,20 +302,16 @@ fn run_sweep<O: Observer + ?Sized>(
         };
         (log, outcome)
     };
-    // λs run one after another, each solve using the whole pool, on a
-    // serial pool or under a tick-addressed deadline; the iterator is
-    // lazy, so nothing runs past the first expiry or error. Otherwise
-    // they fan out one task per λ, each solving serially (the pool's
-    // workers are busy with sibling λs).
-    let serial = ThreadPool::new(Threads::serial());
+    // Every λ's solve runs on one thread. On a serial pool or under a
+    // tick-addressed deadline the λs run one after another through a lazy
+    // iterator, so nothing runs past the first expiry or error; otherwise
+    // `par_map` solves them all at once and the loop below stops
+    // replaying at the first expiry or error.
     let solved: Box<dyn Iterator<Item = (EventLog, LambdaOutcome)>> =
         if pool.is_serial() || deadline.tick_deterministic() {
-            Box::new(lambdas.iter().map(|lambda| solve(lambda, pool)))
+            Box::new(lambdas.iter().map(solve))
         } else {
-            Box::new(
-                pool.par_map(lambdas, |lambda| solve(lambda, &serial))
-                    .into_iter(),
-            )
+            Box::new(pool.par_map(lambdas, solve).into_iter())
         };
     let mut points: Vec<ParetoPoint> = Vec::with_capacity(lambdas.len());
     let mut degraded: Option<DegradeReason> = None;
@@ -353,6 +351,7 @@ fn run_sweep<O: Observer + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::Threads;
     use crate::telemetry::NoopObserver;
 
     /// [`pareto_sweep`] on `threads` workers without a deadline, unwrapped

@@ -26,6 +26,7 @@ use std::io;
 use std::time::Instant;
 
 #[cfg(feature = "alloc-stats")]
+#[allow(unsafe_code)] // the `GlobalAlloc` impl
 pub mod alloc;
 pub mod audit;
 mod event;

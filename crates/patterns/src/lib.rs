@@ -37,6 +37,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cost_fn;
 pub mod dictionary;

@@ -36,14 +36,15 @@
 //! difference: it counts the expansions this solve actually performed.
 
 use crate::fxhash::FxHashMap;
-use crate::lattice::{kernel_min_rows, mask_of, LatticeStash, SharedLattice, UNSEEN};
+use crate::lattice::{
+    kernel_min_rows, mask_of, prune_from_env, LatticeStash, SharedLattice, UNSEEN,
+};
 use crate::pattern::Pattern;
 use crate::pattern_solution::{degrade, PatternSolution};
 use crate::space::LatticeSpace;
 use crate::table::RowId;
 use scwsc_core::algorithms::cmc::{CmcParams, Levels};
 use scwsc_core::engine::{panic_message, Deadline, DegradeReason, EngineError, SolveOutcome};
-use scwsc_core::parallel::prune_from_env;
 use scwsc_core::telemetry::{
     audit, pack_k_target, Event, EventLog, Observer, PhaseSpan, PruneReason, TraceId, PHASE_GUESS,
     PHASE_TOTAL,

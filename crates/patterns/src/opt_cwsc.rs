@@ -25,13 +25,14 @@
 //! rows each pop buckets in Fig. 3, cached or not.
 
 use crate::fxhash::FxHashMap;
-use crate::lattice::{kernel_min_rows, mask_of, LatticeStash, SharedLattice, UNSEEN};
+use crate::lattice::{
+    kernel_min_rows, mask_of, prune_from_env, LatticeStash, SharedLattice, UNSEEN,
+};
 use crate::pattern::Pattern;
 use crate::pattern_solution::{degrade, PatternSolution};
 use crate::space::LatticeSpace;
 use crate::table::RowId;
 use scwsc_core::engine::{panic_message, Deadline, EngineError, SolveOutcome};
-use scwsc_core::parallel::prune_from_env;
 use scwsc_core::telemetry::{
     audit, pack_k_target, Event, Observer, PhaseSpan, PruneReason, TraceId, PHASE_EXPAND,
     PHASE_SCAN_PRUNE, PHASE_SELECT, PHASE_TOTAL,

@@ -29,6 +29,7 @@
 //! or `error` — never dropped, never hung.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod admission;
 pub mod cache;

@@ -71,6 +71,7 @@ extern "C" fn on_signal(_signum: i32) {
 
 /// Installs SIGTERM/SIGINT handlers that request a graceful drain of
 /// every server in the process (the flag is process-global).
+#[allow(unsafe_code)] // the `signal` FFI
 pub fn install_signal_handlers() {
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
