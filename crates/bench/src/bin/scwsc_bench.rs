@@ -17,13 +17,13 @@
 use scwsc_bench::attribute::attribute;
 use scwsc_bench::chrome_trace::flight_to_chrome;
 use scwsc_bench::diff::{diff, DiffOptions};
-use scwsc_bench::record::record_suite_with_metrics_on;
+use scwsc_bench::record::record_suite_with_metrics;
 use scwsc_bench::registry;
 use scwsc_bench::serve_load::{self, LoadOptions};
 use scwsc_bench::snapshot::Snapshot;
 use scwsc_bench::soak::{soak, SoakOptions};
 use scwsc_bench::trend::{discover, load_timeline};
-use scwsc_core::{render_prometheus, ThreadPool, Threads};
+use scwsc_core::render_prometheus;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -37,9 +37,9 @@ static ALLOC: scwsc_core::telemetry::alloc::CountingAlloc =
 
 const USAGE: &str = "\
 usage:
-  scwsc_bench record [--label L] [--reps N] [--quick] [--suite full|smoke] [--only SUBSTR] [--out PATH] [--threads N] [--export-metrics PATH]
+  scwsc_bench record [--label L] [--reps N] [--quick] [--suite full|smoke] [--only SUBSTR] [--out PATH] [--export-metrics PATH]
   scwsc_bench diff BASE NEW [--tolerance F] [--counters-only] [--attribute] [--top N]
-  scwsc_bench soak [--iters N] [--workload SUBSTR] [--suite full|smoke] [--window W] [--threads N] [--timeline PATH] [--stall-after-ms MS]
+  scwsc_bench soak [--iters N] [--workload SUBSTR] [--suite full|smoke] [--window W] [--timeline PATH] [--stall-after-ms MS]
   scwsc_bench trend [PATHS...] [--dir DIR] [--gate]
   scwsc_bench serve-load [--addr HOST:PORT] [--connections N] [--requests N] [--distinct N] [--deadline-ms MS] [--max-ticks N] [--retries N] [--timeout-ms MS] [--merge-snapshot PATH] [--label L] [--expect-clean]
   scwsc_bench flight-to-chrome IN OUT
@@ -54,13 +54,6 @@ record options:
                 SUBSTR (timing probes; such snapshots are not valid
                 CI baselines)
   --out PATH    output path [default: BENCH_<label>.json]
-  --threads N   worker threads for the solver fan-outs; 1 = serial
-                [default: $SCWSC_THREADS, else all cores]. Flat cmc and
-                cwsc always scan one cover state; the pool runs only
-                flat cmc's speculative budget guesses over one shared
-                incidence. Both lattice walks (optimized cmc and cwsc)
-                run on one thread. Deterministic counters are identical
-                for every N — only timings move.
   --export-metrics PATH  write the suite-wide merged counters/histograms
                 in Prometheus text exposition format to PATH
 
@@ -77,8 +70,6 @@ soak options (continuous-telemetry endurance loop, DESIGN.md §16):
                   SUBSTR
   --suite S       workload suite: full | smoke [default: smoke]
   --window W      sliding-window width in solves [default: 8]
-  --threads N     worker threads for the solver fan-outs [default:
-                  $SCWSC_THREADS, else all cores]
   --timeline PATH write a windowed-metrics JSONL timeline (one line per
                   iteration)
   --stall-after-ms MS  watchdog stall threshold [default: 5000]
@@ -150,7 +141,6 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
     let mut suite_name = "full".to_string();
     let mut only: Option<String> = None;
     let mut out: Option<String> = None;
-    let mut threads = Threads::from_env();
     let mut export_metrics: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -166,13 +156,6 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
             "--suite" => suite_name = take(&mut it, "--suite")?,
             "--only" => only = Some(take(&mut it, "--only")?),
             "--out" => out = Some(take(&mut it, "--out")?),
-            "--threads" => {
-                threads = Threads::new(
-                    take(&mut it, "--threads")?
-                        .parse()
-                        .map_err(|_| "--threads expects a positive integer".to_string())?,
-                )
-            }
             other => return Err(format!("unknown record option '{other}'\n{USAGE}")),
         }
     }
@@ -194,14 +177,12 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
     }
     let path = out.unwrap_or_else(|| format!("BENCH_{label}.json"));
 
-    let pool = ThreadPool::new(threads);
     eprintln!(
-        "recording suite '{suite_name}' ({} workloads, {reps} rep(s), {} thread(s)) as '{label}'",
-        suite.len(),
-        pool.threads()
+        "recording suite '{suite_name}' ({} workloads, {reps} rep(s)) as '{label}'",
+        suite.len()
     );
     let (snapshot, metrics) =
-        record_suite_with_metrics_on(&suite, &label, reps, &pool, |line| eprintln!("  {line}"));
+        record_suite_with_metrics(&suite, &label, reps, |line| eprintln!("  {line}"));
     std::fs::write(&path, snapshot.to_json().to_pretty())
         .map_err(|e| format!("writing {path}: {e}"))?;
     eprintln!("wrote {path}");
@@ -267,7 +248,6 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
     let mut opts = SoakOptions::default();
     let mut suite_name = "smoke".to_string();
     let mut only: Option<String> = None;
-    let mut threads = Threads::from_env();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -282,13 +262,6 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
                 opts.window = take(&mut it, "--window")?
                     .parse()
                     .map_err(|_| "--window expects a positive integer".to_string())?
-            }
-            "--threads" => {
-                threads = Threads::new(
-                    take(&mut it, "--threads")?
-                        .parse()
-                        .map_err(|_| "--threads expects a positive integer".to_string())?,
-                )
             }
             "--timeline" => opts.timeline = Some(PathBuf::from(take(&mut it, "--timeline")?)),
             "--stall-after-ms" => {
@@ -311,15 +284,13 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
             ));
         }
     }
-    let pool = ThreadPool::new(threads);
     eprintln!(
-        "soaking suite '{suite_name}' ({} workloads, {} iterations, window {}, {} thread(s))",
+        "soaking suite '{suite_name}' ({} workloads, {} iterations, window {})",
         suite.len(),
         opts.iters,
-        opts.window,
-        pool.threads()
+        opts.window
     );
-    let report = soak(&suite, &opts, &pool, |line| eprintln!("  {line}"))?;
+    let report = soak(&suite, &opts, |line| eprintln!("  {line}"))?;
     println!("{}", report.render());
     Ok(ExitCode::SUCCESS)
 }

@@ -129,30 +129,7 @@ pub fn run_traced(
     params: &RunParams,
     extra: &mut dyn Observer,
 ) -> (Measurement, MetricsRecorder) {
-    run_traced_on(
-        algo,
-        table,
-        params,
-        &ThreadPool::new(Threads::serial()),
-        extra,
-    )
-}
-
-/// [`run_traced`] with the solver's parallel fan-outs run on `pool`.
-///
-/// The deterministic counters and the solution are identical to the serial
-/// run for any pool size; only wall-clock changes. The unoptimized solvers
-/// always scan a `CoverState`; `CmcUnopt` uses the pool only to speculate
-/// on budget guesses, all over one shared element→sets incidence. Both
-/// lattice walks (`CmcOpt`, `CwscOpt`) and flat CWSC run on the calling
-/// thread regardless of the pool.
-pub fn run_traced_on(
-    algo: Algo,
-    table: &Table,
-    params: &RunParams,
-    pool: &ThreadPool,
-    extra: &mut dyn Observer,
-) -> (Measurement, MetricsRecorder) {
+    let pool = ThreadPool::new(Threads::serial());
     let mut stats = Stats::new();
     let mut metrics = MetricsRecorder::new();
     let deadline = Deadline::unbounded();
@@ -166,7 +143,7 @@ pub fn run_traced_on(
                 completed(cmc(
                     &m.system,
                     &params.cmc_params(),
-                    pool,
+                    &pool,
                     &deadline,
                     &mut obs,
                 ))
@@ -184,7 +161,7 @@ pub fn run_traced_on(
                     &m.system,
                     params.k,
                     params.coverage,
-                    pool,
+                    &pool,
                     &deadline,
                     &mut obs,
                 ))
@@ -195,7 +172,7 @@ pub fn run_traced_on(
                 completed(opt_cmc(
                     &space,
                     &params.cmc_params(),
-                    pool,
+                    &pool,
                     &deadline,
                     &mut obs,
                 ))
@@ -207,7 +184,7 @@ pub fn run_traced_on(
                     &space,
                     params.k,
                     params.coverage,
-                    pool,
+                    &pool,
                     &deadline,
                     &mut obs,
                 ))
@@ -330,32 +307,6 @@ mod tests {
                 .phase_seconds(scwsc_core::PHASE_TOTAL)
                 .expect("solver records a total phase");
             assert!(total >= 0.0 && total <= m.seconds);
-        }
-    }
-
-    #[test]
-    fn pooled_run_matches_serial_measurement_and_counters() {
-        use scwsc_core::Threads;
-        let t = small_table();
-        let params = RunParams {
-            k: 5,
-            ..RunParams::default()
-        };
-        let pool = ThreadPool::new(Threads::new(4));
-        for algo in Algo::ALL {
-            let (sm, smet) = run_traced(algo, &t, &params, &mut NoopObserver);
-            let (pm, pmet) = run_traced_on(algo, &t, &params, &pool, &mut NoopObserver);
-            assert_eq!(pm.cost, sm.cost, "{algo:?}");
-            assert_eq!(pm.size, sm.size, "{algo:?}");
-            assert_eq!(pm.covered, sm.covered, "{algo:?}");
-            assert_eq!(pm.considered, sm.considered, "{algo:?}");
-            assert_eq!(pm.guesses, sm.guesses, "{algo:?}");
-            assert_eq!(pmet.selections, smet.selections, "{algo:?}");
-            assert_eq!(pmet.benefits_computed, smet.benefits_computed, "{algo:?}");
-            assert_eq!(
-                pmet.marginal_benefit_hist, smet.marginal_benefit_hist,
-                "{algo:?}"
-            );
         }
     }
 

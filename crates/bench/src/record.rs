@@ -1,10 +1,10 @@
 //! Driving a workload suite into a [`Snapshot`] (`scwsc_bench record`).
 
-use crate::measure::run_traced_on;
+use crate::measure::run_traced;
 use crate::registry::Workload;
 use crate::snapshot::{deterministic_counters, QualityStats, Snapshot, SpanSnapshot, WorkloadRun};
 use scwsc_core::telemetry::audit::{self, DecisionLedger};
-use scwsc_core::{coverage_target, Fanout, MetricsRecorder, SpanProfiler, ThreadPool, Threads};
+use scwsc_core::{coverage_target, Fanout, MetricsRecorder, SpanProfiler};
 use scwsc_patterns::enumerate_all;
 
 #[cfg(feature = "alloc-stats")]
@@ -29,40 +29,16 @@ pub fn record_suite(
     reps: usize,
     progress: impl FnMut(&str),
 ) -> Snapshot {
-    record_suite_on(
-        suite,
-        label,
-        reps,
-        &ThreadPool::new(Threads::serial()),
-        progress,
-    )
+    record_suite_with_metrics(suite, label, reps, progress).0
 }
 
-/// [`record_suite`] with each workload's solver fan-outs run on `pool`.
-///
-/// The deterministic counters are identical to a serial recording for any
-/// pool size — that is the parallel layer's contract and exactly what
-/// `scwsc_bench diff --counters-only` checks between a `SCWSC_THREADS=1`
-/// and a `SCWSC_THREADS=4` recording. Only `rep_secs` and span timings
-/// change.
-pub fn record_suite_on(
-    suite: &[Workload],
-    label: &str,
-    reps: usize,
-    pool: &ThreadPool,
-    progress: impl FnMut(&str),
-) -> Snapshot {
-    record_suite_with_metrics_on(suite, label, reps, pool, progress).0
-}
-
-/// [`record_suite_on`] that also returns the suite-wide merged
+/// [`record_suite`] that also returns the suite-wide merged
 /// [`MetricsRecorder`] (each workload's last rep, merged in suite order) —
 /// the source for `scwsc_bench record --export-metrics`.
-pub fn record_suite_with_metrics_on(
+pub fn record_suite_with_metrics(
     suite: &[Workload],
     label: &str,
     reps: usize,
-    pool: &ThreadPool,
     mut progress: impl FnMut(&str),
 ) -> (Snapshot, MetricsRecorder) {
     assert!(reps >= 1, "at least one rep required");
@@ -83,7 +59,7 @@ pub fn record_suite_with_metrics_on(
             let (measurement, metrics) = {
                 let mut extra = Fanout::new();
                 extra.attach(&mut profiler).attach(&mut ledger);
-                run_traced_on(w.algo, &table, &w.params, pool, &mut extra)
+                run_traced(w.algo, &table, &w.params, &mut extra)
             };
             #[cfg(feature = "alloc-stats")]
             let alloc_stats = alloc::is_active()
@@ -178,8 +154,7 @@ mod tests {
     #[test]
     fn merged_metrics_sum_the_suite_and_render_prometheus() {
         let suite = smoke_suite();
-        let pool = ThreadPool::new(Threads::serial());
-        let (snap, metrics) = record_suite_with_metrics_on(&suite, "m", 1, &pool, |_| {});
+        let (snap, metrics) = record_suite_with_metrics(&suite, "m", 1, |_| {});
         let recorded: u64 = snap
             .workloads
             .iter()
@@ -193,22 +168,5 @@ mod tests {
             .find(|s| s.name == "scwsc_benefits_computed_total")
             .expect("exported counter present");
         assert_eq!(sample.value, recorded as f64);
-    }
-
-    #[test]
-    fn parallel_recording_counters_diff_clean_against_serial() {
-        let suite = smoke_suite();
-        let serial = record_suite(&suite, "serial", 1, |_| {});
-        let pool = ThreadPool::new(Threads::new(4));
-        let parallel = record_suite_on(&suite, "parallel", 1, &pool, |_| {});
-        let report = diff(
-            &serial,
-            &parallel,
-            &DiffOptions {
-                tolerance: 0.25,
-                counters_only: true,
-            },
-        );
-        assert!(report.ok(), "{}", report.render());
     }
 }

@@ -573,16 +573,14 @@ mod tests {
 
     #[test]
     fn resilience_counters_stay_out_of_the_exact_diff_set() {
-        // Speculation and fault-recovery bookkeeping depends on thread
-        // count and timing, so it must never enter the exactly-compared
-        // counter map or the BENCH gate would flake across machines.
+        // Fault-recovery bookkeeping depends on injected faults, so it
+        // must never enter the exactly-compared counter map or the BENCH
+        // gate would flake.
         let counters = deterministic_counters(&MetricsRecorder::new());
-        for volatile in ["guesses_retried", "guesses_committed", "guesses_wasted"] {
-            assert!(
-                !counters.contains_key(volatile),
-                "{volatile} must stay out of the exact-diff set"
-            );
-        }
+        assert!(
+            !counters.contains_key("guesses_retried"),
+            "guesses_retried must stay out of the exact-diff set"
+        );
     }
 
     #[test]

@@ -21,11 +21,11 @@
 //! so a soak that fails hours in still leaves the trajectory on disk.
 
 use crate::json::Json;
-use crate::measure::run_traced_on;
+use crate::measure::run_traced;
 use crate::registry::Workload;
 use crate::snapshot::deterministic_counters;
 use scwsc_core::telemetry::window::SolveWindows;
-use scwsc_core::{Fanout, MetricsRecorder, ThreadPool, Watchdog};
+use scwsc_core::{Fanout, MetricsRecorder, Watchdog};
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -122,7 +122,6 @@ fn live_bytes() -> Option<u64> {
 pub fn soak(
     suite: &[Workload],
     opts: &SoakOptions,
-    pool: &ThreadPool,
     mut progress: impl FnMut(&str),
 ) -> Result<SoakReport, String> {
     if suite.is_empty() {
@@ -156,7 +155,7 @@ pub fn soak(
                 let mut dog = watchdog.clone();
                 let mut extra = Fanout::new();
                 extra.attach(&mut windows).attach(&mut dog);
-                run_traced_on(w.algo, &table, &w.params, pool, &mut extra)
+                run_traced(w.algo, &table, &w.params, &mut extra)
             };
             if !measurement.ok {
                 return Err(format!("iteration {iter}: workload {} failed", w.name));
@@ -276,18 +275,16 @@ pub fn soak(
 mod tests {
     use super::*;
     use crate::registry::smoke_suite;
-    use scwsc_core::Threads;
 
     #[test]
     fn smoke_soak_holds_every_invariant() {
         let suite = smoke_suite();
-        let pool = ThreadPool::new(Threads::serial());
         let opts = SoakOptions {
             iters: 5,
             window: 4,
             ..SoakOptions::default()
         };
-        let report = soak(&suite, &opts, &pool, |_| {}).expect("soak holds");
+        let report = soak(&suite, &opts, |_| {}).expect("soak holds");
         assert_eq!(report.iters, 5);
         assert_eq!(report.solves, 10, "2 workloads x 5 iterations");
         assert_eq!(report.stalls, 0);
@@ -299,7 +296,6 @@ mod tests {
     #[test]
     fn soak_writes_a_parsable_timeline() {
         let suite = smoke_suite();
-        let pool = ThreadPool::new(Threads::serial());
         let dir = std::env::temp_dir().join(format!("scwsc-soak-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("timeline.jsonl");
@@ -309,7 +305,7 @@ mod tests {
             timeline: Some(path.clone()),
             ..SoakOptions::default()
         };
-        soak(&suite, &opts, &pool, |_| {}).expect("soak holds");
+        soak(&suite, &opts, |_| {}).expect("soak holds");
         let text = std::fs::read_to_string(&path).expect("timeline written");
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3, "one line per iteration");
@@ -323,12 +319,11 @@ mod tests {
 
     #[test]
     fn soak_rejects_empty_inputs() {
-        let pool = ThreadPool::new(Threads::serial());
-        assert!(soak(&[], &SoakOptions::default(), &pool, |_| {}).is_err());
+        assert!(soak(&[], &SoakOptions::default(), |_| {}).is_err());
         let opts = SoakOptions {
             iters: 0,
             ..SoakOptions::default()
         };
-        assert!(soak(&smoke_suite(), &opts, &pool, |_| {}).is_err());
+        assert!(soak(&smoke_suite(), &opts, |_| {}).is_err());
     }
 }

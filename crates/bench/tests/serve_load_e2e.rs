@@ -27,7 +27,7 @@ fn burst_load_upholds_the_no_drop_contract() {
     let addr = listener.local_addr().unwrap().to_string();
     let state = Arc::new(ServerState::new(
         Arc::new(PatternInstance::new(small_table())),
-        ThreadPool::new(Threads::new(2)),
+        ThreadPool::new(Threads::serial()),
         ServerConfig {
             default_deadline_ms: 0,
             ..ServerConfig::default()

@@ -12,8 +12,8 @@
 use crate::cover_state::{CoverState, Incidence};
 use crate::engine::{
     panic_message, Certificate, Deadline, DegradeReason, Degraded, EngineError, SolveOutcome,
+    ThreadPool,
 };
-use crate::parallel::{CancelToken, ThreadPool};
 use crate::set_system::{coverage_target, SetId, SetSystem};
 use crate::solution::{Solution, SolveError};
 use crate::telemetry::{
@@ -240,7 +240,7 @@ pub struct CmcOutcome {
 }
 
 /// Runs Cheap Max Coverage (Figure 1 / Section V-A3 depending on
-/// `params.schedule`) on `pool`, under `deadline` (DESIGN.md §12).
+/// `params.schedule`) under `deadline` (DESIGN.md §12).
 ///
 /// The run reports its work through any [`Observer`]: one `guess_started`
 /// per budget guess (with the guessed `B`), `level_entered` for every level
@@ -249,8 +249,9 @@ pub struct CmcOutcome {
 /// 04–05 — the Figure 6 metric), `set_selected` per pick, and a `"total"`
 /// phase span. Passing `&mut Stats` aggregates these into the classic
 /// counters (`considered`, `budget_guesses`, `selections`). Each guess
-/// records into a private [`EventLog`] that replays into `obs` in budget
-/// order once the guess ends, so events arrive once per guess, not live.
+/// records into a private [`EventLog`] (one log for the whole solve,
+/// cleared per attempt) replayed into `obs` when the guess ends, so
+/// events arrive once per guess, not live.
 ///
 /// Returns [`SolveError::BudgetExhausted`] (as [`EngineError::Solve`]) when
 /// even `B` larger than the total weight of all sets cannot reach the
@@ -260,41 +261,26 @@ pub struct CmcOutcome {
 /// optimum needs nearly the whole collection would be rejected (see
 /// DESIGN.md §3).
 ///
-/// Every guess, on any pool, starts a fresh [`CoverState`] (marginal
-/// benefits, activity flags, covered bits) over one element→sets incidence
-/// — a flat CSR — built once per solve and shared by all guesses. Each
-/// guess buckets the sets by cost level once, and every line-17 scan walks
-/// only its level's bucket.
-///
-/// On a pool of `N > 1` threads the one parallel layer is **speculative
-/// guessing** (DESIGN.md §11): up to one budget guess per pool thread
-/// (`B, (1+b)B, …`) runs concurrently, each on its own [`CoverState`] over
-/// the shared incidence. The committed result is always the
-/// *smallest-budget* success; a guess is cancelled (via [`CancelToken`],
-/// checked before every pick) only once a strictly smaller budget has
-/// succeeded, so every guess the serial loop would have run completes and
-/// its recorded event log replays into `obs` in budget order. The caller's
-/// observer therefore sees the exact serial event stream, followed by one
-/// `speculation(committed, wasted)` event per window — the only counters
-/// (gated out of the exact-diff set) that differ from serial. For any
-/// thread count the outcome (solution, order of selections, final budget)
-/// and every exact counter are identical to serial.
+/// The solve runs on the calling thread, one budget guess at a time, as
+/// in Fig. 1: a larger guess runs only after the smaller one failed.
+/// `pool` is accepted so every solver family shares one signature. Every
+/// guess starts a fresh [`CoverState`] (marginal benefits, activity flags,
+/// covered bits) over one element→sets incidence — a flat CSR — built once
+/// per solve and shared by all guesses. Each guess buckets the sets by
+/// cost level once, and every line-17 scan walks only its level's bucket.
 ///
 /// One work tick is consumed per selection attempt. On expiry the run
 /// returns [`SolveOutcome::Degraded`] carrying the partial selection of
 /// the budget guess that was in flight, plus a [`Certificate`] (sets used,
 /// coverage vs. the `(1−1/e)·ŝ·n` target, cost, exhausted level quotas,
 /// ticks) that [`verify_certificate`](crate::solution::verify_certificate)
-/// independently re-checks. When the deadline is tick-addressed
-/// ([`Deadline::tick_deterministic`]) cross-guess speculation is disabled
-/// — guesses run one at a time in serial budget order — so the outcome
-/// classification, partial solution, and tick count are identical for
-/// `Threads(1)` and `Threads(N)`.
+/// independently re-checks.
 ///
 /// Panic isolation: each budget guess runs under `catch_unwind`; a
-/// panicked guess is retried once serially (counted by the
-/// `guesses_retried` telemetry event) and a second panic surfaces as
-/// [`EngineError::Panicked`] instead of unwinding.
+/// panicked guess is retried once (counted by the `guesses_retried`
+/// telemetry event; the panicked attempt's half-recorded log is
+/// discarded) and a second panic surfaces as [`EngineError::Panicked`]
+/// instead of unwinding.
 ///
 /// ```
 /// use scwsc_core::algorithms::{cmc, CmcParams};
@@ -319,7 +305,7 @@ pub struct CmcOutcome {
 pub fn cmc<O: Observer + ?Sized>(
     system: &SetSystem,
     params: &CmcParams,
-    pool: &ThreadPool,
+    _pool: &ThreadPool,
     deadline: &Deadline,
     obs: &mut O,
 ) -> Result<SolveOutcome<CmcOutcome>, EngineError> {
@@ -346,7 +332,7 @@ pub fn cmc<O: Observer + ?Sized>(
         "cmc",
     ));
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
-    let result = guess_loop(system, params, target, pool, deadline, obs);
+    let result = guess_loop(system, params, target, deadline, obs);
     span.exit(obs);
     result
 }
@@ -374,9 +360,6 @@ fn initial_budget(system: &SetSystem, k: usize) -> f64 {
 enum GuessOutcome {
     Found(Solution),
     NotFound,
-    /// Abandoned because a smaller budget already succeeded; its log is
-    /// in the discarded (wasted) range by construction.
-    Cancelled,
     /// The deadline expired mid-guess; the partial selection becomes the
     /// degraded outcome.
     Expired {
@@ -384,13 +367,6 @@ enum GuessOutcome {
         quotas_exhausted: Vec<usize>,
         reason: DegradeReason,
     },
-}
-
-/// One guess as it came back from its window: completed, or
-/// panicked (contained, to be retried).
-enum GuessAttempt {
-    Done(GuessOutcome),
-    Panicked,
 }
 
 /// Level indices whose quota was fully consumed (ascending) — the
@@ -453,16 +429,12 @@ fn level_buckets(levels: &Levels, system: &SetSystem) -> Vec<Vec<SetId>> {
 /// One iteration of the outer repeat loop (Fig. 1 lines 03–27) for a fixed
 /// budget `B` over the solve's shared `incidence`: a work tick per
 /// selection attempt and per-level quota accounting for the certificate.
-/// Before every pick it checks `cancel` and abandons the guess once a
-/// smaller speculative budget has succeeded.
-#[allow(clippy::too_many_arguments)]
 fn run_guess(
     system: &SetSystem,
     params: &CmcParams,
     budget: f64,
     target: usize,
     incidence: &Incidence,
-    cancel: &CancelToken,
     deadline: &Deadline,
     log: &mut EventLog,
 ) -> GuessOutcome {
@@ -489,10 +461,6 @@ fn run_guess(
     let select_span = PhaseSpan::enter(log, PHASE_SELECT);
     for level in 0..levels.len() {
         for _ in 0..levels.quota(level) {
-            if cancel.is_cancelled() {
-                select_span.exit(log);
-                return GuessOutcome::Cancelled;
-            }
             if let Err(reason) = deadline.checkpoint() {
                 select_span.exit(log);
                 let quotas_exhausted = exhausted_quotas(&levels, &counts);
@@ -522,202 +490,105 @@ fn run_guess(
     GuessOutcome::NotFound
 }
 
-/// The Fig. 1 outer repeat loop, run in windows of consecutive budget
-/// guesses.
-///
-/// On a parallel pool without a tick-addressed deadline a window holds
-/// one speculative guess per pool thread; otherwise it holds one guess,
-/// so guesses run in serial budget order and the tick stream is the same
-/// for any thread count. Every guess scans its own [`CoverState`], all
-/// over one element→sets incidence built here.
-///
-/// Each guess runs under `catch_unwind` into a private [`EventLog`],
-/// replayed into `obs` only on completion. A panicked guess is retried
-/// once serially on the calling thread (its half-recorded log is
-/// discarded, so replayed telemetry stays serial-identical) and a second
-/// panic becomes [`EngineError::Panicked`].
+/// The Fig. 1 outer repeat loop: one budget guess at a time, each on its
+/// own [`CoverState`] over one element→sets incidence built here, with
+/// per-guess panic containment and deadline checkpoints.
 fn guess_loop<O: Observer + ?Sized>(
     system: &SetSystem,
     params: &CmcParams,
     target: usize,
-    pool: &ThreadPool,
     deadline: &Deadline,
     obs: &mut O,
 ) -> Result<SolveOutcome<CmcOutcome>, EngineError> {
-    let speculate = !pool.is_serial() && !deadline.tick_deterministic();
-    let window_len = if speculate { pool.threads() } else { 1 };
     let total_cost = system.total_cost().value();
     let incidence = Incidence::build(system);
-    // One attempt at (1-based) guess `index`; panics propagate.
-    let run_attempt = |budget: f64, index: u64, cancel: &CancelToken, log: &mut EventLog| {
-        log.on(&Event::GuessStarted(Some(budget)));
-        let guess_span = PhaseSpan::enter(log, PHASE_GUESS);
-        deadline.fault_guess(index);
-        let outcome = run_guess(
-            system, params, budget, target, &incidence, cancel, deadline, log,
-        );
-        guess_span.exit(log);
-        outcome
-    };
     let mut budget = initial_budget(system, params.k);
-    let mut next_guess_index = 0u64;
+    // One log for every guess and retry: cleared per attempt, so its
+    // capacity is allocated once per solve rather than once per guess.
+    let mut log = EventLog::new();
+    let mut guess_index = 0u64;
 
     loop {
-        // The window replicates the serial budget sequence, including the
-        // final guess *after* budget exceeds the total cost (the serial
-        // loop runs that one before giving up).
-        let mut budgets = Vec::with_capacity(window_len);
-        let mut exhausts = false;
-        let mut b = budget;
-        for _ in 0..window_len {
-            budgets.push(b);
-            if b > total_cost {
-                exhausts = true;
-                break;
+        guess_index += 1;
+        let attempt = |log: &mut EventLog| {
+            log.clear();
+            catch_unwind(AssertUnwindSafe(|| {
+                log.on(&Event::GuessStarted(Some(budget)));
+                let guess_span = PhaseSpan::enter(log, PHASE_GUESS);
+                deadline.fault_guess(guess_index);
+                let outcome = run_guess(system, params, budget, target, &incidence, deadline, log);
+                guess_span.exit(log);
+                outcome
+            }))
+        };
+        let outcome = match attempt(&mut log) {
+            Ok(outcome) => outcome,
+            Err(_) => {
+                // Retry once; the panicked attempt's log is discarded.
+                obs.on(&Event::GuessRetried);
+                match attempt(&mut log) {
+                    Ok(outcome) => outcome,
+                    Err(payload) => {
+                        return Err(EngineError::Panicked(panic_message(payload.as_ref())))
+                    }
+                }
             }
-            b *= 1.0 + params.budget_growth; // line 28
-        }
-        let next_budget = b;
-        let base_index = next_guess_index;
-        next_guess_index += budgets.len() as u64;
-
-        let cancels: Vec<CancelToken> = budgets.iter().map(|_| CancelToken::new()).collect();
-        let tasks: Vec<(usize, f64)> = budgets.iter().copied().enumerate().collect();
-        let mut attempts: Vec<(EventLog, GuessAttempt)> = pool.par_map(&tasks, |&(i, guess)| {
-            let mut log = EventLog::new();
-            let index = base_index + i as u64 + 1;
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                run_attempt(guess, index, &cancels[i], &mut log)
-            }));
-            let attempt = match result {
-                Ok(outcome) => {
-                    if matches!(outcome, GuessOutcome::Found(_)) {
-                        // Cancel only strictly larger budgets: smaller ones
-                        // may still succeed and must win the commit.
-                        for token in &cancels[i + 1..] {
-                            token.cancel();
-                        }
-                    }
-                    GuessAttempt::Done(outcome)
-                }
-                Err(_) => GuessAttempt::Panicked,
-            };
-            (log, attempt)
-        });
-
-        // Resolve the window in budget order, replaying each committed
-        // guess's log — exactly the guesses the serial loop would have run,
-        // up to and including the first success/expiry.
-        let window = attempts.len();
-        let mut committed = 0usize;
-        let mut resolved: Option<Result<SolveOutcome<CmcOutcome>, EngineError>> = None;
-        for (j, (log, attempt)) in attempts.iter_mut().enumerate() {
-            let taken = std::mem::replace(attempt, GuessAttempt::Done(GuessOutcome::Cancelled));
-            let outcome = match taken {
-                GuessAttempt::Done(outcome) => {
-                    log.replay(obs);
-                    outcome
-                }
-                GuessAttempt::Panicked => {
-                    // Retry once, serially, on the calling thread.
-                    obs.on(&Event::GuessRetried);
-                    let mut retry_log = EventLog::new();
-                    let index = base_index + j as u64 + 1;
-                    let retried = catch_unwind(AssertUnwindSafe(|| {
-                        run_attempt(budgets[j], index, &CancelToken::new(), &mut retry_log)
-                    }));
-                    match retried {
-                        Ok(outcome) => {
-                            retry_log.replay(obs);
-                            outcome
-                        }
-                        Err(payload) => {
-                            resolved =
-                                Some(Err(EngineError::Panicked(panic_message(payload.as_ref()))));
-                            break;
-                        }
-                    }
-                }
-            };
-            committed = j + 1;
-            match outcome {
-                GuessOutcome::Found(solution) => {
-                    resolved = Some(Ok(SolveOutcome::Complete(CmcOutcome {
-                        solution,
-                        final_budget: budgets[j],
-                    })));
-                    break;
-                }
-                GuessOutcome::Expired {
+        };
+        log.replay(obs);
+        match outcome {
+            GuessOutcome::Found(solution) => {
+                return Ok(SolveOutcome::Complete(CmcOutcome {
+                    solution,
+                    final_budget: budget,
+                }))
+            }
+            GuessOutcome::Expired {
+                partial,
+                quotas_exhausted,
+                reason,
+            } => {
+                return Ok(degrade(
+                    system,
                     partial,
                     quotas_exhausted,
                     reason,
-                } => {
-                    resolved = Some(Ok(degrade(
-                        system,
-                        partial,
-                        quotas_exhausted,
-                        reason,
-                        target,
-                        budgets[j],
-                        deadline,
-                        obs,
-                    )));
-                    break;
-                }
-                GuessOutcome::NotFound => {}
-                GuessOutcome::Cancelled => {
-                    // Only a strictly smaller Found budget cancels, and
-                    // resolution breaks at that budget first.
-                    debug_assert!(false, "cancelled guess reached resolution");
-                }
+                    target,
+                    budget,
+                    deadline,
+                    obs,
+                ))
             }
+            GuessOutcome::NotFound => {}
         }
-        if speculate {
-            obs.on(&Event::Speculation(
-                committed as u64,
-                (window - committed) as u64,
-            ));
-        }
-        if let Some(result) = resolved {
-            return result;
-        }
-        if exhausts {
+        // The final guess runs *after* the budget exceeds the total cost
+        // (DESIGN.md §3); only its failure exhausts the loop.
+        if budget > total_cost {
             return Err(SolveError::BudgetExhausted.into());
         }
-        budget = next_budget;
+        budget *= 1.0 + params.budget_growth; // line 28
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::Threads;
+    use crate::engine::Threads;
     use crate::solution::{verify, Requirements};
     use crate::stats::Stats;
 
-    /// [`cmc`] on `threads` workers without a deadline, unwrapped to the
-    /// complete outcome or the solve error.
-    fn solve_on(
-        system: &SetSystem,
-        params: &CmcParams,
-        threads: usize,
-        obs: &mut dyn Observer,
-    ) -> Result<CmcOutcome, SolveError> {
-        let pool = ThreadPool::new(Threads::new(threads));
-        match cmc(system, params, &pool, &Deadline::unbounded(), obs) {
-            Ok(outcome) => Ok(outcome.expect_complete("unbounded deadline")),
-            Err(EngineError::Solve(e)) => Err(e),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
+    /// [`cmc`] without a deadline, unwrapped to the complete outcome or
+    /// the solve error.
     fn solve(
         system: &SetSystem,
         params: &CmcParams,
         obs: &mut dyn Observer,
     ) -> Result<CmcOutcome, SolveError> {
-        solve_on(system, params, 1, obs)
+        let pool = ThreadPool::new(Threads::serial());
+        match cmc(system, params, &pool, &Deadline::unbounded(), obs) {
+            Ok(outcome) => Ok(outcome.expect_complete("unbounded deadline")),
+            Err(EngineError::Solve(e)) => Err(e),
+            Err(e) => panic!("{e}"),
+        }
     }
 
     fn system() -> SetSystem {
@@ -996,97 +867,6 @@ mod tests {
         }
     }
 
-    /// Deterministic pseudo-random system (LCG) for parallel-vs-serial
-    /// comparisons.
-    fn lcg_system(num_elements: usize, num_sets: usize, seed: u64) -> SetSystem {
-        let mut state = seed;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as usize
-        };
-        let mut b = SetSystem::builder(num_elements);
-        for _ in 0..num_sets {
-            let len = 1 + next() % 6;
-            let members: Vec<u32> = (0..len).map(|_| (next() % num_elements) as u32).collect();
-            let cost = 1.0 + (next() % 100) as f64 / 10.0;
-            b.add_set(members, cost);
-        }
-        b.add_universe_set(num_elements as f64 * 2.0);
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn cmc_on_matches_serial_for_any_thread_count() {
-        use crate::telemetry::MetricsRecorder;
-        let sys = lcg_system(200, 64, 42);
-        for schedule in [LevelSchedule::Classic, LevelSchedule::Epsilon(0.5)] {
-            let params = CmcParams {
-                schedule,
-                ..CmcParams::classic(4, 0.9, 0.5)
-            };
-            let mut sm = MetricsRecorder::new();
-            let serial = solve(&sys, &params, &mut sm).unwrap();
-            for n in [2usize, 4] {
-                let mut pm = MetricsRecorder::new();
-                let par = solve_on(&sys, &params, n, &mut pm).unwrap();
-                assert_eq!(par.solution, serial.solution, "threads {n}");
-                assert_eq!(par.final_budget, serial.final_budget);
-                assert_eq!(pm.guesses, sm.guesses);
-                assert_eq!(pm.selections, sm.selections);
-                assert_eq!(pm.benefits_computed, sm.benefits_computed);
-                assert_eq!(pm.marginal_benefit_hist, sm.marginal_benefit_hist);
-                // Every serial guess is committed, never more or fewer.
-                assert_eq!(pm.guesses_committed, sm.guesses);
-                assert_eq!(sm.guesses_committed, 0, "serial never speculates");
-            }
-        }
-    }
-
-    #[test]
-    fn cancelled_guess_stops_before_its_first_pick() {
-        use crate::telemetry::MetricsRecorder;
-        let sys = system();
-        let params = CmcParams::classic(2, 1.0, 1.0);
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        let deadline = Deadline::unbounded();
-        let mut log = EventLog::new();
-        let outcome = run_guess(
-            &sys,
-            &params,
-            sys.total_cost().value(),
-            12,
-            &Incidence::build(&sys),
-            &cancel,
-            &deadline,
-            &mut log,
-        );
-        assert!(matches!(outcome, GuessOutcome::Cancelled));
-        assert_eq!(deadline.ticks(), 0, "a cancelled guess charges no tick");
-        let mut m = MetricsRecorder::new();
-        log.replay(&mut m);
-        assert_eq!(m.selections, 0);
-        assert_eq!(m.rounds_audited, 0);
-    }
-
-    #[test]
-    fn cmc_on_budget_exhaustion_matches_serial() {
-        use crate::telemetry::MetricsRecorder;
-        let mut b = SetSystem::builder(4);
-        b.add_set([0], 1.0).add_set([1], 1.0);
-        let sys = b.build().unwrap();
-        let params = CmcParams::classic(1, 1.0, 1.0);
-        let mut sm = MetricsRecorder::new();
-        let serial = solve(&sys, &params, &mut sm);
-        let mut pm = MetricsRecorder::new();
-        let par = solve_on(&sys, &params, 4, &mut pm);
-        assert_eq!(par, serial);
-        assert_eq!(par.unwrap_err(), SolveError::BudgetExhausted);
-        assert_eq!(pm.guesses, sm.guesses, "exhaustion runs the same guesses");
-    }
-
     mod within {
         use super::*;
         use crate::solution::verify_certificate;
@@ -1119,36 +899,17 @@ mod tests {
         }
 
         #[test]
-        fn tick_budget_outcome_is_thread_count_invariant() {
-            let sys = chain_system(14);
-            let params = CmcParams::classic(7, 1.0, 1.0);
-            for budget in [0, 1, 2, 5, 9, 50] {
-                let run = |threads: usize| {
-                    let pool = ThreadPool::new(Threads::new(threads));
-                    let deadline = Deadline::unbounded().with_tick_budget(budget);
-                    let mut m = MetricsRecorder::new();
-                    let out = cmc(&sys, &params, &pool, &deadline, &mut m).unwrap();
-                    (out, deadline.ticks(), m.guesses, m.selections)
-                };
-                assert_eq!(run(1), run(4), "tick budget {budget}");
-            }
-        }
-
-        #[test]
         fn zero_wall_clock_degrades_immediately() {
             let sys = chain_system(8);
             let params = CmcParams::classic(4, 1.0, 1.0);
-            for threads in [1, 4] {
-                let pool = ThreadPool::new(Threads::new(threads));
-                let deadline = Deadline::unbounded().with_wall_clock(Duration::ZERO);
-                let out =
-                    cmc(&sys, &params, &pool, &deadline, &mut MetricsRecorder::new()).unwrap();
-                let SolveOutcome::Degraded(d) = out else {
-                    panic!("zero wall clock must degrade");
-                };
-                assert_eq!(d.certificate.reason, DegradeReason::WallClock);
-                assert!(verify_certificate(&sys, &d.partial.solution, &d.certificate).is_valid());
-            }
+            let pool = ThreadPool::new(Threads::serial());
+            let deadline = Deadline::unbounded().with_wall_clock(Duration::ZERO);
+            let out = cmc(&sys, &params, &pool, &deadline, &mut MetricsRecorder::new()).unwrap();
+            let SolveOutcome::Degraded(d) = out else {
+                panic!("zero wall clock must degrade");
+            };
+            assert_eq!(d.certificate.reason, DegradeReason::WallClock);
+            assert!(verify_certificate(&sys, &d.partial.solution, &d.certificate).is_valid());
         }
 
         #[test]
@@ -1205,33 +966,28 @@ mod tests {
             let sys = system();
             let params = CmcParams::classic(5, 1.0, 1.0);
             let clean = solve(&sys, &params, &mut MetricsRecorder::new()).unwrap();
-            for threads in [1, 4] {
-                let pool = ThreadPool::new(Threads::new(threads));
-                let deadline =
-                    Deadline::unbounded().with_fault_plan(FaultPlan::new().panic_guess_once(1));
-                let mut m = MetricsRecorder::new();
-                let out = cmc(&sys, &params, &pool, &deadline, &mut m).unwrap();
-                match out {
-                    SolveOutcome::Complete(outcome) => assert_eq!(outcome, clean),
-                    SolveOutcome::Degraded(_) => panic!("fault retry must complete"),
-                }
-                assert_eq!(m.guesses_retried, 1, "threads {threads}");
+            let pool = ThreadPool::new(Threads::serial());
+            let deadline =
+                Deadline::unbounded().with_fault_plan(FaultPlan::new().panic_guess_once(1));
+            let mut m = MetricsRecorder::new();
+            let out = cmc(&sys, &params, &pool, &deadline, &mut m).unwrap();
+            match out {
+                SolveOutcome::Complete(outcome) => assert_eq!(outcome, clean),
+                SolveOutcome::Degraded(_) => panic!("fault retry must complete"),
             }
+            assert_eq!(m.guesses_retried, 1);
         }
 
         #[test]
         fn persistent_guess_fault_is_a_structured_error() {
             let sys = system();
             let params = CmcParams::classic(5, 1.0, 1.0);
-            for threads in [1, 4] {
-                let pool = ThreadPool::new(Threads::new(threads));
-                let deadline =
-                    Deadline::unbounded().with_fault_plan(FaultPlan::new().fail_guess(1));
-                let mut m = MetricsRecorder::new();
-                let err = cmc(&sys, &params, &pool, &deadline, &mut m).unwrap_err();
-                assert!(matches!(err, EngineError::Panicked(_)), "threads {threads}");
-                assert_eq!(m.guesses_retried, 1);
-            }
+            let pool = ThreadPool::new(Threads::serial());
+            let deadline = Deadline::unbounded().with_fault_plan(FaultPlan::new().fail_guess(1));
+            let mut m = MetricsRecorder::new();
+            let err = cmc(&sys, &params, &pool, &deadline, &mut m).unwrap_err();
+            assert!(matches!(err, EngineError::Panicked(_)));
+            assert_eq!(m.guesses_retried, 1);
         }
 
         #[test]

@@ -11,8 +11,8 @@
 use crate::cover_state::CoverState;
 use crate::engine::{
     panic_message, Certificate, Deadline, DegradeReason, Degraded, EngineError, SolveOutcome,
+    ThreadPool,
 };
-use crate::parallel::ThreadPool;
 use crate::set_system::{coverage_target, SetId, SetSystem};
 use crate::solution::{Solution, SolveError};
 use crate::telemetry::{
@@ -37,11 +37,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// a `"total"` phase span. Passing `&mut Stats` aggregates these into the
 /// classic counters, as below.
 ///
-/// Every selection scans one [`CoverState`] on the calling thread. `pool`
-/// is taken only for the solver family's shared signature (as
-/// `opt_cwsc` does): CWSC is one greedy round with nothing to run in
-/// parallel, so the selected sets, their order, every event and the tick
-/// count are the same for any thread count (DESIGN.md §11).
+/// Every selection scans one [`CoverState`] on the calling thread
+/// (DESIGN.md §11). `pool` is taken only for the solver family's shared
+/// signature.
 ///
 /// One work tick is consumed per selection round. On expiry the picks made
 /// so far become a [`SolveOutcome::Degraded`] partial solution with a
@@ -214,34 +212,24 @@ fn run<O: Observer + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::Threads;
+    use crate::engine::Threads;
     use crate::stats::Stats;
     use crate::telemetry::Observer;
 
-    /// [`cwsc`] on `threads` workers without a deadline, unwrapped to the
-    /// complete solution or the solve error.
-    fn solve_on(
-        system: &SetSystem,
-        k: usize,
-        coverage: f64,
-        threads: usize,
-        obs: &mut dyn Observer,
-    ) -> Result<Solution, SolveError> {
-        let pool = ThreadPool::new(Threads::new(threads));
-        match cwsc(system, k, coverage, &pool, &Deadline::unbounded(), obs) {
-            Ok(outcome) => Ok(outcome.expect_complete("unbounded deadline")),
-            Err(EngineError::Solve(e)) => Err(e),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
+    /// [`cwsc`] without a deadline, unwrapped to the complete solution or
+    /// the solve error.
     fn solve(
         system: &SetSystem,
         k: usize,
         coverage: f64,
         obs: &mut dyn Observer,
     ) -> Result<Solution, SolveError> {
-        solve_on(system, k, coverage, 1, obs)
+        let pool = ThreadPool::new(Threads::serial());
+        match cwsc(system, k, coverage, &pool, &Deadline::unbounded(), obs) {
+            Ok(outcome) => Ok(outcome.expect_complete("unbounded deadline")),
+            Err(EngineError::Solve(e)) => Err(e),
+            Err(e) => panic!("{e}"),
+        }
     }
 
     /// The paper's worked example systems are exercised in the data crate;
@@ -358,42 +346,19 @@ mod tests {
     }
 
     #[test]
-    fn cwsc_on_matches_serial_for_any_thread_count() {
-        use crate::telemetry::MetricsRecorder;
-        let mut b = SetSystem::builder(64);
-        for i in 0..32u32 {
-            let members: Vec<u32> = (0..=(i % 7)).map(|j| (i * 3 + j * 5) % 64).collect();
-            b.add_set(members, 1.0 + (i % 9) as f64);
-        }
-        b.add_universe_set(200.0);
-        let sys = b.build().unwrap();
-        let mut sm = MetricsRecorder::new();
-        let serial = solve(&sys, 4, 0.8, &mut sm).unwrap();
-        for n in [2usize, 4, 8] {
-            let mut pm = MetricsRecorder::new();
-            let par = solve_on(&sys, 4, 0.8, n, &mut pm).unwrap();
-            assert_eq!(par, serial, "threads {n}");
-            assert_eq!(pm.selections, sm.selections);
-            assert_eq!(pm.benefits_computed, sm.benefits_computed);
-            assert_eq!(pm.guesses, sm.guesses);
-            assert_eq!(pm.marginal_benefit_hist, sm.marginal_benefit_hist);
-        }
-    }
-
-    #[test]
-    fn cwsc_on_error_paths_match_serial() {
+    fn cwsc_error_paths() {
         let mut b = SetSystem::builder(4);
         b.add_set([0], 1.0).add_set([1], 1.0);
         let sys = b.build().unwrap();
         assert_eq!(
-            solve_on(&sys, 1, 0.5, 4, &mut Stats::new()),
+            solve(&sys, 1, 0.5, &mut Stats::new()),
             Err(SolveError::NoSolution)
         );
         assert_eq!(
-            solve_on(&sys, 0, 0.5, 4, &mut Stats::new()),
+            solve(&sys, 0, 0.5, &mut Stats::new()),
             Err(SolveError::ZeroSizeBound)
         );
-        let empty = solve_on(&sys, 1, 0.0, 4, &mut Stats::new()).unwrap();
+        let empty = solve(&sys, 1, 0.0, &mut Stats::new()).unwrap();
         assert_eq!(empty.size(), 0);
     }
 
@@ -414,7 +379,7 @@ mod tests {
         use crate::telemetry::MetricsRecorder;
 
         #[test]
-        fn tick_budget_degrades_identically_across_thread_counts() {
+        fn tick_budget_degrades_to_a_verified_prefix() {
             let mut b = SetSystem::builder(12);
             for i in 0..12u32 {
                 b.add_set([i], 1.0);
@@ -422,16 +387,11 @@ mod tests {
             b.add_universe_set(300.0);
             let sys = b.build().unwrap();
             for budget in [0u64, 1, 2, 4] {
-                let run = |threads: usize| {
-                    let pool = ThreadPool::new(Threads::new(threads));
-                    let deadline = Deadline::unbounded().with_tick_budget(budget);
-                    let out =
-                        cwsc(&sys, 12, 1.0, &pool, &deadline, &mut MetricsRecorder::new()).unwrap();
-                    (out, deadline.ticks())
-                };
-                let (serial, serial_ticks) = run(1);
-                assert_eq!((serial.clone(), serial_ticks), run(4), "budget {budget}");
-                let SolveOutcome::Degraded(d) = serial else {
+                let pool = ThreadPool::new(Threads::serial());
+                let deadline = Deadline::unbounded().with_tick_budget(budget);
+                let out =
+                    cwsc(&sys, 12, 1.0, &pool, &deadline, &mut MetricsRecorder::new()).unwrap();
+                let SolveOutcome::Degraded(d) = out else {
                     panic!("budget {budget} cannot cover 12 singleton picks");
                 };
                 assert_eq!(d.certificate.reason, DegradeReason::TickBudget);

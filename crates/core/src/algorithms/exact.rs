@@ -170,8 +170,7 @@ impl<O: Observer + ?Sized> Search<'_, O> {
 mod tests {
     use super::*;
     use crate::algorithms::cwsc::cwsc;
-    use crate::engine::Deadline;
-    use crate::parallel::{ThreadPool, Threads};
+    use crate::engine::{Deadline, ThreadPool, Threads};
     use crate::set_system::coverage_target;
     use crate::stats::Stats;
     use crate::telemetry::NoopObserver;

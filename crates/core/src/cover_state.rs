@@ -25,7 +25,7 @@ use std::cmp::Ordering;
 /// A candidate in a greedy arg-max: a set id with its *current* marginal
 /// benefit and its cost. The free comparators below define the canonical
 /// selection order of [`CoverState`]'s scans, which every flat greedy
-/// solver selects through on any thread count.
+/// solver selects through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Candidate {
     /// Set id (ties break toward the lower id).

@@ -9,8 +9,7 @@
 //!   budget, checked cooperatively at round boundaries via
 //!   [`checkpoint`](Deadline::checkpoint). The tick budget counts solver
 //!   *decisions* (selection attempts, heap pops, sweep rounds), not time,
-//!   so a `max_ticks` run expires at the same point on every machine and
-//!   every thread count.
+//!   so a `max_ticks` run expires at the same point on every machine.
 //! * [`SolveOutcome`] — `Complete(T)` or [`Degraded`], the latter carrying
 //!   the best-so-far partial solution plus a [`Certificate`] that
 //!   [`verify_certificate`](crate::solution::verify_certificate)
@@ -24,23 +23,67 @@
 //!   input + fault schedule ever panics, hangs, or yields a certificate
 //!   that fails verification.
 //!
-//! # Determinism contract
+//! # Threads
 //!
-//! Speculative budget guessing runs guesses on scoped threads, which
-//! would interleave their ticks nondeterministically. Solvers therefore
-//! disable cross-guess speculation whenever the deadline is
-//! *tick-addressed* ([`Deadline::tick_deterministic`]): guesses run in
-//! serial order, so the tick stream, the expiry point, and the outcome
-//! classification are identical for `Threads(1)` and `Threads(N)`.
-//! Wall-clock-only deadlines keep speculation and trade that parity for
-//! throughput.
+//! Every solve runs on the calling thread. [`ThreadPool`] and [`Threads`]
+//! survive only as field-less arguments of the solver signatures; no
+//! solver reads them.
 
-use crate::parallel::CancelToken;
 use crate::solution::SolveError;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The thread configuration every solver signature takes. Field-less:
+/// every solve runs on the calling thread.
+#[derive(Debug, Clone, Copy)]
+pub struct Threads;
+
+impl Threads {
+    /// The only configuration: the calling thread.
+    pub fn serial() -> Self {
+        Threads
+    }
+}
+
+/// The pool argument every solver signature takes. It holds nothing and
+/// no solver reads it: every solve runs on the calling thread.
+#[derive(Debug)]
+pub struct ThreadPool;
+
+impl ThreadPool {
+    /// A pool for `threads`; spawns nothing.
+    pub fn new(_threads: Threads) -> Self {
+        ThreadPool
+    }
+}
+
+/// Cooperative cancellation flag behind a [`Deadline`].
+///
+/// Cancellation is advisory: a solver sees it at its next
+/// [`Deadline::checkpoint`] and returns its partial progress.
+#[derive(Debug, Default)]
+pub struct CancelToken(AtomicBool);
+
+impl CancelToken {
+    /// A fresh, un-cancelled token.
+    pub fn new() -> Self {
+        CancelToken(AtomicBool::new(false))
+    }
+
+    /// Requests cancellation; idempotent.
+    #[inline]
+    pub fn cancel(&self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+
+    /// True once [`CancelToken::cancel`] has been called.
+    #[inline]
+    pub fn is_cancelled(&self) -> bool {
+        self.0.load(Ordering::Relaxed)
+    }
+}
 
 /// Why a solve was degraded (or a [`Deadline::checkpoint`] call failed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -125,7 +168,7 @@ impl Deadline {
     }
 
     /// Expire after `max_ticks` checkpoints — a deterministic work budget
-    /// independent of machine speed and thread count.
+    /// independent of machine speed.
     pub fn with_tick_budget(mut self, max_ticks: u64) -> Deadline {
         self.max_ticks = Some(max_ticks);
         self
@@ -184,21 +227,6 @@ impl Deadline {
     pub fn wall_remaining(&self) -> Option<Duration> {
         self.wall
             .map(|deadline| deadline.saturating_duration_since(Instant::now()))
-    }
-
-    /// True when expiry depends only on the tick stream (a tick budget is
-    /// set, or an attached fault plan triggers on ticks) — the condition
-    /// under which solvers run guesses serially so the
-    /// outcome is identical for every thread count.
-    pub fn tick_deterministic(&self) -> bool {
-        if self.max_ticks.is_some() {
-            return true;
-        }
-        #[cfg(feature = "fault-inject")]
-        if let Some(plan) = &self.fault {
-            return plan.tick_addressed();
-        }
-        false
     }
 
     /// Consumes one tick of work and reports whether the solver may
@@ -297,11 +325,7 @@ impl TickProbe {
 /// A deterministic, seeded fault injector attached to a [`Deadline`].
 ///
 /// Compiled only under the `fault-inject` feature so production builds
-/// carry no injection branches. Tick-addressed faults (panic/cancel at
-/// tick N) make the deadline [`tick_deterministic`](Deadline::tick_deterministic),
-/// which disables speculation; guess-addressed faults (panic on guess i)
-/// keep speculation enabled and still fire deterministically, because
-/// serial guess indices are thread-count-invariant.
+/// carry no injection branches.
 #[cfg(feature = "fault-inject")]
 #[derive(Debug, Default)]
 pub struct FaultPlan {
@@ -363,9 +387,8 @@ impl FaultPlan {
     }
 
     /// Sleep `millis` (once) at the first checkpoint with tick ≥ `tick` —
-    /// a pure liveness stall for exercising the watchdog. Deliberately
-    /// *not* tick-addressed for speculation purposes: a sleep changes no
-    /// outcome, so it must not force serial guessing.
+    /// a pure liveness stall for exercising the watchdog; it changes no
+    /// outcome.
     pub fn stall_at_tick(mut self, tick: u64, millis: u64) -> FaultPlan {
         self.stall_at_tick = Some((tick, millis));
         self
@@ -423,12 +446,6 @@ impl FaultPlan {
             plan = plan.fail_guess(1 + next() % 4);
         }
         plan
-    }
-
-    /// Whether any fault triggers on the tick stream (disables
-    /// speculation; see module docs).
-    pub fn tick_addressed(&self) -> bool {
-        self.panic_at_tick.is_some() || self.cancel_at_tick.is_some()
     }
 
     fn cancel_due(&self, tick: u64) -> bool {
@@ -620,13 +637,11 @@ mod tests {
         }
         assert_eq!(d.ticks(), 1000);
         assert_eq!(d.expired(), None);
-        assert!(!d.tick_deterministic());
     }
 
     #[test]
     fn tick_budget_expires_deterministically() {
         let d = Deadline::unbounded().with_tick_budget(3);
-        assert!(d.tick_deterministic());
         assert_eq!(d.checkpoint(), Ok(()));
         assert_eq!(d.checkpoint(), Ok(()));
         assert_eq!(d.checkpoint(), Ok(()));
@@ -645,7 +660,6 @@ mod tests {
     #[test]
     fn elapsed_wall_clock_expires() {
         let d = Deadline::unbounded().with_wall_clock(Duration::ZERO);
-        assert!(!d.tick_deterministic());
         assert_eq!(d.checkpoint(), Err(DegradeReason::WallClock));
     }
 
@@ -799,7 +813,6 @@ mod tests {
         #[test]
         fn panic_at_tick_fires_once() {
             let d = Deadline::unbounded().with_fault_plan(FaultPlan::new().panic_at_tick(2));
-            assert!(d.tick_deterministic(), "tick-addressed fault");
             assert_eq!(d.checkpoint(), Ok(()));
             let err = catch_unwind(AssertUnwindSafe(|| d.checkpoint()));
             assert!(err.is_err(), "tick 2 panics");
@@ -816,12 +829,8 @@ mod tests {
         }
 
         #[test]
-        fn guess_faults_do_not_force_serial_guessing() {
+        fn guess_fault_fires_once_on_its_guess() {
             let d = Deadline::unbounded().with_fault_plan(FaultPlan::new().panic_guess_once(2));
-            assert!(
-                !d.tick_deterministic(),
-                "guess-addressed faults keep speculation"
-            );
             assert_eq!(d.checkpoint(), Ok(()));
             d.fault_guess(1); // wrong index: no panic
             let err = catch_unwind(AssertUnwindSafe(|| d.fault_guess(2)));
@@ -841,7 +850,6 @@ mod tests {
         #[test]
         fn stall_fires_once_and_changes_no_outcome() {
             let d = Deadline::unbounded().with_fault_plan(FaultPlan::new().stall_at_tick(2, 30));
-            assert!(!d.tick_deterministic(), "a sleep is not tick-addressed");
             assert_eq!(d.checkpoint(), Ok(()));
             let before = Instant::now();
             assert_eq!(d.checkpoint(), Ok(()), "stalled but not degraded");

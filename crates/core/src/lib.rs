@@ -54,7 +54,6 @@ pub mod engine;
 pub mod incremental;
 pub mod json;
 pub mod multiweight;
-pub mod parallel;
 pub mod set_system;
 pub mod solution;
 pub mod solver;
@@ -67,11 +66,10 @@ pub use cover_state::{Candidate, CoverState};
 #[cfg(feature = "fault-inject")]
 pub use engine::FaultPlan;
 pub use engine::{
-    panic_message, Certificate, Deadline, DegradeReason, Degraded, EngineError, SolveOutcome,
-    TickProbe,
+    panic_message, CancelToken, Certificate, Deadline, DegradeReason, Degraded, EngineError,
+    SolveOutcome, ThreadPool, Threads, TickProbe,
 };
 pub use json::Json;
-pub use parallel::{CancelToken, ThreadPool, Threads};
 pub use set_system::{coverage_target, BuildError, ElementId, SetId, SetSystem, WeightedSet};
 pub use solution::{
     verify, verify_certificate, CertificateCheck, Requirements, Solution, SolveError, Verification,

@@ -12,11 +12,12 @@
 //!   non-dominated, giving the decision-maker a trade-off frontier.
 
 use crate::algorithms::cwsc::cwsc_to_target;
-use crate::engine::{Certificate, Deadline, DegradeReason, Degraded, EngineError, SolveOutcome};
-use crate::parallel::ThreadPool;
+use crate::engine::{
+    Certificate, Deadline, DegradeReason, Degraded, EngineError, SolveOutcome, ThreadPool,
+};
 use crate::set_system::{coverage_target, ElementId, SetId, SetSystem};
 use crate::solution::{Solution, SolveError};
-use crate::telemetry::{pack_k_target, Event, EventLog, Observer, PhaseSpan, TraceId};
+use crate::telemetry::{pack_k_target, Event, Observer, PhaseSpan, TraceId};
 
 /// Span name for one whole [`pareto_sweep`] run. Distinct from
 /// [`crate::telemetry::PHASE_TOTAL`] so the sweep's wrapper span does not
@@ -180,8 +181,8 @@ pub fn dominates(a: &[f64], b: &[f64]) -> bool {
 }
 
 /// Solves CWSC under each preference vector and keeps the non-dominated
-/// outcomes (by aggregate weight vector), on `pool`, under `deadline`
-/// (DESIGN.md §12).
+/// outcomes (by aggregate weight vector), under `deadline` (DESIGN.md
+/// §12).
 ///
 /// The whole sweep runs inside a [`PHASE_SWEEP`] span; each preference
 /// vector contributes a [`PHASE_SCALARIZE`] span and the inner solver's own
@@ -198,21 +199,16 @@ pub fn dominates(a: &[f64], b: &[f64]) -> bool {
 /// progress: `covered` = λs completed, `target` = total λs, `sets_used` =
 /// frontier size, `total_cost` = 0.
 ///
-/// Under a tick-addressed deadline (or a serial pool) λs run one after
-/// another in order, so outcomes match between thread counts. Otherwise
-/// [`ThreadPool::par_map`] fans them out, each λ's single-threaded solve
-/// recording into a private [`EventLog`]; the logs replay into `obs` in λ
-/// order, so the observer sees the serial event stream and the frontier
-/// (built from points in λ order) is the serial one. On error the logs up
-/// to and including the first failing λ replay before the error returns,
-/// matching the serial early exit. A panicking solve surfaces as
-/// [`MultiWeightError::Faulted`].
+/// The λs are solved in order on the calling thread, each emitting
+/// straight into `obs`; the sweep stops at the first expiry or error.
+/// `pool` is accepted so every solver family shares one signature. A
+/// panicking solve surfaces as [`MultiWeightError::Faulted`].
 pub fn pareto_sweep<O: Observer + ?Sized>(
     system: &MultiWeightSystem,
     k: usize,
     coverage_fraction: f64,
     lambdas: &[Vec<f64>],
-    pool: &ThreadPool,
+    _pool: &ThreadPool,
     deadline: &Deadline,
     obs: &mut O,
 ) -> Result<SolveOutcome<Vec<ParetoPoint>>, MultiWeightError> {
@@ -221,7 +217,7 @@ pub fn pareto_sweep<O: Observer + ?Sized>(
         "pareto_sweep",
     ));
     let sweep_span = PhaseSpan::enter(obs, PHASE_SWEEP);
-    let result = run_sweep(system, k, coverage_fraction, lambdas, pool, deadline, obs);
+    let result = run_sweep(system, k, coverage_fraction, lambdas, deadline, obs);
     sweep_span.exit(obs);
     result
 }
@@ -256,74 +252,43 @@ fn pareto_filter<O: Observer + ?Sized>(points: Vec<ParetoPoint>, obs: &mut O) ->
     frontier
 }
 
-/// How one λ's scalarize + solve ended.
-enum LambdaOutcome {
-    Point(Box<ParetoPoint>),
-    Expired(DegradeReason),
-    Error(MultiWeightError),
-}
-
-/// The sweep body. Each λ records into its own [`EventLog`]; logs and
-/// outcomes resolve in λ order, stopping at the first expiry or error.
+/// The sweep body: each λ in order, stopping at the first expiry or
+/// error.
 fn run_sweep<O: Observer + ?Sized>(
     system: &MultiWeightSystem,
     k: usize,
     coverage_fraction: f64,
     lambdas: &[Vec<f64>],
-    pool: &ThreadPool,
     deadline: &Deadline,
     obs: &mut O,
 ) -> Result<SolveOutcome<Vec<ParetoPoint>>, MultiWeightError> {
-    let solve = |lambda: &Vec<f64>| {
-        let mut log = EventLog::new();
+    let mut points: Vec<ParetoPoint> = Vec::with_capacity(lambdas.len());
+    let mut degraded: Option<DegradeReason> = None;
+    for lambda in lambdas {
         if let Some(reason) = deadline.expired() {
-            return (log, LambdaOutcome::Expired(reason));
+            degraded = Some(reason);
+            break;
         }
-        let scalarize_span = PhaseSpan::enter(&mut log, PHASE_SCALARIZE);
+        let scalarize_span = PhaseSpan::enter(obs, PHASE_SCALARIZE);
         let scalar = system.scalarize(lambda);
-        scalarize_span.exit(&mut log);
-        let scalar = match scalar {
-            Ok(scalar) => scalar,
-            Err(e) => return (log, LambdaOutcome::Error(e)),
-        };
+        scalarize_span.exit(obs);
+        let scalar = scalar?;
         let target = coverage_target(scalar.num_elements(), coverage_fraction);
-        let outcome = match cwsc_to_target(&scalar, k, target, deadline, &mut log) {
+        match cwsc_to_target(&scalar, k, target, deadline, obs) {
             Ok(SolveOutcome::Complete(solution)) => {
                 let weights = system.aggregate(solution.sets());
-                LambdaOutcome::Point(Box::new(ParetoPoint {
+                points.push(ParetoPoint {
                     lambda: lambda.clone(),
                     solution,
                     weights,
-                }))
+                });
             }
-            Ok(SolveOutcome::Degraded(d)) => LambdaOutcome::Expired(d.certificate.reason),
-            Err(EngineError::Solve(e)) => LambdaOutcome::Error(MultiWeightError::Solve(e)),
-            Err(EngineError::Panicked(msg)) => LambdaOutcome::Error(MultiWeightError::Faulted(msg)),
-        };
-        (log, outcome)
-    };
-    // Every λ's solve runs on one thread. On a serial pool or under a
-    // tick-addressed deadline the λs run one after another through a lazy
-    // iterator, so nothing runs past the first expiry or error; otherwise
-    // `par_map` solves them all at once and the loop below stops
-    // replaying at the first expiry or error.
-    let solved: Box<dyn Iterator<Item = (EventLog, LambdaOutcome)>> =
-        if pool.is_serial() || deadline.tick_deterministic() {
-            Box::new(lambdas.iter().map(solve))
-        } else {
-            Box::new(pool.par_map(lambdas, solve).into_iter())
-        };
-    let mut points: Vec<ParetoPoint> = Vec::with_capacity(lambdas.len());
-    let mut degraded: Option<DegradeReason> = None;
-    for (log, outcome) in solved {
-        log.replay(obs);
-        match outcome {
-            LambdaOutcome::Point(point) => points.push(*point),
-            LambdaOutcome::Expired(reason) => {
-                degraded = Some(reason);
+            Ok(SolveOutcome::Degraded(d)) => {
+                degraded = Some(d.certificate.reason);
                 break;
             }
-            LambdaOutcome::Error(e) => return Err(e),
+            Err(EngineError::Solve(e)) => return Err(MultiWeightError::Solve(e)),
+            Err(EngineError::Panicked(msg)) => return Err(MultiWeightError::Faulted(msg)),
         }
     }
     let completed = points.len();
@@ -351,20 +316,19 @@ fn run_sweep<O: Observer + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::Threads;
+    use crate::engine::Threads;
     use crate::telemetry::NoopObserver;
 
-    /// [`pareto_sweep`] on `threads` workers without a deadline, unwrapped
-    /// to the complete frontier or the sweep error.
+    /// [`pareto_sweep`] without a deadline, unwrapped to the complete
+    /// frontier or the sweep error.
     fn sweep(
         system: &MultiWeightSystem,
         k: usize,
         coverage: f64,
         lambdas: &[Vec<f64>],
-        threads: usize,
         obs: &mut dyn Observer,
     ) -> Result<Vec<ParetoPoint>, MultiWeightError> {
-        let pool = ThreadPool::new(Threads::new(threads));
+        let pool = ThreadPool::new(Threads::serial());
         pareto_sweep(
             system,
             k,
@@ -445,7 +409,7 @@ mod tests {
     fn pareto_sweep_finds_both_extremes() {
         let s = system();
         let lambdas = vec![vec![1.0, 0.0], vec![0.0, 1.0], vec![0.5, 0.5]];
-        let frontier = sweep(&s, 1, 0.5, &lambdas, 1, &mut NoopObserver).unwrap();
+        let frontier = sweep(&s, 1, 0.5, &lambdas, &mut NoopObserver).unwrap();
         // λ=(1,0) picks set 0 (weights [1,9]); λ=(0,1) picks set 1 ([9,1]);
         // both are non-dominated. λ=(.5,.5) picks one of them again (cost 5
         // each beats universe's 5? tie on gain 2/5 vs 4/5 for universe --
@@ -461,7 +425,7 @@ mod tests {
         let s = system();
         // λ = (1,0) twice and (2,0): all pick set 0 -> duplicates collapse.
         let lambdas = vec![vec![1.0, 0.0], vec![1.0, 0.0], vec![2.0, 0.0]];
-        let frontier = sweep(&s, 1, 0.5, &lambdas, 1, &mut NoopObserver).unwrap();
+        let frontier = sweep(&s, 1, 0.5, &lambdas, &mut NoopObserver).unwrap();
         assert_eq!(frontier.len(), 1);
         assert_eq!(frontier[0].weights, vec![1.0, 9.0]);
     }
@@ -470,7 +434,7 @@ mod tests {
     fn sweep_propagates_solver_failure() {
         let mut s = MultiWeightSystem::new(4, 1);
         s.add_set([0], vec![1.0]).unwrap();
-        let err = sweep(&s, 1, 1.0, &[vec![1.0]], 1, &mut NoopObserver).unwrap_err();
+        let err = sweep(&s, 1, 1.0, &[vec![1.0]], &mut NoopObserver).unwrap_err();
         assert!(matches!(err, MultiWeightError::Solve(_)));
     }
 
@@ -479,7 +443,7 @@ mod tests {
         let s = system();
         let lambdas = vec![vec![1.0, 0.0], vec![0.0, 1.0]];
         let mut profiler = crate::telemetry::SpanProfiler::new();
-        sweep(&s, 1, 0.5, &lambdas, 1, &mut profiler).unwrap();
+        sweep(&s, 1, 0.5, &lambdas, &mut profiler).unwrap();
         assert_eq!(profiler.open_spans(), 0, "all spans must be closed");
         // The sweep is the run's only top-level span, so it becomes the root.
         let sweep = profiler.tree();
@@ -498,40 +462,22 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_matches_serial_points_and_counters() {
-        let s = system();
-        let lambdas: Vec<Vec<f64>> = (0..8)
-            .map(|i| vec![i as f64 / 7.0, 1.0 - i as f64 / 7.0])
-            .collect();
-        let mut serial_m = crate::telemetry::MetricsRecorder::new();
-        let serial = sweep(&s, 1, 0.5, &lambdas, 1, &mut serial_m).unwrap();
-        let mut par_m = crate::telemetry::MetricsRecorder::new();
-        let par = sweep(&s, 1, 0.5, &lambdas, 4, &mut par_m).unwrap();
-        assert_eq!(serial, par);
-        assert_eq!(par_m.selections, serial_m.selections);
-        assert_eq!(par_m.benefits_computed, serial_m.benefits_computed);
-        assert_eq!(par_m.guesses, serial_m.guesses);
-        for sp in serial_m.phases() {
-            let pp = par_m.phases().iter().find(|p| p.name == sp.name).unwrap();
-            assert_eq!(pp.count, sp.count, "phase {}", sp.name);
-        }
-    }
-
-    #[test]
-    fn parallel_sweep_propagates_error_like_serial() {
+    fn sweep_error_stops_at_the_first_failing_lambda() {
         let mut s = MultiWeightSystem::new(4, 1);
         s.add_set([0], vec![1.0]).unwrap();
         let mut profiler = crate::telemetry::SpanProfiler::new();
-        let err = sweep(&s, 1, 1.0, &[vec![1.0], vec![2.0]], 4, &mut profiler).unwrap_err();
+        let err = sweep(&s, 1, 1.0, &[vec![1.0], vec![2.0]], &mut profiler).unwrap_err();
         assert!(matches!(err, MultiWeightError::Solve(_)));
         assert_eq!(profiler.open_spans(), 0, "error paths must close spans");
+        let scalarized = profiler.tree().child(PHASE_SCALARIZE).map(|n| n.count);
+        assert_eq!(scalarized, Some(1), "the second λ never runs");
     }
 
     #[test]
     fn sweep_span_closed_on_scalarize_error() {
         let s = system();
         let mut profiler = crate::telemetry::SpanProfiler::new();
-        let err = sweep(&s, 1, 0.5, &[vec![1.0]], 1, &mut profiler).unwrap_err();
+        let err = sweep(&s, 1, 0.5, &[vec![1.0]], &mut profiler).unwrap_err();
         assert!(matches!(err, MultiWeightError::WrongArity { .. }));
         assert_eq!(profiler.open_spans(), 0, "error paths must close spans");
     }
@@ -550,23 +496,19 @@ mod tests {
         fn tick_budget_degrades_with_progress_certificate() {
             let s = system();
             for budget in [0u64, 1, 3] {
-                let run = |threads: usize| {
-                    let pool = ThreadPool::new(Threads::new(threads));
-                    let deadline = Deadline::unbounded().with_tick_budget(budget);
-                    pareto_sweep(
-                        &s,
-                        1,
-                        0.5,
-                        &lambdas(),
-                        &pool,
-                        &deadline,
-                        &mut MetricsRecorder::new(),
-                    )
-                    .unwrap()
-                };
-                let serial = run(1);
-                assert_eq!(serial, run(4), "budget {budget}");
-                let SolveOutcome::Degraded(d) = serial else {
+                let pool = ThreadPool::new(Threads::serial());
+                let deadline = Deadline::unbounded().with_tick_budget(budget);
+                let out = pareto_sweep(
+                    &s,
+                    1,
+                    0.5,
+                    &lambdas(),
+                    &pool,
+                    &deadline,
+                    &mut MetricsRecorder::new(),
+                )
+                .unwrap();
+                let SolveOutcome::Degraded(d) = out else {
                     panic!("budget {budget} cannot finish 6 lambdas");
                 };
                 assert_eq!(d.certificate.reason, DegradeReason::TickBudget);

@@ -16,8 +16,7 @@
 //! instance knows how to recompute the claims.
 
 use crate::algorithms::{cmc, cwsc, CmcParams};
-use crate::engine::{Deadline, EngineError, SolveOutcome};
-use crate::parallel::ThreadPool;
+use crate::engine::{Deadline, EngineError, SolveOutcome, ThreadPool};
 use crate::set_system::SetSystem;
 use crate::solution::verify_certificate;
 use crate::telemetry::Observer;
@@ -273,7 +272,7 @@ impl Solver for SystemInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::Threads;
+    use crate::engine::Threads;
 
     fn instance() -> SystemInstance {
         let mut b = SetSystem::builder(6);

@@ -9,9 +9,8 @@
 //!   canonical tie-break key and the winning margin), the per-element
 //!   **price charging** of the winner's weight across its newly covered
 //!   elements, and every degrade decision. The ledger is built purely from
-//!   the replayed event stream, so `Threads(N)` produces a ledger
-//!   bit-identical to `Threads(1)` (same record-then-replay contract as
-//!   every other observer — DESIGN.md §11/§14).
+//!   the event stream, so two runs of one solve produce bit-identical
+//!   ledgers (DESIGN.md §14).
 //! * [`certify`] — turns the final price vector into an instance-specific
 //!   **lower bound** on the optimal cost via dual-feasible scaling
 //!   (Prolubnikov's a-posteriori accuracy estimate, PAPERS.md), so a solve
@@ -239,9 +238,8 @@ pub struct GuessLedger {
 
 /// An [`Observer`] that assembles the audit ledger from the event stream.
 ///
-/// Because it consumes the same replayed stream as every other observer,
-/// a parallel run's ledger is bit-identical to the serial run's — the
-/// determinism contract is inherited, not re-proven here.
+/// It consumes the same event stream as every other observer, so two runs
+/// of one solve write bit-identical ledgers.
 #[derive(Debug, Clone, Default)]
 pub struct DecisionLedger {
     guesses: Vec<GuessLedger>,
@@ -317,8 +315,7 @@ impl DecisionLedger {
 
     /// Renders the per-round narrative behind `scwsc_solve --explain`.
     /// `limit` caps the rounds rendered *per guess* (`None` = all). The
-    /// output contains no timestamps, so it is stable across runs and
-    /// thread counts.
+    /// output contains no timestamps, so it is stable across runs.
     pub fn render_explain(&self, limit: Option<usize>) -> String {
         let mut s = String::new();
         let _ = writeln!(
@@ -388,7 +385,7 @@ impl DecisionLedger {
 
     /// Dumps the ledger as line-oriented JSON: a header line, one line per
     /// round, one per degrade note. Deterministic byte-for-byte across
-    /// thread counts (no wall-clock fields).
+    /// runs (no wall-clock fields).
     pub fn write_jsonl<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
         writeln!(
             w,

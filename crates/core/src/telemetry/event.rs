@@ -62,18 +62,10 @@ pub enum Event<'a> {
     /// deadline/fault paths, which a healthy run never takes — excluded
     /// from the exact-diff set.
     DegradeDecided(&'static str, u64, u64),
-    /// `(committed, wasted)`: a speculative budget-guess window resolved:
-    /// `committed` guesses had their telemetry committed (identical to what
-    /// a serial run would have produced) and `wasted` were cancelled or
-    /// discarded. Emitted only by parallel solvers; serial runs never fire
-    /// it, so the derived counters are deliberately **excluded** from the
-    /// exact-diff set.
-    Speculation(u64, u64),
     /// A budget guess panicked, was contained by the resilience engine,
     /// and is being retried once serially. Fires only on fault/panic
-    /// paths, which a healthy serial run never takes — so the derived
-    /// counter is **excluded** from the exact-diff set, like the
-    /// speculation counters.
+    /// paths, which a healthy run never takes — so the derived counter is
+    /// **excluded** from the exact-diff set.
     GuessRetried,
     /// `(trace_id, entry)`: a solve entry point minted its deterministic
     /// [`TraceId`] and is about to open its root span. `entry` is the
@@ -126,7 +118,6 @@ impl Event<'_> {
             Event::RoundDecided(..) => "round_decided",
             Event::PriceCharged(..) => "price_charged",
             Event::DegradeDecided(..) => "degrade_decided",
-            Event::Speculation(..) => "speculation",
             Event::GuessRetried => "guess_retried",
             Event::TraceStarted(..) => "trace_started",
             Event::ScanPruned(_) => "scan_pruned",
@@ -197,9 +188,6 @@ impl Event<'_> {
                 out,
                 ",\"reason\":\"{reason}\",\"covered\":{covered},\"target\":{target}"
             ),
-            Event::Speculation(committed, wasted) => {
-                write!(out, ",\"committed\":{committed},\"wasted\":{wasted}")
-            }
             Event::TraceStarted(trace_id, entry) => {
                 write!(out, ",\"trace_id\":\"{trace_id}\",\"entry\":\"{entry}\"")
             }
@@ -217,11 +205,9 @@ impl Event<'_> {
         };
     }
 
-    /// Whether this event counts toward a span's deterministic event tally
-    /// (the basis of the Threads(1)/Threads(N) causal-tree parity check).
-    /// Structural plumbing (spans, trace minting),
-    /// audit/advisory events, and parallel-/fault-only events
-    /// (speculation, retries, stalls) are excluded, mirroring the
+    /// Whether this event counts toward a span's deterministic event tally.
+    /// Structural plumbing (spans, trace minting), audit/advisory events,
+    /// and fault-only events (retries, stalls) are excluded, mirroring the
     /// exact-diff counter set.
     pub(crate) fn is_deterministic_work(&self) -> bool {
         matches!(
@@ -262,7 +248,6 @@ impl Event<'_> {
             Event::DegradeDecided(reason, covered, target) => {
                 Event::DegradeDecided(reason, covered, target)
             }
-            Event::Speculation(committed, wasted) => Event::Speculation(committed, wasted),
             Event::GuessRetried => Event::GuessRetried,
             Event::TraceStarted(trace_id, entry) => Event::TraceStarted(trace_id, entry),
             Event::ScanPruned(count) => Event::ScanPruned(count),

@@ -136,7 +136,7 @@ fn summary(out: &mut String, name: &str, help: &str, hist: &LogHistogram) {
 /// `reason` label.
 pub fn render_prometheus(metrics: &MetricsRecorder, slo: Option<&SloGauges>) -> String {
     let mut out = String::new();
-    let counters: [(&str, u64, &str); 12] = [
+    let counters: [(&str, u64, &str); 10] = [
         (
             "scwsc_guesses_total",
             metrics.guesses,
@@ -166,16 +166,6 @@ pub fn render_prometheus(metrics: &MetricsRecorder, slo: Option<&SloGauges>) -> 
             "scwsc_postings_scanned_total",
             metrics.postings_scanned,
             "Inverted-index posting entries scanned.",
-        ),
-        (
-            "scwsc_guesses_committed_total",
-            metrics.guesses_committed,
-            "Speculative guesses whose telemetry was committed.",
-        ),
-        (
-            "scwsc_guesses_wasted_total",
-            metrics.guesses_wasted,
-            "Speculative guesses cancelled or discarded.",
         ),
         (
             "scwsc_traces_started_total",

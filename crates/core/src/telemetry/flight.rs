@@ -24,10 +24,10 @@
 //!   span paths, not the event count), so the tree in the dump is complete
 //!   even when the ring has wrapped.
 //!
-//! Span ids are assigned in arrival order. The event stream's order is
-//! deterministic (parallel solvers replay their event logs in a fixed
-//! order; DESIGN.md §11), so ids are reproducible run-to-run for a
-//! tick-deterministic solve.
+//! Span ids are assigned in arrival order. Every solve runs on the
+//! calling thread (DESIGN.md §11), so the event stream's order, and with
+//! it the ids, are reproducible run-to-run for a tick-deterministic
+//! solve.
 //!
 //! The dump format is line-oriented and *every* line is one valid JSON
 //! object: a header, one line per buffered event, and a trailing
@@ -258,8 +258,8 @@ impl CausalNode {
     /// come and go with `SCWSC_PRUNE`), span ids are zeroed (assignment
     /// order differs when those spans consume ids), and timings are
     /// dropped. What remains — span names, nesting, counts, and
-    /// deterministic event tallies — must be identical for `Threads(1)`
-    /// and `Threads(N)` by the determinism contract (DESIGN.md §11).
+    /// deterministic event tallies — must be identical for two runs of
+    /// one solve under the same tick budget.
     pub fn normalized(&self) -> CausalNode {
         let mut events = self.events;
         let mut children = Vec::new();
@@ -463,7 +463,7 @@ impl FlightRecorder {
 
 impl Observer for FlightRecorder {
     fn on(&mut self, event: &Event<'_>) {
-        // The ring keeps 14 of the 19 kinds: audit, degrade and advisory
+        // The ring keeps 13 of the 18 kinds: audit, degrade and advisory
         // scan events stay out, so a served solve copies no element lists.
         if matches!(
             event,

@@ -343,14 +343,7 @@ pub struct MetricsRecorder {
     pub heap_stale_pops: u64,
     /// Inverted-index posting entries scanned during lattice expansion.
     pub postings_scanned: u64,
-    /// Speculative budget guesses whose telemetry was committed. Parallel
-    /// runs only — excluded from the exact-diff counter set, because a
-    /// serial run never speculates.
-    pub guesses_committed: u64,
-    /// Speculative budget guesses cancelled or discarded. Parallel runs
-    /// only — excluded from the exact-diff counter set.
-    pub guesses_wasted: u64,
-    /// Panicked budget guesses contained and retried serially by the
+    /// Panicked budget guesses contained and retried by the
     /// resilience engine. Fault paths only — excluded from the exact-diff
     /// counter set.
     pub guesses_retried: u64,
@@ -433,8 +426,6 @@ impl MetricsRecorder {
         }
         self.heap_stale_pops += other.heap_stale_pops;
         self.postings_scanned += other.postings_scanned;
-        self.guesses_committed += other.guesses_committed;
-        self.guesses_wasted += other.guesses_wasted;
         self.guesses_retried += other.guesses_retried;
         self.traces_started += other.traces_started;
         self.rounds_audited += other.rounds_audited;
@@ -480,10 +471,6 @@ impl Observer for MetricsRecorder {
                 self.stale_run += 1;
             }
             Event::RoundDecided(..) => self.rounds_audited += 1,
-            Event::Speculation(committed, wasted) => {
-                self.guesses_committed += committed;
-                self.guesses_wasted += wasted;
-            }
             Event::GuessRetried => self.guesses_retried += 1,
             Event::TraceStarted(..) => self.traces_started += 1,
             Event::ScanPruned(count) => self.scan_candidates_pruned += count,
@@ -867,7 +854,7 @@ mod tests {
             "cmc",
         ));
         assert_eq!(m.traces_started, 1);
-        // Like speculation/retry counters, trace plumbing never touches
+        // Like the retry counter, trace plumbing never touches
         // the exact-diff counters.
         assert_eq!(m.guesses, 0);
         assert_eq!(m.selections, 0);
@@ -959,7 +946,6 @@ mod tests {
             m.on(&Event::SubtreePruned(PruneReason::Exhausted));
             m.on(&Event::PostingScanned(11));
             m.on(&Event::SetSelected(2, 4, 1.0));
-            m.on(&Event::Speculation(2, 1));
             m.on(&Event::GuessRetried);
             m.on(&Event::PhaseEnded("total", 0.25));
             m.on(&Event::PhaseEnded("scan", 0.125));
@@ -983,33 +969,10 @@ mod tests {
         assert_eq!(a.subtrees_pruned, single.subtrees_pruned);
         assert_eq!(a.heap_stale_pops, single.heap_stale_pops);
         assert_eq!(a.postings_scanned, single.postings_scanned);
-        assert_eq!(a.guesses_committed, single.guesses_committed);
-        assert_eq!(a.guesses_wasted, single.guesses_wasted);
         assert_eq!(a.guesses_retried, single.guesses_retried);
         assert_eq!(a.marginal_benefit_hist, single.marginal_benefit_hist);
         assert_eq!(a.stale_run_hist, single.stale_run_hist);
         assert_eq!(a.phases(), single.phases());
-    }
-
-    #[test]
-    fn speculation_counters_accumulate() {
-        let mut m = MetricsRecorder::new();
-        m.on(&Event::Speculation(3, 1));
-        m.on(&Event::Speculation(1, 0));
-        assert_eq!(m.guesses_committed, 4);
-        assert_eq!(m.guesses_wasted, 1);
-        // Speculation does not touch the exact-diff counters.
-        assert_eq!(m.guesses, 0);
-        assert_eq!(m.benefits_computed, 0);
-    }
-
-    #[test]
-    fn jsonl_sink_emits_speculation_event() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.on(&Event::Speculation(3, 2));
-        let text = String::from_utf8(sink.into_inner().unwrap()).unwrap();
-        assert!(text.contains("\"event\":\"speculation\""), "{text}");
-        assert!(text.contains("\"committed\":3,\"wasted\":2"), "{text}");
     }
 
     #[test]
@@ -1018,8 +981,7 @@ mod tests {
         m.on(&Event::GuessRetried);
         m.on(&Event::GuessRetried);
         assert_eq!(m.guesses_retried, 2);
-        // Like the speculation counters, retries never touch the
-        // exact-diff counters.
+        // Retries never touch the exact-diff counters.
         assert_eq!(m.guesses, 0);
         assert_eq!(m.selections, 0);
         let mut sink = JsonlSink::new(Vec::new());

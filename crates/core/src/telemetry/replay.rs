@@ -1,13 +1,10 @@
-//! Deterministic telemetry for parallel solvers: record-then-replay event
-//! logs.
+//! Record-then-replay event logs.
 //!
-//! [`Observer`] is an `&mut` single-threaded interface, so parallel workers
-//! cannot report to the caller's observer directly. [`EventLog`] bridges
-//! the gap (DESIGN.md §11): an [`Observer`] that records every event
-//! verbatim, and [`EventLog::replay`] re-emits the stream into any other
-//! observer. Workers record privately and the caller replays the logs **in
-//! a deterministic order** (ascending guess index, ascending λ index, …),
-//! so the caller's observer sees a stream *identical* to a serial run —
+//! [`EventLog`] is an [`Observer`] that records every event verbatim, and
+//! [`EventLog::replay`] re-emits the stream into any other observer. The
+//! CMC solvers record each budget guess into a log and replay it once the
+//! guess ends, so the events of a guess that panicked and is retried are
+//! discarded: the caller's observer sees the stream of a fault-free run,
 //! for any observer type, including order-sensitive ones like
 //! [`JsonlSink`](super::JsonlSink) and
 //! [`SpanProfiler`](super::SpanProfiler).
@@ -160,7 +157,6 @@ mod tests {
         obs.on(&Event::SetSelected(3, 5, 1.5));
         obs.on(&Event::PriceCharged(3, Cow::Borrowed(&[0, 4, 7]), 1.5));
         obs.on(&Event::DegradeDecided("tick_budget", 3, 9));
-        obs.on(&Event::Speculation(2, 1));
         obs.on(&Event::GuessRetried);
         obs.on(&Event::PhaseEnded(PHASE_TOTAL, 0.5));
     }
@@ -169,7 +165,7 @@ mod tests {
     fn replay_reproduces_metrics_exactly() {
         let mut log = EventLog::new();
         drive(&mut log);
-        assert_eq!(log.len(), 15);
+        assert_eq!(log.len(), 14);
 
         let mut direct = MetricsRecorder::new();
         drive(&mut direct);
@@ -183,8 +179,6 @@ mod tests {
         assert_eq!(replayed.subtrees_pruned, direct.subtrees_pruned);
         assert_eq!(replayed.postings_scanned, direct.postings_scanned);
         assert_eq!(replayed.heap_stale_pops, direct.heap_stale_pops);
-        assert_eq!(replayed.guesses_committed, direct.guesses_committed);
-        assert_eq!(replayed.guesses_wasted, direct.guesses_wasted);
         assert_eq!(replayed.guesses_retried, direct.guesses_retried);
         assert_eq!(replayed.rounds_audited, direct.rounds_audited);
         assert_eq!(replayed.marginal_benefit_hist, direct.marginal_benefit_hist);

@@ -21,7 +21,7 @@ use std::fmt;
 /// Two solves of the same entry point with the same instance parameters
 /// yield the same id — the id names the *query*, not the invocation —
 /// which keeps every derived artifact (flight dumps, exported metrics)
-/// reproducible and diffable across runs and thread counts.
+/// reproducible and diffable across runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TraceId(pub u64);
 

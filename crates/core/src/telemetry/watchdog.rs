@@ -352,8 +352,12 @@ mod tests {
         let before = dog.progress();
         dog.on(&Event::RoundDecided("gain", winner, Cow::Borrowed(&[])));
         dog.on(&Event::PriceCharged(1, Cow::Borrowed(&[0, 1]), 1.0));
-        dog.on(&Event::Speculation(1, 0));
-        assert_eq!(dog.progress(), before + 3, "audit events are progress");
+        dog.on(&Event::GuessRetried);
+        assert_eq!(
+            dog.progress(),
+            before + 3,
+            "audit and fault events are progress"
+        );
         dog.on(&Event::StallDetected(0, 1.0));
         assert_eq!(dog.progress(), before + 3, "its own stamp is not");
     }

@@ -15,10 +15,9 @@
 //! * every windowed value is a deterministic work counter (selections,
 //!   benefit computations, degraded flags) — wall-clock durations are
 //!   deliberately excluded;
-//! * parallel solvers replay their per-guess or per-λ event logs in
-//!   deterministic order ([`EventLog`](super::EventLog)), so a
-//!   [`SolveWindows`] fed by a `Threads(N)` run is bit-identical to the
-//!   same solves on `Threads(1)`.
+//! * every solve runs on the calling thread and emits its events in a
+//!   deterministic order, so a [`SolveWindows`] fed twice by the same
+//!   solves is bit-identical.
 //!
 //! [`WindowedCounter`] tracks a per-solve contribution series with its
 //! windowed sum; [`RollingHistogram`] keeps exact per-solve values for
@@ -313,7 +312,7 @@ impl EntryWindow {
 /// events and finalizes on the root `phase_ended(PHASE_TOTAL)`), or
 /// directly via [`observe`](SolveWindows::observe) with a prepared
 /// [`SolveSample`]. Both paths window on the solve sequence, so the
-/// aggregates are bit-identical across thread counts.
+/// aggregates are bit-identical across runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveWindows {
     window: usize,

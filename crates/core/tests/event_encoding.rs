@@ -1,14 +1,14 @@
 //! Pins the JSON encoding of every solver event: one instance of each of
-//! the 19 events goes through a `JsonlSink`, which writes all but the two
+//! the 18 events goes through a `JsonlSink`, which writes all but the two
 //! advisory scan events, and through a `FlightRecorder`, whose dump keeps
-//! 14 of the kinds. Every event line is compared exactly, after its
+//! 13 of the kinds. Every event line is compared exactly, after its
 //! volatile `seq` / `t` keys.
 
 use scwsc_core::audit::AuditCandidate;
 use scwsc_core::{Event, FlightRecorder, JsonlSink, Observer, PruneReason, TraceId, PHASE_TOTAL};
 use std::borrow::Cow;
 
-/// Sends one instance of each of the 19 events, in a fixed order.
+/// Sends one instance of each of the 18 events, in a fixed order.
 fn drive_every_event<O: Observer + ?Sized>(obs: &mut O) {
     let winner = AuditCandidate {
         id: 3,
@@ -37,7 +37,6 @@ fn drive_every_event<O: Observer + ?Sized>(obs: &mut O) {
     obs.on(&Event::PriceCharged(3, Cow::Borrowed(&[0, 4, 7]), 1.5));
     obs.on(&Event::SetSelected(3, 5, 1.5));
     obs.on(&Event::DegradeDecided("tick_budget", 3, 9));
-    obs.on(&Event::Speculation(2, 1));
     obs.on(&Event::GuessRetried);
     obs.on(&Event::ScanPruned(11));
     obs.on(&Event::BoundRefreshed(5));
@@ -73,7 +72,6 @@ fn jsonl_sink_encodes_every_event() {
         r#""event":"price_charged","set":3,"cost":1.5,"elements":[0,4,7]}"#,
         r#""event":"set_selected","id":3,"marginal_benefit":5,"cost":1.5}"#,
         r#""event":"degrade_decided","reason":"tick_budget","covered":3,"target":9}"#,
-        r#""event":"speculation","committed":2,"wasted":1}"#,
         r#""event":"guess_retried"}"#,
         r#""event":"stall_detected","ticks":77,"stalled_secs":0.25}"#,
         r#""event":"phase_ended","name":"total","seconds":0.5}"#,
@@ -82,7 +80,7 @@ fn jsonl_sink_encodes_every_event() {
 }
 
 #[test]
-fn flight_dump_encodes_its_fourteen_kinds() {
+fn flight_dump_encodes_its_thirteen_kinds() {
     let mut flight = FlightRecorder::new();
     drive_every_event(&mut flight);
     let mut buf = Vec::new();
@@ -106,7 +104,6 @@ fn flight_dump_encodes_its_fourteen_kinds() {
         format!(r#"{main}"event":"posting_scanned","entries":40}}"#),
         format!(r#"{main}"event":"heap_stale_pop"}}"#),
         format!(r#"{main}"event":"set_selected","id":3,"marginal_benefit":5,"cost":1.5}}"#),
-        format!(r#"{main}"event":"speculation","committed":2,"wasted":1}}"#),
         format!(r#"{main}"event":"guess_retried"}}"#),
         format!(r#"{main}"event":"stall_detected","ticks":77,"stalled_secs":0.25}}"#),
         format!(r#"{main}"event":"phase_ended","name":"total","seconds":0.5}}"#),

@@ -826,13 +826,13 @@ mod tests {
     }
 
     #[test]
-    fn tick_budgets_degrade_hierarchical_solves_identically_across_threads() {
+    fn tick_budgets_degrade_hierarchical_solves_to_verified_prefixes() {
         let t = table();
         let sp = space(&t);
         let params = CmcParams::classic(2, 1.0, 1.0);
+        let pool = ThreadPool::new(Threads::serial());
         for budget in [0u64, 1, 3] {
-            let run = |threads: usize, algorithm: &str| {
-                let pool = ThreadPool::new(Threads::new(threads));
+            for algorithm in ["opt_cwsc", "opt_cmc"] {
                 let deadline = Deadline::unbounded().with_tick_budget(budget);
                 let mut m = MetricsRecorder::new();
                 let out = match algorithm {
@@ -840,12 +840,7 @@ mod tests {
                     _ => opt_cmc(&sp, &params, &pool, &deadline, &mut m),
                 }
                 .unwrap();
-                (out, deadline.ticks())
-            };
-            for algorithm in ["opt_cwsc", "opt_cmc"] {
-                let serial = run(1, algorithm);
-                assert_eq!(serial, run(4, algorithm), "{algorithm} budget {budget}");
-                let SolveOutcome::Degraded(d) = serial.0 else {
+                let SolveOutcome::Degraded(d) = out else {
                     panic!("{algorithm}: {budget} ticks cannot cover every record");
                 };
                 assert_eq!(d.certificate.reason, DegradeReason::TickBudget);

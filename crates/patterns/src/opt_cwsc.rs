@@ -51,7 +51,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// ([`PatternSpace`](crate::PatternSpace)) or the hierarchy-enriched
 /// lattice of [`crate::hierarchy::HierarchicalSpace`]. The lattice walk is
 /// single-threaded: `pool` is accepted so every solver family shares one
-/// signature, and tick streams are identical across thread counts. The
+/// signature. The
 /// lattice is built for this solve and dropped with it; a
 /// [`PatternInstance`](crate::PatternInstance) keeps its own between
 /// solves.

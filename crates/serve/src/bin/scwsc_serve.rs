@@ -124,8 +124,7 @@ fn main() {
         }
         .generate()
     };
-    // Pattern queries walk the lattice on one thread: the solver pool has
-    // nothing to fan out.
+    // Every solve runs on the calling thread; the pool is a placeholder.
     let pool = ThreadPool::new(Threads::serial());
 
     let admission = AdmissionConfig {

@@ -6,16 +6,11 @@
 //! * **degrade, don't drop** — a dispatched request with an
 //!   insufficient tick budget comes back `degraded` with a certificate
 //!   the instance re-verified, or `complete`; never a panic, never an
-//!   unstructured error, never a hang;
-//! * **thread-count invariance** — serve always grants tick budgets, so
-//!   every solve runs tick-deterministic and the full response stream
-//!   (statuses, answers, certificates, brownout tiers) is identical
-//!   through a `Threads(1)` pool and a `Threads(4)` pool.
+//!   unstructured error, never a hang.
 
 use proptest::prelude::*;
 use scwsc_core::solver::{Algorithm, CostModel, Query};
 use scwsc_core::{FlightRecorder, SetSystem, SystemInstance, ThreadPool, Threads};
-use scwsc_patterns::{PatternInstance, Table};
 use scwsc_serve::{AdmissionConfig, Request, ServerConfig, ServerState, Status};
 use std::sync::Arc;
 use std::time::Duration;
@@ -34,24 +29,6 @@ fn arb_system() -> impl Strategy<Value = SetSystem> {
             }
             b.add_universe_set(60.0);
             b.build().unwrap()
-        })
-    })
-}
-
-/// A small random table for the pattern-instance path.
-fn arb_table() -> impl Strategy<Value = Table> {
-    (1usize..=3, 1usize..=12).prop_flat_map(|(attrs, rows)| {
-        let row = (proptest::collection::vec(0u8..3, attrs), 0u8..40);
-        proptest::collection::vec(row, rows).prop_map(move |rows| {
-            let names: Vec<String> = (0..attrs).map(|a| format!("a{a}")).collect();
-            let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-            let mut b = Table::builder(&refs, "m");
-            for (vals, measure) in rows {
-                let svals: Vec<String> = vals.iter().map(|v| format!("v{v}")).collect();
-                let srefs: Vec<&str> = svals.iter().map(String::as_str).collect();
-                b.push_row(&srefs, f64::from(measure)).unwrap();
-            }
-            b.build()
         })
     })
 }
@@ -105,14 +82,6 @@ fn state_with(solver: Arc<dyn scwsc_core::Solver>, threads: Threads) -> ServerSt
     )
 }
 
-/// Strips the wall-clock-dependent fields so responses compare
-/// structurally across thread counts.
-fn shape(mut response: scwsc_serve::Response) -> scwsc_serve::Response {
-    response.queue_ms = 0.0;
-    response.solve_ms = 0.0;
-    response
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -160,36 +129,5 @@ proptest! {
                 ),
             }
         }
-    }
-
-    /// The full response stream is invariant across thread counts:
-    /// serve always grants tick budgets, so every solve runs in
-    /// tick-deterministic mode and `Threads(1)` ≡ `Threads(4)` — same
-    /// statuses, answers, certificates, tiers, and attempt counts.
-    #[test]
-    fn thread_count_invariance_through_dispatch(
-        table in arb_table(),
-        queries in proptest::collection::vec((arb_query(), 0u64..=200), 1..8),
-    ) {
-        let serial = state_with(
-            Arc::new(PatternInstance::new(table.clone())),
-            Threads::serial(),
-        );
-        let threaded = state_with(
-            Arc::new(PatternInstance::new(table)),
-            Threads::new(4),
-        );
-        for (i, (query, ticks)) in queries.into_iter().enumerate() {
-            let mut request = Request::new(i as u64, query);
-            request.max_ticks = Some(ticks);
-            let a = shape(serial.dispatch(&request));
-            let b = shape(threaded.dispatch(&request));
-            prop_assert_eq!(a, b);
-        }
-        prop_assert_eq!(
-            serial.gate_snapshot().tier,
-            threaded.gate_snapshot().tier,
-            "brownout tiers driven by the same deterministic samples"
-        );
     }
 }

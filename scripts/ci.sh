@@ -40,47 +40,26 @@ cargo test --offline -q --manifest-path perfbench/Cargo.toml
 # Performance-snapshot smoke: one quick rep of the full workload registry,
 # then the counter-exact diff against the committed baseline (wall-clock is
 # too noisy to gate on in CI; counters are deterministic). DESIGN.md §10.
-# Recorded serial so the baseline comparison is independent of the parallel
-# layer.
-SCWSC_THREADS=1 cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
+cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
   record --quick --label ci --out target/BENCH_ci.json
 cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
   diff BENCH_seed.json target/BENCH_ci.json --counters-only
-
-# Parallel determinism gate: the same smoke suite on 4 worker threads must
-# reproduce the serial deterministic counters exactly (DESIGN.md §11).
-# The smoke suite's lattice walks run on one thread whatever the pool, so
-# this checks end to end that the pool reaches none of them.
-SCWSC_THREADS=4 cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
-  record --quick --suite smoke --label ci-t4 --out target/BENCH_ci_t4.json
-SCWSC_THREADS=1 cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
-  record --quick --suite smoke --label ci-t1 --out target/BENCH_ci_t1.json
-cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
-  diff target/BENCH_ci_t1.json target/BENCH_ci_t4.json --counters-only
-# The smoke suite has no flat cmc or cwsc workload, so gate the
-# unoptimized (flat set-system) workloads the same way: flat CMC
-# speculates on budget guesses over one shared incidence, and 4 threads
-# must commit exactly the serial guesses.
-SCWSC_THREADS=4 cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
-  record --quick --only unopt --label ci-unopt-t4 --out target/BENCH_ci_unopt_t4.json
-SCWSC_THREADS=1 cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
-  record --quick --only unopt --label ci-unopt-t1 --out target/BENCH_ci_unopt_t1.json
-cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
-  diff target/BENCH_ci_unopt_t1.json target/BENCH_ci_unopt_t4.json --counters-only
 
 # Pruned-scan A/B gate (DESIGN.md §15): with the sketch-pruned scan
 # forced off, the smoke suite must reproduce the pruned run's exact
 # counters — pruning may only change *how* benefits are counted, never
 # what any solver does. The scan_* advisory counters are note-level in
 # the diff by design (they measure the pruning itself).
-SCWSC_PRUNE=0 SCWSC_THREADS=1 cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
+cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
+  record --quick --suite smoke --label ci-smoke --out target/BENCH_ci_smoke.json
+SCWSC_PRUNE=0 cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
   record --quick --suite smoke --label ci-noprune --out target/BENCH_ci_noprune.json
 cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
-  diff target/BENCH_ci_t1.json target/BENCH_ci_noprune.json --counters-only
+  diff target/BENCH_ci_smoke.json target/BENCH_ci_noprune.json --counters-only
 
 # Resilience gate (DESIGN.md §12). First the full test suite with the
 # deterministic fault injector compiled in, including the snapshot test
-# that keeps the retry/speculation counters out of the exact-diff set.
+# that keeps the retry counter out of the exact-diff set.
 cargo test -q --workspace --features fault-inject
 cargo test -q -p scwsc-bench \
   resilience_counters_stay_out_of_the_exact_diff_set
@@ -138,7 +117,7 @@ grep -q '"kind": *"stall_detected"\|stall_detected' target/ci_watchdog_flight.js
 # invariant — monotone counters, stable windowed quantiles, zero leaked
 # allocator bytes, zero stalls — and leave a parsable JSONL timeline.
 bench=target/release/scwsc_bench
-SCWSC_THREADS=1 "$bench" soak --iters 5 --suite smoke \
+"$bench" soak --iters 5 --suite smoke \
   --timeline target/ci_soak_timeline.jsonl > target/ci_soak.out 2> /dev/null
 grep -q "soak ok:.*0 stalls" target/ci_soak.out \
   || { echo "soak smoke failed"; cat target/ci_soak.out; exit 1; }
@@ -258,8 +237,7 @@ done
 
 # Audit replay parity across the prune toggle (DESIGN.md §15): skipped
 # counts must never reach the decision ledger (DESIGN.md §14), so
-# SCWSC_PRUNE=0 writes the same bytes. The cross-thread ledger check is
-# the flat-cmc property test prop_parallel::parallel_determinism.
+# SCWSC_PRUNE=0 writes the same bytes.
 "$solve" --rows 1000 --seed 11 --k 6 --coverage 0.5 \
   --algorithm cmc --audit-jsonl target/ci_audit.jsonl > /dev/null 2>&1
 SCWSC_PRUNE=0 "$solve" --rows 1000 --seed 11 --k 6 --coverage 0.5 \

@@ -118,6 +118,7 @@ fn bench_rejects_bad_usage() {
     }
     for args in [
         &["record", "--suite", "nope"] as &[&str],
+        &["record", "--threads", "2"],
         &["diff", "only-one.json"],
         &["frobnicate"],
     ] {

@@ -119,29 +119,21 @@ proptest! {
 
     /// Every solve of a random sequence of interleaved CWSC and CMC
     /// queries on one instance equals the same solve on a fresh
-    /// instance, on a serial and a 4-thread pool.
+    /// instance.
     #[test]
     fn warm_instance_solves_equal_cold_ones(
         table in arb_table(),
         steps in proptest::collection::vec(arb_step(), 1..=6),
     ) {
-        for threads in [1, 4] {
-            let pool = ThreadPool::new(Threads::new(threads));
-            let warm = PatternInstance::new(table.clone());
-            for (i, step) in steps.iter().enumerate() {
-                let cold = PatternInstance::new(table.clone());
-                let (warm_run, warm_postings) = run(&warm, step, &pool);
-                let (cold_run, cold_postings) = run(&cold, step, &pool);
-                prop_assert_eq!(
-                    warm_run, cold_run,
-                    "threads {} step {} {:?}", threads, i, step
-                );
-                if step.0.algorithm == Algorithm::Cwsc {
-                    prop_assert_eq!(
-                        warm_postings, cold_postings,
-                        "threads {} step {} {:?}", threads, i, step
-                    );
-                }
+        let pool = ThreadPool::new(Threads::serial());
+        let warm = PatternInstance::new(table.clone());
+        for (i, step) in steps.iter().enumerate() {
+            let cold = PatternInstance::new(table.clone());
+            let (warm_run, warm_postings) = run(&warm, step, &pool);
+            let (cold_run, cold_postings) = run(&cold, step, &pool);
+            prop_assert_eq!(warm_run, cold_run, "step {} {:?}", i, step);
+            if step.0.algorithm == Algorithm::Cwsc {
+                prop_assert_eq!(warm_postings, cold_postings, "step {} {:?}", i, step);
             }
         }
     }

@@ -4,8 +4,6 @@
 //! schedule, every deadline-aware solver returns a structured outcome —
 //! `Ok(Complete)`, `Ok(Degraded)` with a certificate that independently
 //! verifies, or `Err(Solve | Panicked)` — and never panics or hangs.
-//! In tick-deterministic mode the full outcome is identical for
-//! `Threads(1)` and `Threads(4)`.
 
 use proptest::prelude::*;
 use scwsc::patterns::{verify_certificate_in, CostFn, PatternSpace, Table};
@@ -114,50 +112,6 @@ proptest! {
             }
         }
     }
-
-    /// Determinism contract: a tick-addressed deadline disables
-    /// speculation, so `Threads(1)` and `Threads(4)` produce *identical*
-    /// outcomes — same classification, same partial, same tick count.
-    #[test]
-    fn cmc_outcome_is_thread_count_invariant(
-        system in arb_system(),
-        k in 1usize..=4,
-        coverage in 0.1f64..=1.0,
-        ticks in 0u64..120,
-    ) {
-        let params = CmcParams::classic(k, coverage, 0.5);
-        let serial = {
-            let pool = ThreadPool::new(Threads::serial());
-            let deadline = Deadline::unbounded().with_tick_budget(ticks);
-            cmc(&system, &params, &pool, &deadline, &mut NoopObserver)
-        };
-        let parallel = {
-            let pool = ThreadPool::new(Threads::new(4));
-            let deadline = Deadline::unbounded().with_tick_budget(ticks);
-            cmc(&system, &params, &pool, &deadline, &mut NoopObserver)
-        };
-        prop_assert_eq!(serial, parallel);
-    }
-
-    /// Same determinism contract for CWSC, whose pool goes unused.
-    #[test]
-    fn cwsc_outcome_is_thread_count_invariant(
-        system in arb_system(),
-        k in 1usize..=4,
-        ticks in 0u64..60,
-    ) {
-        let serial = {
-            let pool = ThreadPool::new(Threads::serial());
-            let deadline = Deadline::unbounded().with_tick_budget(ticks);
-            cwsc(&system, k, 0.7, &pool, &deadline, &mut NoopObserver)
-        };
-        let parallel = {
-            let pool = ThreadPool::new(Threads::new(4));
-            let deadline = Deadline::unbounded().with_tick_budget(ticks);
-            cwsc(&system, k, 0.7, &pool, &deadline, &mut NoopObserver)
-        };
-        prop_assert_eq!(serial, parallel);
-    }
 }
 
 proptest! {
@@ -229,14 +183,14 @@ mod faults {
     }
 
     /// Acceptance test: a worker panic injected into the first budget
-    /// guess under a 4-thread speculative window is contained, retried
-    /// once serially, and the solve completes — with the retry visible in
-    /// the metrics. Fails on the pre-engine tree (the panic escaped).
+    /// guess is contained, retried once, and the solve completes — with
+    /// the retry visible in the metrics. Fails on the pre-engine tree (the
+    /// panic escaped).
     #[test]
     fn injected_guess_panic_recovers_with_one_retry() {
         let system = acceptance_system();
         let params = CmcParams::classic(3, 0.75, 0.5);
-        let pool = ThreadPool::new(Threads::new(4));
+        let pool = ThreadPool::new(Threads::serial());
         let deadline = Deadline::unbounded().with_fault_plan(FaultPlan::new().panic_guess_once(1));
         let mut metrics = MetricsRecorder::new();
         let outcome = cmc(&system, &params, &pool, &deadline, &mut metrics)
@@ -251,17 +205,15 @@ mod faults {
     fn persistent_guess_fault_reports_engine_error() {
         let system = acceptance_system();
         let params = CmcParams::classic(3, 0.75, 0.5);
-        for threads in [Threads::serial(), Threads::new(4)] {
-            let pool = ThreadPool::new(threads);
-            let deadline = Deadline::unbounded().with_fault_plan(FaultPlan::new().fail_guess(1));
-            let err = cmc(&system, &params, &pool, &deadline, &mut NoopObserver)
-                .expect_err("persistent fault must fail");
-            match err {
-                EngineError::Panicked(msg) => {
-                    assert!(msg.contains("guess 1"), "payload preserved: {msg}");
-                }
-                other => panic!("expected Panicked, got {other:?}"),
+        let pool = ThreadPool::new(Threads::serial());
+        let deadline = Deadline::unbounded().with_fault_plan(FaultPlan::new().fail_guess(1));
+        let err = cmc(&system, &params, &pool, &deadline, &mut NoopObserver)
+            .expect_err("persistent fault must fail");
+        match err {
+            EngineError::Panicked(msg) => {
+                assert!(msg.contains("guess 1"), "payload preserved: {msg}");
             }
+            other => panic!("expected Panicked, got {other:?}"),
         }
     }
 
@@ -270,30 +222,22 @@ mod faults {
 
         /// Under *any* seeded fault schedule plus an arbitrary tick
         /// budget, CMC still returns a structured outcome: contained
-        /// panics, verified certificates, no hangs — and the outcome is
-        /// identical for `Threads(1)` and `Threads(4)` (tick-addressed
-        /// schedules force serial guessing; guess-addressed schedules
-        /// fire on thread-count-invariant guess indices).
+        /// panics, verified certificates, no hangs.
         #[test]
-        fn seeded_faults_stay_structured_and_thread_invariant(
+        fn seeded_faults_stay_structured(
             system in arb_system(),
             k in 1usize..=4,
             seed in 0u64..1024,
             ticks in 1u64..120,
         ) {
             let params = CmcParams::classic(k, 0.8, 0.5);
-            let run = |threads: Threads| {
-                let pool = ThreadPool::new(threads);
-                let deadline = Deadline::unbounded()
-                    .with_tick_budget(ticks)
-                    .with_fault_plan(FaultPlan::from_seed(seed));
-                cmc(&system, &params, &pool, &deadline, &mut NoopObserver)
-            };
-            let serial = run(Threads::serial());
-            if let Ok(outcome) = &serial {
-                check_set_outcome(&system, &outcome.value().solution, outcome);
+            let pool = ThreadPool::new(Threads::serial());
+            let deadline = Deadline::unbounded()
+                .with_tick_budget(ticks)
+                .with_fault_plan(FaultPlan::from_seed(seed));
+            if let Ok(outcome) = cmc(&system, &params, &pool, &deadline, &mut NoopObserver) {
+                check_set_outcome(&system, &outcome.value().solution, &outcome);
             }
-            prop_assert_eq!(&serial, &run(Threads::new(4)));
         }
 
         /// Same contract for CWSC: the whole round is contained, so a

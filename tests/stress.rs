@@ -22,7 +22,7 @@ fn optimized_algorithms_at_700k_rows() {
     let table = LblConfig::default().generate(); // 700k rows, full domains
     assert_eq!(table.num_rows(), 700_000);
     let space = PatternSpace::new(&table, CostFn::Max);
-    let pool = ThreadPool::new(Threads::available());
+    let pool = ThreadPool::new(Threads::serial());
     let deadline = Deadline::unbounded();
 
     let mut stats = Stats::new();
@@ -65,7 +65,7 @@ fn full_cube_enumeration_at_400k_rows() {
 
     // Optimized and unoptimized CWSC still agree exactly at this scale.
     let space = PatternSpace::new(&table, CostFn::Max);
-    let pool = ThreadPool::new(Threads::available());
+    let pool = ThreadPool::new(Threads::serial());
     let deadline = Deadline::unbounded();
     let opt = complete(opt_cwsc(
         &space,
