@@ -12,12 +12,13 @@
 use scwsc_bench::cli::{args_or_exit, bail, exit_code, exit_with, required};
 use scwsc_bench::measure::RunParams;
 use scwsc_bench::report::{secs, TextTable};
+use scwsc_core::cli::Args;
 use scwsc_core::telemetry::audit::{self, DecisionLedger};
 #[cfg(feature = "fault-inject")]
 use scwsc_core::FaultPlan;
 use scwsc_core::{
     coverage_target, render_prometheus, Deadline, EngineError, Fanout, FlightRecorder, JsonlSink,
-    MetricsRecorder, SloGauges, SolveOutcome, SpanProfiler, Stats, ThreadPool, Threads, Watchdog,
+    MetricsRecorder, SloGauges, SolveOutcome, ThreadPool, Threads, Watchdog,
 };
 use scwsc_data::csv::read_table;
 use scwsc_data::lbl::LblConfig;
@@ -79,7 +80,7 @@ fn cost_fn_of(name: &str) -> CostFn {
     }
 }
 
-fn load(args: &scwsc_bench::Args) -> Table {
+fn load(args: &Args) -> Table {
     if let Some(path) = args.get("csv") {
         match read_table(Path::new(path)) {
             Ok(t) => t,
@@ -135,7 +136,7 @@ fn parse_fault(spec: &str) -> FaultPlan {
 /// Builds the run's [`Deadline`] from `--deadline-ms` (falling back to
 /// the `SCWSC_DEADLINE_MS` environment variable), `--max-ticks`, and
 /// `--fault`; unbounded when none is given.
-fn deadline_of(args: &scwsc_bench::Args) -> Deadline {
+fn deadline_of(args: &Args) -> Deadline {
     let mut deadline = Deadline::unbounded();
     // The flag wins over the environment: SCWSC_DEADLINE_MS sets a
     // fleet-wide default (e.g. exported by an operator for every run in
@@ -194,7 +195,6 @@ fn main() {
         params.coverage * 100.0,
     );
     let space = PatternSpace::new(&table, params.cost_fn);
-    let mut stats = Stats::new();
     let mut metrics = MetricsRecorder::new();
     let trace_path = args.get("trace-jsonl");
     let mut sink = trace_path.map(|path| {
@@ -202,7 +202,6 @@ fn main() {
             File::create(path).unwrap_or_else(|e| bail(&format!("cannot create {path}: {e}")));
         JsonlSink::new(BufWriter::new(file))
     });
-    let mut profiler = args.flag("profile").then(SpanProfiler::new);
     // `--explain` (bare: all rounds) or `--explain N` (cap per guess).
     let explain = args.flag("explain") || args.get("explain").is_some();
     let explain_limit: Option<usize> = args
@@ -239,14 +238,9 @@ fn main() {
         let mut flight_tap = flight.clone();
         let mut dog_tap = watchdog.clone();
         let mut obs = Fanout::new();
-        obs.attach(&mut stats)
-            .attach(&mut metrics)
-            .attach(&mut flight_tap);
+        obs.attach(&mut metrics).attach(&mut flight_tap);
         if let Some(s) = sink.as_mut() {
             obs.attach(s);
-        }
-        if let Some(p) = profiler.as_mut() {
-            obs.attach(p);
         }
         if let Some(l) = ledger.as_mut() {
             obs.attach(l);
@@ -350,7 +344,7 @@ fn main() {
     }
     eprintln!(
         "considered {} patterns in {} budget guess(es)",
-        stats.considered, stats.budget_guesses
+        metrics.benefits_computed, metrics.guesses
     );
     if let Some(ledger) = &ledger {
         if let Some(path) = audit_path {
@@ -389,9 +383,9 @@ fn main() {
     if args.flag("metrics") {
         print_metrics(&metrics);
     }
-    if let Some(p) = &profiler {
+    if args.flag("profile") {
         println!("== span profile ==");
-        print!("{}", p.render());
+        print!("{}", flight.causal_tree().render());
     }
     if let Some(cert) = degraded {
         eprintln!("deadline expired: {cert}");

@@ -9,7 +9,9 @@
 //! * Everything lands in one swim lane: one **process** (`pid` 0, named via
 //!   `process_name` metadata), because a solve's event stream is the one
 //!   its calling thread emits.
-//! * The **causal tree** becomes nested `"X"` (complete) duration events.
+//! * The **causal tree** becomes nested `"X"` (complete) duration events,
+//!   each carrying its span id, parent id, completion count, and non-zero
+//!   work counters in `args`.
 //!   The tree stores aggregate per-span seconds, not start timestamps, so
 //!   starts are synthesized by depth-first layout: a span opens where its
 //!   previous sibling ended, and a parent is stretched to contain its
@@ -22,7 +24,7 @@
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-use crate::json::Json;
+use scwsc_core::json::Json;
 
 /// Envelope fields of a ring-event line; everything else is payload and
 /// goes to `args` verbatim.
@@ -143,7 +145,7 @@ fn layout_spans(node: &Json, start_us: f64, out: &mut Vec<Json>) -> Result<f64, 
                 ("span".into(), field("span")?.clone()),
                 ("parent".into(), field("parent")?.clone()),
                 ("count".into(), field("count")?.clone()),
-                ("events".into(), field("events")?.clone()),
+                ("counters".into(), field("counters")?.clone()),
             ]),
         ),
     ]));
@@ -246,6 +248,21 @@ mod tests {
             "scan_prune in guess"
         );
         assert!((total.1 - total.0 - 0.6e6).abs() < 1.0, "total keeps 0.6s");
+    }
+
+    #[test]
+    fn span_counters_reach_args() {
+        let trace = flight_to_chrome(&dump()).unwrap();
+        let guess = phase(&trace, "X")
+            .into_iter()
+            .find(|e| e.get("name").and_then(Json::as_str) == Some(PHASE_GUESS))
+            .unwrap();
+        let counters = guess
+            .get("args")
+            .and_then(|a| a.get("counters"))
+            .expect("counters object");
+        assert_eq!(counters.get("benefits").and_then(Json::as_u64), Some(10));
+        assert_eq!(counters.get("selections").and_then(Json::as_u64), Some(1));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Shared entry-point plumbing for the experiment binaries.
 
-use crate::args::Args;
 use crate::report::TextTable;
+use scwsc_core::cli::Args;
 
 /// Exit codes of the solver binaries' error taxonomy (DESIGN.md §12).
 /// Code 0 is success, 1 is an internal fault (e.g. a solver worker that

@@ -12,13 +12,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod args;
 pub mod attribute;
 pub mod chrome_trace;
 pub mod cli;
 pub mod diff;
 pub mod experiments;
-pub mod json;
 pub mod measure;
 pub mod printers;
 pub mod record;
@@ -29,5 +27,4 @@ pub mod snapshot;
 pub mod soak;
 pub mod trend;
 
-pub use args::Args;
 pub use measure::{run, Algo, Measurement, RunParams};

@@ -86,8 +86,8 @@ impl TextTable {
 
     /// Renders as a JSON array of objects keyed by the header, with cells
     /// that parse as finite numbers emitted as numbers.
-    pub fn to_json(&self) -> crate::json::Json {
-        use crate::json::Json;
+    pub fn to_json(&self) -> scwsc_core::json::Json {
+        use scwsc_core::json::Json;
         let rows = self
             .rows
             .iter()
@@ -160,7 +160,7 @@ mod tests {
 
     #[test]
     fn json_output_types_cells() {
-        use crate::json::Json;
+        use scwsc_core::json::Json;
         let mut t = TextTable::new(["alg", "time"]);
         t.row(["CWSC", "1.5"]);
         let json = t.to_json();

@@ -8,7 +8,7 @@
 //! the repo root form the performance trajectory that
 //! `scwsc_bench diff` compares against.
 
-use crate::json::Json;
+use scwsc_core::json::Json;
 use scwsc_core::telemetry::{MetricsRecorder, PruneReason, SpanNode};
 use std::collections::BTreeMap;
 use std::process::Command;

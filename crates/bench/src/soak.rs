@@ -20,10 +20,10 @@
 //! Each iteration appends one line to a windowed-metrics JSONL timeline,
 //! so a soak that fails hours in still leaves the trajectory on disk.
 
-use crate::json::Json;
 use crate::measure::run_traced;
 use crate::registry::Workload;
 use crate::snapshot::deterministic_counters;
+use scwsc_core::json::Json;
 use scwsc_core::telemetry::window::SolveWindows;
 use scwsc_core::{Fanout, MetricsRecorder, Watchdog};
 use std::collections::BTreeMap;

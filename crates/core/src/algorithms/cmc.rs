@@ -9,10 +9,10 @@
 //! Theorem 5: the ε-schedule uses at most `(1+ε)k` sets at cost
 //! `O(((1+b)/ε)·log k·OPT)`.
 
+use super::degrade;
 use crate::cover_state::{CoverState, Incidence};
 use crate::engine::{
-    panic_message, Certificate, Deadline, DegradeReason, Degraded, EngineError, SolveOutcome,
-    ThreadPool,
+    panic_message, Deadline, DegradeReason, Degraded, EngineError, SolveOutcome, ThreadPool,
 };
 use crate::set_system::{coverage_target, SetId, SetSystem};
 use crate::solution::{Solution, SolveError};
@@ -271,9 +271,10 @@ pub struct CmcOutcome {
 ///
 /// One work tick is consumed per selection attempt. On expiry the run
 /// returns [`SolveOutcome::Degraded`] carrying the partial selection of
-/// the budget guess that was in flight, plus a [`Certificate`] (sets used,
-/// coverage vs. the `(1−1/e)·ŝ·n` target, cost, exhausted level quotas,
-/// ticks) that [`verify_certificate`](crate::solution::verify_certificate)
+/// the budget guess that was in flight, plus a
+/// [`Certificate`](crate::engine::Certificate) (sets used, coverage vs.
+/// the `(1−1/e)·ŝ·n` target, cost, exhausted level quotas, ticks) that
+/// [`verify_certificate`](crate::solution::verify_certificate)
 /// independently re-checks.
 ///
 /// Panic isolation: each budget guess runs under `catch_unwind`; a
@@ -375,43 +376,6 @@ fn exhausted_quotas(levels: &Levels, counts: &[usize]) -> Vec<usize> {
     (0..levels.len())
         .filter(|&l| counts[l] == levels.quota(l))
         .collect()
-}
-
-/// Packages an expired guess's partial selection as a degraded outcome
-/// with its certificate, noting the decision in the audit ledger.
-#[allow(clippy::too_many_arguments)]
-fn degrade<O: Observer + ?Sized>(
-    system: &SetSystem,
-    partial: Vec<SetId>,
-    quotas_exhausted: Vec<usize>,
-    reason: DegradeReason,
-    target: usize,
-    budget: f64,
-    deadline: &Deadline,
-    obs: &mut O,
-) -> SolveOutcome<CmcOutcome> {
-    let solution = Solution::from_sets(system, partial);
-    obs.on(&Event::DegradeDecided(
-        reason.as_str(),
-        solution.covered() as u64,
-        target as u64,
-    ));
-    let certificate = Certificate {
-        sets_used: solution.size(),
-        covered: solution.covered(),
-        target,
-        total_cost: solution.total_cost().value(),
-        quotas_exhausted,
-        ticks: deadline.ticks(),
-        reason,
-    };
-    SolveOutcome::Degraded(Degraded {
-        partial: CmcOutcome {
-            solution,
-            final_budget: budget,
-        },
-        certificate,
-    })
 }
 
 /// The ids of the sets in each level of `levels`, ascending within each;
@@ -547,16 +511,22 @@ fn guess_loop<O: Observer + ?Sized>(
                 quotas_exhausted,
                 reason,
             } => {
-                return Ok(degrade(
+                let d = degrade(
                     system,
                     partial,
                     quotas_exhausted,
                     reason,
                     target,
-                    budget,
                     deadline,
                     obs,
-                ))
+                );
+                return Ok(SolveOutcome::Degraded(Degraded {
+                    partial: CmcOutcome {
+                        solution: d.partial,
+                        final_budget: budget,
+                    },
+                    certificate: d.certificate,
+                }));
             }
             GuessOutcome::NotFound => {}
         }

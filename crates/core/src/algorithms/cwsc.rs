@@ -8,10 +8,10 @@
 //! (Section V-B); empirically it matches CMC's quality at a fraction of the
 //! runtime (Tables IV–V).
 
+use super::degrade;
 use crate::cover_state::CoverState;
 use crate::engine::{
-    panic_message, Certificate, Deadline, DegradeReason, Degraded, EngineError, SolveOutcome,
-    ThreadPool,
+    panic_message, Deadline, DegradeReason, EngineError, SolveOutcome, ThreadPool,
 };
 use crate::set_system::{coverage_target, SetId, SetSystem};
 use crate::solution::{Solution, SolveError};
@@ -43,8 +43,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 ///
 /// One work tick is consumed per selection round. On expiry the picks made
 /// so far become a [`SolveOutcome::Degraded`] partial solution with a
-/// [`Certificate`] (`quotas_exhausted` is always empty — CWSC has no cost
-/// levels) that
+/// [`Certificate`](crate::engine::Certificate) (`quotas_exhausted` is
+/// always empty — CWSC has no cost levels) that
 /// [`verify_certificate`](crate::solution::verify_certificate) re-checks.
 ///
 /// CWSC is a single greedy round, so there is no retry: the round runs
@@ -116,27 +116,15 @@ pub(crate) fn cwsc_to_target<O: Observer + ?Sized>(
         Ok(RoundOutcome::Done(result)) => result
             .map(SolveOutcome::Complete)
             .map_err(EngineError::Solve),
-        Ok(RoundOutcome::Expired { partial, reason }) => {
-            let solution = Solution::from_sets(system, partial);
-            obs.on(&Event::DegradeDecided(
-                reason.as_str(),
-                solution.covered() as u64,
-                target as u64,
-            ));
-            let certificate = Certificate {
-                sets_used: solution.size(),
-                covered: solution.covered(),
-                target,
-                total_cost: solution.total_cost().value(),
-                quotas_exhausted: Vec::new(),
-                ticks: deadline.ticks(),
-                reason,
-            };
-            Ok(SolveOutcome::Degraded(Degraded {
-                partial: solution,
-                certificate,
-            }))
-        }
+        Ok(RoundOutcome::Expired { partial, reason }) => Ok(SolveOutcome::Degraded(degrade(
+            system,
+            partial,
+            Vec::new(),
+            reason,
+            target,
+            deadline,
+            obs,
+        ))),
         Err(payload) => Err(EngineError::Panicked(panic_message(payload.as_ref()))),
     };
     span.exit(obs);

@@ -205,24 +205,6 @@ impl Event<'_> {
         };
     }
 
-    /// Whether this event counts toward a span's deterministic event tally.
-    /// Structural plumbing (spans, trace minting), audit/advisory events,
-    /// and fault-only events (retries, stalls) are excluded, mirroring the
-    /// exact-diff counter set.
-    pub(crate) fn is_deterministic_work(&self) -> bool {
-        matches!(
-            self,
-            Event::GuessStarted(_)
-                | Event::LevelEntered(..)
-                | Event::SetSelected(..)
-                | Event::BenefitComputed(_)
-                | Event::CandidatePruned(_)
-                | Event::SubtreePruned(_)
-                | Event::PostingScanned(_)
-                | Event::HeapStalePop
-        )
-    }
-
     /// An owned copy that outlives the borrowed slices, for recording.
     /// Copies straight from a borrow (no `clone` first) and is always
     /// inlined: where [`EventLog`](super::EventLog)'s `on` inlines at an

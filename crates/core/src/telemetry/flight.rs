@@ -1,15 +1,14 @@
 //! Flight recorder: a fixed-capacity ring buffer of recent *enriched*
-//! events plus an incrementally maintained causal span tree — the black
-//! box that gives every bad outcome a self-contained post-mortem artifact
+//! events plus an incrementally maintained span tree — the black box
+//! that gives every bad outcome a self-contained post-mortem artifact
 //! (DESIGN.md §13).
 //!
 //! A [`FlightRecorder`] is an [`Observer`] front-end over shared state
 //! (`Arc` inside), so it can be cloned: one clone rides in the solve's
-//! observer stack (possibly on the engine's isolated solve thread) while
-//! the caller keeps another to [`write_dump`](FlightRecorder::write_dump)
-//! *after* a panic or deadline degrade — the recorded history survives the
-//! unwinding because it lives behind the `Arc`, not in the poisoned stack
-//! frame.
+//! observer stack while the caller keeps another to
+//! [`write_dump`](FlightRecorder::write_dump) *after* a panic or deadline
+//! degrade — the recorded history survives the unwinding because it lives
+//! behind the `Arc`, not in the poisoned stack frame.
 //!
 //! Two kinds of state are kept, behind one mutex:
 //!
@@ -19,24 +18,26 @@
 //!   ring fills, its oldest event is dropped and counted — a flight
 //!   recorder by design remembers *what happened just before*, not
 //!   everything.
-//! * **The causal tree** — span open/close events are folded into a
-//!   [`CausalNode`] tree as they arrive (bounded by the number of distinct
+//! * **The causal tree** — a [`SpanProfiler`] folds every event into its
+//!   [`SpanNode`] tree as it arrives (bounded by the number of distinct
 //!   span paths, not the event count), so the tree in the dump is complete
 //!   even when the ring has wrapped.
 //!
-//! Span ids are assigned in arrival order. Every solve runs on the
-//! calling thread (DESIGN.md §11), so the event stream's order, and with
-//! it the ids, are reproducible run-to-run for a tick-deterministic
-//! solve.
+//! A ring event's span id is the profiler's innermost open node and its
+//! parent id the node below it on the stack; both are arena indices in
+//! creation order, so they name nodes of the dumped tree. Every solve
+//! runs on the calling thread (DESIGN.md §11), so the event stream's
+//! order, and with it the ids, are reproducible run-to-run for a
+//! tick-deterministic solve.
 //!
 //! The dump format is line-oriented and *every* line is one valid JSON
 //! object: a header, one line per buffered event, and a trailing
 //! `{"causal_tree": …}` object — trivially greppable, trivially parseable.
 
+use super::spans::{SpanNode, SpanProfiler};
 use super::trace::{TraceContext, TraceId};
-use super::{json_f64, Event, Observer, PHASE_SCAN_PRUNE};
+use super::{json_f64, Event, Observer};
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::io;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
@@ -70,272 +71,15 @@ impl FlightEvent {
     }
 }
 
-/// Arena node of the incrementally built causal tree.
-#[derive(Debug, Clone)]
-struct Node {
-    name: &'static str,
-    span_id: u64,
-    parent_span_id: u64,
-    count: u64,
-    events: u64,
-    secs: f64,
-    children: Vec<usize>,
-}
-
-/// Mutable causal-tracking state, updated on structural events only.
-#[derive(Debug)]
-struct CausalState {
-    trace_id: TraceId,
-    entry: &'static str,
-    nodes: Vec<Node>,
-    /// Open spans, outermost first (arena indices).
-    stack: Vec<usize>,
-    next_span_id: u64,
-}
-
-impl CausalState {
-    fn new() -> CausalState {
-        CausalState {
-            trace_id: TraceId::default(),
-            entry: "",
-            nodes: vec![Node {
-                name: "(run)",
-                span_id: 0,
-                parent_span_id: 0,
-                count: 0,
-                events: 0,
-                secs: 0.0,
-                children: Vec::new(),
-            }],
-            stack: Vec::new(),
-            next_span_id: 1,
-        }
-    }
-
-    /// Arena index of the innermost open span, else the synthetic root.
-    fn top(&self) -> usize {
-        *self.stack.last().unwrap_or(&0)
-    }
-
-    /// The causal coordinates an arriving event carries.
-    fn context(&self) -> TraceContext {
-        let node = &self.nodes[self.top()];
-        TraceContext {
-            trace_id: self.trace_id,
-            span_id: node.span_id,
-            parent_span_id: node.parent_span_id,
-        }
-    }
-
-    /// Child of `parent` named `name` (spans aggregate by name along the
-    /// parent path, like [`SpanProfiler`](super::SpanProfiler)), created
-    /// on first sight with a fresh arrival-ordered span id.
-    fn child_idx(&mut self, parent: usize, name: &'static str) -> usize {
-        if let Some(&idx) = self.nodes[parent]
-            .children
-            .iter()
-            .find(|&&c| self.nodes[c].name == name)
-        {
-            return idx;
-        }
-        let span_id = self.next_span_id;
-        self.next_span_id += 1;
-        let idx = self.nodes.len();
-        let parent_span_id = self.nodes[parent].span_id;
-        self.nodes.push(Node {
-            name,
-            span_id,
-            parent_span_id,
-            count: 0,
-            events: 0,
-            secs: 0.0,
-            children: Vec::new(),
-        });
-        self.nodes[parent].children.push(idx);
-        idx
-    }
-
-    /// Folds one event into the causal state and returns the context the
-    /// event is stamped with.
-    fn apply(&mut self, event: &Event<'_>) -> TraceContext {
-        match *event {
-            // Latch the first mint: nested solves (a sweep's inner rounds)
-            // announce their own ids, but the flight belongs to the outermost.
-            Event::TraceStarted(trace_id, entry) if self.trace_id.is_unset() => {
-                self.trace_id = trace_id;
-                self.entry = entry;
-            }
-            Event::PhaseStarted(name) => {
-                let idx = self.child_idx(self.top(), name);
-                self.stack.push(idx);
-            }
-            Event::PhaseEnded(name, seconds) => {
-                // Stamp the event with the span being closed, then close it.
-                let ctx = self.context();
-                // Innermost open span with this name; spans opened after it
-                // never got their own end, so close them silently (profiler
-                // semantics).
-                if let Some(pos) = self.stack.iter().rposition(|&i| self.nodes[i].name == name) {
-                    self.stack.truncate(pos + 1);
-                    let idx = self.stack.pop().expect("pos is in range");
-                    self.nodes[idx].count += 1;
-                    self.nodes[idx].secs += seconds;
-                }
-                return ctx;
-            }
-            _ if event.is_deterministic_work() => {
-                let idx = self.top();
-                self.nodes[idx].events += 1;
-            }
-            _ => {}
-        }
-        self.context()
-    }
-
-    fn assemble(&self, idx: usize) -> CausalNode {
-        let n = &self.nodes[idx];
-        CausalNode {
-            name: n.name,
-            span_id: n.span_id,
-            parent_span_id: n.parent_span_id,
-            count: n.count,
-            events: n.events,
-            secs: n.secs,
-            children: n.children.iter().map(|&c| self.assemble(c)).collect(),
-        }
-    }
-
-    /// The causal tree so far: the single top-level span when the run is
-    /// that simple, otherwise the synthetic `(run)` root.
-    fn tree(&self) -> CausalNode {
-        let mut root = self.assemble(0);
-        root.secs = root.children.iter().map(|c| c.secs).sum();
-        if root.children.len() == 1 && root.events == 0 {
-            root.children.pop().expect("one child")
-        } else {
-            root
-        }
-    }
-}
-
-/// One aggregated node of the reconstructed causal tree: all spans with
-/// this name under the same parent path, annotated with the span id
-/// assigned at first arrival and the deterministic-work events attributed
-/// while it was innermost.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CausalNode {
-    /// Span name ([`PHASE_TOTAL`](super::PHASE_TOTAL), …); `(run)` for the
-    /// synthetic root.
-    pub name: &'static str,
-    /// Arrival-ordered span id (0 for the synthetic root).
-    pub span_id: u64,
-    /// The parent span's id (0 = root).
-    pub parent_span_id: u64,
-    /// Completed spans aggregated into this node.
-    pub count: u64,
-    /// Deterministic work events attributed to this node (see
-    /// DESIGN.md §13 for the counted subset).
-    pub events: u64,
-    /// Total wall-clock seconds across completions.
-    pub secs: f64,
-    /// Child spans in first-seen order.
-    pub children: Vec<CausalNode>,
-}
-
-impl CausalNode {
-    /// Finds a direct child by name.
-    pub fn child(&self, name: &str) -> Option<&CausalNode> {
-        self.children.iter().find(|c| c.name == name)
-    }
-
-    /// Total deterministic-work events in this subtree.
-    pub fn events_total(&self) -> u64 {
-        self.events + self.children.iter().map(|c| c.events_total()).sum::<u64>()
-    }
-
-    /// The run-invariant shape of this tree, for comparing two runs of
-    /// one solve: [`PHASE_SCAN_PRUNE`] spans fold into their parent (they
-    /// come and go with `SCWSC_PRUNE`), span ids are zeroed (assignment
-    /// order differs when those spans consume ids), and timings are
-    /// dropped. What remains — span names, nesting, counts, and
-    /// deterministic event tallies — must be identical for two runs of
-    /// one solve under the same tick budget.
-    pub fn normalized(&self) -> CausalNode {
-        let mut events = self.events;
-        let mut children = Vec::new();
-        for c in &self.children {
-            let n = c.normalized();
-            if n.name == PHASE_SCAN_PRUNE {
-                // Fold: the unpruned run does the same work without it.
-                events += n.events;
-                children.extend(n.children);
-            } else {
-                children.push(n);
-            }
-        }
-        CausalNode {
-            name: self.name,
-            span_id: 0,
-            parent_span_id: 0,
-            count: self.count,
-            events,
-            secs: 0.0,
-            children,
-        }
-    }
-
-    /// One JSON object (no trailing newline) describing this subtree.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write_json(&mut out);
-        out
-    }
-
-    fn write_json(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"span\":{},\"parent\":{},\"count\":{},\"events\":{},\"secs\":{},\"children\":[",
-            self.name,
-            self.span_id,
-            self.parent_span_id,
-            self.count,
-            self.events,
-            json_f64(self.secs)
-        );
-        for (i, c) in self.children.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            c.write_json(out);
-        }
-        out.push_str("]}");
-    }
-
-    /// Indented text rendering (one line per node) for human post-mortems.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out, 0);
-        out
-    }
-
-    fn render_into(&self, out: &mut String, depth: usize) {
-        let indent = "  ".repeat(depth);
-        let _ = writeln!(
-            out,
-            "{indent}{} [span {} < {}]  ×{}  events={}  {:.6}s",
-            self.name, self.span_id, self.parent_span_id, self.count, self.events, self.secs,
-        );
-        for c in &self.children {
-            c.render_into(out, depth + 1);
-        }
-    }
-}
-
 /// The ring and the causal tree, kept under one lock so every event's
 /// sequence number follows its causal order.
 #[derive(Debug)]
 struct Recording {
-    causal: CausalState,
+    spans: SpanProfiler,
+    /// The first minted trace id and its entry point (unset/empty until a
+    /// trace starts).
+    trace_id: TraceId,
+    entry: &'static str,
     ring: VecDeque<FlightEvent>,
     dropped: u64,
 }
@@ -373,7 +117,9 @@ impl FlightRecorder {
                 capacity: capacity.max(1),
                 start: Instant::now(),
                 recording: Mutex::new(Recording {
-                    causal: CausalState::new(),
+                    spans: SpanProfiler::new(),
+                    trace_id: TraceId::default(),
+                    entry: "",
                     ring: VecDeque::new(),
                     dropped: 0,
                 }),
@@ -404,19 +150,19 @@ impl FlightRecorder {
     /// The latched trace id (the first [`Event::TraceStarted`] seen;
     /// unset when no solve has announced itself yet).
     pub fn trace_id(&self) -> TraceId {
-        self.recording().causal.trace_id
+        self.recording().trace_id
     }
 
     /// The latched entry-point name (empty until a trace starts).
     pub fn entry(&self) -> &'static str {
-        self.recording().causal.entry
+        self.recording().entry
     }
 
-    /// The causal span tree reconstructed so far. Complete even when the
-    /// event ring has wrapped — the tree is maintained incrementally, not
-    /// derived from the buffered window.
-    pub fn causal_tree(&self) -> CausalNode {
-        self.recording().causal.tree()
+    /// The span tree folded so far. Complete even when the event ring has
+    /// wrapped — the tree is maintained incrementally, not derived from
+    /// the buffered window.
+    pub fn causal_tree(&self) -> SpanNode {
+        self.recording().spans.tree()
     }
 
     fn recording(&self) -> MutexGuard<'_, Recording> {
@@ -434,16 +180,16 @@ impl FlightRecorder {
             let rec = self.recording();
             let events: Vec<FlightEvent> = rec.ring.iter().cloned().collect();
             (
-                rec.causal.tree(),
-                rec.causal.trace_id,
-                rec.causal.entry,
+                rec.spans.tree(),
+                rec.trace_id,
+                rec.entry,
                 events,
                 rec.dropped,
             )
         };
         writeln!(
             w,
-            "{{\"flight\":\"scwsc\",\"version\":2,\"trace_id\":\"{trace_id}\",\"entry\":\"{entry}\",\"buffered\":{},\"dropped\":{dropped},\"capacity\":{}}}",
+            "{{\"flight\":\"scwsc\",\"version\":3,\"trace_id\":\"{trace_id}\",\"entry\":\"{entry}\",\"buffered\":{},\"dropped\":{dropped},\"capacity\":{}}}",
             events.len(),
             self.capacity()
         )?;
@@ -479,7 +225,29 @@ impl Observer for FlightRecorder {
         // into the ring, evicting the oldest event when full.
         let t = self.inner.start.elapsed().as_secs_f64();
         let mut rec = self.recording();
-        let ctx = rec.causal.apply(event);
+        // Latch the first mint: nested solves (a sweep's inner rounds)
+        // announce their own ids, but the flight belongs to the outermost.
+        if let Event::TraceStarted(trace_id, entry) = *event {
+            if rec.trace_id.is_unset() {
+                rec.trace_id = trace_id;
+                rec.entry = entry;
+            }
+        }
+        // A phase end is stamped with the span it closes; every other
+        // event with the stack as the profiler leaves it.
+        let (span_id, parent_span_id) = if let Event::PhaseEnded(..) = event {
+            let stamp = rec.spans.stamp();
+            rec.spans.on(event);
+            stamp
+        } else {
+            rec.spans.on(event);
+            rec.spans.stamp()
+        };
+        let ctx = TraceContext {
+            trace_id: rec.trace_id,
+            span_id,
+            parent_span_id,
+        };
         // Every event ever recorded is either buffered or dropped.
         let seq = rec.dropped + rec.ring.len() as u64;
         if rec.ring.len() == self.inner.capacity {
@@ -498,7 +266,7 @@ impl Observer for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::{PHASE_GUESS, PHASE_TOTAL};
+    use crate::telemetry::{PHASE_GUESS, PHASE_SCAN_PRUNE, PHASE_TOTAL};
 
     /// Drives a little run through a recorder: a total>guess nest with a
     /// pruned-scan span inside.
@@ -518,7 +286,7 @@ mod tests {
     }
 
     #[test]
-    fn causal_tree_nests_spans_with_arrival_ordered_ids() {
+    fn causal_tree_nests_spans_with_creation_ordered_ids() {
         let tree = recorded().causal_tree();
         assert_eq!(tree.name, PHASE_TOTAL);
         let guess = tree.child(PHASE_GUESS).expect("guess under total");
@@ -526,11 +294,36 @@ mod tests {
             .child(PHASE_SCAN_PRUNE)
             .expect("scan_prune under guess");
         assert_eq!(prune.count, 1);
-        assert_eq!(prune.events, 1);
-        assert_eq!(guess.events, 2, "benefit_computed(10) + set_selected");
-        assert_eq!(tree.span_id, 1);
-        assert_eq!(guess.parent_span_id, tree.span_id);
-        assert_eq!(prune.parent_span_id, guess.span_id);
+        assert_eq!(prune.counters.benefits_computed, 4);
+        assert_eq!(guess.counters.benefits_computed, 10);
+        assert_eq!(guess.counters.selections, 1);
+        assert_eq!((tree.id, guess.id, prune.id), (1, 2, 3));
+    }
+
+    #[test]
+    fn events_are_stamped_with_their_span_and_parent() {
+        let r = recorded();
+        let stamps: Vec<(u64, u64)> = r
+            .recording()
+            .ring
+            .iter()
+            .map(|e| (e.ctx.span_id, e.ctx.parent_span_id))
+            .collect();
+        assert_eq!(
+            stamps,
+            [
+                (0, 0), // trace_started, before any span
+                (1, 0), // phase_started(total): the span it opens
+                (2, 1),
+                (2, 1),
+                (3, 2),
+                (3, 2),
+                (3, 2), // phase_ended(scan_prune): the span it closes
+                (2, 1), // set_selected, back in guess
+                (2, 1),
+                (1, 0),
+            ]
+        );
     }
 
     #[test]
@@ -541,30 +334,6 @@ mod tests {
         r.on(&Event::TraceStarted(TraceId::mint("cwsc", 50, 3), "cwsc")); // nested solve
         assert_eq!(r.trace_id(), first);
         assert_eq!(r.entry(), "pareto_sweep");
-    }
-
-    #[test]
-    fn normalized_folds_scan_prune_and_strips_volatile_fields() {
-        let pruned = recorded().causal_tree().normalized();
-        // The unpruned twin: same work, no scan_prune span.
-        let mut unpruned = FlightRecorder::new();
-        unpruned.on(&Event::TraceStarted(TraceId::mint("cmc", 100, 7), "cmc"));
-        unpruned.on(&Event::PhaseStarted(PHASE_TOTAL));
-        unpruned.on(&Event::PhaseStarted(PHASE_GUESS));
-        unpruned.on(&Event::BenefitComputed(10));
-        unpruned.on(&Event::BenefitComputed(4));
-        unpruned.on(&Event::SetSelected(3, 5, 1.0));
-        unpruned.on(&Event::PhaseEnded(PHASE_GUESS, 0.4));
-        unpruned.on(&Event::PhaseEnded(PHASE_TOTAL, 0.45));
-        let expected = unpruned.causal_tree().normalized();
-        assert_eq!(pruned, expected);
-        assert_eq!(pruned.secs, 0.0);
-        assert_eq!(pruned.span_id, 0);
-        assert_eq!(pruned.events_total(), 3, "all three work events kept");
-        assert!(
-            pruned.child(PHASE_GUESS).unwrap().children.is_empty(),
-            "no scan_prune child survives"
-        );
     }
 
     #[test]
@@ -594,11 +363,14 @@ mod tests {
             );
         }
         assert!(
-            lines[0].contains("\"flight\":\"scwsc\",\"version\":2"),
+            lines[0].contains("\"flight\":\"scwsc\",\"version\":3"),
             "{text}"
         );
         assert!(lines[0].contains("\"entry\":\"cmc\""), "{text}");
-        assert!(lines.last().unwrap().contains("\"causal_tree\":"), "{text}");
+        assert_eq!(
+            lines.last().unwrap(),
+            &format!("{{\"causal_tree\":{}}}", r.causal_tree().to_json())
+        );
         // Events carry their causal coordinates and appear in seq order.
         let seqs: Vec<u64> = lines[1..lines.len() - 1]
             .iter()

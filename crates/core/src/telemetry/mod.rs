@@ -41,7 +41,7 @@ pub mod window;
 pub use audit::{AuditCandidate, DecisionLedger, QualityCertificate};
 pub use event::Event;
 pub use export::{parse_prometheus, render_prometheus, render_prometheus_windowed, SloGauges};
-pub use flight::{CausalNode, FlightRecorder};
+pub use flight::FlightRecorder;
 pub use replay::EventLog;
 pub use spans::{SpanCounters, SpanNode, SpanProfiler};
 pub use trace::{pack_k_target, TraceContext, TraceId};

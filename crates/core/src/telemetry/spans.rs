@@ -21,8 +21,13 @@
 //!
 //! Counter events that fire while no span is open are attributed to the
 //! synthetic root (rendered as `(unspanned)` when non-empty).
+//!
+//! Node ids are arena indices in creation order (0 is the synthetic
+//! root), so the [`FlightRecorder`](super::FlightRecorder), which folds
+//! its events through a `SpanProfiler`, stamps every ring event with ids
+//! that name nodes of the tree it dumps.
 
-use super::{Event, Observer};
+use super::{json_f64, Event, Observer};
 use std::fmt::Write as _;
 
 /// Work counters attributable to a single span (the deterministic subset
@@ -71,6 +76,8 @@ impl SpanCounters {
 pub struct SpanNode {
     /// Span name as carried by [`Event::PhaseStarted`].
     pub name: &'static str,
+    /// Arena index, assigned in creation order (0 = the synthetic root).
+    pub id: u64,
     /// Completed spans aggregated into this node.
     pub count: u64,
     /// Total wall-clock seconds across completions (children included).
@@ -82,9 +89,10 @@ pub struct SpanNode {
 }
 
 impl SpanNode {
-    fn new(name: &'static str) -> SpanNode {
+    fn new(name: &'static str, id: usize) -> SpanNode {
         SpanNode {
             name,
+            id: id as u64,
             count: 0,
             total_secs: 0.0,
             counters: SpanCounters::default(),
@@ -103,6 +111,60 @@ impl SpanNode {
     /// Finds a direct child by name.
     pub fn child(&self, name: &str) -> Option<&SpanNode> {
         self.children.iter().find(|c| c.name == name)
+    }
+
+    /// This tree with every timing zeroed: what two runs of one solve
+    /// under the same tick budget must agree on (names, ids, nesting,
+    /// counts, counters).
+    pub fn untimed(&self) -> SpanNode {
+        SpanNode {
+            total_secs: 0.0,
+            children: self.children.iter().map(SpanNode::untimed).collect(),
+            ..self.clone()
+        }
+    }
+
+    /// One JSON object (no trailing newline) describing this subtree:
+    /// `name`, `span` (the id), `parent` (the enclosing node's id, 0 at
+    /// the top), `count`, `secs`, the non-zero `counters`, and `children`.
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        self.write_json(0, &mut out);
+        out
+    }
+
+    fn write_json(&self, parent: u64, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"name\":\"{}\",\"span\":{},\"parent\":{parent},\"count\":{},\"secs\":{},\"counters\":{{",
+            self.name,
+            self.id,
+            self.count,
+            json_f64(self.total_secs)
+        );
+        for (i, (name, value)) in self.counters.nonzero().into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "\"{name}\":{value}");
+        }
+        out.push_str("},\"children\":[");
+        for (i, c) in self.children.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            c.write_json(self.id, out);
+        }
+        out.push_str("]}");
+    }
+
+    /// Flamegraph-style text rendering: one line per node with total
+    /// seconds, percent of this node's total, derived self time,
+    /// completion count, and non-zero counters.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out, 0, self.total_secs);
+        out
     }
 
     fn render_into(&self, out: &mut String, depth: usize, scale: f64) {
@@ -160,7 +222,7 @@ impl SpanProfiler {
     /// A fresh profiler with no recorded spans.
     pub fn new() -> SpanProfiler {
         SpanProfiler {
-            nodes: vec![SpanNode::new("(unspanned)")],
+            nodes: vec![SpanNode::new("(unspanned)", 0)],
             children_idx: vec![Vec::new()],
             stack: Vec::new(),
         }
@@ -175,6 +237,13 @@ impl SpanProfiler {
         *self.stack.last().unwrap_or(&0)
     }
 
+    /// Ids of the innermost open span and of the node below it on the
+    /// stack (0 for the synthetic root): a flight-ring event's stamp.
+    pub(crate) fn stamp(&self) -> (u64, u64) {
+        let parent = self.stack.iter().rev().nth(1).copied().unwrap_or(0);
+        (self.current() as u64, parent as u64)
+    }
+
     /// Index of `parent`'s child named `name`, creating it if needed.
     fn child_idx(&mut self, parent: usize, name: &'static str) -> usize {
         if let Some(&idx) = self.children_idx[parent]
@@ -184,7 +253,7 @@ impl SpanProfiler {
             return idx;
         }
         let idx = self.nodes.len();
-        self.nodes.push(SpanNode::new(name));
+        self.nodes.push(SpanNode::new(name, idx));
         self.children_idx.push(Vec::new());
         self.children_idx[parent].push(idx);
         idx
@@ -217,16 +286,6 @@ impl SpanProfiler {
             .map(|&c| self.assemble(c))
             .collect();
         node
-    }
-
-    /// Flamegraph-style text rendering of [`tree`](SpanProfiler::tree):
-    /// one line per node with total seconds, percent of the root, derived
-    /// self time, completion count, and non-zero counters.
-    pub fn render(&self) -> String {
-        let tree = self.tree();
-        let mut out = String::new();
-        tree.render_into(&mut out, 0, tree.total_secs);
-        out
     }
 }
 
@@ -393,7 +452,7 @@ mod tests {
 
     #[test]
     fn render_is_flamegraph_shaped() {
-        let text = profiled().render();
+        let text = profiled().tree().render();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3, "{text}");
         assert!(lines[0].starts_with("total"), "{text}");
@@ -403,6 +462,41 @@ mod tests {
         assert!(lines[1].contains("benefits=20"), "{text}");
         assert!(lines[2].starts_with("    select"), "{text}");
         assert!(lines[2].contains("selections=2"), "{text}");
+    }
+
+    #[test]
+    fn ids_are_arena_indices_in_creation_order() {
+        let mut p = profiled();
+        assert_eq!(p.stamp(), (0, 0), "no span open: the synthetic root");
+        p.on(&Event::PhaseStarted("total"));
+        p.on(&Event::PhaseStarted("guess"));
+        assert_eq!(p.stamp(), (2, 1), "guess (2) under total (1)");
+        let tree = p.tree();
+        let guess = tree.child("guess").unwrap();
+        assert_eq!((tree.id, guess.id), (1, 2));
+        assert_eq!(guess.child("select").unwrap().id, 3);
+    }
+
+    #[test]
+    fn json_carries_ids_parents_and_nonzero_counters() {
+        let json = profiled().tree().to_json();
+        assert_eq!(
+            json,
+            "{\"name\":\"total\",\"span\":1,\"parent\":0,\"count\":1,\"secs\":1.2,\"counters\":{},\"children\":[\
+             {\"name\":\"guess\",\"span\":2,\"parent\":1,\"count\":2,\"secs\":1.0,\"counters\":{\"benefits\":20},\"children\":[\
+             {\"name\":\"select\",\"span\":3,\"parent\":2,\"count\":2,\"secs\":0.5,\"counters\":{\"selections\":2},\"children\":[]}]}]}"
+        );
+    }
+
+    #[test]
+    fn untimed_zeroes_every_timing_and_keeps_the_rest() {
+        let tree = profiled().tree();
+        let untimed = tree.untimed();
+        let guess = untimed.child("guess").unwrap();
+        assert_eq!(untimed.total_secs, 0.0);
+        assert_eq!(guess.child("select").unwrap().total_secs, 0.0);
+        assert_eq!(guess.counters, tree.child("guess").unwrap().counters);
+        assert_eq!(untimed, untimed.untimed());
     }
 
     #[test]

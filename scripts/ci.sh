@@ -82,8 +82,8 @@ grep -q "certificate verified" target/ci_degraded.err \
 
 # Flight-recorder smoke (DESIGN.md §13): a persistent injected fault must
 # fail structured (exit 1) AND leave a line-oriented JSON flight dump —
-# header with the latched trace id, events, trailing causal tree — for
-# the post-mortem.
+# header with the latched trace id, events, trailing causal tree whose
+# nodes carry their work counters — for the post-mortem.
 "$solve" --rows 2000 --k 6 --coverage 0.4 \
   --algorithm cmc --fault failguess@1 --flight-dump target/ci_flight.jsonl \
   > /dev/null 2>> target/ci_fault.err \
@@ -94,11 +94,13 @@ import json, sys
 lines = open(sys.argv[1]).read().splitlines()
 assert len(lines) >= 2, "dump needs a header and a causal tree"
 header = json.loads(lines[0])
-assert header["flight"] == "scwsc" and header["version"] == 2, header
+assert header["flight"] == "scwsc" and header["version"] == 3, header
 assert header["trace_id"] != "0000000000000000", "trace id latched"
 for line in lines[1:]:
     json.loads(line)  # every line is one JSON object
-assert "causal_tree" in json.loads(lines[-1]), "dump ends with the tree"
+trailer = json.loads(lines[-1])
+assert "causal_tree" in trailer, "dump ends with the tree"
+assert isinstance(trailer["causal_tree"]["counters"], dict), "tree root carries counters"
 EOF
 
 # Liveness-watchdog smoke (DESIGN.md §16): a fault-injected mid-solve

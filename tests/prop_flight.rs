@@ -2,17 +2,20 @@
 //!
 //! The contract under test: for *any* instance and tick budget, a solve
 //! with a [`FlightRecorder`] attached latches the deterministic trace id
-//! minted from its inputs, and its causal tree survives ring eviction.
-//! The dump is always line-oriented JSON, one object per line, even when
-//! the solve degrades or (under `fault-inject`) panics.
+//! minted from its inputs, its causal tree survives ring eviction, and
+//! every buffered event's span and parent ids name a node of the dumped
+//! tree and that node's parent. The dump is always line-oriented JSON,
+//! one object per line, even when the solve degrades or (under
+//! `fault-inject`) panics.
 
 use proptest::prelude::*;
 use scwsc::prelude::*;
 use scwsc::sets::telemetry::pack_k_target;
 use scwsc::sets::{
-    coverage_target, Deadline, EngineError, FlightRecorder, SolveOutcome, ThreadPool, Threads,
-    TraceId,
+    coverage_target, Deadline, EngineError, FlightRecorder, Json, SolveOutcome, ThreadPool,
+    Threads, TraceId,
 };
+use std::collections::HashMap;
 
 /// A random small set system that always contains a universe set, so
 /// every instance is feasible and the solve reaches its main loop.
@@ -50,29 +53,54 @@ fn recorded_cmc(
     (outcome, flight)
 }
 
-/// Asserts the dump's line discipline: at least the header and the
-/// trailing causal-tree line, every line one JSON object.
+/// Asserts the dump's line discipline — at least the header and the
+/// trailing causal-tree line, every line one JSON object — and the join
+/// between the ring and the tree: each buffered event's `span` is a node
+/// of the dumped tree whose `parent` is the event's `parent`. Span 0 is
+/// the synthetic root, which the tree folds away when the run has a
+/// single top-level span.
 fn check_dump(flight: &FlightRecorder) {
     let mut buf = Vec::new();
     flight.write_dump(&mut buf).expect("dump to memory");
     let text = String::from_utf8(buf).expect("dump is UTF-8");
     let lines: Vec<&str> = text.lines().collect();
     assert!(lines.len() >= 2, "header + causal tree at minimum");
-    for line in &lines {
-        assert!(
-            line.starts_with('{') && line.ends_with('}'),
-            "every dump line is a JSON object: {line:?}"
-        );
+    let parsed: Vec<Json> = lines
+        .iter()
+        .map(|line| Json::parse(line).unwrap_or_else(|e| panic!("{e:?}: {line:?}")))
+        .collect();
+    for (line, value) in lines.iter().zip(&parsed) {
+        assert!(value.as_obj().is_some(), "not a JSON object: {line:?}");
     }
     assert!(
-        lines[0].starts_with("{\"flight\":\"scwsc\",\"version\":2,"),
+        lines[0].starts_with("{\"flight\":\"scwsc\",\"version\":3,"),
         "header identifies the format: {:?}",
         lines[0]
     );
-    assert!(
-        lines.last().unwrap().starts_with("{\"causal_tree\":"),
-        "dump ends with the reconstructed tree"
-    );
+    let tree = parsed
+        .last()
+        .unwrap()
+        .get("causal_tree")
+        .expect("dump ends with the causal tree");
+    let mut parents = HashMap::from([(0, 0)]);
+    collect_parents(tree, &mut parents);
+    for event in &parsed[1..parsed.len() - 1] {
+        let id = |key: &str| event.get(key).and_then(Json::as_u64).expect(key);
+        assert_eq!(
+            parents.get(&id("span")),
+            Some(&id("parent")),
+            "event's span is a tree node with the event's parent: {event:?}"
+        );
+    }
+}
+
+/// Maps every node id of a dumped tree to its parent id.
+fn collect_parents(node: &Json, parents: &mut HashMap<u64, u64>) {
+    let id = |key: &str| node.get(key).and_then(Json::as_u64).expect(key);
+    parents.insert(id("span"), id("parent"));
+    for child in node.get("children").and_then(Json::as_arr).unwrap_or(&[]) {
+        collect_parents(child, parents);
+    }
 }
 
 proptest! {
@@ -128,13 +156,11 @@ proptest! {
         let mut small = FlightRecorder::with_capacity(8);
         let mut big = FlightRecorder::new();
         prop_assert_eq!(run(&mut small), run(&mut big));
-        // Normalized: the runs are separate executions, so raw wall-clock
+        // Untimed: the runs are separate executions, so raw wall-clock
         // seconds differ even though the structure cannot.
-        prop_assert_eq!(
-            small.causal_tree().normalized(),
-            big.causal_tree().normalized()
-        );
+        prop_assert_eq!(small.causal_tree().untimed(), big.causal_tree().untimed());
         check_dump(&small);
+        check_dump(&big);
     }
 }
 
@@ -157,7 +183,7 @@ mod faults {
 
     /// Acceptance test: a worker panic injected into the first guess is
     /// contained and retried, and the flight recorder still produces a
-    /// parseable dump whose normalized tree matches a fault-free run —
+    /// parseable dump whose untimed tree matches a fault-free run —
     /// the panicked attempt's events are discarded, and the recorder
     /// survives the failure it exists to explain.
     #[test]
@@ -176,8 +202,8 @@ mod faults {
         assert_eq!(faulted, clean, "one-shot fault recovers to the same answer");
         assert!(faulted.expect("retry recovers").is_complete());
         assert_eq!(
-            flight.causal_tree().normalized(),
-            clean_flight.causal_tree().normalized(),
+            flight.causal_tree().untimed(),
+            clean_flight.causal_tree().untimed(),
             "the faulted run reconstructs the fault-free causal tree"
         );
         check_dump(&flight);
