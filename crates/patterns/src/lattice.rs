@@ -172,9 +172,56 @@ impl Keys {
         }
     }
 
-    /// The node of `pattern`, if the lattice holds it (Fig. 3 line 16's
-    /// parent check). Packed keys OR the pattern's fields into its key;
-    /// general keys look the pattern up.
+    /// The number of wildcard attributes of node `g`: its zero fields,
+    /// under packed keys.
+    pub(crate) fn wildcards(&self, g: u32) -> usize {
+        match self {
+            Keys::Packed { fields, keys, .. } => {
+                let key = keys[g as usize];
+                let zero = |&&(shift, mask): &&(u32, u64)| (key >> shift) & mask == 0;
+                fields.iter().filter(zero).count()
+            }
+            Keys::General { patterns, .. } => patterns[g as usize]
+                .values()
+                .iter()
+                .filter(|v| v.is_none())
+                .count(),
+        }
+    }
+
+    /// Whether `pred` holds for the node of every parent of node `g`, a
+    /// parent the lattice does not hold failing it: Fig. 3 line 16's "all
+    /// parents of m are in C", stopping at the first failure. Parents
+    /// are visited in attribute order.
+    ///
+    /// A packed parent key is `g`'s key with one non-zero field cleared
+    /// (the contract of [`LatticeSpace::packed_key_bits`]), so the check
+    /// allocates nothing; general keys ask `space` for the parents of
+    /// the stored pattern.
+    pub(crate) fn all_parents<S: LatticeSpace>(
+        &self,
+        space: &S,
+        g: u32,
+        mut pred: impl FnMut(u32) -> bool,
+    ) -> bool {
+        match self {
+            Keys::Packed { fields, keys, ids } => {
+                let key = keys[g as usize];
+                fields.iter().all(|&(shift, mask)| {
+                    let field = mask << shift;
+                    key & field == 0 || ids.find(keys, key & !field).is_ok_and(&mut pred)
+                })
+            }
+            Keys::General { patterns, ids } => space
+                .parents(&patterns[g as usize])
+                .iter()
+                .all(|p| ids.get(p).is_some_and(|&id| pred(id))),
+        }
+    }
+
+    /// The node of `pattern`, if the lattice holds it. Packed keys OR the
+    /// pattern's fields into its key; general keys look the pattern up.
+    #[cfg(test)]
     pub(crate) fn find(&self, pattern: &Pattern) -> Option<u32> {
         match self {
             Keys::Packed { fields, keys, ids } => {
@@ -189,6 +236,15 @@ impl Keys {
                 ids.find(keys, key).ok()
             }
             Keys::General { ids, .. } => ids.get(pattern).copied(),
+        }
+    }
+
+    /// A key that orders node `g` among the others as its pattern
+    /// orders: the packed key itself, or a clone of the general pattern.
+    pub(crate) fn order_key(&self, g: u32) -> OrderKey {
+        match self {
+            Keys::Packed { keys, .. } => OrderKey::Packed(keys[g as usize]),
+            Keys::General { patterns, .. } => OrderKey::General(patterns[g as usize].clone()),
         }
     }
 
@@ -240,6 +296,14 @@ impl Keys {
             Keys::General { patterns, .. } => patterns.shrink_to_fit(),
         }
     }
+}
+
+/// [`Keys::order_key`]: one lattice's keys are all of one variant, so
+/// the derived order is the pattern order.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum OrderKey {
+    Packed(u64),
+    General(Pattern),
 }
 
 /// The packed-key dedup map: an open-addressing table of node ids, probed
@@ -378,8 +442,7 @@ impl SharedLattice {
         let off = u32::try_from(self.child_arena.len()).expect("child arena fits u32");
         extend_lean(&mut self.child_arena, kids);
         self.children[g as usize] = (off, kids.len() as u32);
-        let wildcards = parent.values().iter().filter(|v| v.is_none()).count();
-        Some((parent_rows.len() * wildcards) as u64)
+        Some((parent_rows.len() * self.keys.wildcards(g)) as u64)
     }
 
     /// Drops the growth slack of every array, so a parked lattice holds
@@ -420,5 +483,107 @@ impl LatticeStash {
         if slot.as_ref().is_none_or(|held| held.len() < lattice.len()) {
             *slot = Some(lattice);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cost_fn::CostFn;
+    use crate::space::PatternSpace;
+    use crate::table::Table;
+    use crate::test_util::{GeneralKeys, XorShift};
+
+    fn random_table(rng: &mut XorShift) -> Table {
+        let attrs = 1 + rng.below(4) as usize;
+        let card = 1 + rng.below(6);
+        let names: Vec<String> = (0..attrs).map(|a| format!("a{a}")).collect();
+        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        let mut b = Table::builder(&refs, "m");
+        for _ in 0..1 + rng.below(60) {
+            let vals: Vec<String> = (0..attrs)
+                .map(|_| format!("v{}", rng.below(card)))
+                .collect();
+            let vals: Vec<&str> = vals.iter().map(String::as_str).collect();
+            b.push_row(&vals, rng.below(40) as f64).unwrap();
+        }
+        b.build()
+    }
+
+    /// Grows a lattice by expanding each node, in id order, with
+    /// probability `1/spread` (the root always), so some nodes miss
+    /// parents the lattice never materialized.
+    fn grow<S: LatticeSpace>(space: &S, rng: &mut XorShift, spread: u64) -> SharedLattice {
+        let mut lattice = SharedLattice::new(space);
+        let mut scratch = (Vec::new(), Vec::new());
+        let mut g = 0;
+        while g < lattice.len() as u32 {
+            if g == 0 || rng.below(spread) == 0 {
+                lattice.expand(space, g, &mut scratch);
+            }
+            g += 1;
+        }
+        lattice
+    }
+
+    /// Checks every node's key-derived parents, wildcard count and order
+    /// key against its pattern; returns how many nodes miss a parent.
+    fn check_keys<S: LatticeSpace>(space: &S, lattice: &SharedLattice) -> usize {
+        let keys = &lattice.keys;
+        let mut orphans = 0;
+        for g in 0..lattice.len() as u32 {
+            let pattern = keys.pattern(g);
+            let expected: Vec<Option<u32>> = space
+                .parents(&pattern)
+                .iter()
+                .map(|p| keys.find(p))
+                .collect();
+            let mut visited = Vec::new();
+            let all = keys.all_parents(space, g, |p| {
+                visited.push(p);
+                true
+            });
+            // The walk stops at the first parent the lattice lacks.
+            let present: Vec<u32> = expected.iter().map_while(|&p| p).collect();
+            assert_eq!(all, present.len() == expected.len(), "node {pattern:?}");
+            orphans += usize::from(!all);
+            assert_eq!(visited, present, "node {pattern:?}");
+            let wildcards = pattern.num_attrs() - pattern.specificity();
+            assert_eq!(keys.wildcards(g), wildcards, "node {pattern:?}");
+            if g > 0 {
+                let by_key = keys.order_key(g - 1).cmp(&keys.order_key(g));
+                assert_eq!(by_key, keys.pattern(g - 1).cmp(&pattern));
+                assert_eq!(keys.cmp(g - 1, g), by_key);
+            }
+        }
+        orphans
+    }
+
+    /// The parents Fig. 3 line 16 derives from a packed key (one field
+    /// cleared) are the space's parents, found through the lattice, on
+    /// lattices grown whole and in part; general keys agree on the same
+    /// growth.
+    #[test]
+    fn key_derived_parents_are_the_space_parents() {
+        let mut rng = XorShift::new(17);
+        let mut orphans = 0;
+        for round in 0..200 {
+            let table = random_table(&mut rng);
+            let space = PatternSpace::new(&table, CostFn::Max);
+            let spread = 1 + round % 3;
+            let packed = grow(&space, &mut rng.clone(), spread);
+            assert!(matches!(packed.keys, Keys::Packed { .. }));
+            let packed_orphans = check_keys(&space, &packed);
+            let unpacked = GeneralKeys(PatternSpace::new(&table, CostFn::Max));
+            let general = grow(&unpacked, &mut rng, spread);
+            assert!(matches!(general.keys, Keys::General { .. }));
+            assert_eq!(general.len(), packed.len(), "same growth, same nodes");
+            assert_eq!(check_keys(&unpacked, &general), packed_orphans);
+            orphans += packed_orphans;
+        }
+        assert!(
+            orphans > 0,
+            "some nodes miss a parent the lattice never grew"
+        );
     }
 }

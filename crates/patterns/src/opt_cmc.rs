@@ -644,9 +644,23 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
                 if !eligible.is_empty() {
                     obs.on(&Event::BenefitComputed(eligible.len() as u64));
                 }
+                // A fresh count equal to q's row count means none of q's
+                // rows is covered, so neither is any of a child's (a
+                // subset of them): its benefit is its row count. The
+                // unpruned path keeps the literal recount.
+                let q_uncovered = prune && current == lattice.rows_of(entry.id).len();
                 for &child_id in &eligible {
                     let cid = child_id as usize;
-                    let child_mben = recount(lattice.rows_of(child_id), &covered);
+                    let child_mben = if q_uncovered {
+                        lattice.rows_of(child_id).len()
+                    } else {
+                        recount(lattice.rows_of(child_id), &covered)
+                    };
+                    debug_assert_eq!(
+                        child_mben,
+                        recount(lattice.rows_of(child_id), &covered),
+                        "an uncovered parent's children are uncovered"
+                    );
                     if child_mben == 0 {
                         // Never enters C, so its descendants stay gated behind
                         // an unvisited parent: the whole subtree is skipped.

@@ -26,7 +26,7 @@
 
 use crate::fxhash::FxHashMap;
 use crate::lattice::{
-    kernel_min_rows, mask_of, prune_from_env, LatticeStash, SharedLattice, UNSEEN,
+    kernel_min_rows, mask_of, prune_from_env, LatticeStash, OrderKey, SharedLattice, UNSEEN,
 };
 use crate::pattern::Pattern;
 use crate::pattern_solution::{degrade, PatternSolution};
@@ -233,10 +233,10 @@ impl<'a, S: LatticeSpace> Candidates<'a, S> {
         Some(self.local[g as usize]).filter(|&id| id != UNSEEN)
     }
 
-    /// Whether `pattern` is currently in `C`.
-    fn contains(&self, pattern: &Pattern) -> bool {
-        let id = self.shared.keys.find(pattern).and_then(|g| self.id_of(g));
-        id.is_some_and(|id| self[id].state == Membership::InC)
+    /// Whether shared node `g` is currently in `C`.
+    fn contains(&self, g: u32) -> bool {
+        self.id_of(g)
+            .is_some_and(|id| self[id].state == Membership::InC)
     }
 
     /// Expands `id` in the shared lattice (a no-op when cached there)
@@ -394,6 +394,9 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
 
     let mut rem = target; // line 03
 
+    // The waitlist, drained by every round, keeps its capacity across them.
+    let mut waitlist: BinaryHeap<(usize, Reverse<OrderKey>, u32)> = BinaryHeap::new();
+
     for i in (1..=k).rev() {
         if let Err(reason) = deadline.checkpoint() {
             return Ok(degrade(solution, Vec::new(), reason, target, deadline, obs));
@@ -415,13 +418,15 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
         // no selection happens, so marginal benefits are static and a
         // plain max-heap (mben desc, pattern asc) gives line 13's argmax.
         let expand_span = PhaseSpan::enter(obs, PHASE_EXPAND);
-        let mut waitlist: BinaryHeap<(usize, Reverse<Pattern>, u32)> = cands
-            .in_c()
-            .map(|id| (cands[id].mben, Reverse(cands.pattern(id)), id))
-            .collect();
+        let keys = &cands.shared.keys;
+        waitlist.extend(
+            cands
+                .in_c()
+                .map(|id| (cands[id].mben, Reverse(keys.order_key(cands[id].node)), id)),
+        );
 
         // Lines 12-20: expand children that can meet the floor.
-        while let Some((_, Reverse(q), q_id)) = waitlist.pop() {
+        while let Some((_, _, q_id)) = waitlist.pop() {
             if let Err(reason) = deadline.checkpoint() {
                 expand_span.exit(obs);
                 return Ok(degrade(solution, Vec::new(), reason, target, deadline, obs));
@@ -430,7 +435,7 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
             // attribute — the index-posting scan the lattice saves
             // relative to re-intersecting from scratch. Fig. 3 does it on
             // every pop; the shared lattice only on the first.
-            let wildcards = q.values().iter().filter(|v| v.is_none()).count();
+            let wildcards = cands.shared.keys.wildcards(cands[q_id].node);
             obs.on(&Event::PostingScanned(
                 (cands.rows_of(q_id).len() * wildcards) as u64,
             ));
@@ -443,8 +448,8 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
                     continue; // line 15: already in C or S
                 }
                 // Line 16: all parents must currently be candidates.
-                let pattern = cands.shared.keys.pattern(child);
-                if !space.parents(&pattern).iter().all(|p| cands.contains(p)) {
+                let keys = &cands.shared.keys;
+                if !keys.all_parents(space, child, |p| cands.contains(p)) {
                     continue;
                 }
                 // Line 17: compute the marginal benefit (and, on entry to
@@ -462,8 +467,9 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
                     obs.on(&Event::SubtreePruned(PruneReason::BelowFloor));
                     continue; // line 18 fails: stays out of C and W
                 }
+                let order = cands.shared.keys.order_key(child);
                 let id = cands.insert(child, child_mben);
-                waitlist.push((child_mben, Reverse(pattern), id));
+                waitlist.push((child_mben, Reverse(order), id));
             }
         }
         expand_span.exit(obs);
@@ -844,9 +850,9 @@ mod tests {
         let id = cands.insert(child, 3);
         let cost = cands[id].cost;
         cands[id].state = Membership::Dropped;
-        assert!(!cands.contains(&cands.pattern(id)));
+        assert!(!cands.contains(child));
         assert_eq!(cands.insert(child, 1), id, "same id revived");
-        assert!(cands.contains(&cands.pattern(id)));
+        assert!(cands.contains(child));
         assert_eq!((cands[id].mben, cands[id].cost), (1, cost));
     }
 

@@ -76,6 +76,14 @@ pub trait LatticeSpace {
     /// `0`), or `None` when the value domain is unbounded or too wide.
     /// Lattice caches use this to key their dedup maps by integer
     /// instead of hashing boxed pattern slices on every child visit.
+    ///
+    /// A space returning `Some` promises one-field-wildcard parents:
+    /// [`LatticeSpace::parents`] of a pattern are exactly the patterns
+    /// with one of its constants replaced by the wildcard, in attribute
+    /// order. The optimized CWSC derives each parent's key from the
+    /// child's by clearing one field and never calls `parents`.
+    /// [`PatternSpace`] is the only such space; a space whose parents
+    /// climb a hierarchy must keep the default.
     fn packed_key_bits(&self) -> Option<Vec<u32>> {
         None
     }

@@ -6,7 +6,9 @@
 
 #![doc(hidden)]
 
-use crate::table::Table;
+use crate::pattern::Pattern;
+use crate::space::{ChildVisitor, LatticeSpace, PatternSpace};
+use crate::table::{RowId, Table};
 
 /// Tiny deterministic PRNG (xorshift64*), so tests need no external seed
 /// plumbing.
@@ -69,6 +71,41 @@ pub fn skewed_table(rows: usize, attrs: usize, cardinality: u64) -> Table {
             .expect("generated rows are valid");
     }
     b.build()
+}
+
+/// A [`PatternSpace`] whose `packed_key_bits` keeps the default `None`,
+/// so the lattice over it keys nodes by pattern and asks
+/// [`LatticeSpace::parents`] for parents, as over a hierarchy space.
+pub struct GeneralKeys<'a>(pub PatternSpace<'a>);
+
+impl LatticeSpace for GeneralKeys<'_> {
+    fn table(&self) -> &Table {
+        self.0.table()
+    }
+
+    fn root(&self) -> Pattern {
+        self.0.root()
+    }
+
+    fn cost(&self, rows: &[RowId]) -> f64 {
+        self.0.cost(rows)
+    }
+
+    fn for_each_child(&self, pattern: &Pattern, rows: &[RowId], f: &mut ChildVisitor<'_>) {
+        self.0.for_each_child(pattern, rows, f)
+    }
+
+    fn parents(&self, pattern: &Pattern) -> Vec<Pattern> {
+        LatticeSpace::parents(&self.0, pattern)
+    }
+
+    fn num_parents(&self, pattern: &Pattern) -> usize {
+        LatticeSpace::num_parents(&self.0, pattern)
+    }
+
+    fn benefit(&self, pattern: &Pattern) -> Vec<RowId> {
+        self.0.benefit(pattern)
+    }
 }
 
 #[cfg(test)]

@@ -9,9 +9,15 @@
 //! all agree. Only CMC's `posting_scanned`, which counts the expansions
 //! the parked lattice saved, may differ; CWSC's counts the rows of every
 //! Fig. 3 pop, cached or not, so it agrees too.
+//!
+//! The lattice keys its nodes by packed integer when the space allows it
+//! and by pattern otherwise, and optimized CWSC checks Fig. 3 line 16
+//! (all parents in `C`) by clearing one field of the packed key. A space
+//! that forces general keys must solve, tick and report identically.
 
 use proptest::prelude::*;
-use scwsc::patterns::{PatternInstance, Table};
+use scwsc::patterns::test_util::GeneralKeys;
+use scwsc::patterns::{opt_cmc, opt_cwsc, LatticeSpace, PatternInstance, PatternSolution, Table};
 use scwsc::sets::{
     Algorithm, Answer, CostModel, Deadline, EngineError, Event, Observer, Query, SolveOutcome,
     Solver, ThreadPool, Threads,
@@ -135,6 +141,57 @@ proptest! {
             if step.0.algorithm == Algorithm::Cwsc {
                 prop_assert_eq!(warm_postings, cold_postings, "step {} {:?}", i, step);
             }
+        }
+    }
+}
+
+/// Everything one direct `opt_cwsc`/`opt_cmc` solve reports.
+#[derive(Debug, PartialEq)]
+struct KeyedRun {
+    outcome: Result<SolveOutcome<PatternSolution>, EngineError>,
+    ticks: u64,
+    events: Vec<String>,
+    postings: u64,
+}
+
+/// Solves `step` directly on `space`, on a fresh lattice.
+fn run_on<S: LatticeSpace>(space: &S, step: &Step, pool: &ThreadPool) -> KeyedRun {
+    let (query, ticks) = step;
+    let deadline = match ticks {
+        Some(max) => Deadline::unbounded().with_tick_budget(*max),
+        None => Deadline::unbounded(),
+    };
+    let mut events = Events::default();
+    let outcome = match query.algorithm {
+        Algorithm::Cwsc => opt_cwsc(space, query.k, query.coverage, pool, &deadline, &mut events),
+        Algorithm::Cmc => opt_cmc(space, &query.cmc_params(), pool, &deadline, &mut events),
+    };
+    KeyedRun {
+        outcome,
+        ticks: deadline.ticks(),
+        events: events.events,
+        postings: events.postings,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Packed and general keys give the same optimized CWSC and CMC
+    /// solves: answers or degraded partials, ticks and event streams.
+    #[test]
+    fn packed_and_general_keys_solve_alike(
+        table in arb_table(),
+        steps in proptest::collection::vec(arb_step(), 1..=4),
+    ) {
+        let pool = ThreadPool::new(Threads::serial());
+        let instance = PatternInstance::new(table);
+        for (i, step) in steps.iter().enumerate() {
+            let packed = instance.space(step.0.cost);
+            prop_assert!(packed.packed_key_bits().is_some());
+            let general = GeneralKeys(instance.space(step.0.cost));
+            let want = run_on(&packed, step, &pool);
+            prop_assert_eq!(run_on(&general, step, &pool), want, "step {} {:?}", i, step);
         }
     }
 }
