@@ -22,7 +22,7 @@ use std::sync::{Mutex, PoisonError};
 /// Appends `items`, growing `v` by an eighth rather than doubling it: a
 /// parked lattice is trimmed to fit, and a later solve that adds a few
 /// nodes must not double every array of it.
-fn extend_lean<T: Copy>(v: &mut Vec<T>, items: &[T]) {
+pub(crate) fn extend_lean<T: Copy>(v: &mut Vec<T>, items: &[T]) {
     if v.capacity() - v.len() < items.len() {
         v.reserve_exact(items.len().max(v.len() / 8).max(16));
     }

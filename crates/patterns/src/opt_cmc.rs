@@ -34,10 +34,22 @@
 //! degraded partial, tick count and audit event — is the same on a
 //! shared lattice as on a fresh one. Only `posting_scanned` shows the
 //! difference: it counts the expansions this solve actually performed.
+//!
+//! Every guess restarts from the all-wildcards pattern, and until its
+//! first selection nothing is covered, so each pop's marginal benefit is
+//! its row count: every guess pops the same patterns in the same order up
+//! to the first one its own levels would select. The solve records that
+//! budget-independent prefix once, as the ids the first guess visited
+//! before it selected. A later guess replays the recorded ids up to its
+//! first selectable one without the queue, doing at each the walk's
+//! tick, visit and events, then pushes the candidate frontier and walks
+//! on. A guess that replays the whole recording extends it. The replay
+//! and the walk share one visit body (Fig. 4 lines 31–35), so answers,
+//! ticks, events and degraded partials are those of the plain walk.
 
 use crate::fxhash::FxHashMap;
 use crate::lattice::{
-    kernel_min_rows, mask_of, prune_from_env, LatticeStash, SharedLattice, UNSEEN,
+    extend_lean, kernel_min_rows, mask_of, prune_from_env, LatticeStash, SharedLattice, UNSEEN,
 };
 use crate::pattern::Pattern;
 use crate::pattern_solution::{degrade, PatternSolution};
@@ -82,7 +94,8 @@ const DELTA_MAX_ROUNDS: usize = 4;
 /// algorithm and every step mutates the shared lattice cache. `pool` is
 /// accepted so every solver family shares one signature, as in
 /// [`opt_cwsc`](crate::opt_cwsc()). Guesses run one at a time, each
-/// reusing the previous guess's lattice materializations.
+/// reusing the previous guess's lattice materializations and replaying
+/// the budget-independent prefix of its walk (module doc).
 ///
 /// One work tick is consumed per heap pop. On expiry the patterns
 /// selected so far in the in-flight budget guess return as
@@ -96,7 +109,8 @@ const DELTA_MAX_ROUNDS: usize = 4;
 /// telemetry event — safe because the lattice is append-only and
 /// budget-independent) and a second panic surfaces as
 /// [`EngineError::Panicked`]. A lattice that saw a panic is never handed
-/// to a later solve: the panic may have cut an expansion short.
+/// to a later solve: the panic may have cut an expansion short. The
+/// recorded prefix is dropped too, and the retry records it afresh.
 pub fn opt_cmc<S: LatticeSpace, O: Observer + ?Sized>(
     space: &S,
     params: &CmcParams,
@@ -209,8 +223,11 @@ fn guess_loop<S: LatticeSpace, O: Observer + ?Sized>(
                 // budget-independent, so a half-extended lattice only
                 // means fewer first-materialization events on the rerun.
                 // It is not parked afterwards, though: the panic may have
-                // cut an expansion short.
+                // cut an expansion short. The recorded prefix goes too:
+                // the panic may have struck between recording an id and
+                // finishing its visit.
                 lattice.tainted = true;
+                lattice.prefix.clear();
                 obs.on(&Event::GuessRetried);
                 match attempt(lattice, &mut log) {
                     Ok(found) => found,
@@ -245,7 +262,8 @@ fn guess_loop<S: LatticeSpace, O: Observer + ?Sized>(
 }
 
 /// One solve's view of a [`SharedLattice`]: the cost-dependent state
-/// (costs, row masks) and the solve's own node ids.
+/// (costs, row masks), the solve's own node ids, and the per-id walk
+/// state and recorded prefix its guesses share.
 ///
 /// Ids are assigned in this solve's first-encounter order — the order in
 /// which its walk first expands a parent of each node, children in
@@ -261,8 +279,15 @@ struct Lattice<'a, S: LatticeSpace> {
     /// `local[g]` = this solve's id of shared node `g`, or [`UNSEEN`].
     local: Vec<u32>,
     costs: Vec<f64>,
-    /// Parent count per id, copied from the shared node.
-    num_parents: Vec<u8>,
+    /// Per-id [`IN_C`], [`LEFT_C`] and [`EXPANDED`] bits. The first two
+    /// belong to one guess and are cleared when the next one starts.
+    state: Vec<u8>,
+    /// The budget-independent prefix every guess replays: the ids a
+    /// guess visited before its first selection, in pop order
+    /// ([`run_guess`]). One allocation for the solve, grown by an eighth
+    /// at a time: under the count cost it holds every node, under the
+    /// others a fraction of them.
+    prefix: Vec<u32>,
     /// Row bitmasks, for blocked-popcount recounts. Lazy: only the
     /// (few) ids the pruned refresh actually kernels over — popped stale
     /// entries with long row lists — pay the `O(num_rows)` bits.
@@ -292,7 +317,8 @@ impl<'a, S: LatticeSpace> Lattice<'a, S> {
             global: sized(0, nodes),
             local,
             costs: sized(root_cost, nodes),
-            num_parents: sized(0, nodes),
+            state: sized(0, nodes),
+            prefix: Vec::new(),
             shared,
             masks: FxHashMap::default(),
             tainted: false,
@@ -338,8 +364,13 @@ impl<'a, S: LatticeSpace> Lattice<'a, S> {
     /// Expands `id` in the shared lattice (a no-op when cached there)
     /// and assigns ids to the children this solve meets for the first
     /// time, costing each. Returns the postings a real expansion
-    /// scanned.
+    /// scanned. A node this solve already expanded returns at once; the
+    /// flag is set only once every child has its id, so an expansion a
+    /// panic cut short runs again on the retry.
     fn expand(&mut self, id: u32) -> Option<u64> {
+        if self.state[id as usize] & EXPANDED != 0 {
+            return None;
+        }
         let g = self.global[id as usize];
         let postings = self.shared.expand(self.space, g, &mut self.scratch);
         self.local.resize(self.shared.len(), UNSEEN);
@@ -349,11 +380,26 @@ impl<'a, S: LatticeSpace> Lattice<'a, S> {
                 *slot = self.global.len() as u32;
                 self.global.push(child);
                 self.costs.push(self.space.cost(self.shared.rows_of(child)));
-                self.num_parents
-                    .push(self.shared.num_parents[child as usize]);
+                self.state.push(0);
             }
         }
+        self.state[id as usize] |= EXPANDED;
         postings
+    }
+
+    /// The parent counts of the ids in `ids`, read from the shared
+    /// nodes.
+    fn num_parents(&self, ids: std::ops::Range<usize>) -> impl Iterator<Item = u8> + '_ {
+        self.global[ids]
+            .iter()
+            .map(|&g| self.shared.num_parents[g as usize])
+    }
+
+    /// Clears every id's per-guess bits, keeping [`EXPANDED`].
+    fn start_guess(&mut self) {
+        for s in &mut self.state {
+            *s &= EXPANDED;
+        }
     }
 
     /// Ends the solve: the shared half goes back to `stash`, if any,
@@ -372,6 +418,15 @@ fn recount(rows: &[RowId], covered: &BitSet) -> usize {
         .count()
 }
 
+/// [`Lattice::state`] bit: the id is in the candidate set `C`.
+const IN_C: u8 = 1;
+/// [`Lattice::state`] bit: the id left `C` this guess, visited or
+/// selected (line 19).
+const LEFT_C: u8 = 2;
+/// [`Lattice::state`] bit: this solve expanded the id. Unlike the other
+/// two it outlives the guess.
+const EXPANDED: u8 = 4;
+
 /// How one budget guess (Fig. 4 lines 08–35) ended.
 enum GuessResult {
     Found(PatternSolution),
@@ -383,9 +438,136 @@ enum GuessResult {
     },
 }
 
+impl GuessResult {
+    /// The guess ran out of ticks or time with `partial` selected.
+    fn expired(
+        levels: &Levels,
+        counts: &[usize],
+        partial: PatternSolution,
+        reason: DegradeReason,
+    ) -> GuessResult {
+        let quotas_exhausted = (0..levels.len())
+            .filter(|&l| counts[l] == levels.quota(l))
+            .collect();
+        GuessResult::Expired {
+            partial,
+            quotas_exhausted,
+            reason,
+        }
+    }
+}
+
+/// One guess's walk state beside the solve-wide [`Lattice`].
+struct Walk {
+    /// pending[id] = parents of id not yet visited this guess; line 33's
+    /// "all parents of m are in V" is exactly pending[id] == 0, reached by
+    /// decrementing when each parent is visited (no hashing per check).
+    pending: Vec<u8>,
+    covered: BitSet,
+    /// Selections so far: heap entries carry the epoch their benefit
+    /// was computed in.
+    epoch: usize,
+    /// Line 35's eligible children of the visit in progress, reused
+    /// across visits: thousands of patterns are visited per guess, and a
+    /// fresh Vec per visit is pure allocator traffic.
+    eligible: Vec<u32>,
+    /// Postings scanned by this guess's first materializations.
+    postings: u64,
+}
+
+impl Walk {
+    /// Fig. 4 lines 31–35: visits `q` and moves into `C` each child
+    /// whose parents have now all been visited, scoring it against
+    /// `covered` — or by its row count when `q_uncovered`, which the
+    /// unpruned path never passes so that it keeps the literal recount.
+    /// Each child entering `C` is pushed onto `heap`; a replay passes
+    /// `None` and pushes the whole frontier once it is done.
+    fn visit<S: LatticeSpace, O: Observer + ?Sized>(
+        &mut self,
+        lattice: &mut Lattice<'_, S>,
+        q: u32,
+        q_uncovered: bool,
+        obs: &mut O,
+        mut heap: Option<&mut BucketQueue>,
+    ) {
+        // Line 31: V = V ∪ {q}. Only a first materialization in the
+        // shared lattice scans postings: q's row list, once per wildcard
+        // attribute.
+        lattice.state[q as usize] |= LEFT_C;
+        self.postings += lattice.expand(q).unwrap_or(0);
+        self.eligible.clear();
+        for child_id in lattice.children_of(q) {
+            let cid = child_id as usize;
+            if self.pending.len() <= cid {
+                // Newly materialized: extend per-guess state.
+                let from = self.pending.len();
+                self.pending.extend(lattice.num_parents(from..cid + 1));
+            }
+            if lattice.state[cid] & (IN_C | LEFT_C) != 0 {
+                continue;
+            }
+            // Line 33: "all parents of m are in V" — the decrement for
+            // this visit of q; zero pending means every parent has been
+            // visited.
+            self.pending[cid] = self.pending[cid].saturating_sub(1);
+            if self.pending[cid] != 0 {
+                continue;
+            }
+            self.eligible.push(child_id);
+        }
+        // Line 35: compute Cost(m) and MBen(m) for each eligible child,
+        // the cost served from the lattice cache. One "considered" count
+        // per eligible child and guess, matching what Fig. 4 would
+        // compute.
+        if !self.eligible.is_empty() {
+            obs.on(&Event::BenefitComputed(self.eligible.len() as u64));
+        }
+        for &child_id in &self.eligible {
+            let cid = child_id as usize;
+            let rows = lattice.rows_of(child_id);
+            // A fresh count equal to q's row count means none of q's
+            // rows is covered, so neither is any of a child's (a subset
+            // of them): its benefit is its row count.
+            let child_mben = if q_uncovered {
+                rows.len()
+            } else {
+                recount(rows, &self.covered)
+            };
+            debug_assert_eq!(
+                child_mben,
+                recount(rows, &self.covered),
+                "an uncovered parent's children are uncovered"
+            );
+            if child_mben == 0 {
+                // Never enters C, so its descendants stay gated behind
+                // an unvisited parent: the whole subtree is skipped.
+                obs.on(&Event::SubtreePruned(PruneReason::Exhausted));
+                continue; // would be dropped by lines 28-29 immediately
+            }
+            lattice.state[cid] |= IN_C;
+            if let Some(heap) = heap.as_deref_mut() {
+                heap.push(HeapEntry {
+                    mben: child_mben,
+                    cost_bits: lattice.costs[cid].to_bits(),
+                    id: child_id,
+                    epoch: self.epoch,
+                });
+            }
+        }
+    }
+}
+
 /// One budget guess (Fig. 4 lines 08–35). Consumes one `deadline` work
 /// tick per heap pop; under an unbounded deadline (the classic path) the
 /// checkpoint can never fail.
+///
+/// The guess starts by replaying [`Lattice::prefix`], the ids an earlier
+/// guess of this solve popped, and visited, before its first selection.
+/// Until a guess selects, nothing is covered and every benefit is a row
+/// count, so each guess pops that same sequence until the first id its
+/// own levels would select. The guess replays the ids before that one
+/// without the queue, then pushes the candidate frontier and walks on.
+/// A guess that replays the whole prefix extends it until it selects.
 fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
     lattice: &mut Lattice<'_, S>,
     heap: &mut BucketQueue,
@@ -405,41 +587,30 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
     let mut counts = vec![0usize; levels.len()]; // lines 15-16
     let mut selected_total = 0usize;
     let max_selections = levels.max_selections();
+    let selectable = |counts: &[usize], cost: f64| {
+        levels
+            .level_of(cost) // line 20
+            .filter(|&l| counts[l] < levels.quota(l))
+    };
 
-    let mut covered = BitSet::new(n);
     // Pruned-refresh state: each selection appends the newly covered rows
     // as a mask, so a heap entry computed `epoch - entry.epoch` selections
     // ago refreshes by subtracting exact per-selection intersection counts
     // (the newly sets are disjoint) instead of recounting from scratch.
     let prune = prune_from_env();
-    let mut epoch = 0usize;
     let mut newly_masks: Vec<BitSet> = Vec::new();
-    // Per-guess per-pattern state, keyed by lattice id (lazily grown).
-    let len = lattice.len();
-    let mut in_c = vec![false; len];
-    let mut visited = vec![false; len];
-    let mut selected = vec![false; len];
-    // pending[id] = parents of id not yet visited this guess; line 33's
-    // "all parents of m are in V" is exactly pending[id] == 0, reached by
-    // decrementing when each parent is visited (no hashing per check).
-    let mut pending: Vec<u8> = lattice.num_parents[..len].to_vec();
+    lattice.start_guess();
+    let mut walk = Walk {
+        pending: lattice.num_parents(0..lattice.len()).collect(),
+        covered: BitSet::new(n),
+        epoch: 0,
+        eligible: Vec::new(),
+        postings: 0,
+    };
 
     // Lines 11-13: C = {all-wildcards}.
-    in_c[0] = true;
+    lattice.state[0] |= IN_C;
     obs.on(&Event::BenefitComputed(1));
-
-    // Max-queue on (mben, cheaper first, older first), with lazy
-    // revalidation: marginal benefits only decrease, so a stale entry is
-    // an upper bound and the first fresh pop is the true argmax (line 18).
-    // Reset up front so a previous guess that returned early (or
-    // panicked under fault injection) cannot leak entries into this one.
-    heap.reset(lattice.rows_of(0).len());
-    heap.push(HeapEntry {
-        mben: lattice.rows_of(0).len(),
-        cost_bits: lattice.costs[0].to_bits(),
-        id: 0,
-        epoch: 0,
-    });
 
     let mut solution = PatternSolution {
         patterns: Vec::new(),
@@ -448,28 +619,63 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
     };
     let mut rem = target; // line 14
 
-    // Expansion scratch, reused across pops: thousands of patterns are
-    // visited per guess, and a fresh Vec per visit is pure allocator
-    // traffic.
-    let mut eligible: Vec<u32> = Vec::new();
-    // Per-pop and per-expansion counters, reported as one total each per
-    // guess: the guess's event log stays proportional to its expansions
-    // that score children, not to its pops.
-    let mut postings = 0u64;
+    // Per-pop counters, reported as one total each per guess: the
+    // guess's event log stays proportional to its expansions that score
+    // children, not to its pops.
     let mut scan_pruned = 0u64;
     let mut bounds_refreshed = 0u64;
 
+    // The first prefix id this guess selects: every count is still zero.
+    let replayed = lattice
+        .prefix
+        .iter()
+        .position(|&id| selectable(&counts, lattice.costs[id as usize]).is_some())
+        .unwrap_or(lattice.prefix.len());
+
     let result = 'walk: {
+        // The replay: each pop does what the walk below does while
+        // nothing is covered. The pop is fresh (its benefit is its row
+        // count, as pushed), its id leaves C and is visited. Line 17's ΣΣ
+        // guard cannot fire before the first selection, since every
+        // schedule's last level has quota k ≥ 1.
+        for i in 0..replayed {
+            let id = lattice.prefix[i];
+            if let Err(reason) = deadline.checkpoint() {
+                break 'walk GuessResult::expired(&levels, &counts, solution, reason);
+            }
+            debug_assert_eq!(
+                lattice.state[id as usize] & IN_C,
+                IN_C,
+                "replayed ids are in C"
+            );
+            lattice.state[id as usize] &= !IN_C; // line 19
+            if prune {
+                scan_pruned += 1;
+            }
+            walk.visit(lattice, id, prune, obs, None);
+        }
+        // Max-queue on (mben, cheaper first, older first), with lazy
+        // revalidation: marginal benefits only decrease, so a stale entry
+        // is an upper bound and the first fresh pop is the true argmax
+        // (line 18). Reset up front so a previous guess that returned
+        // early (or panicked under fault injection) cannot leak entries
+        // into this one. The candidates are exactly the ids in C: nothing
+        // is covered yet, so each benefit is a row count.
+        heap.reset(lattice.rows_of(0).len());
+        for id in 0..lattice.len() as u32 {
+            if lattice.state[id as usize] & IN_C != 0 {
+                heap.push(HeapEntry {
+                    mben: lattice.rows_of(id).len(),
+                    cost_bits: lattice.costs[id as usize].to_bits(),
+                    id,
+                    epoch: 0,
+                });
+            }
+        }
+
         while let Some(entry) = heap.pop() {
             if let Err(reason) = deadline.checkpoint() {
-                let quotas_exhausted = (0..levels.len())
-                    .filter(|&l| counts[l] == levels.quota(l))
-                    .collect();
-                break 'walk GuessResult::Expired {
-                    partial: solution,
-                    quotas_exhausted,
-                    reason,
-                };
+                break 'walk GuessResult::expired(&levels, &counts, solution, reason);
             }
             // line 17's ΣΣ guard: once every level quota is full no further
             // selection can happen.
@@ -477,12 +683,14 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
                 break;
             }
             let id = entry.id as usize;
-            if !in_c[id] {
+            if lattice.state[id] & IN_C == 0 {
                 obs.on(&Event::HeapStalePop);
                 continue; // stale duplicate of a removed candidate
             }
+            let epoch = walk.epoch;
+            let covered = &walk.covered;
             let current = if !prune {
-                recount(lattice.rows_of(entry.id), &covered)
+                recount(lattice.rows_of(entry.id), covered)
             } else if entry.epoch == epoch {
                 // Coverage only grows at selections, so an entry pushed this
                 // epoch is provably current — skip the recount outright.
@@ -492,7 +700,7 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
                 // Short row list: the postings recount beats every
                 // mask-based path, and no mask is ever materialized.
                 bounds_refreshed += 1;
-                recount(lattice.rows_of(entry.id), &covered)
+                recount(lattice.rows_of(entry.id), covered)
             } else if epoch - entry.epoch <= DELTA_MAX_ROUNDS {
                 // Exact delta: the per-selection newly sets are disjoint, so
                 // the entry's stale count minus its overlap with each newer
@@ -507,15 +715,15 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
                 stale - overlap
             } else {
                 bounds_refreshed += 1;
-                lattice.mask(entry.id).difference_count(&covered)
+                lattice.mask(entry.id).difference_count(covered)
             };
             debug_assert_eq!(
                 current,
-                recount(lattice.rows_of(entry.id), &covered),
+                recount(lattice.rows_of(entry.id), &walk.covered),
                 "pruned refresh is exact"
             );
             if current == 0 {
-                in_c[id] = false; // lines 28-29 analogue
+                lattice.state[id] &= !IN_C; // lines 28-29 analogue
                 obs.on(&Event::CandidatePruned(PruneReason::Exhausted));
                 continue;
             }
@@ -531,12 +739,9 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
             }
 
             // Line 19: q leaves C.
-            in_c[id] = false;
+            lattice.state[id] &= !IN_C;
             let q_cost = lattice.costs[id];
-            let level = levels.level_of(q_cost); // line 20
-
-            let selectable = level.is_some_and(|l| counts[l] < levels.quota(l));
-            if selectable {
+            if let Some(l) = selectable(&counts, q_cost) {
                 // Audit the pick before mutating: runners-up are the next heap
                 // entries still in C. Their stored scores may be stale upper
                 // bounds (lazy revalidation), i.e. optimistic — the ledger
@@ -550,7 +755,7 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
                 }
                 let runners: Vec<audit::AuditCandidate> = popped
                     .iter()
-                    .filter(|e| in_c[e.id as usize])
+                    .filter(|e| lattice.state[e.id as usize] & IN_C != 0)
                     .map(|e| audit::AuditCandidate {
                         id: e.id as u64,
                         benefit: e.mben as u64,
@@ -574,7 +779,7 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
                     .rows_of(entry.id)
                     .iter()
                     .copied()
-                    .filter(|&r| !covered.contains(r as usize))
+                    .filter(|&r| !walk.covered.contains(r as usize))
                     .collect();
                 debug_assert_eq!(newly.len(), current, "fresh recount priced exactly");
                 obs.on(&Event::PriceCharged(
@@ -584,15 +789,14 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
                 ));
 
                 // Lines 21-25: select q.
-                let l = level.expect("selectable implies a level");
                 counts[l] += 1;
                 selected_total += 1;
-                selected[id] = true;
+                lattice.state[id] |= LEFT_C;
                 solution.patterns.push(lattice.pattern(entry.id));
                 solution.total_cost += q_cost;
                 obs.on(&Event::SetSelected(entry.id as u64, current as u64, q_cost));
                 for &r in lattice.rows_of(entry.id) {
-                    covered.insert(r as usize);
+                    walk.covered.insert(r as usize);
                 }
                 if prune {
                     let mut nm = BitSet::new(n);
@@ -600,87 +804,29 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
                         nm.insert(r as usize);
                     }
                     newly_masks.push(nm);
-                    epoch += 1;
+                    walk.epoch += 1;
                 }
-                solution.covered = covered.count_ones();
+                solution.covered = walk.covered.count_ones();
                 rem = rem.saturating_sub(current);
                 if rem == 0 {
                     break 'walk GuessResult::Found(solution);
                 }
                 // Lines 26-29 happen lazily at pop time via the recount above.
             } else {
-                // Lines 30-35: visit q and expand its children.
-                visited[id] = true;
-                // Only a first materialization in the shared lattice scans
-                // postings: q's row list, once per wildcard attribute.
-                postings += lattice.expand(entry.id).unwrap_or(0);
-                eligible.clear();
-                for child_id in lattice.children_of(entry.id) {
-                    let cid = child_id as usize;
-                    if pending.len() <= cid {
-                        // Newly materialized: extend per-guess state.
-                        in_c.resize(cid + 1, false);
-                        visited.resize(cid + 1, false);
-                        selected.resize(cid + 1, false);
-                        let from = pending.len();
-                        pending.extend_from_slice(&lattice.num_parents[from..=cid]);
-                    }
-                    if in_c[cid] || visited[cid] || selected[cid] {
-                        continue;
-                    }
-                    // Line 33: "all parents of m are in V" — the decrement
-                    // for this visit of q; zero pending means every parent
-                    // has been visited.
-                    pending[cid] = pending[cid].saturating_sub(1);
-                    if pending[cid] != 0 {
-                        continue;
-                    }
-                    eligible.push(child_id);
+                // Lines 30-35: visit q and expand its children. A visit
+                // before any selection extends the prefix: a guess that
+                // replayed only part of it selects at its first pop.
+                if selected_total == 0 {
+                    extend_lean(&mut lattice.prefix, &[entry.id]);
                 }
-                // Line 35: compute Cost(m) and MBen(m) for each eligible
-                // child, the cost served from the lattice cache. One
-                // "considered" count per eligible child and guess, matching
-                // what Fig. 4 would compute.
-                if !eligible.is_empty() {
-                    obs.on(&Event::BenefitComputed(eligible.len() as u64));
-                }
-                // A fresh count equal to q's row count means none of q's
-                // rows is covered, so neither is any of a child's (a
-                // subset of them): its benefit is its row count. The
-                // unpruned path keeps the literal recount.
                 let q_uncovered = prune && current == lattice.rows_of(entry.id).len();
-                for &child_id in &eligible {
-                    let cid = child_id as usize;
-                    let child_mben = if q_uncovered {
-                        lattice.rows_of(child_id).len()
-                    } else {
-                        recount(lattice.rows_of(child_id), &covered)
-                    };
-                    debug_assert_eq!(
-                        child_mben,
-                        recount(lattice.rows_of(child_id), &covered),
-                        "an uncovered parent's children are uncovered"
-                    );
-                    if child_mben == 0 {
-                        // Never enters C, so its descendants stay gated behind
-                        // an unvisited parent: the whole subtree is skipped.
-                        obs.on(&Event::SubtreePruned(PruneReason::Exhausted));
-                        continue; // would be dropped by lines 28-29 immediately
-                    }
-                    in_c[cid] = true;
-                    heap.push(HeapEntry {
-                        mben: child_mben,
-                        cost_bits: lattice.costs[cid].to_bits(),
-                        id: child_id,
-                        epoch,
-                    });
-                }
+                walk.visit(lattice, entry.id, q_uncovered, obs, Some(heap));
             }
         }
         GuessResult::NotFound
     };
-    if postings > 0 {
-        obs.on(&Event::PostingScanned(postings));
+    if walk.postings > 0 {
+        obs.on(&Event::PostingScanned(walk.postings));
     }
     if scan_pruned > 0 {
         obs.on(&Event::ScanPruned(scan_pruned));
@@ -1047,6 +1193,68 @@ mod tests {
             let err =
                 opt_cmc(&sp, &params, &pool, &deadline, &mut MetricsRecorder::new()).unwrap_err();
             assert!(matches!(err, EngineError::Panicked(_)));
+        }
+
+        /// Under the count cost every pattern costs its row count, so a
+        /// guess whose budget is below the table's 16 rows cannot select
+        /// the root: guesses 2 and 3 (budgets 6 and 12 from the seed 3)
+        /// replay at least the root of the prefix guess 1 recorded.
+        fn replaying_solve() -> (Table, CmcParams) {
+            (entities(), CmcParams::classic(2, 1.0, 1.0))
+        }
+
+        /// Each guess's budget and the cumulative ticks at its end: a
+        /// guess's events reach the observer when it ends.
+        struct GuessEnds<'a>(&'a Deadline, Vec<(f64, u64)>);
+
+        impl Observer for GuessEnds<'_> {
+            fn on(&mut self, event: &Event<'_>) {
+                if let Event::GuessStarted(Some(budget)) = event {
+                    self.1.push((*budget, self.0.ticks()));
+                }
+            }
+        }
+
+        #[test]
+        fn panic_in_a_replaying_guess_retries_to_the_clean_answer() {
+            let (t, params) = replaying_solve();
+            let sp = PatternSpace::new(&t, CostFn::Count);
+            let clean = solve(&sp, &params, &mut Stats::new()).unwrap();
+            let pool = ThreadPool::new(Threads::serial());
+            let deadline =
+                Deadline::unbounded().with_fault_plan(FaultPlan::new().panic_guess_once(2));
+            let mut m = MetricsRecorder::new();
+            let out = opt_cmc(&sp, &params, &pool, &deadline, &mut m).unwrap();
+            assert_eq!(out.expect_complete("retry completes"), clean);
+            assert_eq!(m.guesses_retried, 1);
+            assert!(m.guesses >= 3, "{} guesses", m.guesses);
+        }
+
+        #[test]
+        fn cancel_inside_a_replayed_prefix_degrades_with_a_certificate() {
+            let (t, params) = replaying_solve();
+            let sp = PatternSpace::new(&t, CostFn::Count);
+            let pool = ThreadPool::new(Threads::serial());
+            let clean = Deadline::unbounded();
+            let mut ends = GuessEnds(&clean, Vec::new());
+            opt_cmc(&sp, &params, &pool, &clean, &mut ends).unwrap();
+            assert!(ends.1.len() >= 3, "{:?}", ends.1);
+            // The first pop of guesses 2 and 3 is the replayed root.
+            for g in [1, 2] {
+                assert!(ends.1[g].0 < 16.0, "{:?}", ends.1);
+                let first_pop = ends.1[g - 1].1 + 1;
+                let deadline = Deadline::unbounded()
+                    .with_fault_plan(FaultPlan::new().cancel_at_tick(first_pop));
+                let out =
+                    opt_cmc(&sp, &params, &pool, &deadline, &mut MetricsRecorder::new()).unwrap();
+                let SolveOutcome::Degraded(d) = out else {
+                    panic!("cancel at tick {first_pop} must degrade");
+                };
+                assert_eq!(d.certificate.reason, DegradeReason::Cancelled);
+                assert_eq!(d.certificate.ticks, first_pop);
+                assert_eq!(d.partial.size(), 0);
+                assert!(verify_certificate_in(&sp, &d.partial, &d.certificate).is_valid());
+            }
         }
 
         #[test]

@@ -22,6 +22,10 @@ cargo test -q
 # lattice, read SCWSC_PRUNE from the environment, so the plain run above
 # covers only the default.
 SCWSC_PRUNE=0 cargo test -q --test prop_lattice_reuse
+# The literal Fig. 4 reference (DESIGN.md §3) with the literal recounts:
+# opt_cmc's replayed prefix and its walk both skip child recounts only
+# when pruning is on.
+SCWSC_PRUNE=0 cargo test -q --test prop_reference
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy --workspace --all-targets --features fault-inject -- -D warnings

@@ -16,7 +16,7 @@
 //! that forces general keys must solve, tick and report identically.
 
 use proptest::prelude::*;
-use scwsc::patterns::test_util::GeneralKeys;
+use scwsc::patterns::test_util::{self, GeneralKeys};
 use scwsc::patterns::{opt_cmc, opt_cwsc, LatticeSpace, PatternInstance, PatternSolution, Table};
 use scwsc::sets::{
     Algorithm, Answer, CostModel, Deadline, EngineError, Event, Observer, Query, SolveOutcome,
@@ -24,13 +24,19 @@ use scwsc::sets::{
 };
 use std::sync::{Arc, Barrier};
 
-/// A random small table; few values per attribute, so the lattices of
-/// different queries overlap.
+/// A random table. Half are small with few values per attribute, so the
+/// lattices of different queries overlap. The other half are skewed and
+/// up to 160 rows long: their CMC walks visit patterns whose rows an
+/// earlier selection partly covered, so children are scored by the
+/// recount of Fig. 4 line 35 rather than by their row counts.
 fn arb_table() -> impl Strategy<Value = Table> {
-    (1usize..=3, 1usize..=24).prop_flat_map(|(attrs, rows)| {
+    let small = (1usize..=3, 1usize..=24).prop_flat_map(|(attrs, rows)| {
         let row = (proptest::collection::vec(0u8..4, attrs), 0u8..40);
         proptest::collection::vec(row, rows).prop_map(move |rows| table(attrs, &rows))
-    })
+    });
+    let skewed = (40usize..=160, 2usize..=3, 3u64..=6)
+        .prop_map(|(rows, attrs, values)| test_util::skewed_table(rows, attrs, values));
+    prop_oneof![small, skewed]
 }
 
 fn table(attrs: usize, rows: &[(Vec<u8>, u8)]) -> Table {
@@ -103,6 +109,16 @@ struct Run {
     events: Vec<String>,
 }
 
+/// Fails on a contained panic. A solve retries a panicked guess once
+/// and then reports `Panicked`, so a tripped `debug_assert` would
+/// otherwise read as two equal outcomes.
+fn assert_not_panicked<T: std::fmt::Debug>(outcome: &Result<T, EngineError>, step: &Step) {
+    assert!(
+        !matches!(outcome, Err(EngineError::Panicked(_))),
+        "{step:?}: {outcome:?}"
+    );
+}
+
 /// Solves `step` on `instance`; also returns the postings scanned.
 fn run(instance: &PatternInstance, step: &Step, pool: &ThreadPool) -> (Run, u64) {
     let (query, ticks) = step;
@@ -112,6 +128,7 @@ fn run(instance: &PatternInstance, step: &Step, pool: &ThreadPool) -> (Run, u64)
     };
     let mut events = Events::default();
     let outcome = instance.solve(query, pool, &deadline, &mut events);
+    assert_not_panicked(&outcome, step);
     let run = Run {
         outcome,
         ticks: deadline.ticks(),
@@ -166,6 +183,7 @@ fn run_on<S: LatticeSpace>(space: &S, step: &Step, pool: &ThreadPool) -> KeyedRu
         Algorithm::Cwsc => opt_cwsc(space, query.k, query.coverage, pool, &deadline, &mut events),
         Algorithm::Cmc => opt_cmc(space, &query.cmc_params(), pool, &deadline, &mut events),
     };
+    assert_not_panicked(&outcome, step);
     KeyedRun {
         outcome,
         ticks: deadline.ticks(),

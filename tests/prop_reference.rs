@@ -1,14 +1,18 @@
 //! Differential testing against literal pseudocode transcriptions.
 //!
 //! The production implementations maintain marginal benefits incrementally
-//! (element→set incidence lists, per-level buckets, lazy heaps). These
-//! reference implementations instead transcribe Figures 1–2 line by line
-//! with naive O(m·n) set arithmetic, and the property tests check both
-//! agree exactly on random instances.
+//! (element→set incidence lists, per-level buckets, lazy heaps, and in
+//! optimized CMC a replayed budget-independent prefix). These reference
+//! implementations instead transcribe Figures 1, 2 and 4 line by line
+//! with naive set arithmetic, and the property tests check both agree
+//! exactly on random instances.
 
 use proptest::prelude::*;
+use scwsc::patterns::verify_certificate_in;
 use scwsc::prelude::*;
-use std::collections::BTreeSet;
+use scwsc::sets::Event;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
 
 /// Literal Fig. 2: CWSC with explicit `MBen` sets.
 fn reference_cwsc(system: &SetSystem, k: usize, coverage: f64) -> Result<Vec<u32>, ()> {
@@ -404,6 +408,347 @@ proptest! {
                 }
                 (Err(EngineError::Solve(SolveError::BudgetExhausted)), Err(())) => {}
                 (f, s) => prop_assert!(false, "{:?}: fast {:?} vs reference {:?}", schedule, f, s),
+            }
+        }
+    }
+}
+
+/// How a literal Fig. 4 solve ended.
+#[derive(Debug, PartialEq)]
+enum Fig4End {
+    /// The selected patterns, in order, and their total cost.
+    Complete(Vec<Pattern>, f64),
+    /// A tick budget expired: the in-flight guess's selections and the
+    /// levels whose quota they filled.
+    Degraded(Vec<Pattern>, Vec<usize>),
+    BudgetExhausted,
+}
+
+/// One literal Fig. 4 solve.
+struct Fig4Run {
+    end: Fig4End,
+    /// Patterns considered (line 12's root plus each line 35) per guess.
+    considered: Vec<u64>,
+    /// Heap pops, one tick each, including the one that expired.
+    ticks: u64,
+    /// Per guess: the ticks spent before it and the patterns it visited
+    /// before its first selection.
+    guesses: Vec<(u64, usize)>,
+}
+
+/// A lattice node the reference walk met: pattern, benefit rows, cost.
+struct Node {
+    pattern: Pattern,
+    rows: Vec<u32>,
+    cost: f64,
+}
+
+/// Literal Fig. 4 (optimized CMC) over `table`'s pattern lattice: each
+/// budget guess restarts from `C = {all-wildcards}` and pops the largest
+/// marginal benefit from a lazy heap (a stale entry is recounted and
+/// pushed back), selecting it if its level has quota and otherwise
+/// visiting it and scoring every child whose parents are all visited.
+/// Benefits are recounted over explicit row lists at every pop and every
+/// child. Ties go to the cheaper pattern, then to the one the solve met
+/// first; children are met in (attribute, value) order. The first
+/// budget (the sum of the `k` smallest row weights, DESIGN.md §3) and
+/// the stop (a failed budget above both the root's cost and the total
+/// weight) are `opt_cmc`'s.
+fn reference_opt_cmc(
+    table: &Table,
+    cost_fn: CostFn,
+    params: &CmcParams,
+    max_ticks: Option<u64>,
+) -> Fig4Run {
+    let n = table.num_rows();
+    let fraction = if params.discount_coverage {
+        params.coverage_fraction * CMC_COVERAGE_DISCOUNT
+    } else {
+        params.coverage_fraction
+    };
+    let target = coverage_target(n, fraction);
+    let mut run = Fig4Run {
+        end: Fig4End::Complete(Vec::new(), 0.0),
+        considered: Vec::new(),
+        ticks: 0,
+        guesses: Vec::new(),
+    };
+    if target == 0 {
+        return run;
+    }
+    let all_rows: Vec<u32> = (0..n as u32).collect();
+    let mut nodes = vec![Node {
+        pattern: Pattern::all_wildcards(table.num_attrs()),
+        cost: cost_fn.evaluate(table, &all_rows),
+        rows: all_rows,
+    }];
+    let mut ids: HashMap<Pattern, u32> = HashMap::from([(nodes[0].pattern.clone(), 0)]);
+    let mut measures = table.measures().to_vec();
+    measures.sort_by(f64::total_cmp);
+    let seed: f64 = measures.iter().take(params.k).sum();
+    let total_weight: f64 = measures.iter().sum();
+    let mut budget = if seed > 0.0 {
+        seed
+    } else {
+        measures.iter().copied().find(|&m| m > 0.0).unwrap_or(1.0)
+    };
+    loop {
+        let levels = reference_levels(params.schedule, budget, params.k);
+        let max_selections: usize = levels.iter().map(|l| l.quota).sum();
+        let mut counts = vec![0usize; levels.len()];
+        let mut in_c: HashSet<u32> = HashSet::from([0]);
+        let mut visited: HashSet<u32> = HashSet::new();
+        let mut chosen: Vec<u32> = Vec::new();
+        let mut covered = vec![false; n];
+        let mben =
+            |rows: &[u32], covered: &[bool]| rows.iter().filter(|&&r| !covered[r as usize]).count();
+        let mut heap = BinaryHeap::from([(
+            nodes[0].rows.len(),
+            Reverse(nodes[0].cost.to_bits()),
+            Reverse(0u32),
+        )]);
+        let mut rem = target;
+        run.considered.push(1);
+        run.guesses.push((run.ticks, 0));
+        let found = loop {
+            let Some((stored, cost_bits, Reverse(q))) = heap.pop() else {
+                break false;
+            };
+            run.ticks += 1;
+            if max_ticks.is_some_and(|max| run.ticks > max) {
+                let exhausted = (0..levels.len())
+                    .filter(|&l| counts[l] == levels[l].quota)
+                    .collect();
+                let partial = chosen
+                    .iter()
+                    .map(|&id| nodes[id as usize].pattern.clone())
+                    .collect();
+                run.end = Fig4End::Degraded(partial, exhausted);
+                return run;
+            }
+            if chosen.len() >= max_selections {
+                break false;
+            }
+            if !in_c.contains(&q) {
+                continue;
+            }
+            let current = mben(&nodes[q as usize].rows, &covered);
+            if current == 0 {
+                in_c.remove(&q);
+                continue;
+            }
+            if current != stored {
+                heap.push((current, cost_bits, Reverse(q)));
+                continue;
+            }
+            in_c.remove(&q);
+            let cost = nodes[q as usize].cost;
+            match levels.iter().position(|l| l.contains(cost)) {
+                Some(l) if counts[l] < levels[l].quota => {
+                    counts[l] += 1;
+                    chosen.push(q);
+                    for &r in &nodes[q as usize].rows {
+                        covered[r as usize] = true;
+                    }
+                    rem = rem.saturating_sub(current);
+                    if rem == 0 {
+                        break true;
+                    }
+                }
+                _ => {
+                    visited.insert(q);
+                    if chosen.is_empty() {
+                        run.guesses.last_mut().unwrap().1 += 1;
+                    }
+                    let (pattern, rows) = (
+                        nodes[q as usize].pattern.clone(),
+                        nodes[q as usize].rows.clone(),
+                    );
+                    for attr in (0..table.num_attrs()).filter(|&a| pattern.get(a).is_none()) {
+                        for value in 0..table.dictionary(attr).len() as u32 {
+                            let child_rows: Vec<u32> = rows
+                                .iter()
+                                .copied()
+                                .filter(|&r| table.value(r, attr) == value)
+                                .collect();
+                            if child_rows.is_empty() {
+                                continue;
+                            }
+                            let child = pattern.child(attr, value);
+                            let id = *ids.entry(child.clone()).or_insert_with(|| {
+                                nodes.push(Node {
+                                    pattern: child.clone(),
+                                    cost: cost_fn.evaluate(table, &child_rows),
+                                    rows: child_rows,
+                                });
+                                nodes.len() as u32 - 1
+                            });
+                            if in_c.contains(&id) || visited.contains(&id) || chosen.contains(&id) {
+                                continue;
+                            }
+                            if !child.parents().iter().all(|p| visited.contains(&ids[p])) {
+                                continue;
+                            }
+                            *run.considered.last_mut().unwrap() += 1;
+                            let node = &nodes[id as usize];
+                            let m = mben(&node.rows, &covered);
+                            if m > 0 {
+                                in_c.insert(id);
+                                heap.push((m, Reverse(node.cost.to_bits()), Reverse(id)));
+                            }
+                        }
+                    }
+                }
+            }
+        };
+        if found {
+            let patterns = chosen
+                .iter()
+                .map(|&id| nodes[id as usize].pattern.clone())
+                .collect();
+            let total = chosen.iter().map(|&id| nodes[id as usize].cost).sum();
+            run.end = Fig4End::Complete(patterns, total);
+            return run;
+        }
+        if budget > nodes[0].cost && budget > total_weight {
+            run.end = Fig4End::BudgetExhausted;
+            return run;
+        }
+        budget *= 1.0 + params.budget_growth;
+    }
+}
+
+/// Patterns considered per budget guess, from the event stream.
+#[derive(Default)]
+struct ConsideredPerGuess(Vec<u64>);
+
+impl Observer for ConsideredPerGuess {
+    fn on(&mut self, event: &Event<'_>) {
+        match event {
+            Event::GuessStarted(_) => self.0.push(0),
+            Event::BenefitComputed(n) => *self.0.last_mut().expect("a guess started") += n,
+            _ => {}
+        }
+    }
+}
+
+/// A random table with up to 48 rows over at most three attributes and
+/// five values each: lattices of a few hundred patterns, several budget
+/// guesses deep.
+fn arb_table() -> impl Strategy<Value = Table> {
+    (1usize..=3, 1usize..=48).prop_flat_map(|(attrs, rows)| {
+        let row = (proptest::collection::vec(0u8..5, attrs), 0u8..40);
+        proptest::collection::vec(row, rows).prop_map(move |rows| {
+            let names: Vec<String> = (0..attrs).map(|a| format!("a{a}")).collect();
+            let names: Vec<&str> = names.iter().map(String::as_str).collect();
+            let mut b = Table::builder(&names, "m");
+            for (vals, measure) in rows {
+                let vals: Vec<String> = vals.iter().map(|v| format!("v{v}")).collect();
+                let vals: Vec<&str> = vals.iter().map(String::as_str).collect();
+                b.push_row(&vals, f64::from(measure)).unwrap();
+            }
+            b.build()
+        })
+    })
+}
+
+/// `opt_cmc` on `space` under an optional tick budget: its outcome,
+/// the ticks it used and its per-guess patterns considered.
+fn run_opt_cmc(
+    space: &PatternSpace<'_>,
+    params: &CmcParams,
+    max_ticks: Option<u64>,
+) -> (
+    Result<SolveOutcome<PatternSolution>, EngineError>,
+    u64,
+    Vec<u64>,
+) {
+    let pool = ThreadPool::new(Threads::serial());
+    let deadline = match max_ticks {
+        Some(max) => Deadline::unbounded().with_tick_budget(max),
+        None => Deadline::unbounded(),
+    };
+    let mut considered = ConsideredPerGuess::default();
+    let outcome = opt_cmc(space, params, &pool, &deadline, &mut considered);
+    (outcome, deadline.ticks(), considered.0)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Optimized CMC against literal Fig. 4 under all four cost functions
+    /// and both schedules (ε at two values): selections and cost,
+    /// per-guess patterns considered and ticks; then under a tick budget
+    /// that expires while a later guess replays the prefix an earlier one
+    /// walked, and under an arbitrary tick budget, the degraded partial
+    /// and its certificate. A budget growth of 0.5 makes more guesses,
+    /// so more of them replay.
+    #[test]
+    fn opt_cmc_matches_literal_pseudocode(
+        table in arb_table(),
+        k in 1usize..6,
+        coverage_pct in 20u32..=100,
+        growth in prop_oneof![Just(0.5f64), Just(1.0)],
+        pick in any::<u64>(),
+    ) {
+        for cost_fn in [CostFn::Max, CostFn::Sum, CostFn::Mean, CostFn::Count] {
+            let space = PatternSpace::new(&table, cost_fn);
+            for schedule in [
+                LevelSchedule::Classic,
+                LevelSchedule::Epsilon(0.5),
+                LevelSchedule::Epsilon(2.0),
+            ] {
+                let params = CmcParams {
+                    schedule,
+                    ..CmcParams::classic(k, coverage_pct as f64 / 100.0, growth)
+                };
+                let at = format!("{cost_fn:?} {schedule:?}");
+                let want = reference_opt_cmc(&table, cost_fn, &params, None);
+                let (outcome, ticks, considered) = run_opt_cmc(&space, &params, None);
+                match (&outcome, &want.end) {
+                    (Ok(SolveOutcome::Complete(got)), Fig4End::Complete(patterns, total)) => {
+                        prop_assert_eq!(&got.patterns, patterns, "{}", at);
+                        prop_assert_eq!(got.total_cost, *total, "{}", at);
+                    }
+                    (Err(EngineError::Solve(SolveError::BudgetExhausted)), Fig4End::BudgetExhausted) => {}
+                    (got, want) => prop_assert!(false, "{}: {:?} vs reference {:?}", at, got, want),
+                }
+                prop_assert_eq!(&considered, &want.considered, "{}", at);
+                prop_assert_eq!(ticks, want.ticks, "{}", at);
+
+                // Guess g replays the first min(visited_g, longest earlier
+                // visited) pops; a budget of start_g + j expires at the
+                // (j+1)-th of them.
+                let mut longest = 0;
+                let mut inside: Vec<u64> = Vec::new();
+                for &(start, visited) in &want.guesses {
+                    inside.extend((0..visited.min(longest) as u64).map(|j| start + j));
+                    longest = longest.max(visited);
+                }
+                let mut budgets = vec![pick % (want.ticks + 1)];
+                if !inside.is_empty() {
+                    budgets.push(inside[(pick % inside.len() as u64) as usize]);
+                }
+                for max in budgets {
+                    let want = reference_opt_cmc(&table, cost_fn, &params, Some(max));
+                    let (outcome, ticks, considered) = run_opt_cmc(&space, &params, Some(max));
+                    prop_assert_eq!(&considered, &want.considered, "{} ticks {}", at, max);
+                    prop_assert_eq!(ticks, want.ticks, "{} ticks {}", at, max);
+                    match (&outcome, &want.end) {
+                        (Ok(SolveOutcome::Degraded(d)), Fig4End::Degraded(partial, exhausted)) => {
+                            prop_assert_eq!(&d.partial.patterns, partial, "{} ticks {}", at, max);
+                            prop_assert_eq!(&d.certificate.quotas_exhausted, exhausted, "{} ticks {}", at, max);
+                            prop_assert_eq!(d.certificate.ticks, want.ticks, "{} ticks {}", at, max);
+                            let check = verify_certificate_in(&space, &d.partial, &d.certificate);
+                            prop_assert!(check.is_valid(), "{} ticks {}: {:?}", at, max, check);
+                        }
+                        (Ok(SolveOutcome::Complete(got)), Fig4End::Complete(patterns, _)) => {
+                            prop_assert_eq!(&got.patterns, patterns, "{} ticks {}", at, max);
+                        }
+                        (Err(EngineError::Solve(SolveError::BudgetExhausted)), Fig4End::BudgetExhausted) => {}
+                        (got, want) => prop_assert!(false, "{} ticks {}: {:?} vs reference {:?}", at, max, got, want),
+                    }
+                }
             }
         }
     }
