@@ -20,6 +20,7 @@ use crate::telemetry::{
     audit, pack_k_target, Event, EventLog, Observer, PhaseSpan, TraceId, PHASE_GUESS, PHASE_INIT,
     PHASE_SELECT, PHASE_TOTAL,
 };
+use std::iter::successors;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Fraction of the requested coverage that CMC guarantees (Fig. 1 line 06).
@@ -175,6 +176,23 @@ impl Levels {
     /// Sum of quotas: the maximum number of sets a single guess can select.
     pub fn max_selections(&self) -> usize {
         self.quotas.iter().sum()
+    }
+
+    /// The guess that selected `counts[l]` sets from each level `l` and
+    /// `partial` in all ran out of ticks or time for `reason`.
+    pub fn expired<S, P>(
+        &self,
+        counts: &[usize],
+        partial: P,
+        reason: DegradeReason,
+    ) -> GuessEnd<S, P> {
+        GuessEnd::Expired {
+            partial,
+            quotas_exhausted: (0..self.len())
+                .filter(|&l| counts[l] == self.quota(l))
+                .collect(),
+            reason,
+        }
     }
 }
 
@@ -357,25 +375,75 @@ fn initial_budget(system: &SetSystem, k: usize) -> f64 {
     }
 }
 
-/// Result of one budget-guess run.
-enum GuessOutcome {
-    Found(Solution),
-    NotFound,
+/// How a budget guess that ends the solve ended.
+pub enum GuessEnd<S, P> {
+    /// The guess met the coverage target.
+    Found(S),
     /// The deadline expired mid-guess; the partial selection becomes the
     /// degraded outcome.
     Expired {
-        partial: Vec<SetId>,
+        /// What the guess had selected.
+        partial: P,
+        /// Levels whose quota was fully consumed (ascending): the
+        /// `quotas_exhausted` claim of the certificate.
         quotas_exhausted: Vec<usize>,
+        /// Why the deadline expired.
         reason: DegradeReason,
     },
 }
 
-/// Level indices whose quota was fully consumed (ascending) — the
-/// `quotas_exhausted` claim of a degraded certificate.
-fn exhausted_quotas(levels: &Levels, counts: &[usize]) -> Vec<usize> {
-    (0..levels.len())
-        .filter(|&l| counts[l] == levels.quota(l))
-        .collect()
+/// The budget loop both CMCs share (Fig. 1 lines 01–28, Fig. 4 lines
+/// 01–07 and 36–37): one `guess` per budget of `budgets`, in order, until
+/// one ends the solve, returned with its budget; [`SolveError::BudgetExhausted`]
+/// once `budgets` runs out. Each caller ends `budgets` by its own
+/// stopping rule.
+///
+/// Each guess records into one [`EventLog`], cleared per attempt and
+/// replayed into `obs` when the guess ends, under a `guess` phase span
+/// and `catch_unwind`. A panicked guess is retried once, after
+/// `panicked` (the `guesses_retried` event; the panicked attempt's log is
+/// discarded), and a second panic surfaces as [`EngineError::Panicked`].
+/// `state` is what `guess` and `panicked` both change.
+pub fn guess_budgets<W, E, O: Observer + ?Sized>(
+    state: &mut W,
+    budgets: impl IntoIterator<Item = f64>,
+    deadline: &Deadline,
+    obs: &mut O,
+    mut guess: impl FnMut(&mut W, f64, &mut EventLog) -> Option<E>,
+    mut panicked: impl FnMut(&mut W),
+) -> Result<(E, f64), EngineError> {
+    // One log for every guess and retry, so its capacity is allocated
+    // once per solve rather than once per guess.
+    let mut log = EventLog::new();
+    for (budget, guess_index) in budgets.into_iter().zip(1u64..) {
+        let mut attempt = |state: &mut W, log: &mut EventLog| {
+            log.clear();
+            catch_unwind(AssertUnwindSafe(|| {
+                log.on(&Event::GuessStarted(Some(budget)));
+                // Spans stay at guess granularity: a guess's unit of work
+                // is too hot to bracket with clock reads.
+                let guess_span = PhaseSpan::enter(log, PHASE_GUESS);
+                deadline.fault_guess(guess_index);
+                let end = guess(state, budget, log);
+                guess_span.exit(log);
+                end
+            }))
+        };
+        let end = match attempt(state, &mut log) {
+            Ok(end) => end,
+            Err(_) => {
+                panicked(state);
+                obs.on(&Event::GuessRetried);
+                attempt(state, &mut log)
+                    .map_err(|payload| EngineError::Panicked(panic_message(payload.as_ref())))?
+            }
+        };
+        log.replay(obs);
+        if let Some(end) = end {
+            return Ok((end, budget));
+        }
+    }
+    Err(SolveError::BudgetExhausted.into())
 }
 
 /// The ids of the sets in each level of `levels`, ascending within each;
@@ -393,6 +461,7 @@ fn level_buckets(levels: &Levels, system: &SetSystem) -> Vec<Vec<SetId>> {
 /// One iteration of the outer repeat loop (Fig. 1 lines 03–27) for a fixed
 /// budget `B` over the solve's shared `incidence`: a work tick per
 /// selection attempt and per-level quota accounting for the certificate.
+/// `None` when the guess fell short of the target.
 fn run_guess(
     system: &SetSystem,
     params: &CmcParams,
@@ -401,7 +470,7 @@ fn run_guess(
     incidence: &Incidence,
     deadline: &Deadline,
     log: &mut EventLog,
-) -> GuessOutcome {
+) -> Option<GuessEnd<Solution, Vec<SetId>>> {
     // Lines 04-05: fresh marginal benefits for every set.
     let init_span = PhaseSpan::enter(log, PHASE_INIT);
     let mut state = CoverState::over(system, incidence);
@@ -427,12 +496,7 @@ fn run_guess(
         for _ in 0..levels.quota(level) {
             if let Err(reason) = deadline.checkpoint() {
                 select_span.exit(log);
-                let quotas_exhausted = exhausted_quotas(&levels, &counts);
-                return GuessOutcome::Expired {
-                    partial: chosen,
-                    quotas_exhausted,
-                    reason,
-                };
+                return Some(levels.expired(&counts, chosen, reason));
             }
             // Line 17: argmax of marginal benefit within the level.
             let top = state.top_benefit_among(&buckets[level], audit::TOP);
@@ -446,17 +510,16 @@ fn run_guess(
             if rem == 0 {
                 // Lines 22-23: the target is met.
                 select_span.exit(log);
-                return GuessOutcome::Found(Solution::from_sets(system, chosen));
+                return Some(GuessEnd::Found(Solution::from_sets(system, chosen)));
             }
         }
     }
     select_span.exit(log);
-    GuessOutcome::NotFound
+    None
 }
 
 /// The Fig. 1 outer repeat loop: one budget guess at a time, each on its
-/// own [`CoverState`] over one element→sets incidence built here, with
-/// per-guess panic containment and deadline checkpoints.
+/// own [`CoverState`] over one element→sets incidence built here.
 fn guess_loop<O: Observer + ?Sized>(
     system: &SetSystem,
     params: &CmcParams,
@@ -466,77 +529,43 @@ fn guess_loop<O: Observer + ?Sized>(
 ) -> Result<SolveOutcome<CmcOutcome>, EngineError> {
     let total_cost = system.total_cost().value();
     let incidence = Incidence::build(system);
-    let mut budget = initial_budget(system, params.k);
-    // One log for every guess and retry: cleared per attempt, so its
-    // capacity is allocated once per solve rather than once per guess.
-    let mut log = EventLog::new();
-    let mut guess_index = 0u64;
-
-    loop {
-        guess_index += 1;
-        let attempt = |log: &mut EventLog| {
-            log.clear();
-            catch_unwind(AssertUnwindSafe(|| {
-                log.on(&Event::GuessStarted(Some(budget)));
-                let guess_span = PhaseSpan::enter(log, PHASE_GUESS);
-                deadline.fault_guess(guess_index);
-                let outcome = run_guess(system, params, budget, target, &incidence, deadline, log);
-                guess_span.exit(log);
-                outcome
-            }))
-        };
-        let outcome = match attempt(&mut log) {
-            Ok(outcome) => outcome,
-            Err(_) => {
-                // Retry once; the panicked attempt's log is discarded.
-                obs.on(&Event::GuessRetried);
-                match attempt(&mut log) {
-                    Ok(outcome) => outcome,
-                    Err(payload) => {
-                        return Err(EngineError::Panicked(panic_message(payload.as_ref())))
-                    }
-                }
-            }
-        };
-        log.replay(obs);
-        match outcome {
-            GuessOutcome::Found(solution) => {
-                return Ok(SolveOutcome::Complete(CmcOutcome {
-                    solution,
-                    final_budget: budget,
-                }))
-            }
-            GuessOutcome::Expired {
+    // The final guess runs *after* the budget exceeds the total cost
+    // (DESIGN.md §3); only its failure exhausts the loop.
+    let budgets = successors(Some(initial_budget(system, params.k)), |&budget| {
+        (budget <= total_cost).then_some(budget * (1.0 + params.budget_growth)) // line 28
+    });
+    let guess = |_: &mut (), budget, log: &mut EventLog| {
+        run_guess(system, params, budget, target, &incidence, deadline, log)
+    };
+    let (end, final_budget) = guess_budgets(&mut (), budgets, deadline, obs, guess, |_| {})?;
+    Ok(match end {
+        GuessEnd::Found(solution) => SolveOutcome::Complete(CmcOutcome {
+            solution,
+            final_budget,
+        }),
+        GuessEnd::Expired {
+            partial,
+            quotas_exhausted,
+            reason,
+        } => {
+            let d = degrade(
+                system,
                 partial,
                 quotas_exhausted,
                 reason,
-            } => {
-                let d = degrade(
-                    system,
-                    partial,
-                    quotas_exhausted,
-                    reason,
-                    target,
-                    deadline,
-                    obs,
-                );
-                return Ok(SolveOutcome::Degraded(Degraded {
-                    partial: CmcOutcome {
-                        solution: d.partial,
-                        final_budget: budget,
-                    },
-                    certificate: d.certificate,
-                }));
-            }
-            GuessOutcome::NotFound => {}
+                target,
+                deadline,
+                obs,
+            );
+            SolveOutcome::Degraded(Degraded {
+                partial: CmcOutcome {
+                    solution: d.partial,
+                    final_budget,
+                },
+                certificate: d.certificate,
+            })
         }
-        // The final guess runs *after* the budget exceeds the total cost
-        // (DESIGN.md §3); only its failure exhausts the loop.
-        if budget > total_cost {
-            return Err(SolveError::BudgetExhausted.into());
-        }
-        budget *= 1.0 + params.budget_growth; // line 28
-    }
+    })
 }
 
 #[cfg(test)]

@@ -498,20 +498,12 @@ mod tests {
     use crate::opt_cwsc::opt_cwsc;
     use crate::pattern_solution::{verify_certificate_in, PatternSolution};
     use crate::space::PatternSpace;
+    use crate::test_util::complete;
     use scwsc_core::algorithms::CmcParams;
     use scwsc_core::{
-        Deadline, DegradeReason, EngineError, MetricsRecorder, SolveError, SolveOutcome, Stats,
-        ThreadPool, Threads,
+        Deadline, DegradeReason, MetricsRecorder, SolveError, SolveOutcome, Stats, ThreadPool,
+        Threads,
     };
-
-    /// Unwraps an unbounded solve to its complete value or solve error.
-    fn complete<T>(result: Result<SolveOutcome<T>, EngineError>) -> Result<T, SolveError> {
-        match result {
-            Ok(outcome) => Ok(outcome.expect_complete("unbounded deadline")),
-            Err(EngineError::Solve(e)) => Err(e),
-            Err(e) => panic!("{e}"),
-        }
-    }
 
     /// Fig. 3 over any lattice, serial and unbounded.
     fn cwsc_in<S: LatticeSpace>(

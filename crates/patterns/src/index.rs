@@ -122,21 +122,7 @@ fn gallop_to(list: &[RowId], start: usize, target: RowId) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn table() -> Table {
-        let mut b = Table::builder(&["Type", "Location"], "Cost");
-        for (t, l, c) in [
-            ("A", "West", 10.0),
-            ("A", "Northeast", 32.0),
-            ("B", "South", 2.0),
-            ("A", "North", 4.0),
-            ("B", "West", 4.0),
-            ("B", "South", 1.0),
-        ] {
-            b.push_row(&[t, l], c).unwrap();
-        }
-        b.build()
-    }
+    use crate::test_util::entities as table;
 
     fn pat(t: &Table, ty: Option<&str>, loc: Option<&str>) -> Pattern {
         Pattern::new(vec![
@@ -150,9 +136,9 @@ mod tests {
         let t = table();
         let idx = InvertedIndex::build(&t);
         let a = t.dictionary(0).lookup("A").unwrap();
-        assert_eq!(idx.posting(0, a), &[0, 1, 3]);
+        assert_eq!(idx.posting(0, a), &[0, 1, 3, 5, 8, 10, 14, 15]);
         let south = t.dictionary(1).lookup("South").unwrap();
-        assert_eq!(idx.posting(1, south), &[2, 5]);
+        assert_eq!(idx.posting(1, south), &[2, 12, 15]);
     }
 
     #[test]
@@ -161,28 +147,28 @@ mod tests {
         let idx = InvertedIndex::build(&t);
         assert_eq!(
             idx.benefit(&Pattern::all_wildcards(2)),
-            vec![0, 1, 2, 3, 4, 5]
+            (0..16).collect::<Vec<RowId>>()
         );
-        assert_eq!(idx.benefit_count(&Pattern::all_wildcards(2)), 6);
+        assert_eq!(idx.benefit_count(&Pattern::all_wildcards(2)), 16);
     }
 
     #[test]
     fn single_attribute_benefit() {
         let t = table();
         let idx = InvertedIndex::build(&t);
-        assert_eq!(idx.benefit(&pat(&t, Some("B"), None)), vec![2, 4, 5]);
-        assert_eq!(idx.benefit(&pat(&t, None, Some("West"))), vec![0, 4]);
+        assert_eq!(
+            idx.benefit(&pat(&t, Some("B"), None)),
+            vec![2, 4, 6, 7, 9, 11, 12, 13]
+        );
+        assert_eq!(idx.benefit(&pat(&t, None, Some("West"))), vec![0, 6]);
     }
 
     #[test]
     fn two_attribute_intersection() {
         let t = table();
         let idx = InvertedIndex::build(&t);
-        assert_eq!(idx.benefit(&pat(&t, Some("B"), Some("South"))), vec![2, 5]);
-        assert_eq!(
-            idx.benefit(&pat(&t, Some("A"), Some("South"))),
-            Vec::<RowId>::new()
-        );
+        assert_eq!(idx.benefit(&pat(&t, Some("B"), Some("South"))), vec![2, 12]);
+        assert_eq!(idx.benefit(&pat(&t, Some("A"), Some("South"))), vec![15]);
         assert_eq!(idx.benefit_count(&pat(&t, Some("B"), Some("West"))), 1);
     }
 
@@ -229,6 +215,12 @@ mod tests {
             t.dictionary(2).lookup("u"),
         ]);
         assert_eq!(idx.benefit(&p), vec![0]);
+        let empty = Pattern::new(vec![
+            t.dictionary(0).lookup("b"),
+            t.dictionary(1).lookup("q"),
+            None,
+        ]);
+        assert_eq!(idx.benefit(&empty), Vec::<RowId>::new());
     }
 
     #[test]

@@ -6,16 +6,17 @@
 //! nor the coverage target, so one [`SharedLattice`] holds them for
 //! every solve, and a [`PatternInstance`](crate::PatternInstance) parks
 //! it between solves in a [`LatticeStash`] (DESIGN.md §17). Each solve
-//! keeps its own ids, costs, masks and walk state in a per-solve view
-//! (`opt_cwsc` and `opt_cmc` each have one), numbered in that solve's
-//! own order, so a solve on a lattice that earlier solves grew walks,
-//! selects and reports exactly as one on a fresh lattice.
+//! numbers, costs and masks the nodes it meets in one [`View`], in that
+//! solve's own order, so a solve on a lattice that earlier solves grew
+//! walks, selects and reports exactly as one on a fresh lattice. The
+//! walks differ only in when they number a node and in the per-id state
+//! they keep beside the view.
 
 use crate::fxhash::FxHashMap;
 use crate::pattern::Pattern;
 use crate::space::LatticeSpace;
 use crate::table::RowId;
-use scwsc_core::BitSet;
+use scwsc_core::{BitSet, BlockSummary};
 use std::cmp::Ordering;
 use std::sync::{Mutex, PoisonError};
 
@@ -39,7 +40,7 @@ pub(crate) fn kernel_min_rows(num_rows: usize) -> usize {
 }
 
 /// The row mask of `rows` over `num_rows` records.
-pub(crate) fn mask_of(num_rows: usize, rows: &[RowId]) -> BitSet {
+fn mask_of(num_rows: usize, rows: &[RowId]) -> BitSet {
     let mut mask = BitSet::new(num_rows);
     for &r in rows {
         mask.insert(r as usize);
@@ -71,7 +72,7 @@ pub(crate) fn prune_from_env() -> bool {
 const UNEXPANDED: (u32, u32) = (u32::MAX, 0);
 /// Sentinel in a per-solve view's shared-node-to-id map: this solve has
 /// not numbered the node yet.
-pub(crate) const UNSEEN: u32 = u32::MAX;
+const UNSEEN: u32 = u32::MAX;
 
 /// The cost-independent half of the Fig. 3/Fig. 4 lattice: pattern keys,
 /// row lists, child lists and parent counts do not depend on the
@@ -457,6 +458,195 @@ impl SharedLattice {
     }
 }
 
+/// What a [`View`] keeps per masked id: the row mask, with whatever a
+/// walk derives from it once.
+pub(crate) trait RowMask {
+    fn of(mask: BitSet) -> Self;
+}
+
+impl RowMask for BitSet {
+    fn of(mask: BitSet) -> Self {
+        mask
+    }
+}
+
+impl RowMask for (BlockSummary, BitSet) {
+    fn of(mask: BitSet) -> Self {
+        (BlockSummary::of(&mask), mask)
+    }
+}
+
+/// One solve's view of a [`SharedLattice`]: the solve's own ids for the
+/// nodes it meets, a cost per id, lazy row masks, and the expansions it
+/// made.
+///
+/// A walk numbers a node by [`assign`](View::assign)ing it the next id
+/// when it first needs one: Fig. 4 numbers every child at its parent's
+/// first expansion, Fig. 3 a node at its first entry into `C`. The ids follow
+/// that order alone, not which nodes earlier solves materialized, so a
+/// solve on a lattice that earlier solves grew walks, selects and
+/// reports exactly as one on a fresh lattice. Each walk keeps its own
+/// per-id state beside the view.
+pub(crate) struct View<'a, S: LatticeSpace, M> {
+    pub(crate) space: &'a S,
+    shared: SharedLattice,
+    /// `global[id]` = the shared node of id `id`.
+    global: Vec<u32>,
+    /// `local[g]` = the id of shared node `g`, or [`UNSEEN`].
+    local: Vec<u32>,
+    /// The cost of each id, computed when the id is assigned.
+    costs: Vec<f64>,
+    /// Whether this solve expanded each id.
+    expanded: Vec<bool>,
+    /// Row masks, for the recount kernels. Lazy: only the (few) ids a
+    /// recount kernels over pay the `O(num_rows)` bits.
+    pub(crate) masks: FxHashMap<u32, M>,
+    /// Expansion scratch, reused across expansions.
+    scratch: (Vec<RowId>, Vec<u32>),
+    /// Set when the solve contained a panic: an expansion may have
+    /// stopped halfway, so the shared lattice must not outlive the solve.
+    pub(crate) tainted: bool,
+}
+
+impl<'a, S: LatticeSpace, M: RowMask> View<'a, S, M> {
+    /// The view, with the root as id 0, over the lattice parked in
+    /// `stash` or else a fresh one. A parked lattice holds about what the
+    /// solve will meet, so the per-id arrays are sized for all of it up
+    /// front.
+    pub(crate) fn new(space: &'a S, stash: Option<&LatticeStash>) -> Self {
+        let shared = stash
+            .and_then(LatticeStash::take)
+            .unwrap_or_else(|| SharedLattice::new(space));
+        let nodes = shared.len();
+        let mut view = View {
+            space,
+            global: Vec::with_capacity(nodes),
+            local: vec![UNSEEN; nodes],
+            costs: Vec::with_capacity(nodes),
+            expanded: Vec::with_capacity(nodes),
+            shared,
+            masks: FxHashMap::default(),
+            scratch: (Vec::new(), Vec::new()),
+            tainted: false,
+        };
+        view.assign(0);
+        view
+    }
+
+    /// Number of ids assigned.
+    pub(crate) fn len(&self) -> usize {
+        self.global.len()
+    }
+
+    /// Number of nodes the shared lattice holds.
+    pub(crate) fn nodes(&self) -> usize {
+        self.shared.len()
+    }
+
+    /// The id of shared node `g`, if this solve numbered it.
+    pub(crate) fn id_of(&self, g: u32) -> Option<u32> {
+        Some(self.local[g as usize]).filter(|&id| id != UNSEEN)
+    }
+
+    /// The id of shared node `g`: the one it holds, or else the next
+    /// one, costed now.
+    #[inline]
+    pub(crate) fn assign(&mut self, g: u32) -> u32 {
+        let slot = &mut self.local[g as usize];
+        if *slot == UNSEEN {
+            *slot = self.global.len() as u32;
+            self.global.push(g);
+            self.costs.push(self.space.cost(self.shared.rows_of(g)));
+            self.expanded.push(false);
+        }
+        *slot
+    }
+
+    /// The shared node of `id`.
+    pub(crate) fn node(&self, id: u32) -> u32 {
+        self.global[id as usize]
+    }
+
+    /// The cost of `id`.
+    pub(crate) fn cost(&self, id: u32) -> f64 {
+        self.costs[id as usize]
+    }
+
+    /// The row list of `id`.
+    #[inline]
+    pub(crate) fn rows_of(&self, id: u32) -> &[RowId] {
+        self.rows_of_node(self.node(id))
+    }
+
+    /// The row list of shared node `g`.
+    pub(crate) fn rows_of_node(&self, g: u32) -> &[RowId] {
+        self.shared.rows_of(g)
+    }
+
+    /// The pattern of `id`.
+    pub(crate) fn pattern(&self, id: u32) -> Pattern {
+        self.shared.keys.pattern(self.node(id))
+    }
+
+    /// The parent counts of the ids from `from` on, in id order.
+    pub(crate) fn num_parents(&self, from: usize) -> impl Iterator<Item = u8> + '_ {
+        let counts = &self.shared.num_parents;
+        self.global[from..].iter().map(|&g| counts[g as usize])
+    }
+
+    /// The keys of the shared nodes.
+    pub(crate) fn keys(&self) -> &Keys {
+        &self.shared.keys
+    }
+
+    /// The shared child nodes of `id`, which [`expand`](View::expand)
+    /// has seen.
+    pub(crate) fn children(&self, id: u32) -> &[u32] {
+        self.shared.children_of(self.node(id))
+    }
+
+    /// The row mask of `id`, built on first use.
+    pub(crate) fn mask(&mut self, id: u32) -> &M {
+        let n = self.space.num_rows();
+        let rows = self.shared.rows_of(self.node(id));
+        self.masks
+            .entry(id)
+            .or_insert_with(|| M::of(mask_of(n, rows)))
+    }
+
+    /// Expands `id` in the shared lattice (a no-op when cached there)
+    /// and makes room to number the nodes it added. With
+    /// `assign_children` (Fig. 4's first-encounter numbering) each child
+    /// gets an id, in (attribute, value) order. Returns the postings a
+    /// real expansion scanned. An id this solve already expanded returns
+    /// at once; the flag is set only once every child has its id, so an
+    /// expansion a panic cut short runs again.
+    #[inline]
+    pub(crate) fn expand(&mut self, id: u32, assign_children: bool) -> Option<u64> {
+        if self.expanded[id as usize] {
+            return None;
+        }
+        let g = self.node(id);
+        let postings = self.shared.expand(self.space, g, &mut self.scratch);
+        self.local.resize(self.shared.len(), UNSEEN);
+        if assign_children {
+            for c in 0..self.shared.children_of(g).len() {
+                self.assign(self.shared.children_of(g)[c]);
+            }
+        }
+        self.expanded[id as usize] = true;
+        postings
+    }
+
+    /// Ends the solve: the shared lattice goes back to `stash`, if any,
+    /// unless the view is tainted.
+    pub(crate) fn park(self, stash: Option<&LatticeStash>) {
+        if let Some(stash) = stash.filter(|_| !self.tainted) {
+            stash.put(self.shared);
+        }
+    }
+}
+
 /// Where a [`PatternInstance`](crate::PatternInstance) parks its
 /// [`SharedLattice`] between CWSC and CMC solves (DESIGN.md §17).
 ///
@@ -492,7 +682,7 @@ mod tests {
     use crate::cost_fn::CostFn;
     use crate::space::PatternSpace;
     use crate::table::Table;
-    use crate::test_util::{GeneralKeys, XorShift};
+    use crate::test_util::{entities, GeneralKeys, XorShift};
 
     fn random_table(rng: &mut XorShift) -> Table {
         let attrs = 1 + rng.below(4) as usize;
@@ -585,5 +775,74 @@ mod tests {
             orphans > 0,
             "some nodes miss a parent the lattice never grew"
         );
+    }
+
+    /// Numbers nodes the way Fig. 4 does (every child at its parent's
+    /// first expansion) or the way Fig. 3 does (children the walk picks:
+    /// here every other one, last first, which under Fig. 4's order
+    /// already hold ids), expanding each id with probability 1/2; returns
+    /// each id's pattern and cost.
+    fn number<S: LatticeSpace>(
+        mut view: View<'_, S, BitSet>,
+        mut rng: XorShift,
+        at_expansion: bool,
+    ) -> Vec<(Pattern, f64)> {
+        let mut id = 0;
+        while id < view.len() as u32 {
+            if id == 0 || rng.below(2) == 0 {
+                view.expand(id, at_expansion);
+                for child in view.children(id).to_vec().into_iter().rev().step_by(2) {
+                    view.assign(child);
+                }
+            }
+            id += 1;
+        }
+        let ids = 0..view.len() as u32;
+        ids.map(|id| (view.pattern(id), view.cost(id))).collect()
+    }
+
+    /// A view over a lattice that earlier solves grew assigns each node
+    /// the id a view over a fresh lattice does, in both numbering orders;
+    /// a tainted view does not park its lattice.
+    #[test]
+    fn a_view_numbers_a_grown_lattice_as_a_fresh_one() {
+        let mut rng = XorShift::new(29);
+        let stash = LatticeStash::default();
+        for round in 0..100 {
+            let table = random_table(&mut rng);
+            let space = PatternSpace::new(&table, CostFn::Sum);
+            let spread = 1 + round % 3;
+            for at_expansion in [true, false] {
+                stash.put(grow(&space, &mut rng.clone(), spread));
+                let walk = XorShift::new(rng.next_u64());
+                let expected = number(View::new(&space, None), walk.clone(), at_expansion);
+                let grown = View::new(&space, Some(&stash));
+                assert_eq!(number(grown, walk, at_expansion), expected);
+            }
+        }
+        let table = entities();
+        let space = PatternSpace::new(&table, CostFn::Max);
+        for tainted in [true, false] {
+            let mut view: View<'_, _, BitSet> = View::new(&space, None);
+            view.tainted = tainted;
+            view.park(Some(&stash));
+            assert_eq!(stash.take().is_some(), !tainted, "tainted {tainted}");
+        }
+    }
+
+    /// A node assigned again keeps its id and its cost: Fig. 3's
+    /// re-entry into `C`.
+    #[test]
+    fn reassigning_a_node_keeps_its_id_and_cost() {
+        let table = entities();
+        let space = PatternSpace::new(&table, CostFn::Max);
+        let mut view: View<'_, _, BitSet> = View::new(&space, None);
+        view.expand(0, false);
+        let child = view.children(0)[0];
+        assert_eq!(view.id_of(child), None);
+        let id = view.assign(child);
+        let cost = view.cost(id);
+        assert_eq!(view.assign(child), id, "same id revived");
+        assert_eq!((view.len(), view.cost(id)), (2, cost));
     }
 }

@@ -28,12 +28,20 @@
 //! the same one optimized CWSC walks, and a
 //! [`PatternInstance`](crate::PatternInstance) keeps it between solves
 //! of either algorithm, so later queries on the instance never repeat an
-//! expansion. Costs, row masks and node ids belong to one solve
-//! (`Lattice`): ids follow the solve's own first-encounter order, so the
-//! heap's `(mben, cost, id)` tie-break — and with it every selection,
-//! degraded partial, tick count and audit event — is the same on a
-//! shared lattice as on a fresh one. Only `posting_scanned` shows the
-//! difference: it counts the expansions this solve actually performed.
+//! expansion. Node ids, costs and row masks belong to one solve, in the
+//! lattice's per-solve view. This walk assigns an id to every child at
+//! its parent's first expansion, so ids follow the solve's own
+//! first-encounter order, and the heap's `(mben, cost, id)` tie-break —
+//! and with it every selection, degraded partial, tick count and audit
+//! event — is the same on a shared lattice as on a fresh one. Only
+//! `posting_scanned` shows the difference: it counts the expansions this
+//! solve actually performed. Beside the view the solve keeps a state
+//! byte and a pending-parent count per id, and the recorded prefix
+//! below.
+//!
+//! The budget loop, its per-guess event log and its panic retry are
+//! flat CMC's ([`guess_budgets`]); only the stopping rule and the panic
+//! hook are this file's.
 //!
 //! Every guess restarts from the all-wildcards pattern, and until its
 //! first selection nothing is covered, so each pop's marginal benefit is
@@ -47,24 +55,19 @@
 //! and the walk share one visit body (Fig. 4 lines 31–35), so answers,
 //! ticks, events and degraded partials are those of the plain walk.
 
-use crate::fxhash::FxHashMap;
-use crate::lattice::{
-    extend_lean, kernel_min_rows, mask_of, prune_from_env, LatticeStash, SharedLattice, UNSEEN,
-};
-use crate::pattern::Pattern;
+use crate::lattice::{extend_lean, kernel_min_rows, prune_from_env, LatticeStash, View};
 use crate::pattern_solution::{degrade, PatternSolution};
 use crate::space::LatticeSpace;
 use crate::table::RowId;
-use scwsc_core::algorithms::cmc::{CmcParams, Levels};
-use scwsc_core::engine::{panic_message, Deadline, DegradeReason, EngineError, SolveOutcome};
+use scwsc_core::algorithms::cmc::{guess_budgets, CmcParams, GuessEnd, Levels};
+use scwsc_core::engine::{Deadline, EngineError, SolveOutcome};
 use scwsc_core::telemetry::{
-    audit, pack_k_target, Event, EventLog, Observer, PhaseSpan, PruneReason, TraceId, PHASE_GUESS,
-    PHASE_TOTAL,
+    audit, pack_k_target, Event, EventLog, Observer, PhaseSpan, PruneReason, TraceId, PHASE_TOTAL,
 };
 use scwsc_core::{coverage_target, BitSet, SolveError, ThreadPool};
 use std::borrow::Cow;
 use std::collections::BinaryHeap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::iter::successors;
 
 /// Maximum heap-entry staleness (in selections) served by the epoch-delta
 /// refresh; older entries fall back to a full blocked recount. Each delta
@@ -149,265 +152,395 @@ pub(crate) fn opt_cmc_stashed<S: LatticeSpace, O: Observer + ?Sized>(
     };
     let target = coverage_target(n, fraction);
     if target == 0 {
-        return Ok(SolveOutcome::Complete(PatternSolution {
-            patterns: Vec::new(),
-            covered: 0,
-            total_cost: 0.0,
-        }));
+        return Ok(SolveOutcome::Complete(PatternSolution::default()));
     }
     obs.on(&Event::TraceStarted(
         TraceId::mint("opt_cmc", n as u64, pack_k_target(params.k, target)),
         "opt_cmc",
     ));
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
-    let shared = stash
-        .and_then(LatticeStash::take)
-        .unwrap_or_else(|| SharedLattice::new(space));
-    let mut lattice = Lattice::new(space, shared);
-    let result = guess_loop(&mut lattice, params, target, deadline, obs);
-    lattice.park(stash);
-    span.exit(obs);
-    result
-}
-
-/// The budget-doubling loop (Fig. 4 lines 01–07 and 36–37) with per-guess
-/// panic containment and deadline checkpoints.
-fn guess_loop<S: LatticeSpace, O: Observer + ?Sized>(
-    lattice: &mut Lattice<'_, S>,
-    params: &CmcParams,
-    target: usize,
-    deadline: &Deadline,
-    obs: &mut O,
-) -> Result<SolveOutcome<PatternSolution>, EngineError> {
     // Line 01: "B = cost of the k cheapest patterns". Knowing the true k
     // cheapest patterns would itself require enumeration, so we seed with
     // the sum of the k smallest single-record weights — a lower bound for
     // monotone cost functions, costing at most O(log_{1+b}) extra guesses
     // (DESIGN.md §3).
-    let mut measures: Vec<f64> = lattice.space.table().measures().to_vec();
+    let mut measures: Vec<f64> = space.table().measures().to_vec();
     measures.sort_unstable_by(f64::total_cmp);
     let seed: f64 = measures.iter().take(params.k).sum();
-    let total_weight: f64 = measures.iter().sum();
-    let mut budget = if seed > 0.0 {
+    let budget = if seed > 0.0 {
         seed
     } else {
         measures.iter().copied().find(|&m| m > 0.0).unwrap_or(1.0)
     };
-
-    let mut queue = BucketQueue::new();
-    // One log for every guess and retry: cleared per attempt, so its
-    // capacity is allocated once per solve rather than once per guess.
-    let mut log = EventLog::new();
-    let mut guess_index = 0u64;
-
-    loop {
-        guess_index += 1;
-        let mut attempt = |lattice: &mut Lattice<'_, S>, log: &mut EventLog| {
-            log.clear();
-            catch_unwind(AssertUnwindSafe(|| {
-                log.on(&Event::GuessStarted(Some(budget)));
-                // Spans stay at guess granularity: the body's unit of work
-                // is a single heap pop, far too hot to bracket with clock
-                // reads.
-                let guess_span = PhaseSpan::enter(log, PHASE_GUESS);
-                deadline.fault_guess(guess_index);
-                let found = run_guess(lattice, &mut queue, params, budget, target, deadline, log);
-                guess_span.exit(log);
-                found
-            }))
-        };
-        let found = match attempt(lattice, &mut log) {
-            Ok(found) => found,
-            Err(_) => {
-                // Retry once: the lattice is append-only and
-                // budget-independent, so a half-extended lattice only
-                // means fewer first-materialization events on the rerun.
-                // It is not parked afterwards, though: the panic may have
-                // cut an expansion short. The recorded prefix goes too:
-                // the panic may have struck between recording an id and
-                // finishing its visit.
-                lattice.tainted = true;
-                lattice.prefix.clear();
-                obs.on(&Event::GuessRetried);
-                match attempt(lattice, &mut log) {
-                    Ok(found) => found,
-                    Err(payload) => {
-                        return Err(EngineError::Panicked(panic_message(payload.as_ref())))
-                    }
-                }
-            }
-        };
-        log.replay(obs);
-        match found {
-            GuessResult::Found(solution) => return Ok(SolveOutcome::Complete(solution)),
-            GuessResult::Expired {
-                partial,
-                quotas_exhausted,
-                reason,
-            } => {
-                let outcome = degrade(partial, quotas_exhausted, reason, target, deadline, obs);
-                return Ok(outcome);
-            }
-            GuessResult::NotFound => {}
-        }
-        // Line 37: stop once even a budget admitting every pattern failed.
-        // The all-wildcards pattern is the most expensive one under any
-        // lattice-monotone cost function, and a budget above the total
-        // weight is a universal upper bound otherwise.
-        if budget > lattice.root_cost() && budget > total_weight {
-            return Err(SolveError::BudgetExhausted.into());
-        }
-        budget *= 1.0 + params.budget_growth; // line 36
-    }
+    let view = View::new(space, stash);
+    // Line 37: stop once even a budget admitting every pattern failed.
+    // The all-wildcards pattern is the most expensive one under any
+    // lattice-monotone cost function, and a budget above the total
+    // weight is a universal upper bound otherwise.
+    let (root_cost, total_weight) = (view.cost(0), measures.iter().sum::<f64>());
+    let budgets = successors(Some(budget), |&budget| {
+        (budget <= root_cost || budget <= total_weight)
+            .then_some(budget * (1.0 + params.budget_growth)) // line 36
+    });
+    // Sized, like the view, for the whole parked lattice up front.
+    let nodes = view.nodes();
+    let mut guesses = Guesses {
+        view,
+        state: Vec::with_capacity(nodes),
+        pending: Vec::with_capacity(nodes),
+        prefix: Vec::new(),
+        queue: BucketQueue::new(),
+        params,
+        target,
+        deadline,
+    };
+    let result = guess_budgets(
+        &mut guesses,
+        budgets,
+        deadline,
+        obs,
+        Guesses::guess,
+        // A panicked guess may have cut an expansion short, so the
+        // lattice is not parked afterwards; the retry is safe because the
+        // lattice is append-only and budget-independent. The recorded
+        // prefix goes too: the panic may have struck between recording
+        // an id and finishing its visit.
+        |guesses| {
+            guesses.view.tainted = true;
+            guesses.prefix.clear();
+        },
+    )
+    .map(|(end, _)| match end {
+        GuessEnd::Found(solution) => SolveOutcome::Complete(solution),
+        GuessEnd::Expired {
+            partial,
+            quotas_exhausted,
+            reason,
+        } => degrade(partial, quotas_exhausted, reason, target, deadline, obs),
+    });
+    guesses.view.park(stash);
+    span.exit(obs);
+    result
 }
 
-/// One solve's view of a [`SharedLattice`]: the cost-dependent state
-/// (costs, row masks), the solve's own node ids, and the per-id walk
-/// state and recorded prefix its guesses share.
+/// One solve's budget guesses (Fig. 4 lines 08–35, one per budget): its
+/// [`View`] of the lattice and the per-id state the guesses share.
 ///
-/// Ids are assigned in this solve's first-encounter order — the order in
-/// which its walk first expands a parent of each node, children in
-/// (attribute, value) order — exactly as a fresh materialization numbers
-/// them. The heap breaks ties on these ids, so a solve on a lattice an
-/// earlier solve grew walks, selects and reports exactly as one on a
-/// fresh lattice.
-struct Lattice<'a, S: LatticeSpace> {
-    space: &'a S,
-    shared: SharedLattice,
-    /// `global[id]` = the shared node of this solve's id `id`.
-    global: Vec<u32>,
-    /// `local[g]` = this solve's id of shared node `g`, or [`UNSEEN`].
-    local: Vec<u32>,
-    costs: Vec<f64>,
-    /// Per-id [`IN_C`], [`LEFT_C`] and [`EXPANDED`] bits. The first two
-    /// belong to one guess and are cleared when the next one starts.
+/// The walk has the view number every child at its parent's first
+/// expansion in this solve, children in (attribute, value) order,
+/// exactly as a fresh materialization would. The heap breaks ties on
+/// these ids, so a solve on a lattice an earlier solve grew walks,
+/// selects and reports exactly as one on a fresh lattice.
+struct Guesses<'a, S: LatticeSpace> {
+    view: View<'a, S, BitSet>,
+    /// Per-id [`IN_C`] and [`LEFT_C`] bits of the guess in flight.
     state: Vec<u8>,
+    /// pending[id] = parents of id not yet visited this guess; line 33's
+    /// "all parents of m are in V" is exactly pending[id] == 0, reached by
+    /// decrementing when each parent is visited (no hashing per check).
+    pending: Vec<u8>,
     /// The budget-independent prefix every guess replays: the ids a
     /// guess visited before its first selection, in pop order
-    /// ([`run_guess`]). One allocation for the solve, grown by an eighth
-    /// at a time: under the count cost it holds every node, under the
-    /// others a fraction of them.
+    /// ([`Guesses::guess`]). One allocation for the solve, grown by an
+    /// eighth at a time: under the count cost it holds every node, under
+    /// the others a fraction of them.
     prefix: Vec<u32>,
-    /// Row bitmasks, for blocked-popcount recounts. Lazy: only the
-    /// (few) ids the pruned refresh actually kernels over — popped stale
-    /// entries with long row lists — pay the `O(num_rows)` bits.
-    masks: FxHashMap<u32, BitSet>,
-    /// Set when a guess of this solve panicked: an expansion may have
-    /// stopped halfway, so the shared half must not outlive the solve.
-    tainted: bool,
-    /// Expansion scratch, reused across expansions.
-    scratch: (Vec<RowId>, Vec<u32>),
+    /// Reused across guesses, so bucket capacity amortizes.
+    queue: BucketQueue,
+    params: &'a CmcParams,
+    target: usize,
+    deadline: &'a Deadline,
 }
 
-impl<'a, S: LatticeSpace> Lattice<'a, S> {
-    fn new(space: &'a S, shared: SharedLattice) -> Self {
-        let root_cost = space.cost(shared.rows_of(0));
-        // A parked lattice holds about what this solve will meet, so the
-        // per-id arrays are sized for all of it up front.
-        let mut local = vec![UNSEEN; shared.len()];
-        local[0] = 0;
-        fn sized<T>(first: T, capacity: usize) -> Vec<T> {
-            let mut v = Vec::with_capacity(capacity);
-            v.push(first);
-            v
+impl<S: LatticeSpace> Guesses<'_, S> {
+    /// Extends the per-id state to every id the view has assigned: a new
+    /// id is outside `C`, with all its parents pending.
+    fn track_new_ids(&mut self) {
+        self.state.resize(self.view.len(), 0);
+        let from = self.pending.len();
+        self.pending.extend(self.view.num_parents(from));
+    }
+
+    /// One budget guess (Fig. 4 lines 08–35). Consumes one `deadline`
+    /// work tick per heap pop; under an unbounded deadline (the classic
+    /// path) the checkpoint can never fail.
+    ///
+    /// The guess starts by replaying [`Guesses::prefix`], the ids an
+    /// earlier guess of this solve popped, and visited, before its first
+    /// selection. Until a guess selects, nothing is covered and every
+    /// benefit is a row count, so each guess pops that same sequence
+    /// until the first id its own levels would select. The guess replays
+    /// the ids before that one without the queue, then pushes the
+    /// candidate frontier and walks on. A guess that replays the whole
+    /// prefix extends it until it selects.
+    fn guess(
+        &mut self,
+        budget: f64,
+        obs: &mut EventLog,
+    ) -> Option<GuessEnd<PatternSolution, PatternSolution>> {
+        let n = self.view.space.num_rows();
+        let levels = Levels::build(self.params.schedule, budget, self.params.k);
+        // Report the complete level schedule up front: even if the guess
+        // ends early, observers see every (level, quota) pair Fig. 4 line
+        // 05 built.
+        for level in 0..levels.len() {
+            obs.on(&Event::LevelEntered(level, levels.quota(level)));
         }
-        let nodes = shared.len();
-        Lattice {
-            space,
-            global: sized(0, nodes),
-            local,
-            costs: sized(root_cost, nodes),
-            state: sized(0, nodes),
-            prefix: Vec::new(),
-            shared,
-            masks: FxHashMap::default(),
-            tainted: false,
-            scratch: (Vec::new(), Vec::new()),
-        }
-    }
+        let mut counts = vec![0usize; levels.len()]; // lines 15-16
+        let mut selected_total = 0usize;
+        let max_selections = levels.max_selections();
+        let selectable = |counts: &[usize], cost: f64| {
+            levels
+                .level_of(cost) // line 20
+                .filter(|&l| counts[l] < levels.quota(l))
+        };
 
-    /// Number of ids this solve has assigned.
-    fn len(&self) -> usize {
-        self.global.len()
-    }
+        // Pruned-refresh state: each selection appends the newly covered
+        // rows as a mask, so a heap entry computed `epoch - entry.epoch`
+        // selections ago refreshes by subtracting exact per-selection
+        // intersection counts (the newly sets are disjoint) instead of
+        // recounting from scratch.
+        let prune = prune_from_env();
+        let mut newly_masks: Vec<BitSet> = Vec::new();
+        self.state.clear();
+        self.pending.clear();
+        self.track_new_ids();
+        let mut walk = Walk {
+            covered: BitSet::new(n),
+            epoch: 0,
+            eligible: Vec::new(),
+            postings: 0,
+        };
 
-    /// The row list of `id`.
-    #[inline]
-    fn rows_of(&self, id: u32) -> &[RowId] {
-        self.shared.rows_of(self.global[id as usize])
-    }
+        // Lines 11-13: C = {all-wildcards}.
+        self.state[0] |= IN_C;
+        obs.on(&Event::BenefitComputed(1));
 
-    /// The pattern of `id`.
-    fn pattern(&self, id: u32) -> Pattern {
-        self.shared.keys.pattern(self.global[id as usize])
-    }
+        let mut solution = PatternSolution::default();
+        let mut rem = self.target; // line 14
 
-    /// The child ids of `id`, which [`expand`](Lattice::expand) has seen.
-    fn children_of(&self, id: u32) -> impl Iterator<Item = u32> + '_ {
-        self.shared
-            .children_of(self.global[id as usize])
+        // Per-pop counters, reported as one total each per guess: the
+        // guess's event log stays proportional to its expansions that
+        // score children, not to its pops.
+        let mut scan_pruned = 0u64;
+        let mut bounds_refreshed = 0u64;
+
+        // The first prefix id this guess selects: every count is still
+        // zero.
+        let replayed = self
+            .prefix
             .iter()
-            .map(|&g| self.local[g as usize])
-    }
+            .position(|&id| selectable(&counts, self.view.cost(id)).is_some())
+            .unwrap_or(self.prefix.len());
 
-    /// The row mask of `id`, materialized on first use.
-    fn mask(&mut self, id: u32) -> &BitSet {
-        let n = self.space.num_rows();
-        let rows = self.shared.rows_of(self.global[id as usize]);
-        self.masks.entry(id).or_insert_with(|| mask_of(n, rows))
-    }
-
-    fn root_cost(&self) -> f64 {
-        self.costs[0]
-    }
-
-    /// Expands `id` in the shared lattice (a no-op when cached there)
-    /// and assigns ids to the children this solve meets for the first
-    /// time, costing each. Returns the postings a real expansion
-    /// scanned. A node this solve already expanded returns at once; the
-    /// flag is set only once every child has its id, so an expansion a
-    /// panic cut short runs again on the retry.
-    fn expand(&mut self, id: u32) -> Option<u64> {
-        if self.state[id as usize] & EXPANDED != 0 {
-            return None;
-        }
-        let g = self.global[id as usize];
-        let postings = self.shared.expand(self.space, g, &mut self.scratch);
-        self.local.resize(self.shared.len(), UNSEEN);
-        for &child in self.shared.children_of(g) {
-            let slot = &mut self.local[child as usize];
-            if *slot == UNSEEN {
-                *slot = self.global.len() as u32;
-                self.global.push(child);
-                self.costs.push(self.space.cost(self.shared.rows_of(child)));
-                self.state.push(0);
+        let result = 'walk: {
+            // The replay: each pop does what the walk below does while
+            // nothing is covered. The pop is fresh (its benefit is its row
+            // count, as pushed), its id leaves C and is visited. Line 17's
+            // ΣΣ guard cannot fire before the first selection, since every
+            // schedule's last level has quota k ≥ 1.
+            for i in 0..replayed {
+                let id = self.prefix[i];
+                if let Err(reason) = self.deadline.checkpoint() {
+                    break 'walk Some(levels.expired(&counts, solution, reason));
+                }
+                debug_assert_eq!(
+                    self.state[id as usize] & IN_C,
+                    IN_C,
+                    "replayed ids are in C"
+                );
+                self.state[id as usize] &= !IN_C; // line 19
+                if prune {
+                    scan_pruned += 1;
+                }
+                walk.visit(self, id, prune, obs, false);
             }
-        }
-        self.state[id as usize] |= EXPANDED;
-        postings
-    }
+            // Max-queue on (mben, cheaper first, older first), with lazy
+            // revalidation: marginal benefits only decrease, so a stale
+            // entry is an upper bound and the first fresh pop is the true
+            // argmax (line 18). Reset up front so a previous guess that
+            // returned early (or panicked under fault injection) cannot
+            // leak entries into this one. The candidates are exactly the
+            // ids in C: nothing is covered yet, so each benefit is a row
+            // count.
+            self.queue.reset(self.view.rows_of(0).len());
+            for id in 0..self.view.len() as u32 {
+                if self.state[id as usize] & IN_C != 0 {
+                    self.queue.push(HeapEntry {
+                        mben: self.view.rows_of(id).len(),
+                        cost_bits: self.view.cost(id).to_bits(),
+                        id,
+                        epoch: 0,
+                    });
+                }
+            }
 
-    /// The parent counts of the ids in `ids`, read from the shared
-    /// nodes.
-    fn num_parents(&self, ids: std::ops::Range<usize>) -> impl Iterator<Item = u8> + '_ {
-        self.global[ids]
-            .iter()
-            .map(|&g| self.shared.num_parents[g as usize])
-    }
+            while let Some(entry) = self.queue.pop() {
+                if let Err(reason) = self.deadline.checkpoint() {
+                    break 'walk Some(levels.expired(&counts, solution, reason));
+                }
+                // line 17's ΣΣ guard: once every level quota is full no
+                // further selection can happen.
+                if selected_total >= max_selections {
+                    break;
+                }
+                let id = entry.id as usize;
+                if self.state[id] & IN_C == 0 {
+                    obs.on(&Event::HeapStalePop);
+                    continue; // stale duplicate of a removed candidate
+                }
+                let epoch = walk.epoch;
+                let covered = &walk.covered;
+                let current = if !prune {
+                    recount(self.view.rows_of(entry.id), covered)
+                } else if entry.epoch == epoch {
+                    // Coverage only grows at selections, so an entry pushed
+                    // this epoch is provably current — skip the recount
+                    // outright.
+                    scan_pruned += 1;
+                    entry.mben
+                } else if self.view.rows_of(entry.id).len() < kernel_min_rows(n) {
+                    // Short row list: the postings recount beats every
+                    // mask-based path, and no mask is ever materialized.
+                    bounds_refreshed += 1;
+                    recount(self.view.rows_of(entry.id), covered)
+                } else if epoch - entry.epoch <= DELTA_MAX_ROUNDS {
+                    // Exact delta: the per-selection newly sets are
+                    // disjoint, so the entry's stale count minus its overlap
+                    // with each newer selection is the fresh count — no full
+                    // recount needed.
+                    let stale = entry.mben;
+                    let mask = self.view.mask(entry.id);
+                    let overlap: usize = newly_masks[entry.epoch..epoch]
+                        .iter()
+                        .map(|nm| mask.intersection_count(nm))
+                        .sum();
+                    scan_pruned += 1;
+                    stale - overlap
+                } else {
+                    bounds_refreshed += 1;
+                    self.view.mask(entry.id).difference_count(covered)
+                };
+                debug_assert_eq!(
+                    current,
+                    recount(self.view.rows_of(entry.id), &walk.covered),
+                    "pruned refresh is exact"
+                );
+                if current == 0 {
+                    self.state[id] &= !IN_C; // lines 28-29 analogue
+                    obs.on(&Event::CandidatePruned(PruneReason::Exhausted));
+                    continue;
+                }
+                if current != entry.mben {
+                    obs.on(&Event::HeapStalePop);
+                    self.queue.push(HeapEntry {
+                        mben: current,
+                        cost_bits: entry.cost_bits,
+                        id: entry.id,
+                        epoch,
+                    });
+                    continue;
+                }
 
-    /// Clears every id's per-guess bits, keeping [`EXPANDED`].
-    fn start_guess(&mut self) {
-        for s in &mut self.state {
-            *s &= EXPANDED;
-        }
-    }
+                // Line 19: q leaves C.
+                self.state[id] &= !IN_C;
+                let q_cost = self.view.cost(entry.id);
+                if let Some(l) = selectable(&counts, q_cost) {
+                    // Audit the pick before mutating: runners-up are the
+                    // next heap entries still in C. Their stored scores may
+                    // be stale upper bounds (lazy revalidation), i.e.
+                    // optimistic — the ledger notes the heap's view, which
+                    // is deterministic because the heap order is total and
+                    // the pop/re-push cycle below restores the heap exactly.
+                    let mut popped: Vec<HeapEntry> = Vec::with_capacity(audit::RUNNERS_UP);
+                    while popped.len() < audit::RUNNERS_UP {
+                        let Some(e) = self.queue.pop() else { break };
+                        popped.push(e);
+                    }
+                    let runners: Vec<audit::AuditCandidate> = popped
+                        .iter()
+                        .filter(|e| self.state[e.id as usize] & IN_C != 0)
+                        .map(|e| audit::AuditCandidate {
+                            id: e.id as u64,
+                            benefit: e.mben as u64,
+                            weight: self.view.cost(e.id),
+                        })
+                        .collect();
+                    for e in popped {
+                        self.queue.push(e);
+                    }
+                    let winner = audit::AuditCandidate {
+                        id: entry.id as u64,
+                        benefit: current as u64,
+                        weight: q_cost,
+                    };
+                    obs.on(&Event::RoundDecided(
+                        audit::ORDER_BENEFIT,
+                        winner,
+                        Cow::Borrowed(&runners),
+                    ));
+                    let newly: Vec<u32> = self
+                        .view
+                        .rows_of(entry.id)
+                        .iter()
+                        .copied()
+                        .filter(|&r| !walk.covered.contains(r as usize))
+                        .collect();
+                    debug_assert_eq!(newly.len(), current, "fresh recount priced exactly");
+                    obs.on(&Event::PriceCharged(
+                        entry.id as u64,
+                        Cow::Borrowed(&newly),
+                        q_cost,
+                    ));
 
-    /// Ends the solve: the shared half goes back to `stash`, if any,
-    /// unless a panic was contained along the way.
-    fn park(self, stash: Option<&LatticeStash>) {
-        if let Some(stash) = stash.filter(|_| !self.tainted) {
-            stash.put(self.shared);
+                    // Lines 21-25: select q.
+                    counts[l] += 1;
+                    selected_total += 1;
+                    self.state[id] |= LEFT_C;
+                    solution.patterns.push(self.view.pattern(entry.id));
+                    solution.total_cost += q_cost;
+                    obs.on(&Event::SetSelected(entry.id as u64, current as u64, q_cost));
+                    for &r in self.view.rows_of(entry.id) {
+                        walk.covered.insert(r as usize);
+                    }
+                    if prune {
+                        let mut nm = BitSet::new(n);
+                        for &r in &newly {
+                            nm.insert(r as usize);
+                        }
+                        newly_masks.push(nm);
+                        walk.epoch += 1;
+                    }
+                    solution.covered = walk.covered.count_ones();
+                    rem = rem.saturating_sub(current);
+                    if rem == 0 {
+                        break 'walk Some(GuessEnd::Found(solution));
+                    }
+                    // Lines 26-29 happen lazily at pop time via the
+                    // recount above.
+                } else {
+                    // Lines 30-35: visit q and expand its children. A visit
+                    // before any selection extends the prefix: a guess that
+                    // replayed only part of it selects at its first pop.
+                    if selected_total == 0 {
+                        extend_lean(&mut self.prefix, &[entry.id]);
+                    }
+                    let q_uncovered = prune && current == self.view.rows_of(entry.id).len();
+                    walk.visit(self, entry.id, q_uncovered, obs, true);
+                }
+            }
+            None
+        };
+        if walk.postings > 0 {
+            obs.on(&Event::PostingScanned(walk.postings));
         }
+        if scan_pruned > 0 {
+            obs.on(&Event::ScanPruned(scan_pruned));
+        }
+        if bounds_refreshed > 0 {
+            obs.on(&Event::BoundRefreshed(bounds_refreshed));
+        }
+        result
     }
 }
 
@@ -418,51 +551,14 @@ fn recount(rows: &[RowId], covered: &BitSet) -> usize {
         .count()
 }
 
-/// [`Lattice::state`] bit: the id is in the candidate set `C`.
+/// [`Guesses::state`] bit: the id is in the candidate set `C`.
 const IN_C: u8 = 1;
-/// [`Lattice::state`] bit: the id left `C` this guess, visited or
+/// [`Guesses::state`] bit: the id left `C` this guess, visited or
 /// selected (line 19).
 const LEFT_C: u8 = 2;
-/// [`Lattice::state`] bit: this solve expanded the id. Unlike the other
-/// two it outlives the guess.
-const EXPANDED: u8 = 4;
 
-/// How one budget guess (Fig. 4 lines 08–35) ended.
-enum GuessResult {
-    Found(PatternSolution),
-    NotFound,
-    Expired {
-        partial: PatternSolution,
-        quotas_exhausted: Vec<usize>,
-        reason: DegradeReason,
-    },
-}
-
-impl GuessResult {
-    /// The guess ran out of ticks or time with `partial` selected.
-    fn expired(
-        levels: &Levels,
-        counts: &[usize],
-        partial: PatternSolution,
-        reason: DegradeReason,
-    ) -> GuessResult {
-        let quotas_exhausted = (0..levels.len())
-            .filter(|&l| counts[l] == levels.quota(l))
-            .collect();
-        GuessResult::Expired {
-            partial,
-            quotas_exhausted,
-            reason,
-        }
-    }
-}
-
-/// One guess's walk state beside the solve-wide [`Lattice`].
+/// One guess's walk state beside the solve-wide [`Guesses`].
 struct Walk {
-    /// pending[id] = parents of id not yet visited this guess; line 33's
-    /// "all parents of m are in V" is exactly pending[id] == 0, reached by
-    /// decrementing when each parent is visited (no hashing per check).
-    pending: Vec<u8>,
     covered: BitSet,
     /// Selections so far: heap entries carry the epoch their benefit
     /// was computed in.
@@ -480,51 +576,46 @@ impl Walk {
     /// whose parents have now all been visited, scoring it against
     /// `covered` — or by its row count when `q_uncovered`, which the
     /// unpruned path never passes so that it keeps the literal recount.
-    /// Each child entering `C` is pushed onto `heap`; a replay passes
-    /// `None` and pushes the whole frontier once it is done.
-    fn visit<S: LatticeSpace, O: Observer + ?Sized>(
+    /// With `push`, each child entering `C` goes into the queue; a replay
+    /// pushes the whole frontier once it is done.
+    fn visit<S: LatticeSpace>(
         &mut self,
-        lattice: &mut Lattice<'_, S>,
+        g: &mut Guesses<'_, S>,
         q: u32,
         q_uncovered: bool,
-        obs: &mut O,
-        mut heap: Option<&mut BucketQueue>,
+        obs: &mut EventLog,
+        push: bool,
     ) {
         // Line 31: V = V ∪ {q}. Only a first materialization in the
         // shared lattice scans postings: q's row list, once per wildcard
         // attribute.
-        lattice.state[q as usize] |= LEFT_C;
-        self.postings += lattice.expand(q).unwrap_or(0);
+        g.state[q as usize] |= LEFT_C;
+        self.postings += g.view.expand(q, true).unwrap_or(0);
+        g.track_new_ids();
         self.eligible.clear();
-        for child_id in lattice.children_of(q) {
+        for &child in g.view.children(q) {
+            let child_id = g.view.id_of(child).expect("numbered at expansion");
             let cid = child_id as usize;
-            if self.pending.len() <= cid {
-                // Newly materialized: extend per-guess state.
-                let from = self.pending.len();
-                self.pending.extend(lattice.num_parents(from..cid + 1));
-            }
-            if lattice.state[cid] & (IN_C | LEFT_C) != 0 {
+            if g.state[cid] & (IN_C | LEFT_C) != 0 {
                 continue;
             }
             // Line 33: "all parents of m are in V" — the decrement for
             // this visit of q; zero pending means every parent has been
             // visited.
-            self.pending[cid] = self.pending[cid].saturating_sub(1);
-            if self.pending[cid] != 0 {
+            g.pending[cid] = g.pending[cid].saturating_sub(1);
+            if g.pending[cid] != 0 {
                 continue;
             }
             self.eligible.push(child_id);
         }
         // Line 35: compute Cost(m) and MBen(m) for each eligible child,
-        // the cost served from the lattice cache. One "considered" count
-        // per eligible child and guess, matching what Fig. 4 would
-        // compute.
+        // the cost served from the view. One "considered" count per
+        // eligible child and guess, matching what Fig. 4 would compute.
         if !self.eligible.is_empty() {
             obs.on(&Event::BenefitComputed(self.eligible.len() as u64));
         }
         for &child_id in &self.eligible {
-            let cid = child_id as usize;
-            let rows = lattice.rows_of(child_id);
+            let rows = g.view.rows_of(child_id);
             // A fresh count equal to q's row count means none of q's
             // rows is covered, so neither is any of a child's (a subset
             // of them): its benefit is its row count.
@@ -544,297 +635,17 @@ impl Walk {
                 obs.on(&Event::SubtreePruned(PruneReason::Exhausted));
                 continue; // would be dropped by lines 28-29 immediately
             }
-            lattice.state[cid] |= IN_C;
-            if let Some(heap) = heap.as_deref_mut() {
-                heap.push(HeapEntry {
+            g.state[child_id as usize] |= IN_C;
+            if push {
+                g.queue.push(HeapEntry {
                     mben: child_mben,
-                    cost_bits: lattice.costs[cid].to_bits(),
+                    cost_bits: g.view.cost(child_id).to_bits(),
                     id: child_id,
                     epoch: self.epoch,
                 });
             }
         }
     }
-}
-
-/// One budget guess (Fig. 4 lines 08–35). Consumes one `deadline` work
-/// tick per heap pop; under an unbounded deadline (the classic path) the
-/// checkpoint can never fail.
-///
-/// The guess starts by replaying [`Lattice::prefix`], the ids an earlier
-/// guess of this solve popped, and visited, before its first selection.
-/// Until a guess selects, nothing is covered and every benefit is a row
-/// count, so each guess pops that same sequence until the first id its
-/// own levels would select. The guess replays the ids before that one
-/// without the queue, then pushes the candidate frontier and walks on.
-/// A guess that replays the whole prefix extends it until it selects.
-fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
-    lattice: &mut Lattice<'_, S>,
-    heap: &mut BucketQueue,
-    params: &CmcParams,
-    budget: f64,
-    target: usize,
-    deadline: &Deadline,
-    obs: &mut O,
-) -> GuessResult {
-    let n = lattice.space.num_rows();
-    let levels = Levels::build(params.schedule, budget, params.k);
-    // Report the complete level schedule up front: even if the guess ends
-    // early, observers see every (level, quota) pair Fig. 4 line 05 built.
-    for level in 0..levels.len() {
-        obs.on(&Event::LevelEntered(level, levels.quota(level)));
-    }
-    let mut counts = vec![0usize; levels.len()]; // lines 15-16
-    let mut selected_total = 0usize;
-    let max_selections = levels.max_selections();
-    let selectable = |counts: &[usize], cost: f64| {
-        levels
-            .level_of(cost) // line 20
-            .filter(|&l| counts[l] < levels.quota(l))
-    };
-
-    // Pruned-refresh state: each selection appends the newly covered rows
-    // as a mask, so a heap entry computed `epoch - entry.epoch` selections
-    // ago refreshes by subtracting exact per-selection intersection counts
-    // (the newly sets are disjoint) instead of recounting from scratch.
-    let prune = prune_from_env();
-    let mut newly_masks: Vec<BitSet> = Vec::new();
-    lattice.start_guess();
-    let mut walk = Walk {
-        pending: lattice.num_parents(0..lattice.len()).collect(),
-        covered: BitSet::new(n),
-        epoch: 0,
-        eligible: Vec::new(),
-        postings: 0,
-    };
-
-    // Lines 11-13: C = {all-wildcards}.
-    lattice.state[0] |= IN_C;
-    obs.on(&Event::BenefitComputed(1));
-
-    let mut solution = PatternSolution {
-        patterns: Vec::new(),
-        covered: 0,
-        total_cost: 0.0,
-    };
-    let mut rem = target; // line 14
-
-    // Per-pop counters, reported as one total each per guess: the
-    // guess's event log stays proportional to its expansions that score
-    // children, not to its pops.
-    let mut scan_pruned = 0u64;
-    let mut bounds_refreshed = 0u64;
-
-    // The first prefix id this guess selects: every count is still zero.
-    let replayed = lattice
-        .prefix
-        .iter()
-        .position(|&id| selectable(&counts, lattice.costs[id as usize]).is_some())
-        .unwrap_or(lattice.prefix.len());
-
-    let result = 'walk: {
-        // The replay: each pop does what the walk below does while
-        // nothing is covered. The pop is fresh (its benefit is its row
-        // count, as pushed), its id leaves C and is visited. Line 17's ΣΣ
-        // guard cannot fire before the first selection, since every
-        // schedule's last level has quota k ≥ 1.
-        for i in 0..replayed {
-            let id = lattice.prefix[i];
-            if let Err(reason) = deadline.checkpoint() {
-                break 'walk GuessResult::expired(&levels, &counts, solution, reason);
-            }
-            debug_assert_eq!(
-                lattice.state[id as usize] & IN_C,
-                IN_C,
-                "replayed ids are in C"
-            );
-            lattice.state[id as usize] &= !IN_C; // line 19
-            if prune {
-                scan_pruned += 1;
-            }
-            walk.visit(lattice, id, prune, obs, None);
-        }
-        // Max-queue on (mben, cheaper first, older first), with lazy
-        // revalidation: marginal benefits only decrease, so a stale entry
-        // is an upper bound and the first fresh pop is the true argmax
-        // (line 18). Reset up front so a previous guess that returned
-        // early (or panicked under fault injection) cannot leak entries
-        // into this one. The candidates are exactly the ids in C: nothing
-        // is covered yet, so each benefit is a row count.
-        heap.reset(lattice.rows_of(0).len());
-        for id in 0..lattice.len() as u32 {
-            if lattice.state[id as usize] & IN_C != 0 {
-                heap.push(HeapEntry {
-                    mben: lattice.rows_of(id).len(),
-                    cost_bits: lattice.costs[id as usize].to_bits(),
-                    id,
-                    epoch: 0,
-                });
-            }
-        }
-
-        while let Some(entry) = heap.pop() {
-            if let Err(reason) = deadline.checkpoint() {
-                break 'walk GuessResult::expired(&levels, &counts, solution, reason);
-            }
-            // line 17's ΣΣ guard: once every level quota is full no further
-            // selection can happen.
-            if selected_total >= max_selections {
-                break;
-            }
-            let id = entry.id as usize;
-            if lattice.state[id] & IN_C == 0 {
-                obs.on(&Event::HeapStalePop);
-                continue; // stale duplicate of a removed candidate
-            }
-            let epoch = walk.epoch;
-            let covered = &walk.covered;
-            let current = if !prune {
-                recount(lattice.rows_of(entry.id), covered)
-            } else if entry.epoch == epoch {
-                // Coverage only grows at selections, so an entry pushed this
-                // epoch is provably current — skip the recount outright.
-                scan_pruned += 1;
-                entry.mben
-            } else if lattice.rows_of(entry.id).len() < kernel_min_rows(n) {
-                // Short row list: the postings recount beats every
-                // mask-based path, and no mask is ever materialized.
-                bounds_refreshed += 1;
-                recount(lattice.rows_of(entry.id), covered)
-            } else if epoch - entry.epoch <= DELTA_MAX_ROUNDS {
-                // Exact delta: the per-selection newly sets are disjoint, so
-                // the entry's stale count minus its overlap with each newer
-                // selection is the fresh count — no full recount needed.
-                let stale = entry.mben;
-                let mask = lattice.mask(entry.id);
-                let overlap: usize = newly_masks[entry.epoch..epoch]
-                    .iter()
-                    .map(|nm| mask.intersection_count(nm))
-                    .sum();
-                scan_pruned += 1;
-                stale - overlap
-            } else {
-                bounds_refreshed += 1;
-                lattice.mask(entry.id).difference_count(covered)
-            };
-            debug_assert_eq!(
-                current,
-                recount(lattice.rows_of(entry.id), &walk.covered),
-                "pruned refresh is exact"
-            );
-            if current == 0 {
-                lattice.state[id] &= !IN_C; // lines 28-29 analogue
-                obs.on(&Event::CandidatePruned(PruneReason::Exhausted));
-                continue;
-            }
-            if current != entry.mben {
-                obs.on(&Event::HeapStalePop);
-                heap.push(HeapEntry {
-                    mben: current,
-                    cost_bits: entry.cost_bits,
-                    id: entry.id,
-                    epoch,
-                });
-                continue;
-            }
-
-            // Line 19: q leaves C.
-            lattice.state[id] &= !IN_C;
-            let q_cost = lattice.costs[id];
-            if let Some(l) = selectable(&counts, q_cost) {
-                // Audit the pick before mutating: runners-up are the next heap
-                // entries still in C. Their stored scores may be stale upper
-                // bounds (lazy revalidation), i.e. optimistic — the ledger
-                // notes the heap's view, which is deterministic because the
-                // heap order is total and the pop/re-push cycle below restores
-                // the heap exactly.
-                let mut popped: Vec<HeapEntry> = Vec::with_capacity(audit::RUNNERS_UP);
-                while popped.len() < audit::RUNNERS_UP {
-                    let Some(e) = heap.pop() else { break };
-                    popped.push(e);
-                }
-                let runners: Vec<audit::AuditCandidate> = popped
-                    .iter()
-                    .filter(|e| lattice.state[e.id as usize] & IN_C != 0)
-                    .map(|e| audit::AuditCandidate {
-                        id: e.id as u64,
-                        benefit: e.mben as u64,
-                        weight: lattice.costs[e.id as usize],
-                    })
-                    .collect();
-                for e in popped {
-                    heap.push(e);
-                }
-                let winner = audit::AuditCandidate {
-                    id: entry.id as u64,
-                    benefit: current as u64,
-                    weight: q_cost,
-                };
-                obs.on(&Event::RoundDecided(
-                    audit::ORDER_BENEFIT,
-                    winner,
-                    Cow::Borrowed(&runners),
-                ));
-                let newly: Vec<u32> = lattice
-                    .rows_of(entry.id)
-                    .iter()
-                    .copied()
-                    .filter(|&r| !walk.covered.contains(r as usize))
-                    .collect();
-                debug_assert_eq!(newly.len(), current, "fresh recount priced exactly");
-                obs.on(&Event::PriceCharged(
-                    entry.id as u64,
-                    Cow::Borrowed(&newly),
-                    q_cost,
-                ));
-
-                // Lines 21-25: select q.
-                counts[l] += 1;
-                selected_total += 1;
-                lattice.state[id] |= LEFT_C;
-                solution.patterns.push(lattice.pattern(entry.id));
-                solution.total_cost += q_cost;
-                obs.on(&Event::SetSelected(entry.id as u64, current as u64, q_cost));
-                for &r in lattice.rows_of(entry.id) {
-                    walk.covered.insert(r as usize);
-                }
-                if prune {
-                    let mut nm = BitSet::new(n);
-                    for &r in &newly {
-                        nm.insert(r as usize);
-                    }
-                    newly_masks.push(nm);
-                    walk.epoch += 1;
-                }
-                solution.covered = walk.covered.count_ones();
-                rem = rem.saturating_sub(current);
-                if rem == 0 {
-                    break 'walk GuessResult::Found(solution);
-                }
-                // Lines 26-29 happen lazily at pop time via the recount above.
-            } else {
-                // Lines 30-35: visit q and expand its children. A visit
-                // before any selection extends the prefix: a guess that
-                // replayed only part of it selects at its first pop.
-                if selected_total == 0 {
-                    extend_lean(&mut lattice.prefix, &[entry.id]);
-                }
-                let q_uncovered = prune && current == lattice.rows_of(entry.id).len();
-                walk.visit(lattice, entry.id, q_uncovered, obs, Some(heap));
-            }
-        }
-        GuessResult::NotFound
-    };
-    if walk.postings > 0 {
-        obs.on(&Event::PostingScanned(walk.postings));
-    }
-    if scan_pruned > 0 {
-        obs.on(&Event::ScanPruned(scan_pruned));
-    }
-    if bounds_refreshed > 0 {
-        obs.on(&Event::BoundRefreshed(bounds_refreshed));
-    }
-    result
 }
 
 /// Deterministic bucket priority queue over [`HeapEntry`], keyed by the
@@ -848,6 +659,13 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
 /// pushes never exceed the popping bucket), and the per-bucket heaps
 /// stay tiny compared to one global heap over every candidate. Reused
 /// across guesses so bucket capacity amortizes.
+///
+/// It is not one std `BinaryHeap<HeapEntry>`, although that pops in the
+/// same order and gives identical answers: with it, warm CMC solves on
+/// 10k-row tables (the `batch-solve` workload's 16 CMC queries) ran
+/// 1.1–1.4× slower in 6 of 6 alternating pairs on a 2-CPU host. That is
+/// why [`reset`](BucketQueue::reset) still makes one bucket per possible
+/// benefit (240 KB on a 10k-row table) before any push.
 struct BucketQueue {
     /// buckets[mben] = min-heap of `(cost_bits, id, epoch)`; the epoch
     /// (a selection count, at most the schedule's size bound) is stored
@@ -908,7 +726,7 @@ impl BucketQueue {
 
 /// Heap entry: candidate keyed by (mben desc, cost asc, id asc).
 ///
-/// Ids are the solve's own ([`Lattice`]), assigned in first-encounter
+/// Ids are the solve's own ([`View`]), assigned in first-encounter
 /// order, which is itself deterministic (children are expanded in
 /// (attribute, value) order), so runs are reproducible whether or not an
 /// earlier solve grew the shared lattice.
@@ -952,18 +770,10 @@ mod tests {
     use crate::cost_fn::CostFn;
     use crate::enumerate::enumerate_all;
     use crate::space::PatternSpace;
-    use crate::table::Table;
+    use crate::test_util::{complete, entities};
     use scwsc_core::algorithms::{cmc, CmcOutcome, CMC_COVERAGE_DISCOUNT};
+    use scwsc_core::engine::DegradeReason;
     use scwsc_core::{SetSystem, Stats, Threads};
-
-    /// Unwraps an unbounded solve to its complete value or solve error.
-    fn complete<T>(result: Result<SolveOutcome<T>, EngineError>) -> Result<T, SolveError> {
-        match result {
-            Ok(outcome) => Ok(outcome.expect_complete("unbounded deadline")),
-            Err(EngineError::Solve(e)) => Err(e),
-            Err(e) => panic!("{e}"),
-        }
-    }
 
     /// [`opt_cmc`] on a serial pool without a deadline.
     fn solve(
@@ -983,31 +793,6 @@ mod tests {
     ) -> Result<CmcOutcome, SolveError> {
         let pool = ThreadPool::new(Threads::serial());
         complete(cmc(system, params, &pool, &Deadline::unbounded(), obs))
-    }
-
-    fn entities() -> Table {
-        let mut b = Table::builder(&["Type", "Location"], "Cost");
-        for (t, l, c) in [
-            ("A", "West", 10.0),
-            ("A", "Northeast", 32.0),
-            ("B", "South", 2.0),
-            ("A", "North", 4.0),
-            ("B", "East", 7.0),
-            ("A", "Northwest", 20.0),
-            ("B", "West", 4.0),
-            ("B", "Southwest", 24.0),
-            ("A", "Southwest", 4.0),
-            ("B", "Northwest", 4.0),
-            ("A", "North", 3.0),
-            ("B", "Northeast", 3.0),
-            ("B", "South", 1.0),
-            ("B", "North", 20.0),
-            ("A", "East", 3.0),
-            ("A", "South", 96.0),
-        ] {
-            b.push_row(&[t, l], c).unwrap();
-        }
-        b.build()
     }
 
     #[test]
@@ -1165,6 +950,7 @@ mod tests {
     mod within_faults {
         use super::*;
         use crate::pattern_solution::verify_certificate_in;
+        use crate::table::Table;
         use scwsc_core::engine::FaultPlan;
         use scwsc_core::MetricsRecorder;
 

@@ -17,21 +17,17 @@
 //! The walk reads the same cost-independent lattice as optimized CMC
 //! (`crate::lattice`): a [`PatternInstance`](crate::PatternInstance)
 //! parks one between solves of either algorithm, so a waitlist pop
-//! expands its pattern only if no earlier pop or solve did. Ids, costs,
-//! marginal benefits and membership in `C` belong to one solve
-//! (`Candidates`), numbered at first insertion into `C`, so every
-//! selection, tick, event and audit id is the same on a shared lattice
-//! as on a fresh one — `posting_scanned` included, since it counts the
-//! rows each pop buckets in Fig. 3, cached or not.
+//! expands its pattern only if no earlier pop or solve did. Ids, costs
+//! and row masks belong to one solve, in the lattice's per-solve view.
+//! This walk assigns a pattern its id at its first insertion into `C`,
+//! and keeps each id's marginal benefit and membership in `C`
+//! beside it. So every selection, tick, event and audit id is the same
+//! on a shared lattice as on a fresh one — `posting_scanned` included,
+//! since it counts the rows each pop buckets in Fig. 3, cached or not.
 
-use crate::fxhash::FxHashMap;
-use crate::lattice::{
-    kernel_min_rows, mask_of, prune_from_env, LatticeStash, OrderKey, SharedLattice, UNSEEN,
-};
-use crate::pattern::Pattern;
+use crate::lattice::{kernel_min_rows, prune_from_env, LatticeStash, OrderKey, View};
 use crate::pattern_solution::{degrade, PatternSolution};
 use crate::space::LatticeSpace;
-use crate::table::RowId;
 use scwsc_core::engine::{panic_message, Deadline, EngineError, SolveOutcome};
 use scwsc_core::telemetry::{
     audit, pack_k_target, Event, Observer, PhaseSpan, PruneReason, TraceId, PHASE_EXPAND,
@@ -125,11 +121,7 @@ pub(crate) fn opt_cwsc_stashed<S: LatticeSpace, O: Observer + ?Sized>(
     }
     let target = coverage_target(space.num_rows(), coverage_fraction);
     if target == 0 {
-        return Ok(SolveOutcome::Complete(PatternSolution {
-            patterns: Vec::new(),
-            covered: 0,
-            total_cost: 0.0,
-        }));
+        return Ok(SolveOutcome::Complete(PatternSolution::default()));
     }
     obs.on(&Event::TraceStarted(
         TraceId::mint(
@@ -140,17 +132,12 @@ pub(crate) fn opt_cwsc_stashed<S: LatticeSpace, O: Observer + ?Sized>(
         "opt_cwsc",
     ));
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
-    let shared = stash
-        .and_then(LatticeStash::take)
-        .unwrap_or_else(|| SharedLattice::new(space));
+    let mut walk = Walk::new(View::new(space, stash));
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        let mut cands = Candidates::new(space, shared);
-        let round = run_in(&mut cands, k, target, deadline, obs);
-        if let Some(stash) = stash {
-            stash.put(cands.shared);
-        }
-        round
+        run_in(&mut walk, k, target, deadline, obs)
     }));
+    walk.view.tainted = caught.is_err();
+    walk.view.park(stash);
     let result = match caught {
         Ok(outcome) => outcome.map_err(EngineError::Solve),
         Err(payload) => Err(EngineError::Panicked(panic_message(payload.as_ref()))),
@@ -171,56 +158,37 @@ enum Membership {
 
 /// A pattern this solve has put into `C`.
 struct Cand {
-    /// Its shared lattice node.
-    node: u32,
-    cost: f64,
     /// Cached `|MBen(p, S)|`; a pruned recount may clamp a value below
-    /// the floor to 1 (see [`Candidates::recount`]).
+    /// the floor to 1 (see [`Walk::recount`]).
     mben: usize,
     state: Membership,
 }
 
-/// One solve's candidate set `C` over a [`SharedLattice`].
+/// One solve's candidate set `C`: its [`View`] of the lattice and the
+/// per-id state of `C`.
 ///
-/// Ids index `cands` and are assigned at first insertion into `C` — the
+/// The view assigns an id at a pattern's first insertion into `C` — the
 /// root, then children in waitlist-pop order, each pop's children in
 /// (attribute, value) order — whichever solve grew the shared lattice.
 /// A pattern that leaves `C` keeps its id and revives it on re-entry.
 /// The audit ledger reports these ids, and `C` is scanned in id order.
-struct Candidates<'a, S: LatticeSpace> {
-    space: &'a S,
-    shared: SharedLattice,
+struct Walk<'a, S: LatticeSpace> {
+    view: View<'a, S, (BlockSummary, BitSet)>,
+    /// `cands[id]`: the state of the pattern with id `id`.
     cands: Vec<Cand>,
-    /// `local[g]` = the id of shared node `g`, or [`UNSEEN`].
-    local: Vec<u32>,
-    /// Block summaries and row masks of the long row lists (see
-    /// `kernel_min_rows`), built on first recount.
-    masks: FxHashMap<u32, (BlockSummary, BitSet)>,
-    /// Expansion scratch, reused across expansions.
-    scratch: (Vec<RowId>, Vec<u32>),
 }
 
-impl<'a, S: LatticeSpace> Candidates<'a, S> {
+impl<'a, S: LatticeSpace> Walk<'a, S> {
     /// `C` = {all-wildcards} (Fig. 3 lines 01-06), nothing covered yet.
-    fn new(space: &'a S, shared: SharedLattice) -> Self {
-        let mut cands = Candidates {
-            space,
-            local: vec![UNSEEN; shared.len()],
-            shared,
-            cands: Vec::new(),
-            masks: FxHashMap::default(),
-            scratch: (Vec::new(), Vec::new()),
+    fn new(view: View<'a, S, (BlockSummary, BitSet)>) -> Self {
+        let root = Cand {
+            mben: view.rows_of(0).len(),
+            state: Membership::InC,
         };
-        cands.insert(0, cands.shared.rows_of(0).len());
-        cands
-    }
-
-    fn rows_of(&self, id: u32) -> &[RowId] {
-        self.shared.rows_of(self[id].node)
-    }
-
-    fn pattern(&self, id: u32) -> Pattern {
-        self.shared.keys.pattern(self[id].node)
+        Walk {
+            view,
+            cands: vec![root],
+        }
     }
 
     /// The ids currently in `C`, in id order.
@@ -228,40 +196,25 @@ impl<'a, S: LatticeSpace> Candidates<'a, S> {
         (0..self.cands.len() as u32).filter(|&id| self[id].state == Membership::InC)
     }
 
-    /// The id of shared node `g`, if it was ever in `C`.
-    fn id_of(&self, g: u32) -> Option<u32> {
-        Some(self.local[g as usize]).filter(|&id| id != UNSEEN)
-    }
-
     /// Whether shared node `g` is currently in `C`.
     fn contains(&self, g: u32) -> bool {
-        self.id_of(g)
+        self.view
+            .id_of(g)
             .is_some_and(|id| self[id].state == Membership::InC)
     }
 
-    /// Expands `id` in the shared lattice (a no-op when cached there)
-    /// and makes room to number the nodes that expansion added.
-    fn expand(&mut self, id: u32) {
-        let g = self[id].node;
-        self.shared.expand(self.space, g, &mut self.scratch);
-        self.local.resize(self.shared.len(), UNSEEN);
-    }
-
     /// Puts shared node `g` into `C` with marginal benefit `mben`: a new
-    /// id, costed now, or the id it held before it left `C`.
+    /// id or the id it held before it left `C`.
     fn insert(&mut self, g: u32, mben: usize) -> u32 {
-        if let Some(id) = self.id_of(g) {
-            (self[id].mben, self[id].state) = (mben, Membership::InC);
-            return id;
-        }
-        let id = self.cands.len() as u32;
-        self.local[g as usize] = id;
-        self.cands.push(Cand {
-            node: g,
-            cost: self.space.cost(self.shared.rows_of(g)),
+        let id = self.view.assign(g);
+        let cand = Cand {
             mben,
             state: Membership::InC,
-        });
+        };
+        match self.cands.get_mut(id as usize) {
+            Some(held) => *held = cand,
+            None => self.cands.push(cand),
+        }
         id
     }
 
@@ -294,21 +247,18 @@ impl<'a, S: LatticeSpace> Candidates<'a, S> {
         floor: Option<usize>,
         obs: &mut O,
     ) {
-        let n = self.space.num_rows();
+        let n = self.view.space.num_rows();
         let (mut pruned, mut refreshed) = (0u64, 0u64);
-        for (id, cand) in self.cands.iter_mut().enumerate() {
+        for (id, cand) in (0..).zip(&mut self.cands) {
             if cand.state != Membership::InC {
                 continue;
             }
-            let rows = self.shared.rows_of(cand.node);
+            let rows = self.view.rows_of(id);
             let threshold = floor.unwrap_or(0);
             let count = if rows.len() < kernel_min_rows(n) {
                 covered.count_unset_limited(rows, threshold)
             } else {
-                let (summary, mask) = self.masks.entry(id as u32).or_insert_with(|| {
-                    let mask = mask_of(n, rows);
-                    (BlockSummary::of(&mask), mask)
-                });
+                let (summary, mask) = self.view.mask(id);
                 mask.difference_count_limited(covered, summary, threshold)
             };
             let (mben, exact) = match count {
@@ -331,21 +281,23 @@ impl<'a, S: LatticeSpace> Candidates<'a, S> {
 
     /// [`gain_order`] of ids `a` and `b`.
     fn gain_order(&self, a: u32, b: u32) -> Ordering {
-        let (a, b) = (&self[a], &self[b]);
-        gain_order((a.mben, a.cost), (b.mben, b.cost), || {
-            self.shared.keys.cmp(b.node, a.node)
-        })
+        let view = &self.view;
+        gain_order(
+            (self[a].mben, view.cost(a)),
+            (self[b].mben, view.cost(b)),
+            || view.keys().cmp(view.node(b), view.node(a)),
+        )
     }
 }
 
-impl<S: LatticeSpace> std::ops::Index<u32> for Candidates<'_, S> {
+impl<S: LatticeSpace> std::ops::Index<u32> for Walk<'_, S> {
     type Output = Cand;
     fn index(&self, id: u32) -> &Cand {
         &self.cands[id as usize]
     }
 }
 
-impl<S: LatticeSpace> std::ops::IndexMut<u32> for Candidates<'_, S> {
+impl<S: LatticeSpace> std::ops::IndexMut<u32> for Walk<'_, S> {
     fn index_mut(&mut self, id: u32) -> &mut Cand {
         &mut self.cands[id as usize]
     }
@@ -372,7 +324,7 @@ fn gain_order(
 /// `deadline` work tick per selection round and per waitlist pop, and
 /// degrades to the patterns picked so far when one fails.
 fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
-    cands: &mut Candidates<'_, S>,
+    walk: &mut Walk<'_, S>,
     k: usize,
     target: usize,
     deadline: &Deadline,
@@ -381,12 +333,11 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
     // Like flat CWSC, the optimized variant is a single round.
     obs.on(&Event::GuessStarted(None));
     let prune = prune_from_env();
-    let space = cands.space;
+    let space = walk.view.space;
     let mut covered = BitSet::new(space.num_rows());
     let mut solution = PatternSolution {
         patterns: Vec::with_capacity(k),
-        covered: 0,
-        total_cost: 0.0,
+        ..PatternSolution::default()
     };
 
     // Lines 01-06: C starts as just the all-wildcards pattern.
@@ -407,7 +358,7 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
         let i_u = i as u64;
         let rem_u = rem as u64;
         let below_floor = |mben: usize| -> bool { i_u * (mben as u64) < rem_u };
-        for cand in &mut cands.cands {
+        for cand in &mut walk.cands {
             if cand.state == Membership::InC && below_floor(cand.mben) {
                 obs.on(&Event::CandidatePruned(PruneReason::BelowFloor));
                 cand.state = Membership::Dropped;
@@ -418,11 +369,10 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
         // no selection happens, so marginal benefits are static and a
         // plain max-heap (mben desc, pattern asc) gives line 13's argmax.
         let expand_span = PhaseSpan::enter(obs, PHASE_EXPAND);
-        let keys = &cands.shared.keys;
+        let (view, keys) = (&walk.view, walk.view.keys());
         waitlist.extend(
-            cands
-                .in_c()
-                .map(|id| (cands[id].mben, Reverse(keys.order_key(cands[id].node)), id)),
+            walk.in_c()
+                .map(|id| (walk[id].mben, Reverse(keys.order_key(view.node(id))), id)),
         );
 
         // Lines 12-20: expand children that can meet the floor.
@@ -435,29 +385,32 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
             // attribute — the index-posting scan the lattice saves
             // relative to re-intersecting from scratch. Fig. 3 does it on
             // every pop; the shared lattice only on the first.
-            let wildcards = cands.shared.keys.wildcards(cands[q_id].node);
+            let view = &mut walk.view;
+            let wildcards = view.keys().wildcards(view.node(q_id));
             obs.on(&Event::PostingScanned(
-                (cands.rows_of(q_id).len() * wildcards) as u64,
+                (view.rows_of(q_id).len() * wildcards) as u64,
             ));
-            cands.expand(q_id);
-            let g = cands[q_id].node;
-            for c in 0..cands.shared.children_of(g).len() {
-                let child = cands.shared.children_of(g)[c];
-                let known = cands.id_of(child);
-                if known.is_some_and(|id| cands[id].state != Membership::Dropped) {
+            view.expand(q_id, false);
+            for c in 0..walk.view.children(q_id).len() {
+                let child = walk.view.children(q_id)[c];
+                let known = walk.view.id_of(child);
+                if known.is_some_and(|id| walk[id].state != Membership::Dropped) {
                     continue; // line 15: already in C or S
                 }
                 // Line 16: all parents must currently be candidates.
-                let keys = &cands.shared.keys;
-                if !keys.all_parents(space, child, |p| cands.contains(p)) {
+                if !walk
+                    .view
+                    .keys()
+                    .all_parents(space, child, |p| walk.contains(p))
+                {
                     continue;
                 }
                 // Line 17: compute the marginal benefit (and, on entry to
                 // C, the cost).
                 obs.on(&Event::BenefitComputed(1));
-                let child_mben = cands
-                    .shared
-                    .rows_of(child)
+                let child_mben = walk
+                    .view
+                    .rows_of_node(child)
                     .iter()
                     .filter(|&&r| !covered.contains(r as usize))
                     .count();
@@ -467,8 +420,8 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
                     obs.on(&Event::SubtreePruned(PruneReason::BelowFloor));
                     continue; // line 18 fails: stays out of C and W
                 }
-                let order = cands.shared.keys.order_key(child);
-                let id = cands.insert(child, child_mben);
+                let order = walk.view.keys().order_key(child);
+                let id = walk.insert(child, child_mben);
                 waitlist.push((child_mben, Reverse(order), id));
             }
         }
@@ -479,10 +432,10 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
         // alongside the winner.
         let select_span = PhaseSpan::enter(obs, PHASE_SELECT);
         let mut top: Vec<u32> = Vec::with_capacity(audit::TOP);
-        for id in cands.in_c() {
+        for id in walk.in_c() {
             let pos = top
                 .iter()
-                .position(|&t| cands.gain_order(id, t) == Ordering::Greater);
+                .position(|&t| walk.gain_order(id, t) == Ordering::Greater);
             match pos {
                 Some(p) => top.insert(p, id),
                 None if top.len() < audit::TOP => top.push(id),
@@ -499,8 +452,8 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
         // parents-before-children, deterministic).
         let as_audit = |id: u32| audit::AuditCandidate {
             id: u64::from(id),
-            benefit: cands[id].mben as u64,
-            weight: cands[id].cost,
+            benefit: walk[id].mben as u64,
+            weight: walk.view.cost(id),
         };
         let runners: Vec<audit::AuditCandidate> = top[1..].iter().map(|&id| as_audit(id)).collect();
         obs.on(&Event::RoundDecided(
@@ -510,9 +463,10 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
         ));
 
         // Lines 23-26: select q.
-        let q_mben = cands[q_id].mben;
-        let q_cost = cands[q_id].cost;
-        let newly: Vec<u32> = cands
+        let q_mben = walk[q_id].mben;
+        let q_cost = walk.view.cost(q_id);
+        let newly: Vec<u32> = walk
+            .view
             .rows_of(q_id)
             .iter()
             .copied()
@@ -524,14 +478,14 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
             Cow::Borrowed(&newly),
             q_cost,
         ));
-        solution.patterns.push(cands.pattern(q_id));
+        solution.patterns.push(walk.view.pattern(q_id));
         solution.total_cost += q_cost;
         obs.on(&Event::SetSelected(u64::from(q_id), q_mben as u64, q_cost));
         for &r in &newly {
             covered.insert(r as usize);
         }
         solution.covered = covered.count_ones();
-        cands[q_id].state = Membership::Selected;
+        walk[q_id].state = Membership::Selected;
         rem = rem.saturating_sub(q_mben);
         if rem == 0 {
             select_span.exit(obs);
@@ -542,14 +496,14 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
         // eligibility floor ⌈rem/(i-1)⌉ so recounts provably landing below
         // it can stop at the first proving block (the survivors' benefits
         // and the BelowFloor sweep above stay identical — see
-        // `Candidates::recount`).
+        // `Walk::recount`).
         if prune {
             let next_floor = if i > 1 { rem.div_ceil(i - 1) } else { 0 };
             let prune_span = PhaseSpan::enter(obs, PHASE_SCAN_PRUNE);
-            cands.recount(&covered, Some(next_floor), obs);
+            walk.recount(&covered, Some(next_floor), obs);
             prune_span.exit(obs);
         } else {
-            cands.recount(&covered, None, obs);
+            walk.recount(&covered, None, obs);
         }
         select_span.exit(obs);
     }
@@ -564,19 +518,11 @@ mod tests {
     use super::*;
     use crate::cost_fn::CostFn;
     use crate::enumerate::enumerate_all;
+    use crate::pattern::Pattern;
     use crate::space::PatternSpace;
-    use crate::table::Table;
+    use crate::test_util::{complete, entities};
     use scwsc_core::algorithms::cwsc;
     use scwsc_core::{SetSystem, Solution, Stats, Threads};
-
-    /// Unwraps an unbounded solve to its complete value or solve error.
-    fn complete<T>(result: Result<SolveOutcome<T>, EngineError>) -> Result<T, SolveError> {
-        match result {
-            Ok(outcome) => Ok(outcome.expect_complete("unbounded deadline")),
-            Err(EngineError::Solve(e)) => Err(e),
-            Err(e) => panic!("{e}"),
-        }
-    }
 
     fn solve(
         space: &PatternSpace<'_>,
@@ -606,32 +552,6 @@ mod tests {
             &Deadline::unbounded(),
             &mut Stats::new(),
         ))
-    }
-
-    /// The paper's Table I entities data set (16 records).
-    fn entities() -> Table {
-        let mut b = Table::builder(&["Type", "Location"], "Cost");
-        for (t, l, c) in [
-            ("A", "West", 10.0),
-            ("A", "Northeast", 32.0),
-            ("B", "South", 2.0),
-            ("A", "North", 4.0),
-            ("B", "East", 7.0),
-            ("A", "Northwest", 20.0),
-            ("B", "West", 4.0),
-            ("B", "Southwest", 24.0),
-            ("A", "Southwest", 4.0),
-            ("B", "Northwest", 4.0),
-            ("A", "North", 3.0),
-            ("B", "Northeast", 3.0),
-            ("B", "South", 1.0),
-            ("B", "North", 20.0),
-            ("A", "East", 3.0),
-            ("A", "South", 96.0),
-        ] {
-            b.push_row(&[t, l], c).unwrap();
-        }
-        b.build()
     }
 
     /// Section V-B's worked example: k=2, ŝ=9/16 selects P16 {B,ALL}
@@ -779,22 +699,22 @@ mod tests {
 
     /// `C` over the root's children and grandchildren of a 2,048-row
     /// table: row lists on both sides of `kernel_min_rows`.
-    fn grandchildren<'a>(sp: &'a PatternSpace<'a>) -> Candidates<'a, PatternSpace<'a>> {
-        let mut cands = Candidates::new(sp, SharedLattice::new(sp));
+    fn grandchildren<'a>(sp: &'a PatternSpace<'a>) -> Walk<'a, PatternSpace<'a>> {
+        let mut walk = Walk::new(View::new(sp, None));
         let mut level = 0..1;
         for _ in 0..2 {
-            let next = cands.cands.len() as u32;
+            let next = walk.cands.len() as u32;
             for id in level {
-                cands.expand(id);
-                for child in cands.shared.children_of(cands[id].node).to_vec() {
-                    if cands.id_of(child).is_none() {
-                        cands.insert(child, cands.shared.rows_of(child).len());
+                walk.view.expand(id, false);
+                for child in walk.view.children(id).to_vec() {
+                    if walk.view.id_of(child).is_none() {
+                        walk.insert(child, walk.view.rows_of_node(child).len());
                     }
                 }
             }
-            level = next..cands.cands.len() as u32;
+            level = next..walk.cands.len() as u32;
         }
-        cands
+        walk
     }
 
     #[test]
@@ -835,25 +755,9 @@ mod tests {
                 }
             }
         }
-        assert!(!pruned.masks.is_empty(), "long lists ran the kernel");
+        assert!(!pruned.view.masks.is_empty(), "long lists ran the kernel");
         assert!(m.scan_candidates_pruned > 0, "early exits fired");
         assert!(m.scan_bounds_refreshed > 0);
-    }
-
-    #[test]
-    fn reentering_c_keeps_the_id_and_takes_the_new_benefit() {
-        let t = entities();
-        let sp = PatternSpace::new(&t, CostFn::Max);
-        let mut cands = Candidates::new(&sp, SharedLattice::new(&sp));
-        cands.expand(0);
-        let child = cands.shared.children_of(0)[0];
-        let id = cands.insert(child, 3);
-        let cost = cands[id].cost;
-        cands[id].state = Membership::Dropped;
-        assert!(!cands.contains(child));
-        assert_eq!(cands.insert(child, 1), id, "same id revived");
-        assert!(cands.contains(child));
-        assert_eq!((cands[id].mben, cands[id].cost), (1, cost));
     }
 
     mod within {

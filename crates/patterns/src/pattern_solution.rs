@@ -10,7 +10,7 @@ use scwsc_core::BitSet;
 
 /// A sub-collection of patterns chosen by an optimized algorithm, in
 /// selection order.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PatternSolution {
     /// Chosen patterns, in selection order.

@@ -293,19 +293,7 @@ impl<'a> PatternSpace<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn table() -> Table {
-        let mut b = Table::builder(&["Type", "Location"], "Cost");
-        for (t, l, c) in [
-            ("A", "West", 10.0),
-            ("B", "South", 2.0),
-            ("B", "West", 4.0),
-            ("B", "South", 1.0),
-        ] {
-            b.push_row(&[t, l], c).unwrap();
-        }
-        b.build()
-    }
+    use crate::test_util::entities as table;
 
     #[test]
     fn root_covers_all_rows() {
@@ -313,8 +301,8 @@ mod tests {
         let sp = PatternSpace::new(&t, CostFn::Max);
         let root = sp.root();
         assert!(root.is_root());
-        assert_eq!(sp.benefit(&root), vec![0, 1, 2, 3]);
-        assert_eq!(sp.cost(&sp.benefit(&root)), 10.0);
+        assert_eq!(sp.benefit(&root), (0..16).collect::<Vec<RowId>>());
+        assert_eq!(sp.cost(&sp.benefit(&root)), 96.0);
     }
 
     #[test]
@@ -324,8 +312,8 @@ mod tests {
         let root = sp.root();
         let rows = sp.benefit(&root);
         let children = sp.children_with_rows(&root, &rows);
-        // Type: A, B; Location: West, South -> 4 children
-        assert_eq!(children.len(), 4);
+        // Type: A, B; Location: seven regions -> 9 children
+        assert_eq!(children.len(), 9);
         for (child, child_rows) in &children {
             assert_eq!(child.specificity(), 1);
             assert_eq!(&sp.benefit(child), child_rows, "{}", child.display(&t));
@@ -337,7 +325,7 @@ mod tests {
             .filter(|(c, _)| c.get(0).is_some())
             .map(|(_, r)| r.len())
             .sum();
-        assert_eq!(type_rows, 4);
+        assert_eq!(type_rows, 16);
     }
 
     #[test]
@@ -347,17 +335,18 @@ mod tests {
         let b = t.dictionary(0).lookup("B").unwrap();
         let p = Pattern::new(vec![Some(b), None]);
         let rows = sp.benefit(&p);
-        assert_eq!(rows, vec![1, 2, 3]);
+        assert_eq!(rows, vec![2, 4, 6, 7, 9, 11, 12, 13]);
         let children = sp.children_with_rows(&p, &rows);
-        // Only Location can specialize: {B,South} and {B,West}.
-        assert_eq!(children.len(), 2);
+        // Only Location can specialize: {B,South}, {B,East} and the
+        // other five regions B appears in.
+        assert_eq!(children.len(), 7);
         assert!(children.iter().all(|(c, _)| c.get(0) == Some(b)));
         let souths: Vec<_> = children
             .iter()
-            .filter(|(c, _)| c.display(&t).contains("South"))
+            .filter(|(c, _)| c.display(&t).contains("Location=South}"))
             .collect();
         assert_eq!(souths.len(), 1);
-        assert_eq!(souths[0].1, vec![1, 3]);
+        assert_eq!(souths[0].1, vec![2, 12]);
     }
 
     #[test]
@@ -374,7 +363,7 @@ mod tests {
         let t = table();
         let sp = PatternSpace::new(&t, CostFn::Sum);
         let rows = sp.benefit(&sp.root());
-        assert_eq!(sp.cost(&rows), 17.0);
+        assert_eq!(sp.cost(&rows), 237.0);
         assert_eq!(sp.cost_fn(), CostFn::Sum);
     }
 

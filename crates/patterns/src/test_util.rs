@@ -73,6 +73,45 @@ pub fn skewed_table(rows: usize, attrs: usize, cardinality: u64) -> Table {
     b.build()
 }
 
+/// The paper's Table I entities data set (16 records).
+#[cfg(test)]
+pub(crate) fn entities() -> Table {
+    let mut b = Table::builder(&["Type", "Location"], "Cost");
+    for (t, l, c) in [
+        ("A", "West", 10.0),
+        ("A", "Northeast", 32.0),
+        ("B", "South", 2.0),
+        ("A", "North", 4.0),
+        ("B", "East", 7.0),
+        ("A", "Northwest", 20.0),
+        ("B", "West", 4.0),
+        ("B", "Southwest", 24.0),
+        ("A", "Southwest", 4.0),
+        ("B", "Northwest", 4.0),
+        ("A", "North", 3.0),
+        ("B", "Northeast", 3.0),
+        ("B", "South", 1.0),
+        ("B", "North", 20.0),
+        ("A", "East", 3.0),
+        ("A", "South", 96.0),
+    ] {
+        b.push_row(&[t, l], c).unwrap();
+    }
+    b.build()
+}
+
+/// Unwraps an unbounded solve to its complete value or solve error.
+#[cfg(test)]
+pub(crate) fn complete<T>(
+    result: Result<scwsc_core::SolveOutcome<T>, scwsc_core::EngineError>,
+) -> Result<T, scwsc_core::SolveError> {
+    match result {
+        Ok(outcome) => Ok(outcome.expect_complete("unbounded deadline")),
+        Err(scwsc_core::EngineError::Solve(e)) => Err(e),
+        Err(e) => panic!("{e}"),
+    }
+}
+
 /// A [`PatternSpace`] whose `packed_key_bits` keeps the default `None`,
 /// so the lattice over it keys nodes by pattern and asks
 /// [`LatticeSpace::parents`] for parents, as over a hierarchy space.

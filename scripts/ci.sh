@@ -17,15 +17,15 @@ fi
 
 cargo build --release
 cargo test -q
-# The warm-instance lattice parity test (DESIGN.md §17) again with the
-# pruned refresh off: opt_cwsc and opt_cmc, which both read the shared
-# lattice, read SCWSC_PRUNE from the environment, so the plain run above
-# covers only the default.
-SCWSC_PRUNE=0 cargo test -q --test prop_lattice_reuse
-# The literal Fig. 4 reference (DESIGN.md §3) with the literal recounts:
-# opt_cmc's replayed prefix and its walk both skip child recounts only
-# when pruning is on.
-SCWSC_PRUNE=0 cargo test -q --test prop_reference
+# opt_cwsc and opt_cmc read SCWSC_PRUNE from the environment, so the
+# plain run above covers only the pruned refresh. Again with it off: the
+# warm-instance lattice parity test (DESIGN.md §17); the literal Fig. 4
+# reference (DESIGN.md §3), since opt_cmc's replayed prefix and its walk
+# both skip child recounts only when pruning is on; and the warm-CMC
+# allocation guard, since the unpruned path builds no row masks and so
+# allocates differently.
+SCWSC_PRUNE=0 cargo test -q --test prop_lattice_reuse --test prop_reference \
+  --test alloc_walk_cmc
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy --workspace --all-targets --features fault-inject -- -D warnings
