@@ -477,8 +477,7 @@ impl RowMask for (BlockSummary, BitSet) {
 }
 
 /// One solve's view of a [`SharedLattice`]: the solve's own ids for the
-/// nodes it meets, a cost per id, lazy row masks, and the expansions it
-/// made.
+/// nodes it meets, a cost per id and lazy row masks.
 ///
 /// A walk numbers a node by [`assign`](View::assign)ing it the next id
 /// when it first needs one: Fig. 4 numbers every child at its parent's
@@ -496,8 +495,6 @@ pub(crate) struct View<'a, S: LatticeSpace, M> {
     local: Vec<u32>,
     /// The cost of each id, computed when the id is assigned.
     costs: Vec<f64>,
-    /// Whether this solve expanded each id.
-    expanded: Vec<bool>,
     /// Row masks, for the recount kernels. Lazy: only the (few) ids a
     /// recount kernels over pay the `O(num_rows)` bits.
     pub(crate) masks: FxHashMap<u32, M>,
@@ -523,7 +520,6 @@ impl<'a, S: LatticeSpace, M: RowMask> View<'a, S, M> {
             global: Vec::with_capacity(nodes),
             local: vec![UNSEEN; nodes],
             costs: Vec::with_capacity(nodes),
-            expanded: Vec::with_capacity(nodes),
             shared,
             masks: FxHashMap::default(),
             scratch: (Vec::new(), Vec::new()),
@@ -557,7 +553,6 @@ impl<'a, S: LatticeSpace, M: RowMask> View<'a, S, M> {
             *slot = self.global.len() as u32;
             self.global.push(g);
             self.costs.push(self.space.cost(self.shared.rows_of(g)));
-            self.expanded.push(false);
         }
         *slot
     }
@@ -618,14 +613,9 @@ impl<'a, S: LatticeSpace, M: RowMask> View<'a, S, M> {
     /// and makes room to number the nodes it added. With
     /// `assign_children` (Fig. 4's first-encounter numbering) each child
     /// gets an id, in (attribute, value) order. Returns the postings a
-    /// real expansion scanned. An id this solve already expanded returns
-    /// at once; the flag is set only once every child has its id, so an
-    /// expansion a panic cut short runs again.
+    /// real expansion scanned.
     #[inline]
     pub(crate) fn expand(&mut self, id: u32, assign_children: bool) -> Option<u64> {
-        if self.expanded[id as usize] {
-            return None;
-        }
         let g = self.node(id);
         let postings = self.shared.expand(self.space, g, &mut self.scratch);
         self.local.resize(self.shared.len(), UNSEEN);
@@ -634,7 +624,6 @@ impl<'a, S: LatticeSpace, M: RowMask> View<'a, S, M> {
                 self.assign(self.shared.children_of(g)[c]);
             }
         }
-        self.expanded[id as usize] = true;
         postings
     }
 

@@ -233,7 +233,8 @@ pub(crate) fn opt_cmc_stashed<S: LatticeSpace, O: Observer + ?Sized>(
 /// selects and reports exactly as one on a fresh lattice.
 struct Guesses<'a, S: LatticeSpace> {
     view: View<'a, S, BitSet>,
-    /// Per-id [`IN_C`] and [`LEFT_C`] bits of the guess in flight.
+    /// Per-id [`IN_C`] and [`LEFT_C`] bits of the guess in flight, and
+    /// the solve-wide [`EXPANDED`] bit.
     state: Vec<u8>,
     /// pending[id] = parents of id not yet visited this guess; line 33's
     /// "all parents of m are in V" is exactly pending[id] == 0, reached by
@@ -302,7 +303,9 @@ impl<S: LatticeSpace> Guesses<'_, S> {
         // recounting from scratch.
         let prune = prune_from_env();
         let mut newly_masks: Vec<BitSet> = Vec::new();
-        self.state.clear();
+        for s in &mut self.state {
+            *s &= EXPANDED;
+        }
         self.pending.clear();
         self.track_new_ids();
         let mut walk = Walk {
@@ -556,6 +559,9 @@ const IN_C: u8 = 1;
 /// [`Guesses::state`] bit: the id left `C` this guess, visited or
 /// selected (line 19).
 const LEFT_C: u8 = 2;
+/// [`Guesses::state`] bit: this solve expanded the id and numbered its
+/// children. Unlike the other two it outlives the guess.
+const EXPANDED: u8 = 4;
 
 /// One guess's walk state beside the solve-wide [`Guesses`].
 struct Walk {
@@ -590,8 +596,13 @@ impl Walk {
         // shared lattice scans postings: q's row list, once per wildcard
         // attribute.
         g.state[q as usize] |= LEFT_C;
-        self.postings += g.view.expand(q, true).unwrap_or(0);
-        g.track_new_ids();
+        if g.state[q as usize] & EXPANDED == 0 {
+            self.postings += g.view.expand(q, true).unwrap_or(0);
+            g.track_new_ids();
+            // Set only once every child has its id, so an expansion a
+            // panic cut short runs again.
+            g.state[q as usize] |= EXPANDED;
+        }
         self.eligible.clear();
         for &child in g.view.children(q) {
             let child_id = g.view.id_of(child).expect("numbered at expansion");
