@@ -27,8 +27,8 @@ use crate::telemetry::{
 /// The search reports its effort through an [`Observer`]:
 /// `benefit_computed` per take-branch marginal-coverage computation,
 /// `set_selected` per tentative take, `candidate_pruned` with
-/// [`PruneReason::CostBound`] / [`PruneReason::CoverageBound`] per cut
-/// branch, and a `"total"` phase span.
+/// [`PruneReason::CostBound`] / [`PruneReason::CoverageBound`] and a
+/// count of 1 per cut branch, and a `"total"` phase span.
 pub fn exact_optimal<O: Observer + ?Sized>(
     system: &SetSystem,
     k: usize,
@@ -121,13 +121,14 @@ impl<O: Observer + ?Sized> Search<'_, O> {
             return;
         }
         if self.current_cost >= self.best_cost {
-            self.obs.on(&Event::CandidatePruned(PruneReason::CostBound));
+            self.obs
+                .on(&Event::CandidatePruned(PruneReason::CostBound, 1));
             return; // cost prune
         }
         let remaining_picks = self.k - self.chosen.len();
         if self.covered_count + self.coverage_bound(i, remaining_picks) < self.target {
             self.obs
-                .on(&Event::CandidatePruned(PruneReason::CoverageBound));
+                .on(&Event::CandidatePruned(PruneReason::CoverageBound, 1));
             return; // coverage prune
         }
 

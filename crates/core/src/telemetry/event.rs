@@ -30,16 +30,18 @@ pub enum Event<'a> {
     /// `(count)`: `count` candidates had their (marginal) benefit computed
     /// — the paper's Fig. 6 "patterns considered" unit of work.
     BenefitComputed(u64),
-    /// A candidate was discarded before selection.
-    CandidatePruned(PruneReason),
-    /// A whole lattice subtree was cut without materializing it
-    /// (pattern-lattice solvers only).
-    SubtreePruned(PruneReason),
+    /// `(reason, count)`: `count` candidates were discarded before
+    /// selection.
+    CandidatePruned(PruneReason, u64),
+    /// `(reason, count)`: `count` whole lattice subtrees were cut without
+    /// materializing them (pattern-lattice solvers only).
+    SubtreePruned(PruneReason, u64),
     /// `(entries)`: `entries` inverted-index posting entries (parent rows)
     /// were scanned to expand a lattice node into its children.
     PostingScanned(u64),
-    /// The lazy-greedy heap popped a stale entry and had to re-score it.
-    HeapStalePop,
+    /// `(count)`: the lazy-greedy heap popped `count` stale entries and
+    /// had to re-score or drop each.
+    HeapStalePop(u64),
     /// `(order, winner, runners_up)`: a selection round resolved.
     /// `winner` beat `runners_up` (best first, at most
     /// [`audit::RUNNERS_UP`](super::audit::RUNNERS_UP)) under `order`
@@ -111,10 +113,10 @@ impl Event<'_> {
             Event::LevelEntered(..) => "level_entered",
             Event::SetSelected(..) => "set_selected",
             Event::BenefitComputed(_) => "benefit_computed",
-            Event::CandidatePruned(_) => "candidate_pruned",
-            Event::SubtreePruned(_) => "subtree_pruned",
+            Event::CandidatePruned(..) => "candidate_pruned",
+            Event::SubtreePruned(..) => "subtree_pruned",
             Event::PostingScanned(_) => "posting_scanned",
-            Event::HeapStalePop => "heap_stale_pop",
+            Event::HeapStalePop(_) => "heap_stale_pop",
             Event::RoundDecided(..) => "round_decided",
             Event::PriceCharged(..) => "price_charged",
             Event::DegradeDecided(..) => "degrade_decided",
@@ -147,13 +149,14 @@ impl Event<'_> {
                 json_f64(*cost)
             ),
             Event::BenefitComputed(count)
+            | Event::HeapStalePop(count)
             | Event::ScanPruned(count)
             | Event::BoundRefreshed(count) => write!(out, ",\"count\":{count}"),
-            Event::CandidatePruned(reason) | Event::SubtreePruned(reason) => {
-                write!(out, ",\"reason\":\"{}\"", reason.as_str())
+            Event::CandidatePruned(reason, count) | Event::SubtreePruned(reason, count) => {
+                write!(out, ",\"reason\":\"{}\",\"count\":{count}", reason.as_str())
             }
             Event::PostingScanned(entries) => write!(out, ",\"entries\":{entries}"),
-            Event::HeapStalePop | Event::GuessRetried => Ok(()),
+            Event::GuessRetried => Ok(()),
             Event::RoundDecided(order, winner, runners_up) => {
                 let _ = write!(
                     out,
@@ -206,21 +209,16 @@ impl Event<'_> {
     }
 
     /// An owned copy that outlives the borrowed slices, for recording.
-    /// Copies straight from a borrow (no `clone` first) and is always
-    /// inlined: where [`EventLog`](super::EventLog)'s `on` inlines at an
-    /// emission site the event is a constant, the match folds, and
-    /// recording is one push — on paths that record once per candidate.
-    #[inline(always)]
     pub(crate) fn to_static(&self) -> Event<'static> {
         match *self {
             Event::GuessStarted(budget) => Event::GuessStarted(budget),
             Event::LevelEntered(level, allowance) => Event::LevelEntered(level, allowance),
             Event::SetSelected(id, mben, cost) => Event::SetSelected(id, mben, cost),
             Event::BenefitComputed(count) => Event::BenefitComputed(count),
-            Event::CandidatePruned(reason) => Event::CandidatePruned(reason),
-            Event::SubtreePruned(reason) => Event::SubtreePruned(reason),
+            Event::CandidatePruned(reason, count) => Event::CandidatePruned(reason, count),
+            Event::SubtreePruned(reason, count) => Event::SubtreePruned(reason, count),
             Event::PostingScanned(entries) => Event::PostingScanned(entries),
-            Event::HeapStalePop => Event::HeapStalePop,
+            Event::HeapStalePop(count) => Event::HeapStalePop(count),
             Event::RoundDecided(order, winner, ref runners_up) => {
                 Event::RoundDecided(order, winner, Cow::Owned(runners_up.to_vec()))
             }

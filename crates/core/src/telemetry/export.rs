@@ -542,11 +542,11 @@ mod tests {
         m.on(&Event::GuessStarted(Some(4.0)));
         m.on(&Event::LevelEntered(0, 2));
         m.on(&Event::BenefitComputed(10));
-        m.on(&Event::HeapStalePop);
+        m.on(&Event::HeapStalePop(1));
         m.on(&Event::SetSelected(3, 6, 1.5));
         m.on(&Event::SetSelected(1, 2, 0.5));
-        m.on(&Event::CandidatePruned(PruneReason::BelowFloor));
-        m.on(&Event::SubtreePruned(PruneReason::CostBound));
+        m.on(&Event::CandidatePruned(PruneReason::BelowFloor, 1));
+        m.on(&Event::SubtreePruned(PruneReason::CostBound, 1));
         m.on(&Event::PostingScanned(7));
         m.on(&Event::PhaseStarted("total"));
         m.on(&Event::PhaseEnded("total", 0.5));

@@ -463,12 +463,14 @@ impl Observer for MetricsRecorder {
                 self.stale_run = 0;
             }
             Event::BenefitComputed(count) => self.benefits_computed += count,
-            Event::CandidatePruned(reason) => self.candidates_pruned[reason.index()] += 1,
-            Event::SubtreePruned(reason) => self.subtrees_pruned[reason.index()] += 1,
+            Event::CandidatePruned(reason, count) => {
+                self.candidates_pruned[reason.index()] += count
+            }
+            Event::SubtreePruned(reason, count) => self.subtrees_pruned[reason.index()] += count,
             Event::PostingScanned(entries) => self.postings_scanned += entries,
-            Event::HeapStalePop => {
-                self.heap_stale_pops += 1;
-                self.stale_run += 1;
+            Event::HeapStalePop(count) => {
+                self.heap_stale_pops += count;
+                self.stale_run += count;
             }
             Event::RoundDecided(..) => self.rounds_audited += 1,
             Event::GuessRetried => self.guesses_retried += 1,
@@ -744,12 +746,11 @@ mod tests {
         m.on(&Event::LevelEntered(0, 2));
         m.on(&Event::LevelEntered(1, 4));
         m.on(&Event::BenefitComputed(10));
-        m.on(&Event::HeapStalePop);
-        m.on(&Event::HeapStalePop);
+        m.on(&Event::HeapStalePop(2));
         m.on(&Event::SetSelected(3, 6, 1.5));
         m.on(&Event::SetSelected(1, 2, 0.5));
-        m.on(&Event::CandidatePruned(PruneReason::BelowFloor));
-        m.on(&Event::SubtreePruned(PruneReason::Exhausted));
+        m.on(&Event::CandidatePruned(PruneReason::BelowFloor, 3));
+        m.on(&Event::SubtreePruned(PruneReason::Exhausted, 1));
         m.on(&Event::PostingScanned(7));
         m.on(&Event::PhaseStarted("total"));
         m.on(&Event::PhaseEnded("total", 0.25));
@@ -760,7 +761,7 @@ mod tests {
         assert_eq!(m.level_allowance, 6);
         assert_eq!(m.selections, 2);
         assert_eq!(m.benefits_computed, 10);
-        assert_eq!(m.candidates_pruned_total(), 1);
+        assert_eq!(m.candidates_pruned_total(), 3);
         assert_eq!(m.subtrees_pruned_total(), 1);
         assert_eq!(m.heap_stale_pops, 2);
         assert_eq!(m.postings_scanned, 7);
@@ -896,7 +897,7 @@ mod tests {
         let flushed = Arc::new(AtomicBool::new(false));
         {
             let mut sink = JsonlSink::new(FlushProbe(Arc::clone(&flushed)));
-            sink.on(&Event::HeapStalePop);
+            sink.on(&Event::HeapStalePop(1));
             assert!(!flushed.load(Ordering::SeqCst), "no premature flush");
         }
         assert!(flushed.load(Ordering::SeqCst), "drop must flush");
@@ -934,16 +935,16 @@ mod tests {
             m.on(&Event::GuessStarted(Some(1.0)));
             m.on(&Event::LevelEntered(0, 2));
             m.on(&Event::BenefitComputed(5));
-            m.on(&Event::HeapStalePop);
+            m.on(&Event::HeapStalePop(1));
             m.on(&Event::SetSelected(1, 3, 2.0));
-            m.on(&Event::CandidatePruned(PruneReason::BelowFloor));
+            m.on(&Event::CandidatePruned(PruneReason::BelowFloor, 2));
             m.on(&Event::PhaseStarted("total"));
             m.on(&Event::PhaseEnded("total", 0.5));
         };
         let drive_b = |m: &mut MetricsRecorder| {
             m.on(&Event::GuessStarted(Some(2.0)));
             m.on(&Event::BenefitComputed(7));
-            m.on(&Event::SubtreePruned(PruneReason::Exhausted));
+            m.on(&Event::SubtreePruned(PruneReason::Exhausted, 3));
             m.on(&Event::PostingScanned(11));
             m.on(&Event::SetSelected(2, 4, 1.0));
             m.on(&Event::GuessRetried);
@@ -998,10 +999,10 @@ mod tests {
         sink.on(&Event::LevelEntered(0, 2));
         sink.on(&Event::SetSelected(7, 3, 1.0));
         sink.on(&Event::BenefitComputed(12));
-        sink.on(&Event::CandidatePruned(PruneReason::CostBound));
-        sink.on(&Event::SubtreePruned(PruneReason::BelowFloor));
+        sink.on(&Event::CandidatePruned(PruneReason::CostBound, 1));
+        sink.on(&Event::SubtreePruned(PruneReason::BelowFloor, 6));
         sink.on(&Event::PostingScanned(40));
-        sink.on(&Event::HeapStalePop);
+        sink.on(&Event::HeapStalePop(5));
         sink.on(&Event::PhaseStarted("total"));
         sink.on(&Event::PhaseEnded("total", 0.125));
         assert!(!sink.has_failed());
@@ -1020,6 +1021,8 @@ mod tests {
         assert!(lines[3].contains("\"marginal_benefit\":3"));
         assert!(lines[3].contains("\"cost\":1.0"));
         assert!(lines[5].contains("\"reason\":\"cost_bound\""));
+        assert!(lines[6].contains("\"count\":6"));
+        assert!(lines[8].contains("\"count\":5"));
         assert!(lines[10].contains("\"seconds\":0.125"));
     }
 
@@ -1035,9 +1038,9 @@ mod tests {
             }
         }
         let mut sink = JsonlSink::new(Failing);
-        sink.on(&Event::HeapStalePop);
+        sink.on(&Event::HeapStalePop(1));
         assert!(sink.has_failed());
-        sink.on(&Event::HeapStalePop); // silently dropped, no panic
+        sink.on(&Event::HeapStalePop(1)); // silently dropped, no panic
     }
 
     #[test]
@@ -1073,10 +1076,10 @@ mod tests {
         n.on(&Event::LevelEntered(0, 1));
         n.on(&Event::SetSelected(0, 0, 0.0));
         n.on(&Event::BenefitComputed(1));
-        n.on(&Event::CandidatePruned(PruneReason::Exhausted));
-        n.on(&Event::SubtreePruned(PruneReason::CoverageBound));
+        n.on(&Event::CandidatePruned(PruneReason::Exhausted, 1));
+        n.on(&Event::SubtreePruned(PruneReason::CoverageBound, 1));
         n.on(&Event::PostingScanned(1));
-        n.on(&Event::HeapStalePop);
+        n.on(&Event::HeapStalePop(1));
         n.on(&Event::PhaseStarted("x"));
         n.on(&Event::PhaseEnded("x", 0.0));
     }

@@ -9,65 +9,15 @@
 //! [`JsonlSink`](super::JsonlSink) and
 //! [`SpanProfiler`](super::SpanProfiler).
 
-use super::{Event, Observer, PruneReason};
+use super::{Event, Observer};
 
 /// An [`Observer`] that records the event stream for later replay.
 ///
-/// Solvers record one event per candidate or pop on their hottest
-/// paths, so a log can hold hundreds of thousands of events. Each is
-/// kept in a 16-byte `Logged` record rather than as a 64-byte
-/// [`Event`]: the per-candidate counter events inline, the rare larger
-/// ones in a side list.
+/// The solvers report their per-candidate work as per-guess totals, so a
+/// guess's log holds a few events per cost level and per selection.
 #[derive(Debug, Clone, Default)]
 pub struct EventLog {
-    events: Vec<Logged>,
-    others: Vec<Event<'static>>,
-}
-
-/// One recorded event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Logged {
-    BenefitComputed(u64),
-    PostingScanned(u64),
-    ScanPruned(u64),
-    BoundRefreshed(u64),
-    CandidatePruned(PruneReason),
-    SubtreePruned(PruneReason),
-    HeapStalePop,
-    /// Index into [`EventLog::others`].
-    Other(u32),
-}
-
-impl Logged {
-    /// The inline record of a counter event; `None` for the others.
-    /// Always inlined: at an emission site the event is a constant, so
-    /// the match folds away.
-    #[inline(always)]
-    fn counter(event: &Event<'_>) -> Option<Logged> {
-        Some(match *event {
-            Event::BenefitComputed(count) => Logged::BenefitComputed(count),
-            Event::PostingScanned(entries) => Logged::PostingScanned(entries),
-            Event::ScanPruned(count) => Logged::ScanPruned(count),
-            Event::BoundRefreshed(count) => Logged::BoundRefreshed(count),
-            Event::CandidatePruned(reason) => Logged::CandidatePruned(reason),
-            Event::SubtreePruned(reason) => Logged::SubtreePruned(reason),
-            Event::HeapStalePop => Logged::HeapStalePop,
-            _ => return None,
-        })
-    }
-
-    fn replay<O: Observer + ?Sized>(self, others: &[Event<'static>], obs: &mut O) {
-        match self {
-            Logged::BenefitComputed(count) => obs.on(&Event::BenefitComputed(count)),
-            Logged::PostingScanned(entries) => obs.on(&Event::PostingScanned(entries)),
-            Logged::ScanPruned(count) => obs.on(&Event::ScanPruned(count)),
-            Logged::BoundRefreshed(count) => obs.on(&Event::BoundRefreshed(count)),
-            Logged::CandidatePruned(reason) => obs.on(&Event::CandidatePruned(reason)),
-            Logged::SubtreePruned(reason) => obs.on(&Event::SubtreePruned(reason)),
-            Logged::HeapStalePop => obs.on(&Event::HeapStalePop),
-            Logged::Other(i) => obs.on(&others[i as usize]),
-        }
-    }
+    events: Vec<Event<'static>>,
 }
 
 impl EventLog {
@@ -89,35 +39,19 @@ impl EventLog {
     /// Drops all recorded events, keeping capacity.
     pub fn clear(&mut self) {
         self.events.clear();
-        self.others.clear();
-    }
-
-    /// Records a non-counter event in the side list. Out of line: it
-    /// runs a few times per guess, while the counter path runs per
-    /// candidate inside solver loops.
-    #[cold]
-    #[inline(never)]
-    fn other(&mut self, event: &Event<'_>) -> Logged {
-        self.others.push(event.to_static());
-        Logged::Other(u32::try_from(self.others.len() - 1).expect("log index fits u32"))
     }
 
     /// Re-emits every recorded event, in recording order, into `obs`.
     pub fn replay<O: Observer + ?Sized>(&self, obs: &mut O) {
-        for &event in &self.events {
-            event.replay(&self.others, obs);
+        for event in &self.events {
+            obs.on(event);
         }
     }
 }
 
 impl Observer for EventLog {
-    #[inline]
     fn on(&mut self, event: &Event<'_>) {
-        let logged = match Logged::counter(event) {
-            Some(logged) => logged,
-            None => self.other(event),
-        };
-        self.events.push(logged);
+        self.events.push(event.to_static());
     }
 }
 
@@ -135,10 +69,10 @@ mod tests {
         obs.on(&Event::LevelEntered(0, 4));
         obs.on(&Event::PhaseStarted(PHASE_TOTAL));
         obs.on(&Event::BenefitComputed(9));
-        obs.on(&Event::CandidatePruned(PruneReason::BelowFloor));
-        obs.on(&Event::SubtreePruned(PruneReason::CostBound));
+        obs.on(&Event::CandidatePruned(PruneReason::BelowFloor, 2));
+        obs.on(&Event::SubtreePruned(PruneReason::CostBound, 3));
         obs.on(&Event::PostingScanned(17));
-        obs.on(&Event::HeapStalePop);
+        obs.on(&Event::HeapStalePop(4));
         let winner = AuditCandidate {
             id: 3,
             benefit: 5,
@@ -219,15 +153,10 @@ mod tests {
     }
 
     #[test]
-    fn recorded_events_take_sixteen_bytes() {
-        assert_eq!(std::mem::size_of::<Logged>(), 16);
-    }
-
-    #[test]
     fn clear_empties_the_log() {
         let mut log = EventLog::new();
         assert!(log.is_empty());
-        log.on(&Event::HeapStalePop);
+        log.on(&Event::HeapStalePop(1));
         assert!(!log.is_empty());
         log.clear();
         assert!(log.is_empty());

@@ -311,10 +311,10 @@ impl Observer for SpanProfiler {
             }
             Event::BenefitComputed(count) => self.counters().benefits_computed += count,
             Event::PostingScanned(entries) => self.counters().postings_scanned += entries,
-            Event::CandidatePruned(_) => self.counters().candidates_pruned += 1,
-            Event::SubtreePruned(_) => self.counters().subtrees_pruned += 1,
+            Event::CandidatePruned(_, count) => self.counters().candidates_pruned += count,
+            Event::SubtreePruned(_, count) => self.counters().subtrees_pruned += count,
             Event::SetSelected(..) => self.counters().selections += 1,
-            Event::HeapStalePop => self.counters().heap_stale_pops += 1,
+            Event::HeapStalePop(count) => self.counters().heap_stale_pops += count,
             _ => {}
         }
     }
@@ -402,7 +402,7 @@ mod tests {
     #[test]
     fn unspanned_counters_surface_on_synthetic_root() {
         let mut p = SpanProfiler::new();
-        p.on(&Event::HeapStalePop); // before any span opens
+        p.on(&Event::HeapStalePop(1)); // before any span opens
         p.on(&Event::PhaseStarted("total"));
         p.on(&Event::PhaseEnded("total", 0.5));
         let tree = p.tree();

@@ -25,10 +25,10 @@ fn drive_every_event<O: Observer + ?Sized>(obs: &mut O) {
     obs.on(&Event::GuessStarted(Some(2.5)));
     obs.on(&Event::LevelEntered(0, 4));
     obs.on(&Event::BenefitComputed(12));
-    obs.on(&Event::CandidatePruned(PruneReason::CostBound));
-    obs.on(&Event::SubtreePruned(PruneReason::BelowFloor));
+    obs.on(&Event::CandidatePruned(PruneReason::CostBound, 2));
+    obs.on(&Event::SubtreePruned(PruneReason::BelowFloor, 9));
     obs.on(&Event::PostingScanned(40));
-    obs.on(&Event::HeapStalePop);
+    obs.on(&Event::HeapStalePop(6));
     obs.on(&Event::RoundDecided(
         "gain",
         winner,
@@ -64,10 +64,10 @@ fn jsonl_sink_encodes_every_event() {
         r#""event":"guess_started","budget":2.5}"#,
         r#""event":"level_entered","level":0,"allowance":4}"#,
         r#""event":"benefit_computed","count":12}"#,
-        r#""event":"candidate_pruned","reason":"cost_bound"}"#,
-        r#""event":"subtree_pruned","reason":"below_floor"}"#,
+        r#""event":"candidate_pruned","reason":"cost_bound","count":2}"#,
+        r#""event":"subtree_pruned","reason":"below_floor","count":9}"#,
         r#""event":"posting_scanned","entries":40}"#,
-        r#""event":"heap_stale_pop"}"#,
+        r#""event":"heap_stale_pop","count":6}"#,
         r#""event":"round_decided","order":"gain","winner":{"id":3,"benefit":5,"weight":1.5},"runners_up":[{"id":1,"benefit":2,"weight":1.0}]}"#,
         r#""event":"price_charged","set":3,"cost":1.5,"elements":[0,4,7]}"#,
         r#""event":"set_selected","id":3,"marginal_benefit":5,"cost":1.5}"#,
@@ -99,10 +99,10 @@ fn flight_dump_encodes_its_thirteen_kinds() {
         format!(r#"{main}"event":"guess_started","budget":2.5}}"#),
         format!(r#"{main}"event":"level_entered","level":0,"allowance":4}}"#),
         format!(r#"{main}"event":"benefit_computed","count":12}}"#),
-        format!(r#"{main}"event":"candidate_pruned","reason":"cost_bound"}}"#),
-        format!(r#"{main}"event":"subtree_pruned","reason":"below_floor"}}"#),
+        format!(r#"{main}"event":"candidate_pruned","reason":"cost_bound","count":2}}"#),
+        format!(r#"{main}"event":"subtree_pruned","reason":"below_floor","count":9}}"#),
         format!(r#"{main}"event":"posting_scanned","entries":40}}"#),
-        format!(r#"{main}"event":"heap_stale_pop"}}"#),
+        format!(r#"{main}"event":"heap_stale_pop","count":6}}"#),
         format!(r#"{main}"event":"set_selected","id":3,"marginal_benefit":5,"cost":1.5}}"#),
         format!(r#"{main}"event":"guess_retried"}}"#),
         format!(r#"{main}"event":"stall_detected","ticks":77,"stalled_secs":0.25}}"#),

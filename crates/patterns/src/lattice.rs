@@ -16,6 +16,7 @@ use crate::fxhash::FxHashMap;
 use crate::pattern::Pattern;
 use crate::space::LatticeSpace;
 use crate::table::RowId;
+use scwsc_core::telemetry::{Event, Observer, PruneReason};
 use scwsc_core::{BitSet, BlockSummary};
 use std::cmp::Ordering;
 use std::sync::{Mutex, PoisonError};
@@ -633,6 +634,71 @@ impl<'a, S: LatticeSpace, M: RowMask> View<'a, S, M> {
         if let Some(stash) = stash.filter(|_| !self.tainted) {
             stash.put(self.shared);
         }
+    }
+}
+
+/// The work a walk counts per pop, expansion or child, reported as
+/// totals: Fig. 4 flushes once per budget guess, Fig. 3 once per round
+/// phase. Each walk prunes for one [`PruneReason`].
+pub(crate) struct Tally {
+    reason: PruneReason,
+    /// Patterns whose marginal benefit was computed (Fig. 6's metric).
+    pub(crate) benefits: u64,
+    /// Posting entries scanned by expansions.
+    pub(crate) postings: u64,
+    /// Children that never entered `C`, their subtrees with them.
+    pub(crate) subtrees_pruned: u64,
+    /// Candidates that left `C` without being selected.
+    pub(crate) candidates_pruned: u64,
+    /// Stale heap entries popped (Fig. 4 only).
+    pub(crate) stale_pops: u64,
+    /// Recounts the pruned refresh skipped or cut short.
+    pub(crate) scan_pruned: u64,
+    /// Recounts the pruned refresh completed.
+    pub(crate) bounds_refreshed: u64,
+}
+
+impl Tally {
+    pub(crate) fn new(reason: PruneReason) -> Tally {
+        Tally {
+            reason,
+            benefits: 0,
+            postings: 0,
+            subtrees_pruned: 0,
+            candidates_pruned: 0,
+            stale_pops: 0,
+            scan_pruned: 0,
+            bounds_refreshed: 0,
+        }
+    }
+
+    /// Emits each nonzero total, always in this order, and zeroes it.
+    pub(crate) fn flush<O: Observer + ?Sized>(&mut self, obs: &mut O) {
+        let reason = self.reason;
+        emit(obs, &mut self.benefits, Event::BenefitComputed);
+        emit(obs, &mut self.postings, Event::PostingScanned);
+        emit(obs, &mut self.subtrees_pruned, |n| {
+            Event::SubtreePruned(reason, n)
+        });
+        emit(obs, &mut self.candidates_pruned, |n| {
+            Event::CandidatePruned(reason, n)
+        });
+        self.flush_stale_pops(obs);
+        emit(obs, &mut self.scan_pruned, Event::ScanPruned);
+        emit(obs, &mut self.bounds_refreshed, Event::BoundRefreshed);
+    }
+
+    /// Emits and zeroes the stale-pop total alone: Fig. 4 does so before
+    /// each selection, so every selection's stale run stays its own.
+    pub(crate) fn flush_stale_pops<O: Observer + ?Sized>(&mut self, obs: &mut O) {
+        emit(obs, &mut self.stale_pops, Event::HeapStalePop);
+    }
+}
+
+/// Emits `event(total)` and zeroes `total`, unless it is zero.
+fn emit<O: Observer + ?Sized>(obs: &mut O, total: &mut u64, event: impl Fn(u64) -> Event<'static>) {
+    if *total > 0 {
+        obs.on(&event(std::mem::take(total)));
     }
 }
 

@@ -50,12 +50,12 @@
 //! budget-independent prefix once, as the ids the first guess visited
 //! before it selected. A later guess replays the recorded ids up to its
 //! first selectable one without the queue, doing at each the walk's
-//! tick, visit and events, then pushes the candidate frontier and walks
+//! tick, visit and counts, then pushes the candidate frontier and walks
 //! on. A guess that replays the whole recording extends it. The replay
 //! and the walk share one visit body (Fig. 4 lines 31–35), so answers,
 //! ticks, events and degraded partials are those of the plain walk.
 
-use crate::lattice::{extend_lean, kernel_min_rows, prune_from_env, LatticeStash, View};
+use crate::lattice::{extend_lean, kernel_min_rows, prune_from_env, LatticeStash, Tally, View};
 use crate::pattern_solution::{degrade, PatternSolution};
 use crate::space::LatticeSpace;
 use crate::table::RowId;
@@ -86,12 +86,16 @@ const DELTA_MAX_ROUNDS: usize = 4;
 /// unset.
 ///
 /// Each pattern examination (Fig. 4 lines 12 and 35), the Figure 6 metric,
-/// is counted in `benefit_computed` events — one per guess for the root
-/// and one per expansion for the children it scores; budget guesses
-/// arrive as `guess_started` events. Passing `&mut Stats` keeps the legacy
-/// counters. Each guess records into a private [`EventLog`] (one log for
-/// the whole solve, cleared per attempt) replayed into `obs` when the
-/// guess ends, so events arrive once per guess, not live.
+/// is counted in one `benefit_computed` total per guess, the root
+/// included. The other per-pop and per-child work arrives as per-guess
+/// totals too (`posting_scanned`, `subtree_pruned` and
+/// `candidate_pruned` with reason `exhausted`, `heap_stale_pop`), except
+/// that the stale pops since the last selection are also reported before
+/// each selection; budget guesses arrive as `guess_started` events.
+/// Passing `&mut Stats` keeps the legacy counters. Each guess records
+/// into a private [`EventLog`] (one log for the whole solve, cleared per
+/// attempt) replayed into `obs` when the guess ends, so events arrive
+/// once per guess, not live.
 ///
 /// The solve runs on the calling thread: the heap pop order *is* the
 /// algorithm and every step mutates the shared lattice cache. `pool` is
@@ -312,21 +316,15 @@ impl<S: LatticeSpace> Guesses<'_, S> {
             covered: BitSet::new(n),
             epoch: 0,
             eligible: Vec::new(),
-            postings: 0,
+            tally: Tally::new(PruneReason::Exhausted),
         };
 
         // Lines 11-13: C = {all-wildcards}.
         self.state[0] |= IN_C;
-        obs.on(&Event::BenefitComputed(1));
+        walk.tally.benefits += 1;
 
         let mut solution = PatternSolution::default();
         let mut rem = self.target; // line 14
-
-        // Per-pop counters, reported as one total each per guess: the
-        // guess's event log stays proportional to its expansions that
-        // score children, not to its pops.
-        let mut scan_pruned = 0u64;
-        let mut bounds_refreshed = 0u64;
 
         // The first prefix id this guess selects: every count is still
         // zero.
@@ -354,9 +352,9 @@ impl<S: LatticeSpace> Guesses<'_, S> {
                 );
                 self.state[id as usize] &= !IN_C; // line 19
                 if prune {
-                    scan_pruned += 1;
+                    walk.tally.scan_pruned += 1;
                 }
-                walk.visit(self, id, prune, obs, false);
+                walk.visit(self, id, prune, false);
             }
             // Max-queue on (mben, cheaper first, older first), with lazy
             // revalidation: marginal benefits only decrease, so a stale
@@ -389,7 +387,7 @@ impl<S: LatticeSpace> Guesses<'_, S> {
                 }
                 let id = entry.id as usize;
                 if self.state[id] & IN_C == 0 {
-                    obs.on(&Event::HeapStalePop);
+                    walk.tally.stale_pops += 1;
                     continue; // stale duplicate of a removed candidate
                 }
                 let epoch = walk.epoch;
@@ -400,12 +398,12 @@ impl<S: LatticeSpace> Guesses<'_, S> {
                     // Coverage only grows at selections, so an entry pushed
                     // this epoch is provably current — skip the recount
                     // outright.
-                    scan_pruned += 1;
+                    walk.tally.scan_pruned += 1;
                     entry.mben
                 } else if self.view.rows_of(entry.id).len() < kernel_min_rows(n) {
                     // Short row list: the postings recount beats every
                     // mask-based path, and no mask is ever materialized.
-                    bounds_refreshed += 1;
+                    walk.tally.bounds_refreshed += 1;
                     recount(self.view.rows_of(entry.id), covered)
                 } else if epoch - entry.epoch <= DELTA_MAX_ROUNDS {
                     // Exact delta: the per-selection newly sets are
@@ -418,10 +416,10 @@ impl<S: LatticeSpace> Guesses<'_, S> {
                         .iter()
                         .map(|nm| mask.intersection_count(nm))
                         .sum();
-                    scan_pruned += 1;
+                    walk.tally.scan_pruned += 1;
                     stale - overlap
                 } else {
-                    bounds_refreshed += 1;
+                    walk.tally.bounds_refreshed += 1;
                     self.view.mask(entry.id).difference_count(covered)
                 };
                 debug_assert_eq!(
@@ -431,11 +429,11 @@ impl<S: LatticeSpace> Guesses<'_, S> {
                 );
                 if current == 0 {
                     self.state[id] &= !IN_C; // lines 28-29 analogue
-                    obs.on(&Event::CandidatePruned(PruneReason::Exhausted));
+                    walk.tally.candidates_pruned += 1;
                     continue;
                 }
                 if current != entry.mben {
-                    obs.on(&Event::HeapStalePop);
+                    walk.tally.stale_pops += 1;
                     self.queue.push(HeapEntry {
                         mben: current,
                         cost_bits: entry.cost_bits,
@@ -477,6 +475,7 @@ impl<S: LatticeSpace> Guesses<'_, S> {
                         benefit: current as u64,
                         weight: q_cost,
                     };
+                    walk.tally.flush_stale_pops(obs);
                     obs.on(&Event::RoundDecided(
                         audit::ORDER_BENEFIT,
                         winner,
@@ -529,20 +528,12 @@ impl<S: LatticeSpace> Guesses<'_, S> {
                         extend_lean(&mut self.prefix, &[entry.id]);
                     }
                     let q_uncovered = prune && current == self.view.rows_of(entry.id).len();
-                    walk.visit(self, entry.id, q_uncovered, obs, true);
+                    walk.visit(self, entry.id, q_uncovered, true);
                 }
             }
             None
         };
-        if walk.postings > 0 {
-            obs.on(&Event::PostingScanned(walk.postings));
-        }
-        if scan_pruned > 0 {
-            obs.on(&Event::ScanPruned(scan_pruned));
-        }
-        if bounds_refreshed > 0 {
-            obs.on(&Event::BoundRefreshed(bounds_refreshed));
-        }
+        walk.tally.flush(obs);
         result
     }
 }
@@ -573,8 +564,9 @@ struct Walk {
     /// across visits: thousands of patterns are visited per guess, and a
     /// fresh Vec per visit is pure allocator traffic.
     eligible: Vec<u32>,
-    /// Postings scanned by this guess's first materializations.
-    postings: u64,
+    /// The guess's work, flushed when it ends. Its postings are those of
+    /// the guess's first materializations.
+    tally: Tally,
 }
 
 impl Walk {
@@ -589,7 +581,6 @@ impl Walk {
         g: &mut Guesses<'_, S>,
         q: u32,
         q_uncovered: bool,
-        obs: &mut EventLog,
         push: bool,
     ) {
         // Line 31: V = V ∪ {q}. Only a first materialization in the
@@ -597,7 +588,7 @@ impl Walk {
         // attribute.
         g.state[q as usize] |= LEFT_C;
         if g.state[q as usize] & EXPANDED == 0 {
-            self.postings += g.view.expand(q, true).unwrap_or(0);
+            self.tally.postings += g.view.expand(q, true).unwrap_or(0);
             g.track_new_ids();
             // Set only once every child has its id, so an expansion a
             // panic cut short runs again.
@@ -622,9 +613,7 @@ impl Walk {
         // Line 35: compute Cost(m) and MBen(m) for each eligible child,
         // the cost served from the view. One "considered" count per
         // eligible child and guess, matching what Fig. 4 would compute.
-        if !self.eligible.is_empty() {
-            obs.on(&Event::BenefitComputed(self.eligible.len() as u64));
-        }
+        self.tally.benefits += self.eligible.len() as u64;
         for &child_id in &self.eligible {
             let rows = g.view.rows_of(child_id);
             // A fresh count equal to q's row count means none of q's
@@ -643,7 +632,7 @@ impl Walk {
             if child_mben == 0 {
                 // Never enters C, so its descendants stay gated behind
                 // an unvisited parent: the whole subtree is skipped.
-                obs.on(&Event::SubtreePruned(PruneReason::Exhausted));
+                self.tally.subtrees_pruned += 1;
                 continue; // would be dropped by lines 28-29 immediately
             }
             g.state[child_id as usize] |= IN_C;

@@ -25,7 +25,7 @@
 //! on a shared lattice as on a fresh one — `posting_scanned` included,
 //! since it counts the rows each pop buckets in Fig. 3, cached or not.
 
-use crate::lattice::{kernel_min_rows, prune_from_env, LatticeStash, OrderKey, View};
+use crate::lattice::{kernel_min_rows, prune_from_env, LatticeStash, OrderKey, Tally, View};
 use crate::pattern_solution::{degrade, PatternSolution};
 use crate::space::LatticeSpace;
 use scwsc_core::engine::{panic_message, Deadline, EngineError, SolveOutcome};
@@ -52,15 +52,17 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// [`PatternInstance`](crate::PatternInstance) keeps its own between
 /// solves.
 ///
-/// The run reports its work through any [`Observer`], live:
-/// `benefit_computed` per pattern whose marginal benefit is computed
-/// (Fig. 3 lines 05 and 17 — the Figure 6 metric),
-/// `candidate_pruned(BelowFloor)` when a candidate drops below the
-/// eligibility floor `rem/i`, `subtree_pruned(BelowFloor)` when a child
-/// fails the floor at materialization (its whole subtree stays
-/// unexplored), `posting_scanned` per waitlist pop for the parent rows
-/// bucketed into its children, `set_selected` per pick, and a `"total"`
-/// phase span. Passing `&mut Stats` recovers the classic counters.
+/// The run reports its work through any [`Observer`], live, as totals
+/// per round: `candidate_pruned(BelowFloor)` after the round's sweep for
+/// the candidates below the eligibility floor `rem/i`; then, when the
+/// round's `"expand"` span ends, `benefit_computed` for the patterns
+/// whose marginal benefit was computed (Fig. 3 lines 05 and 17 — the
+/// Figure 6 metric), `subtree_pruned(BelowFloor)` for the children that
+/// failed the floor at materialization (their whole subtrees stay
+/// unexplored) and `posting_scanned` for the parent rows the waitlist
+/// pops bucketed into their children. Each pick emits `set_selected`, and
+/// the solve a `"total"` phase span. Passing `&mut Stats` recovers the
+/// classic counters.
 ///
 /// One work tick is consumed per selection round and per waitlist pop
 /// (so runaway lattice expansions stay interruptible). On expiry the
@@ -136,6 +138,9 @@ pub(crate) fn opt_cwsc_stashed<S: LatticeSpace, O: Observer + ?Sized>(
     let caught = catch_unwind(AssertUnwindSafe(|| {
         run_in(&mut walk, k, target, deadline, obs)
     }));
+    // Every return flushes its round's totals; a panic leaves those it
+    // counted before it.
+    walk.tally.flush(obs);
     walk.view.tainted = caught.is_err();
     walk.view.park(stash);
     let result = match caught {
@@ -176,6 +181,8 @@ struct Walk<'a, S: LatticeSpace> {
     view: View<'a, S, (BlockSummary, BitSet)>,
     /// `cands[id]`: the state of the pattern with id `id`.
     cands: Vec<Cand>,
+    /// The work of the round phase in progress.
+    tally: Tally,
 }
 
 impl<'a, S: LatticeSpace> Walk<'a, S> {
@@ -188,6 +195,7 @@ impl<'a, S: LatticeSpace> Walk<'a, S> {
         Walk {
             view,
             cands: vec![root],
+            tally: Tally::new(PruneReason::BelowFloor),
         }
     }
 
@@ -236,8 +244,8 @@ impl<'a, S: LatticeSpace> Walk<'a, S> {
     ///   nonzero count is possible, so 1 is always below it). A clamped
     ///   candidate that re-enters `C` later does so with an exact count.
     ///
-    /// Advisory telemetry, with a floor only: one `scan_pruned` per
-    /// early-exited recount, one `bound_refreshed` per completed one.
+    /// Advisory telemetry, with a floor only: `scan_pruned` counts the
+    /// early-exited recounts, `bound_refreshed` the completed ones.
     /// Short lists count their rows
     /// ([`BitSet::count_unset_limited`]), long ones run the blocked
     /// kernel on their mask; both reach the same verdicts.
@@ -271,12 +279,11 @@ impl<'a, S: LatticeSpace> Walk<'a, S> {
                 cand.state = Membership::Dropped;
             }
         }
-        if floor.is_some() && pruned > 0 {
-            obs.on(&Event::ScanPruned(pruned));
+        if floor.is_some() {
+            self.tally.scan_pruned += pruned;
+            self.tally.bounds_refreshed += refreshed;
         }
-        if floor.is_some() && refreshed > 0 {
-            obs.on(&Event::BoundRefreshed(refreshed));
-        }
+        self.tally.flush(obs);
     }
 
     /// [`gain_order`] of ids `a` and `b`.
@@ -360,10 +367,11 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
         let below_floor = |mben: usize| -> bool { i_u * (mben as u64) < rem_u };
         for cand in &mut walk.cands {
             if cand.state == Membership::InC && below_floor(cand.mben) {
-                obs.on(&Event::CandidatePruned(PruneReason::BelowFloor));
+                walk.tally.candidates_pruned += 1;
                 cand.state = Membership::Dropped;
             }
         }
+        walk.tally.flush(obs);
 
         // Line 11: the waitlist starts as all of C. Within the while loop
         // no selection happens, so marginal benefits are static and a
@@ -378,6 +386,7 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
         // Lines 12-20: expand children that can meet the floor.
         while let Some((_, _, q_id)) = waitlist.pop() {
             if let Err(reason) = deadline.checkpoint() {
+                walk.tally.flush(obs);
                 expand_span.exit(obs);
                 return Ok(degrade(solution, Vec::new(), reason, target, deadline, obs));
             }
@@ -387,9 +396,7 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
             // every pop; the shared lattice only on the first.
             let view = &mut walk.view;
             let wildcards = view.keys().wildcards(view.node(q_id));
-            obs.on(&Event::PostingScanned(
-                (view.rows_of(q_id).len() * wildcards) as u64,
-            ));
+            walk.tally.postings += (view.rows_of(q_id).len() * wildcards) as u64;
             view.expand(q_id, false);
             for c in 0..walk.view.children(q_id).len() {
                 let child = walk.view.children(q_id)[c];
@@ -407,7 +414,7 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
                 }
                 // Line 17: compute the marginal benefit (and, on entry to
                 // C, the cost).
-                obs.on(&Event::BenefitComputed(1));
+                walk.tally.benefits += 1;
                 let child_mben = walk
                     .view
                     .rows_of_node(child)
@@ -417,7 +424,7 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
                 if below_floor(child_mben) {
                     // Anti-monotonicity: everything under `child` is below
                     // the floor too, so the whole subtree stays unexplored.
-                    obs.on(&Event::SubtreePruned(PruneReason::BelowFloor));
+                    walk.tally.subtrees_pruned += 1;
                     continue; // line 18 fails: stays out of C and W
                 }
                 let order = walk.view.keys().order_key(child);
@@ -425,6 +432,7 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
                 waitlist.push((child_mben, Reverse(order), id));
             }
         }
+        walk.tally.flush(obs);
         expand_span.exit(obs);
 
         // Line 21: argmax of marginal gain over C, kept as a sorted

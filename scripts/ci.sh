@@ -21,11 +21,12 @@ cargo test -q
 # plain run above covers only the pruned refresh. Again with it off: the
 # warm-instance lattice parity test (DESIGN.md §17); the literal Fig. 4
 # reference (DESIGN.md §3), since opt_cmc's replayed prefix and its walk
-# both skip child recounts only when pruning is on; and the warm-CMC
+# both skip child recounts only when pruning is on; the warm-CMC
 # allocation guard, since the unpruned path builds no row masks and so
-# allocates differently.
+# allocates differently; and the event-volume bound, since the unpruned
+# path emits a different mix of events.
 SCWSC_PRUNE=0 cargo test -q --test prop_lattice_reuse --test prop_reference \
-  --test alloc_walk_cmc
+  --test alloc_walk_cmc --test prop_telemetry
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy --workspace --all-targets --features fault-inject -- -D warnings
@@ -105,6 +106,15 @@ for line in lines[1:]:
 trailer = json.loads(lines[-1])
 assert "causal_tree" in trailer, "dump ends with the tree"
 assert isinstance(trailer["causal_tree"]["counters"], dict), "tree root carries counters"
+EOF
+# A complete solve fits its whole event stream in the ring: the lattice
+# walks report their per-pop work as per-guess and per-round totals.
+"$solve" --rows 2000 --k 6 --coverage 0.4 --algorithm cmc \
+  --flight-dump target/ci_flight_complete.jsonl > /dev/null 2>&1
+python3 - target/ci_flight_complete.jsonl <<'EOF'
+import json, sys
+header = json.loads(open(sys.argv[1]).readline())
+assert header["version"] == 3 and header["dropped"] == 0, header
 EOF
 
 # Liveness-watchdog smoke (DESIGN.md §16): a fault-injected mid-solve

@@ -93,6 +93,14 @@ fn json_u64(line: &str, key: &str) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
+/// The value of the `--metrics` counter row `name`.
+fn metrics_row(stdout: &str, name: &str) -> u64 {
+    stdout
+        .lines()
+        .find_map(|l| l.trim_start().strip_prefix(name)?.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no `{name}` metrics row: {stdout}"))
+}
+
 #[test]
 fn trace_jsonl_aggregates_match_printed_stats() {
     if !solver_available() {
@@ -101,72 +109,97 @@ fn trace_jsonl_aggregates_match_printed_stats() {
     }
     let dir = std::env::temp_dir().join("scwsc_cli_trace_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let trace = dir.join("trace.jsonl");
-    let output = Command::new(solver_path())
-        .args([
-            "--rows",
-            "600",
-            "--k",
-            "5",
-            "--coverage",
-            "0.3",
-            "--algorithm",
-            "cwsc",
-            "--trace-jsonl",
-            trace.to_str().unwrap(),
-            "--metrics",
-        ])
-        .output()
-        .expect("solver runs");
-    assert!(
-        output.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    let stdout = String::from_utf8_lossy(&output.stdout);
-
-    // Aggregate the trace by hand: every line is one {"t":..,"event":..}.
-    let text = std::fs::read_to_string(&trace).expect("trace written");
-    let mut benefit_sum = 0u64;
-    let mut selections = 0u64;
-    let mut guesses = 0u64;
-    for line in text.lines() {
+    for algorithm in ["cwsc", "cmc"] {
+        let trace = dir.join(format!("trace-{algorithm}.jsonl"));
+        let output = Command::new(solver_path())
+            .args([
+                "--rows",
+                "600",
+                "--k",
+                "5",
+                "--coverage",
+                "0.3",
+                "--algorithm",
+                algorithm,
+                "--trace-jsonl",
+                trace.to_str().unwrap(),
+                "--metrics",
+            ])
+            .output()
+            .expect("solver runs");
         assert!(
-            line.starts_with('{') && line.ends_with('}'),
-            "not a JSON object: {line}"
+            output.status.success(),
+            "{algorithm} stderr: {}",
+            String::from_utf8_lossy(&output.stderr)
         );
-        assert!(line.contains("\"t\":"), "missing timestamp: {line}");
-        assert!(line.contains("\"event\":\""), "missing event: {line}");
-        if line.contains("\"event\":\"benefit_computed\"") {
-            benefit_sum += json_u64(line, "count").expect("count field");
-        } else if line.contains("\"event\":\"set_selected\"") {
-            selections += 1;
-        } else if line.contains("\"event\":\"guess_started\"") {
-            guesses += 1;
-        }
-    }
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        let stdout = String::from_utf8_lossy(&output.stdout);
 
-    // The stderr summary is the Stats view of the same run.
-    let summary = stderr
-        .lines()
-        .find(|l| l.starts_with("considered "))
-        .expect("stats summary printed");
-    assert_eq!(
-        summary,
-        &format!("considered {benefit_sum} patterns in {guesses} budget guess(es)"),
-        "trace aggregate disagrees with printed stats"
-    );
-    // The selection events are the printed solution, one per pattern.
-    assert!(
-        stdout.contains(&format!("{selections} patterns")),
-        "{selections} set_selected events vs: {stdout}"
-    );
-    // --metrics printed the aggregated view too.
-    assert!(stdout.contains("== metrics =="), "{stdout}");
-    assert!(stdout.contains("benefits computed"), "{stdout}");
-    assert!(stdout.contains("total"), "{stdout}"); // the per-phase table
-    std::fs::remove_file(&trace).ok();
+        // Aggregate the trace by hand: every line is one {"t":..,"event":..}.
+        let text = std::fs::read_to_string(&trace).expect("trace written");
+        let mut benefit_sum = 0u64;
+        let mut selections = 0u64;
+        let mut guesses = 0u64;
+        // Summed `count`s of the pruning and stale-pop totals.
+        let mut counted = [
+            ("heap_stale_pop", "heap stale pops", 0u64),
+            ("subtree_pruned", "subtrees pruned", 0),
+            ("candidate_pruned", "candidates pruned", 0),
+        ];
+        for line in text.lines() {
+            assert!(
+                line.starts_with('{') && line.ends_with('}'),
+                "not a JSON object: {line}"
+            );
+            assert!(line.contains("\"t\":"), "missing timestamp: {line}");
+            assert!(line.contains("\"event\":\""), "missing event: {line}");
+            if line.contains("\"event\":\"benefit_computed\"") {
+                benefit_sum += json_u64(line, "count").expect("count field");
+            } else if line.contains("\"event\":\"set_selected\"") {
+                selections += 1;
+            } else if line.contains("\"event\":\"guess_started\"") {
+                guesses += 1;
+            }
+            for (event, _, sum) in &mut counted {
+                if line.contains(&format!("\"event\":\"{event}\"")) {
+                    *sum += json_u64(line, "count").expect("count field");
+                }
+            }
+        }
+
+        // The stderr summary is the Stats view of the same run.
+        let summary = stderr
+            .lines()
+            .find(|l| l.starts_with("considered "))
+            .expect("stats summary printed");
+        assert_eq!(
+            summary,
+            &format!("considered {benefit_sum} patterns in {guesses} budget guess(es)"),
+            "{algorithm}: trace aggregate disagrees with printed stats"
+        );
+        // The selection events are the printed solution, one per pattern.
+        // CMC's trace holds every guess's selections, the printout only
+        // the answering guess's.
+        if algorithm == "cwsc" {
+            assert!(
+                stdout.contains(&format!("{selections} patterns")),
+                "{selections} set_selected events vs: {stdout}"
+            );
+        }
+        // --metrics printed the aggregated view too.
+        assert!(stdout.contains("== metrics =="), "{stdout}");
+        assert!(stdout.contains("benefits computed"), "{stdout}");
+        assert!(stdout.contains("total"), "{stdout}"); // the per-phase table
+        assert_eq!(metrics_row(&stdout, "selections"), selections);
+        for (event, row, sum) in counted {
+            assert_eq!(
+                metrics_row(&stdout, row),
+                sum,
+                "{algorithm}: summed {event} counts vs the `{row}` row"
+            );
+        }
+        std::fs::remove_file(&trace).ok();
+    }
 }
 
 #[test]

@@ -2,17 +2,22 @@
 //! event stream any [`Observer`] sees is consistent with the legacy
 //! [`Stats`] counters, and every `guess_started` comes with the level
 //! schedule the guess actually built — whose quotas respect the `5k`
-//! (classic) / `(1+ε)k` (epsilon) size bounds of Theorems 4–5.
+//! (classic) / `(1+ε)k` (epsilon) size bounds of Theorems 4–5. The
+//! pattern-lattice walks report their per-pop work as totals, so a
+//! solve's event count grows with its guesses and selections only.
 
 use proptest::prelude::*;
+use scwsc::data::lbl::LblConfig;
+use scwsc::patterns::PatternInstance;
 use scwsc::prelude::*;
 use scwsc::sets::algorithms::cmc::Levels;
 use scwsc::sets::telemetry::{Event, Observer};
-use scwsc::sets::{Fanout, SolveWindows};
+use scwsc::sets::{CostModel, Fanout, Query, SolveWindows, Solver};
 
 /// Minimal event recorder: exactly what the properties below inspect.
 #[derive(Default)]
 struct Recorder {
+    events: u64,
     benefit_sum: u64,
     selections: u64,
     budgets: Vec<Option<f64>>,
@@ -22,6 +27,7 @@ struct Recorder {
 
 impl Observer for Recorder {
     fn on(&mut self, event: &Event<'_>) {
+        self.events += 1;
         match *event {
             Event::GuessStarted(budget) => {
                 self.budgets.push(budget);
@@ -185,6 +191,44 @@ proptest! {
         prop_assert_eq!(rec.selections, u64::from(stats.selections));
         prop_assert!(rec.budgets.len() <= 1);
         prop_assert!(rec.budgets.iter().all(Option::is_none));
+    }
+}
+
+/// The optimized walks emit their per-pop, per-expansion and per-child
+/// work as per-guess (CMC) and per-round (CWSC) totals: at most a couple
+/// dozen events per guess and per selection, however many patterns the
+/// walk pops, on a fresh lattice and on one an earlier solve grew.
+#[test]
+fn lattice_walk_events_scale_with_guesses_and_selections() {
+    let pool = ThreadPool::new(Threads::serial());
+    for cost in [
+        CostModel::Max,
+        CostModel::Sum,
+        CostModel::Mean,
+        CostModel::Count,
+    ] {
+        for query in [Query::cmc(8, 0.6), Query::cwsc(8, 0.6)] {
+            let query = Query { cost, ..query };
+            let table = LblConfig {
+                seed: 7,
+                ..LblConfig::scaled(4000)
+            }
+            .generate();
+            let instance = PatternInstance::new(table);
+            for run in ["cold", "warm"] {
+                let mut rec = Recorder::default();
+                instance
+                    .solve(&query, &pool, &Deadline::unbounded(), &mut rec)
+                    .expect("solves");
+                let bound = 24 * (rec.budgets.len() as u64 + rec.selections) + 16;
+                assert!(
+                    rec.events <= bound,
+                    "{run} {:?} under {cost:?}: {} events, bound {bound}",
+                    query.algorithm,
+                    rec.events
+                );
+            }
+        }
     }
 }
 
