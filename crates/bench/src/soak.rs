@@ -24,8 +24,8 @@ use crate::measure::run_traced;
 use crate::registry::Workload;
 use crate::snapshot::deterministic_counters;
 use scwsc_core::json::Json;
-use scwsc_core::telemetry::window::SolveWindows;
-use scwsc_core::{Fanout, MetricsRecorder, Watchdog};
+use scwsc_core::telemetry::window::{SolveSample, SolveWindows};
+use scwsc_core::{MetricsRecorder, Watchdog};
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -151,15 +151,18 @@ pub fn soak(
     for iter in 1..=opts.iters {
         for w in suite {
             let table = w.gen.table();
-            let (measurement, metrics) = {
-                let mut dog = watchdog.clone();
-                let mut extra = Fanout::new();
-                extra.attach(&mut windows).attach(&mut dog);
-                run_traced(w.algo, &table, &w.params, &mut extra)
-            };
+            let (measurement, metrics) =
+                run_traced(w.algo, &table, &w.params, &mut watchdog.clone());
             if !measurement.ok {
                 return Err(format!("iteration {iter}: workload {} failed", w.name));
             }
+            // The deadline is unbounded and a run that is not ok fails the
+            // soak above, so every observed solve is a complete one.
+            windows.observe(SolveSample {
+                selections: metrics.selections,
+                benefits_computed: metrics.benefits_computed,
+                degraded: false,
+            });
             cumulative.merge(&metrics);
         }
 
@@ -179,8 +182,7 @@ pub fn soak(
 
         // Invariant: windowed quantiles are identical at every iteration
         // boundary once the window has filled (periodic solve sequence).
-        let hist = &windows.global().benefits_hist;
-        let quantiles = (hist.quantile(0.5), hist.quantile(0.9), hist.quantile(0.99));
+        let quantiles = benefit_quantiles(&windows);
         if windows.solves() >= opts.window as u64 {
             match expected_quantiles {
                 None => expected_quantiles = Some(quantiles),
@@ -228,12 +230,9 @@ pub fn soak(
                 ("p99".into(), Json::from_u64(quantiles.2)),
                 (
                     "benefits_per_solve".into(),
-                    Json::Num(windows.global().benefits.rate_per_solve()),
+                    Json::Num(windows.benefits_per_solve()),
                 ),
-                (
-                    "degraded_rate".into(),
-                    Json::Num(windows.global().degraded_rate()),
-                ),
+                ("degraded_rate".into(), Json::Num(windows.degraded_rate())),
                 ("stalls".into(), Json::from_u64(watchdog.stalls())),
                 (
                     "leaked_bytes".into(),
@@ -260,15 +259,23 @@ pub fn soak(
     }
 
     drop(monitor);
-    let hist = &windows.global().benefits_hist;
     Ok(SoakReport {
         iters: opts.iters,
         solves: windows.solves(),
         rollovers: windows.rollovers(),
         stalls: watchdog.stalls(),
-        quantiles: (hist.quantile(0.5), hist.quantile(0.9), hist.quantile(0.99)),
+        quantiles: benefit_quantiles(&windows),
         leaked_bytes: leaked,
     })
+}
+
+/// The windowed p50/p90/p99 of benefit computations per solve.
+fn benefit_quantiles(windows: &SolveWindows) -> (u64, u64, u64) {
+    (
+        windows.benefits_quantile(0.5),
+        windows.benefits_quantile(0.9),
+        windows.benefits_quantile(0.99),
+    )
 }
 
 #[cfg(test)]

@@ -77,10 +77,9 @@ pub use solution::{
 pub use solver::{Algorithm, Answer, CostModel, Query, Solver, SystemInstance};
 pub use stats::Stats;
 pub use telemetry::{
-    audit, parse_prometheus, render_prometheus, render_prometheus_windowed, EntryWindow, Event,
-    EventLog, Fanout, FlightRecorder, JsonlSink, LogHistogram, MetricsRecorder, NoopObserver,
-    Observer, PhaseMetric, PhaseSpan, PruneReason, RollingHistogram, SloGauges, SolveSample,
-    SolveWindows, SpanCounters, SpanNode, SpanProfiler, TraceContext, TraceId, Watchdog,
-    WatchdogMonitor, WindowedCounter, PHASE_EXPAND, PHASE_GUESS, PHASE_INIT, PHASE_SELECT,
-    PHASE_TOTAL,
+    audit, parse_prometheus, render_prometheus, render_prometheus_windowed, Event, EventLog,
+    Fanout, FlightRecorder, JsonlSink, LogHistogram, MetricsRecorder, NoopObserver, Observer,
+    PhaseMetric, PhaseSpan, PruneReason, SloGauges, SolveSample, SolveWindows, SpanCounters,
+    SpanNode, SpanProfiler, TraceContext, TraceId, Watchdog, WatchdogMonitor, PHASE_EXPAND,
+    PHASE_GUESS, PHASE_INIT, PHASE_SELECT, PHASE_TOTAL,
 };

@@ -18,7 +18,7 @@
 //! [Prometheus text exposition format]:
 //!     https://prometheus.io/docs/instrumenting/exposition_formats/
 
-use super::window::{EntryWindow, SolveWindows};
+use super::window::SolveWindows;
 use super::{LogHistogram, MetricsRecorder, PruneReason};
 use crate::engine::Deadline;
 use std::fmt::Write as _;
@@ -40,11 +40,6 @@ pub struct SloGauges {
     pub degraded: bool,
     /// Contained panic retries the resilience engine performed.
     pub retries: u64,
-    /// Fraction of solves inside the sliding window that degraded —
-    /// `Some` only for mid-run captures via
-    /// [`capture_windowed`](SloGauges::capture_windowed); the classic
-    /// per-solve [`capture`](SloGauges::capture) leaves it `None`.
-    pub windowed_degraded_rate: Option<f64>,
 }
 
 impl SloGauges {
@@ -64,23 +59,7 @@ impl SloGauges {
             tick_budget: deadline.max_ticks(),
             degraded,
             retries: metrics.guesses_retried,
-            windowed_degraded_rate: None,
         }
-    }
-
-    /// Mid-run capture for a long-lived process: like
-    /// [`capture`](SloGauges::capture), but the degraded flag is derived
-    /// from the deadline's latched expiry (no outcome value exists yet
-    /// mid-run) and the windowed degraded rate is folded in from the
-    /// continuous [`SolveWindows`] aggregation.
-    pub fn capture_windowed(
-        deadline: &Deadline,
-        metrics: &MetricsRecorder,
-        windows: &SolveWindows,
-    ) -> SloGauges {
-        let mut slo = SloGauges::capture(deadline, deadline.expired().is_some(), metrics);
-        slo.windowed_degraded_rate = Some(windows.global().degraded_rate());
-        slo
     }
 
     /// Fraction of the tick budget still unspent (1.0 when unbounded).
@@ -318,132 +297,93 @@ pub fn render_prometheus(metrics: &MetricsRecorder, slo: Option<&SloGauges>) -> 
             "Contained panic retries performed by the resilience engine.",
         );
         let _ = writeln!(out, "scwsc_slo_retries_total {}", slo.retries);
-        if let Some(rate) = slo.windowed_degraded_rate {
-            family(
-                &mut out,
-                "scwsc_slo_windowed_degraded_rate",
-                "gauge",
-                "Fraction of solves inside the sliding window that degraded.",
-            );
-            let _ = writeln!(
-                out,
-                "scwsc_slo_windowed_degraded_rate {}",
-                sample_value(rate)
-            );
-        }
     }
     out
 }
 
-/// Appends the windowed series of one [`EntryWindow`] under the `entry`
-/// label (`"all"` for the global view).
-fn entry_series(out: &mut String, entry: &str, w: &EntryWindow) {
-    let _ = writeln!(out, "scwsc_window_solves{{entry=\"{entry}\"}} {}", w.solves);
-    let _ = writeln!(
-        out,
-        "scwsc_window_degraded_solves{{entry=\"{entry}\"}} {}",
-        w.degraded_solves
-    );
-    let _ = writeln!(
-        out,
-        "scwsc_window_degraded_rate{{entry=\"{entry}\"}} {}",
-        sample_value(w.degraded_rate())
-    );
-    let _ = writeln!(
-        out,
-        "scwsc_window_selections_per_solve{{entry=\"{entry}\"}} {}",
-        sample_value(w.selections.rate_per_solve())
-    );
-    let _ = writeln!(
-        out,
-        "scwsc_window_benefits_per_solve{{entry=\"{entry}\"}} {}",
-        sample_value(w.benefits.rate_per_solve())
-    );
-    let _ = writeln!(
-        out,
-        "scwsc_window_benefits_high_watermark{{entry=\"{entry}\"}} {}",
-        w.benefits.high_watermark()
-    );
-    for (q, label) in QUANTILES {
-        let _ = writeln!(
-            out,
-            "scwsc_window_benefits{{entry=\"{entry}\",quantile=\"{label}\"}} {}",
-            w.benefits_hist.quantile(q)
-        );
-    }
-}
-
 /// Renders the continuous sliding-window series *in addition to* what
-/// [`render_prometheus`] emits: windowed per-solve rates, degraded rates,
-/// p50/p90/p99 benefit quantiles, and high-watermarks, per entry point
-/// (`entry="all"` is the global window) plus the window-rollover counter.
-/// A long-lived `/metrics` endpoint returns
-/// `render_prometheus(..) + render_prometheus_windowed(..)` concatenated.
-pub fn render_prometheus_windowed(
-    metrics: &MetricsRecorder,
-    slo: Option<&SloGauges>,
-    windows: &SolveWindows,
-) -> String {
-    let mut out = render_prometheus(metrics, slo);
-    family(
-        &mut out,
-        "scwsc_window_rollovers_total",
-        "counter",
-        "Solves that evicted an older solve from the sliding window.",
-    );
-    let _ = writeln!(out, "scwsc_window_rollovers_total {}", windows.rollovers());
-    family(
-        &mut out,
-        "scwsc_window_width",
-        "gauge",
-        "Configured sliding-window width, in solves.",
-    );
-    let _ = writeln!(out, "scwsc_window_width {}", windows.window());
-    family(
-        &mut out,
-        "scwsc_window_solves",
-        "counter",
-        "Solves finalized, per entry point (entry=\"all\" is global).",
-    );
-    family(
-        &mut out,
-        "scwsc_window_degraded_solves",
-        "counter",
-        "Degraded solves finalized, per entry point.",
-    );
-    family(
-        &mut out,
-        "scwsc_window_degraded_rate",
-        "gauge",
-        "Fraction of windowed solves that degraded, per entry point.",
-    );
-    family(
-        &mut out,
-        "scwsc_window_selections_per_solve",
-        "gauge",
-        "Mean selections per windowed solve, per entry point.",
-    );
-    family(
-        &mut out,
-        "scwsc_window_benefits_per_solve",
-        "gauge",
-        "Mean benefit computations per windowed solve, per entry point.",
-    );
-    family(
-        &mut out,
-        "scwsc_window_benefits_high_watermark",
-        "gauge",
-        "Largest single-solve benefit-computation count ever observed.",
-    );
+/// [`render_prometheus`] emits for `metrics`: the window width and
+/// rollover count, all-time solve counts, windowed per-solve rates,
+/// p50/p90/p99 benefit quantiles, and the benefits high-watermark. The
+/// per-solve series carry `entry="all"`. A long-lived `/metrics` endpoint
+/// returns this string verbatim.
+pub fn render_prometheus_windowed(metrics: &MetricsRecorder, windows: &SolveWindows) -> String {
+    let mut out = render_prometheus(metrics, None);
+    let all = "{entry=\"all\"}";
+    let series: [(&str, &str, &str, &str, String); 8] = [
+        (
+            "scwsc_window_rollovers_total",
+            "",
+            "counter",
+            "Solves that evicted an older solve from the sliding window.",
+            windows.rollovers().to_string(),
+        ),
+        (
+            "scwsc_window_width",
+            "",
+            "gauge",
+            "Configured sliding-window width, in solves.",
+            windows.window().to_string(),
+        ),
+        (
+            "scwsc_window_solves",
+            all,
+            "counter",
+            "Solves observed.",
+            windows.solves().to_string(),
+        ),
+        (
+            "scwsc_window_degraded_solves",
+            all,
+            "counter",
+            "Degraded solves observed.",
+            windows.degraded_solves().to_string(),
+        ),
+        (
+            "scwsc_window_degraded_rate",
+            all,
+            "gauge",
+            "Fraction of windowed solves that degraded.",
+            sample_value(windows.degraded_rate()),
+        ),
+        (
+            "scwsc_window_selections_per_solve",
+            all,
+            "gauge",
+            "Mean selections per windowed solve.",
+            sample_value(windows.selections_per_solve()),
+        ),
+        (
+            "scwsc_window_benefits_per_solve",
+            all,
+            "gauge",
+            "Mean benefit computations per windowed solve.",
+            sample_value(windows.benefits_per_solve()),
+        ),
+        (
+            "scwsc_window_benefits_high_watermark",
+            all,
+            "gauge",
+            "Largest single-solve benefit-computation count ever observed.",
+            windows.benefits_high_watermark().to_string(),
+        ),
+    ];
+    for (name, labels, kind, help, value) in series {
+        family(&mut out, name, kind, help);
+        let _ = writeln!(out, "{name}{labels} {value}");
+    }
     family(
         &mut out,
         "scwsc_window_benefits",
         "summary",
         "Benefit computations per solve over the sliding window.",
     );
-    entry_series(&mut out, "all", windows.global());
-    for (entry, w) in windows.entries() {
-        entry_series(&mut out, entry, w);
+    for (q, label) in QUANTILES {
+        let _ = writeln!(
+            out,
+            "scwsc_window_benefits{{entry=\"all\",quantile=\"{label}\"}} {}",
+            windows.benefits_quantile(q)
+        );
     }
     out
 }
@@ -562,7 +502,6 @@ mod tests {
             tick_budget: Some(100),
             degraded: true,
             retries: 2,
-            windowed_degraded_rate: None,
         };
         let text = render_prometheus(&metrics, Some(&slo));
 
@@ -625,45 +564,24 @@ mod tests {
         let text = render_prometheus(&recorded_metrics(), None);
         assert!(!text.contains("scwsc_slo_"), "{text}");
         assert!(text.contains("scwsc_guesses_total 1"), "{text}");
-        // Per-solve captures never carry the windowed rate gauge.
-        let slo = SloGauges::capture(&Deadline::unbounded(), false, &recorded_metrics());
-        let text = render_prometheus(&recorded_metrics(), Some(&slo));
-        assert!(!text.contains("scwsc_slo_windowed_degraded_rate"), "{text}");
     }
 
     #[test]
-    fn windowed_render_emits_per_entry_series() {
-        use crate::telemetry::window::{SolveSample, SolveWindows};
+    fn windowed_render_emits_the_window_series() {
+        use crate::telemetry::window::SolveSample;
 
         let mut windows = SolveWindows::with_window(2);
-        windows.observe(
-            Some("cmc"),
-            SolveSample {
-                selections: 3,
-                benefits_computed: 10,
-                degraded: false,
-            },
-        );
-        windows.observe(
-            Some("cmc"),
-            SolveSample {
-                selections: 5,
-                benefits_computed: 30,
-                degraded: true,
-            },
-        );
-        windows.observe(
-            Some("opt_cwsc"),
-            SolveSample {
-                selections: 1,
-                benefits_computed: 4,
-                degraded: false,
-            },
-        );
+        for (selections, benefits_computed, degraded) in
+            [(3, 10, false), (5, 30, true), (1, 4, false)]
+        {
+            windows.observe(SolveSample {
+                selections,
+                benefits_computed,
+                degraded,
+            });
+        }
         let metrics = recorded_metrics();
-        let deadline = Deadline::unbounded();
-        let slo = SloGauges::capture_windowed(&deadline, &metrics, &windows);
-        let text = render_prometheus_windowed(&metrics, Some(&slo), &windows);
+        let text = render_prometheus_windowed(&metrics, &windows);
         let samples = parse_prometheus(&text).expect("own output parses");
         let get = |name: &str, labels: &[(&str, &str)]| {
             find_sample(&samples, name, labels)
@@ -673,28 +591,41 @@ mod tests {
         // The totals block is still present alongside the windowed series.
         assert_eq!(get("scwsc_guesses_total", &[]), 1.0);
         assert_eq!(get("scwsc_stalls_detected_total", &[]), 0.0);
-        // Global window: 3 solves through width 2 → 1 rollover; the
-        // window holds the last 2 solves (degraded + clean → rate 0.5).
+        // 3 solves through width 2 → 1 rollover; the window holds the
+        // last 2 solves (degraded + clean → rate 0.5).
+        let all = [("entry", "all")];
         assert_eq!(get("scwsc_window_rollovers_total", &[]), 1.0);
         assert_eq!(get("scwsc_window_width", &[]), 2.0);
-        assert_eq!(get("scwsc_window_solves", &[("entry", "all")]), 3.0);
-        assert_eq!(get("scwsc_window_degraded_rate", &[("entry", "all")]), 0.5);
-        // Per-entry breakdown.
-        assert_eq!(get("scwsc_window_solves", &[("entry", "cmc")]), 2.0);
-        assert_eq!(get("scwsc_window_solves", &[("entry", "opt_cwsc")]), 1.0);
+        assert_eq!(get("scwsc_window_solves", &all), 3.0);
+        assert_eq!(get("scwsc_window_degraded_solves", &all), 1.0);
+        assert_eq!(get("scwsc_window_degraded_rate", &all), 0.5);
+        assert_eq!(get("scwsc_window_selections_per_solve", &all), 3.0);
+        assert_eq!(get("scwsc_window_benefits_per_solve", &all), 17.0);
+        assert_eq!(get("scwsc_window_benefits_high_watermark", &all), 30.0);
         assert_eq!(
-            get("scwsc_window_benefits_high_watermark", &[("entry", "cmc")]),
+            get(
+                "scwsc_window_benefits",
+                &[("entry", "all"), ("quantile", "0.99")]
+            ),
             30.0
         );
         assert_eq!(
             get(
                 "scwsc_window_benefits",
-                &[("entry", "opt_cwsc"), ("quantile", "0.99")]
+                &[("entry", "all"), ("quantile", "0.5")]
             ),
-            4.0
+            7.0,
+            "p50 answers with the upper bound of 4's bucket [4, 7]"
         );
-        // capture_windowed folded the global windowed rate into the SLO.
-        assert_eq!(get("scwsc_slo_windowed_degraded_rate", &[]), 0.5);
+        // Only the global window is exported, and no SLO block rides along.
+        assert!(
+            samples
+                .iter()
+                .filter(|s| s.name.starts_with("scwsc_window_"))
+                .all(|s| s.labels.iter().all(|(k, v)| k != "entry" || v == "all")),
+            "{text}"
+        );
+        assert!(!text.contains("scwsc_slo_"), "{text}");
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use replay::EventLog;
 pub use spans::{SpanCounters, SpanNode, SpanProfiler};
 pub use trace::{pack_k_target, TraceContext, TraceId};
 pub use watchdog::{Watchdog, WatchdogMonitor};
-pub use window::{EntryWindow, RollingHistogram, SolveSample, SolveWindows, WindowedCounter};
+pub use window::{SolveSample, SolveWindows};
 
 /// Span name covering a solver's whole run; [`Stats`](crate::stats::Stats)
 /// copies its duration into `elapsed_secs`.

@@ -280,17 +280,23 @@ impl Observer for Watchdog {
                 );
             }
             Event::PhaseStarted(PHASE_TOTAL) => {
-                self.inner.depth.fetch_add(1, Ordering::Relaxed);
+                self.inner.depth.fetch_add(1, Ordering::AcqRel);
             }
             Event::PhaseEnded(PHASE_TOTAL, _) => {
-                // Disarm only when the *root* total span closes. Observer
-                // events for one solve arrive from one thread, so a plain
-                // load/store (saturating at zero) is race-free here.
-                let depth = self.inner.depth.load(Ordering::Relaxed);
-                if depth <= 1 {
+                // Disarm only when the last open total span closes. Clones
+                // shared by concurrent solves (one per request in
+                // `scwsc_serve`) decrement from several threads, so the
+                // decrement is one atomic read-modify-write, saturating at
+                // zero.
+                let was = self
+                    .inner
+                    .depth
+                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |d| {
+                        Some(d.saturating_sub(1))
+                    })
+                    .expect("the update always succeeds");
+                if was <= 1 {
                     self.disarm();
-                } else {
-                    self.inner.depth.store(depth - 1, Ordering::Relaxed);
                 }
             }
             _ => {}
@@ -319,6 +325,27 @@ mod tests {
         assert!(dog.is_armed(), "nested total left the root armed");
         dog.on(&Event::PhaseEnded(PHASE_TOTAL, 0.0));
         assert!(!dog.is_armed(), "root total disarms");
+    }
+
+    #[test]
+    fn concurrent_solves_on_clones_leave_it_disarmed() {
+        let dog = Watchdog::new(Duration::from_secs(60));
+        let workers: Vec<_> = (0..2u64)
+            .map(|t| {
+                let mut obs = dog.clone();
+                thread::spawn(move || {
+                    for i in 0..200_000 {
+                        obs.on(&Event::TraceStarted(TraceId::mint("cmc", t, i), "cmc"));
+                        obs.on(&Event::PhaseStarted(PHASE_TOTAL));
+                        obs.on(&Event::PhaseEnded(PHASE_TOTAL, 0.0));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            worker.join().expect("worker");
+        }
+        assert!(!dog.is_armed(), "armed with no solve in flight");
     }
 
     #[test]

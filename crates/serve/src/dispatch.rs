@@ -35,16 +35,12 @@ use crate::protocol::{Request, Response, Status};
 use scwsc_core::FaultPlan;
 use scwsc_core::{
     panic_message, render_prometheus_windowed, Deadline, EngineError, Fanout, FlightRecorder,
-    MetricsRecorder, SloGauges, SolveOutcome, SolveSample, SolveWindows, Solver, ThreadPool,
-    Watchdog,
+    MetricsRecorder, SolveOutcome, SolveSample, SolveWindows, Solver, ThreadPool, Watchdog,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Entry tag solves carry in the sliding-window breakdown.
-pub const SERVE_ENTRY: &str = "serve";
 
 /// Server-wide knobs (transport-independent).
 #[derive(Debug, Clone)]
@@ -123,7 +119,6 @@ pub struct ServerState {
     cache: Mutex<ResultCache>,
     windows: Mutex<SolveWindows>,
     metrics: Mutex<MetricsRecorder>,
-    last_slo: Mutex<Option<SloGauges>>,
     flight: FlightRecorder,
     watchdog: Option<Watchdog>,
     config: ServerConfig,
@@ -147,7 +142,6 @@ impl ServerState {
             cache: Mutex::new(ResultCache::new(config.cache_capacity)),
             windows: Mutex::new(SolveWindows::with_window(config.window)),
             metrics: Mutex::new(MetricsRecorder::new()),
-            last_slo: Mutex::new(None),
             flight,
             watchdog,
             config,
@@ -199,13 +193,12 @@ impl ServerState {
         self.gate.snapshot().draining
     }
 
-    /// Renders the Prometheus exposition of the server-lifetime metrics,
-    /// the latest solve's SLO gauges, and the sliding windows.
+    /// Renders the Prometheus exposition of the server-lifetime metrics
+    /// and the sliding window.
     pub fn prometheus(&self) -> String {
         let metrics = self.metrics.lock().expect("metrics lock");
         let windows = self.windows.lock().expect("windows lock");
-        let slo = self.last_slo.lock().expect("slo lock");
-        render_prometheus_windowed(&metrics, slo.as_ref(), &windows)
+        render_prometheus_windowed(&metrics, &windows)
     }
 
     /// Answers one request end-to-end (see module docs for the
@@ -374,27 +367,23 @@ impl ServerState {
         1 + x % self.config.max_backoff_ms.max(1)
     }
 
-    /// Post-solve bookkeeping: fold the solve into the sliding windows,
-    /// drive the brownout state machine, merge metrics, refresh gauges.
+    /// Post-solve bookkeeping: fold the solve into the sliding window,
+    /// drive the brownout state machine, merge metrics.
     fn finish_solve(&self, request_metrics: &MetricsRecorder, degraded: bool) {
-        let sample = SolveSample {
-            selections: request_metrics.selections,
-            benefits_computed: request_metrics.benefits_computed,
-            degraded,
-        };
         let (rate, p99) = {
             let mut windows = self.windows.lock().expect("windows lock");
-            windows.observe(Some(SERVE_ENTRY), sample);
-            let global = windows.global();
-            (global.degraded_rate(), global.benefits_hist.quantile(0.99))
+            windows.observe(SolveSample {
+                selections: request_metrics.selections,
+                benefits_computed: request_metrics.benefits_computed,
+                degraded,
+            });
+            (windows.degraded_rate(), windows.benefits_quantile(0.99))
         };
         self.gate.observe_solve(rate, p99);
-        let mut metrics = self.metrics.lock().expect("metrics lock");
-        metrics.merge(request_metrics);
-        let windows = self.windows.lock().expect("windows lock");
-        let probe = Deadline::unbounded();
-        *self.last_slo.lock().expect("slo lock") =
-            Some(SloGauges::capture_windowed(&probe, &metrics, &windows));
+        self.metrics
+            .lock()
+            .expect("metrics lock")
+            .merge(request_metrics);
     }
 }
 
@@ -402,6 +391,7 @@ impl ServerState {
 mod tests {
     use super::*;
     use scwsc_core::solver::Query;
+    use scwsc_core::telemetry::export::find_sample;
     use scwsc_core::{SetSystem, SystemInstance, Threads};
 
     fn state(config: ServerConfig) -> ServerState {
@@ -506,10 +496,27 @@ mod tests {
         req.max_ticks = Some(0);
         s.dispatch(&req);
         let text = s.prometheus();
-        assert!(text.contains("scwsc_window_solves"), "windowed families");
+        let samples = scwsc_core::parse_prometheus(&text).expect("exposition parses");
+        let all = |name: &str| {
+            find_sample(&samples, name, &[("entry", "all")])
+                .unwrap_or_else(|| panic!("missing {name}:\n{text}"))
+                .value
+        };
+        assert_eq!(all("scwsc_window_solves"), 2.0, "both solves observed");
+        assert_eq!(
+            all("scwsc_window_degraded_rate"),
+            0.5,
+            "one of two degraded"
+        );
         assert!(
-            text.contains("scwsc_window_degraded_rate"),
-            "degraded rate exported:\n{text}"
+            !text.lines().any(|l| l.starts_with("scwsc_slo_")),
+            "the server exports no per-solve SLO block:\n{text}"
+        );
+        assert!(
+            !samples
+                .iter()
+                .any(|p| p.labels.iter().any(|(_, v)| v == "serve")),
+            "no per-entry series:\n{text}"
         );
     }
 }

@@ -39,6 +39,6 @@ pub mod server;
 
 pub use admission::{Admission, AdmissionConfig, BrownoutConfig, Gate, GateSnapshot, Ticket};
 pub use cache::{canonical_key, ResultCache};
-pub use dispatch::{ServeCounters, ServerConfig, ServerState, SERVE_ENTRY};
+pub use dispatch::{ServeCounters, ServerConfig, ServerState};
 pub use protocol::{Request, Response, Status};
 pub use server::{install_signal_handlers, serve, ServeOptions, ServeSummary, ShutdownFlag};

@@ -157,11 +157,15 @@ serve=target/release/scwsc_serve
   --base-ticks 20000 --metrics-prom target/ci_serve.prom \
   2> target/ci_serve.err &
 serve_pid=$!
+# stderr is unbuffered and the boot line may arrive in pieces, so wait
+# for the port itself (digits followed by the space after them).
+port=
 for _ in $(seq 100); do
-  grep -q "listening on" target/ci_serve.err 2>/dev/null && break
+  port=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9][0-9]*\) .*/\1/p' \
+    target/ci_serve.err 2>/dev/null || true)
+  [ -n "$port" ] && break
   sleep 0.1
 done
-port=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' target/ci_serve.err)
 [ -n "$port" ] || { echo "scwsc_serve failed to boot"; cat target/ci_serve.err; exit 1; }
 "$bench" serve-load --addr "127.0.0.1:$port" --connections 4 --requests 32 \
   --distinct 8 --max-ticks 30000 --retries 3 --timeout-ms 60000 --expect-clean \
@@ -174,8 +178,21 @@ wait "$serve_pid" \
   || { echo "scwsc_serve SIGTERM drain failed"; cat target/ci_serve.err; exit 1; }
 grep -q "drained —.*clean=true" target/ci_serve.err \
   || { echo "drain summary missing"; cat target/ci_serve.err; exit 1; }
-grep -q "scwsc_window_solves" target/ci_serve.prom \
-  || { echo "drain did not flush windowed metrics"; exit 1; }
+# The flushed exposition must account for every solve the drain line
+# reports (cache hits never reach a solve), and carry no per-solve SLO
+# block: a server has no single solve to report one for.
+python3 - target/ci_serve.prom target/ci_serve.err <<'EOF'
+import re, sys
+prom = [l for l in open(sys.argv[1]).read().splitlines() if l and not l.startswith("#")]
+drain = next(l for l in open(sys.argv[2]) if "drained —" in l)
+n = {k: int(v) for k, v in re.findall(r"(complete|degraded|cache hits) (\d+)", drain)}
+samples = dict(l.rsplit(" ", 1) for l in prom)
+solves = float(samples['scwsc_window_solves{entry="all"}'])
+assert solves == n["complete"] + n["degraded"] - n["cache hits"], (solves, drain)
+degraded = float(samples['scwsc_window_degraded_solves{entry="all"}'])
+assert degraded == n["degraded"], (degraded, drain)
+assert not any(l.startswith("scwsc_slo_") for l in prom), "served SLO block"
+EOF
 
 # Service-fault smoke: a deterministically injected mid-request disconnect
 # (the server severs request 3's connection before writing the response)
@@ -185,11 +202,13 @@ grep -q "scwsc_window_solves" target/ci_serve.prom \
 "$serve" --rows 1000 --seed 7 --addr 127.0.0.1:0 \
   --fault disconnect@3 2> target/ci_serve_fault.err &
 serve_pid=$!
+port=
 for _ in $(seq 100); do
-  grep -q "listening on" target/ci_serve_fault.err 2>/dev/null && break
+  port=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9][0-9]*\) .*/\1/p' \
+    target/ci_serve_fault.err 2>/dev/null || true)
+  [ -n "$port" ] && break
   sleep 0.1
 done
-port=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' target/ci_serve_fault.err)
 [ -n "$port" ] || { echo "faulted scwsc_serve failed to boot"; exit 1; }
 "$bench" serve-load --addr "127.0.0.1:$port" --connections 1 --requests 6 \
   --distinct 6 --max-ticks 30000 --timeout-ms 10000 > target/ci_serve_fault.out

@@ -12,7 +12,7 @@ use scwsc::patterns::PatternInstance;
 use scwsc::prelude::*;
 use scwsc::sets::algorithms::cmc::Levels;
 use scwsc::sets::telemetry::{Event, Observer};
-use scwsc::sets::{CostModel, Fanout, Query, SolveWindows, Solver};
+use scwsc::sets::{CostModel, Fanout, Query, SolveSample, SolveWindows, Solver};
 
 /// Minimal event recorder: exactly what the properties below inspect.
 #[derive(Default)]
@@ -72,6 +72,15 @@ fn record<R>(solve: impl FnOnce(&mut Fanout<'_>) -> R) -> (R, Stats, Recorder) {
         solve(&mut obs)
     };
     (result, stats, rec)
+}
+
+/// One solve's window sample, from the recorder that observed it.
+fn sample(metrics: &MetricsRecorder, degraded: bool) -> SolveSample {
+    SolveSample {
+        selections: metrics.selections,
+        benefits_computed: metrics.benefits_computed,
+        degraded,
+    }
 }
 
 proptest! {
@@ -150,8 +159,8 @@ proptest! {
         }
     }
 
-    /// Sliding-window telemetry (DESIGN.md §16): every solve fed through
-    /// [`SolveWindows`] counts once, and windows advance on
+    /// Sliding-window telemetry (DESIGN.md §16): every solve fed to
+    /// [`SolveWindows`] counts once, and the window advances on
     /// solve-sequence boundaries, never wall clock, so more solves than
     /// the window holds roll it over.
     #[test]
@@ -165,13 +174,18 @@ proptest! {
         let mut windows = SolveWindows::with_window(window);
         let pool = ThreadPool::new(Threads::serial());
         let params = CmcParams::classic(k, coverage, 1.0);
+        let mut degraded = 0;
         for system in &systems {
-            let mut obs = Fanout::new();
-            obs.attach(&mut windows);
-            let _ = cmc(system, &params, &pool, &Deadline::unbounded(), &mut obs);
+            let mut metrics = MetricsRecorder::new();
+            let result = cmc(system, &params, &pool, &Deadline::unbounded(), &mut metrics);
+            let is_degraded = matches!(&result, Ok(o) if o.is_degraded());
+            degraded += u64::from(is_degraded);
+            windows.observe(sample(&metrics, is_degraded));
         }
-        prop_assert_eq!(windows.solves(), systems.len() as u64);
-        prop_assert!(windows.rollovers() > 0, "windows rolled over");
+        let solves = systems.len() as u64;
+        prop_assert_eq!(windows.solves(), solves);
+        prop_assert_eq!(windows.rollovers(), solves - window as u64);
+        prop_assert_eq!(windows.degraded_solves(), degraded);
     }
 
     /// The optimized pattern-lattice CWSC reports the same invariants over
@@ -254,15 +268,21 @@ mod degraded_windows {
             let mut windows = SolveWindows::with_window(window);
             let pool = ThreadPool::new(Threads::serial());
             let params = CmcParams::classic(k, 0.9, 1.0);
+            let mut degraded = 0;
             for system in &systems {
                 let deadline = Deadline::unbounded()
                     .with_tick_budget(ticks)
                     .with_fault_plan(FaultPlan::new().cancel_at_tick(cancel_at));
-                let mut obs = Fanout::new();
-                obs.attach(&mut windows);
-                let _ = cmc(system, &params, &pool, &deadline, &mut obs);
+                let mut metrics = MetricsRecorder::new();
+                let result = cmc(system, &params, &pool, &deadline, &mut metrics);
+                let is_degraded = matches!(&result, Ok(o) if o.is_degraded());
+                degraded += u64::from(is_degraded);
+                windows.observe(sample(&metrics, is_degraded));
             }
-            prop_assert_eq!(windows.solves(), systems.len() as u64);
+            let solves = systems.len() as u64;
+            prop_assert_eq!(windows.solves(), solves);
+            prop_assert_eq!(windows.rollovers(), solves - window as u64);
+            prop_assert_eq!(windows.degraded_solves(), degraded);
         }
     }
 }
