@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use scwsc_core::algorithms::{cmc, CmcParams, LevelSchedule};
 use scwsc_core::incremental::{IncrementalCover, RepairStrategy};
-use scwsc_core::{Deadline, Stats, ThreadPool, Threads};
+use scwsc_core::{Deadline, NoopObserver};
 use scwsc_data::lbl::LblConfig;
 use scwsc_patterns::{enumerate_all, opt_cwsc, CostFn, PatternSpace, Table};
 use std::time::Duration;
@@ -29,7 +29,7 @@ fn workload() -> Table {
 fn bench_level_schedules(c: &mut Criterion) {
     let table = workload();
     let m = enumerate_all(&table, CostFn::Max);
-    let (pool, deadline) = (ThreadPool::new(Threads::serial()), Deadline::unbounded());
+    let deadline = Deadline::unbounded();
     let mut group = c.benchmark_group("cmc_level_schedule");
     for (name, schedule) in [
         ("classic_5k", LevelSchedule::Classic),
@@ -43,7 +43,7 @@ fn bench_level_schedules(c: &mut Criterion) {
             ..CmcParams::classic(10, 0.3, 1.0)
         };
         group.bench_function(name, |b| {
-            b.iter(|| black_box(cmc(&m.system, &params, &pool, &deadline, &mut Stats::new())))
+            b.iter(|| black_box(cmc(&m.system, &params, &deadline, &mut NoopObserver)))
         });
     }
     group.finish();
@@ -53,7 +53,7 @@ fn bench_level_schedules(c: &mut Criterion) {
 fn bench_coverage_discount(c: &mut Criterion) {
     let table = workload();
     let m = enumerate_all(&table, CostFn::Max);
-    let (pool, deadline) = (ThreadPool::new(Threads::serial()), Deadline::unbounded());
+    let deadline = Deadline::unbounded();
     let mut group = c.benchmark_group("cmc_coverage_discount");
     for (name, discount) in [("discounted_target", true), ("full_target", false)] {
         let params = CmcParams {
@@ -61,7 +61,7 @@ fn bench_coverage_discount(c: &mut Criterion) {
             ..CmcParams::classic(10, 0.5, 1.0)
         };
         group.bench_function(name, |b| {
-            b.iter(|| black_box(cmc(&m.system, &params, &pool, &deadline, &mut Stats::new())))
+            b.iter(|| black_box(cmc(&m.system, &params, &deadline, &mut NoopObserver)))
         });
     }
     group.finish();
@@ -70,7 +70,7 @@ fn bench_coverage_discount(c: &mut Criterion) {
 /// Cost-function sensitivity of the optimized CWSC.
 fn bench_cost_functions(c: &mut Criterion) {
     let table = workload();
-    let (pool, deadline) = (ThreadPool::new(Threads::serial()), Deadline::unbounded());
+    let deadline = Deadline::unbounded();
     let mut group = c.benchmark_group("opt_cwsc_cost_fn");
     for (name, cost_fn) in [
         ("max", CostFn::Max),
@@ -81,14 +81,7 @@ fn bench_cost_functions(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let space = PatternSpace::new(&table, cost_fn);
-                black_box(opt_cwsc(
-                    &space,
-                    10,
-                    0.3,
-                    &pool,
-                    &deadline,
-                    &mut Stats::new(),
-                ))
+                black_box(opt_cwsc(&space, 10, 0.3, &deadline, &mut NoopObserver))
             })
         });
     }

@@ -8,7 +8,7 @@ use scwsc_core::algorithms::{
     cmc, cwsc, exact_optimal, greedy_max_coverage, greedy_partial_max_coverage,
     greedy_weighted_set_cover,
 };
-use scwsc_core::{coverage_target, Deadline, NoopObserver, Stats, ThreadPool, Threads};
+use scwsc_core::{coverage_target, Deadline, NoopObserver};
 use scwsc_data::lbl::LblConfig;
 use scwsc_patterns::{enumerate_all, opt_cmc, opt_cwsc, CostFn, PatternSpace};
 use std::time::Duration;
@@ -29,7 +29,6 @@ fn bench_algorithms(c: &mut Criterion) {
     let params = RunParams::default(); // k=10, s=0.3, b=eps=1
     let materialized = enumerate_all(&table, CostFn::Max);
     let cmc_params = params.cmc_params();
-    let pool = ThreadPool::new(Threads::serial());
     let deadline = Deadline::unbounded();
 
     let mut group = c.benchmark_group("fig5_10k_rows");
@@ -39,9 +38,8 @@ fn bench_algorithms(c: &mut Criterion) {
                 &materialized.system,
                 params.k,
                 params.coverage,
-                &pool,
                 &deadline,
-                &mut Stats::new(),
+                &mut NoopObserver,
             ))
         })
     });
@@ -52,9 +50,8 @@ fn bench_algorithms(c: &mut Criterion) {
                 &space,
                 params.k,
                 params.coverage,
-                &pool,
                 &deadline,
-                &mut Stats::new(),
+                &mut NoopObserver,
             ))
         })
     });
@@ -63,22 +60,15 @@ fn bench_algorithms(c: &mut Criterion) {
             black_box(cmc(
                 &materialized.system,
                 &cmc_params,
-                &pool,
                 &deadline,
-                &mut Stats::new(),
+                &mut NoopObserver,
             ))
         })
     });
     group.bench_function("cmc_optimized", |b| {
         b.iter(|| {
             let space = PatternSpace::new(&table, CostFn::Max);
-            black_box(opt_cmc(
-                &space,
-                &cmc_params,
-                &pool,
-                &deadline,
-                &mut Stats::new(),
-            ))
+            black_box(opt_cmc(&space, &cmc_params, &deadline, &mut NoopObserver))
         })
     });
     group.finish();
@@ -89,7 +79,7 @@ fn bench_algorithms(c: &mut Criterion) {
             black_box(greedy_weighted_set_cover(
                 &materialized.system,
                 0.3,
-                &mut Stats::new(),
+                &mut NoopObserver,
             ))
         })
     });
@@ -98,7 +88,7 @@ fn bench_algorithms(c: &mut Criterion) {
             black_box(greedy_max_coverage(
                 &materialized.system,
                 10,
-                &mut Stats::new(),
+                &mut NoopObserver,
             ))
         })
     });
@@ -107,7 +97,7 @@ fn bench_algorithms(c: &mut Criterion) {
             black_box(greedy_partial_max_coverage(
                 &materialized.system,
                 0.3,
-                &mut Stats::new(),
+                &mut NoopObserver,
             ))
         })
     });

@@ -170,7 +170,7 @@ fn bench_hashing(c: &mut Criterion) {
 
 fn bench_telemetry(c: &mut Criterion) {
     use scwsc_core::algorithms::{cmc, CmcParams};
-    use scwsc_core::{Deadline, MetricsRecorder, NoopObserver, Stats, ThreadPool, Threads};
+    use scwsc_core::{Deadline, MetricsRecorder, NoopObserver};
     let table = LblConfig {
         seed: 7,
         ..LblConfig::scaled(2_000)
@@ -178,25 +178,18 @@ fn bench_telemetry(c: &mut Criterion) {
     .generate();
     let m = enumerate_all(&table, CostFn::Max);
     let params = CmcParams::epsilon(10, 0.3, 1.0, 1.0);
-    let pool = ThreadPool::new(Threads::serial());
     let deadline = Deadline::unbounded();
-    // The three observer tiers on the same solve: the no-op path should be
-    // indistinguishable from the Stats path (static dispatch, an empty
-    // `on`), with MetricsRecorder paying only for histogram updates.
+    // The two observer tiers on the same solve: the no-op path compiles to
+    // nothing (static dispatch, an empty `on`), MetricsRecorder pays for
+    // its counters and histogram updates.
     let mut group = c.benchmark_group("telemetry_overhead");
     group.bench_function("cmc_noop_observer", |b| {
-        b.iter(|| black_box(cmc(&m.system, &params, &pool, &deadline, &mut NoopObserver).is_ok()))
-    });
-    group.bench_function("cmc_stats", |b| {
-        b.iter(|| {
-            let mut stats = Stats::new();
-            black_box(cmc(&m.system, &params, &pool, &deadline, &mut stats).is_ok())
-        })
+        b.iter(|| black_box(cmc(&m.system, &params, &deadline, &mut NoopObserver).is_ok()))
     });
     group.bench_function("cmc_metrics_recorder", |b| {
         b.iter(|| {
             let mut metrics = MetricsRecorder::new();
-            black_box(cmc(&m.system, &params, &pool, &deadline, &mut metrics).is_ok())
+            black_box(cmc(&m.system, &params, &deadline, &mut metrics).is_ok())
         })
     });
     group.finish();

@@ -18,7 +18,7 @@ use scwsc_core::telemetry::audit::{self, DecisionLedger};
 use scwsc_core::FaultPlan;
 use scwsc_core::{
     coverage_target, render_prometheus, Deadline, EngineError, Fanout, FlightRecorder, JsonlSink,
-    MetricsRecorder, SloGauges, SolveOutcome, ThreadPool, Threads, Watchdog,
+    MetricsRecorder, SloGauges, SolveOutcome, Watchdog,
 };
 use scwsc_data::csv::read_table;
 use scwsc_data::lbl::LblConfig;
@@ -184,7 +184,6 @@ fn main() {
         ..RunParams::default()
     };
     let algorithm = args.get("algorithm").unwrap_or("cwsc");
-    let pool = ThreadPool::new(Threads::serial());
     let deadline = deadline_of(&args);
 
     eprintln!(
@@ -249,15 +248,8 @@ fn main() {
             obs.attach(d);
         }
         match algorithm {
-            "cwsc" => opt_cwsc(
-                &space,
-                params.k,
-                params.coverage,
-                &pool,
-                &deadline,
-                &mut obs,
-            ),
-            "cmc" => opt_cmc(&space, &params.cmc_params(), &pool, &deadline, &mut obs),
+            "cwsc" => opt_cwsc(&space, params.k, params.coverage, &deadline, &mut obs),
+            "cmc" => opt_cmc(&space, &params.cmc_params(), &deadline, &mut obs),
             other => bail(&format!("unknown algorithm {other:?} (use cwsc or cmc)")),
         }
     };

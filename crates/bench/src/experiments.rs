@@ -10,9 +10,7 @@ use scwsc_core::algorithms::{
     cmc, cwsc, exact_optimal, greedy_partial_max_coverage, greedy_weighted_set_cover,
 };
 use scwsc_core::telemetry::audit::{self, DecisionLedger};
-use scwsc_core::{
-    coverage_target, Deadline, EngineError, NoopObserver, SolveOutcome, Stats, ThreadPool, Threads,
-};
+use scwsc_core::{coverage_target, Deadline, EngineError, NoopObserver, SolveOutcome};
 use scwsc_data::lbl::LblConfig;
 use scwsc_data::perturb::{lognormal_rerank, uniform_noise};
 use scwsc_patterns::{enumerate_all, opt_cmc, opt_cwsc, CostFn, PatternSpace, Table};
@@ -173,7 +171,7 @@ pub fn wsc_baseline(table: &Table, coverages: &[f64], cost_fn: CostFn) -> Vec<(f
     coverages
         .iter()
         .map(|&s| {
-            let sol = greedy_weighted_set_cover(&m.system, s, &mut Stats::new())
+            let sol = greedy_weighted_set_cover(&m.system, s, &mut NoopObserver)
                 .expect("universe pattern guarantees feasibility");
             (s, sol.size(), sol.total_cost().value())
         })
@@ -190,13 +188,13 @@ pub fn maxcov_comparison(
 ) -> Vec<(f64, f64, usize, f64)> {
     let m = enumerate_all(table, cost_fn);
     let space = PatternSpace::new(table, cost_fn);
-    let (pool, deadline) = (ThreadPool::new(Threads::serial()), Deadline::unbounded());
+    let deadline = Deadline::unbounded();
     coverages
         .iter()
         .map(|&s| {
-            let mc = greedy_partial_max_coverage(&m.system, s, &mut Stats::new())
+            let mc = greedy_partial_max_coverage(&m.system, s, &mut NoopObserver)
                 .expect("universe pattern guarantees feasibility");
-            let ours = feasible(opt_cwsc(&space, k, s, &pool, &deadline, &mut Stats::new()));
+            let ours = feasible(opt_cwsc(&space, k, s, &deadline, &mut NoopObserver));
             (s, mc.total_cost().value(), mc.size(), ours.total_cost)
         })
         .collect()
@@ -243,18 +241,11 @@ pub fn perturbed_quality(
             )
         }))
         .collect();
-    let (pool, deadline) = (ThreadPool::new(Threads::serial()), Deadline::unbounded());
+    let deadline = Deadline::unbounded();
     for (label, table) in variants {
         let space = PatternSpace::new(&table, CostFn::Max);
-        let cwsc_cost = feasible(opt_cwsc(
-            &space,
-            k,
-            coverage,
-            &pool,
-            &deadline,
-            &mut Stats::new(),
-        ))
-        .total_cost;
+        let cwsc_cost =
+            feasible(opt_cwsc(&space, k, coverage, &deadline, &mut NoopObserver)).total_cost;
         let mut cmc_min = f64::INFINITY;
         let mut cmc_max = f64::NEG_INFINITY;
         for (b, eps) in [(0.5, 1.0), (1.0, 1.0), (1.0, 2.0), (2.0, 2.0)] {
@@ -268,9 +259,8 @@ pub fn perturbed_quality(
             let sol = feasible(opt_cmc(
                 &space,
                 &params.cmc_params(),
-                &pool,
                 &deadline,
-                &mut Stats::new(),
+                &mut NoopObserver,
             ));
             cmc_min = cmc_min.min(sol.total_cost);
             cmc_max = cmc_max.max(sol.total_cost);
@@ -313,7 +303,7 @@ pub struct OptRow {
 /// samples (the paper uses exhaustive search; we use branch and bound).
 pub fn vs_optimal(sample_sizes: &[usize], seed: u64, k: usize, coverage: f64) -> Vec<OptRow> {
     let mut out = Vec::new();
-    let (pool, deadline) = (ThreadPool::new(Threads::serial()), Deadline::unbounded());
+    let deadline = Deadline::unbounded();
     for &rows in sample_sizes {
         let table = workload(rows, seed);
         let m = enumerate_all(&table, CostFn::Max);
@@ -323,7 +313,7 @@ pub fn vs_optimal(sample_sizes: &[usize], seed: u64, k: usize, coverage: f64) ->
             .total_cost()
             .value();
         let mut ledger = DecisionLedger::new();
-        let cwsc_cost = feasible(cwsc(&m.system, k, coverage, &pool, &deadline, &mut ledger))
+        let cwsc_cost = feasible(cwsc(&m.system, k, coverage, &deadline, &mut ledger))
             .total_cost()
             .value();
         let cert = audit::certify(&m.system, &ledger.prices(), target);
@@ -335,9 +325,8 @@ pub fn vs_optimal(sample_sizes: &[usize], seed: u64, k: usize, coverage: f64) ->
         let cmc_sol = feasible(cmc(
             &m.system,
             &params.cmc_params(),
-            &pool,
             &deadline,
-            &mut Stats::new(),
+            &mut NoopObserver,
         ));
         out.push(OptRow {
             rows,

@@ -3,8 +3,7 @@
 
 use scwsc_core::algorithms::{cmc, cwsc, CmcParams};
 use scwsc_core::{
-    Deadline, EngineError, Fanout, MetricsRecorder, NoopObserver, Observer, SolveOutcome, Stats,
-    ThreadPool, Threads,
+    Deadline, EngineError, Fanout, MetricsRecorder, NoopObserver, Observer, SolveOutcome,
 };
 use scwsc_patterns::{enumerate_all, opt_cmc, opt_cwsc, CostFn, PatternSpace, Table};
 use serde::{Deserialize, Serialize};
@@ -102,7 +101,7 @@ pub struct Measurement {
     /// Patterns considered (the Figure 6 metric).
     pub considered: u64,
     /// CMC budget guesses (1 for CWSC).
-    pub guesses: u32,
+    pub guesses: u64,
     /// Solution total cost.
     pub cost: f64,
     /// Solution size (number of patterns).
@@ -129,25 +128,16 @@ pub fn run_traced(
     params: &RunParams,
     extra: &mut dyn Observer,
 ) -> (Measurement, MetricsRecorder) {
-    let pool = ThreadPool::new(Threads::serial());
-    let mut stats = Stats::new();
     let mut metrics = MetricsRecorder::new();
     let deadline = Deadline::unbounded();
     let start = Instant::now();
     let outcome: Option<(f64, usize, usize)> = {
         let mut obs = Fanout::new();
-        obs.attach(&mut stats).attach(&mut metrics).attach(extra);
+        obs.attach(&mut metrics).attach(extra);
         match algo {
             Algo::CmcUnopt => {
                 let m = enumerate_all(table, params.cost_fn);
-                completed(cmc(
-                    &m.system,
-                    &params.cmc_params(),
-                    &pool,
-                    &deadline,
-                    &mut obs,
-                ))
-                .map(|o| {
+                completed(cmc(&m.system, &params.cmc_params(), &deadline, &mut obs)).map(|o| {
                     (
                         o.solution.total_cost().value(),
                         o.solution.size(),
@@ -161,7 +151,6 @@ pub fn run_traced(
                     &m.system,
                     params.k,
                     params.coverage,
-                    &pool,
                     &deadline,
                     &mut obs,
                 ))
@@ -169,14 +158,8 @@ pub fn run_traced(
             }
             Algo::CmcOpt => {
                 let space = PatternSpace::new(table, params.cost_fn);
-                completed(opt_cmc(
-                    &space,
-                    &params.cmc_params(),
-                    &pool,
-                    &deadline,
-                    &mut obs,
-                ))
-                .map(|s| (s.total_cost, s.size(), s.covered))
+                completed(opt_cmc(&space, &params.cmc_params(), &deadline, &mut obs))
+                    .map(|s| (s.total_cost, s.size(), s.covered))
             }
             Algo::CwscOpt => {
                 let space = PatternSpace::new(table, params.cost_fn);
@@ -184,7 +167,6 @@ pub fn run_traced(
                     &space,
                     params.k,
                     params.coverage,
-                    &pool,
                     &deadline,
                     &mut obs,
                 ))
@@ -201,8 +183,8 @@ pub fn run_traced(
         k: params.k,
         coverage: params.coverage,
         seconds,
-        considered: stats.considered,
-        guesses: stats.budget_guesses,
+        considered: metrics.benefits_computed,
+        guesses: metrics.guesses,
         cost,
         size,
         covered,
@@ -223,6 +205,7 @@ fn completed<T>(result: Result<SolveOutcome<T>, EngineError>) -> Option<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scwsc_core::{Json, JsonlSink};
     use scwsc_data::lbl::LblConfig;
 
     fn small_table() -> Table {
@@ -293,16 +276,34 @@ mod tests {
             ..RunParams::default()
         };
         for algo in [Algo::CwscOpt, Algo::CmcOpt] {
-            let (m, metrics) = run_traced(algo, &t, &params, &mut NoopObserver);
+            // An independent tally of the same stream: the JSONL trace,
+            // parsed back and counted line by line.
+            let mut sink = JsonlSink::new(Vec::new());
+            let (m, metrics) = run_traced(algo, &t, &params, &mut sink);
             assert!(m.ok, "{algo:?} failed");
-            assert_eq!(metrics.benefits_computed, m.considered, "{algo:?}");
+            let trace = String::from_utf8(sink.into_inner().unwrap()).unwrap();
+            let (mut considered, mut guesses, mut selections) = (0, 0, 0);
+            for line in trace.lines() {
+                let event = Json::parse(line).unwrap();
+                match event.get("event").and_then(Json::as_str).unwrap() {
+                    "benefit_computed" => {
+                        considered += event.get("count").unwrap().as_u64().unwrap()
+                    }
+                    "guess_started" => guesses += 1,
+                    "set_selected" => selections += 1,
+                    _ => {}
+                }
+            }
+            assert!(considered > 0 && guesses > 0, "{algo:?}");
+            assert_eq!(m.considered, considered, "{algo:?}");
+            assert_eq!(m.guesses, guesses, "{algo:?}");
+            assert_eq!(metrics.selections, selections, "{algo:?}");
             // CMC also selects during failed budget guesses, so the event
             // count can exceed the final solution size; CWSC is one round.
             match algo {
-                Algo::CwscOpt => assert_eq!(metrics.selections as usize, m.size),
-                _ => assert!(metrics.selections as usize >= m.size),
+                Algo::CwscOpt => assert_eq!(selections as usize, m.size),
+                _ => assert!(selections as usize >= m.size),
             }
-            assert_eq!(metrics.guesses, u64::from(m.guesses), "{algo:?}");
             let total = metrics
                 .phase_seconds(scwsc_core::PHASE_TOTAL)
                 .expect("solver records a total phase");

@@ -170,7 +170,7 @@ pub fn budgeted_max_coverage<O: Observer + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::Stats;
+    use crate::telemetry::{MetricsRecorder, NoopObserver};
 
     fn system() -> SetSystem {
         let mut b = SetSystem::builder(8);
@@ -184,7 +184,7 @@ mod tests {
 
     #[test]
     fn wsc_minimizes_cost_ignoring_size() {
-        let sol = greedy_weighted_set_cover(&system(), 0.5, &mut Stats::new()).unwrap();
+        let sol = greedy_weighted_set_cover(&system(), 0.5, &mut NoopObserver).unwrap();
         // Picks the two cheap pairs: cost 2, 2 sets.
         assert_eq!(sol.sets(), &[0, 1]);
         assert_eq!(sol.total_cost().value(), 2.0);
@@ -192,7 +192,7 @@ mod tests {
 
     #[test]
     fn wsc_needs_many_sets_for_high_coverage() {
-        let sol = greedy_weighted_set_cover(&system(), 1.0, &mut Stats::new()).unwrap();
+        let sol = greedy_weighted_set_cover(&system(), 1.0, &mut NoopObserver).unwrap();
         assert!(sol.covered() == 8);
         assert!(sol.size() >= 3, "cheap-first needs several sets");
     }
@@ -203,14 +203,14 @@ mod tests {
         b.add_set([0], 1.0);
         let sys = b.build().unwrap();
         assert_eq!(
-            greedy_weighted_set_cover(&sys, 1.0, &mut Stats::new()),
+            greedy_weighted_set_cover(&sys, 1.0, &mut NoopObserver),
             Err(SolveError::NoSolution)
         );
     }
 
     #[test]
     fn max_coverage_ignores_cost() {
-        let sol = greedy_max_coverage(&system(), 1, &mut Stats::new());
+        let sol = greedy_max_coverage(&system(), 1, &mut NoopObserver);
         // Universe has benefit 8: chosen despite cost 100.
         assert_eq!(sol.sets(), &[4]);
         assert_eq!(sol.covered(), 8);
@@ -219,7 +219,7 @@ mod tests {
 
     #[test]
     fn max_coverage_stops_when_everything_covered() {
-        let sol = greedy_max_coverage(&system(), 5, &mut Stats::new());
+        let sol = greedy_max_coverage(&system(), 5, &mut NoopObserver);
         assert_eq!(
             sol.size(),
             1,
@@ -229,7 +229,7 @@ mod tests {
 
     #[test]
     fn partial_max_coverage_expensive_but_covering() {
-        let sol = greedy_partial_max_coverage(&system(), 0.75, &mut Stats::new()).unwrap();
+        let sol = greedy_partial_max_coverage(&system(), 0.75, &mut NoopObserver).unwrap();
         assert!(sol.covered() >= 6);
         assert_eq!(sol.sets(), &[4], "benefit-greedy grabs the universe set");
         assert_eq!(sol.total_cost().value(), 100.0);
@@ -237,14 +237,14 @@ mod tests {
 
     #[test]
     fn budgeted_respects_budget() {
-        let sol = budgeted_max_coverage(&system(), 2.0, None, &mut Stats::new());
+        let sol = budgeted_max_coverage(&system(), 2.0, None, &mut NoopObserver);
         assert_eq!(sol.sets(), &[0, 1]);
         assert!(sol.total_cost().value() <= 2.0);
     }
 
     #[test]
     fn budgeted_skips_unaffordable_high_gain() {
-        let sol = budgeted_max_coverage(&system(), 31.0, None, &mut Stats::new());
+        let sol = budgeted_max_coverage(&system(), 31.0, None, &mut NoopObserver);
         // After the two pairs (cost 2) the 30-cost set no longer fits 31.
         assert!(sol.total_cost().value() <= 31.0);
         assert!(sol.sets().contains(&0) && sol.sets().contains(&1));
@@ -268,7 +268,7 @@ mod tests {
         }
         let sys = b.build().unwrap();
         let budget = (k * (big_c + 1)) as f64; // enough for the optimum
-        let truncated = budgeted_max_coverage(&sys, budget, Some(c * k), &mut Stats::new());
+        let truncated = budgeted_max_coverage(&sys, budget, Some(c * k), &mut NoopObserver);
         assert_eq!(
             truncated.covered(),
             c * k,
@@ -281,9 +281,9 @@ mod tests {
 
     #[test]
     fn stats_count_one_pass() {
-        let mut stats = Stats::new();
-        let _ = greedy_weighted_set_cover(&system(), 0.5, &mut stats);
-        assert_eq!(stats.considered, 5);
-        assert_eq!(stats.selections, 2);
+        let mut metrics = MetricsRecorder::new();
+        let _ = greedy_weighted_set_cover(&system(), 0.5, &mut metrics);
+        assert_eq!(metrics.benefits_computed, 5);
+        assert_eq!(metrics.selections, 2);
     }
 }

@@ -11,9 +11,7 @@
 
 use super::degrade;
 use crate::cover_state::{CoverState, Incidence};
-use crate::engine::{
-    panic_message, Deadline, DegradeReason, Degraded, EngineError, SolveOutcome, ThreadPool,
-};
+use crate::engine::{panic_message, Deadline, DegradeReason, Degraded, EngineError, SolveOutcome};
 use crate::set_system::{coverage_target, SetId, SetSystem};
 use crate::solution::{Solution, SolveError};
 use crate::telemetry::{
@@ -265,8 +263,9 @@ pub struct CmcOutcome {
 /// of that guess's schedule, `benefit_computed` counting the sets whose
 /// marginal benefit is computed per guess (all of them, Fig. 1 lines
 /// 04–05 — the Figure 6 metric), `set_selected` per pick, and a `"total"`
-/// phase span. Passing `&mut Stats` aggregates these into the classic
-/// counters (`considered`, `budget_guesses`, `selections`). Each guess
+/// phase span. Passing a [`MetricsRecorder`](crate::telemetry::MetricsRecorder)
+/// aggregates them into counters (`benefits_computed`, `guesses`,
+/// `selections`, …). Each guess
 /// records into a private [`EventLog`] (one log for the whole solve,
 /// cleared per attempt) replayed into `obs` when the guess ends, so
 /// events arrive once per guess, not live.
@@ -280,8 +279,7 @@ pub struct CmcOutcome {
 /// DESIGN.md §3).
 ///
 /// The solve runs on the calling thread, one budget guess at a time, as
-/// in Fig. 1: a larger guess runs only after the smaller one failed.
-/// `pool` is accepted so every solver family shares one signature. Every
+/// in Fig. 1: a larger guess runs only after the smaller one failed. Every
 /// guess starts a fresh [`CoverState`] (marginal benefits, activity flags,
 /// covered bits) over one element→sets incidence — a flat CSR — built once
 /// per solve and shared by all guesses. Each guess buckets the sets by
@@ -303,7 +301,7 @@ pub struct CmcOutcome {
 ///
 /// ```
 /// use scwsc_core::algorithms::{cmc, CmcParams};
-/// use scwsc_core::{Deadline, SetSystem, Stats, ThreadPool, Threads};
+/// use scwsc_core::{Deadline, NoopObserver, SetSystem};
 ///
 /// let mut b = SetSystem::builder(10);
 /// for e in 0..10u32 {
@@ -314,8 +312,7 @@ pub struct CmcOutcome {
 ///
 /// // Theorem 4 bounds: ≤ 5k sets covering ≥ (1−1/e)·ŝ·n elements.
 /// let params = CmcParams::classic(2, 1.0, 1.0);
-/// let pool = ThreadPool::new(Threads::serial());
-/// let outcome = cmc(&system, &params, &pool, &Deadline::unbounded(), &mut Stats::new())
+/// let outcome = cmc(&system, &params, &Deadline::unbounded(), &mut NoopObserver)
 ///     .unwrap()
 ///     .expect_complete("an unbounded deadline never expires");
 /// assert!(outcome.solution.size() <= 10);
@@ -324,7 +321,6 @@ pub struct CmcOutcome {
 pub fn cmc<O: Observer + ?Sized>(
     system: &SetSystem,
     params: &CmcParams,
-    _pool: &ThreadPool,
     deadline: &Deadline,
     obs: &mut O,
 ) -> Result<SolveOutcome<CmcOutcome>, EngineError> {
@@ -571,9 +567,8 @@ fn guess_loop<O: Observer + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Threads;
     use crate::solution::{verify, Requirements};
-    use crate::stats::Stats;
+    use crate::telemetry::{MetricsRecorder, NoopObserver};
 
     /// [`cmc`] without a deadline, unwrapped to the complete outcome or
     /// the solve error.
@@ -582,8 +577,7 @@ mod tests {
         params: &CmcParams,
         obs: &mut dyn Observer,
     ) -> Result<CmcOutcome, SolveError> {
-        let pool = ThreadPool::new(Threads::serial());
-        match cmc(system, params, &pool, &Deadline::unbounded(), obs) {
+        match cmc(system, params, &Deadline::unbounded(), obs) {
             Ok(outcome) => Ok(outcome.expect_complete("unbounded deadline")),
             Err(EngineError::Solve(e)) => Err(e),
             Err(e) => panic!("{e}"),
@@ -734,9 +728,9 @@ mod tests {
     #[test]
     fn cmc_meets_discounted_coverage_and_size_bound() {
         let sys = system();
-        let mut stats = Stats::new();
+        let mut metrics = MetricsRecorder::new();
         let params = CmcParams::classic(2, 0.75, 1.0);
-        let out = solve(&sys, &params, &mut stats).unwrap();
+        let out = solve(&sys, &params, &mut metrics).unwrap();
         let discounted = coverage_target(12, 0.75 * CMC_COVERAGE_DISCOUNT);
         let req = Requirements {
             max_sets: 5 * 2,
@@ -744,10 +738,10 @@ mod tests {
         };
         let v = verify(&sys, &out.solution, req);
         assert!(v.is_valid(), "{v:?}");
-        assert!(stats.budget_guesses >= 1);
+        assert!(metrics.guesses >= 1);
         assert_eq!(
-            stats.considered,
-            stats.budget_guesses as u64 * sys.num_sets() as u64
+            metrics.benefits_computed,
+            metrics.guesses * sys.num_sets() as u64
         );
     }
 
@@ -756,8 +750,8 @@ mod tests {
         let sys = system();
         // High coverage forces budgets big enough for the large sets.
         let params = CmcParams::classic(2, 1.0, 1.0);
-        let mut stats = Stats::new();
-        let out = solve(&sys, &params, &mut stats).unwrap();
+        let mut metrics = MetricsRecorder::new();
+        let out = solve(&sys, &params, &mut metrics).unwrap();
         assert!(out.solution.covered() >= coverage_target(12, CMC_COVERAGE_DISCOUNT));
         assert!(
             out.final_budget >= 6.0,
@@ -770,10 +764,10 @@ mod tests {
     fn cmc_zero_k_and_zero_target() {
         let sys = system();
         assert_eq!(
-            solve(&sys, &CmcParams::classic(0, 0.5, 1.0), &mut Stats::new()),
+            solve(&sys, &CmcParams::classic(0, 0.5, 1.0), &mut NoopObserver),
             Err(SolveError::ZeroSizeBound)
         );
-        let out = solve(&sys, &CmcParams::classic(2, 0.0, 1.0), &mut Stats::new()).unwrap();
+        let out = solve(&sys, &CmcParams::classic(2, 0.0, 1.0), &mut NoopObserver).unwrap();
         assert_eq!(out.solution.size(), 0);
     }
 
@@ -784,7 +778,7 @@ mod tests {
         let sys = b.build().unwrap();
         // k=1, need (1-1/e)*1.0*4 = ceil(2.52) = 3 covered: impossible.
         assert_eq!(
-            solve(&sys, &CmcParams::classic(1, 1.0, 1.0), &mut Stats::new()),
+            solve(&sys, &CmcParams::classic(1, 1.0, 1.0), &mut NoopObserver),
             Err(SolveError::BudgetExhausted)
         );
     }
@@ -797,7 +791,7 @@ mod tests {
         b.add_set([0], 1.0).add_universe_set(1.9);
         let sys = b.build().unwrap();
         let params = CmcParams::classic(1, 1.0, 10.0); // huge growth factor
-        let out = solve(&sys, &params, &mut Stats::new()).unwrap();
+        let out = solve(&sys, &params, &mut NoopObserver).unwrap();
         assert_eq!(out.solution.sets(), &[1]);
     }
 
@@ -808,7 +802,7 @@ mod tests {
             .add_set([3, 4, 5], 0.0)
             .add_universe_set(5.0);
         let sys = b.build().unwrap();
-        let out = solve(&sys, &CmcParams::classic(2, 1.0, 1.0), &mut Stats::new()).unwrap();
+        let out = solve(&sys, &CmcParams::classic(2, 1.0, 1.0), &mut NoopObserver).unwrap();
         assert!(out.solution.covered() >= coverage_target(6, CMC_COVERAGE_DISCOUNT));
     }
 
@@ -817,7 +811,7 @@ mod tests {
         let sys = system();
         for &eps in &[0.5, 1.0, 2.0] {
             let params = CmcParams::epsilon(2, 0.9, 1.0, eps);
-            let out = solve(&sys, &params, &mut Stats::new()).unwrap();
+            let out = solve(&sys, &params, &mut NoopObserver).unwrap();
             let bound = ((1.0 + eps) * 2.0).floor() as usize;
             assert!(
                 out.solution.size() <= bound.max(2),
@@ -832,7 +826,7 @@ mod tests {
         let sys = system();
         let mut p = CmcParams::classic(2, 0.9, 1.0);
         p.discount_coverage = false;
-        let out = solve(&sys, &p, &mut Stats::new()).unwrap();
+        let out = solve(&sys, &p, &mut NoopObserver).unwrap();
         assert!(out.solution.covered() >= coverage_target(12, 0.9));
     }
 
@@ -840,7 +834,7 @@ mod tests {
     #[should_panic(expected = "budget growth")]
     fn cmc_rejects_nonpositive_b() {
         let sys = system();
-        let _ = solve(&sys, &CmcParams::classic(2, 0.5, 0.0), &mut Stats::new());
+        let _ = solve(&sys, &CmcParams::classic(2, 0.5, 0.0), &mut NoopObserver);
     }
 
     #[test]
@@ -885,9 +879,8 @@ mod tests {
         fn tick_budget_degrades_with_verifiable_certificate() {
             let sys = chain_system(16);
             let params = CmcParams::classic(8, 1.0, 1.0);
-            let pool = ThreadPool::new(Threads::serial());
             let deadline = Deadline::unbounded().with_tick_budget(3);
-            let out = cmc(&sys, &params, &pool, &deadline, &mut MetricsRecorder::new()).unwrap();
+            let out = cmc(&sys, &params, &deadline, &mut MetricsRecorder::new()).unwrap();
             let SolveOutcome::Degraded(d) = out else {
                 panic!("3 ticks cannot cover 16 singleton elements");
             };
@@ -901,9 +894,8 @@ mod tests {
         fn zero_wall_clock_degrades_immediately() {
             let sys = chain_system(8);
             let params = CmcParams::classic(4, 1.0, 1.0);
-            let pool = ThreadPool::new(Threads::serial());
             let deadline = Deadline::unbounded().with_wall_clock(Duration::ZERO);
-            let out = cmc(&sys, &params, &pool, &deadline, &mut MetricsRecorder::new()).unwrap();
+            let out = cmc(&sys, &params, &deadline, &mut MetricsRecorder::new()).unwrap();
             let SolveOutcome::Degraded(d) = out else {
                 panic!("zero wall clock must degrade");
             };
@@ -915,10 +907,9 @@ mod tests {
         fn external_cancellation_degrades_with_reason() {
             let sys = chain_system(8);
             let params = CmcParams::classic(4, 1.0, 1.0);
-            let pool = ThreadPool::new(Threads::serial());
             let deadline = Deadline::unbounded();
             deadline.cancel();
-            let out = cmc(&sys, &params, &pool, &deadline, &mut MetricsRecorder::new()).unwrap();
+            let out = cmc(&sys, &params, &deadline, &mut MetricsRecorder::new()).unwrap();
             let SolveOutcome::Degraded(d) = out else {
                 panic!("cancelled deadline must degrade");
             };
@@ -929,11 +920,9 @@ mod tests {
         fn zero_k_is_a_solve_error() {
             let sys = chain_system(4);
             let params = CmcParams::classic(0, 1.0, 1.0);
-            let pool = ThreadPool::new(Threads::serial());
             let err = cmc(
                 &sys,
                 &params,
-                &pool,
                 &Deadline::unbounded(),
                 &mut MetricsRecorder::new(),
             )
@@ -965,11 +954,10 @@ mod tests {
             let sys = system();
             let params = CmcParams::classic(5, 1.0, 1.0);
             let clean = solve(&sys, &params, &mut MetricsRecorder::new()).unwrap();
-            let pool = ThreadPool::new(Threads::serial());
             let deadline =
                 Deadline::unbounded().with_fault_plan(FaultPlan::new().panic_guess_once(1));
             let mut m = MetricsRecorder::new();
-            let out = cmc(&sys, &params, &pool, &deadline, &mut m).unwrap();
+            let out = cmc(&sys, &params, &deadline, &mut m).unwrap();
             match out {
                 SolveOutcome::Complete(outcome) => assert_eq!(outcome, clean),
                 SolveOutcome::Degraded(_) => panic!("fault retry must complete"),
@@ -981,10 +969,9 @@ mod tests {
         fn persistent_guess_fault_is_a_structured_error() {
             let sys = system();
             let params = CmcParams::classic(5, 1.0, 1.0);
-            let pool = ThreadPool::new(Threads::serial());
             let deadline = Deadline::unbounded().with_fault_plan(FaultPlan::new().fail_guess(1));
             let mut m = MetricsRecorder::new();
-            let err = cmc(&sys, &params, &pool, &deadline, &mut m).unwrap_err();
+            let err = cmc(&sys, &params, &deadline, &mut m).unwrap_err();
             assert!(matches!(err, EngineError::Panicked(_)));
             assert_eq!(m.guesses_retried, 1);
         }
@@ -995,11 +982,10 @@ mod tests {
             let params = CmcParams::classic(5, 1.0, 1.0);
             let mut clean = MetricsRecorder::new();
             solve(&sys, &params, &mut clean).unwrap();
-            let pool = ThreadPool::new(Threads::serial());
             let deadline =
                 Deadline::unbounded().with_fault_plan(FaultPlan::new().panic_guess_once(1));
             let mut faulted = MetricsRecorder::new();
-            cmc(&sys, &params, &pool, &deadline, &mut faulted)
+            cmc(&sys, &params, &deadline, &mut faulted)
                 .unwrap()
                 .expect_complete("retry completes");
             // The panicked attempt's half-recorded log was discarded, so

@@ -10,9 +10,7 @@
 
 use super::degrade;
 use crate::cover_state::CoverState;
-use crate::engine::{
-    panic_message, Deadline, DegradeReason, EngineError, SolveOutcome, ThreadPool,
-};
+use crate::engine::{panic_message, Deadline, DegradeReason, EngineError, SolveOutcome};
 use crate::set_system::{coverage_target, SetId, SetSystem};
 use crate::solution::{Solution, SolveError};
 use crate::telemetry::{
@@ -34,12 +32,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// `guess_started` for the single round, `benefit_computed` for every set
 /// whose marginal benefit is computed — all of them (Fig. 2 lines 03–04),
 /// the unoptimized count plotted in Figure 6 — `set_selected` per pick, and
-/// a `"total"` phase span. Passing `&mut Stats` aggregates these into the
-/// classic counters, as below.
+/// a `"total"` phase span. Passing a
+/// [`MetricsRecorder`](crate::telemetry::MetricsRecorder) aggregates them
+/// into counters.
 ///
 /// Every selection scans one [`CoverState`] on the calling thread
-/// (DESIGN.md §11). `pool` is taken only for the solver family's shared
-/// signature.
+/// (DESIGN.md §11).
 ///
 /// One work tick is consumed per selection round. On expiry the picks made
 /// so far become a [`SolveOutcome::Degraded`] partial solution with a
@@ -52,7 +50,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// after the events emitted before it.
 ///
 /// ```
-/// use scwsc_core::{algorithms::cwsc, Deadline, SetSystem, Stats, ThreadPool, Threads};
+/// use scwsc_core::{algorithms::cwsc, Deadline, NoopObserver, SetSystem};
 ///
 /// let mut b = SetSystem::builder(8);
 /// b.add_set([0, 1, 2, 3], 4.0)   // half the elements, weight 4
@@ -61,8 +59,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 ///     .add_universe_set(100.0);  // Definition 1's feasibility set
 /// let system = b.build().unwrap();
 ///
-/// let pool = ThreadPool::new(Threads::serial());
-/// let solution = cwsc(&system, 3, 0.75, &pool, &Deadline::unbounded(), &mut Stats::new())
+/// let solution = cwsc(&system, 3, 0.75, &Deadline::unbounded(), &mut NoopObserver)
 ///     .unwrap()
 ///     .expect_complete("an unbounded deadline never expires");
 /// assert!(solution.size() <= 3);
@@ -73,7 +70,6 @@ pub fn cwsc<O: Observer + ?Sized>(
     system: &SetSystem,
     k: usize,
     coverage_fraction: f64,
-    _pool: &ThreadPool,
     deadline: &Deadline,
     obs: &mut O,
 ) -> Result<SolveOutcome<Solution>, EngineError> {
@@ -149,7 +145,7 @@ fn run<O: Observer + ?Sized>(
     deadline: &Deadline,
     obs: &mut O,
 ) -> RoundOutcome {
-    // CWSC is a single round: record it so `budget_guesses` is 1, not 0.
+    // CWSC is a single round: record it so `guesses` is 1, not 0.
     obs.on(&Event::GuessStarted(None));
 
     // Fig. 2 lines 03-04: compute MBen of every set.
@@ -200,9 +196,8 @@ fn run<O: Observer + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Threads;
-    use crate::stats::Stats;
     use crate::telemetry::Observer;
+    use crate::telemetry::{MetricsRecorder, NoopObserver};
 
     /// [`cwsc`] without a deadline, unwrapped to the complete solution or
     /// the solve error.
@@ -212,8 +207,7 @@ mod tests {
         coverage: f64,
         obs: &mut dyn Observer,
     ) -> Result<Solution, SolveError> {
-        let pool = ThreadPool::new(Threads::serial());
-        match cwsc(system, k, coverage, &pool, &Deadline::unbounded(), obs) {
+        match cwsc(system, k, coverage, &Deadline::unbounded(), obs) {
             Ok(outcome) => Ok(outcome.expect_complete("unbounded deadline")),
             Err(EngineError::Solve(e)) => Err(e),
             Err(e) => panic!("{e}"),
@@ -234,13 +228,13 @@ mod tests {
 
     #[test]
     fn picks_high_gain_big_sets_under_size_pressure() {
-        let mut stats = Stats::new();
-        let sol = solve(&system(), 2, 0.75, &mut stats).unwrap();
+        let mut metrics = MetricsRecorder::new();
+        let sol = solve(&system(), 2, 0.75, &mut metrics).unwrap();
         // Needs 6 of 8 with 2 sets: singletons are ineligible (6/2 = 3).
         assert_eq!(sol.sets(), &[3, 2]); // gain 1.0 then 0.5
         assert_eq!(sol.covered(), 8);
         assert!(sol.size() <= 2);
-        assert_eq!(stats.considered, 5);
+        assert_eq!(metrics.benefits_computed, 5);
     }
 
     #[test]
@@ -250,7 +244,7 @@ mod tests {
             .add_set([3], 1.0) // singleton, gain 1
             .add_universe_set(100.0);
         let sys = b.build().unwrap();
-        let sol = solve(&sys, 2, 1.0, &mut Stats::new()).unwrap();
+        let sol = solve(&sys, 2, 1.0, &mut NoopObserver).unwrap();
         // i=2: need ≥2 -> set 0 (universe loses on gain). i=1: need ≥1 -> set 1.
         assert_eq!(sol.sets(), &[0, 1]);
         assert_eq!(sol.covered(), 4);
@@ -260,7 +254,7 @@ mod tests {
     fn never_exceeds_k() {
         let sys = system();
         for k in 1..=4 {
-            if let Ok(sol) = solve(&sys, k, 0.9, &mut Stats::new()) {
+            if let Ok(sol) = solve(&sys, k, 0.9, &mut NoopObserver) {
                 assert!(sol.size() <= k, "k={k} -> {}", sol.size());
                 assert!(sol.covered() >= 8 * 9 / 10);
             }
@@ -269,7 +263,7 @@ mod tests {
 
     #[test]
     fn universe_set_guarantees_success() {
-        let sol = solve(&system(), 1, 1.0, &mut Stats::new()).unwrap();
+        let sol = solve(&system(), 1, 1.0, &mut NoopObserver).unwrap();
         assert_eq!(sol.sets(), &[4]); // only the universe set can do it alone
         assert_eq!(sol.covered(), 8);
     }
@@ -281,14 +275,14 @@ mod tests {
         let sys = b.build().unwrap();
         // k=1 but no single set covers 2 elements
         assert_eq!(
-            solve(&sys, 1, 0.5, &mut Stats::new()),
+            solve(&sys, 1, 0.5, &mut NoopObserver),
             Err(SolveError::NoSolution)
         );
     }
 
     #[test]
     fn zero_coverage_returns_empty() {
-        let sol = solve(&system(), 3, 0.0, &mut Stats::new()).unwrap();
+        let sol = solve(&system(), 3, 0.0, &mut NoopObserver).unwrap();
         assert_eq!(sol.size(), 0);
         assert_eq!(sol.total_cost().value(), 0.0);
     }
@@ -296,7 +290,7 @@ mod tests {
     #[test]
     fn zero_k_is_an_error() {
         assert_eq!(
-            solve(&system(), 0, 0.5, &mut Stats::new()),
+            solve(&system(), 0, 0.5, &mut NoopObserver),
             Err(SolveError::ZeroSizeBound)
         );
     }
@@ -304,8 +298,8 @@ mod tests {
     #[test]
     fn explicit_target_variant_matches_fraction() {
         let sys = system();
-        let a = solve(&sys, 2, 0.75, &mut Stats::new()).unwrap();
-        let b = cwsc_to_target(&sys, 2, 6, &Deadline::unbounded(), &mut Stats::new())
+        let a = solve(&sys, 2, 0.75, &mut NoopObserver).unwrap();
+        let b = cwsc_to_target(&sys, 2, 6, &Deadline::unbounded(), &mut NoopObserver)
             .unwrap()
             .expect_complete("unbounded deadline");
         assert_eq!(a, b);
@@ -318,19 +312,19 @@ mod tests {
             .add_set([3, 4, 5], 3.0) // gain 1
             .add_universe_set(50.0);
         let sys = b.build().unwrap();
-        let sol = solve(&sys, 1, 0.5, &mut Stats::new()).unwrap();
+        let sol = solve(&sys, 1, 0.5, &mut NoopObserver).unwrap();
         assert_eq!(sol.sets(), &[1]);
         assert_eq!(sol.total_cost().value(), 3.0);
     }
 
     #[test]
     fn single_round_is_recorded() {
-        let mut stats = Stats::new();
-        let _ = solve(&system(), 2, 0.75, &mut stats).unwrap();
-        assert_eq!(stats.budget_guesses, 1, "CWSC is one budget round");
-        let mut stats = Stats::new();
-        let _ = solve(&system(), 3, 0.0, &mut stats).unwrap();
-        assert_eq!(stats.budget_guesses, 0, "trivial target does no work");
+        let mut metrics = MetricsRecorder::new();
+        let _ = solve(&system(), 2, 0.75, &mut metrics).unwrap();
+        assert_eq!(metrics.guesses, 1, "CWSC is one budget round");
+        let mut metrics = MetricsRecorder::new();
+        let _ = solve(&system(), 3, 0.0, &mut metrics).unwrap();
+        assert_eq!(metrics.guesses, 0, "trivial target does no work");
     }
 
     #[test]
@@ -339,14 +333,14 @@ mod tests {
         b.add_set([0], 1.0).add_set([1], 1.0);
         let sys = b.build().unwrap();
         assert_eq!(
-            solve(&sys, 1, 0.5, &mut Stats::new()),
+            solve(&sys, 1, 0.5, &mut NoopObserver),
             Err(SolveError::NoSolution)
         );
         assert_eq!(
-            solve(&sys, 0, 0.5, &mut Stats::new()),
+            solve(&sys, 0, 0.5, &mut NoopObserver),
             Err(SolveError::ZeroSizeBound)
         );
-        let empty = solve(&sys, 1, 0.0, &mut Stats::new()).unwrap();
+        let empty = solve(&sys, 1, 0.0, &mut NoopObserver).unwrap();
         assert_eq!(empty.size(), 0);
     }
 
@@ -357,7 +351,7 @@ mod tests {
             .add_set([0], 0.5)
             .add_universe_set(9.0);
         let sys = b.build().unwrap();
-        let sol = solve(&sys, 3, 1.0, &mut Stats::new()).unwrap();
+        let sol = solve(&sys, 3, 1.0, &mut NoopObserver).unwrap();
         assert_eq!(sol.size(), 1, "covered in one pick, must stop");
     }
 
@@ -375,10 +369,8 @@ mod tests {
             b.add_universe_set(300.0);
             let sys = b.build().unwrap();
             for budget in [0u64, 1, 2, 4] {
-                let pool = ThreadPool::new(Threads::serial());
                 let deadline = Deadline::unbounded().with_tick_budget(budget);
-                let out =
-                    cwsc(&sys, 12, 1.0, &pool, &deadline, &mut MetricsRecorder::new()).unwrap();
+                let out = cwsc(&sys, 12, 1.0, &deadline, &mut MetricsRecorder::new()).unwrap();
                 let SolveOutcome::Degraded(d) = out else {
                     panic!("budget {budget} cannot cover 12 singleton picks");
                 };
@@ -395,29 +387,12 @@ mod tests {
             let mut b = SetSystem::builder(4);
             b.add_set([0], 1.0).add_set([1], 1.0);
             let sys = b.build().unwrap();
-            let pool = ThreadPool::new(Threads::serial());
-            let err = cwsc(
-                &sys,
-                1,
-                0.5,
-                &pool,
-                &Deadline::unbounded(),
-                &mut Stats::new(),
-            )
-            .unwrap_err();
+            let err = cwsc(&sys, 1, 0.5, &Deadline::unbounded(), &mut NoopObserver).unwrap_err();
             assert!(matches!(
                 err,
                 crate::engine::EngineError::Solve(SolveError::NoSolution)
             ));
-            let empty = cwsc(
-                &sys,
-                1,
-                0.0,
-                &pool,
-                &Deadline::unbounded(),
-                &mut Stats::new(),
-            )
-            .unwrap();
+            let empty = cwsc(&sys, 1, 0.0, &Deadline::unbounded(), &mut NoopObserver).unwrap();
             assert_eq!(empty.expect_complete("trivial").size(), 0);
         }
     }

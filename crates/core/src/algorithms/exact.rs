@@ -171,9 +171,8 @@ impl<O: Observer + ?Sized> Search<'_, O> {
 mod tests {
     use super::*;
     use crate::algorithms::cwsc::cwsc;
-    use crate::engine::{Deadline, ThreadPool, Threads};
+    use crate::engine::Deadline;
     use crate::set_system::coverage_target;
-    use crate::stats::Stats;
     use crate::telemetry::NoopObserver;
 
     /// [`exact_optimal`] at coverage fraction `coverage`, unobserved.
@@ -236,8 +235,7 @@ mod tests {
     fn exact_never_worse_than_cwsc() {
         let sys = system();
         for (k, s) in [(1usize, 0.5f64), (2, 0.6), (3, 1.0), (2, 0.9)] {
-            let pool = ThreadPool::new(Threads::serial());
-            let greedy = cwsc(&sys, k, s, &pool, &Deadline::unbounded(), &mut Stats::new());
+            let greedy = cwsc(&sys, k, s, &Deadline::unbounded(), &mut NoopObserver);
             let opt = optimum(&sys, k, s);
             if let (Ok(g), Some(o)) = (greedy, opt) {
                 let g = g.expect_complete("unbounded deadline");

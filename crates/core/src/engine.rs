@@ -26,8 +26,10 @@
 //! # Threads
 //!
 //! Every solve runs on the calling thread. [`ThreadPool`] and [`Threads`]
-//! survive only as field-less arguments of the solver signatures; no
-//! solver reads them.
+//! survive only as the ignored `pool` argument of
+//! [`Solver::solve`](crate::solver::Solver::solve) and of `scwsc-serve`'s
+//! `ServerState::new`, because the benchmark crate constructs and passes
+//! them; a change to the benchmark deletes them.
 
 use crate::solution::SolveError;
 use std::fmt;
@@ -35,8 +37,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The thread configuration every solver signature takes. Field-less:
-/// every solve runs on the calling thread.
+/// The thread configuration behind a [`ThreadPool`]. Field-less: every
+/// solve runs on the calling thread.
 #[derive(Debug, Clone, Copy)]
 pub struct Threads;
 
@@ -47,8 +49,9 @@ impl Threads {
     }
 }
 
-/// The pool argument every solver signature takes. It holds nothing and
-/// no solver reads it: every solve runs on the calling thread.
+/// The pool argument of [`Solver::solve`](crate::solver::Solver::solve).
+/// It holds nothing and is ignored: every solve runs on the calling
+/// thread. A change to the benchmark crate, which passes it, deletes it.
 #[derive(Debug)]
 pub struct ThreadPool;
 

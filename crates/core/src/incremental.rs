@@ -342,7 +342,7 @@ impl IncrementalCover {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::Stats;
+    use crate::telemetry::NoopObserver;
 
     /// 3 sets: two halves and a universe (every element reports it).
     fn maintainer() -> IncrementalCover {
@@ -445,7 +445,7 @@ mod tests {
             2,
             m.target(),
             &Deadline::unbounded(),
-            &mut Stats::new(),
+            &mut NoopObserver,
         )
         .unwrap()
         .expect_complete("unbounded deadline");

@@ -19,7 +19,7 @@
 //!   logarithmic factor of optimal (Theorems 4–5).
 //!
 //! ```
-//! use scwsc_core::{algorithms, Deadline, SetSystem, Stats, ThreadPool, Threads};
+//! use scwsc_core::{algorithms, Deadline, NoopObserver, SetSystem};
 //!
 //! let mut b = SetSystem::builder(6);
 //! b.add_set([0, 1, 2], 3.0)
@@ -28,10 +28,9 @@
 //!     .add_universe_set(50.0); // Definition 1 requires a universe set
 //! let system = b.build().unwrap();
 //!
-//! // Every solver takes a thread pool and a deadline; an unbounded
+//! // Every solver takes a deadline and an observer; an unbounded
 //! // deadline always completes.
-//! let pool = ThreadPool::new(Threads::serial());
-//! let solution = algorithms::cwsc(&system, 2, 0.8, &pool, &Deadline::unbounded(), &mut Stats::new())
+//! let solution = algorithms::cwsc(&system, 2, 0.8, &Deadline::unbounded(), &mut NoopObserver)
 //!     .unwrap()
 //!     .expect_complete("an unbounded deadline never expires");
 //! assert!(solution.size() <= 2);
@@ -57,7 +56,6 @@ pub mod multiweight;
 pub mod set_system;
 pub mod solution;
 pub mod solver;
-pub mod stats;
 pub mod telemetry;
 
 pub use bitset::{BitSet, BlockSummary, LimitedCount};
@@ -75,7 +73,6 @@ pub use solution::{
     verify, verify_certificate, CertificateCheck, Requirements, Solution, SolveError, Verification,
 };
 pub use solver::{Algorithm, Answer, CostModel, Query, Solver, SystemInstance};
-pub use stats::Stats;
 pub use telemetry::{
     audit, parse_prometheus, render_prometheus, render_prometheus_windowed, Event, EventLog,
     Fanout, FlightRecorder, JsonlSink, LogHistogram, MetricsRecorder, NoopObserver, Observer,

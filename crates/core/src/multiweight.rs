@@ -12,9 +12,7 @@
 //!   non-dominated, giving the decision-maker a trade-off frontier.
 
 use crate::algorithms::cwsc::cwsc_to_target;
-use crate::engine::{
-    Certificate, Deadline, DegradeReason, Degraded, EngineError, SolveOutcome, ThreadPool,
-};
+use crate::engine::{Certificate, Deadline, DegradeReason, Degraded, EngineError, SolveOutcome};
 use crate::set_system::{coverage_target, ElementId, SetId, SetSystem};
 use crate::solution::{Solution, SolveError};
 use crate::telemetry::{pack_k_target, Event, Observer, PhaseSpan, TraceId};
@@ -200,15 +198,13 @@ pub fn dominates(a: &[f64], b: &[f64]) -> bool {
 /// frontier size, `total_cost` = 0.
 ///
 /// The λs are solved in order on the calling thread, each emitting
-/// straight into `obs`; the sweep stops at the first expiry or error.
-/// `pool` is accepted so every solver family shares one signature. A
+/// straight into `obs`; the sweep stops at the first expiry or error. A
 /// panicking solve surfaces as [`MultiWeightError::Faulted`].
 pub fn pareto_sweep<O: Observer + ?Sized>(
     system: &MultiWeightSystem,
     k: usize,
     coverage_fraction: f64,
     lambdas: &[Vec<f64>],
-    _pool: &ThreadPool,
     deadline: &Deadline,
     obs: &mut O,
 ) -> Result<SolveOutcome<Vec<ParetoPoint>>, MultiWeightError> {
@@ -223,7 +219,7 @@ pub fn pareto_sweep<O: Observer + ?Sized>(
 }
 
 /// Deterministic trace id for a sweep entry point: same system shape,
-/// `k`, and coverage target ⇒ same id, whatever the pool or deadline.
+/// `k`, and coverage target ⇒ same id, whatever the deadline.
 fn sweep_trace_id(system: &MultiWeightSystem, k: usize, coverage_fraction: f64) -> TraceId {
     let target = coverage_target(system.num_elements, coverage_fraction);
     TraceId::mint(
@@ -316,7 +312,6 @@ fn run_sweep<O: Observer + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Threads;
     use crate::telemetry::NoopObserver;
 
     /// [`pareto_sweep`] without a deadline, unwrapped to the complete
@@ -328,17 +323,8 @@ mod tests {
         lambdas: &[Vec<f64>],
         obs: &mut dyn Observer,
     ) -> Result<Vec<ParetoPoint>, MultiWeightError> {
-        let pool = ThreadPool::new(Threads::serial());
-        pareto_sweep(
-            system,
-            k,
-            coverage,
-            lambdas,
-            &pool,
-            &Deadline::unbounded(),
-            obs,
-        )
-        .map(|out| out.expect_complete("unbounded deadline"))
+        pareto_sweep(system, k, coverage, lambdas, &Deadline::unbounded(), obs)
+            .map(|out| out.expect_complete("unbounded deadline"))
     }
 
     /// Two criteria pulling in opposite directions: set 0 is cheap on the
@@ -496,14 +482,12 @@ mod tests {
         fn tick_budget_degrades_with_progress_certificate() {
             let s = system();
             for budget in [0u64, 1, 3] {
-                let pool = ThreadPool::new(Threads::serial());
                 let deadline = Deadline::unbounded().with_tick_budget(budget);
                 let out = pareto_sweep(
                     &s,
                     1,
                     0.5,
                     &lambdas(),
-                    &pool,
                     &deadline,
                     &mut MetricsRecorder::new(),
                 )
@@ -522,13 +506,11 @@ mod tests {
         fn solver_failure_propagates() {
             let mut s = MultiWeightSystem::new(4, 1);
             s.add_set([0], vec![1.0]).unwrap();
-            let pool = ThreadPool::new(Threads::serial());
             let err = pareto_sweep(
                 &s,
                 1,
                 1.0,
                 &[vec![1.0]],
-                &pool,
                 &Deadline::unbounded(),
                 &mut MetricsRecorder::new(),
             )

@@ -9,9 +9,6 @@
 //!
 //! * [`NoopObserver`] — ignore everything; its empty `on` is erased by the
 //!   optimizer, so uninstrumented callers pay nothing;
-//! * [`Stats`](crate::stats::Stats) — the classic three-counter struct,
-//!   kept as a thin [`Observer`] adapter so existing call sites work
-//!   unchanged;
 //! * [`MetricsRecorder`] — counters, per-phase monotonic timings, and
 //!   log-bucketed histograms (marginal-benefit distribution, heap
 //!   re-heapify depth);
@@ -48,8 +45,7 @@ pub use trace::{pack_k_target, TraceContext, TraceId};
 pub use watchdog::{Watchdog, WatchdogMonitor};
 pub use window::{SolveSample, SolveWindows};
 
-/// Span name covering a solver's whole run; [`Stats`](crate::stats::Stats)
-/// copies its duration into `elapsed_secs`.
+/// Span name covering a solver's whole run.
 pub const PHASE_TOTAL: &str = "total";
 
 /// Span name of one budget guess inside a CMC run (child of
@@ -125,8 +121,8 @@ impl PruneReason {
 /// variants it uses and ignores the rest.
 ///
 /// Solvers take `&mut O where O: Observer + ?Sized`, so both concrete
-/// observers (`&mut Stats`, where [`NoopObserver`]'s empty `on` compiles
-/// away entirely) and trait objects (`&mut dyn Observer`, as inside
+/// observers (`&mut MetricsRecorder`, or [`NoopObserver`], whose empty
+/// `on` compiles away entirely) and trait objects (`&mut dyn Observer`, as inside
 /// [`Fanout`]) work.
 pub trait Observer {
     /// Handles one event.
@@ -598,8 +594,8 @@ impl<W: io::Write> Observer for JsonlSink<W> {
 }
 
 /// Broadcasts every event to each attached observer, in attachment order.
-/// Lets one solve feed `Stats`, a [`MetricsRecorder`], and a [`JsonlSink`]
-/// simultaneously.
+/// Lets one solve feed a [`MetricsRecorder`], a [`JsonlSink`] and an
+/// [`EventLog`] simultaneously.
 #[derive(Default)]
 pub struct Fanout<'a> {
     observers: Vec<&'a mut dyn Observer>,

@@ -10,8 +10,9 @@
 //! hangs. The [`Watchdog`] closes that gap from the outside:
 //!
 //! 1. **arm** — attached to the solve's [`Fanout`](super::Fanout), it
-//!    arms itself on the first [`TraceStarted`](Event::TraceStarted)
-//!    and latches the trace id;
+//!    arms itself on [`TraceStarted`](Event::TraceStarted) and stays
+//!    armed while any root `total` span is open; it latches the first
+//!    trace id;
 //! 2. **watch** — a background [`monitor`](Watchdog::monitor) thread
 //!    polls combined progress: observer events seen (every event bumps a
 //!    counter) *plus* engine ticks via a
@@ -21,10 +22,15 @@
 //!    `stall_after`, it records one `stall_detected` event into the
 //!    attached [`FlightRecorder`] and dumps it to the configured path —
 //!    the post-mortem exists even if the process must be killed;
-//! 4. **disarm** — the solve outcome (root
-//!    [`PhaseEnded`](Event::PhaseEnded), or an explicit
-//!    [`disarm`](Watchdog::disarm)) disarms cleanly; the monitor guard
+//! 4. **disarm** — the close of the last open root `total` span
+//!    ([`PhaseEnded`](Event::PhaseEnded)), or an explicit
+//!    [`disarm`](Watchdog::disarm), disarms cleanly; the monitor guard
 //!    joins its thread on drop.
+//!
+//! Clones shared by concurrent solves (one per request in `scwsc_serve`)
+//! arm and disarm one atomic word: the open-span count and the
+//! trace-started flag change together, so one solve's end can never
+//! disarm another solve's open span.
 //!
 //! The watchdog is deliberately *outside* the determinism contract: it
 //! observes wall-clock liveness, fires only on stalls a healthy run never
@@ -43,12 +49,20 @@ use std::time::{Duration, Instant};
 /// Default poll cadence of the monitor thread.
 const DEFAULT_POLL: Duration = Duration::from_millis(10);
 
+/// [`WatchInner::state`] flag: a trace started since the open-span count
+/// was last zero.
+const TRACED: u64 = 1;
+/// [`WatchInner::state`] weight of one open root `total` span.
+const SPAN: u64 = 2;
+
 /// Shared state between the observer-side handle, the monitor thread, and
 /// any clones attached to other solvers.
 #[derive(Debug)]
 struct WatchInner {
-    /// Armed between `trace_started` and the root `phase_ended`/`disarm`.
-    armed: AtomicBool,
+    /// Open root `total` spans times [`SPAN`], plus [`TRACED`] from a
+    /// `trace_started` until the count next returns to zero. Armed while
+    /// nonzero.
+    state: AtomicU64,
     /// Bumped on every observed event — the telemetry half of progress.
     events: AtomicU64,
     /// Engine checkpoint ticks — the quiet-progress half. Zero when no
@@ -66,8 +80,6 @@ struct WatchInner {
     stalls: AtomicU64,
     /// One-shot latch per arm cycle.
     fired: AtomicBool,
-    /// Root-span depth so nested `total` spans don't disarm early.
-    depth: AtomicU64,
     /// First latched trace id (0 = unset), for log correlation.
     trace_id: AtomicU64,
     /// Tells the monitor thread to exit.
@@ -90,7 +102,7 @@ impl Watchdog {
     pub fn new(stall_after: Duration) -> Watchdog {
         Watchdog {
             inner: Arc::new(WatchInner {
-                armed: AtomicBool::new(false),
+                state: AtomicU64::new(0),
                 events: AtomicU64::new(0),
                 probe: Mutex::new(None),
                 flight: Mutex::new(None),
@@ -99,7 +111,6 @@ impl Watchdog {
                 poll: DEFAULT_POLL,
                 stalls: AtomicU64::new(0),
                 fired: AtomicBool::new(false),
-                depth: AtomicU64::new(0),
                 trace_id: AtomicU64::new(0),
                 shutdown: AtomicBool::new(false),
             }),
@@ -137,7 +148,7 @@ impl Watchdog {
 
     /// Whether the watchdog is currently armed (a solve is in flight).
     pub fn is_armed(&self) -> bool {
-        self.inner.armed.load(Ordering::Relaxed)
+        self.inner.state.load(Ordering::Acquire) != 0
     }
 
     /// The first latched [`TraceId`] (unset when no solve has started).
@@ -145,11 +156,11 @@ impl Watchdog {
         TraceId(self.inner.trace_id.load(Ordering::Relaxed))
     }
 
-    /// Explicitly disarms (normally the root `phase_ended` does this).
-    /// Idempotent; also re-arms the one-shot for the next solve.
+    /// Explicitly disarms and forgets every open span (normally the last
+    /// root `phase_ended` disarms). Idempotent; also re-arms the one-shot
+    /// for the next solve.
     pub fn disarm(&self) {
-        self.inner.armed.store(false, Ordering::Relaxed);
-        self.inner.depth.store(0, Ordering::Relaxed);
+        self.inner.state.store(0, Ordering::Release);
         self.inner.fired.store(false, Ordering::Relaxed);
     }
 
@@ -269,7 +280,7 @@ impl Observer for Watchdog {
             Event::TraceStarted(trace_id, _) => {
                 // Arm on the first trace of a solve; nested traces just
                 // count as progress.
-                if !self.inner.armed.swap(true, Ordering::Relaxed) {
+                if self.inner.state.fetch_or(TRACED, Ordering::AcqRel) == 0 {
                     self.inner.fired.store(false, Ordering::Relaxed);
                 }
                 let _ = self.inner.trace_id.compare_exchange(
@@ -280,23 +291,21 @@ impl Observer for Watchdog {
                 );
             }
             Event::PhaseStarted(PHASE_TOTAL) => {
-                self.inner.depth.fetch_add(1, Ordering::AcqRel);
+                self.inner.state.fetch_add(SPAN, Ordering::AcqRel);
             }
             Event::PhaseEnded(PHASE_TOTAL, _) => {
-                // Disarm only when the last open total span closes. Clones
-                // shared by concurrent solves (one per request in
-                // `scwsc_serve`) decrement from several threads, so the
-                // decrement is one atomic read-modify-write, saturating at
-                // zero.
+                // Close one span, saturating at zero; the last close also
+                // clears the trace flag. One read-modify-write, so a span
+                // another solve opens meanwhile keeps the watchdog armed.
                 let was = self
                     .inner
-                    .depth
-                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |d| {
-                        Some(d.saturating_sub(1))
+                    .state
+                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |s| {
+                        Some(if s < 2 * SPAN { 0 } else { s - SPAN })
                     })
                     .expect("the update always succeeds");
-                if was <= 1 {
-                    self.disarm();
+                if was < 2 * SPAN {
+                    self.inner.fired.store(false, Ordering::Relaxed);
                 }
             }
             _ => {}
@@ -334,17 +343,19 @@ mod tests {
             .map(|t| {
                 let mut obs = dog.clone();
                 thread::spawn(move || {
+                    let mut disarmed = 0u64;
                     for i in 0..200_000 {
                         obs.on(&Event::TraceStarted(TraceId::mint("cmc", t, i), "cmc"));
                         obs.on(&Event::PhaseStarted(PHASE_TOTAL));
+                        disarmed += u64::from(!obs.is_armed());
                         obs.on(&Event::PhaseEnded(PHASE_TOTAL, 0.0));
                     }
+                    disarmed
                 })
             })
             .collect();
-        for worker in workers {
-            worker.join().expect("worker");
-        }
+        let disarmed: u64 = workers.into_iter().map(|w| w.join().expect("worker")).sum();
+        assert_eq!(disarmed, 0, "one solve's end disarmed another's open span");
         assert!(!dog.is_armed(), "armed with no solve in flight");
     }
 

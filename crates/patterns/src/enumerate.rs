@@ -99,7 +99,7 @@ pub fn enumerate_all(table: &Table, cost_fn: CostFn) -> MaterializedPatterns {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scwsc_core::{algorithms, Deadline, Stats, ThreadPool, Threads};
+    use scwsc_core::{algorithms, Deadline, NoopObserver};
 
     /// 3 rows over 2 attributes with 2 distinct values each.
     fn table() -> Table {
@@ -160,17 +160,9 @@ mod tests {
     fn unoptimized_cwsc_runs_on_materialization() {
         let t = table();
         let m = enumerate_all(&t, CostFn::Max);
-        let pool = ThreadPool::new(Threads::serial());
-        let sol = algorithms::cwsc(
-            &m.system,
-            2,
-            1.0,
-            &pool,
-            &Deadline::unbounded(),
-            &mut Stats::new(),
-        )
-        .unwrap()
-        .expect_complete("unbounded deadline");
+        let sol = algorithms::cwsc(&m.system, 2, 1.0, &Deadline::unbounded(), &mut NoopObserver)
+            .unwrap()
+            .expect_complete("unbounded deadline");
         assert_eq!(sol.covered(), 3);
         assert!(sol.size() <= 2);
         let pats = m.solution_patterns(&sol);

@@ -501,8 +501,7 @@ mod tests {
     use crate::test_util::complete;
     use scwsc_core::algorithms::CmcParams;
     use scwsc_core::{
-        Deadline, DegradeReason, MetricsRecorder, SolveError, SolveOutcome, Stats, ThreadPool,
-        Threads,
+        Deadline, DegradeReason, MetricsRecorder, NoopObserver, SolveError, SolveOutcome,
     };
 
     /// Fig. 3 over any lattice, serial and unbounded.
@@ -511,14 +510,12 @@ mod tests {
         k: usize,
         coverage: f64,
     ) -> Result<PatternSolution, SolveError> {
-        let pool = ThreadPool::new(Threads::serial());
         complete(opt_cwsc(
             space,
             k,
             coverage,
-            &pool,
             &Deadline::unbounded(),
-            &mut Stats::new(),
+            &mut NoopObserver,
         ))
     }
 
@@ -527,13 +524,11 @@ mod tests {
         space: &S,
         params: &CmcParams,
     ) -> Result<PatternSolution, SolveError> {
-        let pool = ThreadPool::new(Threads::serial());
         complete(opt_cmc(
             space,
             params,
-            &pool,
             &Deadline::unbounded(),
-            &mut Stats::new(),
+            &mut NoopObserver,
         ))
     }
 
@@ -756,14 +751,12 @@ mod tests {
         let m = enumerate_hierarchical(&sp);
         for (k, s) in [(1usize, 0.5f64), (2, 0.6), (3, 0.9), (2, 1.0)] {
             let opt = cwsc_in(&sp, k, s);
-            let pool = ThreadPool::new(Threads::serial());
             let unopt = complete(cwsc(
                 &m.system,
                 k,
                 s,
-                &pool,
                 &Deadline::unbounded(),
-                &mut Stats::new(),
+                &mut NoopObserver,
             ));
             match (opt, unopt) {
                 (Ok(o), Ok(u)) => {
@@ -822,14 +815,13 @@ mod tests {
         let t = table();
         let sp = space(&t);
         let params = CmcParams::classic(2, 1.0, 1.0);
-        let pool = ThreadPool::new(Threads::serial());
         for budget in [0u64, 1, 3] {
             for algorithm in ["opt_cwsc", "opt_cmc"] {
                 let deadline = Deadline::unbounded().with_tick_budget(budget);
                 let mut m = MetricsRecorder::new();
                 let out = match algorithm {
-                    "opt_cwsc" => opt_cwsc(&sp, 2, 1.0, &pool, &deadline, &mut m),
-                    _ => opt_cmc(&sp, &params, &pool, &deadline, &mut m),
+                    "opt_cwsc" => opt_cwsc(&sp, 2, 1.0, &deadline, &mut m),
+                    _ => opt_cmc(&sp, &params, &deadline, &mut m),
                 }
                 .unwrap();
                 let SolveOutcome::Degraded(d) = out else {

@@ -18,7 +18,7 @@
 //!
 //! ```
 //! use scwsc_patterns::{CostFn, PatternSpace, Table, opt_cwsc::opt_cwsc};
-//! use scwsc_core::{Deadline, Stats, ThreadPool, Threads};
+//! use scwsc_core::{Deadline, NoopObserver};
 //!
 //! let mut b = Table::builder(&["Type", "Location"], "Cost");
 //! b.push_row(&["A", "West"], 10.0).unwrap();
@@ -27,8 +27,7 @@
 //! let table = b.build();
 //!
 //! let space = PatternSpace::new(&table, CostFn::Max);
-//! let pool = ThreadPool::new(Threads::serial());
-//! let solution = opt_cwsc(&space, 2, 1.0, &pool, &Deadline::unbounded(), &mut Stats::new())
+//! let solution = opt_cwsc(&space, 2, 1.0, &Deadline::unbounded(), &mut NoopObserver)
 //!     .unwrap()
 //!     .expect_complete("an unbounded deadline never expires");
 //! assert!(solution.size() <= 2);

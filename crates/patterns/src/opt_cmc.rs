@@ -64,7 +64,7 @@ use scwsc_core::engine::{Deadline, EngineError, SolveOutcome};
 use scwsc_core::telemetry::{
     audit, pack_k_target, Event, EventLog, Observer, PhaseSpan, PruneReason, TraceId, PHASE_TOTAL,
 };
-use scwsc_core::{coverage_target, BitSet, SolveError, ThreadPool};
+use scwsc_core::{coverage_target, BitSet, SolveError};
 use std::borrow::Cow;
 use std::collections::BinaryHeap;
 use std::iter::successors;
@@ -92,15 +92,15 @@ const DELTA_MAX_ROUNDS: usize = 4;
 /// `candidate_pruned` with reason `exhausted`, `heap_stale_pop`), except
 /// that the stale pops since the last selection are also reported before
 /// each selection; budget guesses arrive as `guess_started` events.
-/// Passing `&mut Stats` keeps the legacy counters. Each guess records
+/// Passing a [`MetricsRecorder`](scwsc_core::MetricsRecorder) aggregates
+/// them into counters. Each guess records
 /// into a private [`EventLog`] (one log for the whole solve, cleared per
 /// attempt) replayed into `obs` when the guess ends, so events arrive
 /// once per guess, not live.
 ///
 /// The solve runs on the calling thread: the heap pop order *is* the
-/// algorithm and every step mutates the shared lattice cache. `pool` is
-/// accepted so every solver family shares one signature, as in
-/// [`opt_cwsc`](crate::opt_cwsc()). Guesses run one at a time, each
+/// algorithm and every step mutates the shared lattice cache. Guesses run
+/// one at a time, each
 /// reusing the previous guess's lattice materializations and replaying
 /// the budget-independent prefix of its walk (module doc).
 ///
@@ -121,7 +121,6 @@ const DELTA_MAX_ROUNDS: usize = 4;
 pub fn opt_cmc<S: LatticeSpace, O: Observer + ?Sized>(
     space: &S,
     params: &CmcParams,
-    _pool: &ThreadPool,
     deadline: &Deadline,
     obs: &mut O,
 ) -> Result<SolveOutcome<PatternSolution>, EngineError> {
@@ -773,16 +772,15 @@ mod tests {
     use crate::test_util::{complete, entities};
     use scwsc_core::algorithms::{cmc, CmcOutcome, CMC_COVERAGE_DISCOUNT};
     use scwsc_core::engine::DegradeReason;
-    use scwsc_core::{SetSystem, Stats, Threads};
+    use scwsc_core::{MetricsRecorder, NoopObserver, SetSystem};
 
-    /// [`opt_cmc`] on a serial pool without a deadline.
+    /// [`opt_cmc`] without a deadline.
     fn solve(
         space: &PatternSpace<'_>,
         params: &CmcParams,
         obs: &mut dyn Observer,
     ) -> Result<PatternSolution, SolveError> {
-        let pool = ThreadPool::new(Threads::serial());
-        complete(opt_cmc(space, params, &pool, &Deadline::unbounded(), obs))
+        complete(opt_cmc(space, params, &Deadline::unbounded(), obs))
     }
 
     /// Fig. 1 CMC over the materialized cube.
@@ -791,8 +789,7 @@ mod tests {
         params: &CmcParams,
         obs: &mut dyn Observer,
     ) -> Result<CmcOutcome, SolveError> {
-        let pool = ThreadPool::new(Threads::serial());
-        complete(cmc(system, params, &pool, &Deadline::unbounded(), obs))
+        complete(cmc(system, params, &Deadline::unbounded(), obs))
     }
 
     #[test]
@@ -801,7 +798,7 @@ mod tests {
         let sp = PatternSpace::new(&t, CostFn::Max);
         for (k, s) in [(2usize, 9.0 / 16.0), (3, 0.5), (2, 1.0), (5, 0.8)] {
             let params = CmcParams::classic(k, s, 1.0);
-            let sol = solve(&sp, &params, &mut Stats::new()).unwrap();
+            let sol = solve(&sp, &params, &mut NoopObserver).unwrap();
             let target = coverage_target(16, s * CMC_COVERAGE_DISCOUNT);
             assert!(
                 sol.covered >= target,
@@ -819,7 +816,7 @@ mod tests {
         let sp = PatternSpace::new(&t, CostFn::Max);
         for &eps in &[0.5, 1.0, 2.0] {
             let params = CmcParams::epsilon(4, 0.9, 1.0, eps);
-            let sol = solve(&sp, &params, &mut Stats::new()).unwrap();
+            let sol = solve(&sp, &params, &mut NoopObserver).unwrap();
             let bound = ((1.0 + eps) * 4.0).floor() as usize;
             assert!(sol.size() <= bound.max(4), "eps={eps}: {}", sol.size());
         }
@@ -832,18 +829,18 @@ mod tests {
     fn considers_fewer_patterns_than_unoptimized_at_scale() {
         let t = crate::test_util::skewed_table(600, 4, 7);
         let sp = PatternSpace::new(&t, CostFn::Max);
-        let mut opt_stats = Stats::new();
+        let mut opt_metrics = MetricsRecorder::new();
         let params = CmcParams::classic(10, 0.3, 1.0);
-        let sol = solve(&sp, &params, &mut opt_stats).unwrap();
+        let sol = solve(&sp, &params, &mut opt_metrics).unwrap();
         sol.verify(&sp);
         let m = enumerate_all(&t, CostFn::Max);
-        let mut unopt_stats = Stats::new();
-        let _ = solve_unopt(&m.system, &params, &mut unopt_stats).unwrap();
+        let mut unopt_metrics = MetricsRecorder::new();
+        let _ = solve_unopt(&m.system, &params, &mut unopt_metrics).unwrap();
         assert!(
-            opt_stats.considered < unopt_stats.considered,
+            opt_metrics.benefits_computed < unopt_metrics.benefits_computed,
             "optimized {} >= unoptimized {}",
-            opt_stats.considered,
-            unopt_stats.considered
+            opt_metrics.benefits_computed,
+            unopt_metrics.benefits_computed
         );
     }
 
@@ -855,9 +852,9 @@ mod tests {
         let t = entities();
         let sp = PatternSpace::new(&t, CostFn::Max);
         let params = CmcParams::classic(2, 9.0 / 16.0, 1.0);
-        let opt = solve(&sp, &params, &mut Stats::new()).unwrap();
+        let opt = solve(&sp, &params, &mut NoopObserver).unwrap();
         let m = enumerate_all(&t, CostFn::Max);
-        let unopt = solve_unopt(&m.system, &params, &mut Stats::new()).unwrap();
+        let unopt = solve_unopt(&m.system, &params, &mut NoopObserver).unwrap();
         let bound = 2.0 * (2.0 * (2f64).log2().ceil() + 1.0);
         assert!(opt.total_cost <= bound * unopt.solution.total_cost().value() + 1e-9);
         assert!(unopt.solution.total_cost().value() <= bound * opt.total_cost + 1e-9);
@@ -868,10 +865,10 @@ mod tests {
         let t = entities();
         let sp = PatternSpace::new(&t, CostFn::Max);
         assert_eq!(
-            solve(&sp, &CmcParams::classic(0, 0.5, 1.0), &mut Stats::new()),
+            solve(&sp, &CmcParams::classic(0, 0.5, 1.0), &mut NoopObserver),
             Err(SolveError::ZeroSizeBound)
         );
-        let sol = solve(&sp, &CmcParams::classic(2, 0.0, 1.0), &mut Stats::new()).unwrap();
+        let sol = solve(&sp, &CmcParams::classic(2, 0.0, 1.0), &mut NoopObserver).unwrap();
         assert_eq!(sol.size(), 0);
     }
 
@@ -879,10 +876,10 @@ mod tests {
     fn budget_guesses_increase_with_tight_instances() {
         let t = entities();
         let sp = PatternSpace::new(&t, CostFn::Max);
-        let mut stats = Stats::new();
+        let mut metrics = MetricsRecorder::new();
         let params = CmcParams::classic(2, 1.0, 1.0);
-        let _ = solve(&sp, &params, &mut stats).unwrap();
-        assert!(stats.budget_guesses >= 2, "seed budget is tiny by design");
+        let _ = solve(&sp, &params, &mut metrics).unwrap();
+        assert!(metrics.guesses >= 2, "seed budget is tiny by design");
     }
 
     #[test]
@@ -892,7 +889,7 @@ mod tests {
         let t = entities();
         let sp = PatternSpace::new(&t, CostFn::Mean);
         let params = CmcParams::classic(3, 0.6, 1.0);
-        let sol = solve(&sp, &params, &mut Stats::new()).unwrap();
+        let sol = solve(&sp, &params, &mut NoopObserver).unwrap();
         assert!(sol.covered >= coverage_target(16, 0.6 * CMC_COVERAGE_DISCOUNT));
         sol.verify(&sp);
     }
@@ -902,8 +899,8 @@ mod tests {
         let t = crate::test_util::skewed_table(300, 3, 5);
         let sp = PatternSpace::new(&t, CostFn::Max);
         let params = CmcParams::classic(5, 0.4, 1.0);
-        let a = solve(&sp, &params, &mut Stats::new()).unwrap();
-        let b = solve(&sp, &params, &mut Stats::new()).unwrap();
+        let a = solve(&sp, &params, &mut NoopObserver).unwrap();
+        let b = solve(&sp, &params, &mut NoopObserver).unwrap();
         assert_eq!(a, b);
     }
 
@@ -918,10 +915,8 @@ mod tests {
             let sp = PatternSpace::new(&t, CostFn::Max);
             let params = CmcParams::classic(2, 1.0, 1.0);
             for budget in [0u64, 3, 10, 25] {
-                let pool = ThreadPool::new(Threads::serial());
                 let deadline = Deadline::unbounded().with_tick_budget(budget);
-                let out =
-                    opt_cmc(&sp, &params, &pool, &deadline, &mut MetricsRecorder::new()).unwrap();
+                let out = opt_cmc(&sp, &params, &deadline, &mut MetricsRecorder::new()).unwrap();
                 if let SolveOutcome::Degraded(d) = out {
                     assert_eq!(d.certificate.reason, DegradeReason::TickBudget);
                     let check = verify_certificate_in(&sp, &d.partial, &d.certificate);
@@ -935,9 +930,8 @@ mod tests {
             let t = entities();
             let sp = PatternSpace::new(&t, CostFn::Max);
             let params = CmcParams::classic(3, 0.8, 1.0);
-            let pool = ThreadPool::new(Threads::serial());
             let deadline = Deadline::unbounded().with_tick_budget(0);
-            let out = opt_cmc(&sp, &params, &pool, &deadline, &mut MetricsRecorder::new()).unwrap();
+            let out = opt_cmc(&sp, &params, &deadline, &mut MetricsRecorder::new()).unwrap();
             let SolveOutcome::Degraded(d) = out else {
                 panic!("zero ticks must degrade");
             };
@@ -959,12 +953,11 @@ mod tests {
             let t = entities();
             let sp = PatternSpace::new(&t, CostFn::Max);
             let params = CmcParams::classic(2, 9.0 / 16.0, 1.0);
-            let clean = solve(&sp, &params, &mut Stats::new()).unwrap();
-            let pool = ThreadPool::new(Threads::serial());
+            let clean = solve(&sp, &params, &mut NoopObserver).unwrap();
             let deadline =
                 Deadline::unbounded().with_fault_plan(FaultPlan::new().panic_guess_once(1));
             let mut m = MetricsRecorder::new();
-            let out = opt_cmc(&sp, &params, &pool, &deadline, &mut m).unwrap();
+            let out = opt_cmc(&sp, &params, &deadline, &mut m).unwrap();
             assert_eq!(out.expect_complete("retry completes"), clean);
             assert_eq!(m.guesses_retried, 1);
         }
@@ -974,10 +967,8 @@ mod tests {
             let t = entities();
             let sp = PatternSpace::new(&t, CostFn::Max);
             let params = CmcParams::classic(2, 0.5, 1.0);
-            let pool = ThreadPool::new(Threads::serial());
             let deadline = Deadline::unbounded().with_fault_plan(FaultPlan::new().fail_guess(1));
-            let err =
-                opt_cmc(&sp, &params, &pool, &deadline, &mut MetricsRecorder::new()).unwrap_err();
+            let err = opt_cmc(&sp, &params, &deadline, &mut MetricsRecorder::new()).unwrap_err();
             assert!(matches!(err, EngineError::Panicked(_)));
         }
 
@@ -1005,12 +996,11 @@ mod tests {
         fn panic_in_a_replaying_guess_retries_to_the_clean_answer() {
             let (t, params) = replaying_solve();
             let sp = PatternSpace::new(&t, CostFn::Count);
-            let clean = solve(&sp, &params, &mut Stats::new()).unwrap();
-            let pool = ThreadPool::new(Threads::serial());
+            let clean = solve(&sp, &params, &mut NoopObserver).unwrap();
             let deadline =
                 Deadline::unbounded().with_fault_plan(FaultPlan::new().panic_guess_once(2));
             let mut m = MetricsRecorder::new();
-            let out = opt_cmc(&sp, &params, &pool, &deadline, &mut m).unwrap();
+            let out = opt_cmc(&sp, &params, &deadline, &mut m).unwrap();
             assert_eq!(out.expect_complete("retry completes"), clean);
             assert_eq!(m.guesses_retried, 1);
             assert!(m.guesses >= 3, "{} guesses", m.guesses);
@@ -1020,10 +1010,9 @@ mod tests {
         fn cancel_inside_a_replayed_prefix_degrades_with_a_certificate() {
             let (t, params) = replaying_solve();
             let sp = PatternSpace::new(&t, CostFn::Count);
-            let pool = ThreadPool::new(Threads::serial());
             let clean = Deadline::unbounded();
             let mut ends = GuessEnds(&clean, Vec::new());
-            opt_cmc(&sp, &params, &pool, &clean, &mut ends).unwrap();
+            opt_cmc(&sp, &params, &clean, &mut ends).unwrap();
             assert!(ends.1.len() >= 3, "{:?}", ends.1);
             // The first pop of guesses 2 and 3 is the replayed root.
             for g in [1, 2] {
@@ -1031,8 +1020,7 @@ mod tests {
                 let first_pop = ends.1[g - 1].1 + 1;
                 let deadline = Deadline::unbounded()
                     .with_fault_plan(FaultPlan::new().cancel_at_tick(first_pop));
-                let out =
-                    opt_cmc(&sp, &params, &pool, &deadline, &mut MetricsRecorder::new()).unwrap();
+                let out = opt_cmc(&sp, &params, &deadline, &mut MetricsRecorder::new()).unwrap();
                 let SolveOutcome::Degraded(d) = out else {
                     panic!("cancel at tick {first_pop} must degrade");
                 };
@@ -1049,10 +1037,9 @@ mod tests {
             let t = entities();
             let sp = PatternSpace::new(&t, CostFn::Max);
             let params = CmcParams::classic(2, 1.0, 1.0);
-            let pool = ThreadPool::new(Threads::serial());
             let deadline =
                 Deadline::unbounded().with_fault_plan(FaultPlan::new().cancel_at_tick(4));
-            let out = opt_cmc(&sp, &params, &pool, &deadline, &mut MetricsRecorder::new()).unwrap();
+            let out = opt_cmc(&sp, &params, &deadline, &mut MetricsRecorder::new()).unwrap();
             let SolveOutcome::Degraded(d) = out else {
                 panic!("cancel at tick 4 must degrade");
             };

@@ -33,7 +33,7 @@ use scwsc_core::telemetry::{
     audit, pack_k_target, Event, Observer, PhaseSpan, PruneReason, TraceId, PHASE_EXPAND,
     PHASE_SCAN_PRUNE, PHASE_SELECT, PHASE_TOTAL,
 };
-use scwsc_core::{coverage_target, BitSet, BlockSummary, LimitedCount, SolveError, ThreadPool};
+use scwsc_core::{coverage_target, BitSet, BlockSummary, LimitedCount, SolveError};
 use std::borrow::Cow;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -45,10 +45,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 ///
 /// `space` is any [`LatticeSpace`] — the flat pattern cube
 /// ([`PatternSpace`](crate::PatternSpace)) or the hierarchy-enriched
-/// lattice of [`crate::hierarchy::HierarchicalSpace`]. The lattice walk is
-/// single-threaded: `pool` is accepted so every solver family shares one
-/// signature. The
-/// lattice is built for this solve and dropped with it; a
+/// lattice of [`crate::hierarchy::HierarchicalSpace`]. The lattice walk
+/// runs on the calling thread. The lattice is built for this solve and dropped with it; a
 /// [`PatternInstance`](crate::PatternInstance) keeps its own between
 /// solves.
 ///
@@ -61,8 +59,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// failed the floor at materialization (their whole subtrees stay
 /// unexplored) and `posting_scanned` for the parent rows the waitlist
 /// pops bucketed into their children. Each pick emits `set_selected`, and
-/// the solve a `"total"` phase span. Passing `&mut Stats` recovers the
-/// classic counters.
+/// the solve a `"total"` phase span. Passing a
+/// [`MetricsRecorder`](scwsc_core::MetricsRecorder) aggregates them into
+/// counters.
 ///
 /// One work tick is consumed per selection round and per waitlist pop
 /// (so runaway lattice expansions stay interruptible). On expiry the
@@ -75,7 +74,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 ///
 /// ```
 /// use scwsc_patterns::{opt_cwsc, CostFn, PatternSpace, Table};
-/// use scwsc_core::{Deadline, Stats, ThreadPool, Threads};
+/// use scwsc_core::{Deadline, NoopObserver};
 ///
 /// let mut b = Table::builder(&["Type", "Location"], "Cost");
 /// b.push_row(&["A", "West"], 10.0).unwrap();
@@ -84,8 +83,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// let table = b.build();
 ///
 /// let space = PatternSpace::new(&table, CostFn::Max);
-/// let pool = ThreadPool::new(Threads::serial());
-/// let summary = opt_cwsc(&space, 2, 2.0 / 3.0, &pool, &Deadline::unbounded(), &mut Stats::new())
+/// let summary = opt_cwsc(&space, 2, 2.0 / 3.0, &Deadline::unbounded(), &mut NoopObserver)
 ///     .unwrap()
 ///     .expect_complete("an unbounded deadline never expires");
 /// assert!(summary.size() <= 2);
@@ -96,7 +94,6 @@ pub fn opt_cwsc<S: LatticeSpace, O: Observer + ?Sized>(
     space: &S,
     k: usize,
     coverage_fraction: f64,
-    _pool: &ThreadPool,
     deadline: &Deadline,
     obs: &mut O,
 ) -> Result<SolveOutcome<PatternSolution>, EngineError> {
@@ -530,7 +527,7 @@ mod tests {
     use crate::space::PatternSpace;
     use crate::test_util::{complete, entities};
     use scwsc_core::algorithms::cwsc;
-    use scwsc_core::{SetSystem, Solution, Stats, Threads};
+    use scwsc_core::{MetricsRecorder, NoopObserver, SetSystem, Solution};
 
     fn solve(
         space: &PatternSpace<'_>,
@@ -538,27 +535,17 @@ mod tests {
         coverage: f64,
         obs: &mut dyn Observer,
     ) -> Result<PatternSolution, SolveError> {
-        let pool = ThreadPool::new(Threads::serial());
-        complete(opt_cwsc(
-            space,
-            k,
-            coverage,
-            &pool,
-            &Deadline::unbounded(),
-            obs,
-        ))
+        complete(opt_cwsc(space, k, coverage, &Deadline::unbounded(), obs))
     }
 
     /// Fig. 2 CWSC over the materialized cube.
     fn solve_unopt(system: &SetSystem, k: usize, coverage: f64) -> Result<Solution, SolveError> {
-        let pool = ThreadPool::new(Threads::serial());
         complete(cwsc(
             system,
             k,
             coverage,
-            &pool,
             &Deadline::unbounded(),
-            &mut Stats::new(),
+            &mut NoopObserver,
         ))
     }
 
@@ -568,7 +555,7 @@ mod tests {
     fn paper_worked_example() {
         let t = entities();
         let sp = PatternSpace::new(&t, CostFn::Max);
-        let sol = solve(&sp, 2, 9.0 / 16.0, &mut Stats::new()).unwrap();
+        let sol = solve(&sp, 2, 9.0 / 16.0, &mut NoopObserver).unwrap();
         assert_eq!(sol.size(), 2);
         assert_eq!(sol.patterns[0].display(&t), "{Type=B, Location=ALL}");
         assert_eq!(sol.patterns[1].display(&t), "{Type=A, Location=North}");
@@ -585,14 +572,14 @@ mod tests {
     fn considers_fewer_patterns_than_full_cube_at_scale() {
         let t = crate::test_util::skewed_table(600, 4, 7);
         let sp = PatternSpace::new(&t, CostFn::Max);
-        let mut stats = Stats::new();
-        let sol = solve(&sp, 10, 0.3, &mut stats).unwrap();
+        let mut metrics = MetricsRecorder::new();
+        let sol = solve(&sp, 10, 0.3, &mut metrics).unwrap();
         sol.verify(&sp);
         let unopt = enumerate_all(&t, CostFn::Max);
         assert!(
-            (stats.considered as usize) < unopt.num_patterns() / 2,
+            (metrics.benefits_computed as usize) < unopt.num_patterns() / 2,
             "optimized considered {} vs full cube {}",
-            stats.considered,
+            metrics.benefits_computed,
             unopt.num_patterns()
         );
     }
@@ -609,7 +596,7 @@ mod tests {
             (4, 1.0),
             (1, 0.25),
         ] {
-            let opt = solve(&sp, k, s, &mut Stats::new());
+            let opt = solve(&sp, k, s, &mut NoopObserver);
             let unopt = solve_unopt(&m.system, k, s);
             match (opt, unopt) {
                 (Ok(o), Ok(u)) => {
@@ -630,7 +617,7 @@ mod tests {
         let t = entities();
         let sp = PatternSpace::new(&t, CostFn::Max);
         for k in 1..=6 {
-            let sol = solve(&sp, k, 0.75, &mut Stats::new()).unwrap();
+            let sol = solve(&sp, k, 0.75, &mut NoopObserver).unwrap();
             assert!(sol.size() <= k);
             assert!(sol.covered >= 12);
             sol.verify(&sp);
@@ -641,7 +628,7 @@ mod tests {
     fn zero_target_returns_empty() {
         let t = entities();
         let sp = PatternSpace::new(&t, CostFn::Max);
-        let sol = solve(&sp, 3, 0.0, &mut Stats::new()).unwrap();
+        let sol = solve(&sp, 3, 0.0, &mut NoopObserver).unwrap();
         assert_eq!(sol.size(), 0);
     }
 
@@ -650,7 +637,7 @@ mod tests {
         let t = entities();
         let sp = PatternSpace::new(&t, CostFn::Max);
         assert_eq!(
-            solve(&sp, 0, 0.5, &mut Stats::new()),
+            solve(&sp, 0, 0.5, &mut NoopObserver),
             Err(SolveError::ZeroSizeBound)
         );
     }
@@ -659,7 +646,7 @@ mod tests {
     fn k1_full_coverage_selects_root() {
         let t = entities();
         let sp = PatternSpace::new(&t, CostFn::Max);
-        let sol = solve(&sp, 1, 1.0, &mut Stats::new()).unwrap();
+        let sol = solve(&sp, 1, 1.0, &mut NoopObserver).unwrap();
         assert_eq!(sol.size(), 1);
         assert!(sol.patterns[0].is_root());
         assert_eq!(sol.covered, 16);
@@ -669,7 +656,7 @@ mod tests {
     fn works_with_sum_cost_function() {
         let t = entities();
         let sp = PatternSpace::new(&t, CostFn::Sum);
-        let sol = solve(&sp, 3, 0.5, &mut Stats::new()).unwrap();
+        let sol = solve(&sp, 3, 0.5, &mut NoopObserver).unwrap();
         assert!(sol.covered >= 8);
         sol.verify(&sp);
     }
@@ -780,9 +767,7 @@ mod tests {
             let sp = PatternSpace::new(&t, CostFn::Max);
             for budget in [0u64, 1, 2, 5] {
                 let deadline = Deadline::unbounded().with_tick_budget(budget);
-                let pool = ThreadPool::new(Threads::serial());
-                let out =
-                    opt_cwsc(&sp, 4, 1.0, &pool, &deadline, &mut MetricsRecorder::new()).unwrap();
+                let out = opt_cwsc(&sp, 4, 1.0, &deadline, &mut MetricsRecorder::new()).unwrap();
                 let SolveOutcome::Degraded(d) = out else {
                     continue; // larger budgets may legitimately finish
                 };
@@ -799,8 +784,7 @@ mod tests {
             let sp = PatternSpace::new(&t, CostFn::Max);
             let run = || {
                 let deadline = Deadline::unbounded().with_tick_budget(40);
-                let pool = ThreadPool::new(Threads::serial());
-                opt_cwsc(&sp, 8, 0.9, &pool, &deadline, &mut MetricsRecorder::new()).unwrap()
+                opt_cwsc(&sp, 8, 0.9, &deadline, &mut MetricsRecorder::new()).unwrap()
             };
             assert_eq!(run(), run());
         }

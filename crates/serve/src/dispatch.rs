@@ -1,8 +1,7 @@
 //! Request dispatch: cache → admission → deadline → isolated solve.
 //!
 //! [`ServerState`] is the transport-independent heart of `scwsc_serve`:
-//! one immutable `Arc<dyn Solver>` instance, one shared [`ThreadPool`],
-//! one [`Gate`], one [`ResultCache`], one [`SolveWindows`]. The TCP
+//! one immutable `Arc<dyn Solver>` instance, one [`Gate`], one [`ResultCache`], one [`SolveWindows`]. The TCP
 //! layer (`server.rs`) parses lines into [`Request`]s and calls
 //! [`ServerState::dispatch`]; tests and the property suite call it
 //! directly, so every admission/degrade/retry path is exercised without
@@ -130,6 +129,9 @@ pub struct ServerState {
 impl ServerState {
     /// Builds the server state around an instance. `watchdog` (if any)
     /// observes every solve; arm its monitor in the transport layer.
+    /// `pool` is only handed on to [`Solver::solve`], which ignores it;
+    /// it stays because the benchmark crate passes one, and a change to
+    /// that crate deletes it.
     pub fn new(
         solver: Arc<dyn Solver>,
         pool: ThreadPool,

@@ -60,10 +60,10 @@ fn main() {
         coverage * 100.0
     );
 
-    // CWSC: at most k sites. Every solver takes a thread pool and a
-    // deadline; with no deadline the solve always completes.
-    let (pool, deadline) = (ThreadPool::new(Threads::serial()), Deadline::unbounded());
-    let plan = cwsc(&system, k, coverage, &pool, &deadline, &mut Stats::new())
+    // CWSC: at most k sites. Every solver takes a deadline and an
+    // observer; with no deadline the solve always completes.
+    let deadline = Deadline::unbounded();
+    let plan = cwsc(&system, k, coverage, &deadline, &mut NoopObserver)
         .expect("mega-hospital fallback")
         .expect_complete("no deadline");
     println!(
@@ -88,7 +88,7 @@ fn main() {
         discount_coverage: false,
         ..CmcParams::epsilon(k, coverage, 1.0, 0.5)
     };
-    let guarded = cmc(&system, &params, &pool, &deadline, &mut Stats::new())
+    let guarded = cmc(&system, &params, &deadline, &mut NoopObserver)
         .expect("feasible")
         .expect_complete("no deadline");
     println!(
@@ -100,13 +100,13 @@ fn main() {
     assert!(guarded.solution.size() <= (1.5 * k as f64) as usize);
 
     // What prior art would do instead (Section III):
-    let unbounded = greedy_weighted_set_cover(&system, coverage, &mut Stats::new()).unwrap();
+    let unbounded = greedy_weighted_set_cover(&system, coverage, &mut NoopObserver).unwrap();
     println!(
         "\nweighted set cover ignores the size bound: {} sites (cost {:.0})",
         unbounded.size(),
         unbounded.total_cost()
     );
-    let cost_blind = greedy_max_coverage(&system, k, &mut Stats::new());
+    let cost_blind = greedy_max_coverage(&system, k, &mut NoopObserver);
     println!(
         "max coverage ignores cost: {} sites covering {} but costing {:.0}",
         cost_blind.size(),

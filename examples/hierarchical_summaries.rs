@@ -99,9 +99,9 @@ fn main() {
 
     // ---- Summarize -------------------------------------------------------
     let (k, coverage) = (4, 0.6);
-    let (pool, deadline) = (ThreadPool::new(Threads::serial()), Deadline::unbounded());
+    let deadline = Deadline::unbounded();
     // opt_cwsc runs over any lattice: the hierarchy-enriched one here.
-    let summary = opt_cwsc(&space, k, coverage, &pool, &deadline, &mut Stats::new())
+    let summary = opt_cwsc(&space, k, coverage, &deadline, &mut NoopObserver)
         .expect("feasible")
         .expect_complete("no deadline");
     println!(
@@ -119,16 +119,9 @@ fn main() {
     // Compare with the flat pattern cube: hierarchies only add options, so
     // the hierarchical optimum is never worse.
     let flat_space = PatternSpace::new(&table, CostFn::Sum);
-    let flat = opt_cwsc(
-        &flat_space,
-        k,
-        coverage,
-        &pool,
-        &deadline,
-        &mut Stats::new(),
-    )
-    .expect("feasible")
-    .expect_complete("no deadline");
+    let flat = opt_cwsc(&flat_space, k, coverage, &deadline, &mut NoopObserver)
+        .expect("feasible")
+        .expect_complete("no deadline");
     println!(
         "\nflat summary for comparison: {} patterns, weight {:.0}",
         flat.size(),

@@ -27,9 +27,9 @@ fn main() {
     let space = PatternSpace::new(&table, CostFn::Max);
     let (k, coverage) = (8, 0.4);
 
-    let (pool, deadline) = (ThreadPool::new(Threads::serial()), Deadline::unbounded());
-    let mut stats = Stats::new();
-    let summary = opt_cwsc(&space, k, coverage, &pool, &deadline, &mut stats)
+    let deadline = Deadline::unbounded();
+    let mut metrics = MetricsRecorder::new();
+    let summary = opt_cwsc(&space, k, coverage, &deadline, &mut metrics)
         .expect("all-ALL pattern exists")
         .expect_complete("no deadline");
     println!(
@@ -50,7 +50,7 @@ fn main() {
     }
     println!(
         "(considered {} of the pattern cube while building it)",
-        stats.considered
+        metrics.benefits_computed
     );
 
     // Compare against CMC on the same task.
@@ -58,7 +58,7 @@ fn main() {
         discount_coverage: false,
         ..CmcParams::epsilon(k, coverage, 1.0, 1.0)
     };
-    let cmc_summary = opt_cmc(&space, &params, &pool, &deadline, &mut Stats::new())
+    let cmc_summary = opt_cmc(&space, &params, &deadline, &mut NoopObserver)
         .expect("feasible")
         .expect_complete("no deadline");
     println!(
@@ -71,7 +71,7 @@ fn main() {
     // And against the cost-blind max-coverage heuristic (Section VI-C):
     // it reaches the coverage with one giant expensive pattern.
     let m = enumerate_all(&table, CostFn::Max);
-    let blind = greedy_partial_max_coverage(&m.system, coverage, &mut Stats::new()).unwrap();
+    let blind = greedy_partial_max_coverage(&m.system, coverage, &mut NoopObserver).unwrap();
     println!(
         "cost-blind max coverage: {} pattern(s), weight {:.2} ({}x CWSC)",
         blind.size(),

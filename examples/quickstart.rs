@@ -30,7 +30,7 @@ fn main() {
     println!("Table II: {} candidate patterns\n", m.num_patterns());
 
     // 1. Partial weighted set cover: cheapest, but 7 patterns.
-    let wsc = greedy_weighted_set_cover(&m.system, coverage, &mut Stats::new())
+    let wsc = greedy_weighted_set_cover(&m.system, coverage, &mut NoopObserver)
         .expect("the all-ALL pattern guarantees feasibility");
     println!(
         "weighted set cover (no size bound): {} patterns, cost {}",
@@ -64,10 +64,10 @@ fn main() {
 
     // 4. CWSC: at most k patterns, greedy, no cost guarantee — in practice
     //    one unit above the optimum here.
-    //    Every solver takes a thread pool and a deadline; with no deadline
+    //    Every solver takes a deadline and an observer; with no deadline
     //    the solve always completes.
-    let (pool, deadline) = (ThreadPool::new(Threads::serial()), Deadline::unbounded());
-    let cwsc_sol = opt_cwsc(&space, 2, coverage, &pool, &deadline, &mut Stats::new())
+    let deadline = Deadline::unbounded();
+    let cwsc_sol = opt_cwsc(&space, 2, coverage, &deadline, &mut NoopObserver)
         .expect("feasible")
         .expect_complete("no deadline");
     println!("\nCWSC (k=2): {}", cwsc_sol.display(&space));
@@ -76,18 +76,18 @@ fn main() {
     assert_eq!(cwsc_sol.patterns[0], p16, "first pick is P16 {{B, ALL}}");
 
     // 5. CMC: guesses the optimal budget, geometric cost levels.
-    let mut stats = Stats::new();
+    let mut metrics = MetricsRecorder::new();
     let params = CmcParams {
         discount_coverage: false, // aim at the same 9/16 as CWSC
         ..CmcParams::classic(2, coverage, 1.0)
     };
-    let cmc_sol = opt_cmc(&space, &params, &pool, &deadline, &mut stats)
+    let cmc_sol = opt_cmc(&space, &params, &deadline, &mut metrics)
         .expect("feasible")
         .expect_complete("no deadline");
     println!(
         "CMC  (k=2): {} (after {} budget guesses)",
         cmc_sol.display(&space),
-        stats.budget_guesses
+        metrics.guesses
     );
     assert!(cmc_sol.covered >= 9);
     assert!(cmc_sol.size() <= 5 * 2, "Theorem 4 size bound");

@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scwsc::sets::incremental::IncrementalCover;
 use scwsc::sets::multiweight::{pareto_sweep, MultiWeightSystem};
-use scwsc::sets::{Deadline, NoopObserver, ThreadPool, Threads};
+use scwsc::sets::{Deadline, NoopObserver};
 
 fn main() {
     // ---- Part 1: incremental maintenance -------------------------------
@@ -71,13 +71,11 @@ fn main() {
             vec![w, 1.0 - w]
         })
         .collect();
-    let pool = ThreadPool::new(Threads::serial());
     let frontier = pareto_sweep(
         &mw,
         3,
         0.55,
         &lambdas,
-        &pool,
         &Deadline::unbounded(),
         &mut NoopObserver,
     )

@@ -17,6 +17,12 @@ fi
 
 cargo build --release
 cargo test -q
+# The root examples assert the paper's worked numbers (Table I, §V-B);
+# clippy only compiles them, so run each once.
+for example in quickstart facility_planning hierarchical_summaries \
+  network_summarization streaming_and_multiweight; do
+  cargo run --release -q --example "$example" > /dev/null
+done
 # opt_cwsc and opt_cmc read SCWSC_PRUNE from the environment, so the
 # plain run above covers only the pruned refresh. Again with it off: the
 # warm-instance lattice parity test (DESIGN.md §17); the literal Fig. 4

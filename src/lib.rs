@@ -23,8 +23,7 @@
 //! // The paper's Table I data set and its §V-B worked example:
 //! let table = scwsc::data::entities_table();
 //! let space = PatternSpace::new(&table, CostFn::Max);
-//! let pool = ThreadPool::new(Threads::serial());
-//! let solution = opt_cwsc(&space, 2, 9.0 / 16.0, &pool, &Deadline::unbounded(), &mut Stats::new())
+//! let solution = opt_cwsc(&space, 2, 9.0 / 16.0, &Deadline::unbounded(), &mut NoopObserver)
 //!     .unwrap()
 //!     .expect_complete("an unbounded deadline never expires");
 //! assert_eq!(solution.size(), 2);
@@ -34,6 +33,12 @@
 pub use scwsc_core as sets;
 pub use scwsc_data as data;
 pub use scwsc_patterns as patterns;
+
+/// The README's quickstart blocks, compiled and run as doctests so their
+/// call shapes cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
 
 /// The most commonly used items, for glob import in examples and
 /// applications.
@@ -45,8 +50,7 @@ pub mod prelude {
     };
     pub use scwsc_core::{
         coverage_target, verify, Deadline, EngineError, Fanout, JsonlSink, MetricsRecorder,
-        NoopObserver, Observer, Requirements, SetSystem, Solution, SolveError, SolveOutcome, Stats,
-        ThreadPool, Threads,
+        NoopObserver, Observer, Requirements, SetSystem, Solution, SolveError, SolveOutcome,
     };
     pub use scwsc_patterns::{
         enumerate_all, opt_cmc, opt_cwsc, CostFn, Pattern, PatternSolution, PatternSpace, Table,
@@ -61,9 +65,8 @@ mod tests {
     fn facade_reaches_all_crates() {
         let table = crate::data::entities_table();
         let space = PatternSpace::new(&table, CostFn::Max);
-        let pool = ThreadPool::new(Threads::serial());
         let deadline = Deadline::unbounded();
-        let sol = opt_cwsc(&space, 2, 9.0 / 16.0, &pool, &deadline, &mut Stats::new())
+        let sol = opt_cwsc(&space, 2, 9.0 / 16.0, &deadline, &mut NoopObserver)
             .unwrap()
             .expect_complete("unbounded deadline");
         assert!(sol.covered >= 9);
@@ -71,7 +74,7 @@ mod tests {
         let mut b = SetSystem::builder(4);
         b.add_set([0, 1], 1.0).add_universe_set(5.0);
         let sys = b.build().unwrap();
-        let sol = cwsc(&sys, 1, 0.5, &pool, &deadline, &mut Stats::new())
+        let sol = cwsc(&sys, 1, 0.5, &deadline, &mut NoopObserver)
             .unwrap()
             .expect_complete("unbounded deadline");
         assert_eq!(sol.total_cost().value(), 1.0);

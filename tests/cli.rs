@@ -167,7 +167,7 @@ fn trace_jsonl_aggregates_match_printed_stats() {
             }
         }
 
-        // The stderr summary is the Stats view of the same run.
+        // The stderr summary is the MetricsRecorder view of the same run.
         let summary = stderr
             .lines()
             .find(|l| l.starts_with("considered "))

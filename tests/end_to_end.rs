@@ -30,7 +30,6 @@ fn trace(rows: usize) -> Table {
 fn all_solvers_agree_on_validity() {
     let table = trace(1_500);
     let (k, coverage) = (6, 0.35);
-    let pool = ThreadPool::new(Threads::serial());
     let deadline = Deadline::unbounded();
     let target = coverage_target(table.num_rows(), coverage);
 
@@ -38,22 +37,8 @@ fn all_solvers_agree_on_validity() {
     let m = enumerate_all(&table, CostFn::Max);
 
     // Optimized and unoptimized CWSC agree exactly.
-    let opt = complete(opt_cwsc(
-        &space,
-        k,
-        coverage,
-        &pool,
-        &deadline,
-        &mut Stats::new(),
-    ));
-    let unopt = complete(cwsc(
-        &m.system,
-        k,
-        coverage,
-        &pool,
-        &deadline,
-        &mut Stats::new(),
-    ));
+    let opt = complete(opt_cwsc(&space, k, coverage, &deadline, &mut NoopObserver));
+    let unopt = complete(cwsc(&m.system, k, coverage, &deadline, &mut NoopObserver));
     assert_eq!(
         opt.patterns.iter().collect::<Vec<_>>(),
         m.solution_patterns(&unopt)
@@ -66,24 +51,18 @@ fn all_solvers_agree_on_validity() {
         discount_coverage: false,
         ..CmcParams::epsilon(k, coverage, 1.0, 1.0)
     };
-    let opt_c = complete(opt_cmc(
-        &space,
-        &params,
-        &pool,
-        &deadline,
-        &mut Stats::new(),
-    ));
+    let opt_c = complete(opt_cmc(&space, &params, &deadline, &mut NoopObserver));
     opt_c.verify(&space);
     assert!(opt_c.covered >= target);
     assert!(opt_c.size() <= 2 * k);
-    let unopt_c = complete(cmc(&m.system, &params, &pool, &deadline, &mut Stats::new()));
+    let unopt_c = complete(cmc(&m.system, &params, &deadline, &mut NoopObserver));
     assert!(unopt_c.solution.covered() >= target);
     assert!(unopt_c.solution.size() <= 2 * k);
 
     // Baselines produce verifiable solutions too.
-    let wsc = greedy_weighted_set_cover(&m.system, coverage, &mut Stats::new()).unwrap();
+    let wsc = greedy_weighted_set_cover(&m.system, coverage, &mut NoopObserver).unwrap();
     assert!(wsc.covered() >= target);
-    let mc = greedy_max_coverage(&m.system, k, &mut Stats::new());
+    let mc = greedy_max_coverage(&m.system, k, &mut NoopObserver);
     assert!(mc.size() <= k);
     assert!(
         mc.covered() >= opt.covered,
@@ -96,23 +75,20 @@ fn csv_roundtrip_preserves_solutions() {
     let table = trace(400);
     let csv = table_to_csv(&table);
     let back = table_from_csv(&csv).unwrap();
-    let pool = ThreadPool::new(Threads::serial());
     let deadline = Deadline::unbounded();
     let a = complete(opt_cwsc(
         &PatternSpace::new(&table, CostFn::Max),
         4,
         0.3,
-        &pool,
         &deadline,
-        &mut Stats::new(),
+        &mut NoopObserver,
     ));
     let b = complete(opt_cwsc(
         &PatternSpace::new(&back, CostFn::Max),
         4,
         0.3,
-        &pool,
         &deadline,
-        &mut Stats::new(),
+        &mut NoopObserver,
     ));
     assert_eq!(a.covered, b.covered);
     assert!((a.total_cost - b.total_cost).abs() < 1e-9);
@@ -122,21 +98,13 @@ fn csv_roundtrip_preserves_solutions() {
 #[test]
 fn perturbations_keep_problems_solvable() {
     let table = trace(600);
-    let pool = ThreadPool::new(Threads::serial());
     let deadline = Deadline::unbounded();
     for t in [
         uniform_noise(&table, 0.5, 1),
         lognormal_rerank(&table, 2.0, 2.0, 1),
     ] {
         let space = PatternSpace::new(&t, CostFn::Max);
-        let sol = complete(opt_cwsc(
-            &space,
-            5,
-            0.4,
-            &pool,
-            &deadline,
-            &mut Stats::new(),
-        ));
+        let sol = complete(opt_cwsc(&space, 5, 0.4, &deadline, &mut NoopObserver));
         sol.verify(&space);
         assert!(sol.covered >= coverage_target(t.num_rows(), 0.4));
     }
@@ -177,9 +145,8 @@ fn incremental_matches_batch_validity() {
     }
     // Final state agrees with a batch solve over the snapshot.
     let snapshot = inc.snapshot();
-    let pool = ThreadPool::new(Threads::serial());
     let deadline = Deadline::unbounded();
-    let batch = complete(cwsc(&snapshot, 4, 0.5, &pool, &deadline, &mut Stats::new()));
+    let batch = complete(cwsc(&snapshot, 4, 0.5, &deadline, &mut NoopObserver));
     assert!(batch.covered() >= inc.target());
     assert!(inc.resolves() <= table.num_rows() as u64);
 }
@@ -197,14 +164,13 @@ fn multiweight_scalarization_consistent_with_single_weight() {
             .unwrap();
     }
     let scalar = mw.scalarize(&[0.25, 0.75]).unwrap();
-    let pool = ThreadPool::new(Threads::serial());
     let deadline = Deadline::unbounded();
-    let a = complete(cwsc(&scalar, 5, 0.4, &pool, &deadline, &mut Stats::new()));
-    let b = complete(cwsc(&m.system, 5, 0.4, &pool, &deadline, &mut Stats::new()));
+    let a = complete(cwsc(&scalar, 5, 0.4, &deadline, &mut NoopObserver));
+    let b = complete(cwsc(&m.system, 5, 0.4, &deadline, &mut NoopObserver));
     assert_eq!(a.sets(), b.sets());
 
     let lambdas = [vec![1.0, 0.0], vec![0.0, 1.0]];
-    let frontier = pareto_sweep(&mw, 5, 0.4, &lambdas, &pool, &deadline, &mut NoopObserver)
+    let frontier = pareto_sweep(&mw, 5, 0.4, &lambdas, &deadline, &mut NoopObserver)
         .unwrap()
         .expect_complete("unbounded deadline");
     assert_eq!(

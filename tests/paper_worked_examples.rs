@@ -23,7 +23,7 @@ fn materialized() -> (Table, scwsc::patterns::MaterializedPatterns) {
 #[test]
 fn intro_weighted_set_cover_solution() {
     let (t, m) = materialized();
-    let sol = greedy_weighted_set_cover(&m.system, 9.0 / 16.0, &mut Stats::new()).unwrap();
+    let sol = greedy_weighted_set_cover(&m.system, 9.0 / 16.0, &mut NoopObserver).unwrap();
     assert_eq!(sol.total_cost().value(), 24.0);
     assert_eq!(sol.size(), 7);
     let chosen: Vec<Pattern> = m.solution_patterns(&sol).into_iter().cloned().collect();
@@ -80,17 +80,10 @@ fn intro_coverage_only_solution_is_expensive() {
 #[test]
 fn cwsc_walkthrough_selects_p16_then_p3() {
     let (t, m) = materialized();
-    let (pool, deadline) = (ThreadPool::new(Threads::serial()), Deadline::unbounded());
-    let sol = cwsc(
-        &m.system,
-        2,
-        9.0 / 16.0,
-        &pool,
-        &deadline,
-        &mut Stats::new(),
-    )
-    .unwrap()
-    .expect_complete("unbounded deadline");
+    let deadline = Deadline::unbounded();
+    let sol = cwsc(&m.system, 2, 9.0 / 16.0, &deadline, &mut NoopObserver)
+        .unwrap()
+        .expect_complete("unbounded deadline");
     let chosen = m.solution_patterns(&sol);
     assert_eq!(chosen[0], &table2_pattern(&t, 16).unwrap());
     assert_eq!(chosen[1], &table2_pattern(&t, 3).unwrap());
@@ -127,14 +120,14 @@ fn cmc_walkthrough_needs_budget_twenty() {
         discount_coverage: false,
         ..CmcParams::classic(2, 9.0 / 16.0, 1.0)
     };
-    let mut stats = Stats::new();
-    let (pool, deadline) = (ThreadPool::new(Threads::serial()), Deadline::unbounded());
-    let out = cmc(&m.system, &params, &pool, &deadline, &mut stats)
+    let mut metrics = MetricsRecorder::new();
+    let deadline = Deadline::unbounded();
+    let out = cmc(&m.system, &params, &deadline, &mut metrics)
         .unwrap()
         .expect_complete("unbounded deadline");
     assert!(out.solution.covered() >= 9);
     assert_eq!(out.final_budget, 20.0, "B doubles 5 -> 10 -> 20");
-    assert_eq!(stats.budget_guesses, 3);
+    assert_eq!(metrics.guesses, 3);
     assert!(out.solution.size() <= 5 * 2);
 }
 
@@ -144,7 +137,7 @@ fn wsc_needs_more_patterns_at_higher_coverage() {
     let (_, m) = materialized();
     let mut sizes = Vec::new();
     for s in [0.5, 0.7, 0.9] {
-        let sol = greedy_weighted_set_cover(&m.system, s, &mut Stats::new()).unwrap();
+        let sol = greedy_weighted_set_cover(&m.system, s, &mut NoopObserver).unwrap();
         sizes.push(sol.size());
     }
     assert!(sizes[0] <= sizes[1] && sizes[1] <= sizes[2], "{sizes:?}");

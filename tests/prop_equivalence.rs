@@ -11,14 +11,12 @@ use scwsc::prelude::*;
 
 /// Fig. 2 CWSC, serial and without a deadline.
 fn solve_cwsc(system: &SetSystem, k: usize, coverage: f64) -> Result<Solution, EngineError> {
-    let pool = ThreadPool::new(Threads::serial());
     cwsc(
         system,
         k,
         coverage,
-        &pool,
         &Deadline::unbounded(),
-        &mut Stats::new(),
+        &mut NoopObserver,
     )
     .map(|out| out.expect_complete("unbounded deadline"))
 }
@@ -29,14 +27,12 @@ fn solve_opt_cwsc(
     k: usize,
     coverage: f64,
 ) -> Result<PatternSolution, EngineError> {
-    let pool = ThreadPool::new(Threads::serial());
     opt_cwsc(
         space,
         k,
         coverage,
-        &pool,
         &Deadline::unbounded(),
-        &mut Stats::new(),
+        &mut NoopObserver,
     )
     .map(|out| out.expect_complete("unbounded deadline"))
 }

@@ -12,8 +12,7 @@ use proptest::prelude::*;
 use scwsc::prelude::*;
 use scwsc::sets::telemetry::pack_k_target;
 use scwsc::sets::{
-    coverage_target, Deadline, EngineError, FlightRecorder, Json, SolveOutcome, ThreadPool,
-    Threads, TraceId,
+    coverage_target, Deadline, EngineError, FlightRecorder, Json, SolveOutcome, TraceId,
 };
 use std::collections::HashMap;
 
@@ -46,10 +45,9 @@ fn recorded_cmc(
     Result<SolveOutcome<scwsc::sets::algorithms::CmcOutcome>, EngineError>,
     FlightRecorder,
 ) {
-    let pool = ThreadPool::new(Threads::serial());
     let deadline = Deadline::unbounded().with_tick_budget(ticks);
     let mut flight = FlightRecorder::new();
-    let outcome = cmc(system, params, &pool, &deadline, &mut flight);
+    let outcome = cmc(system, params, &deadline, &mut flight);
     (outcome, flight)
 }
 
@@ -148,10 +146,9 @@ proptest! {
         ticks in 0u64..150,
     ) {
         let params = CmcParams::classic(k, 0.8, 0.5);
-        let pool = ThreadPool::new(Threads::serial());
         let run = |flight: &mut FlightRecorder| {
             let deadline = Deadline::unbounded().with_tick_budget(ticks);
-            cmc(&system, &params, &pool, &deadline, flight)
+            cmc(&system, &params, &deadline, flight)
         };
         let mut small = FlightRecorder::with_capacity(8);
         let mut big = FlightRecorder::new();
@@ -190,10 +187,9 @@ mod faults {
     fn faulted_tree_matches_the_fault_free_tree() {
         let system = acceptance_system();
         let params = CmcParams::classic(3, 0.75, 0.5);
-        let pool = ThreadPool::new(Threads::serial());
         let run = |deadline: Deadline| {
             let mut flight = FlightRecorder::new();
-            let outcome = cmc(&system, &params, &pool, &deadline, &mut flight);
+            let outcome = cmc(&system, &params, &deadline, &mut flight);
             (outcome, flight)
         };
         let (clean, clean_flight) = run(Deadline::unbounded());
@@ -215,11 +211,10 @@ mod faults {
     fn persistent_fault_still_dumps_with_latched_trace_id() {
         let system = acceptance_system();
         let params = CmcParams::classic(3, 0.75, 0.5);
-        let pool = ThreadPool::new(Threads::serial());
         let deadline = Deadline::unbounded().with_fault_plan(FaultPlan::new().fail_guess(1));
         let mut flight = FlightRecorder::new();
-        let err = cmc(&system, &params, &pool, &deadline, &mut flight)
-            .expect_err("persistent fault must fail");
+        let err =
+            cmc(&system, &params, &deadline, &mut flight).expect_err("persistent fault must fail");
         assert!(matches!(err, EngineError::Panicked(_)));
         let target = coverage_target(
             system.num_elements(),

@@ -9,29 +9,20 @@ use scwsc::sets::algorithms::CmcOutcome;
 
 /// Fig. 2 CWSC, serial and without a deadline.
 fn solve_cwsc(system: &SetSystem, k: usize, coverage: f64) -> Result<Solution, EngineError> {
-    let pool = ThreadPool::new(Threads::serial());
     cwsc(
         system,
         k,
         coverage,
-        &pool,
         &Deadline::unbounded(),
-        &mut Stats::new(),
+        &mut NoopObserver,
     )
     .map(|out| out.expect_complete("unbounded deadline"))
 }
 
 /// Fig. 1 CMC, serial and without a deadline.
 fn solve_cmc(system: &SetSystem, params: &CmcParams) -> Result<CmcOutcome, EngineError> {
-    let pool = ThreadPool::new(Threads::serial());
-    cmc(
-        system,
-        params,
-        &pool,
-        &Deadline::unbounded(),
-        &mut Stats::new(),
-    )
-    .map(|out| out.expect_complete("unbounded deadline"))
+    cmc(system, params, &Deadline::unbounded(), &mut NoopObserver)
+        .map(|out| out.expect_complete("unbounded deadline"))
 }
 
 /// The exact optimum at coverage fraction `coverage`.
@@ -157,7 +148,7 @@ proptest! {
         k in 1usize..=5,
         coverage in 0.0f64..=1.0,
     ) {
-        let unbounded = greedy_weighted_set_cover(&system, coverage, &mut Stats::new()).unwrap();
+        let unbounded = greedy_weighted_set_cover(&system, coverage, &mut NoopObserver).unwrap();
         if let Ok(bounded) = solve_cwsc(&system, k, coverage) {
             // Both are greedy heuristics, so this is not a theorem — but
             // the *optimal* unbounded cost is a lower bound; use the exact
@@ -173,7 +164,7 @@ proptest! {
     /// Budgeted max coverage respects its budget.
     #[test]
     fn budgeted_respects_budget(system in arb_system(), budget in 0.0f64..300.0) {
-        let sol = budgeted_max_coverage(&system, budget, None, &mut Stats::new());
+        let sol = budgeted_max_coverage(&system, budget, None, &mut NoopObserver);
         prop_assert!(sol.total_cost().value() <= budget + 1e-9);
     }
 }

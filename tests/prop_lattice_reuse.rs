@@ -172,7 +172,7 @@ struct KeyedRun {
 }
 
 /// Solves `step` directly on `space`, on a fresh lattice.
-fn run_on<S: LatticeSpace>(space: &S, step: &Step, pool: &ThreadPool) -> KeyedRun {
+fn run_on<S: LatticeSpace>(space: &S, step: &Step) -> KeyedRun {
     let (query, ticks) = step;
     let deadline = match ticks {
         Some(max) => Deadline::unbounded().with_tick_budget(*max),
@@ -180,8 +180,8 @@ fn run_on<S: LatticeSpace>(space: &S, step: &Step, pool: &ThreadPool) -> KeyedRu
     };
     let mut events = Events::default();
     let outcome = match query.algorithm {
-        Algorithm::Cwsc => opt_cwsc(space, query.k, query.coverage, pool, &deadline, &mut events),
-        Algorithm::Cmc => opt_cmc(space, &query.cmc_params(), pool, &deadline, &mut events),
+        Algorithm::Cwsc => opt_cwsc(space, query.k, query.coverage, &deadline, &mut events),
+        Algorithm::Cmc => opt_cmc(space, &query.cmc_params(), &deadline, &mut events),
     };
     assert_not_panicked(&outcome, step);
     KeyedRun {
@@ -202,14 +202,13 @@ proptest! {
         table in arb_table(),
         steps in proptest::collection::vec(arb_step(), 1..=4),
     ) {
-        let pool = ThreadPool::new(Threads::serial());
         let instance = PatternInstance::new(table);
         for (i, step) in steps.iter().enumerate() {
             let packed = instance.space(step.0.cost);
             prop_assert!(packed.packed_key_bits().is_some());
             let general = GeneralKeys(instance.space(step.0.cost));
-            let want = run_on(&packed, step, &pool);
-            prop_assert_eq!(run_on(&general, step, &pool), want, "step {} {:?}", i, step);
+            let want = run_on(&packed, step);
+            prop_assert_eq!(run_on(&general, step), want, "step {} {:?}", i, step);
         }
     }
 }

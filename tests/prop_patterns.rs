@@ -11,14 +11,12 @@ fn solve_opt_cwsc(
     k: usize,
     coverage: f64,
 ) -> Result<PatternSolution, EngineError> {
-    let pool = ThreadPool::new(Threads::serial());
     opt_cwsc(
         space,
         k,
         coverage,
-        &pool,
         &Deadline::unbounded(),
-        &mut Stats::new(),
+        &mut NoopObserver,
     )
     .map(|out| out.expect_complete("unbounded deadline"))
 }
@@ -28,15 +26,8 @@ fn solve_opt_cmc(
     space: &PatternSpace<'_>,
     params: &CmcParams,
 ) -> Result<PatternSolution, EngineError> {
-    let pool = ThreadPool::new(Threads::serial());
-    opt_cmc(
-        space,
-        params,
-        &pool,
-        &Deadline::unbounded(),
-        &mut Stats::new(),
-    )
-    .map(|out| out.expect_complete("unbounded deadline"))
+    opt_cmc(space, params, &Deadline::unbounded(), &mut NoopObserver)
+        .map(|out| out.expect_complete("unbounded deadline"))
 }
 
 fn arb_table() -> impl Strategy<Value = Table> {

@@ -338,8 +338,7 @@ proptest! {
         k in 1usize..=6,
         coverage in 0.0f64..=1.0,
     ) {
-        let pool = ThreadPool::new(Threads::serial());
-        let fast = cwsc(&system, k, coverage, &pool, &Deadline::unbounded(), &mut Stats::new());
+        let fast = cwsc(&system, k, coverage, &Deadline::unbounded(), &mut NoopObserver);
         let slow = reference_cwsc(&system, k, coverage);
         match (fast, slow) {
             (Ok(SolveOutcome::Complete(f)), Ok(s)) => prop_assert_eq!(f.sets().to_vec(), s),
@@ -353,7 +352,7 @@ proptest! {
         system in arb_system(),
         coverage in 0.0f64..=1.0,
     ) {
-        let fast = greedy_weighted_set_cover(&system, coverage, &mut Stats::new());
+        let fast = greedy_weighted_set_cover(&system, coverage, &mut NoopObserver);
         let slow = reference_wsc(&system, coverage);
         match (fast, slow) {
             (Ok(f), Ok((sets, total))) => {
@@ -388,7 +387,6 @@ proptest! {
         } else {
             lcg_system(num_elements, num_sets, seed)
         };
-        let pool = ThreadPool::new(Threads::serial());
         for schedule in [
             LevelSchedule::Classic,
             LevelSchedule::Epsilon(0.5),
@@ -399,7 +397,7 @@ proptest! {
                 schedule,
                 ..CmcParams::classic(k, coverage_pct as f64 / 100.0, 1.0)
             };
-            let fast = cmc(&system, &params, &pool, &Deadline::unbounded(), &mut Stats::new());
+            let fast = cmc(&system, &params, &Deadline::unbounded(), &mut NoopObserver);
             let slow = reference_cmc(&system, &params);
             match (fast, slow) {
                 (Ok(SolveOutcome::Complete(f)), Ok((sets, budget))) => {
@@ -663,13 +661,12 @@ fn run_opt_cmc(
     u64,
     Vec<u64>,
 ) {
-    let pool = ThreadPool::new(Threads::serial());
     let deadline = match max_ticks {
         Some(max) => Deadline::unbounded().with_tick_budget(max),
         None => Deadline::unbounded(),
     };
     let mut considered = ConsideredPerGuess::default();
-    let outcome = opt_cmc(space, params, &pool, &deadline, &mut considered);
+    let outcome = opt_cmc(space, params, &deadline, &mut considered);
     (outcome, deadline.ticks(), considered.0)
 }
 

@@ -79,9 +79,8 @@ proptest! {
         ticks in 0u64..200,
     ) {
         let params = CmcParams::classic(k, coverage, 0.5);
-        let pool = ThreadPool::new(Threads::serial());
         let deadline = Deadline::unbounded().with_tick_budget(ticks);
-        match cmc(&system, &params, &pool, &deadline, &mut NoopObserver) {
+        match cmc(&system, &params, &deadline, &mut NoopObserver) {
             Ok(outcome) => {
                 check_set_outcome(&system, &outcome.value().solution, &outcome);
             }
@@ -100,9 +99,8 @@ proptest! {
         coverage in 0.1f64..=1.0,
         ticks in 0u64..100,
     ) {
-        let pool = ThreadPool::new(Threads::serial());
         let deadline = Deadline::unbounded().with_tick_budget(ticks);
-        match cwsc(&system, k, coverage, &pool, &deadline, &mut NoopObserver) {
+        match cwsc(&system, k, coverage, &deadline, &mut NoopObserver) {
             Ok(outcome) => {
                 check_set_outcome(&system, outcome.value(), &outcome);
             }
@@ -127,7 +125,7 @@ proptest! {
     ) {
         let space = PatternSpace::new(&table, CostFn::Max);
         let deadline = Deadline::unbounded().with_tick_budget(ticks);
-        match opt_cwsc(&space, k, 0.6, &ThreadPool::new(Threads::serial()), &deadline, &mut NoopObserver) {
+        match opt_cwsc(&space, k, 0.6, &deadline, &mut NoopObserver) {
             Ok(SolveOutcome::Complete(_)) => {}
             Ok(SolveOutcome::Degraded(d)) => {
                 let check = verify_certificate_in(&space, &d.partial, &d.certificate);
@@ -149,9 +147,8 @@ proptest! {
     ) {
         let space = PatternSpace::new(&table, CostFn::Max);
         let params = CmcParams::classic(k, 0.6, 0.5);
-        let pool = ThreadPool::new(Threads::serial());
         let deadline = Deadline::unbounded().with_tick_budget(ticks);
-        match opt_cmc(&space, &params, &pool, &deadline, &mut NoopObserver) {
+        match opt_cmc(&space, &params, &deadline, &mut NoopObserver) {
             Ok(SolveOutcome::Complete(_)) => {}
             Ok(SolveOutcome::Degraded(d)) => {
                 let check = verify_certificate_in(&space, &d.partial, &d.certificate);
@@ -190,10 +187,9 @@ mod faults {
     fn injected_guess_panic_recovers_with_one_retry() {
         let system = acceptance_system();
         let params = CmcParams::classic(3, 0.75, 0.5);
-        let pool = ThreadPool::new(Threads::serial());
         let deadline = Deadline::unbounded().with_fault_plan(FaultPlan::new().panic_guess_once(1));
         let mut metrics = MetricsRecorder::new();
-        let outcome = cmc(&system, &params, &pool, &deadline, &mut metrics)
+        let outcome = cmc(&system, &params, &deadline, &mut metrics)
             .expect("one-shot fault must not fail the solve");
         assert!(outcome.is_complete(), "retry recovers: {outcome:?}");
         assert_eq!(metrics.guesses_retried, 1, "exactly one contained retry");
@@ -205,9 +201,8 @@ mod faults {
     fn persistent_guess_fault_reports_engine_error() {
         let system = acceptance_system();
         let params = CmcParams::classic(3, 0.75, 0.5);
-        let pool = ThreadPool::new(Threads::serial());
         let deadline = Deadline::unbounded().with_fault_plan(FaultPlan::new().fail_guess(1));
-        let err = cmc(&system, &params, &pool, &deadline, &mut NoopObserver)
+        let err = cmc(&system, &params, &deadline, &mut NoopObserver)
             .expect_err("persistent fault must fail");
         match err {
             EngineError::Panicked(msg) => {
@@ -231,11 +226,10 @@ mod faults {
             ticks in 1u64..120,
         ) {
             let params = CmcParams::classic(k, 0.8, 0.5);
-            let pool = ThreadPool::new(Threads::serial());
             let deadline = Deadline::unbounded()
                 .with_tick_budget(ticks)
                 .with_fault_plan(FaultPlan::from_seed(seed));
-            if let Ok(outcome) = cmc(&system, &params, &pool, &deadline, &mut NoopObserver) {
+            if let Ok(outcome) = cmc(&system, &params, &deadline, &mut NoopObserver) {
                 check_set_outcome(&system, &outcome.value().solution, &outcome);
             }
         }
@@ -249,10 +243,9 @@ mod faults {
             k in 1usize..=4,
             seed in 0u64..1024,
         ) {
-            let pool = ThreadPool::new(Threads::serial());
             let deadline = Deadline::unbounded()
                 .with_fault_plan(FaultPlan::from_seed(seed));
-            match cwsc(&system, k, 0.7, &pool, &deadline, &mut NoopObserver) {
+            match cwsc(&system, k, 0.7, &deadline, &mut NoopObserver) {
                 Ok(outcome) => {
                     if let Some(cert) = outcome.certificate() {
                         let check = verify_certificate(&system, outcome.value(), cert);

@@ -1,6 +1,6 @@
 //! Property tests for the telemetry layer: on random set systems, the
-//! event stream any [`Observer`] sees is consistent with the legacy
-//! [`Stats`] counters, and every `guess_started` comes with the level
+//! event stream any [`Observer`] sees is consistent with the
+//! [`MetricsRecorder`] counters, and every `guess_started` comes with the level
 //! schedule the guess actually built — whose quotas respect the `5k`
 //! (classic) / `(1+ε)k` (epsilon) size bounds of Theorems 4–5. The
 //! pattern-lattice walks report their per-pop work as totals, so a
@@ -12,7 +12,9 @@ use scwsc::patterns::PatternInstance;
 use scwsc::prelude::*;
 use scwsc::sets::algorithms::cmc::Levels;
 use scwsc::sets::telemetry::{Event, Observer};
-use scwsc::sets::{CostModel, Fanout, Query, SolveSample, SolveWindows, Solver};
+use scwsc::sets::{
+    CostModel, Fanout, Query, SolveSample, SolveWindows, Solver, ThreadPool, Threads,
+};
 
 /// Minimal event recorder: exactly what the properties below inspect.
 #[derive(Default)]
@@ -62,16 +64,17 @@ fn arb_system() -> impl Strategy<Value = SetSystem> {
     })
 }
 
-/// Runs `solve` with `Stats` and a [`Recorder`] fanned out side by side.
-fn record<R>(solve: impl FnOnce(&mut Fanout<'_>) -> R) -> (R, Stats, Recorder) {
-    let mut stats = Stats::new();
+/// Runs `solve` with a [`MetricsRecorder`] and a [`Recorder`] fanned out
+/// side by side.
+fn record<R>(solve: impl FnOnce(&mut Fanout<'_>) -> R) -> (R, MetricsRecorder, Recorder) {
+    let mut metrics = MetricsRecorder::new();
     let mut rec = Recorder::default();
     let result = {
         let mut obs = Fanout::new();
-        obs.attach(&mut stats).attach(&mut rec);
+        obs.attach(&mut metrics).attach(&mut rec);
         solve(&mut obs)
     };
-    (result, stats, rec)
+    (result, metrics, rec)
 }
 
 /// One solve's window sample, from the recorder that observed it.
@@ -86,7 +89,7 @@ fn sample(metrics: &MetricsRecorder, degraded: bool) -> SolveSample {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// CWSC: the event stream reproduces the Stats counters, and the
+    /// CWSC: the event stream reproduces the MetricsRecorder counters, and the
     /// single round appears as exactly one budget-less guess.
     #[test]
     fn cwsc_events_match_stats(
@@ -94,13 +97,12 @@ proptest! {
         k in 1usize..=6,
         coverage in 0.0f64..=1.0,
     ) {
-        let pool = ThreadPool::new(Threads::serial());
-        let (result, stats, rec) =
-            record(|obs| cwsc(&system, k, coverage, &pool, &Deadline::unbounded(), obs));
+        let (result, metrics, rec) =
+            record(|obs| cwsc(&system, k, coverage, &Deadline::unbounded(), obs));
         prop_assert!(result.is_ok());
-        prop_assert_eq!(rec.benefit_sum, stats.considered);
-        prop_assert_eq!(rec.selections, u64::from(stats.selections));
-        prop_assert_eq!(rec.budgets.len(), stats.budget_guesses as usize);
+        prop_assert_eq!(rec.benefit_sum, metrics.benefits_computed);
+        prop_assert_eq!(rec.selections, metrics.selections);
+        prop_assert_eq!(rec.budgets.len() as u64, metrics.guesses);
         prop_assert!(rec.budgets.len() <= 1, "CWSC is single-round");
         prop_assert!(rec.budgets.iter().all(Option::is_none));
         prop_assert!(rec.schedules.iter().all(Vec::is_empty));
@@ -116,13 +118,12 @@ proptest! {
         coverage in 0.0f64..=1.0,
     ) {
         let params = CmcParams::classic(k, coverage, 1.0);
-        let pool = ThreadPool::new(Threads::serial());
-        let (result, stats, rec) =
-            record(|obs| cmc(&system, &params, &pool, &Deadline::unbounded(), obs));
+        let (result, metrics, rec) =
+            record(|obs| cmc(&system, &params, &Deadline::unbounded(), obs));
         prop_assert!(result.is_ok());
-        prop_assert_eq!(rec.benefit_sum, stats.considered);
-        prop_assert_eq!(rec.selections, u64::from(stats.selections));
-        prop_assert_eq!(rec.budgets.len(), stats.budget_guesses as usize);
+        prop_assert_eq!(rec.benefit_sum, metrics.benefits_computed);
+        prop_assert_eq!(rec.selections, metrics.selections);
+        prop_assert_eq!(rec.budgets.len() as u64, metrics.guesses);
         for (budget, schedule) in rec.budgets.iter().zip(&rec.schedules) {
             let budget = budget.expect("CMC guesses carry a budget");
             let levels = Levels::build(params.schedule, budget, k);
@@ -142,11 +143,10 @@ proptest! {
         eps in 0.25f64..=3.0,
     ) {
         let params = CmcParams::epsilon(k, 0.8, 1.0, eps);
-        let pool = ThreadPool::new(Threads::serial());
-        let (result, stats, rec) =
-            record(|obs| cmc(&system, &params, &pool, &Deadline::unbounded(), obs));
+        let (result, metrics, rec) =
+            record(|obs| cmc(&system, &params, &Deadline::unbounded(), obs));
         prop_assert!(result.is_ok());
-        prop_assert_eq!(rec.budgets.len(), stats.budget_guesses as usize);
+        prop_assert_eq!(rec.budgets.len() as u64, metrics.guesses);
         let bound = (((1.0 + eps) * k as f64).floor() as usize).max(k);
         for (budget, schedule) in rec.budgets.iter().zip(&rec.schedules) {
             let budget = budget.expect("CMC guesses carry a budget");
@@ -172,12 +172,11 @@ proptest! {
         // A window smaller than the solve count forces rollovers.
         let window = 3;
         let mut windows = SolveWindows::with_window(window);
-        let pool = ThreadPool::new(Threads::serial());
         let params = CmcParams::classic(k, coverage, 1.0);
         let mut degraded = 0;
         for system in &systems {
             let mut metrics = MetricsRecorder::new();
-            let result = cmc(system, &params, &pool, &Deadline::unbounded(), &mut metrics);
+            let result = cmc(system, &params, &Deadline::unbounded(), &mut metrics);
             let is_degraded = matches!(&result, Ok(o) if o.is_degraded());
             degraded += u64::from(is_degraded);
             windows.observe(sample(&metrics, is_degraded));
@@ -190,19 +189,18 @@ proptest! {
 
     /// The optimized pattern-lattice CWSC reports the same invariants over
     /// its own event vocabulary: one budget-less guess, selections equal to
-    /// the solution size, and Stats agreement.
+    /// the solution size, and MetricsRecorder agreement.
     #[test]
     fn opt_cwsc_events_match_stats(rows in 30usize..120, k in 1usize..=5) {
         let table = scwsc::patterns::test_util::skewed_table(rows, 3, 4);
         let space = PatternSpace::new(&table, CostFn::Max);
-        let pool = ThreadPool::new(Threads::serial());
-        let (result, stats, rec) =
-            record(|obs| opt_cwsc(&space, k, 0.5, &pool, &Deadline::unbounded(), obs));
+        let (result, metrics, rec) =
+            record(|obs| opt_cwsc(&space, k, 0.5, &Deadline::unbounded(), obs));
         if let Ok(SolveOutcome::Complete(sol)) = result {
             prop_assert_eq!(rec.selections as usize, sol.size());
         }
-        prop_assert_eq!(rec.benefit_sum, stats.considered);
-        prop_assert_eq!(rec.selections, u64::from(stats.selections));
+        prop_assert_eq!(rec.benefit_sum, metrics.benefits_computed);
+        prop_assert_eq!(rec.selections, metrics.selections);
         prop_assert!(rec.budgets.len() <= 1);
         prop_assert!(rec.budgets.iter().all(Option::is_none));
     }
@@ -266,7 +264,6 @@ mod degraded_windows {
         ) {
             let window = 3;
             let mut windows = SolveWindows::with_window(window);
-            let pool = ThreadPool::new(Threads::serial());
             let params = CmcParams::classic(k, 0.9, 1.0);
             let mut degraded = 0;
             for system in &systems {
@@ -274,7 +271,7 @@ mod degraded_windows {
                     .with_tick_budget(ticks)
                     .with_fault_plan(FaultPlan::new().cancel_at_tick(cancel_at));
                 let mut metrics = MetricsRecorder::new();
-                let result = cmc(system, &params, &pool, &deadline, &mut metrics);
+                let result = cmc(system, &params, &deadline, &mut metrics);
                 let is_degraded = matches!(&result, Ok(o) if o.is_degraded());
                 degraded += u64::from(is_degraded);
                 windows.observe(sample(&metrics, is_degraded));

@@ -22,11 +22,10 @@ fn optimized_algorithms_at_700k_rows() {
     let table = LblConfig::default().generate(); // 700k rows, full domains
     assert_eq!(table.num_rows(), 700_000);
     let space = PatternSpace::new(&table, CostFn::Max);
-    let pool = ThreadPool::new(Threads::serial());
     let deadline = Deadline::unbounded();
 
-    let mut stats = Stats::new();
-    let sol = complete(opt_cwsc(&space, 10, 0.3, &pool, &deadline, &mut stats));
+    let mut metrics = MetricsRecorder::new();
+    let sol = complete(opt_cwsc(&space, 10, 0.3, &deadline, &mut metrics));
     sol.verify(&space);
     assert!(sol.size() <= 10);
     assert!(sol.covered >= coverage_target(700_000, 0.3));
@@ -35,13 +34,7 @@ fn optimized_algorithms_at_700k_rows() {
         discount_coverage: false,
         ..CmcParams::epsilon(10, 0.3, 1.0, 1.0)
     };
-    let sol = complete(opt_cmc(
-        &space,
-        &params,
-        &pool,
-        &deadline,
-        &mut Stats::new(),
-    ));
+    let sol = complete(opt_cmc(&space, &params, &deadline, &mut NoopObserver));
     sol.verify(&space);
     assert!(sol.size() <= 20);
     assert!(sol.covered >= coverage_target(700_000, 0.3));
@@ -65,24 +58,9 @@ fn full_cube_enumeration_at_400k_rows() {
 
     // Optimized and unoptimized CWSC still agree exactly at this scale.
     let space = PatternSpace::new(&table, CostFn::Max);
-    let pool = ThreadPool::new(Threads::serial());
     let deadline = Deadline::unbounded();
-    let opt = complete(opt_cwsc(
-        &space,
-        10,
-        0.3,
-        &pool,
-        &deadline,
-        &mut Stats::new(),
-    ));
-    let unopt = complete(cwsc(
-        &m.system,
-        10,
-        0.3,
-        &pool,
-        &deadline,
-        &mut Stats::new(),
-    ));
+    let opt = complete(opt_cwsc(&space, 10, 0.3, &deadline, &mut NoopObserver));
+    let unopt = complete(cwsc(&m.system, 10, 0.3, &deadline, &mut NoopObserver));
     assert_eq!(
         opt.patterns.iter().collect::<Vec<_>>(),
         m.solution_patterns(&unopt)
