@@ -38,7 +38,7 @@ fn main() {
             let mut ledger = DecisionLedger::new();
             let mut extra = Fanout::new();
             extra.attach(&mut profiler).attach(&mut ledger);
-            run_traced(w.algo, &table, &w.params, &mut extra).0
+            run_traced(w.algo, &table, &w.params, &mut extra, None).0
         } else {
             run(w.algo, &table, &w.params)
         };

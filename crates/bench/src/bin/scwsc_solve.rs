@@ -47,11 +47,11 @@ deadline-degraded). --fault injects a deterministic fault schedule
 (comma-separated panic@TICK, cancel@TICK, panicguess@I, failguess@I,
 stall@TICK:MS, or seed:N; requires a build with --features fault-inject).
 --watchdog MS arms a liveness watchdog: a background monitor watches
-observer events plus engine checkpoint ticks, and when an armed solve
-makes no progress for MS milliseconds it records a stall_detected event
-and dumps the flight recording at that moment (to <--flight-dump
-PATH>.stall, else scwsc-stall-flight.jsonl) without interrupting the
-solve. --trace-jsonl streams
+the solve's engine checkpoint ticks, and when they stand still for MS
+milliseconds it records a stall_detected event and dumps the flight
+recording at that moment (to <--flight-dump PATH>.stall, else
+scwsc-stall-flight.jsonl) without interrupting the solve; MS must
+exceed the host's scheduling delay. --trace-jsonl streams
 every solver event as one JSON object per line; --metrics prints aggregated
 counters and per-phase timings; --profile prints the run's aggregated span
 tree (per-phase total/self wall-clock with counter attribution). A flight
@@ -210,16 +210,11 @@ fn main() {
     let mut ledger = (explain || audit_path.is_some()).then(DecisionLedger::new);
     let flight = FlightRecorder::new();
     let flight_path = args.get("flight-dump");
-    // `--watchdog MS`: arm the liveness watchdog around the solve. It
-    // shares the flight recorder's ring, so a stall dump carries the
-    // events leading up to the hang.
+    // `--watchdog MS`: watch the solve's checkpoint ticks. It shares the
+    // flight recorder's ring, so a stall dump carries the events leading
+    // up to the hang.
     let watchdog = args.get("watchdog").map(|_| {
         let ms: u64 = required(args.get_or("watchdog", 0));
-        // The tick probe tells a quiet solve from a stalled one: events
-        // arrive once per guess, so a long guess is silent until it ends.
-        let dog = Watchdog::new(Duration::from_millis(ms))
-            .with_flight(flight.clone())
-            .with_probe(deadline.tick_probe());
         // The stall dump gets its own file: the end-of-run dump reuses
         // the --flight-dump path, and by then the ring may have evicted
         // the events surrounding the stall.
@@ -227,15 +222,19 @@ fn main() {
             Some(path) => format!("{path}.stall"),
             None => "scwsc-stall-flight.jsonl".to_string(),
         };
-        dog.with_dump_path(PathBuf::from(stall_path))
+        Watchdog::dumping(
+            Duration::from_millis(ms),
+            flight.clone(),
+            PathBuf::from(stall_path),
+        )
     });
     let monitor = watchdog.as_ref().map(Watchdog::monitor);
     // Carried as a value (instead of exiting at the failure site) so the
     // flight dump, Prometheus export, and trace-sink flush all happen
     // before the process exits non-zero.
     let solved = {
+        let _watch = watchdog.as_ref().map(|dog| dog.watch(&deadline));
         let mut flight_tap = flight.clone();
-        let mut dog_tap = watchdog.clone();
         let mut obs = Fanout::new();
         obs.attach(&mut metrics).attach(&mut flight_tap);
         if let Some(s) = sink.as_mut() {
@@ -243,9 +242,6 @@ fn main() {
         }
         if let Some(l) = ledger.as_mut() {
             obs.attach(l);
-        }
-        if let Some(d) = dog_tap.as_mut() {
-            obs.attach(d);
         }
         match algorithm {
             "cwsc" => opt_cwsc(&space, params.k, params.coverage, &deadline, &mut obs),
@@ -264,7 +260,7 @@ fn main() {
             eprintln!(
                 "watchdog: {} stall(s) detected during trace {}",
                 dog.stalls(),
-                dog.trace_id()
+                flight.trace_id()
             );
         }
     }

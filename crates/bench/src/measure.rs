@@ -3,7 +3,7 @@
 
 use scwsc_core::algorithms::{cmc, cwsc, CmcParams};
 use scwsc_core::{
-    Deadline, EngineError, Fanout, MetricsRecorder, NoopObserver, Observer, SolveOutcome,
+    Deadline, EngineError, Fanout, MetricsRecorder, NoopObserver, Observer, SolveOutcome, Watchdog,
 };
 use scwsc_patterns::{enumerate_all, opt_cmc, opt_cwsc, CostFn, PatternSpace, Table};
 use serde::{Deserialize, Serialize};
@@ -114,22 +114,26 @@ pub struct Measurement {
 
 /// Runs one algorithm variant on `table`, timing it end to end.
 pub fn run(algo: Algo, table: &Table, params: &RunParams) -> Measurement {
-    run_traced(algo, table, params, &mut NoopObserver).0
+    run_traced(algo, table, params, &mut NoopObserver, None).0
 }
 
 /// Like [`run`], but also aggregates the solver's telemetry stream into a
 /// [`MetricsRecorder`] (per-phase timings, prune counters, histograms) and
 /// forwards every event to `extra` — pass a
 /// [`JsonlSink`](scwsc_core::JsonlSink) for a trace file, or
-/// [`NoopObserver`] for none.
+/// [`NoopObserver`] for none. `watchdog` (if any) watches the solver
+/// call, not the input it is handed: the full-cube enumeration of the
+/// unoptimized variants passes no checkpoint.
 pub fn run_traced(
     algo: Algo,
     table: &Table,
     params: &RunParams,
     extra: &mut dyn Observer,
+    watchdog: Option<&Watchdog>,
 ) -> (Measurement, MetricsRecorder) {
     let mut metrics = MetricsRecorder::new();
     let deadline = Deadline::unbounded();
+    let watch = || watchdog.map(|dog| dog.watch(&deadline));
     let start = Instant::now();
     let outcome: Option<(f64, usize, usize)> = {
         let mut obs = Fanout::new();
@@ -137,6 +141,7 @@ pub fn run_traced(
         match algo {
             Algo::CmcUnopt => {
                 let m = enumerate_all(table, params.cost_fn);
+                let _watch = watch();
                 completed(cmc(&m.system, &params.cmc_params(), &deadline, &mut obs)).map(|o| {
                     (
                         o.solution.total_cost().value(),
@@ -147,6 +152,7 @@ pub fn run_traced(
             }
             Algo::CwscUnopt => {
                 let m = enumerate_all(table, params.cost_fn);
+                let _watch = watch();
                 completed(cwsc(
                     &m.system,
                     params.k,
@@ -158,11 +164,13 @@ pub fn run_traced(
             }
             Algo::CmcOpt => {
                 let space = PatternSpace::new(table, params.cost_fn);
+                let _watch = watch();
                 completed(opt_cmc(&space, &params.cmc_params(), &deadline, &mut obs))
                     .map(|s| (s.total_cost, s.size(), s.covered))
             }
             Algo::CwscOpt => {
                 let space = PatternSpace::new(table, params.cost_fn);
+                let _watch = watch();
                 completed(opt_cwsc(
                     &space,
                     params.k,
@@ -279,7 +287,7 @@ mod tests {
             // An independent tally of the same stream: the JSONL trace,
             // parsed back and counted line by line.
             let mut sink = JsonlSink::new(Vec::new());
-            let (m, metrics) = run_traced(algo, &t, &params, &mut sink);
+            let (m, metrics) = run_traced(algo, &t, &params, &mut sink, None);
             assert!(m.ok, "{algo:?} failed");
             let trace = String::from_utf8(sink.into_inner().unwrap()).unwrap();
             let (mut considered, mut guesses, mut selections) = (0, 0, 0);

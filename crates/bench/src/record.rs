@@ -59,7 +59,7 @@ pub fn record_suite_with_metrics(
             let (measurement, metrics) = {
                 let mut extra = Fanout::new();
                 extra.attach(&mut profiler).attach(&mut ledger);
-                run_traced(w.algo, &table, &w.params, &mut extra)
+                run_traced(w.algo, &table, &w.params, &mut extra, None)
             };
             #[cfg(feature = "alloc-stats")]
             let alloc_stats = alloc::is_active()

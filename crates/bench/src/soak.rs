@@ -15,7 +15,7 @@
 //! * **zero leaked allocator bytes** — after a short warm-up, live bytes
 //!   at each iteration boundary match the baseline exactly
 //!   ([`telemetry::alloc`](scwsc_core::telemetry::alloc) deltas);
-//! * **zero stalls** — the armed [`Watchdog`] never fires.
+//! * **zero stalls** — the [`Watchdog`] watching each solve never fires.
 //!
 //! Each iteration appends one line to a windowed-metrics JSONL timeline,
 //! so a soak that fails hours in still leaves the trajectory on disk.
@@ -25,7 +25,7 @@ use crate::registry::Workload;
 use crate::snapshot::deterministic_counters;
 use scwsc_core::json::Json;
 use scwsc_core::telemetry::window::{SolveSample, SolveWindows};
-use scwsc_core::{MetricsRecorder, Watchdog};
+use scwsc_core::{MetricsRecorder, NoopObserver, Watchdog};
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -151,8 +151,13 @@ pub fn soak(
     for iter in 1..=opts.iters {
         for w in suite {
             let table = w.gen.table();
-            let (measurement, metrics) =
-                run_traced(w.algo, &table, &w.params, &mut watchdog.clone());
+            let (measurement, metrics) = run_traced(
+                w.algo,
+                &table,
+                &w.params,
+                &mut NoopObserver,
+                Some(&watchdog),
+            );
             if !measurement.ok {
                 return Err(format!("iteration {iter}: workload {} failed", w.name));
             }

@@ -1,10 +1,11 @@
 //! End-to-end: boot `scwsc_serve`'s transport in-process on an ephemeral
 //! port, drive it with the `serve-load` client generator, and assert the
 //! serving contract held — zero dropped requests, every degrade
-//! certified, every rejection hinted — then drain cleanly.
+//! certified, every rejection hinted, no solve stalled — then drain
+//! cleanly.
 
 use scwsc_bench::serve_load::{self, LoadOptions};
-use scwsc_core::{FlightRecorder, ThreadPool, Threads};
+use scwsc_core::{FlightRecorder, ThreadPool, Threads, Watchdog};
 use scwsc_patterns::{PatternInstance, Table};
 use scwsc_serve::{serve, ServeOptions, ServerConfig, ServerState, ShutdownFlag};
 use std::net::TcpListener;
@@ -33,7 +34,7 @@ fn burst_load_upholds_the_no_drop_contract() {
             ..ServerConfig::default()
         },
         FlightRecorder::new(),
-        None,
+        Some(Watchdog::new(Duration::from_secs(1))),
     ));
     let shutdown = ShutdownFlag::new();
     let server = {

@@ -204,10 +204,9 @@ impl Deadline {
 
     /// A detached handle onto this deadline's tick counter, readable from
     /// any thread for as long as the probe lives — the liveness
-    /// [`Watchdog`](crate::telemetry::watchdog::Watchdog) polls one to
-    /// tell "stalled" apart from "working but quiet". Reading a probe
-    /// never consumes ticks.
-    pub fn tick_probe(&self) -> TickProbe {
+    /// [`Watchdog`](crate::telemetry::watchdog::Watchdog) polls one per
+    /// watched solve. Reading a probe never consumes ticks.
+    pub(crate) fn tick_probe(&self) -> TickProbe {
         TickProbe {
             ticks: Arc::clone(&self.ticks),
         }
@@ -310,17 +309,17 @@ impl Deadline {
 
 /// A read-only, thread-detachable view of a [`Deadline`]'s tick counter
 /// (obtained via [`Deadline::tick_probe`]). The liveness watchdog polls
-/// one to distinguish a solver that stopped emitting observer events but
-/// keeps passing `checkpoint()`s (quiet progress) from one that stopped
-/// ticking entirely (a stall).
-#[derive(Debug, Clone)]
-pub struct TickProbe {
+/// one per watched solve: a solve that keeps passing `checkpoint()`s is
+/// live however quiet its telemetry, and one whose count stands still
+/// is stalled.
+#[derive(Debug)]
+pub(crate) struct TickProbe {
     ticks: Arc<AtomicU64>,
 }
 
 impl TickProbe {
     /// Checkpoints the probed deadline has consumed so far.
-    pub fn ticks(&self) -> u64 {
+    pub(crate) fn ticks(&self) -> u64 {
         self.ticks.load(Ordering::Relaxed)
     }
 }

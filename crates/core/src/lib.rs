@@ -65,7 +65,7 @@ pub use cover_state::{Candidate, CoverState};
 pub use engine::FaultPlan;
 pub use engine::{
     panic_message, CancelToken, Certificate, Deadline, DegradeReason, Degraded, EngineError,
-    SolveOutcome, ThreadPool, Threads, TickProbe,
+    SolveOutcome, ThreadPool, Threads,
 };
 pub use json::Json;
 pub use set_system::{coverage_target, BuildError, ElementId, SetId, SetSystem, WeightedSet};
@@ -77,6 +77,6 @@ pub use telemetry::{
     audit, parse_prometheus, render_prometheus, render_prometheus_windowed, Event, EventLog,
     Fanout, FlightRecorder, JsonlSink, LogHistogram, MetricsRecorder, NoopObserver, Observer,
     PhaseMetric, PhaseSpan, PruneReason, SloGauges, SolveSample, SolveWindows, SpanCounters,
-    SpanNode, SpanProfiler, TraceContext, TraceId, Watchdog, WatchdogMonitor, PHASE_EXPAND,
+    SpanNode, SpanProfiler, TraceContext, TraceId, Watch, Watchdog, WatchdogMonitor, PHASE_EXPAND,
     PHASE_GUESS, PHASE_INIT, PHASE_SELECT, PHASE_TOTAL,
 };

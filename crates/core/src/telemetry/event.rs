@@ -89,10 +89,10 @@ pub enum Event<'a> {
     /// excluded from the exact-diff set.
     BoundRefreshed(u64),
     /// `(ticks, stalled_secs)`: the liveness
-    /// [`Watchdog`](super::Watchdog) observed no solve progress (no
-    /// events, no engine `checkpoint()` ticks) for `stalled_secs`
-    /// wall-clock seconds; `ticks` is the engine tick count at detection
-    /// time. Fires only on stalled solves, which a healthy run never
+    /// [`Watchdog`](super::Watchdog) saw a watched solve pass no engine
+    /// `checkpoint()` for `stalled_secs` wall-clock seconds; `ticks` is
+    /// that solve's tick count at detection time. Stamped into the
+    /// flight recorder only. Fires only on stalled solves, which a healthy run never
     /// produces — **excluded** from the exact-diff set, like the other
     /// fault-path counters.
     StallDetected(u64, f64),

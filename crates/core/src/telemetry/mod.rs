@@ -42,7 +42,7 @@ pub use flight::FlightRecorder;
 pub use replay::EventLog;
 pub use spans::{SpanCounters, SpanNode, SpanProfiler};
 pub use trace::{pack_k_target, TraceContext, TraceId};
-pub use watchdog::{Watchdog, WatchdogMonitor};
+pub use watchdog::{Watch, Watchdog, WatchdogMonitor};
 pub use window::{SolveSample, SolveWindows};
 
 /// Span name covering a solver's whole run.

@@ -9,245 +9,202 @@
 //! injected stall): no checkpoint means no expiry, and the process just
 //! hangs. The [`Watchdog`] closes that gap from the outside:
 //!
-//! 1. **arm** — attached to the solve's [`Fanout`](super::Fanout), it
-//!    arms itself on [`TraceStarted`](Event::TraceStarted) and stays
-//!    armed while any root `total` span is open; it latches the first
-//!    trace id;
-//! 2. **watch** — a background [`monitor`](Watchdog::monitor) thread
-//!    polls combined progress: observer events seen (every event bumps a
-//!    counter) *plus* engine ticks via a
-//!    [`TickProbe`], so a solver that goes
-//!    quiet on telemetry but keeps checkpointing is still live;
-//! 3. **fire** — when progress stands still for the configured
-//!    `stall_after`, it records one `stall_detected` event into the
-//!    attached [`FlightRecorder`] and dumps it to the configured path —
-//!    the post-mortem exists even if the process must be killed;
-//! 4. **disarm** — the close of the last open root `total` span
-//!    ([`PhaseEnded`](Event::PhaseEnded)), or an explicit
-//!    [`disarm`](Watchdog::disarm), disarms cleanly; the monitor guard
-//!    joins its thread on drop.
+//! 1. **watch** — [`Watchdog::watch`] registers one solve's deadline
+//!    tick counter until the returned [`Watch`] drops (on return or
+//!    unwind). Every heap pop, waitlist pop and selection round passes a
+//!    checkpoint, so the counter moves inside a long guess too, where
+//!    observer events (replayed once per guess) stay silent;
+//! 2. **poll** — a background [`monitor`](Watchdog::monitor) thread reads
+//!    every registered counter each 10 ms;
+//! 3. **fire** — a counter that stands still for `stall_after` fires once
+//!    for that solve: the stall is counted, one `stall_detected` event is
+//!    stamped into the attached [`FlightRecorder`], and the recording is
+//!    dumped to the configured path — the post-mortem exists even if the
+//!    process must be killed.
 //!
-//! Clones shared by concurrent solves (one per request in `scwsc_serve`)
-//! arm and disarm one atomic word: the open-span count and the
-//! trace-started flag change together, so one solve's end can never
-//! disarm another solve's open span.
+//! Concurrent solves (one per request in `scwsc_serve`) are watched one
+//! by one, so one solve's progress cannot hide another's stall. A solve
+//! descheduled for longer than `stall_after` does not tick either: the
+//! threshold must exceed the host's scheduling delay.
 //!
 //! The watchdog is deliberately *outside* the determinism contract: it
 //! observes wall-clock liveness, fires only on stalls a healthy run never
 //! produces, and its counter is excluded from the exact-diff set.
 
 use super::flight::FlightRecorder;
-use super::trace::TraceId;
-use super::{Event, Observer, PHASE_TOTAL};
-use crate::engine::TickProbe;
+use super::{Event, Observer};
+use crate::engine::{Deadline, TickProbe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Default poll cadence of the monitor thread.
-const DEFAULT_POLL: Duration = Duration::from_millis(10);
+/// Poll cadence of the monitor thread.
+const POLL: Duration = Duration::from_millis(10);
 
-/// [`WatchInner::state`] flag: a trace started since the open-span count
-/// was last zero.
-const TRACED: u64 = 1;
-/// [`WatchInner::state`] weight of one open root `total` span.
-const SPAN: u64 = 2;
+/// One watched solve.
+#[derive(Debug)]
+struct Slot {
+    /// Key of the [`Watch`] that removes this slot when it drops.
+    id: u64,
+    probe: TickProbe,
+    /// Tick count at the last change.
+    ticks: u64,
+    /// When the tick count last changed (or the watch began).
+    since: Instant,
+    /// One-shot latch: this solve's stall has fired.
+    fired: bool,
+}
 
-/// Shared state between the observer-side handle, the monitor thread, and
-/// any clones attached to other solvers.
+/// Shared state between clones, watches and the monitor thread.
 #[derive(Debug)]
 struct WatchInner {
-    /// Open root `total` spans times [`SPAN`], plus [`TRACED`] from a
-    /// `trace_started` until the count next returns to zero. Armed while
-    /// nonzero.
-    state: AtomicU64,
-    /// Bumped on every observed event — the telemetry half of progress.
-    events: AtomicU64,
-    /// Engine checkpoint ticks — the quiet-progress half. Zero when no
-    /// probe is attached.
-    probe: Mutex<Option<TickProbe>>,
-    /// Flight recorder to stamp and dump when a stall fires.
-    flight: Mutex<Option<FlightRecorder>>,
-    /// Where to dump the flight recording on a stall.
-    dump_path: Mutex<Option<PathBuf>>,
-    /// Stall threshold: no progress for this long while armed → fire.
+    /// The solves being watched.
+    slots: Mutex<Vec<Slot>>,
+    /// Next [`Slot::id`].
+    next_id: AtomicU64,
+    /// Flight recorder to stamp, and the path to dump it to, on a stall.
+    post_mortem: Option<(FlightRecorder, PathBuf)>,
+    /// Stall threshold: no tick for this long → fire.
     stall_after: Duration,
-    /// Monitor poll cadence.
-    poll: Duration,
-    /// Stalls fired (all-time; one per arm cycle at most).
+    /// Stalls fired (all-time; at most one per watched solve).
     stalls: AtomicU64,
-    /// One-shot latch per arm cycle.
-    fired: AtomicBool,
-    /// First latched trace id (0 = unset), for log correlation.
-    trace_id: AtomicU64,
     /// Tells the monitor thread to exit.
     shutdown: AtomicBool,
 }
 
-/// A cloneable liveness watchdog. Attach one clone to the solve's
-/// [`Fanout`](super::Fanout) as an [`Observer`] and keep another for
-/// [`monitor`](Watchdog::monitor) / [`stalls`](Watchdog::stalls); all
-/// clones share state.
+/// A cloneable liveness watchdog: [`watch`](Watchdog::watch) each solve,
+/// run one [`monitor`](Watchdog::monitor), read
+/// [`stalls`](Watchdog::stalls). All clones share state.
 #[derive(Debug, Clone)]
 pub struct Watchdog {
     inner: Arc<WatchInner>,
 }
 
 impl Watchdog {
-    /// A watchdog that fires after `stall_after` of zero progress while
-    /// armed. Attach the flight recorder / tick probe / dump path with
-    /// the `with_*` builders before arming.
+    /// A watchdog that counts a stall when a watched solve passes no
+    /// checkpoint for `stall_after`.
     pub fn new(stall_after: Duration) -> Watchdog {
+        Watchdog::build(stall_after, None)
+    }
+
+    /// Like [`new`](Watchdog::new), and each stall also stamps a
+    /// `stall_detected` event into `flight` and dumps it to `dump_path`.
+    /// Clones of the recorder share one ring, so passing the recorder
+    /// the solves write to is the intended use: the dump carries the
+    /// events leading up to the stall.
+    pub fn dumping(stall_after: Duration, flight: FlightRecorder, dump_path: PathBuf) -> Watchdog {
+        Watchdog::build(stall_after, Some((flight, dump_path)))
+    }
+
+    fn build(stall_after: Duration, post_mortem: Option<(FlightRecorder, PathBuf)>) -> Watchdog {
         Watchdog {
             inner: Arc::new(WatchInner {
-                state: AtomicU64::new(0),
-                events: AtomicU64::new(0),
-                probe: Mutex::new(None),
-                flight: Mutex::new(None),
-                dump_path: Mutex::new(None),
+                slots: Mutex::new(Vec::new()),
+                next_id: AtomicU64::new(0),
+                post_mortem,
                 stall_after,
-                poll: DEFAULT_POLL,
                 stalls: AtomicU64::new(0),
-                fired: AtomicBool::new(false),
-                trace_id: AtomicU64::new(0),
                 shutdown: AtomicBool::new(false),
             }),
         }
     }
 
-    /// Attach the flight recorder to stamp (`stall_detected`) and dump
-    /// when a stall fires. Clones of the recorder share the same ring, so
-    /// attaching the same recorder the solve writes to is the intended
-    /// use: the dump carries the events leading up to the stall.
-    pub fn with_flight(self, flight: FlightRecorder) -> Watchdog {
-        *self.inner.flight.lock().expect("watchdog flight poisoned") = Some(flight);
-        self
-    }
-
-    /// Attach an engine tick probe
-    /// ([`Deadline::tick_probe`](crate::engine::Deadline::tick_probe)) so checkpoint progress
-    /// counts as liveness even when no observer events flow.
-    pub fn with_probe(self, probe: TickProbe) -> Watchdog {
-        *self.inner.probe.lock().expect("watchdog probe poisoned") = Some(probe);
-        self
-    }
-
-    /// Where to dump the flight recording when a stall fires. Without a
-    /// path the stall is still counted and stamped, just not dumped.
-    pub fn with_dump_path(self, path: PathBuf) -> Watchdog {
-        *self.inner.dump_path.lock().expect("watchdog path poisoned") = Some(path);
-        self
-    }
-
-    /// Stalls fired so far (at most one per arm cycle).
+    /// Stalls fired so far (at most one per watched solve).
     pub fn stalls(&self) -> u64 {
         self.inner.stalls.load(Ordering::Relaxed)
     }
 
-    /// Whether the watchdog is currently armed (a solve is in flight).
-    pub fn is_armed(&self) -> bool {
-        self.inner.state.load(Ordering::Acquire) != 0
+    /// Watches `deadline`'s tick counter until the returned guard drops.
+    /// The stall clock starts now.
+    pub fn watch(&self, deadline: &Deadline) -> Watch<'_> {
+        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
+        let probe = deadline.tick_probe();
+        self.slots().push(Slot {
+            id,
+            ticks: probe.ticks(),
+            probe,
+            since: Instant::now(),
+            fired: false,
+        });
+        Watch { dog: self, id }
     }
 
-    /// The first latched [`TraceId`] (unset when no solve has started).
-    pub fn trace_id(&self) -> TraceId {
-        TraceId(self.inner.trace_id.load(Ordering::Relaxed))
-    }
-
-    /// Explicitly disarms and forgets every open span (normally the last
-    /// root `phase_ended` disarms). Idempotent; also re-arms the one-shot
-    /// for the next solve.
-    pub fn disarm(&self) {
-        self.inner.state.store(0, Ordering::Release);
-        self.inner.fired.store(false, Ordering::Relaxed);
-    }
-
-    /// Combined progress stamp: observer events + engine ticks. Any
-    /// change in either means the solve is alive.
-    fn progress(&self) -> u64 {
-        let ticks = self
-            .inner
-            .probe
-            .lock()
-            .expect("watchdog probe poisoned")
-            .as_ref()
-            .map_or(0, TickProbe::ticks);
+    /// The slot list. A panic cannot happen while it is held, so a
+    /// poisoned lock still guards consistent slots.
+    fn slots(&self) -> MutexGuard<'_, Vec<Slot>> {
         self.inner
-            .events
-            .load(Ordering::Relaxed)
-            .wrapping_add(ticks)
+            .slots
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Fires the stall (once per arm cycle): counts it, stamps a
-    /// `stall_detected` event into the flight recorder, and dumps the
-    /// recording to the configured path. Returns whether this call fired.
-    fn fire(&self, stalled: Duration) -> bool {
-        if self.inner.fired.swap(true, Ordering::Relaxed) {
-            return false;
-        }
-        self.inner.stalls.fetch_add(1, Ordering::Relaxed);
-        let flight = self
-            .inner
-            .flight
-            .lock()
-            .expect("watchdog flight poisoned")
-            .clone();
-        if let Some(mut flight) = flight {
-            let ticks = self
-                .inner
-                .probe
-                .lock()
-                .expect("watchdog probe poisoned")
-                .as_ref()
-                .map_or(0, TickProbe::ticks);
-            flight.on(&Event::StallDetected(ticks, stalled.as_secs_f64()));
-            let path = self
-                .inner
-                .dump_path
-                .lock()
-                .expect("watchdog path poisoned")
-                .clone();
-            if let Some(path) = path {
-                // Best-effort: a failed dump must not take down the
-                // monitor; the stall count still records the incident.
-                let _ = flight.dump_to_path(&path);
+    /// Reads every watched counter once; returns `(ticks, stalled)` for
+    /// each solve whose stall fires now.
+    fn poll(&self) -> Vec<(u64, Duration)> {
+        let mut fired = Vec::new();
+        for slot in self.slots().iter_mut() {
+            let ticks = slot.probe.ticks();
+            if ticks != slot.ticks {
+                slot.ticks = ticks;
+                slot.since = Instant::now();
+            } else if !slot.fired && slot.since.elapsed() >= self.inner.stall_after {
+                slot.fired = true;
+                fired.push((ticks, slot.since.elapsed()));
             }
         }
-        true
+        fired
+    }
+
+    /// Fires one stall: counts it, stamps a `stall_detected` event into
+    /// the flight recorder, and dumps the recording.
+    fn fire(&self, ticks: u64, stalled: Duration) {
+        self.inner.stalls.fetch_add(1, Ordering::Relaxed);
+        if let Some((flight, path)) = &self.inner.post_mortem {
+            let mut flight = flight.clone();
+            flight.on(&Event::StallDetected(ticks, stalled.as_secs_f64()));
+            // Best-effort: a failed dump must not take down the monitor;
+            // the stall count still records the incident.
+            let _ = flight.dump_to_path(path);
+        }
     }
 
     /// Spawns the monitor thread and returns its guard. The thread polls
-    /// progress every `poll` interval; when an armed solve shows no
-    /// progress for `stall_after`, it fires once. Dropping the guard
-    /// shuts the thread down and joins it.
+    /// every watched solve each 10 ms and fires each stall once, outside
+    /// the slot lock. Dropping the guard shuts the thread down and joins
+    /// it.
     pub fn monitor(&self) -> WatchdogMonitor {
         let dog = self.clone();
         self.inner.shutdown.store(false, Ordering::Relaxed);
         let handle = thread::spawn(move || {
-            let mut last_progress = dog.progress();
-            let mut last_change = Instant::now();
             while !dog.inner.shutdown.load(Ordering::Relaxed) {
-                thread::sleep(dog.inner.poll);
-                let now = dog.progress();
-                if now != last_progress || !dog.is_armed() {
-                    last_progress = now;
-                    last_change = Instant::now();
-                    continue;
-                }
-                let stalled = last_change.elapsed();
-                if stalled >= dog.inner.stall_after {
-                    dog.fire(stalled);
-                    // Reset the clock so a still-stalled solve doesn't
-                    // spin the loop; the one-shot latch gates re-firing.
-                    last_change = Instant::now();
+                thread::sleep(POLL);
+                for (ticks, stalled) in dog.poll() {
+                    dog.fire(ticks, stalled);
                 }
             }
         });
         WatchdogMonitor {
             dog: self.clone(),
             handle: Some(handle),
+        }
+    }
+}
+
+/// One solve under watch (from [`Watchdog::watch`]); dropping it ends
+/// the watch.
+#[derive(Debug)]
+pub struct Watch<'a> {
+    dog: &'a Watchdog,
+    id: u64,
+}
+
+impl Drop for Watch<'_> {
+    fn drop(&mut self) {
+        let mut slots = self.dog.slots();
+        if let Some(at) = slots.iter().position(|slot| slot.id == self.id) {
+            slots.swap_remove(at);
         }
     }
 }
@@ -269,169 +226,89 @@ impl Drop for WatchdogMonitor {
     }
 }
 
-impl Observer for Watchdog {
-    /// Every event but the watchdog's own `StallDetected` is progress.
-    fn on(&mut self, event: &Event<'_>) {
-        if let Event::StallDetected(..) = event {
-            return;
-        }
-        self.inner.events.fetch_add(1, Ordering::Relaxed);
-        match *event {
-            Event::TraceStarted(trace_id, _) => {
-                // Arm on the first trace of a solve; nested traces just
-                // count as progress.
-                if self.inner.state.fetch_or(TRACED, Ordering::AcqRel) == 0 {
-                    self.inner.fired.store(false, Ordering::Relaxed);
-                }
-                let _ = self.inner.trace_id.compare_exchange(
-                    0,
-                    trace_id.0,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                );
-            }
-            Event::PhaseStarted(PHASE_TOTAL) => {
-                self.inner.state.fetch_add(SPAN, Ordering::AcqRel);
-            }
-            Event::PhaseEnded(PHASE_TOTAL, _) => {
-                // Close one span, saturating at zero; the last close also
-                // clears the trace flag. One read-modify-write, so a span
-                // another solve opens meanwhile keeps the watchdog armed.
-                let was = self
-                    .inner
-                    .state
-                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |s| {
-                        Some(if s < 2 * SPAN { 0 } else { s - SPAN })
-                    })
-                    .expect("the update always succeeds");
-                if was < 2 * SPAN {
-                    self.inner.fired.store(false, Ordering::Relaxed);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Deadline;
-    use crate::telemetry::AuditCandidate;
-    use std::borrow::Cow;
 
-    #[test]
-    fn arms_on_trace_and_disarms_on_root_total() {
-        let mut dog = Watchdog::new(Duration::from_millis(50));
-        assert!(!dog.is_armed());
-        dog.on(&Event::TraceStarted(TraceId::mint("cmc", 1, 2), "cmc"));
-        assert!(dog.is_armed());
-        assert!(!dog.trace_id().is_unset());
-        dog.on(&Event::PhaseStarted(PHASE_TOTAL));
-        // A nested total span must not disarm.
-        dog.on(&Event::PhaseStarted(PHASE_TOTAL));
-        dog.on(&Event::PhaseEnded(PHASE_TOTAL, 0.0));
-        assert!(dog.is_armed(), "nested total left the root armed");
-        dog.on(&Event::PhaseEnded(PHASE_TOTAL, 0.0));
-        assert!(!dog.is_armed(), "root total disarms");
+    /// Waits up to 5 s for `dog` to count `n` stalls.
+    fn await_stalls(dog: &Watchdog, n: u64) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while dog.stalls() < n && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(5));
+        }
     }
 
     #[test]
-    fn concurrent_solves_on_clones_leave_it_disarmed() {
+    fn a_solve_that_never_ticks_fires_once() {
+        let dog = Watchdog::new(Duration::from_millis(40));
+        let monitor = dog.monitor();
+        let d = Deadline::unbounded();
+        let watch = dog.watch(&d);
+        await_stalls(&dog, 1);
+        assert_eq!(dog.stalls(), 1, "stall detected");
+        thread::sleep(Duration::from_millis(120));
+        assert_eq!(dog.stalls(), 1, "one stall per watched solve");
+        drop(watch);
+        drop(monitor);
+    }
+
+    #[test]
+    fn a_ticking_solve_beside_a_stuck_one_does_not_fire() {
+        let dog = Watchdog::new(Duration::from_millis(60));
+        let monitor = dog.monitor();
+        let (live, stuck) = (Deadline::unbounded(), Deadline::unbounded());
+        let _live_watch = dog.watch(&live);
+        let _stuck_watch = dog.watch(&stuck);
+        // Tick the live solve until the stuck one fires, then for as long
+        // again past it.
+        let until = Instant::now() + Duration::from_secs(5);
+        let mut after = 0;
+        while after < 8 && Instant::now() < until {
+            thread::sleep(Duration::from_millis(10));
+            let _ = live.checkpoint();
+            after += u32::from(dog.stalls() > 0);
+        }
+        drop(monitor);
+        assert_eq!(
+            dog.stalls(),
+            1,
+            "the stuck solve fires, the live one does not"
+        );
+        let slots = dog.slots();
+        let fired: Vec<bool> = slots.iter().map(|s| s.fired).collect();
+        assert_eq!(fired, [false, true]);
+    }
+
+    #[test]
+    fn an_ended_watch_never_fires() {
+        let dog = Watchdog::new(Duration::from_millis(20));
+        let monitor = dog.monitor();
+        drop(dog.watch(&Deadline::unbounded()));
+        thread::sleep(Duration::from_millis(100));
+        drop(monitor);
+        assert_eq!(dog.stalls(), 0);
+    }
+
+    #[test]
+    fn concurrent_watches_leave_nothing_registered() {
         let dog = Watchdog::new(Duration::from_secs(60));
-        let workers: Vec<_> = (0..2u64)
-            .map(|t| {
-                let mut obs = dog.clone();
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let (dog, start) = (dog.clone(), Arc::clone(&start));
                 thread::spawn(move || {
-                    let mut disarmed = 0u64;
-                    for i in 0..200_000 {
-                        obs.on(&Event::TraceStarted(TraceId::mint("cmc", t, i), "cmc"));
-                        obs.on(&Event::PhaseStarted(PHASE_TOTAL));
-                        disarmed += u64::from(!obs.is_armed());
-                        obs.on(&Event::PhaseEnded(PHASE_TOTAL, 0.0));
+                    let d = Deadline::unbounded();
+                    start.wait();
+                    for _ in 0..20_000 {
+                        let _watch = dog.watch(&d);
                     }
-                    disarmed
                 })
             })
             .collect();
-        let disarmed: u64 = workers.into_iter().map(|w| w.join().expect("worker")).sum();
-        assert_eq!(disarmed, 0, "one solve's end disarmed another's open span");
-        assert!(!dog.is_armed(), "armed with no solve in flight");
-    }
-
-    #[test]
-    fn fires_on_stall_and_counts_once_per_arm_cycle() {
-        let dog = Watchdog::new(Duration::from_millis(40));
-        let monitor = dog.monitor();
-        {
-            let mut obs = dog.clone();
-            obs.on(&Event::TraceStarted(TraceId::mint("cmc", 3, 4), "cmc"));
+        for w in workers {
+            w.join().expect("worker");
         }
-        // Armed and silent: the monitor must fire exactly once.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while dog.stalls() == 0 && Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(dog.stalls(), 1, "stall detected");
-        thread::sleep(Duration::from_millis(80));
-        assert_eq!(dog.stalls(), 1, "one-shot per arm cycle");
-        dog.disarm();
-        drop(monitor);
-    }
-
-    #[test]
-    fn every_event_but_stall_detected_is_progress() {
-        let mut dog = Watchdog::new(Duration::from_secs(60));
-        let winner = AuditCandidate {
-            id: 1,
-            benefit: 2,
-            weight: 1.0,
-        };
-        let before = dog.progress();
-        dog.on(&Event::RoundDecided("gain", winner, Cow::Borrowed(&[])));
-        dog.on(&Event::PriceCharged(1, Cow::Borrowed(&[0, 1]), 1.0));
-        dog.on(&Event::GuessRetried);
-        assert_eq!(
-            dog.progress(),
-            before + 3,
-            "audit and fault events are progress"
-        );
-        dog.on(&Event::StallDetected(0, 1.0));
-        assert_eq!(dog.progress(), before + 3, "its own stamp is not");
-    }
-
-    #[test]
-    fn progress_resets_the_stall_clock() {
-        let dog = Watchdog::new(Duration::from_millis(60));
-        let monitor = dog.monitor();
-        let mut obs = dog.clone();
-        obs.on(&Event::TraceStarted(TraceId::mint("cwsc", 5, 6), "cwsc"));
-        // Keep feeding events faster than the stall threshold.
-        for _ in 0..8 {
-            thread::sleep(Duration::from_millis(15));
-            obs.on(&Event::BenefitComputed(1));
-        }
-        assert_eq!(dog.stalls(), 0, "live solve never fires");
-        dog.disarm();
-        drop(monitor);
-    }
-
-    #[test]
-    fn tick_probe_progress_counts_as_liveness() {
-        let dog = Watchdog::new(Duration::from_millis(60));
-        let d = Deadline::unbounded();
-        let dog = dog.with_probe(d.tick_probe());
-        let monitor = dog.monitor();
-        let mut obs = dog.clone();
-        obs.on(&Event::TraceStarted(TraceId::mint("cmc", 7, 8), "cmc"));
-        // No observer events, but steady engine checkpoints.
-        for _ in 0..8 {
-            thread::sleep(Duration::from_millis(15));
-            let _ = d.checkpoint();
-        }
-        assert_eq!(dog.stalls(), 0, "ticking solve is live");
-        dog.disarm();
-        drop(monitor);
+        assert!(dog.slots().is_empty(), "a dropped watch stayed registered");
     }
 
     #[test]
@@ -440,20 +317,23 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("scwsc-watchdog-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let dump = dir.join("stall-flight.jsonl");
-        let dog = Watchdog::new(Duration::from_millis(40))
-            .with_flight(flight.clone())
-            .with_dump_path(dump.clone());
+        let dog = Watchdog::dumping(Duration::from_millis(40), flight, dump.clone());
         let monitor = dog.monitor();
-        let mut obs = dog.clone();
-        obs.on(&Event::TraceStarted(TraceId::mint("cmc", 9, 10), "cmc"));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while dog.stalls() == 0 && Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(5));
+        let d = Deadline::unbounded();
+        for _ in 0..3 {
+            let _ = d.checkpoint();
         }
+        let watch = dog.watch(&d);
+        await_stalls(&dog, 1);
         drop(monitor);
+        drop(watch);
         assert_eq!(dog.stalls(), 1);
         let text = std::fs::read_to_string(&dump).expect("dump written");
-        assert!(text.contains("stall_detected"), "{text}");
+        assert!(
+            text.lines()
+                .any(|l| l.contains("stall_detected") && l.contains("\"ticks\":3")),
+            "{text}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -648,19 +648,19 @@ impl Walk {
 }
 
 /// Deterministic bucket priority queue over [`HeapEntry`], keyed by the
-/// integer marginal benefit (bounded by `n`). Pop order is exactly the
-/// binary heap's total order — (mben desc, cost asc, id asc): within
-/// one guess a pattern enters the candidate set once and every re-push
-/// carries a strictly smaller benefit, so two live entries for one id
-/// never share a bucket and the `(cost, id)` min-heaps per bucket
-/// complete the order. Both queue ends are near-O(1): the max cursor
+/// integer marginal benefit (bounded by `n`). Pop order is (mben desc,
+/// cost asc, id asc): the highest non-empty bucket first, and within it
+/// the least `Reverse((cost_bits, id, epoch))`. Within one guess a
+/// pattern enters the candidate set once and every re-push carries a
+/// strictly smaller benefit, so two live entries for one id never share
+/// a bucket and the epoch never breaks a tie. Both queue ends are near-O(1): the max cursor
 /// only descends (the root starts at bucket `n`, re-pushes and child
 /// pushes never exceed the popping bucket), and the per-bucket heaps
 /// stay tiny compared to one global heap over every candidate. Reused
 /// across guesses so bucket capacity amortizes.
 ///
-/// It is not one std `BinaryHeap<HeapEntry>`, although that pops in the
-/// same order and gives identical answers: with it, warm CMC solves on
+/// It is not one std `BinaryHeap` over all entries, although that pops
+/// in the same order and gives identical answers: with it, warm CMC solves on
 /// 10k-row tables (the `batch-solve` workload's 16 CMC queries) ran
 /// 1.1–1.4× slower in 6 of 6 alternating pairs on a 2-CPU host. That is
 /// why [`reset`](BucketQueue::reset) still makes one bucket per possible
@@ -723,7 +723,7 @@ impl BucketQueue {
     }
 }
 
-/// Heap entry: candidate keyed by (mben desc, cost asc, id asc).
+/// A queued candidate; [`BucketQueue`] states its order.
 ///
 /// Ids are the solve's own ([`View`]), assigned in first-encounter
 /// order, which is itself deterministic (children are expanded in
@@ -734,33 +734,10 @@ struct HeapEntry {
     /// `f64::to_bits` of a non-negative cost orders like the number.
     cost_bits: u64,
     id: u32,
-    /// Selection count when `mben` was computed. NOT part of the ordering
-    /// — it only lets the pruned refresh subtract the exact per-selection
+    /// Selection count when `mben` was computed. It never decides the
+    /// order — it only lets the pruned refresh subtract the exact per-selection
     /// coverage deltas instead of recounting from scratch.
     epoch: usize,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for HeapEntry {}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.mben
-            .cmp(&other.mben)
-            .then_with(|| other.cost_bits.cmp(&self.cost_bits))
-            .then_with(|| other.id.cmp(&self.id))
-    }
 }
 
 #[cfg(test)]

@@ -47,8 +47,10 @@ in-flight solves; a full queue rejects with --retry-after-ms, and a
 request that queues longer than --max-queue-wait-ms (or its own remaining
 deadline) is admitted with a zero budget so it degrades honestly instead
 of being dropped. --cache bounds the LRU result cache (complete answers
-only; hits bypass admission). --watchdog MS arms the liveness watchdog
-over every solve; --flight-dump and --metrics-prom flush the flight ring
+only; hits bypass admission). --watchdog MS watches each solve's
+checkpoint ticks and flags a solve whose ticks stand still for MS
+milliseconds (MS must exceed the host's scheduling delay: a descheduled
+solve does not tick); --flight-dump and --metrics-prom flush the flight ring
 and the Prometheus exposition on drain. --fault (fault-inject builds)
 injects deterministic service faults, comma-separated: slowread@REQ:MS
 stalls reading the REQ-th request, disconnect@REQ drops its connection
@@ -167,13 +169,15 @@ fn main() {
     let flight_dump = args.get("flight-dump").map(PathBuf::from);
     let watchdog = args.get("watchdog").map(|_| {
         let ms: u64 = required(args.get_or("watchdog", 0));
-        let mut dog = Watchdog::new(Duration::from_millis(ms)).with_flight(flight.clone());
         let stall_path = match &flight_dump {
             Some(path) => format!("{}.stall", path.display()),
             None => "scwsc-serve-stall-flight.jsonl".to_string(),
         };
-        dog = dog.with_dump_path(PathBuf::from(stall_path));
-        dog
+        Watchdog::dumping(
+            Duration::from_millis(ms),
+            flight.clone(),
+            PathBuf::from(stall_path),
+        )
     });
 
     let instance: Arc<dyn Solver> = Arc::new(PatternInstance::new(table));

@@ -128,7 +128,8 @@ pub struct ServerState {
 
 impl ServerState {
     /// Builds the server state around an instance. `watchdog` (if any)
-    /// observes every solve; arm its monitor in the transport layer.
+    /// watches every solve attempt; run its monitor in the transport
+    /// layer.
     /// `pool` is only handed on to [`Solver::solve`], which ignores it;
     /// it stays because the benchmark crate passes one, and a change to
     /// that crate deletes it.
@@ -169,7 +170,7 @@ impl ServerState {
         &self.flight
     }
 
-    /// The liveness watchdog, when armed.
+    /// The liveness watchdog, when one was given.
     pub fn watchdog(&self) -> Option<&Watchdog> {
         self.watchdog.as_ref()
     }
@@ -265,8 +266,10 @@ impl ServerState {
                 deadline = deadline.with_fault_plan(FaultPlan::new().panic_at_tick(0));
             }
             let solved = {
+                // Watched for this attempt only: queue wait and the retry
+                // backoff pass no checkpoints.
+                let _watch = self.watchdog.as_ref().map(|dog| dog.watch(&deadline));
                 let mut flight_tap = self.flight.clone();
-                let mut dog_tap = self.watchdog.clone();
                 let solver = &*self.solver;
                 let pool = &self.pool;
                 let query = &request.query;
@@ -274,9 +277,6 @@ impl ServerState {
                 catch_unwind(AssertUnwindSafe(move || {
                     let mut obs = Fanout::new();
                     obs.attach(metrics).attach(&mut flight_tap);
-                    if let Some(d) = dog_tap.as_mut() {
-                        obs.attach(d);
-                    }
                     solver.solve(query, pool, &deadline, &mut obs)
                 }))
             };
@@ -392,9 +392,9 @@ impl ServerState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scwsc_core::solver::Query;
+    use scwsc_core::solver::{Answer, Query};
     use scwsc_core::telemetry::export::find_sample;
-    use scwsc_core::{SetSystem, SystemInstance, Threads};
+    use scwsc_core::{Event, Observer, SetSystem, SystemInstance, Threads, TraceId, PHASE_TOTAL};
 
     fn state(config: ServerConfig) -> ServerState {
         let mut b = SetSystem::builder(6);
@@ -520,5 +520,64 @@ mod tests {
                 .any(|p| p.labels.iter().any(|(_, v)| v == "serve")),
             "no per-entry series:\n{text}"
         );
+    }
+
+    /// One long lattice guess: its events arrive only when the guess
+    /// ends, but it checkpoints once per millisecond throughout.
+    struct OneLongGuess;
+
+    impl Solver for OneLongGuess {
+        fn describe(&self) -> String {
+            "one long guess".to_string()
+        }
+
+        fn elements(&self) -> usize {
+            1
+        }
+
+        fn solve(
+            &self,
+            _query: &Query,
+            _pool: &ThreadPool,
+            deadline: &Deadline,
+            obs: &mut dyn Observer,
+        ) -> Result<SolveOutcome<Answer>, EngineError> {
+            obs.on(&Event::TraceStarted(TraceId::mint("cmc", 1, 2), "cmc"));
+            obs.on(&Event::PhaseStarted(PHASE_TOTAL));
+            let started = Instant::now();
+            while started.elapsed() < Duration::from_millis(150) {
+                std::thread::sleep(Duration::from_millis(1));
+                let _ = deadline.checkpoint();
+            }
+            obs.on(&Event::PhaseEnded(
+                PHASE_TOTAL,
+                started.elapsed().as_secs_f64(),
+            ));
+            Ok(SolveOutcome::Complete(Answer {
+                size: 1,
+                covered: 1,
+                target: 1,
+                total_cost: 1.0,
+                labels: vec!["all".to_string()],
+                certified: None,
+            }))
+        }
+    }
+
+    #[test]
+    fn a_served_solve_that_ticks_between_events_is_not_stalled() {
+        let dog = Watchdog::new(Duration::from_millis(40));
+        let s = ServerState::new(
+            Arc::new(OneLongGuess),
+            ThreadPool::new(Threads::serial()),
+            ServerConfig::default(),
+            FlightRecorder::new(),
+            Some(dog.clone()),
+        );
+        let monitor = dog.monitor();
+        let resp = s.dispatch(&Request::new(1, Query::cmc(1, 1.0)));
+        drop(monitor);
+        assert_eq!(resp.status, Status::Complete);
+        assert_eq!(dog.stalls(), 0, "a ticking solve was flagged as stalled");
     }
 }

@@ -155,12 +155,13 @@ EOF
 # Serving gate (DESIGN.md §17): boot scwsc_serve on a fixture instance,
 # burst it with the serve-load reference client, and require the serving
 # contract end to end — zero dropped requests, every degraded answer
-# certificate-verified, every rejection carrying retry_after_ms — then a
-# clean SIGTERM drain that flushes the Prometheus exposition.
+# certificate-verified, every rejection carrying retry_after_ms, no solve
+# stalled under a 1 s watchdog (DESIGN.md §16) — then a clean SIGTERM
+# drain that flushes the Prometheus exposition.
 cargo build --release -q -p scwsc-serve --features fault-inject
 serve=target/release/scwsc_serve
 "$serve" --rows 2000 --seed 7 --addr 127.0.0.1:0 \
-  --base-ticks 20000 --metrics-prom target/ci_serve.prom \
+  --base-ticks 20000 --watchdog 1000 --metrics-prom target/ci_serve.prom \
   2> target/ci_serve.err &
 serve_pid=$!
 # stderr is unbuffered and the boot line may arrive in pieces, so wait
@@ -184,6 +185,8 @@ wait "$serve_pid" \
   || { echo "scwsc_serve SIGTERM drain failed"; cat target/ci_serve.err; exit 1; }
 grep -q "drained —.*clean=true" target/ci_serve.err \
   || { echo "drain summary missing"; cat target/ci_serve.err; exit 1; }
+grep -q "drained —.*, 0 stalls," target/ci_serve.err \
+  || { echo "served watchdog flagged a stall"; cat target/ci_serve.err; exit 1; }
 # The flushed exposition must account for every solve the drain line
 # reports (cache hits never reach a solve), and carry no per-solve SLO
 # block: a server has no single solve to report one for.
