@@ -35,8 +35,8 @@ impl SpanMover {
     }
 
     /// How the before/after column renders. A span present on only one
-    /// side (a feature toggled on, like `scan_prune` under `SCWSC_PRUNE`)
-    /// is labelled rather than "diffed" against a zero that was never
+    /// side (a new instrument, like `scan_prune` against a baseline
+    /// recorded before that span existed) is labelled rather than "diffed" against a zero that was never
     /// measured — `0.0000s -> 0.0031s` reads as a regression when it is
     /// really a new instrument.
     fn side_label(&self) -> String {
@@ -310,8 +310,8 @@ mod tests {
 
     #[test]
     fn one_sided_scan_prune_span_renders_as_new_not_as_regression() {
-        // Golden render: turning SCWSC_PRUNE on makes scan_prune spans
-        // appear where the baseline (recorded with pruning off) has none.
+        // Golden render: scan_prune spans appear where an older baseline,
+        // recorded before the pruned refresh had its span, has none.
         // The mover must read "new span", never "0.0000s -> ...".
         let base = snap(base_tree(), BTreeMap::new());
         let pruned = span(

@@ -17,11 +17,10 @@ use crate::snapshot::{Snapshot, WorkloadRun};
 
 /// Counters that are recorded in snapshots but never compared exactly.
 ///
-/// The pruned-refresh advisories of `opt_cwsc` and `opt_cmc` depend on
-/// whether `SCWSC_PRUNE` is set: they document how much recounting the
-/// refresh skipped, not what the solver did. Any drift is surfaced as a
-/// note, not a regression, so the PRUNE=0-vs-1 gate stays byte-stable on
-/// the exact counters alone.
+/// The pruned-refresh advisories of `opt_cwsc` and `opt_cmc` measure the
+/// refresh, not the solve's decisions: they count how much recounting the
+/// refresh skipped. Any drift is surfaced as a note, not a regression, so
+/// a change to the refresh alone needs no baseline regeneration.
 pub const ADVISORY_COUNTERS: &[&str] = &["scan_candidates_pruned", "scan_bounds_refreshed"];
 
 /// Counters that older committed snapshots carry but this build no longer
@@ -446,8 +445,8 @@ mod tests {
             .insert("scan_bounds_refreshed".to_string(), 40);
         let mut new_run = run("a", 1.0, 7, 1000);
         // t4 run prunes a different subset than t1: values drift, and one
-        // advisory key can even go missing (PRUNE=0 records zeros, but an
-        // old-schema snapshot may lack the key entirely).
+        // advisory key can even go missing (an old-schema snapshot may
+        // lack the key entirely).
         new_run
             .counters
             .insert("scan_candidates_pruned".to_string(), 123);

@@ -338,9 +338,10 @@ pub fn deterministic_counters(metrics: &MetricsRecorder) -> BTreeMap<String, u64
         );
     }
     // Pruned-scan advisories are *recorded* so snapshots document how much
-    // work the scan skipped, but `diff` never compares them exactly: which
-    // candidates get pruned depends on chunk-local champions (thread
-    // count) and on `SCWSC_PRUNE`. See `diff::ADVISORY_COUNTERS`.
+    // work the scan skipped, but `diff` never compares them exactly: they
+    // measure the refresh, not the solve's decisions, so a change to the
+    // refresh alone needs no baseline regeneration. See
+    // `diff::ADVISORY_COUNTERS`.
     counters.insert(
         "scan_candidates_pruned".to_string(),
         metrics.scan_candidates_pruned,
@@ -558,10 +559,10 @@ mod tests {
 
     #[test]
     fn pruned_scan_advisories_are_recorded_but_advisory_in_diff() {
-        // The scan advisories are a function of SCWSC_PRUNE, not of the
-        // algorithm: they are recorded for documentation but every one of
-        // them must be on the diff's advisory skip list, or the
-        // PRUNE=0-vs-1 gate would spuriously fail.
+        // The scan advisories measure the refresh, not the solve's
+        // decisions: they are recorded for documentation but every one of
+        // them must be on the diff's advisory skip list, or a change to
+        // the refresh alone would fail the counter diff.
         let counters = deterministic_counters(&MetricsRecorder::new());
         for advisory in crate::diff::ADVISORY_COUNTERS {
             assert!(

@@ -80,9 +80,10 @@ pub enum Event<'a> {
     /// `(count)`: `count` scan candidates were disposed of *without* a
     /// completed exact count: a stale upper bound, block-summary sketch,
     /// or early-exit kernel proved they could not change the round's
-    /// decision (DESIGN.md §15). Pruned-refresh runs only; how many fire
-    /// depends on `SCWSC_PRUNE`, so the derived counter is **excluded**
-    /// from the exact-diff set.
+    /// decision (DESIGN.md §15). How many fire measures the refresh, not
+    /// the solve's decisions, so the derived counter is **excluded** from
+    /// the exact-diff set: a change to the refresh alone needs no
+    /// baseline regeneration.
     ScanPruned(u64),
     /// `(count)`: `count` stale scan upper bounds were replaced by fresh
     /// exact counts. Advisory like [`ScanPruned`](Event::ScanPruned) —

@@ -63,10 +63,10 @@ pub const PHASE_EXPAND: &str = "expand";
 pub const PHASE_SELECT: &str = "select";
 
 /// Span name of a **pruned** benefit recount (optimized CWSC's
-/// bound/sketch-gated refresh of its candidate set). One-sided by design:
-/// a run with `SCWSC_PRUNE=0` (or an older baseline snapshot) never
-/// produces it, which `scwsc_bench diff --attribute` labels as a "new"
-/// span rather than a mover against zero.
+/// bound/sketch-gated refresh of its candidate set). An older baseline
+/// snapshot, recorded before the refresh had this span, never holds it,
+/// which `scwsc_bench diff --attribute` labels as a "new" span rather
+/// than a mover against zero.
 pub const PHASE_SCAN_PRUNE: &str = "scan_prune";
 
 /// Why a candidate (or lattice subtree) was discarded before selection.

@@ -118,13 +118,14 @@ impl Solver for PatternInstance {
                     deadline,
                     obs,
                     Some(&self.lattice),
+                    true,
                 )?,
                 coverage_target(self.table.num_rows(), query.coverage),
             ),
             Algorithm::Cmc => {
                 let params = query.cmc_params();
                 (
-                    opt_cmc_stashed(&space, &params, deadline, obs, Some(&self.lattice))?,
+                    opt_cmc_stashed(&space, &params, deadline, obs, Some(&self.lattice), true)?,
                     params.coverage_target(self.table.num_rows()),
                 )
             }

@@ -49,26 +49,6 @@ fn mask_of(num_rows: usize, rows: &[RowId]) -> BitSet {
     mask
 }
 
-/// Environment variable read by [`prune_from_env`]: `SCWSC_PRUNE=0` sends
-/// `opt_cwsc`'s and `opt_cmc`'s recounts down the exact (unpruned) path.
-/// Any other value — including unset — leaves the sketch-pruned refresh
-/// enabled. Both paths select identical sets and emit identical exact
-/// counters by construction (DESIGN.md §15); the switch exists for A/B
-/// gating in CI and for perf debugging, not for correctness.
-pub(crate) const PRUNE_ENV: &str = "SCWSC_PRUNE";
-
-/// Whether the sketch-pruned refresh is enabled (default: yes; `0` or
-/// `false` disables).
-pub(crate) fn prune_from_env() -> bool {
-    match std::env::var(PRUNE_ENV) {
-        Ok(v) => {
-            let v = v.trim();
-            v != "0" && !v.eq_ignore_ascii_case("false")
-        }
-        Err(_) => true,
-    }
-}
-
 /// Sentinel in [`SharedLattice::children`]: the node was never expanded.
 const UNEXPANDED: (u32, u32) = (u32::MAX, 0);
 /// Sentinel in a per-solve view's shared-node-to-id map: this solve has

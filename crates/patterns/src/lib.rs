@@ -50,6 +50,8 @@ pub mod opt_cmc;
 pub mod opt_cwsc;
 pub mod pattern;
 pub mod pattern_solution;
+#[cfg(test)]
+mod prune_parity;
 pub mod reductions;
 pub mod space;
 pub mod table;

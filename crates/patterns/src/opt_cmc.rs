@@ -55,7 +55,7 @@
 //! and the walk share one visit body (Fig. 4 lines 31–35), so answers,
 //! ticks, events and degraded partials are those of the plain walk.
 
-use crate::lattice::{extend_lean, kernel_min_rows, prune_from_env, LatticeStash, Tally, View};
+use crate::lattice::{extend_lean, kernel_min_rows, LatticeStash, Tally, View};
 use crate::pattern_solution::{degrade, PatternSolution};
 use crate::space::LatticeSpace;
 use crate::table::RowId;
@@ -124,7 +124,7 @@ pub fn opt_cmc<S: LatticeSpace, O: Observer + ?Sized>(
     deadline: &Deadline,
     obs: &mut O,
 ) -> Result<SolveOutcome<PatternSolution>, EngineError> {
-    opt_cmc_stashed(space, params, deadline, obs, None)
+    opt_cmc_stashed(space, params, deadline, obs, None, true)
 }
 
 /// [`opt_cmc`] on the lattice parked in `stash`, which must have been
@@ -133,12 +133,17 @@ pub fn opt_cmc<S: LatticeSpace, O: Observer + ?Sized>(
 /// [`PatternInstance`](crate::PatternInstance) passes its own, so
 /// repeated solves on one instance materialize each node once
 /// (DESIGN.md §17). Without a stash the solve builds a fresh lattice.
+///
+/// `prune` turns on the pruned refresh of DESIGN.md §15. Every shipped
+/// entry point passes `true`; `false` keeps the literal Fig. 4 recount
+/// as the reference the pruned ≡ unpruned property compares against.
 pub(crate) fn opt_cmc_stashed<S: LatticeSpace, O: Observer + ?Sized>(
     space: &S,
     params: &CmcParams,
     deadline: &Deadline,
     obs: &mut O,
     stash: Option<&LatticeStash>,
+    prune: bool,
 ) -> Result<SolveOutcome<PatternSolution>, EngineError> {
     if params.k == 0 {
         return Err(SolveError::ZeroSizeBound.into());
@@ -196,6 +201,7 @@ pub(crate) fn opt_cmc_stashed<S: LatticeSpace, O: Observer + ?Sized>(
         params,
         target,
         deadline,
+        prune,
     };
     let result = guess_budgets(
         &mut guesses,
@@ -254,6 +260,8 @@ struct Guesses<'a, S: LatticeSpace> {
     params: &'a CmcParams,
     target: usize,
     deadline: &'a Deadline,
+    /// Whether recounts take the pruned refresh ([`opt_cmc_stashed`]).
+    prune: bool,
 }
 
 impl<S: LatticeSpace> Guesses<'_, S> {
@@ -304,7 +312,7 @@ impl<S: LatticeSpace> Guesses<'_, S> {
         // selections ago refreshes by subtracting exact per-selection
         // intersection counts (the newly sets are disjoint) instead of
         // recounting from scratch.
-        let prune = prune_from_env();
+        let prune = self.prune;
         let mut newly_masks: Vec<BitSet> = Vec::new();
         for s in &mut self.state {
             *s &= EXPANDED;

@@ -25,7 +25,7 @@
 //! on a shared lattice as on a fresh one — `posting_scanned` included,
 //! since it counts the rows each pop buckets in Fig. 3, cached or not.
 
-use crate::lattice::{kernel_min_rows, prune_from_env, LatticeStash, OrderKey, Tally, View};
+use crate::lattice::{kernel_min_rows, LatticeStash, OrderKey, Tally, View};
 use crate::pattern_solution::{degrade, PatternSolution};
 use crate::space::LatticeSpace;
 use scwsc_core::engine::{panic_message, Deadline, EngineError, SolveOutcome};
@@ -97,7 +97,7 @@ pub fn opt_cwsc<S: LatticeSpace, O: Observer + ?Sized>(
     deadline: &Deadline,
     obs: &mut O,
 ) -> Result<SolveOutcome<PatternSolution>, EngineError> {
-    opt_cwsc_stashed(space, k, coverage_fraction, deadline, obs, None)
+    opt_cwsc_stashed(space, k, coverage_fraction, deadline, obs, None, true)
 }
 
 /// [`opt_cwsc`] on the lattice parked in `stash`, which must have been
@@ -107,6 +107,11 @@ pub fn opt_cwsc<S: LatticeSpace, O: Observer + ?Sized>(
 /// node once (DESIGN.md §17). Without a stash the solve builds a fresh
 /// lattice. A solve that panics drops the lattice it took: the panic may
 /// have cut an expansion short.
+///
+/// `prune` fuses each refresh with the next round's floor (DESIGN.md
+/// §15). Every shipped entry point passes `true`; `false` keeps the exact
+/// recount as the reference the pruned ≡ unpruned property compares
+/// against.
 pub(crate) fn opt_cwsc_stashed<S: LatticeSpace, O: Observer + ?Sized>(
     space: &S,
     k: usize,
@@ -114,6 +119,7 @@ pub(crate) fn opt_cwsc_stashed<S: LatticeSpace, O: Observer + ?Sized>(
     deadline: &Deadline,
     obs: &mut O,
     stash: Option<&LatticeStash>,
+    prune: bool,
 ) -> Result<SolveOutcome<PatternSolution>, EngineError> {
     if k == 0 {
         return Err(SolveError::ZeroSizeBound.into());
@@ -133,7 +139,7 @@ pub(crate) fn opt_cwsc_stashed<S: LatticeSpace, O: Observer + ?Sized>(
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
     let mut walk = Walk::new(View::new(space, stash));
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        run_in(&mut walk, k, target, deadline, obs)
+        run_in(&mut walk, k, target, deadline, obs, prune)
     }));
     // Every return flushes its round's totals; a panic leaves those it
     // counted before it.
@@ -333,10 +339,10 @@ fn run_in<S: LatticeSpace, O: Observer + ?Sized>(
     target: usize,
     deadline: &Deadline,
     obs: &mut O,
+    prune: bool,
 ) -> Result<SolveOutcome<PatternSolution>, SolveError> {
     // Like flat CWSC, the optimized variant is a single round.
     obs.on(&Event::GuessStarted(None));
-    let prune = prune_from_env();
     let space = walk.view.space;
     let mut covered = BitSet::new(space.num_rows());
     let mut solution = PatternSolution {

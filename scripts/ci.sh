@@ -23,16 +23,6 @@ for example in quickstart facility_planning hierarchical_summaries \
   network_summarization streaming_and_multiweight; do
   cargo run --release -q --example "$example" > /dev/null
 done
-# opt_cwsc and opt_cmc read SCWSC_PRUNE from the environment, so the
-# plain run above covers only the pruned refresh. Again with it off: the
-# warm-instance lattice parity test (DESIGN.md §17); the literal Fig. 4
-# reference (DESIGN.md §3), since opt_cmc's replayed prefix and its walk
-# both skip child recounts only when pruning is on; the warm-CMC
-# allocation guard, since the unpruned path builds no row masks and so
-# allocates differently; and the event-volume bound, since the unpruned
-# path emits a different mix of events.
-SCWSC_PRUNE=0 cargo test -q --test prop_lattice_reuse --test prop_reference \
-  --test alloc_walk_cmc --test prop_telemetry
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy --workspace --all-targets --features fault-inject -- -D warnings
@@ -55,18 +45,6 @@ cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
   record --quick --label ci --out target/BENCH_ci.json
 cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
   diff BENCH_seed.json target/BENCH_ci.json --counters-only
-
-# Pruned-scan A/B gate (DESIGN.md §15): with the sketch-pruned scan
-# forced off, the smoke suite must reproduce the pruned run's exact
-# counters — pruning may only change *how* benefits are counted, never
-# what any solver does. The scan_* advisory counters are note-level in
-# the diff by design (they measure the pruning itself).
-cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
-  record --quick --suite smoke --label ci-smoke --out target/BENCH_ci_smoke.json
-SCWSC_PRUNE=0 cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
-  record --quick --suite smoke --label ci-noprune --out target/BENCH_ci_noprune.json
-cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
-  diff target/BENCH_ci_smoke.json target/BENCH_ci_noprune.json --counters-only
 
 # Resilience gate (DESIGN.md §12). First the full test suite with the
 # deterministic fault injector compiled in, including the snapshot test
@@ -278,24 +256,6 @@ for marker in "== decision audit ==" "runner-up" "margin" "charged " \
   grep -q "$marker" target/ci_explain.out \
     || { echo "--explain output missing '$marker'"; cat target/ci_explain.out; exit 1; }
 done
-
-# Audit replay parity across the prune toggle (DESIGN.md §15): skipped
-# counts must never reach the decision ledger (DESIGN.md §14), so
-# SCWSC_PRUNE=0 writes the same bytes.
-"$solve" --rows 1000 --seed 11 --k 6 --coverage 0.5 \
-  --algorithm cmc --audit-jsonl target/ci_audit.jsonl > /dev/null 2>&1
-SCWSC_PRUNE=0 "$solve" --rows 1000 --seed 11 --k 6 --coverage 0.5 \
-  --algorithm cmc --audit-jsonl target/ci_audit_noprune.jsonl > /dev/null 2>&1
-cmp target/ci_audit.jsonl target/ci_audit_noprune.jsonl \
-  || { echo "audit ledger differs across prune toggle"; exit 1; }
-# The same check for optimized CWSC, whose ledger ids number its
-# candidates over the shared lattice (DESIGN.md §17).
-"$solve" --rows 1000 --seed 11 --k 6 --coverage 0.5 \
-  --algorithm cwsc --audit-jsonl target/ci_audit_cwsc.jsonl > /dev/null 2>&1
-SCWSC_PRUNE=0 "$solve" --rows 1000 --seed 11 --k 6 --coverage 0.5 \
-  --algorithm cwsc --audit-jsonl target/ci_audit_cwsc_noprune.jsonl > /dev/null 2>&1
-cmp target/ci_audit_cwsc.jsonl target/ci_audit_cwsc_noprune.jsonl \
-  || { echo "cwsc audit ledger differs across prune toggle"; exit 1; }
 
 # Quality-regression gate (DESIGN.md §14): the committed schema-2 baseline
 # carries certified greedy cost and lower bound per workload; the fresh

@@ -202,6 +202,49 @@ fn trace_jsonl_aggregates_match_printed_stats() {
     }
 }
 
+/// `--audit-jsonl` writes the decision ledger: the same solve twice
+/// writes the same bytes, and every line is one JSON object.
+#[test]
+fn audit_jsonl_is_deterministic_json_lines() {
+    if !solver_available() {
+        eprintln!("scwsc_solve not built; skipping");
+        return;
+    }
+    let dir = std::env::temp_dir().join("scwsc_cli_audit_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    for algorithm in ["cmc", "cwsc"] {
+        let ledgers = [1, 2].map(|run| {
+            let path = dir.join(format!("audit-{algorithm}-{run}.jsonl"));
+            let output = Command::new(solver_path())
+                .args(["--rows", "1000", "--seed", "11", "--k", "6"])
+                .args(["--coverage", "0.5", "--algorithm", algorithm])
+                .arg("--audit-jsonl")
+                .arg(&path)
+                .output()
+                .expect("solver runs");
+            assert!(
+                output.status.success(),
+                "{algorithm} stderr: {}",
+                String::from_utf8_lossy(&output.stderr)
+            );
+            let bytes = std::fs::read(&path).expect("ledger written");
+            std::fs::remove_file(&path).ok();
+            bytes
+        });
+        assert!(!ledgers[0].is_empty(), "{algorithm}: empty ledger");
+        assert_eq!(ledgers[0], ledgers[1], "{algorithm}: ledger bytes differ");
+        let text = String::from_utf8(ledgers[0].clone()).expect("UTF-8 ledger");
+        for line in text.lines() {
+            let value = scwsc::sets::Json::parse(line)
+                .unwrap_or_else(|e| panic!("{algorithm}: {e} in {line}"));
+            assert!(
+                value.as_obj().is_some(),
+                "{algorithm}: not an object: {line}"
+            );
+        }
+    }
+}
+
 #[test]
 fn rejects_unknown_algorithm() {
     if !solver_available() {
