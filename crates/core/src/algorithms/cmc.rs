@@ -10,7 +10,8 @@
 //! `O(((1+b)/ε)·log k·OPT)`.
 
 use super::degrade;
-use crate::cover_state::{CoverState, Incidence};
+use crate::cost::Cost;
+use crate::cover_state::{Candidate, CoverState, Incidence};
 use crate::engine::{panic_message, Deadline, DegradeReason, Degraded, EngineError, SolveOutcome};
 use crate::set_system::{coverage_target, SetId, SetSystem};
 use crate::solution::{Solution, SolveError};
@@ -18,7 +19,9 @@ use crate::telemetry::{
     audit, pack_k_target, Event, EventLog, Observer, PhaseSpan, TraceId, PHASE_GUESS, PHASE_INIT,
     PHASE_SELECT, PHASE_TOTAL,
 };
+use std::collections::BinaryHeap;
 use std::iter::successors;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Fraction of the requested coverage that CMC guarantees (Fig. 1 line 06).
@@ -282,8 +285,13 @@ pub struct CmcOutcome {
 /// in Fig. 1: a larger guess runs only after the smaller one failed. Every
 /// guess starts a fresh [`CoverState`] (marginal benefits, activity flags,
 /// covered bits) over one element→sets incidence — a flat CSR — built once
-/// per solve and shared by all guesses. Each guess buckets the sets by
-/// cost level once, and every line-17 scan walks only its level's bucket.
+/// per solve and shared by all guesses. The solve also ranks the sets by
+/// `(cost, id)` once; each level of a guess is then a contiguous rank
+/// range, found by binary search. Line 17 pops its level's max-heap of
+/// marginal benefits lazily: a popped entry whose benefit has since
+/// fallen goes back with the current one, so a pick reads a few entries
+/// instead of the whole level, and picks exactly the set (and runners-up)
+/// a full scan would.
 ///
 /// One work tick is consumed per selection attempt. On expiry the run
 /// returns [`SolveOutcome::Degraded`] carrying the partial selection of
@@ -352,22 +360,100 @@ pub fn cmc<O: Observer + ?Sized>(
     result
 }
 
-/// Line 01: B = cost of the k cheapest sets. Guard degenerate zero
-/// budgets (all-k-cheapest free) so the geometric growth can start.
-fn initial_budget(system: &SetSystem, k: usize) -> f64 {
-    let b0 = system.k_cheapest_cost(k).value();
+/// The set ids in ascending `(cost, id)` order, the canonical tie-break
+/// order among sets of equal marginal benefit: a set's *rank* is its
+/// position here.
+fn rank_by_cost(system: &SetSystem) -> Vec<SetId> {
+    let mut keyed: Vec<(Cost, SetId)> = system.iter().map(|(id, s)| (s.cost(), id)).collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, id)| id).collect()
+}
+
+/// Line 01: B = cost of the k cheapest sets, the first `k` of `ranked`.
+/// Guard degenerate zero budgets (all-k-cheapest free) so the geometric
+/// growth can start.
+fn initial_budget(system: &SetSystem, ranked: &[SetId], k: usize) -> f64 {
+    let costs = ranked.iter().map(|&id| system.cost(id));
+    let b0 = costs.clone().take(k).sum::<Cost>().value();
     if b0 > 0.0 {
         return b0;
     }
-    let min_positive = system
-        .iter()
-        .map(|(_, s)| s.cost().value())
-        .filter(|&c| c > 0.0)
-        .fold(f64::INFINITY, f64::min);
-    if min_positive.is_finite() {
-        min_positive
-    } else {
-        1.0 // every set is free; a single pass suffices
+    // The cheapest positive cost, or 1 when every set is free (a single
+    // pass suffices).
+    costs.map(Cost::value).find(|&c| c > 0.0).unwrap_or(1.0)
+}
+
+/// The rank range of `level`'s sets. `level_of` falls as cost grows (the
+/// most expensive level is level 0, and costs above the budget are in
+/// none), so each level is a contiguous run of `ranked`, bounded by two
+/// binary searches that ask `level_of` itself, with its exact float
+/// comparisons.
+fn level_range(
+    levels: &Levels,
+    level: usize,
+    ranked: &[SetId],
+    system: &SetSystem,
+) -> Range<usize> {
+    let level_of = |id: SetId| levels.level_of(system.cost(id).value());
+    let start = ranked.partition_point(|&id| level_of(id).is_some_and(|l| l > level));
+    let end = ranked.partition_point(|&id| level_of(id).is_some_and(|l| l >= level));
+    start..end
+}
+
+/// Line 17's candidates within one level: a max-heap of
+/// `(mben << 32) | !rank` keys, so the largest key is the canonical
+/// benefit order's best (benefit desc, cost asc, id asc). Marginal
+/// benefits only fall, so a stored benefit bounds the set's current one
+/// from above: a popped key whose benefit is stale goes back with the
+/// current value, and a fresh one outranks every set still in the heap.
+/// One key buffer serves every level of every guess.
+#[derive(Default)]
+struct LevelHeap(BinaryHeap<u64>);
+
+impl LevelHeap {
+    fn key(mben: usize, rank: usize) -> u64 {
+        ((mben as u64) << 32) | u64::from(!(rank as u32))
+    }
+
+    /// Refills the heap with the sets of `ranks` that are still
+    /// candidates under `state`.
+    fn fill(&mut self, state: &CoverState<'_>, ranked: &[SetId], ranks: Range<usize>) {
+        let mut keys = std::mem::take(&mut self.0).into_vec();
+        keys.clear();
+        keys.extend(ranks.filter_map(|rank| {
+            let id = ranked[rank];
+            let mben = state.marginal_benefit(id);
+            (state.is_active(id) && mben > 0).then(|| Self::key(mben, rank))
+        }));
+        self.0 = BinaryHeap::from(keys);
+    }
+
+    /// The best [`audit::TOP`] candidates in canonical benefit order,
+    /// exactly what a scan of the level would rank. Only the winner
+    /// leaves the heap: it is selected next, while the runners-up go
+    /// back.
+    fn top(&mut self, state: &CoverState<'_>, ranked: &[SetId]) -> Vec<Candidate> {
+        let mut top = Vec::with_capacity(audit::TOP);
+        let mut keys = [0u64; audit::TOP];
+        while top.len() < audit::TOP {
+            let Some(key) = self.0.pop() else { break };
+            let rank = !(key as u32) as usize;
+            let id = ranked[rank];
+            // Selected, or its benefit fell to zero: gone for good.
+            if !state.is_active(id) {
+                continue;
+            }
+            let mben = state.marginal_benefit(id);
+            debug_assert!(mben as u64 <= key >> 32, "marginal benefits only fall");
+            if mben as u64 != key >> 32 {
+                self.0.push(Self::key(mben, rank));
+                continue;
+            }
+            keys[top.len()] = key;
+            top.push(state.candidate(id));
+        }
+        self.0.extend(keys.iter().take(top.len()).skip(1));
+        top
     }
 }
 
@@ -442,31 +528,33 @@ pub fn guess_budgets<W, E, O: Observer + ?Sized>(
     Err(SolveError::BudgetExhausted.into())
 }
 
-/// The ids of the sets in each level of `levels`, ascending within each;
-/// sets above the budget are in none.
-fn level_buckets(levels: &Levels, system: &SetSystem) -> Vec<Vec<SetId>> {
-    let mut buckets = vec![Vec::new(); levels.len()];
-    for (id, set) in system.iter() {
-        if let Some(level) = levels.level_of(set.cost().value()) {
-            buckets[level].push(id);
-        }
-    }
-    buckets
+/// What every budget guess of one solve reuses.
+struct PerSolve {
+    /// The element→sets incidence each guess's [`CoverState`] borrows.
+    incidence: Incidence,
+    /// [`rank_by_cost`]'s order.
+    ranked: Vec<SetId>,
+    heap: LevelHeap,
 }
 
 /// One iteration of the outer repeat loop (Fig. 1 lines 03–27) for a fixed
-/// budget `B` over the solve's shared `incidence`: a work tick per
-/// selection attempt and per-level quota accounting for the certificate.
-/// `None` when the guess fell short of the target.
+/// budget `B` over what the solve shares: a work tick per selection
+/// attempt and per-level quota accounting for the certificate. `None`
+/// when the guess fell short of the target.
 fn run_guess(
     system: &SetSystem,
     params: &CmcParams,
     budget: f64,
     target: usize,
-    incidence: &Incidence,
+    solve: &mut PerSolve,
     deadline: &Deadline,
     log: &mut EventLog,
 ) -> Option<GuessEnd<Solution, Vec<SetId>>> {
+    let PerSolve {
+        incidence,
+        ranked,
+        heap,
+    } = solve;
     // Lines 04-05: fresh marginal benefits for every set.
     let init_span = PhaseSpan::enter(log, PHASE_INIT);
     let mut state = CoverState::over(system, incidence);
@@ -479,9 +567,6 @@ fn run_guess(
     for level in 0..levels.len() {
         log.on(&Event::LevelEntered(level, levels.quota(level)));
     }
-    // Line 17 ranks only its own level's sets, so bucket them once per
-    // guess instead of filtering every set on every pick.
-    let buckets = level_buckets(&levels, system);
 
     let mut counts = vec![0usize; levels.len()];
     let mut chosen: Vec<SetId> = Vec::new();
@@ -489,13 +574,14 @@ fn run_guess(
 
     let select_span = PhaseSpan::enter(log, PHASE_SELECT);
     for level in 0..levels.len() {
+        heap.fill(&state, ranked, level_range(&levels, level, ranked, system));
         for _ in 0..levels.quota(level) {
             if let Err(reason) = deadline.checkpoint() {
                 select_span.exit(log);
                 return Some(levels.expired(&counts, chosen, reason));
             }
             // Line 17: argmax of marginal benefit within the level.
-            let top = state.top_benefit_among(&buckets[level], audit::TOP);
+            let top = heap.top(&state, ranked);
             let Some((q, newly)) = audit::pick_cover(&mut state, log, audit::ORDER_BENEFIT, &top)
             else {
                 break; // line 18: level exhausted
@@ -515,7 +601,8 @@ fn run_guess(
 }
 
 /// The Fig. 1 outer repeat loop: one budget guess at a time, each on its
-/// own [`CoverState`] over one element→sets incidence built here.
+/// own [`CoverState`] over one element→sets incidence and one
+/// `(cost, id)` ranking built here.
 fn guess_loop<O: Observer + ?Sized>(
     system: &SetSystem,
     params: &CmcParams,
@@ -524,16 +611,21 @@ fn guess_loop<O: Observer + ?Sized>(
     obs: &mut O,
 ) -> Result<SolveOutcome<CmcOutcome>, EngineError> {
     let total_cost = system.total_cost().value();
-    let incidence = Incidence::build(system);
+    let mut solve = PerSolve {
+        incidence: Incidence::build(system),
+        ranked: rank_by_cost(system),
+        heap: LevelHeap::default(),
+    };
     // The final guess runs *after* the budget exceeds the total cost
     // (DESIGN.md §3); only its failure exhausts the loop.
-    let budgets = successors(Some(initial_budget(system, params.k)), |&budget| {
+    let first = initial_budget(system, &solve.ranked, params.k);
+    let budgets = successors(Some(first), |&budget| {
         (budget <= total_cost).then_some(budget * (1.0 + params.budget_growth)) // line 28
     });
-    let guess = |_: &mut (), budget, log: &mut EventLog| {
-        run_guess(system, params, budget, target, &incidence, deadline, log)
+    let guess = |solve: &mut PerSolve, budget, log: &mut EventLog| {
+        run_guess(system, params, budget, target, solve, deadline, log)
     };
-    let (end, final_budget) = guess_budgets(&mut (), budgets, deadline, obs, guess, |_| {})?;
+    let (end, final_budget) = guess_budgets(&mut solve, budgets, deadline, obs, guess, |_| {})?;
     Ok(match end {
         GuessEnd::Found(solution) => SolveOutcome::Complete(CmcOutcome {
             solution,
@@ -723,6 +815,51 @@ mod tests {
     #[should_panic(expected = "l must be at least 1")]
     fn levels_reject_zero_l() {
         Levels::build(LevelSchedule::Generalized(0), 10.0, 3);
+    }
+
+    /// The binary-searched rank ranges are the per-set `level_of`
+    /// partition, under every schedule, for budgets `unit·2^j` with costs
+    /// built by the level bounds' own operations (`unit·2^m`, divided by
+    /// 1, `3^i` or `k`, as in `tests/prop_reference.rs`'s boundary
+    /// systems), zero costs, and costs above every budget.
+    #[test]
+    fn level_ranges_equal_the_per_set_partition() {
+        for unit in [0.5, 1.0, 3.0] {
+            for k in 1..=6usize {
+                let mut b = SetSystem::builder(1);
+                b.add_set([0], 0.0).add_set([0], 0.0);
+                for m in 0..9 {
+                    let power = unit * 2f64.powi(m);
+                    for cost in [power, power / 3.0, power / 9.0, power / k as f64] {
+                        b.add_set([0], cost).add_set([0], cost);
+                    }
+                }
+                b.add_set([0], unit * 1e3);
+                let system = b.build().unwrap();
+                let ranked = rank_by_cost(&system);
+                for schedule in [
+                    LevelSchedule::Classic,
+                    LevelSchedule::Epsilon(0.5),
+                    LevelSchedule::Epsilon(2.0),
+                    LevelSchedule::Generalized(2),
+                ] {
+                    for j in 0..9 {
+                        let levels = Levels::build(schedule, unit * 2f64.powi(j), k);
+                        let mut want = vec![Vec::new(); levels.len()];
+                        for (rank, &id) in ranked.iter().enumerate() {
+                            if let Some(level) = levels.level_of(system.cost(id).value()) {
+                                want[level].push(rank);
+                            }
+                        }
+                        for (level, ranks) in want.iter().enumerate() {
+                            let got: Vec<usize> =
+                                level_range(&levels, level, &ranked, &system).collect();
+                            assert_eq!(&got, ranks, "{schedule:?} unit {unit} k {k} j {j}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

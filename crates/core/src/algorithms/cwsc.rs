@@ -37,7 +37,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// into counters.
 ///
 /// Every selection scans one [`CoverState`] on the calling thread
-/// (DESIGN.md §11).
+/// (DESIGN.md §11), and only the sets large enough to pass line 06's
+/// floor: the solve orders the sets by size, largest first, once, and
+/// each round reads the prefix whose size is at least `⌈rem/i⌉`.
 ///
 /// One work tick is consumed per selection round. On expiry the picks made
 /// so far become a [`SolveOutcome::Degraded`] partial solution with a
@@ -154,6 +156,7 @@ fn run<O: Observer + ?Sized>(
     obs.on(&Event::BenefitComputed(system.num_sets() as u64));
     init_span.exit(obs);
 
+    let by_size = by_size_desc(system);
     let mut chosen: Vec<SetId> = Vec::with_capacity(k);
     let mut rem = target; // line 02
 
@@ -167,10 +170,14 @@ fn run<O: Observer + ?Sized>(
             };
         }
         // line 06: argmax of MGain over sets with |MBen(s)| >= rem/i,
-        // evaluated in exact integer arithmetic.
+        // evaluated in exact integer arithmetic. A set smaller than
+        // ⌈rem/i⌉ cannot have that much left to cover, so only the
+        // prefix of `by_size` at or above it is scanned.
         let i_u = i as u64;
         let rem_u = rem as u64;
-        let top = state.top_gain(audit::TOP, |id| {
+        let floor = rem.div_ceil(i);
+        let eligible = by_size.partition_point(|&id| system.set(id).benefit() >= floor);
+        let top = state.top_gain_among(by_size[..eligible].iter().copied(), audit::TOP, |id| {
             i_u * state.marginal_benefit(id) as u64 >= rem_u
         });
         // line 08 + lines 09, 11-15 (pick_cover selects and updates MBens)
@@ -191,6 +198,29 @@ fn run<O: Observer + ?Sized>(
     // least rem/i elements, so this is unreachable; kept as a defensive
     // error rather than a panic.
     RoundOutcome::Done(Err(SolveError::NoSolution))
+}
+
+/// The set ids by size `|Ben(s)|`, largest first (ids ascending within a
+/// size), by a counting sort over sizes `0..=n`.
+fn by_size_desc(system: &SetSystem) -> Vec<SetId> {
+    let n = system.num_elements();
+    // `starts[n - size]` counts the sets of each size, then is turned
+    // into the first slot of that size's run.
+    let mut starts = vec![0usize; n + 1];
+    for (_, set) in system.iter() {
+        starts[n - set.benefit()] += 1;
+    }
+    let mut next = 0;
+    for slot in &mut starts {
+        (*slot, next) = (next, next + *slot);
+    }
+    let mut ids = vec![0 as SetId; system.num_sets()];
+    for (id, set) in system.iter() {
+        let slot = &mut starts[n - set.benefit()];
+        ids[*slot] = id;
+        *slot += 1;
+    }
+    ids
 }
 
 #[cfg(test)]

@@ -15,6 +15,15 @@
 //! while a solve runs, so CMC's budget guesses all borrow the same one
 //! and each guess starts only fresh marginal benefits, activity flags and
 //! covered bits (Fig. 1 lines 04–05).
+//!
+//! The state answers arg-max queries by scanning ([`CoverState::top_gain`]
+//! and [`CoverState::top_benefit`]), and exposes each set's exact
+//! marginal benefit and activity so that a solver can keep its own
+//! candidate order instead: flat CMC keeps a lazily revalidated max-heap
+//! per cost level, and CWSC scans only the sets large enough for its
+//! eligibility floor. Marginal benefits only fall, which is what makes a
+//! stale heap entry an upper bound and a set's size a bound on its
+//! benefit.
 
 use crate::bitset::BitSet;
 use crate::cost::Cost;
@@ -236,17 +245,22 @@ impl<'a> CoverState<'a> {
         self.top(0..self.mben.len() as SetId, cap, filter, benefit_order)
     }
 
-    /// [`top_benefit`](CoverState::top_benefit) over the sets in `ids`
-    /// only, without visiting the others.
-    pub(crate) fn top_benefit_among(&self, ids: &[SetId], cap: usize) -> Vec<Candidate> {
-        self.top(ids.iter().copied(), cap, |_| true, benefit_order)
-    }
-
     /// The best `cap` active candidates by marginal gain (canonical order,
     /// best first) among the sets passing `filter`. Zero-cost sets that
     /// still cover something rank above every priced set.
     pub fn top_gain(&self, cap: usize, filter: impl FnMut(SetId) -> bool) -> Vec<Candidate> {
-        self.top(0..self.mben.len() as SetId, cap, filter, gain_order)
+        self.top_gain_among(0..self.mben.len() as SetId, cap, filter)
+    }
+
+    /// [`top_gain`](CoverState::top_gain) over the sets in `ids` only,
+    /// without visiting the others.
+    pub(crate) fn top_gain_among(
+        &self,
+        ids: impl Iterator<Item = SetId>,
+        cap: usize,
+        filter: impl FnMut(SetId) -> bool,
+    ) -> Vec<Candidate> {
+        self.top(ids, cap, filter, gain_order)
     }
 
     fn top(

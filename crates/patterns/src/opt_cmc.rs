@@ -186,10 +186,19 @@ pub(crate) fn opt_cmc_stashed<S: LatticeSpace, O: Observer + ?Sized>(
     // lattice-monotone cost function, and a budget above the total
     // weight is a universal upper bound otherwise.
     let (root_cost, total_weight) = (view.cost(0), measures.iter().sum::<f64>());
+    // Every pattern costs at least its cheapest row alone (measures are
+    // non-negative), so a budget below that admits no pattern, and its
+    // guess would walk the lattice only to select nothing. The measure
+    // seed falls below it under `Count`, where every pattern costs at
+    // least 1; later budgets are those of the unskipped sequence.
+    let cheapest_row = (0..n as RowId)
+        .map(|r| space.cost(&[r]))
+        .fold(f64::INFINITY, f64::min);
     let budgets = successors(Some(budget), |&budget| {
         (budget <= root_cost || budget <= total_weight)
             .then_some(budget * (1.0 + params.budget_growth)) // line 36
-    });
+    })
+    .skip_while(|&budget| budget < cheapest_row);
     // Sized, like the view, for the whole parked lattice up front.
     let nodes = view.nodes();
     let mut guesses = Guesses {
@@ -768,6 +777,18 @@ mod tests {
         complete(opt_cmc(space, params, &Deadline::unbounded(), obs))
     }
 
+    /// Each guess's budget and the cumulative ticks at its end: a
+    /// guess's events reach the observer when it ends.
+    struct GuessEnds<'a>(&'a Deadline, Vec<(f64, u64)>);
+
+    impl Observer for GuessEnds<'_> {
+        fn on(&mut self, event: &Event<'_>) {
+            if let Event::GuessStarted(Some(budget)) = event {
+                self.1.push((*budget, self.0.ticks()));
+            }
+        }
+    }
+
     /// Fig. 1 CMC over the materialized cube.
     fn solve_unopt(
         system: &SetSystem,
@@ -910,6 +931,47 @@ mod tests {
             }
         }
 
+        /// A table whose measures are all below 1, so the measure seed
+        /// is too under `Count`, where every pattern costs at least 1.
+        fn light_table() -> crate::table::Table {
+            let mut rng = crate::test_util::XorShift::new(7);
+            let mut b = crate::table::Table::builder(&["a", "b", "c", "d"], "m");
+            for _ in 0..1_000 {
+                let vals: Vec<String> = (0..4).map(|_| format!("v{}", rng.below(10))).collect();
+                let refs: Vec<&str> = vals.iter().map(String::as_str).collect();
+                b.push_row(&refs, rng.below(100) as f64 / 1_000.0)
+                    .expect("generated rows are valid");
+            }
+            b.build()
+        }
+
+        /// Under `Count` the measure seed is far below the cheapest
+        /// pattern's cost, 1: no guess starts there, so the first one
+        /// can select, and a tick budget that expires inside it returns
+        /// its selections. A guess below 1 would select nothing and pop
+        /// every lattice node.
+        #[test]
+        fn count_cost_skips_budgets_no_pattern_fits() {
+            let t = light_table();
+            let sp = PatternSpace::new(&t, CostFn::Count);
+            let params = CmcParams::classic(6, 0.6, 1.0);
+            let clean = Deadline::unbounded();
+            let mut ends = GuessEnds(&clean, Vec::new());
+            let full = opt_cmc(&sp, &params, &clean, &mut ends).unwrap();
+            full.expect_complete("unbounded deadline");
+            let nodes = enumerate_all(&t, CostFn::Count).system.num_sets() as u64;
+            assert!(ends.1.iter().all(|&(b, _)| b >= 1.0), "{:?}", ends.1);
+            let first_guess = ends.1[0].1;
+            assert!(first_guess < nodes, "{first_guess} ticks, {nodes} nodes");
+            let deadline = Deadline::unbounded().with_tick_budget(first_guess - 1);
+            let out = opt_cmc(&sp, &params, &deadline, &mut NoopObserver).unwrap();
+            let SolveOutcome::Degraded(d) = out else {
+                panic!("{} ticks cannot finish the solve", first_guess - 1);
+            };
+            assert!(d.partial.size() > 0);
+            assert!(verify_certificate_in(&sp, &d.partial, &d.certificate).is_valid());
+        }
+
         #[test]
         fn zero_tick_budget_degrades_empty() {
             let t = entities();
@@ -963,18 +1025,6 @@ mod tests {
         /// replay at least the root of the prefix guess 1 recorded.
         fn replaying_solve() -> (Table, CmcParams) {
             (entities(), CmcParams::classic(2, 1.0, 1.0))
-        }
-
-        /// Each guess's budget and the cumulative ticks at its end: a
-        /// guess's events reach the observer when it ends.
-        struct GuessEnds<'a>(&'a Deadline, Vec<(f64, u64)>);
-
-        impl Observer for GuessEnds<'_> {
-            fn on(&mut self, event: &Event<'_>) {
-                if let Event::GuessStarted(Some(budget)) = event {
-                    self.1.push((*budget, self.0.ticks()));
-                }
-            }
         }
 
         #[test]

@@ -10,12 +10,58 @@
 use proptest::prelude::*;
 use scwsc::patterns::verify_certificate_in;
 use scwsc::prelude::*;
+use scwsc::sets::telemetry::audit;
 use scwsc::sets::Event;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
 
-/// Literal Fig. 2: CWSC with explicit `MBen` sets.
-fn reference_cwsc(system: &SetSystem, k: usize, coverage: f64) -> Result<Vec<u32>, ()> {
+/// One selection round as the audit ledger records it: the winner, then
+/// its runners-up, best first, each as `(id, benefit, weight)`.
+type Round = Vec<(u64, u64, f64)>;
+
+/// The rounds a solve decided, in order, and the work ticks it consumed
+/// (one per selection attempt). As an [`Observer`] it collects the
+/// rounds from `round_decided` events.
+#[derive(Debug, Default, PartialEq)]
+struct Decisions {
+    rounds: Vec<Round>,
+    ticks: u64,
+}
+
+impl Observer for Decisions {
+    fn on(&mut self, event: &Event<'_>) {
+        if let Event::RoundDecided(_, winner, runners_up) = event {
+            let round = std::iter::once(winner).chain(runners_up.iter());
+            self.rounds
+                .push(round.map(|c| (c.id, c.benefit, c.weight)).collect());
+        }
+    }
+}
+
+/// The winner and runners-up of a round: `candidates` as `(id, |MBen|)`,
+/// sorted best first by `better` (`Greater` when the first argument is
+/// preferred), cut to the ledger's length.
+fn literal_top(
+    system: &SetSystem,
+    mut candidates: Vec<(u32, usize)>,
+    better: impl Fn(&(u32, usize), &(u32, usize)) -> std::cmp::Ordering,
+) -> Round {
+    candidates.sort_by(|a, b| better(b, a));
+    candidates
+        .iter()
+        .take(audit::TOP)
+        .map(|&(id, m)| (u64::from(id), m as u64, system.cost(id).value()))
+        .collect()
+}
+
+/// Literal Fig. 2: CWSC with explicit `MBen` sets. Each round's
+/// candidates are ranked by a full sort into `decisions`.
+fn reference_cwsc(
+    system: &SetSystem,
+    k: usize,
+    coverage: f64,
+    decisions: &mut Decisions,
+) -> Result<Vec<u32>, ()> {
     let n = system.num_elements();
     let target = coverage_target(n, coverage);
     if target == 0 {
@@ -28,33 +74,26 @@ fn reference_cwsc(system: &SetSystem, k: usize, coverage: f64) -> Result<Vec<u32
     let mut solution = Vec::new();
     let mut rem = target as i64;
     for i in (1..=k).rev() {
+        decisions.ticks += 1;
         // argmax MGain over sets with |MBen| >= rem/i, with the crate's
         // canonical tie-breaking (gain desc, mben desc, cost asc, id asc).
-        let mut q: Option<u32> = None;
-        for id in 0..system.num_sets() as u32 {
-            let Some(m) = &mben[id as usize] else {
-                continue;
-            };
-            if (m.len() as i64) * i as i64 >= rem && !m.is_empty() {
-                let better = match q {
-                    None => true,
-                    Some(b) => {
-                        let mb = mben[b as usize].as_ref().unwrap();
-                        let (ca, cb) = (system.cost(id).value(), system.cost(b).value());
-                        (m.len() as f64 * cb)
-                            .total_cmp(&(mb.len() as f64 * ca))
-                            .then(m.len().cmp(&mb.len()))
-                            .then(cb.total_cmp(&ca))
-                            .then(b.cmp(&id))
-                            .is_gt()
-                    }
-                };
-                if better {
-                    q = Some(id);
-                }
-            }
-        }
-        let Some(q) = q else { return Err(()) };
+        let eligible = (0..system.num_sets() as u32)
+            .filter_map(|id| Some((id, mben[id as usize].as_ref()?.len())))
+            .filter(|&(_, m)| (m as i64) * i as i64 >= rem && m > 0)
+            .collect();
+        let top = literal_top(system, eligible, |&(a, ma), &(b, mb)| {
+            let (ca, cb) = (system.cost(a).value(), system.cost(b).value());
+            (ma as f64 * cb)
+                .total_cmp(&(mb as f64 * ca))
+                .then(ma.cmp(&mb))
+                .then(cb.total_cmp(&ca))
+                .then(b.cmp(&a))
+        });
+        let Some(&(q, _, _)) = top.first() else {
+            return Err(());
+        };
+        decisions.rounds.push(top);
+        let q = q as u32;
         let q_ben = mben[q as usize].take().unwrap();
         solution.push(q);
         rem -= q_ben.len() as i64;
@@ -143,9 +182,15 @@ fn reference_levels(schedule: LevelSchedule, b: f64, k: usize) -> Vec<Level> {
     levels
 }
 
-/// Literal Fig. 1: CMC with explicit `MBen` sets, every set scanned on
-/// every pick. Returns the chosen sets and the budget that found them.
-fn reference_cmc(system: &SetSystem, params: &CmcParams) -> Result<(Vec<u32>, f64), ()> {
+/// Literal Fig. 1: CMC with explicit `MBen` sets, every set scanned and
+/// the level's candidates fully sorted on every pick, each round recorded
+/// into `decisions`. Returns the chosen sets and the budget that found
+/// them.
+fn reference_cmc(
+    system: &SetSystem,
+    params: &CmcParams,
+    decisions: &mut Decisions,
+) -> Result<(Vec<u32>, f64), ()> {
     let m = system.num_sets() as u32;
     let cost = |id: u32| system.cost(id).value();
     let target = coverage_target(
@@ -173,22 +218,25 @@ fn reference_cmc(system: &SetSystem, params: &CmcParams) -> Result<(Vec<u32>, f6
         let mut rem = target as i64;
         for level in reference_levels(params.schedule, b, params.k) {
             for _ in 0..level.quota {
+                decisions.ticks += 1;
                 // Line 17: argmax |MBen| within the level (ties: cheaper,
                 // then lower id).
-                let q = (0..m)
+                let in_level = (0..m)
                     .filter(|&id| {
                         !chosen.contains(&id)
                             && !mben[id as usize].is_empty()
                             && level.contains(cost(id))
                     })
-                    .max_by(|&x, &y| {
-                        mben[x as usize]
-                            .len()
-                            .cmp(&mben[y as usize].len())
-                            .then(cost(y).total_cmp(&cost(x)))
-                            .then(y.cmp(&x))
-                    });
-                let Some(q) = q else { break };
+                    .map(|id| (id, mben[id as usize].len()))
+                    .collect();
+                let top = literal_top(system, in_level, |&(x, mx), &(y, my)| {
+                    mx.cmp(&my)
+                        .then(cost(y).total_cmp(&cost(x)))
+                        .then(y.cmp(&x))
+                });
+                let Some(&(q, _, _)) = top.first() else { break };
+                decisions.rounds.push(top);
+                let q = q as u32;
                 let newly = std::mem::take(&mut mben[q as usize]);
                 for other in &mut mben {
                     other.retain(|e| !newly.contains(e));
@@ -329,22 +377,37 @@ fn arb_system() -> impl Strategy<Value = SetSystem> {
     })
 }
 
+/// The full pattern cube of a small random table under `Max` as a set
+/// system: many nested, overlapping sets that share costs, so a pick
+/// lowers the benefits of many sets in its level and the flat solvers'
+/// lazily revalidated candidates go stale.
+fn arb_cube() -> impl Strategy<Value = SetSystem> {
+    arb_table().prop_map(|table| enumerate_all(&table, CostFn::Max).system)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
+    /// Flat CWSC against literal Fig. 2: the selections, every round's
+    /// winner and runners-up, and the ticks.
     #[test]
     fn cwsc_matches_literal_pseudocode(
-        system in arb_system(),
+        system in prop_oneof![arb_system(), arb_cube()],
         k in 1usize..=6,
         coverage in 0.0f64..=1.0,
     ) {
-        let fast = cwsc(&system, k, coverage, &Deadline::unbounded(), &mut NoopObserver);
-        let slow = reference_cwsc(&system, k, coverage);
+        let deadline = Deadline::unbounded();
+        let mut got = Decisions::default();
+        let fast = cwsc(&system, k, coverage, &deadline, &mut got);
+        got.ticks = deadline.ticks();
+        let mut want = Decisions::default();
+        let slow = reference_cwsc(&system, k, coverage, &mut want);
         match (fast, slow) {
             (Ok(SolveOutcome::Complete(f)), Ok(s)) => prop_assert_eq!(f.sets().to_vec(), s),
             (Err(EngineError::Solve(SolveError::NoSolution)), Err(())) => {}
             (f, s) => prop_assert!(false, "fast {:?} vs reference {:?}", f, s),
         }
+        prop_assert_eq!(got, want);
     }
 
     #[test]
@@ -369,23 +432,27 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Flat CMC against literal Fig. 1, under every level schedule. Half
+    /// Flat CMC against literal Fig. 1, under every level schedule: the
+    /// selections, the final budget, every round's winner and
+    /// runners-up (failed guesses included) and the ticks. A third of
     /// the systems put zero-cost sets (the final level is closed below)
     /// and costs exactly on the `B/2^i`, `B/3^i` and `B/k` bounds of the
-    /// guessed budgets, where a level bucket can go wrong.
+    /// guessed budgets, where a level's rank range can go wrong; a third
+    /// are full pattern cubes, where levels hold many overlapping sets.
     #[test]
     fn cmc_matches_literal_pseudocode(
         num_elements in 20usize..120,
         num_sets in 8usize..48,
         seed in any::<u64>(),
         k in 1usize..6,
-        boundary_costs in any::<bool>(),
+        shape in 0u8..3,
+        table in arb_table(),
         coverage_pct in 30u32..=100,
     ) {
-        let system = if boundary_costs {
-            boundary_system(num_elements, num_sets, k, seed)
-        } else {
-            lcg_system(num_elements, num_sets, seed)
+        let system = match shape {
+            0 => lcg_system(num_elements, num_sets, seed),
+            1 => boundary_system(num_elements, num_sets, k, seed),
+            _ => enumerate_all(&table, CostFn::Max).system,
         };
         for schedule in [
             LevelSchedule::Classic,
@@ -397,8 +464,12 @@ proptest! {
                 schedule,
                 ..CmcParams::classic(k, coverage_pct as f64 / 100.0, 1.0)
             };
-            let fast = cmc(&system, &params, &Deadline::unbounded(), &mut NoopObserver);
-            let slow = reference_cmc(&system, &params);
+            let deadline = Deadline::unbounded();
+            let mut got = Decisions::default();
+            let fast = cmc(&system, &params, &deadline, &mut got);
+            got.ticks = deadline.ticks();
+            let mut want = Decisions::default();
+            let slow = reference_cmc(&system, &params, &mut want);
             match (fast, slow) {
                 (Ok(SolveOutcome::Complete(f)), Ok((sets, budget))) => {
                     prop_assert_eq!(f.solution.sets().to_vec(), sets, "{:?}", schedule);
@@ -407,6 +478,7 @@ proptest! {
                 (Err(EngineError::Solve(SolveError::BudgetExhausted)), Err(())) => {}
                 (f, s) => prop_assert!(false, "{:?}: fast {:?} vs reference {:?}", schedule, f, s),
             }
+            prop_assert_eq!(got, want, "{:?}", schedule);
         }
     }
 }
@@ -449,9 +521,10 @@ struct Node {
 /// Benefits are recounted over explicit row lists at every pop and every
 /// child. Ties go to the cheaper pattern, then to the one the solve met
 /// first; children are met in (attribute, value) order. The first
-/// budget (the sum of the `k` smallest row weights, DESIGN.md §3) and
-/// the stop (a failed budget above both the root's cost and the total
-/// weight) are `opt_cmc`'s.
+/// budget (the sum of the `k` smallest row weights, DESIGN.md §3, grown
+/// past every budget below the cheapest single row's cost) and the stop
+/// (a failed budget above both the root's cost and the total weight) are
+/// `opt_cmc`'s.
 fn reference_opt_cmc(
     table: &Table,
     cost_fn: CostFn,
@@ -490,6 +563,14 @@ fn reference_opt_cmc(
     } else {
         measures.iter().copied().find(|&m| m > 0.0).unwrap_or(1.0)
     };
+    // No pattern costs less than its cheapest row alone, so budgets below
+    // that are skipped (this moves the first budget only under `Count`).
+    let cheapest_row = (0..n as u32)
+        .map(|r| cost_fn.evaluate(table, &[r]))
+        .fold(f64::INFINITY, f64::min);
+    while budget < cheapest_row {
+        budget *= 1.0 + params.budget_growth;
+    }
     loop {
         let levels = reference_levels(params.schedule, budget, params.k);
         let max_selections: usize = levels.iter().map(|l| l.quota).sum();
@@ -632,7 +713,9 @@ impl Observer for ConsideredPerGuess {
 
 /// A random table with up to 48 rows over at most three attributes and
 /// five values each: lattices of a few hundred patterns, several budget
-/// guesses deep.
+/// guesses deep. Measures are multiples of 1/8 below 5, exact in binary,
+/// so the `k` smallest often sum below 1, the least a pattern costs
+/// under `Count`.
 fn arb_table() -> impl Strategy<Value = Table> {
     (1usize..=3, 1usize..=48).prop_flat_map(|(attrs, rows)| {
         let row = (proptest::collection::vec(0u8..5, attrs), 0u8..40);
@@ -643,7 +726,7 @@ fn arb_table() -> impl Strategy<Value = Table> {
             for (vals, measure) in rows {
                 let vals: Vec<String> = vals.iter().map(|v| format!("v{v}")).collect();
                 let vals: Vec<&str> = vals.iter().map(String::as_str).collect();
-                b.push_row(&vals, f64::from(measure)).unwrap();
+                b.push_row(&vals, f64::from(measure) / 8.0).unwrap();
             }
             b.build()
         })
