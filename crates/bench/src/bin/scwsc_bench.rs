@@ -1,18 +1,14 @@
 //! `scwsc_bench` — record and compare `BENCH_*.json` performance
-//! snapshots (DESIGN.md §10).
-//!
-//! ```text
-//! scwsc_bench record [--label L] [--reps N] [--quick] [--suite S] [--out PATH]
-//! scwsc_bench diff BASE NEW [--tolerance F] [--counters-only]
-//! scwsc_bench flight-to-chrome IN OUT
-//! ```
+//! snapshots (DESIGN.md §10), and stress the program (§16, §17).
 //!
 //! `record` runs the registered workload suite and writes
 //! `BENCH_<label>.json`; `--quick` lowers the rep count to 1 but never
 //! the workload scale, so a quick run's deterministic counters still
 //! match a committed full baseline. `diff` exits non-zero when the new
 //! snapshot regresses: deterministic counters must match exactly,
-//! timings and allocations within `--tolerance` (default 0.25).
+//! timings and allocations within `--tolerance` (default 0.25). `soak`,
+//! `trend`, `serve-load` and `flight-to-chrome` are listed with every
+//! option by `scwsc_bench --help`.
 
 use scwsc_bench::attribute::attribute;
 use scwsc_bench::chrome_trace::flight_to_chrome;

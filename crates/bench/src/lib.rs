@@ -3,7 +3,8 @@
 //! Experiment harness reproducing every figure and table of the ICDE 2015
 //! evaluation (Section VI). Each `src/bin/*` binary regenerates one
 //! figure/table; `run_all` executes the full suite and writes the results
-//! under `results/`. Criterion micro-benchmarks live in `benches/`.
+//! under `results/`. The `scwsc_bench` binary records and compares the
+//! performance snapshots (`BENCH_*.json`) over the workload `registry`.
 //!
 //! Workloads are synthetic LBL-CONN-7-like traces (see `scwsc-data` and
 //! DESIGN.md §4); every binary accepts `--rows` and `--seed` so runs are

@@ -26,7 +26,7 @@ pub const PHASE_SCALARIZE: &str = "scalarize";
 /// Span name for the Pareto dominance filter at the end of a sweep.
 pub const PHASE_FILTER: &str = "pareto_filter";
 
-/// A set system whose sets carry a vector of weights (one per criterion).
+/// A set system whose sets each carry `num_criteria` weights.
 #[derive(Debug, Clone)]
 pub struct MultiWeightSystem {
     num_elements: usize,
@@ -74,7 +74,7 @@ impl MultiWeightSystem {
     /// Creates an empty system over `num_elements` elements with
     /// `num_criteria` weights per set.
     pub fn new(num_elements: usize, num_criteria: usize) -> MultiWeightSystem {
-        assert!(num_criteria >= 1, "at least one criterion required");
+        assert!(num_criteria >= 1, "num_criteria must be at least 1");
         MultiWeightSystem {
             num_elements,
             num_criteria,
@@ -162,7 +162,7 @@ pub struct ParetoPoint {
     pub weights: Vec<f64>,
 }
 
-/// Returns whether `a` dominates `b`: no worse in every criterion and
+/// Returns whether `a` dominates `b`: no worse in all criteria and
 /// strictly better in at least one.
 pub fn dominates(a: &[f64], b: &[f64]) -> bool {
     debug_assert_eq!(a.len(), b.len());
@@ -327,8 +327,8 @@ mod tests {
             .map(|out| out.expect_complete("unbounded deadline"))
     }
 
-    /// Two criteria pulling in opposite directions: set 0 is cheap on the
-    /// first criterion, set 1 on the second; both cover the left half. Set
+    /// Two criteria pulling in opposite directions: set 0 is cheap on
+    /// weight 0, set 1 on weight 1; both cover the left half. Set
     /// 2 is a universe set, mid-priced on both.
     fn system() -> MultiWeightSystem {
         let mut s = MultiWeightSystem::new(4, 2);

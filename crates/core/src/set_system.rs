@@ -214,15 +214,6 @@ impl SetSystem {
         self.sets.iter().map(|s| s.cost).sum()
     }
 
-    /// Sum of the `k` cheapest set weights (the CMC initial budget, Fig. 1
-    /// line 01). Returns the sum of all weights when fewer than `k` sets
-    /// exist.
-    pub fn k_cheapest_cost(&self, k: usize) -> Cost {
-        let mut costs: Vec<Cost> = self.sets.iter().map(|s| s.cost).collect();
-        costs.sort_unstable();
-        costs.into_iter().take(k).sum()
-    }
-
     /// Whether some set covers every element (Definition 1's feasibility
     /// requirement).
     pub fn has_universe_set(&self) -> bool {
@@ -318,14 +309,6 @@ mod tests {
         assert_eq!(sys.total_cost().value(), 15.5);
         assert!(sys.has_universe_set());
         assert_eq!(sys.iter().count(), 4);
-    }
-
-    #[test]
-    fn k_cheapest() {
-        let sys = small_system();
-        assert_eq!(sys.k_cheapest_cost(2).value(), 2.5);
-        assert_eq!(sys.k_cheapest_cost(100), sys.total_cost());
-        assert_eq!(sys.k_cheapest_cost(0), Cost::ZERO);
     }
 
     #[test]

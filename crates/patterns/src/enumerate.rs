@@ -78,17 +78,28 @@ pub fn enumerate_all(table: &Table, cost_fn: CostFn) -> MaterializedPatterns {
                 .push(row);
         }
     }
-    // Records contribute each generalization once, so row lists are sorted
-    // and duplicate-free by construction; the root may be missing only for
-    // an empty table.
-    ben.entry(Pattern::all_wildcards(j)).or_default();
+    materialize(table.num_rows(), j, ben, |rows| {
+        cost_fn.evaluate(table, rows)
+    })
+}
 
+/// The tail both full-lattice enumerations share: adds the root (missing
+/// only for an empty table) to the benefit sets `ben`, sorts the patterns
+/// so set ids are stable, and weighs each with `cost`. Row lists must be
+/// sorted and duplicate-free: each record adds each generalization once.
+pub(crate) fn materialize(
+    num_rows: usize,
+    num_attrs: usize,
+    mut ben: FxHashMap<Pattern, Vec<RowId>>,
+    cost: impl Fn(&[RowId]) -> f64,
+) -> MaterializedPatterns {
+    ben.entry(Pattern::all_wildcards(num_attrs)).or_default();
     let mut patterns: Vec<Pattern> = ben.keys().cloned().collect();
     patterns.sort_unstable();
-    let mut builder = SetSystem::builder(table.num_rows());
+    let mut builder = SetSystem::builder(num_rows);
     for p in &patterns {
         let rows = &ben[p];
-        builder.add_set(rows.iter().copied(), cost_fn.evaluate(table, rows));
+        builder.add_set(rows.iter().copied(), cost(rows));
     }
     let system = builder
         .build()

@@ -445,18 +445,7 @@ pub fn enumerate_hierarchical(
         }
         recurse(0, j, row, table, &chains, &mut stack, &mut ben);
     }
-    ben.entry(Pattern::all_wildcards(j)).or_default();
-    let mut patterns: Vec<Pattern> = ben.keys().cloned().collect();
-    patterns.sort_unstable();
-    let mut builder = scwsc_core::SetSystem::builder(table.num_rows());
-    for p in &patterns {
-        let rows = &ben[p];
-        builder.add_set(rows.iter().copied(), space.cost(rows));
-    }
-    let system = builder
-        .build()
-        .expect("row ids in range, costs finite by construction");
-    crate::enumerate::MaterializedPatterns { patterns, system }
+    crate::enumerate::materialize(table.num_rows(), j, ben, |rows| space.cost(rows))
 }
 
 impl LatticeSpace for HierarchicalSpace<'_> {

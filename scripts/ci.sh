@@ -46,6 +46,23 @@ cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
 cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
   diff BENCH_seed.json target/BENCH_ci.json --counters-only
 
+# Section VI experiment smoke: every figure and table of the evaluation at
+# quick scale, each written as a .txt/.csv/.json triple. The binaries are
+# otherwise only compiled here, so a panic in one would go unnoticed.
+rm -rf target/ci_results
+cargo run --release -q -p scwsc-bench --bin run_all -- \
+  --quick --out target/ci_results > /dev/null 2> target/ci_run_all.err \
+  || { echo "run_all --quick failed"; cat target/ci_run_all.err; exit 1; }
+python3 - target/ci_results <<'EOF'
+import json, pathlib, sys
+found = sorted(pathlib.Path(sys.argv[1]).glob("*.json"))
+assert len(found) == 11, f"expected 11 result tables, got {len(found)}"
+for path in found:
+    json.load(open(path))  # every table parses
+    for ext in (".txt", ".csv"):
+        assert path.with_suffix(ext).is_file(), f"{path.stem}{ext} missing"
+EOF
+
 # Resilience gate (DESIGN.md §12). First the full test suite with the
 # deterministic fault injector compiled in, including the snapshot test
 # that keeps the retry counter out of the exact-diff set.

@@ -4,6 +4,7 @@
 
 use scwsc::data::{entities_table, table2_pattern};
 use scwsc::prelude::*;
+use scwsc::sets::telemetry::DecisionLedger;
 
 /// The exact optimum at coverage fraction `coverage`.
 fn optimum(system: &SetSystem, k: usize, coverage: f64) -> Option<Solution> {
@@ -93,11 +94,21 @@ fn cwsc_walkthrough_selects_p16_then_p3() {
 
 /// Section V-A walkthrough, first budget guess: "Since the two cheapest
 /// patterns have a total cost of five, we use B = 5 in the first
-/// iteration" — with k = 2 the levels are (2.5, 5] and [0, 2.5].
+/// iteration" (P8 at 2 plus P13 or P6 at 3), doubling to 20 — with k = 2
+/// the levels are (2.5, 5] and [0, 2.5].
 #[test]
 fn cmc_walkthrough_initial_budget() {
     let (_, m) = materialized();
-    assert_eq!(m.system.k_cheapest_cost(2).value(), 5.0); // P8 (2) + P13 or P6 (3)
+    let params = CmcParams {
+        discount_coverage: false,
+        ..CmcParams::classic(2, 9.0 / 16.0, 1.0)
+    };
+    let mut ledger = DecisionLedger::new();
+    cmc(&m.system, &params, &Deadline::unbounded(), &mut ledger)
+        .unwrap()
+        .expect_complete("unbounded deadline");
+    let budgets: Vec<_> = ledger.guesses().iter().map(|g| g.budget).collect();
+    assert_eq!(budgets, [Some(5.0), Some(10.0), Some(20.0)]);
     let levels = scwsc::sets::algorithms::cmc::Levels::build(LevelSchedule::Classic, 5.0, 2);
     assert_eq!(levels.len(), 2);
     assert_eq!(levels.quota(0), 2);
