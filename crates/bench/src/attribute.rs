@@ -229,6 +229,7 @@ fn collect_counter_movers(base: &WorkloadRun, new: &WorkloadRun, out: &mut Vec<C
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::QualityStats;
     use std::collections::BTreeMap;
 
     fn span(name: &str, total: f64, children: Vec<SpanSnapshot>) -> SpanSnapshot {
@@ -253,7 +254,12 @@ mod tests {
                 counters,
                 spans,
                 alloc: None,
-                quality: None,
+                quality: QualityStats {
+                    greedy_cost: 1.0,
+                    lower_bound: 1.0,
+                    mean_margin: 0.0,
+                    rounds: 1,
+                },
             }],
         }
     }

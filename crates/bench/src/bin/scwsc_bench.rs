@@ -5,20 +5,19 @@
 //! `BENCH_<label>.json`; `--quick` lowers the rep count to 1 but never
 //! the workload scale, so a quick run's deterministic counters still
 //! match a committed full baseline. `diff` exits non-zero when the new
-//! snapshot regresses: deterministic counters must match exactly,
-//! timings and allocations within `--tolerance` (default 0.25). `soak`,
-//! `trend`, `serve-load` and `flight-to-chrome` are listed with every
-//! option by `scwsc_bench --help`.
+//! snapshot regresses on what a recording determines exactly: counters
+//! must match, allocations and certified quality may not get worse.
+//! Timings are not compared. `soak`, `serve-load` and `flight-to-chrome`
+//! are listed with every option by `scwsc_bench --help`.
 
 use scwsc_bench::attribute::attribute;
 use scwsc_bench::chrome_trace::flight_to_chrome;
-use scwsc_bench::diff::{diff, DiffOptions};
+use scwsc_bench::diff::diff;
 use scwsc_bench::record::record_suite_with_metrics;
 use scwsc_bench::registry;
 use scwsc_bench::serve_load::{self, LoadOptions};
 use scwsc_bench::snapshot::Snapshot;
 use scwsc_bench::soak::{soak, SoakOptions};
-use scwsc_bench::trend::{discover, load_timeline};
 use scwsc_core::render_prometheus;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -26,7 +25,6 @@ use std::time::Duration;
 
 // Installed here, not in the library: allocation statistics only move in
 // binaries that opt into the counting allocator.
-#[cfg(feature = "alloc-stats")]
 #[global_allocator]
 static ALLOC: scwsc_core::telemetry::alloc::CountingAlloc =
     scwsc_core::telemetry::alloc::CountingAlloc;
@@ -34,10 +32,9 @@ static ALLOC: scwsc_core::telemetry::alloc::CountingAlloc =
 const USAGE: &str = "\
 usage:
   scwsc_bench record [--label L] [--reps N] [--quick] [--suite full|smoke] [--only SUBSTR] [--out PATH] [--export-metrics PATH]
-  scwsc_bench diff BASE NEW [--tolerance F] [--counters-only] [--attribute] [--top N]
+  scwsc_bench diff BASE NEW [--attribute] [--top N]
   scwsc_bench soak [--iters N] [--workload SUBSTR] [--suite full|smoke] [--window W] [--timeline PATH] [--stall-after-ms MS]
-  scwsc_bench trend [PATHS...] [--dir DIR] [--gate]
-  scwsc_bench serve-load [--addr HOST:PORT] [--connections N] [--requests N] [--distinct N] [--deadline-ms MS] [--max-ticks N] [--retries N] [--timeout-ms MS] [--merge-snapshot PATH] [--label L] [--expect-clean]
+  scwsc_bench serve-load [--addr HOST:PORT] [--connections N] [--requests N] [--distinct N] [--deadline-ms MS] [--max-ticks N] [--retries N] [--timeout-ms MS] [--expect-clean]
   scwsc_bench flight-to-chrome IN OUT
 
 record options:
@@ -53,9 +50,9 @@ record options:
   --export-metrics PATH  write the suite-wide merged counters/histograms
                 in Prometheus text exposition format to PATH
 
-diff options:
-  --tolerance F   relative headroom for timings/allocations [default: 0.25]
-  --counters-only compare only the deterministic work counters (CI mode)
+diff options (counters must match exactly; allocs, bytes_allocated,
+peak_live_bytes, greedy cost and certified ratio may not rise, and a fall
+is a note to re-record the baseline; timings are not compared):
   --attribute     walk both span trees and counter maps and print the
                   ranked movers (largest |self-time delta| first)
   --top N         rows per attribution section [default: 10]
@@ -72,13 +69,6 @@ soak options (continuous-telemetry endurance loop, DESIGN.md §16):
   exits non-zero when any invariant breaks: non-monotone counters,
   drifting windowed quantiles, leaked allocator bytes, or a stall.
 
-trend options (cross-snapshot trajectory, DESIGN.md §16):
-  PATHS...   explicit BENCH_*.json files; when omitted, every
-             BENCH_*.json under --dir is loaded
-  --dir DIR  directory to scan [default: .]
-  --gate     exit non-zero when any workload's latest median regresses
-             >10% against its best-ever median
-
 serve-load options (client load generator against a running scwsc_serve,
 DESIGN.md §17):
   --addr HOST:PORT  server to load [default: 127.0.0.1:7575]
@@ -93,9 +83,6 @@ DESIGN.md §17):
                     retry_after_ms hint between attempts [default: 0]
   --timeout-ms MS   per-response wait before declaring the request
                     dropped [default: 30000]
-  --merge-snapshot PATH  append/replace a 'serve/load' workload in the
-                    BENCH_*.json at PATH (created under --label if absent)
-  --label L         label for a freshly created snapshot [default: serve]
   --expect-clean    exit non-zero unless the serving contract held:
                     zero dropped, every degrade certified, every
                     rejection carrying retry_after_ms
@@ -112,7 +99,6 @@ fn main() -> ExitCode {
         Some("record") => cmd_record(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
         Some("soak") => cmd_soak(&args[1..]),
-        Some("trend") => cmd_trend(&args[1..]),
         Some("serve-load") => cmd_serve_load(&args[1..]),
         Some("flight-to-chrome") => cmd_flight_to_chrome(&args[1..]),
         Some("--help" | "-h" | "help") => {
@@ -192,18 +178,11 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
 
 fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     let mut paths: Vec<&String> = Vec::new();
-    let mut opts = DiffOptions::default();
     let mut attribute_movers = false;
     let mut top = 10usize;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--tolerance" => {
-                opts.tolerance = take(&mut it, "--tolerance")?
-                    .parse()
-                    .map_err(|_| "--tolerance expects a number".to_string())?
-            }
-            "--counters-only" => opts.counters_only = true,
             "--attribute" => attribute_movers = true,
             "--top" => {
                 top = take(&mut it, "--top")?
@@ -219,7 +198,7 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     };
     let base = load(base_path)?;
     let new = load(new_path)?;
-    let report = diff(&base, &new, &opts);
+    let report = diff(&base, &new);
     print!(
         "{} ({} @ {}) vs {} ({} @ {})\n{}",
         base_path,
@@ -291,35 +270,8 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_trend(args: &[String]) -> Result<ExitCode, String> {
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut dir = ".".to_string();
-    let mut gate = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--gate" => gate = true,
-            "--dir" => dir = take(&mut it, "--dir")?,
-            other if !other.starts_with("--") => paths.push(PathBuf::from(other)),
-            other => return Err(format!("unknown trend option '{other}'\n{USAGE}")),
-        }
-    }
-    if paths.is_empty() {
-        paths = discover(std::path::Path::new(&dir))?;
-    }
-    let report = load_timeline(&paths)?;
-    print!("{}", report.render());
-    Ok(if report.ok() || !gate {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
-}
-
 fn cmd_serve_load(args: &[String]) -> Result<ExitCode, String> {
     let mut options = LoadOptions::default();
-    let mut merge_snapshot: Option<String> = None;
-    let mut label = "serve".to_string();
     let mut expect_clean = false;
     let parse_num = |flag: &str, value: String| -> Result<u64, String> {
         value
@@ -357,8 +309,6 @@ fn cmd_serve_load(args: &[String]) -> Result<ExitCode, String> {
                     take(&mut it, "--timeout-ms")?,
                 )?)
             }
-            "--merge-snapshot" => merge_snapshot = Some(take(&mut it, "--merge-snapshot")?),
-            "--label" => label = take(&mut it, "--label")?,
             "--expect-clean" => expect_clean = true,
             other => return Err(format!("unknown serve-load option '{other}'\n{USAGE}")),
         }
@@ -369,10 +319,6 @@ fn cmd_serve_load(args: &[String]) -> Result<ExitCode, String> {
     );
     let report = serve_load::run(&options)?;
     print!("{}", report.render());
-    if let Some(path) = merge_snapshot {
-        serve_load::merge_into_snapshot(&path, &label, &options, &report)?;
-        eprintln!("merged 'serve/load' workload into {path}");
-    }
     Ok(if report.ok() || !expect_clean {
         ExitCode::SUCCESS
     } else {

@@ -1,17 +1,23 @@
 //! Snapshot comparison: the `scwsc_bench diff` semantics (DESIGN.md §10).
 //!
-//! Two snapshot dimensions are held to different standards:
+//! `diff` gates only what a recording determines exactly, so a quick
+//! recording on any host compares against the committed baseline:
 //!
-//! * **Deterministic counters** (benefits computed, postings scanned,
-//!   prunes, selections, stale pops, …) are a function of the workload and
-//!   the algorithm alone, so they must match **exactly**. Any difference —
-//!   in either direction — fails the diff: an "improvement" that changes
-//!   the work done is an algorithmic change and the baseline must be
-//!   regenerated deliberately, not drifted past.
-//! * **Timings and allocations** are machine- and run-dependent, so they
-//!   compare within a configurable relative tolerance, and only
-//!   *increases* beyond it count as regressions (getting faster or leaner
-//!   is reported but never fails).
+//! * **Counters** (benefits computed, postings scanned, prunes,
+//!   selections, stale pops, …) are a function of the workload and the
+//!   algorithm alone, so they must match **exactly**. Any difference — in
+//!   either direction — fails the diff: a change to the work done is an
+//!   algorithmic change and the baseline must be re-recorded
+//!   deliberately, not drifted past.
+//! * **Allocations** (`allocs`, `bytes_allocated`, `peak_live_bytes`) and
+//!   **certified quality** (greedy cost, certified ratio) may not get
+//!   worse by any amount. Getting better is a note asking for the
+//!   baseline to be re-recorded, so the next regression is measured from
+//!   the new level.
+//!
+//! Timings are not compared: on a shared host they move by more than most
+//! changes do, so timing gates belong to perfbench's paired runs. The span
+//! times stay in the snapshot for `diff --attribute`.
 
 use crate::snapshot::{Snapshot, WorkloadRun};
 
@@ -23,34 +29,8 @@ use crate::snapshot::{Snapshot, WorkloadRun};
 /// a change to the refresh alone needs no baseline regeneration.
 pub const ADVISORY_COUNTERS: &[&str] = &["scan_candidates_pruned", "scan_bounds_refreshed"];
 
-/// Counters that older committed snapshots carry but this build no longer
-/// records, because the code that counted them is gone. A baseline holding
-/// one gets a note, not a "counter missing" failure.
-pub const RETIRED_COUNTERS: &[&str] = &["scan_sketch_inconclusive"];
-
 fn is_advisory(key: &str) -> bool {
     ADVISORY_COUNTERS.contains(&key)
-}
-
-/// Knobs of one diff run.
-#[derive(Debug, Clone, Copy)]
-pub struct DiffOptions {
-    /// Relative headroom for timings and allocation statistics: a new
-    /// value regresses when `new > base * (1 + tolerance)`.
-    pub tolerance: f64,
-    /// Compare only the deterministic counters (CI mode: wall-clock on a
-    /// shared runner is too noisy to gate on).
-    pub counters_only: bool,
-}
-
-impl Default for DiffOptions {
-    /// 25% timing headroom, all dimensions compared.
-    fn default() -> DiffOptions {
-        DiffOptions {
-            tolerance: 0.25,
-            counters_only: false,
-        }
-    }
 }
 
 /// Outcome of comparing two snapshots.
@@ -94,7 +74,7 @@ impl DiffReport {
 }
 
 /// Compares `new` against the `base` baseline.
-pub fn diff(base: &Snapshot, new: &Snapshot, opts: &DiffOptions) -> DiffReport {
+pub fn diff(base: &Snapshot, new: &Snapshot) -> DiffReport {
     let mut report = DiffReport::default();
     for base_run in &base.workloads {
         let Some(new_run) = new.workload(&base_run.name) else {
@@ -106,13 +86,8 @@ pub fn diff(base: &Snapshot, new: &Snapshot, opts: &DiffOptions) -> DiffReport {
         };
         report.compared += 1;
         diff_counters(base_run, new_run, &mut report);
-        // Quality is deterministic (greedy cost and dual bound are functions
-        // of the workload), so the gate stays active under --counters-only.
-        diff_quality(base_run, new_run, opts.tolerance, &mut report);
-        if !opts.counters_only {
-            diff_timing(base_run, new_run, opts.tolerance, &mut report);
-            diff_alloc(base_run, new_run, opts.tolerance, &mut report);
-        }
+        diff_quality(base_run, new_run, &mut report);
+        diff_alloc(base_run, new_run, &mut report);
     }
     for new_run in &new.workloads {
         if base.workload(&new_run.name).is_none() {
@@ -126,13 +101,6 @@ pub fn diff(base: &Snapshot, new: &Snapshot, opts: &DiffOptions) -> DiffReport {
 
 fn diff_counters(base: &WorkloadRun, new: &WorkloadRun, report: &mut DiffReport) {
     for (key, &base_v) in &base.counters {
-        if RETIRED_COUNTERS.contains(&key.as_str()) {
-            report.notes.push(format!(
-                "{}: retired counter '{key}' not compared",
-                base.name
-            ));
-            continue;
-        }
         if is_advisory(key) {
             if let Some(&new_v) = new.counters.get(key) {
                 if new_v != base_v {
@@ -164,92 +132,74 @@ fn diff_counters(base: &WorkloadRun, new: &WorkloadRun, report: &mut DiffReport)
     }
 }
 
-fn diff_quality(base: &WorkloadRun, new: &WorkloadRun, tolerance: f64, report: &mut DiffReport) {
-    let (Some(b), Some(n)) = (&base.quality, &new.quality) else {
-        // One side recorded before the audit ledger existed (schema 1):
-        // nothing to hold the other side to.
-        return;
-    };
-    if b.greedy_cost > 0.0 && n.greedy_cost > b.greedy_cost * (1.0 + tolerance) {
-        report.regressions.push(format!(
-            "{}: greedy cost {:.4} -> {:.4} (+{:.0}%, tolerance {:.0}%)",
-            base.name,
-            b.greedy_cost,
-            n.greedy_cost,
-            100.0 * (n.greedy_cost / b.greedy_cost - 1.0),
-            100.0 * tolerance
-        ));
-    } else if b.greedy_cost > 0.0 && n.greedy_cost < b.greedy_cost * (1.0 - tolerance) {
+/// Holds `new` to at most `base` on one lower-is-better dimension: a rise
+/// is a regression, a fall a note to re-record the baseline.
+fn no_worse<T: PartialOrd + std::fmt::Display>(
+    workload: &str,
+    dim: &str,
+    base: T,
+    new: T,
+    report: &mut DiffReport,
+) {
+    if new > base {
+        report
+            .regressions
+            .push(format!("{workload}: {dim} rose {base} -> {new}"));
+    } else if new < base {
         report.notes.push(format!(
-            "{}: greedy cost improved {:.4} -> {:.4}",
-            base.name, b.greedy_cost, n.greedy_cost
-        ));
-    }
-    let (br, nr) = (b.certified_ratio(), n.certified_ratio());
-    if br.is_finite() && nr.is_infinite() {
-        report.regressions.push(format!(
-            "{}: certified bound became uninformative (ratio {:.3} -> inf)",
-            base.name, br
-        ));
-    } else if br.is_finite() && nr > br * (1.0 + tolerance) {
-        report.regressions.push(format!(
-            "{}: certified ratio {:.3} -> {:.3} (+{:.0}%, tolerance {:.0}%)",
-            base.name,
-            br,
-            nr,
-            100.0 * (nr / br - 1.0),
-            100.0 * tolerance
+            "{workload}: {dim} fell {base} -> {new}; re-record the baseline"
         ));
     }
 }
 
-fn diff_timing(base: &WorkloadRun, new: &WorkloadRun, tolerance: f64, report: &mut DiffReport) {
-    let (b, n) = (base.median_secs(), new.median_secs());
-    if b <= 0.0 {
-        return; // degenerate baseline: nothing meaningful to compare
-    }
-    if n > b * (1.0 + tolerance) {
-        report.regressions.push(format!(
-            "{}: median {:.4}s -> {:.4}s (+{:.0}%, tolerance {:.0}%)",
-            base.name,
-            b,
-            n,
-            100.0 * (n / b - 1.0),
-            100.0 * tolerance
-        ));
-    } else if n < b * (1.0 - tolerance) {
-        report.notes.push(format!(
-            "{}: median improved {:.4}s -> {:.4}s",
-            base.name, b, n
-        ));
-    }
+fn diff_quality(base: &WorkloadRun, new: &WorkloadRun, report: &mut DiffReport) {
+    let (b, n) = (&base.quality, &new.quality);
+    no_worse(
+        &base.name,
+        "greedy cost",
+        b.greedy_cost,
+        n.greedy_cost,
+        report,
+    );
+    // An infinite ratio (uninformative bound) compares above every finite
+    // one, so a bound collapsing to zero fails like any other rise.
+    no_worse(
+        &base.name,
+        "certified ratio",
+        b.certified_ratio(),
+        n.certified_ratio(),
+        report,
+    );
 }
 
-fn diff_alloc(base: &WorkloadRun, new: &WorkloadRun, tolerance: f64, report: &mut DiffReport) {
-    let (Some(b), Some(n)) = (&base.alloc, &new.alloc) else {
-        // One side recorded without the counting allocator: nothing to
-        // hold the other side to.
+fn diff_alloc(base: &WorkloadRun, new: &WorkloadRun, report: &mut DiffReport) {
+    let Some(b) = &base.alloc else {
+        // A baseline recorded without the counting allocator: nothing to
+        // hold the new side to.
         return;
     };
-    let dims = [
-        ("allocs", b.allocs, n.allocs),
-        ("bytes_allocated", b.bytes_allocated, n.bytes_allocated),
-        ("peak_live_bytes", b.peak_live_bytes, n.peak_live_bytes),
-    ];
-    for (dim, base_v, new_v) in dims {
-        if base_v == 0 {
-            continue;
-        }
-        let ratio = new_v as f64 / base_v as f64;
-        if ratio > 1.0 + tolerance {
-            report.regressions.push(format!(
-                "{}: {dim} {base_v} -> {new_v} (+{:.0}%, tolerance {:.0}%)",
-                base.name,
-                100.0 * (ratio - 1.0),
-                100.0 * tolerance
-            ));
-        }
-    }
+    let Some(n) = &new.alloc else {
+        report.regressions.push(format!(
+            "{}: alloc block missing (recorded without the counting allocator)",
+            base.name
+        ));
+        return;
+    };
+    no_worse(&base.name, "allocs", b.allocs, n.allocs, report);
+    no_worse(
+        &base.name,
+        "bytes_allocated",
+        b.bytes_allocated,
+        n.bytes_allocated,
+        report,
+    );
+    no_worse(
+        &base.name,
+        "peak_live_bytes",
+        b.peak_live_bytes,
+        n.peak_live_bytes,
+        report,
+    );
 }
 
 #[cfg(test)]
@@ -278,22 +228,22 @@ mod tests {
                 bytes_allocated: allocs * 64,
                 peak_live_bytes: allocs * 16,
             }),
-            quality: Some(QualityStats {
+            quality: QualityStats {
                 greedy_cost: 20.0,
                 lower_bound: 10.0,
                 mean_margin: 0.5,
                 rounds: selections,
-            }),
+            },
         }
     }
 
     fn with_quality(mut r: WorkloadRun, greedy_cost: f64, lower_bound: f64) -> WorkloadRun {
-        r.quality = Some(QualityStats {
+        r.quality = QualityStats {
             greedy_cost,
             lower_bound,
             mean_margin: 0.5,
             rounds: 7,
-        });
+        };
         r
     }
 
@@ -310,8 +260,9 @@ mod tests {
     #[test]
     fn identical_snapshots_diff_clean() {
         let s = snap(vec![run("a", 0.5, 7, 1000)]);
-        let report = diff(&s, &s.clone(), &DiffOptions::default());
+        let report = diff(&s, &s.clone());
         assert!(report.ok(), "{}", report.render());
+        assert!(report.notes.is_empty(), "{}", report.render());
         assert_eq!(report.compared, 1);
     }
 
@@ -320,66 +271,62 @@ mod tests {
         let base = snap(vec![run("a", 0.5, 7, 1000)]);
         for changed in [6, 8] {
             let new = snap(vec![run("a", 0.5, changed, 1000)]);
-            let report = diff(&base, &new, &DiffOptions::default());
+            let report = diff(&base, &new);
             assert!(!report.ok(), "selections {changed} must fail exact match");
             assert!(report.regressions[0].contains("selections"));
         }
     }
 
     #[test]
-    fn timing_regression_respects_tolerance() {
+    fn timings_are_not_gated() {
         let base = snap(vec![run("a", 1.0, 7, 1000)]);
-        let opts = DiffOptions {
-            tolerance: 0.25,
-            counters_only: false,
-        };
-        assert!(diff(&base, &snap(vec![run("a", 1.2, 7, 1000)]), &opts).ok());
-        let slow = diff(&base, &snap(vec![run("a", 1.3, 7, 1000)]), &opts);
-        assert!(!slow.ok());
-        assert!(slow.regressions[0].contains("median"));
-        // Faster is a note, never a failure.
-        let fast = diff(&base, &snap(vec![run("a", 0.2, 7, 1000)]), &opts);
-        assert!(fast.ok());
-        assert!(fast.notes[0].contains("improved"));
+        for secs in [0.01, 99.0] {
+            let report = diff(&base, &snap(vec![run("a", secs, 7, 1000)]));
+            assert!(report.ok(), "{}", report.render());
+            assert!(report.notes.is_empty(), "{}", report.render());
+        }
     }
 
     #[test]
-    fn counters_only_ignores_time_and_alloc() {
+    fn one_extra_allocation_fails_one_fewer_asks_for_a_rerecord() {
         let base = snap(vec![run("a", 1.0, 7, 1000)]);
-        let new = snap(vec![run("a", 99.0, 7, 999_999)]);
-        let opts = DiffOptions {
-            tolerance: 0.25,
-            counters_only: true,
-        };
-        assert!(diff(&base, &new, &opts).ok());
+        let mut more = run("a", 1.0, 7, 1000);
+        more.alloc.as_mut().unwrap().allocs += 1;
+        let report = diff(&base, &snap(vec![more]));
+        assert!(!report.ok());
+        assert_eq!(report.regressions, ["a: allocs rose 1000 -> 1001"]);
+
+        let mut fewer = run("a", 1.0, 7, 1000);
+        fewer.alloc.as_mut().unwrap().peak_live_bytes -= 1;
+        let report = diff(&base, &snap(vec![fewer]));
+        assert!(report.ok(), "{}", report.render());
+        assert!(report.notes[0].contains("peak_live_bytes fell"));
+        assert!(report.notes[0].contains("re-record"));
     }
 
     #[test]
-    fn alloc_growth_fails_shrink_passes() {
+    fn missing_alloc_block_fails_only_when_the_baseline_has_one() {
         let base = snap(vec![run("a", 1.0, 7, 1000)]);
-        let opts = DiffOptions::default();
-        assert!(!diff(&base, &snap(vec![run("a", 1.0, 7, 2000)]), &opts).ok());
-        assert!(diff(&base, &snap(vec![run("a", 1.0, 7, 500)]), &opts).ok());
+        let mut bare = run("a", 1.0, 7, 1000);
+        bare.alloc = None;
+        let report = diff(&base, &snap(vec![bare.clone()]));
+        assert!(!report.ok());
+        assert!(report.regressions[0].contains("alloc block missing"));
+        // A baseline recorded without the counting allocator holds the
+        // new side to nothing.
+        assert!(diff(&snap(vec![bare]), &base).ok());
     }
 
     #[test]
     fn missing_workload_and_counter_fail() {
         let base = snap(vec![run("a", 1.0, 7, 1000), run("b", 1.0, 3, 10)]);
-        let report = diff(
-            &base,
-            &snap(vec![run("a", 1.0, 7, 1000)]),
-            &DiffOptions::default(),
-        );
+        let report = diff(&base, &snap(vec![run("a", 1.0, 7, 1000)]));
         assert!(!report.ok());
         assert!(report.regressions[0].contains("missing"));
 
         let mut shrunk = run("a", 1.0, 7, 1000);
         shrunk.counters.remove("selections");
-        let report = diff(
-            &snap(vec![run("a", 1.0, 7, 1000)]),
-            &snap(vec![shrunk]),
-            &DiffOptions::default(),
-        );
+        let report = diff(&snap(vec![run("a", 1.0, 7, 1000)]), &snap(vec![shrunk]));
         assert!(!report.ok());
     }
 
@@ -387,51 +334,52 @@ mod tests {
     fn new_workloads_are_notes_not_failures() {
         let base = snap(vec![run("a", 1.0, 7, 1000)]);
         let new = snap(vec![run("a", 1.0, 7, 1000), run("c", 1.0, 1, 1)]);
-        let report = diff(&base, &new, &DiffOptions::default());
+        let report = diff(&base, &new);
         assert!(report.ok());
         assert!(report.notes.iter().any(|n| n.contains("no baseline")));
     }
 
     #[test]
-    fn quality_gate_fails_on_cost_and_ratio_regressions() {
+    fn greedy_cost_one_percent_worse_fails() {
         let base = snap(vec![with_quality(run("a", 1.0, 7, 1000), 20.0, 10.0)]);
-        let opts = DiffOptions {
-            tolerance: 0.25,
-            counters_only: true, // quality stays gated even in CI mode
-        };
-        // Within tolerance on both dimensions: clean.
-        let near = snap(vec![with_quality(run("a", 1.0, 7, 1000), 22.0, 10.0)]);
-        assert!(diff(&base, &near, &opts).ok());
-        // Greedy cost blew past tolerance.
-        let costly = snap(vec![with_quality(run("a", 1.0, 7, 1000), 30.0, 15.0)]);
-        let report = diff(&base, &costly, &opts);
+        // Cost up 1%, bound up 2%: the certified ratio improves, so only
+        // the cost regresses.
+        let costly = snap(vec![with_quality(run("a", 1.0, 7, 1000), 20.2, 10.2)]);
+        let report = diff(&base, &costly);
         assert!(!report.ok());
-        assert!(report.regressions[0].contains("greedy cost"));
-        // Bound weakened: same cost, certified ratio 2.0 -> 4.0.
-        let loose = snap(vec![with_quality(run("a", 1.0, 7, 1000), 20.0, 5.0)]);
-        let report = diff(&base, &loose, &opts);
-        assert!(!report.ok());
-        assert!(report.regressions[0].contains("certified ratio"));
-        // Cheaper is a note, never a failure.
-        let better = snap(vec![with_quality(run("a", 1.0, 7, 1000), 10.0, 10.0)]);
-        let report = diff(&base, &better, &opts);
-        assert!(report.ok(), "{}", report.render());
-        assert!(report.notes.iter().any(|n| n.contains("improved")));
+        assert_eq!(report.regressions, ["a: greedy cost rose 20 -> 20.2"]);
     }
 
     #[test]
-    fn uninformative_bound_is_a_regression_missing_quality_is_not() {
+    fn certified_ratio_one_percent_worse_fails() {
+        let base = snap(vec![with_quality(run("a", 1.0, 7, 1000), 20.0, 10.0)]);
+        // Same cost, bound 1% weaker: ratio 2.0 -> 2.0202.
+        let loose = snap(vec![with_quality(run("a", 1.0, 7, 1000), 20.0, 9.9)]);
+        let report = diff(&base, &loose);
+        assert!(!report.ok());
+        assert_eq!(report.regressions.len(), 1, "{}", report.render());
+        assert!(report.regressions[0].contains("certified ratio rose 2 -> 2.02"));
+    }
+
+    #[test]
+    fn better_quality_is_a_note_not_a_failure() {
+        let base = snap(vec![with_quality(run("a", 1.0, 7, 1000), 20.0, 10.0)]);
+        let better = snap(vec![with_quality(run("a", 1.0, 7, 1000), 10.0, 10.0)]);
+        let report = diff(&base, &better);
+        assert!(report.ok(), "{}", report.render());
+        assert!(report.notes.iter().any(|n| n.contains("greedy cost fell")));
+    }
+
+    #[test]
+    fn uninformative_bound_is_a_regression() {
         let base = snap(vec![with_quality(run("a", 1.0, 7, 1000), 20.0, 10.0)]);
         // Finite ratio degrading to infinite (LB collapsed to zero) fails.
         let dead = snap(vec![with_quality(run("a", 1.0, 7, 1000), 20.0, 0.0)]);
-        let report = diff(&base, &dead, &DiffOptions::default());
+        let report = diff(&base, &dead);
         assert!(!report.ok());
-        assert!(report.regressions[0].contains("uninformative"));
-        // A schema-1 side without quality is tolerated in either direction.
-        let mut old = run("a", 1.0, 7, 1000);
-        old.quality = None;
-        assert!(diff(&snap(vec![old.clone()]), &base, &DiffOptions::default()).ok());
-        assert!(diff(&base, &snap(vec![old]), &DiffOptions::default()).ok());
+        assert!(report.regressions[0].contains("certified ratio rose 2 -> inf"));
+        // An already uninformative baseline stays comparable with itself.
+        assert!(diff(&dead, &dead.clone()).ok());
     }
 
     #[test]
@@ -444,17 +392,12 @@ mod tests {
             .counters
             .insert("scan_bounds_refreshed".to_string(), 40);
         let mut new_run = run("a", 1.0, 7, 1000);
-        // t4 run prunes a different subset than t1: values drift, and one
-        // advisory key can even go missing (an old-schema snapshot may
-        // lack the key entirely).
+        // The new run prunes a different subset: values drift, and one
+        // advisory key can even go missing.
         new_run
             .counters
             .insert("scan_candidates_pruned".to_string(), 123);
-        let report = diff(
-            &snap(vec![base_run]),
-            &snap(vec![new_run]),
-            &DiffOptions::default(),
-        );
+        let report = diff(&snap(vec![base_run]), &snap(vec![new_run]));
         assert!(report.ok(), "{}", report.render());
         assert!(report
             .notes
@@ -463,39 +406,8 @@ mod tests {
         // But an exact counter drifting by the same amount still fails.
         let mut bad = run("a", 1.0, 9, 1000);
         bad.counters.insert("scan_candidates_pruned".to_string(), 1);
-        let report = diff(
-            &snap(vec![run("a", 1.0, 7, 1000)]),
-            &snap(vec![bad]),
-            &DiffOptions::default(),
-        );
+        let report = diff(&snap(vec![run("a", 1.0, 7, 1000)]), &snap(vec![bad]));
         assert!(!report.ok());
         assert!(report.regressions[0].contains("selections"));
-    }
-
-    #[test]
-    fn retired_counters_in_a_baseline_are_notes() {
-        let mut base_run = run("a", 1.0, 7, 1000);
-        base_run
-            .counters
-            .insert("scan_sketch_inconclusive".to_string(), 0);
-        let report = diff(
-            &snap(vec![base_run]),
-            &snap(vec![run("a", 1.0, 7, 1000)]),
-            &DiffOptions::default(),
-        );
-        assert!(report.ok(), "{}", report.render());
-        assert!(report
-            .notes
-            .iter()
-            .any(|n| n.contains("retired counter 'scan_sketch_inconclusive'")));
-    }
-
-    #[test]
-    fn missing_alloc_on_either_side_is_tolerated() {
-        let mut a = run("a", 1.0, 7, 1000);
-        a.alloc = None;
-        let base = snap(vec![a]);
-        let new = snap(vec![run("a", 1.0, 7, 999_999)]);
-        assert!(diff(&base, &new, &DiffOptions::default()).ok());
     }
 }

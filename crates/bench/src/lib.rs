@@ -26,6 +26,5 @@ pub mod report;
 pub mod serve_load;
 pub mod snapshot;
 pub mod soak;
-pub mod trend;
 
 pub use measure::{run, Algo, Measurement, RunParams};

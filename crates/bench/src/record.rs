@@ -2,15 +2,13 @@
 
 use crate::measure::run_traced;
 use crate::registry::Workload;
-use crate::snapshot::{deterministic_counters, QualityStats, Snapshot, SpanSnapshot, WorkloadRun};
+use crate::snapshot::{
+    deterministic_counters, AllocStats, QualityStats, Snapshot, SpanSnapshot, WorkloadRun,
+};
+use scwsc_core::telemetry::alloc;
 use scwsc_core::telemetry::audit::{self, DecisionLedger};
 use scwsc_core::{coverage_target, Fanout, MetricsRecorder, SpanProfiler};
 use scwsc_patterns::enumerate_all;
-
-#[cfg(feature = "alloc-stats")]
-use crate::snapshot::AllocStats;
-#[cfg(feature = "alloc-stats")]
-use scwsc_core::telemetry::alloc;
 
 /// Times every workload `reps` times and assembles the snapshot.
 ///
@@ -19,8 +17,10 @@ use scwsc_core::telemetry::alloc;
 /// The deterministic counters and the span tree are taken from the last
 /// rep (the counters are identical across reps by construction — that is
 /// what makes them exact-diff material). Allocation statistics cover the
-/// last rep's solve, peak re-armed at its start; they are `None` unless
-/// the recording binary installed the counting allocator.
+/// last rep's solve, with the peak counted from the bytes live at its
+/// start, so rep count, label and output path leave them unchanged; they
+/// are `None` unless the recording binary installed the counting
+/// allocator.
 ///
 /// `progress` is called once per workload with a short status line.
 pub fn record_suite(
@@ -51,7 +51,6 @@ pub fn record_suite_with_metrics(
             let table = w.gen.table();
             let mut profiler = SpanProfiler::new();
             let mut ledger = DecisionLedger::new();
-            #[cfg(feature = "alloc-stats")]
             let alloc_before = {
                 alloc::reset_peak();
                 alloc::snapshot()
@@ -61,29 +60,25 @@ pub fn record_suite_with_metrics(
                 extra.attach(&mut profiler).attach(&mut ledger);
                 run_traced(w.algo, &table, &w.params, &mut extra, None)
             };
-            #[cfg(feature = "alloc-stats")]
-            let alloc_stats = alloc::is_active()
-                .then(|| AllocStats::from_delta(alloc::snapshot().delta(&alloc_before)));
-            #[cfg(not(feature = "alloc-stats"))]
-            let alloc_stats = None;
+            let alloc_stats =
+                alloc::is_active().then(|| AllocStats::between(&alloc_before, &alloc::snapshot()));
             assert!(measurement.ok, "workload {} failed to solve", w.name);
             rep_secs.push(measurement.seconds);
-            if rep_secs.len() == reps {
-                merged.merge(&metrics);
+            if rep + 1 < reps {
+                continue;
             }
+            merged.merge(&metrics);
             // Certify the last rep only: the dual bound re-enumerates the
             // pattern cube, which is recording overhead, not solve time.
-            let quality = (rep == reps - 1).then(|| {
-                let cube = enumerate_all(&table, w.params.cost_fn);
-                let target = coverage_target(table.num_rows(), w.params.coverage);
-                let cert = audit::certify(&cube.system, &ledger.prices(), target);
-                QualityStats {
-                    greedy_cost: cert.greedy_cost,
-                    lower_bound: cert.lower_bound,
-                    mean_margin: ledger.mean_margin(),
-                    rounds: ledger.rounds_total() as u64,
-                }
-            });
+            let cube = enumerate_all(&table, w.params.cost_fn);
+            let target = coverage_target(table.num_rows(), w.params.coverage);
+            let cert = audit::certify(&cube.system, &ledger.prices(), target);
+            let quality = QualityStats {
+                greedy_cost: cert.greedy_cost,
+                lower_bound: cert.lower_bound,
+                mean_margin: ledger.mean_margin(),
+                rounds: ledger.rounds_total() as u64,
+            };
             last = Some(WorkloadRun {
                 name: w.name.clone(),
                 rep_secs: Vec::new(), // filled in below, once all reps ran
@@ -116,7 +111,7 @@ pub fn record_suite_with_metrics(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diff::{diff, DiffOptions};
+    use crate::diff::diff;
     use crate::registry::smoke_suite;
 
     #[test]
@@ -135,20 +130,14 @@ mod tests {
         }
         // Round-trip through text, then self-diff: counters are exact.
         let parsed = Snapshot::parse(&snap.to_json().to_pretty()).unwrap();
-        let report = diff(&snap, &parsed, &DiffOptions::default());
+        let report = diff(&snap, &parsed);
         assert!(report.ok(), "{}", report.render());
 
-        // A second recording reproduces the counters exactly.
+        // A second recording reproduces the counters and quality exactly.
         let again = record_suite(&suite, "test2", 1, |_| {});
-        let report = diff(
-            &snap,
-            &again,
-            &DiffOptions {
-                tolerance: 0.25,
-                counters_only: true,
-            },
-        );
+        let report = diff(&snap, &again);
         assert!(report.ok(), "{}", report.render());
+        assert!(report.notes.is_empty(), "{}", report.render());
     }
 
     #[test]

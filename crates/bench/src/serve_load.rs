@@ -12,17 +12,10 @@
 //! > rejection carrying an explicit `retry_after_ms`.
 //!
 //! The report aggregates latency percentiles (p50/p99), the degraded
-//! and reject rates, cache-hit and brownout-tier observations. With
-//! `--merge-snapshot` the run is appended to a `BENCH_*.json` document
-//! as a `serve/load` workload so `scwsc_bench trend` tracks serving
-//! throughput alongside the solver workloads; only configuration-derived
-//! counters are stored there (admission outcomes depend on wall-clock
-//! interleaving, so they stay out of the exact-compare counter map).
+//! and reject rates, cache-hit and brownout-tier observations.
 
-use crate::snapshot::{Snapshot, SpanSnapshot, WorkloadRun};
 use scwsc_core::solver::{CostModel, Query};
 use scwsc_serve::{Request, Response, Status};
-use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier, Mutex};
@@ -403,69 +396,6 @@ pub fn run(options: &LoadOptions) -> Result<LoadReport, String> {
     Ok(report)
 }
 
-/// Converts a run into the `serve/load` snapshot workload. Counters hold
-/// only configuration-derived values (plus `answered`, which the no-drop
-/// contract pins to `sent`): admission outcomes depend on wall-clock
-/// interleaving and would make exact counter comparison brittle. The
-/// latency distribution rides in `rep_secs` (seconds per answered
-/// request) where diff/trend apply their toleranced gates.
-pub fn workload_run(options: &LoadOptions, report: &LoadReport) -> WorkloadRun {
-    let mut counters = BTreeMap::new();
-    counters.insert("connections".to_string(), options.connections as u64);
-    counters.insert(
-        "requests".to_string(),
-        (options.connections * options.requests) as u64,
-    );
-    counters.insert("distinct_queries".to_string(), options.distinct as u64);
-    counters.insert("answered".to_string(), report.answered);
-    WorkloadRun {
-        name: "serve/load".to_string(),
-        rep_secs: vec![
-            report.latency_quantile(0.50) / 1e3,
-            report.latency_quantile(0.99) / 1e3,
-            report.elapsed.as_secs_f64() / report.answered.max(1) as f64,
-        ],
-        counters,
-        spans: SpanSnapshot {
-            name: "total".to_string(),
-            count: report.answered,
-            total_secs: report.elapsed.as_secs_f64(),
-            counters: BTreeMap::new(),
-            children: Vec::new(),
-        },
-        alloc: None,
-        quality: None,
-    }
-}
-
-/// Merges the run into the `BENCH_*.json` document at `path`, replacing
-/// any previous `serve/load` workload. When the file does not exist a
-/// fresh single-workload snapshot is created under `label`.
-pub fn merge_into_snapshot(
-    path: &str,
-    label: &str,
-    options: &LoadOptions,
-    report: &LoadReport,
-) -> Result<(), String> {
-    let mut snapshot = match std::fs::read_to_string(path) {
-        Ok(text) => Snapshot::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?,
-        Err(e) if e.kind() == ErrorKind::NotFound => Snapshot {
-            label: label.to_string(),
-            git_sha: crate::snapshot::git_sha(),
-            rustc: crate::snapshot::rustc_version(),
-            reps: 1,
-            workloads: Vec::new(),
-        },
-        Err(e) => return Err(format!("reading {path}: {e}")),
-    };
-    let run = workload_run(options, report);
-    match snapshot.workloads.iter_mut().find(|w| w.name == run.name) {
-        Some(existing) => *existing = run,
-        None => snapshot.workloads.push(run),
-    }
-    std::fs::write(path, snapshot.to_json().to_pretty()).map_err(|e| format!("writing {path}: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,62 +439,5 @@ mod tests {
         report.uncertified_degraded = 0;
         report.rejects_without_hint = 1;
         assert!(!report.ok());
-    }
-
-    #[test]
-    fn workload_run_keeps_only_deterministic_counters() {
-        let options = LoadOptions {
-            connections: 2,
-            requests: 8,
-            ..LoadOptions::default()
-        };
-        let report = LoadReport {
-            sent: 16,
-            answered: 16,
-            complete: 10,
-            degraded: 4,
-            rejected: 2,
-            latencies_ms: vec![1.0; 16],
-            elapsed: Duration::from_millis(100),
-            ..LoadReport::default()
-        };
-        let run = workload_run(&options, &report);
-        assert_eq!(run.name, "serve/load");
-        assert_eq!(run.counters.get("requests"), Some(&16));
-        assert_eq!(run.counters.get("answered"), Some(&16));
-        assert!(
-            !run.counters.contains_key("degraded"),
-            "timing-dependent outcomes stay out of the exact-compare map"
-        );
-        assert_eq!(run.rep_secs.len(), 3);
-        assert_eq!(run.spans.count, 16);
-    }
-
-    #[test]
-    fn merge_creates_then_replaces_the_serve_workload() {
-        let dir = std::env::temp_dir().join(format!("scwsc-serve-load-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_test.json");
-        let path = path.to_str().unwrap();
-        let options = LoadOptions::default();
-        let mut report = LoadReport {
-            sent: 4,
-            answered: 4,
-            latencies_ms: vec![1.0; 4],
-            elapsed: Duration::from_millis(10),
-            ..LoadReport::default()
-        };
-        merge_into_snapshot(path, "test", &options, &report).unwrap();
-        let snapshot = Snapshot::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
-        assert_eq!(snapshot.label, "test");
-        assert_eq!(snapshot.workload("serve/load").unwrap().spans.count, 4);
-
-        report.answered = 8;
-        merge_into_snapshot(path, "ignored", &options, &report).unwrap();
-        let snapshot = Snapshot::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
-        assert_eq!(snapshot.label, "test", "existing label wins");
-        assert_eq!(snapshot.workloads.len(), 1, "replaced, not duplicated");
-        assert_eq!(snapshot.workload("serve/load").unwrap().spans.count, 8);
-        std::fs::remove_file(path).ok();
     }
 }

@@ -1,53 +1,56 @@
 //! The `BENCH_<label>.json` performance-snapshot model (DESIGN.md §10).
 //!
 //! A snapshot captures one `scwsc_bench record` run: provenance (label,
-//! git SHA, rustc version, rep count) plus, per workload, the median
-//! wall-clock over the reps, the deterministic work counters from a
-//! [`MetricsRecorder`], the aggregated span tree, and — when the counting
-//! allocator is installed — allocation statistics. Snapshots committed at
-//! the repo root form the performance trajectory that
-//! `scwsc_bench diff` compares against.
+//! git SHA, rustc version, rep count) plus, per workload, the wall-clock
+//! of every rep, the deterministic work counters from a
+//! [`MetricsRecorder`], the aggregated span tree, the certified quality
+//! and — when the counting allocator is installed — allocation
+//! statistics. The one committed snapshot, `BENCH_baseline.json`, is what
+//! `scwsc_bench diff` holds every fresh recording to.
 
 use scwsc_core::json::Json;
+use scwsc_core::telemetry::alloc::AllocSnapshot;
 use scwsc_core::telemetry::{MetricsRecorder, PruneReason, SpanNode};
 use std::collections::BTreeMap;
 use std::process::Command;
 
-#[cfg(feature = "alloc-stats")]
-use scwsc_core::telemetry::alloc::AllocSnapshot;
+/// The only snapshot schema this build reads and writes. Schema 3 counts
+/// `peak_live_bytes` from the bytes live at solve start, so the peak does
+/// not depend on what the recorder itself holds.
+pub const SCHEMA: u64 = 3;
 
-/// Allocation statistics of one workload run (deltas over the run, peak
-/// re-armed at its start). Mirrors the fields of
-/// `telemetry::alloc::AllocSnapshot` but is always available so snapshots
-/// recorded with `alloc-stats` parse in builds without it.
+/// Allocation statistics of one solve. Every field is a function of the
+/// workload alone, so a second recording reproduces it byte for byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocStats {
-    /// Allocations (including reallocations) during the run.
+    /// Allocations (including reallocations) during the solve.
     pub allocs: u64,
     /// Bytes requested across those allocations.
     pub bytes_allocated: u64,
-    /// Peak live bytes during the run.
+    /// Peak live bytes during the solve, above those live at its start.
     pub peak_live_bytes: u64,
 }
 
-#[cfg(feature = "alloc-stats")]
 impl AllocStats {
-    /// Converts a measured allocator delta into snapshot form.
-    pub fn from_delta(delta: AllocSnapshot) -> AllocStats {
+    /// The solve's statistics from the allocator counters read at its
+    /// start (`before`, right after [`alloc::reset_peak`]) and its end.
+    ///
+    /// [`alloc::reset_peak`]: scwsc_core::telemetry::alloc::reset_peak
+    pub fn between(before: &AllocSnapshot, after: &AllocSnapshot) -> AllocStats {
+        let delta = after.delta(before);
         AllocStats {
             allocs: delta.allocs,
             bytes_allocated: delta.bytes_allocated,
-            peak_live_bytes: delta.peak_live_bytes,
+            peak_live_bytes: delta.peak_live_bytes.saturating_sub(before.live_bytes),
         }
     }
 }
 
-/// Certified-quality attribution of one workload run (schema 2): the
-/// decision audit's dual-feasible lower bound on the optimal cost,
-/// alongside the greedy cost it certifies and the ledger's mean winning
-/// margin. Lives *outside* the exact-diff counter map — solution quality
-/// compares through its own toleranced gate, and the margin/bound floats
-/// would make exact comparison brittle across rustc versions.
+/// Certified-quality attribution of one workload run: the decision
+/// audit's dual-feasible lower bound on the optimal cost, alongside the
+/// greedy cost it certifies and the ledger's mean winning margin. Lives
+/// *outside* the exact-diff counter map: greedy cost and certified ratio
+/// compare no-worse, and the margin is informational.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QualityStats {
     /// Total charged greedy cost of the final guess.
@@ -150,12 +153,11 @@ pub struct WorkloadRun {
     pub counters: BTreeMap<String, u64>,
     /// Aggregated span tree of one rep.
     pub spans: SpanSnapshot,
-    /// Allocator statistics of one rep, when the counting allocator was
-    /// installed in the recording process.
+    /// Allocator statistics of the last rep's solve, when the counting
+    /// allocator was installed in the recording process.
     pub alloc: Option<AllocStats>,
-    /// Certified-quality attribution of the last rep (schema 2; `None`
-    /// for snapshots recorded under schema 1).
-    pub quality: Option<QualityStats>,
+    /// Certified-quality attribution of the last rep.
+    pub quality: QualityStats,
 }
 
 impl WorkloadRun {
@@ -197,17 +199,16 @@ impl WorkloadRun {
                 ]),
             ));
         }
-        if let Some(q) = &self.quality {
-            entries.push((
-                "quality".into(),
-                Json::Obj(vec![
-                    ("greedy_cost".into(), Json::Num(q.greedy_cost)),
-                    ("lower_bound".into(), Json::Num(q.lower_bound)),
-                    ("mean_margin".into(), Json::Num(q.mean_margin)),
-                    ("rounds".into(), Json::from_u64(q.rounds)),
-                ]),
-            ));
-        }
+        let q = &self.quality;
+        entries.push((
+            "quality".into(),
+            Json::Obj(vec![
+                ("greedy_cost".into(), Json::Num(q.greedy_cost)),
+                ("lower_bound".into(), Json::Num(q.lower_bound)),
+                ("mean_margin".into(), Json::Num(q.mean_margin)),
+                ("rounds".into(), Json::from_u64(q.rounds)),
+            ]),
+        ));
         Json::Obj(entries)
     }
 
@@ -220,14 +221,12 @@ impl WorkloadRun {
                 peak_live_bytes: require_u64(a, "peak_live_bytes")?,
             }),
         };
-        let quality = match json.get("quality") {
-            None | Some(Json::Null) => None,
-            Some(q) => Some(QualityStats {
-                greedy_cost: require_f64(q, "greedy_cost")?,
-                lower_bound: require_f64(q, "lower_bound")?,
-                mean_margin: require_f64(q, "mean_margin")?,
-                rounds: require_u64(q, "rounds")?,
-            }),
+        let q = json.get("quality").ok_or("workload missing quality")?;
+        let quality = QualityStats {
+            greedy_cost: require_f64(q, "greedy_cost")?,
+            lower_bound: require_f64(q, "lower_bound")?,
+            mean_margin: require_f64(q, "mean_margin")?,
+            rounds: require_u64(q, "rounds")?,
         };
         Ok(WorkloadRun {
             name: require_str(json, "name")?.to_string(),
@@ -262,11 +261,10 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Serializes to the committed `BENCH_*.json` layout (schema 2:
-    /// schema 1 plus the optional per-workload `quality` block).
+    /// Serializes to the `BENCH_*.json` layout of [`SCHEMA`].
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
-            ("schema".into(), Json::from_u64(2)),
+            ("schema".into(), Json::from_u64(SCHEMA)),
             ("label".into(), Json::Str(self.label.clone())),
             ("git_sha".into(), Json::Str(self.git_sha.clone())),
             ("rustc".into(), Json::Str(self.rustc.clone())),
@@ -281,10 +279,12 @@ impl Snapshot {
     /// Parses a snapshot document.
     pub fn from_json(json: &Json) -> Result<Snapshot, String> {
         match json.get("schema").and_then(Json::as_u64) {
-            // Schema 2 added the optional `quality` block; schema 1
-            // documents simply parse with `quality: None`.
-            Some(1 | 2) => {}
-            other => return Err(format!("unsupported snapshot schema {other:?}")),
+            Some(SCHEMA) => {}
+            other => {
+                return Err(format!(
+                    "unsupported snapshot schema {other:?} (this build reads {SCHEMA})"
+                ))
+            }
         }
         Ok(Snapshot {
             label: require_str(json, "label")?.to_string(),
@@ -316,7 +316,7 @@ impl Snapshot {
 /// Flattens a [`MetricsRecorder`] into the snapshot's deterministic
 /// counter map: every counter here is a function of the input and the
 /// algorithm alone, so `diff` compares them exactly. Phase timings and
-/// histograms stay out — timings belong to the toleranced side, and the
+/// histograms stay out — timings are not deterministic, and the
 /// histograms are derived from the same events as the counters.
 pub fn deterministic_counters(metrics: &MetricsRecorder) -> BTreeMap<String, u64> {
     let mut counters = BTreeMap::new();
@@ -451,12 +451,12 @@ mod tests {
                     bytes_allocated: 1 << 20,
                     peak_live_bytes: 1 << 18,
                 }),
-                quality: Some(QualityStats {
+                quality: QualityStats {
                     greedy_cost: 28.0,
                     lower_bound: 14.0,
                     mean_margin: 0.75,
                     rounds: 7,
-                }),
+                },
             }],
         }
     }
@@ -488,32 +488,44 @@ mod tests {
     }
 
     #[test]
-    fn unknown_schema_is_rejected() {
-        let text = sample()
-            .to_json()
-            .to_pretty()
-            .replace("\"schema\": 2", "\"schema\": 99");
-        assert!(Snapshot::parse(&text).unwrap_err().contains("schema"));
+    fn other_schemas_are_rejected() {
+        let text = sample().to_json().to_pretty();
+        for other in ["\"schema\": 2", "\"schema\": 99"] {
+            let text = text.replace("\"schema\": 3", other);
+            assert!(Snapshot::parse(&text).unwrap_err().contains("schema"));
+        }
     }
 
     #[test]
-    fn schema_one_documents_parse_without_quality() {
-        let mut snap = sample();
-        snap.workloads[0].quality = None;
-        let text = snap
-            .to_json()
-            .to_pretty()
-            .replace("\"schema\": 2", "\"schema\": 1");
-        let parsed = Snapshot::parse(&text).unwrap();
-        assert_eq!(parsed.workloads[0].quality, None);
-        assert_eq!(parsed, snap);
+    fn alloc_peak_counts_from_the_live_bytes_at_solve_start() {
+        let before = AllocSnapshot {
+            allocs: 10,
+            bytes_allocated: 4096,
+            live_bytes: 1000,
+            peak_live_bytes: 1000,
+        };
+        let after = AllocSnapshot {
+            allocs: 13,
+            bytes_allocated: 4396,
+            live_bytes: 1000,
+            peak_live_bytes: 1250,
+        };
+        let stats = AllocStats::between(&before, &after);
+        assert_eq!(
+            stats,
+            AllocStats {
+                allocs: 3,
+                bytes_allocated: 300,
+                peak_live_bytes: 250,
+            }
+        );
     }
 
     #[test]
     fn quality_round_trips_and_ratio_is_derived() {
         let snap = sample();
         let parsed = Snapshot::parse(&snap.to_json().to_pretty()).unwrap();
-        let q = parsed.workloads[0].quality.unwrap();
+        let q = parsed.workloads[0].quality;
         assert_eq!(q.certified_ratio(), 2.0);
         // Uninformative bound: the derived ratio is infinite, which is
         // exactly why the ratio never enters the JSON document.

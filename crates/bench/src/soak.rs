@@ -24,15 +24,13 @@ use crate::measure::run_traced;
 use crate::registry::Workload;
 use crate::snapshot::deterministic_counters;
 use scwsc_core::json::Json;
+use scwsc_core::telemetry::alloc;
 use scwsc_core::telemetry::window::{SolveSample, SolveWindows};
 use scwsc_core::{MetricsRecorder, NoopObserver, Watchdog};
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::Duration;
-
-#[cfg(feature = "alloc-stats")]
-use scwsc_core::telemetry::alloc;
 
 /// Iterations to run before arming the leak baseline: lazy one-time
 /// allocations (thread-local scratch, container growth to steady state)
@@ -105,14 +103,7 @@ impl SoakReport {
 
 /// Live allocator bytes right now, when the counting allocator is active.
 fn live_bytes() -> Option<u64> {
-    #[cfg(feature = "alloc-stats")]
-    {
-        alloc::is_active().then(|| alloc::snapshot().live_bytes)
-    }
-    #[cfg(not(feature = "alloc-stats"))]
-    {
-        None
-    }
+    alloc::is_active().then(|| alloc::snapshot().live_bytes)
 }
 
 /// Runs the soak loop. Returns `Err` (with the failing invariant) as soon

@@ -1,5 +1,4 @@
-//! A counting global allocator for benchmark memory attribution
-//! (`alloc-stats` feature, on by default).
+//! A counting global allocator for benchmark memory attribution.
 //!
 //! [`CountingAlloc`] wraps [`System`] and keeps process-wide atomic
 //! tallies: allocation count, cumulative bytes allocated, live bytes, and

@@ -22,7 +22,6 @@ use std::fmt::Write as _;
 use std::io;
 use std::time::Instant;
 
-#[cfg(feature = "alloc-stats")]
 #[allow(unsafe_code)] // the `GlobalAlloc` impl
 pub mod alloc;
 pub mod audit;
