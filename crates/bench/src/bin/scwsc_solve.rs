@@ -9,16 +9,13 @@
 //! The CSV's last column is the numeric measure; all others are pattern
 //! attributes (the format `scwsc_data::csv` writes).
 
-use scwsc_bench::cli::{args_or_exit, bail, exit_code, exit_with, required};
 use scwsc_bench::measure::RunParams;
 use scwsc_bench::report::{secs, TextTable};
-use scwsc_core::cli::Args;
+use scwsc_core::cli::{args_or_exit, bail, exit_code, exit_with, required, Args};
 use scwsc_core::telemetry::audit::{self, DecisionLedger};
-#[cfg(feature = "fault-inject")]
-use scwsc_core::FaultPlan;
 use scwsc_core::{
-    coverage_target, render_prometheus, Deadline, EngineError, Fanout, FlightRecorder, JsonlSink,
-    MetricsRecorder, SloGauges, SolveOutcome, Watchdog,
+    coverage_target, render_prometheus, Deadline, EngineError, Fanout, FaultPlan, FlightRecorder,
+    JsonlSink, MetricsRecorder, SloGauges, SolveOutcome, Watchdog,
 };
 use scwsc_data::csv::read_table;
 use scwsc_data::lbl::LblConfig;
@@ -37,15 +34,13 @@ const USAGE: &str = "scwsc_solve [--csv PATH | --rows N [--seed N]] \
 [--metrics-prom PATH] [--explain [N]] [--audit-jsonl PATH]
 Solves size-constrained weighted set cover over the table's pattern cube and
 prints the chosen patterns. Without --csv, a synthetic LBL-like trace of
---rows records is generated. --deadline-ms bounds the
-solve by wall clock (when the flag is absent the SCWSC_DEADLINE_MS
-environment variable supplies the same bound; an explicit flag always wins
-over the environment) and --max-ticks by a deterministic work-tick budget; on
-expiry the best partial solution prints with its certificate and the process
-exits with code 5 (exit codes: 2 bad args, 3 bad input, 4 infeasible, 5
-deadline-degraded). --fault injects a deterministic fault schedule
-(comma-separated panic@TICK, cancel@TICK, panicguess@I, failguess@I,
-stall@TICK:MS, or seed:N; requires a build with --features fault-inject).
+--rows records is generated. --deadline-ms bounds the solve by wall clock
+and --max-ticks by a deterministic work-tick budget; on expiry the best
+partial solution prints with its certificate and the process exits with
+code 5 (exit codes: 2 bad args or an unknown flag, 3 bad input, 4
+infeasible, 5 deadline-degraded). --fault injects a deterministic fault schedule
+(comma-separated panic@TICK, cancel@TICK, panicguess@I, failguess@I and
+stall@TICK:MS, or a lone seed:N); scwsc_serve's service faults are rejected.
 --watchdog MS arms a liveness watchdog: a background monitor watches
 the solve's engine checkpoint ticks, and when they stand still for MS
 milliseconds it records a stall_detected event and dumps the flight
@@ -97,61 +92,12 @@ fn load(args: &Args) -> Table {
     }
 }
 
-/// Parses a `--fault` schedule: comma-separated `panic@TICK`,
-/// `cancel@TICK`, `panicguess@INDEX`, `failguess@INDEX`,
-/// `stall@TICK:MS`, or a single `seed:N` deriving a pseudo-random plan.
-#[cfg(feature = "fault-inject")]
-fn parse_fault(spec: &str) -> FaultPlan {
-    let number = |part: &str, text: &str| -> u64 {
-        text.parse()
-            .unwrap_or_else(|_| bail(&format!("bad fault spec {part:?}: not a number")))
-    };
-    let mut plan = FaultPlan::new();
-    for part in spec.split(',') {
-        plan = if let Some(t) = part.strip_prefix("panic@") {
-            plan.panic_at_tick(number(part, t))
-        } else if let Some(t) = part.strip_prefix("cancel@") {
-            plan.cancel_at_tick(number(part, t))
-        } else if let Some(i) = part.strip_prefix("panicguess@") {
-            plan.panic_guess_once(number(part, i))
-        } else if let Some(i) = part.strip_prefix("failguess@") {
-            plan.fail_guess(number(part, i))
-        } else if let Some(spec) = part.strip_prefix("stall@") {
-            let (tick, ms) = spec
-                .split_once(':')
-                .unwrap_or_else(|| bail(&format!("bad fault spec {part:?}: use stall@TICK:MS")));
-            plan.stall_at_tick(number(part, tick), number(part, ms))
-        } else if let Some(n) = part.strip_prefix("seed:") {
-            FaultPlan::from_seed(number(part, n))
-        } else {
-            bail(&format!(
-                "bad fault spec {part:?} (use panic@T, cancel@T, panicguess@I, failguess@I, \
-                 stall@T:MS, seed:N)"
-            ))
-        };
-    }
-    plan
-}
-
-/// Builds the run's [`Deadline`] from `--deadline-ms` (falling back to
-/// the `SCWSC_DEADLINE_MS` environment variable), `--max-ticks`, and
-/// `--fault`; unbounded when none is given.
+/// Builds the run's [`Deadline`] from `--deadline-ms`, `--max-ticks`,
+/// and `--fault`; unbounded when none is given.
 fn deadline_of(args: &Args) -> Deadline {
     let mut deadline = Deadline::unbounded();
-    // The flag wins over the environment: SCWSC_DEADLINE_MS sets a
-    // fleet-wide default (e.g. exported by an operator for every run in
-    // a shell), an explicit --deadline-ms overrides it per invocation.
-    let env_deadline_ms = std::env::var("SCWSC_DEADLINE_MS").ok().map(|raw| {
-        raw.parse::<u64>().unwrap_or_else(|_| {
-            bail(&format!(
-                "SCWSC_DEADLINE_MS must be an integer, got {raw:?}"
-            ))
-        })
-    });
     if args.get("deadline-ms").is_some() {
         let ms: u64 = required(args.get_or("deadline-ms", 0));
-        deadline = deadline.with_wall_clock(Duration::from_millis(ms));
-    } else if let Some(ms) = env_deadline_ms {
         deadline = deadline.with_wall_clock(Duration::from_millis(ms));
     }
     if args.get("max-ticks").is_some() {
@@ -159,15 +105,13 @@ fn deadline_of(args: &Args) -> Deadline {
         deadline = deadline.with_tick_budget(ticks);
     }
     if let Some(spec) = args.get("fault") {
-        #[cfg(feature = "fault-inject")]
-        {
-            deadline = deadline.with_fault_plan(parse_fault(spec));
+        let plan = required(FaultPlan::parse(spec));
+        if plan.has_service_faults() {
+            bail(&format!(
+                "--fault {spec:?}: slowread, disconnect and panicreq apply only to scwsc_serve"
+            ));
         }
-        #[cfg(not(feature = "fault-inject"))]
-        {
-            let _ = spec;
-            bail("--fault requires a build with --features fault-inject");
-        }
+        deadline = deadline.with_fault_plan(plan);
     }
     deadline
 }

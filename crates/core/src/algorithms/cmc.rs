@@ -1071,7 +1071,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "fault-inject")]
     mod within_faults {
         use super::*;
         use crate::engine::FaultPlan;

@@ -17,11 +17,12 @@
 //! * [`EngineError`] — structured failure: an ordinary [`SolveError`] or a
 //!   contained panic ([`EngineError::Panicked`]). Solvers never let a
 //!   worker panic escape as a panic.
-//! * `FaultPlan` (behind the `fault-inject` feature) — a seeded,
-//!   deterministic injector: worker panic at tick N, cancellation at tick
-//!   M, forced guess failure. Property tests use it to assert that no
-//!   input + fault schedule ever panics, hangs, or yields a certificate
-//!   that fails verification.
+//! * [`FaultPlan`] — a seeded, deterministic injector: worker panic at
+//!   tick N, cancellation at tick M, forced guess failure, plus the
+//!   service faults `scwsc_serve` reads. [`FaultPlan::parse`] is the one
+//!   `--fault` grammar of every binary. Property tests use it to assert
+//!   that no input + fault schedule ever panics, hangs, or yields a
+//!   certificate that fails verification.
 //!
 //! # Threads
 //!
@@ -152,7 +153,6 @@ pub struct Deadline {
     ticks: Arc<AtomicU64>,
     token: CancelToken,
     reason: AtomicU8,
-    #[cfg(feature = "fault-inject")]
     fault: Option<FaultPlan>,
 }
 
@@ -177,8 +177,7 @@ impl Deadline {
         self
     }
 
-    /// Attach a deterministic fault-injection plan (tests only).
-    #[cfg(feature = "fault-inject")]
+    /// Attach a deterministic fault plan.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Deadline {
         self.fault = Some(plan);
         self
@@ -236,12 +235,10 @@ impl Deadline {
     /// with the same reason.
     ///
     /// # Panics
-    /// Only under the `fault-inject` feature, when the attached
-    /// `FaultPlan` schedules a panic at this tick — callers contain such
-    /// panics with `catch_unwind`.
+    /// Only when the attached [`FaultPlan`] schedules a panic at this
+    /// tick — callers contain such panics with `catch_unwind`.
     pub fn checkpoint(&self) -> Result<(), DegradeReason> {
         let t = self.ticks.fetch_add(1, Ordering::Relaxed) + 1;
-        #[cfg(feature = "fault-inject")]
         if let Some(plan) = &self.fault {
             if plan.cancel_due(t) {
                 self.expire(DegradeReason::Cancelled);
@@ -281,9 +278,7 @@ impl Deadline {
     }
 
     /// Injects a forced guess failure when the fault plan schedules one
-    /// for `guess_index` (1-based serial guess number). No-op without the
-    /// `fault-inject` feature.
-    #[cfg(feature = "fault-inject")]
+    /// for `guess_index` (1-based serial guess number).
     pub fn fault_guess(&self, guess_index: u64) {
         if let Some(plan) = &self.fault {
             if plan.guess_should_panic(guess_index) {
@@ -291,12 +286,6 @@ impl Deadline {
             }
         }
     }
-
-    /// Injects a forced guess failure (fault-injection builds only); this
-    /// build compiles it away.
-    #[cfg(not(feature = "fault-inject"))]
-    #[inline]
-    pub fn fault_guess(&self, _guess_index: u64) {}
 
     /// First expiry reason wins; later causes are ignored.
     fn expire(&self, reason: DegradeReason) {
@@ -326,9 +315,11 @@ impl TickProbe {
 
 /// A deterministic, seeded fault injector attached to a [`Deadline`].
 ///
-/// Compiled only under the `fault-inject` feature so production builds
-/// carry no injection branches.
-#[cfg(feature = "fault-inject")]
+/// Engine faults fire at the deadline's checkpoints; the service faults
+/// (`slow_read`, `disconnect_at`, `panic_request`) are read by
+/// `scwsc_serve`'s connection and dispatch layers. Faults come only from
+/// a binary's `--fault` flag ([`FaultPlan::parse`]) or from library
+/// callers, never from a request on the wire.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     panic_at_tick: Option<u64>,
@@ -350,12 +341,14 @@ pub struct FaultPlan {
     /// Service layer: the connection drops mid-request — after (1-based)
     /// request `request` is read, before any response byte is written.
     disconnect_at: Option<u64>,
+    /// Service layer: the first solve attempt of (1-based) dispatched
+    /// request `request` panics; the dispatch retry recovers.
+    panic_request: Option<u64>,
     panic_fired: std::sync::atomic::AtomicBool,
     guess_panic_fired: std::sync::atomic::AtomicBool,
     stall_fired: std::sync::atomic::AtomicBool,
 }
 
-#[cfg(feature = "fault-inject")]
 impl FaultPlan {
     /// An empty plan: injects nothing.
     pub fn new() -> FaultPlan {
@@ -412,6 +405,14 @@ impl FaultPlan {
         self
     }
 
+    /// Service-layer fault: the first solve attempt of (1-based)
+    /// dispatched request `request` panics. Consumed by `scwsc_serve`'s
+    /// dispatch, which isolates the panic and retries once.
+    pub fn panic_request(mut self, request: u64) -> FaultPlan {
+        self.panic_request = Some(request);
+        self
+    }
+
     /// The injected read stall for (1-based) request `seq`, if any.
     pub fn slow_read_before(&self, seq: u64) -> Option<Duration> {
         self.slow_read
@@ -422,6 +423,75 @@ impl FaultPlan {
     /// Whether the connection should drop mid-request `seq` (1-based).
     pub fn disconnects(&self, seq: u64) -> bool {
         self.disconnect_at == Some(seq)
+    }
+
+    /// Whether the first solve attempt of dispatched request `seq`
+    /// (1-based) should panic.
+    pub fn panics_request(&self, seq: u64) -> bool {
+        self.panic_request == Some(seq)
+    }
+
+    /// Whether the plan schedules a fault a [`Deadline`] fires: a tick
+    /// panic, cancellation or stall, or a guess failure.
+    pub fn has_engine_faults(&self) -> bool {
+        self.panic_at_tick.is_some()
+            || self.cancel_at_tick.is_some()
+            || self.panic_guess_once.is_some()
+            || self.fail_guess.is_some()
+            || self.stall_at_tick.is_some()
+    }
+
+    /// Whether the plan schedules a fault only `scwsc_serve` acts on: a
+    /// slow read, a disconnect or a request panic.
+    pub fn has_service_faults(&self) -> bool {
+        self.slow_read.is_some() || self.disconnect_at.is_some() || self.panic_request.is_some()
+    }
+
+    /// Parses the `--fault` grammar: comma-separated `panic@TICK`,
+    /// `cancel@TICK`, `panicguess@INDEX`, `failguess@INDEX`,
+    /// `stall@TICK:MS`, `slowread@REQ:MS`, `disconnect@REQ` and
+    /// `panicreq@REQ`; or a lone `seed:N`, the whole plan
+    /// [`FaultPlan::from_seed`] derives, which combines with no other
+    /// part. Guesses and requests are 1-based.
+    pub fn parse(spec: &str) -> Result<FaultPlan, String> {
+        const KINDS: &str = "panic@T, cancel@T, panicguess@I, failguess@I, stall@T:MS, \
+                             slowread@R:MS, disconnect@R, panicreq@R or a lone seed:N";
+        let number = |part: &str, text: &str| -> Result<u64, String> {
+            text.parse()
+                .map_err(|_| format!("bad fault spec {part:?}: {text:?} is not a number"))
+        };
+        let pair = |part: &str, text: &str| -> Result<(u64, u64), String> {
+            let (a, b) = text
+                .split_once(':')
+                .ok_or_else(|| format!("bad fault spec {part:?}: want N:MS"))?;
+            Ok((number(part, a)?, number(part, b)?))
+        };
+        let mut plan = FaultPlan::new();
+        for part in spec.split(',') {
+            if let Some(seed) = part.strip_prefix("seed:") {
+                if part != spec {
+                    return Err(format!(
+                        "bad fault spec {spec:?}: seed:N is a whole plan and takes no other part"
+                    ));
+                }
+                return Ok(FaultPlan::from_seed(number(part, seed)?));
+            }
+            let Some((kind, arg)) = part.split_once('@') else {
+                return Err(format!("bad fault spec {part:?} (use {KINDS})"));
+            };
+            plan = match kind {
+                "panic" => plan.panic_at_tick(number(part, arg)?),
+                "cancel" => plan.cancel_at_tick(number(part, arg)?),
+                "panicguess" => plan.panic_guess_once(number(part, arg)?),
+                "failguess" => plan.fail_guess(number(part, arg)?),
+                "stall" => pair(part, arg).map(|(tick, ms)| plan.stall_at_tick(tick, ms))?,
+                "slowread" => pair(part, arg).map(|(req, ms)| plan.slow_read(req, ms))?,
+                "disconnect" => plan.disconnect_at(number(part, arg)?),
+                "panicreq" => plan.panic_request(number(part, arg)?),
+                _ => return Err(format!("unknown fault {part:?} (use {KINDS})")),
+            };
+        }
+        Ok(plan)
     }
 
     /// A deterministic pseudo-random plan: the same seed always yields the
@@ -807,7 +877,6 @@ mod tests {
         assert!(panic_message(payload.as_ref()).contains("non-string"));
     }
 
-    #[cfg(feature = "fault-inject")]
     mod fault {
         use super::*;
         use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -873,6 +942,53 @@ mod tests {
                 let a = format!("{:?}", FaultPlan::from_seed(seed));
                 let b = format!("{:?}", FaultPlan::from_seed(seed));
                 assert_eq!(a, b, "seed {seed}");
+            }
+        }
+
+        #[test]
+        fn each_kind_parses_to_its_builder_plan() {
+            let new = FaultPlan::new;
+            // (spec, builder plan, has engine faults, has service faults)
+            let cases = [
+                ("panic@3", new().panic_at_tick(3), true, false),
+                ("cancel@4", new().cancel_at_tick(4), true, false),
+                ("panicguess@1", new().panic_guess_once(1), true, false),
+                ("failguess@2", new().fail_guess(2), true, false),
+                ("stall@5:400", new().stall_at_tick(5, 400), true, false),
+                ("slowread@2:30", new().slow_read(2, 30), false, true),
+                ("disconnect@3", new().disconnect_at(3), false, true),
+                ("panicreq@1", new().panic_request(1), false, true),
+                (
+                    "failguess@1,disconnect@3",
+                    new().fail_guess(1).disconnect_at(3),
+                    true,
+                    true,
+                ),
+            ];
+            for (spec, built, engine, service) in cases {
+                let parsed = FaultPlan::parse(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
+                assert_eq!(format!("{parsed:?}"), format!("{built:?}"), "{spec}");
+                assert_eq!(parsed.has_engine_faults(), engine, "{spec}");
+                assert_eq!(parsed.has_service_faults(), service, "{spec}");
+            }
+            let seeded = FaultPlan::parse("seed:9").unwrap();
+            assert_eq!(
+                format!("{seeded:?}"),
+                format!("{:?}", FaultPlan::from_seed(9))
+            );
+        }
+
+        #[test]
+        fn malformed_specs_are_rejected() {
+            for spec in [
+                "stall@5",
+                "panic@x",
+                "bogus@1",
+                "seed:1,panic@2",
+                "failguess@1,seed:1",
+                "",
+            ] {
+                assert!(FaultPlan::parse(spec).is_err(), "{spec:?} must not parse");
             }
         }
     }

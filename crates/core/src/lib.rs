@@ -61,11 +61,9 @@ pub mod telemetry;
 pub use bitset::{BitSet, BlockSummary, LimitedCount};
 pub use cost::{Cost, CostError};
 pub use cover_state::{Candidate, CoverState};
-#[cfg(feature = "fault-inject")]
-pub use engine::FaultPlan;
 pub use engine::{
     panic_message, CancelToken, Certificate, Deadline, DegradeReason, Degraded, EngineError,
-    SolveOutcome, ThreadPool, Threads,
+    FaultPlan, SolveOutcome, ThreadPool, Threads,
 };
 pub use json::Json;
 pub use set_system::{coverage_target, BuildError, ElementId, SetId, SetSystem, WeightedSet};

@@ -987,7 +987,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "fault-inject")]
     mod within_faults {
         use super::*;
         use crate::pattern_solution::verify_certificate_in;

@@ -11,10 +11,8 @@
 //! solves finish, new requests are rejected with Retry-After, telemetry
 //! is flushed, and the summary prints.
 
-use scwsc_core::cli::Args;
-#[cfg(feature = "fault-inject")]
-use scwsc_core::FaultPlan;
-use scwsc_core::{FlightRecorder, Solver, ThreadPool, Threads, Watchdog};
+use scwsc_core::cli::{args_or_exit, bail, required};
+use scwsc_core::{FaultPlan, FlightRecorder, Solver, ThreadPool, Threads, Watchdog};
 use scwsc_data::csv::read_table;
 use scwsc_data::lbl::LblConfig;
 use scwsc_patterns::PatternInstance;
@@ -51,67 +49,15 @@ only; hits bypass admission). --watchdog MS watches each solve's
 checkpoint ticks and flags a solve whose ticks stand still for MS
 milliseconds (MS must exceed the host's scheduling delay: a descheduled
 solve does not tick); --flight-dump and --metrics-prom flush the flight ring
-and the Prometheus exposition on drain. --fault (fault-inject builds)
-injects deterministic service faults, comma-separated: slowread@REQ:MS
-stalls reading the REQ-th request, disconnect@REQ drops its connection
-before the response is written, panicreq@REQ panics that request's first
-solve attempt (isolated and retried once).";
-
-fn bail(message: &str) -> ! {
-    eprintln!("error: {message}");
-    eprintln!("usage: {USAGE}");
-    exit(2);
-}
-
-fn required<T>(result: Result<T, String>) -> T {
-    result.unwrap_or_else(|e| bail(&e))
-}
-
-#[cfg(feature = "fault-inject")]
-struct FaultSpec {
-    service: Option<Arc<FaultPlan>>,
-    panic_request: Option<u64>,
-}
-
-/// Parses `--fault`: comma-separated `slowread@REQ:MS`, `disconnect@REQ`,
-/// `panicreq@REQ` (all request numbers 1-based).
-#[cfg(feature = "fault-inject")]
-fn parse_fault(spec: &str) -> FaultSpec {
-    let number = |text: &str| -> u64 {
-        text.parse()
-            .unwrap_or_else(|_| bail(&format!("bad fault spec: {text:?} is not a number")))
-    };
-    let mut plan = FaultPlan::new();
-    let mut any_service = false;
-    let mut panic_request = None;
-    for part in spec.split(',') {
-        match part.split_once('@') {
-            Some(("slowread", rest)) => {
-                let (req, ms) = rest
-                    .split_once(':')
-                    .unwrap_or_else(|| bail(&format!("bad fault spec {part:?}: want REQ:MS")));
-                plan = plan.slow_read(number(req), number(ms));
-                any_service = true;
-            }
-            Some(("disconnect", req)) => {
-                plan = plan.disconnect_at(number(req));
-                any_service = true;
-            }
-            Some(("panicreq", req)) => panic_request = Some(number(req)),
-            _ => bail(&format!("unknown fault {part:?}")),
-        }
-    }
-    FaultSpec {
-        service: any_service.then(|| Arc::new(plan)),
-        panic_request,
-    }
-}
+and the Prometheus exposition on drain. --fault injects deterministic
+service faults, comma-separated: slowread@REQ:MS stalls reading the REQ-th
+request line, disconnect@REQ drops its connection before the response is
+written, panicreq@REQ panics the first solve attempt of the REQ-th
+well-formed request (isolated and retried once). It shares scwsc_solve's --fault grammar and rejects
+that binary's engine faults.";
 
 fn main() {
-    let args = match Args::from_env() {
-        Ok(args) => args,
-        Err(e) => bail(&e),
-    };
+    let args = args_or_exit(USAGE);
     let table = if let Some(path) = args.get("csv") {
         match read_table(Path::new(path)) {
             Ok(t) => t,
@@ -148,21 +94,21 @@ fn main() {
         max_tier: required(args.get_or("max-tier", BrownoutConfig::default().max_tier)),
         ..BrownoutConfig::default()
     };
-    #[cfg(feature = "fault-inject")]
-    let faults = args.get("fault").map(parse_fault);
-    #[cfg(not(feature = "fault-inject"))]
-    if args.get("fault").is_some() {
-        bail("--fault requires a build with --features fault-inject");
-    }
     let config = ServerConfig {
         default_deadline_ms: required(args.get_or("deadline-ms", 0)),
         cache_capacity: required(args.get_or("cache", 256)),
         admission,
         brownout,
         window: required(args.get_or("window", 64)),
-        #[cfg(feature = "fault-inject")]
-        panic_request: faults.as_ref().and_then(|f| f.panic_request),
-        ..ServerConfig::default()
+        faults: args.get("fault").map(|spec| {
+            let plan = required(FaultPlan::parse(spec));
+            if plan.has_engine_faults() {
+                bail(&format!(
+                    "--fault {spec:?}: only slowread, disconnect and panicreq apply to a server"
+                ));
+            }
+            Arc::new(plan)
+        }),
     };
 
     let flight = FlightRecorder::new();
@@ -202,8 +148,6 @@ fn main() {
     let options = ServeOptions {
         flight_dump,
         prometheus_dump: args.get("metrics-prom").map(PathBuf::from),
-        #[cfg(feature = "fault-inject")]
-        faults: faults.and_then(|f| f.service),
         ..ServeOptions::default()
     };
     match serve(listener, state, options, ShutdownFlag::new()) {

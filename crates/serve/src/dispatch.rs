@@ -17,8 +17,8 @@
 //! 3. **Isolated solve** — `catch_unwind` around the solver; a panicking
 //!    request gets exactly one retry after a jittered-but-seeded backoff
 //!    (deterministic per request sequence number, so failures replay).
-//!    The injected fault plan is attached only to the first attempt: the
-//!    injection models a transient fault the retry recovers from.
+//!    An injected `panicreq` fault is attached only to the first
+//!    attempt: it models a transient fault the retry recovers from.
 //! 4. **Bookkeeping** — the solve feeds [`SolveWindows`] (which drives
 //!    brownout tier decisions), per-request metrics merge into the
 //!    server-lifetime [`MetricsRecorder`], and complete answers enter
@@ -30,16 +30,20 @@
 use crate::admission::{Admission, AdmissionConfig, BrownoutConfig, Gate, GateSnapshot};
 use crate::cache::{canonical_key, ResultCache};
 use crate::protocol::{Request, Response, Status};
-#[cfg(feature = "fault-inject")]
-use scwsc_core::FaultPlan;
 use scwsc_core::{
-    panic_message, render_prometheus_windowed, Deadline, EngineError, Fanout, FlightRecorder,
-    MetricsRecorder, SolveOutcome, SolveSample, SolveWindows, Solver, ThreadPool, Watchdog,
+    panic_message, render_prometheus_windowed, Deadline, EngineError, Fanout, FaultPlan,
+    FlightRecorder, MetricsRecorder, SolveOutcome, SolveSample, SolveWindows, Solver, ThreadPool,
+    Watchdog,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Seed of the retry backoff jitter (deterministic per request).
+const BACKOFF_SEED: u64 = 0x5c3c_a11e;
+/// Upper bound on the retry backoff, in ms.
+const MAX_BACKOFF_MS: u64 = 20;
 
 /// Server-wide knobs (transport-independent).
 #[derive(Debug, Clone)]
@@ -55,15 +59,9 @@ pub struct ServerConfig {
     pub brownout: BrownoutConfig,
     /// Sliding-window width, in solves.
     pub window: usize,
-    /// Seed for the retry backoff jitter (deterministic per request).
-    pub backoff_seed: u64,
-    /// Upper bound on the retry backoff, in ms.
-    pub max_backoff_ms: u64,
-    /// Engine fault injection: the (1-based) request sequence number
-    /// whose first solve attempt panics — exercises the catch_unwind +
-    /// retry path deterministically.
-    #[cfg(feature = "fault-inject")]
-    pub panic_request: Option<u64>,
+    /// Injected service faults: `panic_request` is read by dispatch,
+    /// `slow_read` and `disconnect_at` by the connection threads.
+    pub faults: Option<Arc<FaultPlan>>,
 }
 
 impl Default for ServerConfig {
@@ -74,10 +72,7 @@ impl Default for ServerConfig {
             admission: AdmissionConfig::default(),
             brownout: BrownoutConfig::default(),
             window: 64,
-            backoff_seed: 0x5c3c_a11e,
-            max_backoff_ms: 20,
-            #[cfg(feature = "fault-inject")]
-            panic_request: None,
+            faults: None,
         }
     }
 }
@@ -261,8 +256,8 @@ impl ServerState {
                 let charged = queue_wait + solve_started.elapsed();
                 deadline = deadline.with_wall_clock(wall.saturating_sub(charged));
             }
-            #[cfg(feature = "fault-inject")]
-            if attempts == 1 && self.config.panic_request == Some(seq) {
+            let faults = self.config.faults.as_deref();
+            if attempts == 1 && faults.is_some_and(|f| f.panics_request(seq)) {
                 deadline = deadline.with_fault_plan(FaultPlan::new().panic_at_tick(0));
             }
             let solved = {
@@ -354,19 +349,19 @@ impl ServerState {
                     )
                 };
             }
-            std::thread::sleep(Duration::from_millis(self.backoff_ms(seq)));
+            std::thread::sleep(Duration::from_millis(Self::backoff_ms(seq)));
         };
         outcome
     }
 
     /// Jittered-but-seeded backoff: deterministic per request sequence
     /// number, spread across requests (splitmix-style mix + xorshift).
-    fn backoff_ms(&self, seq: u64) -> u64 {
-        let mut x = self.config.backoff_seed ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    fn backoff_ms(seq: u64) -> u64 {
+        let mut x = BACKOFF_SEED ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
-        1 + x % self.config.max_backoff_ms.max(1)
+        1 + x % MAX_BACKOFF_MS
     }
 
     /// Post-solve bookkeeping: fold the solve into the sliding window,
@@ -472,12 +467,10 @@ mod tests {
         assert!(resp.error.unwrap().contains("solve failed"));
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn injected_panic_is_isolated_and_retried_once() {
         let config = ServerConfig {
-            panic_request: Some(1),
-            max_backoff_ms: 1,
+            faults: Some(Arc::new(FaultPlan::new().panic_request(1))),
             ..ServerConfig::default()
         };
         let s = state(config);

@@ -15,18 +15,18 @@
 //! disk before the summary prints. No admitted request is ever dropped
 //! by shutdown.
 //!
-//! **Service faults** (`fault-inject` builds): a `FaultPlan` with
-//! `slow_read` stalls the named request mid-read (a slow client; the
-//! stall is charged as queue wait, shrinking that request's solve
-//! budget), and `disconnect_at` drops the connection after the named
-//! request is read and before any response byte is written — the server
-//! must shrug, finish the solve, fail the write quietly, and keep
-//! serving other connections.
+//! **Service faults**: the connection threads read the same
+//! [`ServerConfig::faults`](crate::dispatch::ServerConfig::faults) plan
+//! as dispatch. `slow_read` stalls the named request mid-read (a slow
+//! client; the stall is charged as queue wait, shrinking that request's
+//! solve budget), and `disconnect_at` drops the connection after the
+//! named request is read and before any response byte is written — the
+//! server must shrug, finish the solve, fail the write quietly, and keep
+//! serving other connections. The plan comes from `scwsc_serve --fault`
+//! or a library caller; nothing on the wire can set one.
 
 use crate::dispatch::ServerState;
 use crate::protocol::{Request, Response};
-#[cfg(feature = "fault-inject")]
-use scwsc_core::FaultPlan;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -93,10 +93,6 @@ pub struct ServeOptions {
     pub flight_dump: Option<PathBuf>,
     /// Where to flush the Prometheus exposition on drain.
     pub prometheus_dump: Option<PathBuf>,
-    /// Service-layer fault schedule (slow reads, disconnects),
-    /// addressed by the server-wide 1-based request read sequence.
-    #[cfg(feature = "fault-inject")]
-    pub faults: Option<Arc<FaultPlan>>,
 }
 
 impl Default for ServeOptions {
@@ -106,8 +102,6 @@ impl Default for ServeOptions {
             poll_interval: Duration::from_millis(25),
             flight_dump: None,
             prometheus_dump: None,
-            #[cfg(feature = "fault-inject")]
-            faults: None,
         }
     }
 }
@@ -151,7 +145,6 @@ pub fn serve(
 ) -> std::io::Result<ServeSummary> {
     listener.set_nonblocking(true)?;
     let monitor = state.watchdog().map(|dog| dog.monitor());
-    let read_seq = Arc::new(AtomicU64::new(0));
     let requests_read = Arc::new(AtomicU64::new(0));
     let failed_writes = Arc::new(AtomicU64::new(0));
     let mut handles = Vec::new();
@@ -164,12 +157,9 @@ pub fn serve(
                 let conn = Connection {
                     state: Arc::clone(&state),
                     shutdown: shutdown.clone(),
-                    read_seq: Arc::clone(&read_seq),
                     requests_read: Arc::clone(&requests_read),
                     failed_writes: Arc::clone(&failed_writes),
                     poll_interval: options.poll_interval,
-                    #[cfg(feature = "fault-inject")]
-                    faults: options.faults.clone(),
                 };
                 handles.push(std::thread::spawn(move || conn.run(stream)));
             }
@@ -231,12 +221,11 @@ pub fn serve(
 struct Connection {
     state: Arc<ServerState>,
     shutdown: ShutdownFlag,
-    read_seq: Arc<AtomicU64>,
+    /// Requests read so far, server-wide: the 1-based sequence that
+    /// service faults address.
     requests_read: Arc<AtomicU64>,
     failed_writes: Arc<AtomicU64>,
     poll_interval: Duration,
-    #[cfg(feature = "fault-inject")]
-    faults: Option<Arc<FaultPlan>>,
 }
 
 impl Connection {
@@ -276,10 +265,9 @@ impl Connection {
                 line.clear();
                 continue;
             }
-            let seq = self.read_seq.fetch_add(1, Ordering::Relaxed) + 1;
-            self.requests_read.fetch_add(1, Ordering::Relaxed);
-            #[cfg(feature = "fault-inject")]
-            if let Some(stall) = self.faults.as_ref().and_then(|f| f.slow_read_before(seq)) {
+            let seq = self.requests_read.fetch_add(1, Ordering::Relaxed) + 1;
+            let faults = self.state.config().faults.as_deref();
+            if let Some(stall) = faults.and_then(|f| f.slow_read_before(seq)) {
                 // Slow client: the rest of the request "trickles in".
                 // The stall lands before admission, so it is charged as
                 // part of this caller's end-to-end time, not the solve's.
@@ -292,8 +280,7 @@ impl Connection {
                     Response::error(seq, format!("bad request: {message}"))
                 }
             };
-            #[cfg(feature = "fault-inject")]
-            if self.faults.as_ref().is_some_and(|f| f.disconnects(seq)) {
+            if faults.is_some_and(|f| f.disconnects(seq)) {
                 // Mid-request disconnect: the client vanished between
                 // sending the request and reading the answer. The solve
                 // already ran; drop the connection without writing.
@@ -318,7 +305,7 @@ mod tests {
     use super::*;
     use crate::dispatch::ServerConfig;
     use scwsc_core::solver::Query;
-    use scwsc_core::{FlightRecorder, SetSystem, SystemInstance, ThreadPool, Threads};
+    use scwsc_core::{FaultPlan, FlightRecorder, SetSystem, SystemInstance, ThreadPool, Threads};
 
     fn test_state(config: ServerConfig) -> Arc<ServerState> {
         let mut b = SetSystem::builder(6);
@@ -417,14 +404,17 @@ mod tests {
         assert_eq!(summary.complete, 1);
     }
 
-    #[cfg(feature = "fault-inject")]
+    fn faulted(plan: FaultPlan) -> ServerConfig {
+        ServerConfig {
+            faults: Some(Arc::new(plan)),
+            ..ServerConfig::default()
+        }
+    }
+
     #[test]
     fn injected_disconnect_drops_one_connection_and_spares_the_rest() {
-        let options = ServeOptions {
-            faults: Some(Arc::new(FaultPlan::new().disconnect_at(1))),
-            ..ServeOptions::default()
-        };
-        let (addr, shutdown, handle) = boot(ServerConfig::default(), options);
+        let config = faulted(FaultPlan::new().disconnect_at(1));
+        let (addr, shutdown, handle) = boot(config, ServeOptions::default());
         let mut doomed = TcpStream::connect(addr).unwrap();
         writeln!(doomed, "{}", Request::new(1, Query::cwsc(2, 0.8)).to_line()).unwrap();
         // The server drops the connection without writing a byte.
@@ -455,14 +445,10 @@ mod tests {
         assert!(summary.drained_clean);
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn injected_slow_read_charges_the_callers_wall_deadline() {
-        let options = ServeOptions {
-            faults: Some(Arc::new(FaultPlan::new().slow_read(1, 30))),
-            ..ServeOptions::default()
-        };
-        let (addr, shutdown, handle) = boot(ServerConfig::default(), options);
+        let config = faulted(FaultPlan::new().slow_read(1, 30));
+        let (addr, shutdown, handle) = boot(config, ServeOptions::default());
         let mut stream = TcpStream::connect(addr).unwrap();
         let mut request = Request::new(1, Query::cwsc(2, 0.8));
         request.deadline_ms = Some(10_000);

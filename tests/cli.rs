@@ -259,3 +259,45 @@ fn rejects_unknown_algorithm() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("unknown algorithm"), "{stderr}");
 }
+
+#[test]
+fn misspelled_flags_exit_2_and_spelled_faults_fire() {
+    if !solver_available() {
+        eprintln!("scwsc_solve not built; skipping");
+        return;
+    }
+    let run = |binary: PathBuf, args: &str| {
+        let output = Command::new(binary).args(args.split(' ')).output().unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+        (output.status.code(), stderr)
+    };
+    let (code, err) = run(
+        solver_path(),
+        "--rows 500 --algorithm cmc --fualt failguess@1",
+    );
+    assert!(
+        code == Some(2) && err.contains("unknown flag --fualt"),
+        "{err}"
+    );
+    let (code, err) = run(solver_path(), "--rows 100 --fault bogus@1");
+    assert!(
+        code == Some(2) && err.contains("unknown fault \"bogus@1\""),
+        "{err}"
+    );
+    let serve = solver_path().with_file_name("scwsc_serve");
+    if serve.exists() {
+        let (code, err) = run(serve, "--rows 500 --fualt disconnect@3");
+        assert!(
+            code == Some(2) && err.contains("unknown flag --fualt"),
+            "{err}"
+        );
+    }
+    // Spelled right, the fault fires in every build: exit 1 and a dump.
+    let dump = std::env::temp_dir().join(format!("scwsc_cli_fault_{}.jsonl", std::process::id()));
+    let args = "--rows 500 --algorithm cmc --fault failguess@1 --flight-dump";
+    let (code, err) = run(solver_path(), &format!("{args} {}", dump.display()));
+    assert_eq!(code, Some(1), "{err}");
+    let text = std::fs::read_to_string(&dump).expect("a faulted run leaves a flight dump");
+    assert!(text.lines().count() >= 2, "header and causal tree: {text}");
+    std::fs::remove_file(&dump).ok();
+}

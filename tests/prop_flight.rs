@@ -5,8 +5,8 @@
 //! minted from its inputs, its causal tree survives ring eviction, and
 //! every buffered event's span and parent ids name a node of the dumped
 //! tree and that node's parent. The dump is always line-oriented JSON,
-//! one object per line, even when the solve degrades or (under
-//! `fault-inject`) panics.
+//! one object per line, even when the solve degrades or (under an
+//! injected fault) panics.
 
 use proptest::prelude::*;
 use scwsc::prelude::*;
@@ -161,7 +161,6 @@ proptest! {
     }
 }
 
-#[cfg(feature = "fault-inject")]
 mod faults {
     use super::*;
     use scwsc::sets::FaultPlan;

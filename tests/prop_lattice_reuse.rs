@@ -268,7 +268,6 @@ fn concurrent_solves_on_one_instance_equal_serial_ones() {
 
 /// A solve that contained a panic drops its lattice: the next clean
 /// solve starts cold, down to the postings it scans.
-#[cfg(feature = "fault-inject")]
 #[test]
 fn contained_panic_drops_the_parked_lattice() {
     use scwsc::sets::FaultPlan;
@@ -299,7 +298,6 @@ fn contained_panic_drops_the_parked_lattice() {
 
 /// A CWSC solve that panics drops the lattice it took from the stash:
 /// the next CMC solve scans the postings of a cold one.
-#[cfg(feature = "fault-inject")]
 #[test]
 fn panicked_cwsc_solve_drops_the_parked_lattice() {
     use scwsc::sets::FaultPlan;

@@ -162,7 +162,6 @@ proptest! {
     }
 }
 
-#[cfg(feature = "fault-inject")]
 mod faults {
     use super::*;
     use scwsc::sets::FaultPlan;

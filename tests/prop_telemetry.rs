@@ -244,10 +244,10 @@ fn lattice_walk_events_scale_with_guesses_and_selections() {
     }
 }
 
-/// Windowed telemetry must also count solves that *degrade*: a
-/// fault-injected tick budget forces the engine down the degradation
-/// ladder, and every degraded solve still closes one window slot.
-#[cfg(feature = "fault-inject")]
+/// Windowed telemetry must also count solves that *degrade*: a tick
+/// budget with an injected cancellation forces the engine down the
+/// degradation ladder, and every degraded solve still closes one window
+/// slot.
 mod degraded_windows {
     use super::*;
     use scwsc::sets::FaultPlan;
